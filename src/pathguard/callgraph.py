@@ -9,7 +9,9 @@ S => callee, mirroring the CFG treatment of backedges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from . import dag
 from .isa import EXTERNAL_CALLS, Op
 from .program import ContractProgram, Visibility
 
@@ -21,6 +23,8 @@ K_EXTERNAL = "external_protected"
 K_SURROGATE = "surrogate"
 
 Node = tuple[str, int]
+
+_callee = attrgetter("callee")
 
 
 @dataclass
@@ -54,25 +58,7 @@ class CallGraph:
         return None
 
     def topo_order(self) -> list[Node]:
-        indeg = {n: 0 for n in [S, *self.nodes]}
-        for e in self.edges:
-            indeg[e.callee] += 1
-        ready = sorted((n for n, d in indeg.items() if d == 0))
-        order = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            touched = False
-            for e in self.out_edges(n):
-                indeg[e.callee] -= 1
-                if indeg[e.callee] == 0:
-                    ready.append(e.callee)
-                    touched = True
-            if touched:
-                ready.sort()
-        if len(order) != len(indeg):
-            raise ValueError("call graph has a cycle")
-        return order
+        return dag.topo_order([S, *self.nodes], self.out_edges, _callee, lambda n: n, "call graph")
 
     def to_json(self) -> dict:
         return {
@@ -170,14 +156,7 @@ def build_call_graph(
 
 def _cover_dead_functions(cg: CallGraph) -> None:
     """Give never-called functions an entry edge so labeling stays total."""
-    reachable = {S}
-    work = [S]
-    while work:
-        n = work.pop()
-        for e in cg.out_edges(n):
-            if e.callee not in reachable:
-                reachable.add(e.callee)
-                work.append(e.callee)
+    reachable = dag.reachable(S, cg.out_edges, _callee)
     next_id = len(cg.edges)
     for node in cg.nodes:
         if node not in reachable:
@@ -188,26 +167,7 @@ def _cover_dead_functions(cg: CallGraph) -> None:
 
 def acyclicize_callgraph(cg: CallGraph) -> CallGraph:
     """Replace every DFS backedge (callsite-id order) with a surrogate S => callee."""
-    backedges: list[CallEdge] = []
-    visited = {S}
-    onstack = {S}
-    stack = [(S, iter(cg.out_edges(S)))]
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for edge in it:
-            v = edge.callee
-            if v in onstack:
-                backedges.append(edge)
-            elif v not in visited:
-                visited.add(v)
-                onstack.add(v)
-                stack.append((v, iter(cg.out_edges(v))))
-                advanced = True
-                break
-        if not advanced:
-            onstack.discard(node)
-            stack.pop()
+    backedges = dag.backedges(S, cg.out_edges, _callee)
     if not backedges:
         return cg
     removed = {e.ceid for e in backedges}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import dag
 from .callgraph import CallEdge, CallGraph, Node, S
 from .epp import IndexSpaceOverflow
 
@@ -19,9 +20,6 @@ class CcLabeling:
     num_ccs: dict[Node, int]
     call_val: dict[int, int]  # ceid -> value
     in_order: dict[Node, list[int]]  # callee -> in-edge ceids, value order
-
-    def return_val(self, ceid: int) -> int:
-        return -self.call_val[ceid]
 
     def fingerprint_data(self) -> list:
         return [
@@ -36,22 +34,14 @@ def label_ccp(cg: CallGraph, width: int = 64) -> CcLabeling:
     In-edges are ordered by callsite id; entry edges precede real callsites
     and surrogates come last by construction of the id space.
     """
+    caller = {e.ceid: e.caller for e in cg.edges}
     topo = cg.topo_order()
-    num_ccs: dict[Node, int] = {S: 1}
-    call_val: dict[int, int] = {}
-    in_order: dict[Node, list[int]] = {}
+    num_ccs, call_val, in_order = dag.number(
+        topo, S, lambda node, _: sorted(e.ceid for e in cg.in_edges(node)), caller.__getitem__
+    )
     for node in topo:
-        if node == S:
-            continue
-        ins = sorted(cg.in_edges(node), key=lambda e: e.ceid)
-        acc = 0
-        for e in ins:
-            call_val[e.ceid] = acc
-            acc += num_ccs[e.caller]
-        num_ccs[node] = acc
-        in_order[node] = [e.ceid for e in ins]
-        if acc > 1 << (width - 1):
-            raise IndexSpaceOverflow(f"{node}: {acc} contexts exceed the index space")
+        if num_ccs[node] > 1 << (width - 1):
+            raise IndexSpaceOverflow(f"{node}: {num_ccs[node]} contexts exceed the index space")
     return CcLabeling(num_ccs=num_ccs, call_val=call_val, in_order=in_order)
 
 
@@ -70,23 +60,10 @@ def id_to_context(cg: CallGraph, lab: CcLabeling, node: Node, ctx_id: int) -> li
     if not 0 <= ctx_id < lab.num_ccs[node]:
         raise ValueError(f"context id {ctx_id} out of range 0..{lab.num_ccs[node] - 1}")
     by_ceid = {e.ceid: e for e in cg.edges}
-    chain: list[CallEdge] = []
-    rest = ctx_id
-    cur = node
-    while cur != S:
-        best = None
-        for ceid in lab.in_order[cur]:
-            val = lab.call_val[ceid]
-            if val <= rest and (best is None or val > lab.call_val[best]):
-                best = ceid
-        assert best is not None, "labeling invariant violated"
-        rest -= lab.call_val[best]
-        edge = by_ceid[best]
-        chain.append(edge)
-        cur = edge.caller
-    assert rest == 0, "labeling invariant violated"
-    chain.reverse()
-    return chain
+    ceids = dag.decode(
+        node, S, lab.in_order, lab.call_val, lambda ceid: by_ceid[ceid].caller, ctx_id
+    )
+    return [by_ceid[ceid] for ceid in reversed(ceids)]
 
 
 def enumerate_contexts(cg: CallGraph, node: Node) -> list[list[CallEdge]]:

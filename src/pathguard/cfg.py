@@ -9,8 +9,10 @@ wraparound and failed-call outcomes become path-distinguishing edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
-from .isa import CHECKED_ARITH, EXTERNAL_CALLS, TERMINATORS, Op, block_leaders
+from . import dag
+from .isa import CHECKED_ARITH, EXTERNAL_CALLS, TERMINATORS, Op
 from .program import FunctionDef
 
 ENTRY = -1
@@ -21,6 +23,8 @@ SURROGATE_ENTRY = "surrogate_entry"
 SURROGATE_EXIT = "surrogate_exit"
 VIRTUAL_TRUE = "virtual_true"
 VIRTUAL_FALSE = "virtual_false"
+
+_dst = attrgetter("dst")
 
 
 @dataclass(frozen=True)
@@ -96,25 +100,13 @@ class Cfg:
 
     def topo_order(self) -> list[int]:
         """Deterministic topological order; raises ValueError on a cycle."""
-        indeg: dict[int, int] = {v: 0 for v in self.vertices()}
-        for e in self.edges:
-            indeg[e.dst] += 1
-        ready = sorted((v for v, d in indeg.items() if d == 0), key=self.block_sort_key)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            added = False
-            for e in sorted(self.out_edges(v), key=lambda e: e.eid):
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-                    added = True
-            if added:
-                ready.sort(key=self.block_sort_key)
-        if len(order) != len(indeg):
-            raise ValueError(f"{self.fn_name}: graph has a cycle")
-        return order
+        return dag.topo_order(
+            self.vertices(),
+            lambda v: sorted(self.out_edges(v), key=lambda e: e.eid),
+            _dst,
+            self.block_sort_key,
+            f"{self.fn_name}: graph",
+        )
 
     def to_json(self) -> dict:
         names = {ENTRY: "ENTRY", EXIT: "EXIT"}
@@ -152,7 +144,7 @@ class Cfg:
 def build_cfg(fn: FunctionDef) -> Cfg:
     """Raw CFG with real edges only; blocks split at jumps, calls and terminators."""
     body = fn.body
-    leaders = block_leaders(body)
+    leaders = sorted(fn.leaders)
     cfg = Cfg(fn.name, fn.id, {}, [])
     by_start: dict[int, Block] = {}
     bounds = leaders + [len(body)]
@@ -183,47 +175,18 @@ def build_cfg(fn: FunctionDef) -> Cfg:
 
 
 def _prune_unreachable(cfg: Cfg) -> None:
-    seen = {ENTRY}
-    work = [ENTRY]
-    while work:
-        v = work.pop()
-        for e in cfg.out_edges(v):
-            if e.dst not in seen and e.dst != EXIT:
-                seen.add(e.dst)
-                work.append(e.dst)
+    seen = dag.reachable(ENTRY, cfg.out_edges, _dst)
     dead = [b for b in cfg.blocks if b not in seen]
     if dead:
         cfg.warnings.append(f"{cfg.fn_name}: unreachable blocks pruned: {sorted(dead)}")
-        cfg.edges = [e for e in cfg.edges if e.src in seen and (e.dst in seen or e.dst == EXIT)]
+        cfg.edges = [e for e in cfg.edges if e.src in seen]
         for b in dead:
             del cfg.blocks[b]
 
 
 def find_backedges(cfg: Cfg) -> list[Edge]:
     """DFS backedges; successors visited in ascending block-offset order."""
-    backedges: list[Edge] = []
-    visited = {ENTRY}
-    onstack = {ENTRY}
-    stack = [(ENTRY, iter(cfg.succ_sorted(ENTRY)))]
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for edge in it:
-            v = edge.dst
-            if v == EXIT:
-                continue
-            if v in onstack:
-                backedges.append(edge)
-            elif v not in visited:
-                visited.add(v)
-                onstack.add(v)
-                stack.append((v, iter(cfg.succ_sorted(v))))
-                advanced = True
-                break
-        if not advanced:
-            onstack.discard(node)
-            stack.pop()
-    return backedges
+    return dag.backedges(ENTRY, cfg.succ_sorted, _dst)
 
 
 def acyclicize(cfg: Cfg, backedges: list[Edge] | None = None) -> Cfg:
@@ -320,10 +283,3 @@ def insert_virtual_branches(cfg: Cfg, fn: FunctionDef) -> Cfg:
                 cfg.add_edge(e.src, e.dst, VIRTUAL_TRUE, ("callret", off))
     cfg.topo_order()
     return cfg
-
-
-def analyze_function(fn: FunctionDef) -> Cfg:
-    """build -> acyclicize -> insert virtual branches, the standard pipeline."""
-    cfg = build_cfg(fn)
-    acyclicize(cfg)
-    return insert_virtual_branches(cfg, fn)

@@ -192,6 +192,7 @@ def _load_guarded(path: str, config: Config | None) -> GuardedBundle:
             "deploy": raw["deploy"],
             "accounts": raw.get("accounts", []),
             "setup": raw.get("setup", []),
+            "config": raw.get("config", {}),
         },
         config,
     )
@@ -262,21 +263,18 @@ def _cmd_fixture(args) -> int:
     (outdir / f"{scenario.name}.bundle.json").write_text(
         json.dumps(scenario.bundle_json, indent=2)
     )
-    rng = random.Random(0)
-    state = scenario.fresh_state()
-    train_stream = list(scenario.training) + [
-        scenario.sample_normal(rng, state) for _ in range(20)
-    ]
     (outdir / f"{scenario.name}.train.jsonl").write_text(
-        "\n".join(json.dumps(r) for r in train_stream) + "\n"
+        "\n".join(json.dumps(r) for r in scenario.training) + "\n"
     )
     records, alarm_index = scenario.test_sequence(random.Random(1))
     (outdir / f"{scenario.name}.detect.jsonl").write_text(
         "\n".join(json.dumps(r) for r in records) + "\n"
     )
-    print(
-        f"wrote {scenario.name} bundle + streams; attack expected at tx {alarm_index}"
-    )
+    if scenario.detected:
+        expect = f"attack expected at tx {alarm_index}"
+    else:
+        expect = f"attack at tx {alarm_index} is no control-flow anomaly; no alarm expected"
+    print(f"wrote {scenario.name} bundle + streams; {expect}")
     return EXIT_OK
 
 

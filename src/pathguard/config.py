@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 SUPPORTED_WIDTHS = (8, 16, 32, 64)
@@ -97,25 +97,25 @@ class Config:
 
 
 def load_config(path: str | Path | None, **overrides) -> Config:
-    """Build a Config from an optional JSON file plus keyword overrides.
+    """Build a Config from an optional JSON file plus keyword overrides."""
+    raw = json.loads(Path(path).read_text()) if path is not None else {}
+    return config_from_json(raw, **overrides)
+
+
+def config_from_json(raw: dict, **overrides) -> Config:
+    """Build a Config from a JSON config dict plus keyword overrides.
 
     Recognized JSON keys: ``word_width``, ``gas`` (schedule field overrides),
     ``lambda``, ``admin``, ``reserved`` (guard constant overrides).
     """
-    width = 64
-    gas_kwargs: dict = {}
+    width = raw.get("word_width", 64)
+    gas_kwargs: dict = dict(raw.get("gas", {}))
     guard_kwargs: dict = {}
-    admin = Config.admin
-    if path is not None:
-        raw = json.loads(Path(path).read_text())
-        width = raw.get("word_width", width)
-        gas_kwargs.update(raw.get("gas", {}))
-        if "lambda" in raw:
-            guard_kwargs["mpht_lambda"] = raw["lambda"]
-        for key, val in raw.get("reserved", {}).items():
-            guard_kwargs[key] = _parse_word(val)
-        if "admin" in raw:
-            admin = _parse_word(raw["admin"])
+    if "lambda" in raw:
+        guard_kwargs["mpht_lambda"] = raw["lambda"]
+    for key, val in raw.get("reserved", {}).items():
+        guard_kwargs[key] = _parse_word(val)
+    admin = _parse_word(raw["admin"]) if "admin" in raw else Config.admin
     width = overrides.pop("width", width)
     admin = overrides.pop("admin", admin)
     gas_kwargs.update(overrides.pop("gas", {}))
@@ -128,6 +128,18 @@ def load_config(path: str | Path | None, **overrides) -> Config:
         guard=GuardParams(**guard_kwargs),
         admin=admin,
     )
+
+
+def config_to_json(config: Config) -> dict:
+    """The JSON config dict that ``config_from_json`` reads back to ``config``."""
+    guard = asdict(config.guard)
+    return {
+        "word_width": config.width,
+        "gas": asdict(config.gas),
+        "lambda": guard.pop("mpht_lambda"),
+        "admin": config.admin,
+        "reserved": guard,
+    }
 
 
 def _parse_word(value) -> int:

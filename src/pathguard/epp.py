@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import dag
 from .cfg import ENTRY, EXIT, Cfg, Edge, SURROGATE_ENTRY, SURROGATE_EXIT
 
 
@@ -37,39 +38,30 @@ class EppLabeling:
         ]
 
 
-def minimize_nonzero(cfg: Cfg, num_paths: dict[int, int]) -> dict[int, list[Edge]]:
-    """Out-edge ordering per vertex: descending NumPaths(dst), ties by offset."""
-    order: dict[int, list[Edge]] = {}
-    for v in [ENTRY, *cfg.blocks]:
-        outs = cfg.out_edges(v)
-        outs.sort(key=lambda e: (-num_paths[e.dst], cfg.block_sort_key(e.dst), e.eid))
-        order[v] = outs
-    return order
+def minimize_nonzero(cfg: Cfg, num_paths: dict[int, int], v: int) -> list[Edge]:
+    """Out-edges of v in value order: descending NumPaths(dst), ties by offset."""
+    outs = cfg.out_edges(v)
+    outs.sort(key=lambda e: (-num_paths[e.dst], cfg.block_sort_key(e.dst), e.eid))
+    return outs
 
 
 def label_epp(cfg: Cfg, width: int = 64) -> EppLabeling:
     """Label the acyclic CFG; raises IndexSpaceOverflow past 2**(width-1) paths."""
-    topo = cfg.topo_order()
-    num_paths: dict[int, int] = {EXIT: 1}
-    for v in reversed(topo):
-        if v == EXIT:
-            continue
-        outs = cfg.out_edges(v)
+    dst = {e.eid: e.dst for e in cfg.edges}
+
+    def ranked(v: int, num_paths: dict[int, int]) -> list[int]:
+        outs = minimize_nonzero(cfg, num_paths, v)
         if not outs:
             raise ValueError(f"{cfg.fn_name}: vertex {v} cannot reach EXIT")
-        num_paths[v] = sum(num_paths[e.dst] for e in outs)
+        return [e.eid for e in outs]
+
+    num_paths, edge_val, edge_order = dag.number(
+        reversed(cfg.topo_order()), EXIT, ranked, dst.__getitem__
+    )
     if num_paths[ENTRY] > 1 << (width - 1):
         raise IndexSpaceOverflow(
             f"{cfg.fn_name}: {num_paths[ENTRY]} paths exceed the index space"
         )
-
-    ordering = minimize_nonzero(cfg, num_paths)
-    edge_val: dict[int, int] = {}
-    for v, outs in ordering.items():
-        acc = 0
-        for e in outs:
-            edge_val[e.eid] = acc
-            acc += num_paths[e.dst]
 
     # reset_val covers every ENTRY successor; loop headers consult it when a
     # backedge resets the path accumulator (the entry edge may be shared).
@@ -87,7 +79,7 @@ def label_epp(cfg: Cfg, width: int = 64) -> EppLabeling:
     return EppLabeling(
         num_paths=num_paths,
         edge_val=edge_val,
-        edge_order={v: [e.eid for e in outs] for v, outs in ordering.items()},
+        edge_order=edge_order,
         entry_val=entry_val,
         reset_val=reset_val,
         exit_val=exit_val,
@@ -107,23 +99,11 @@ def index_to_path(cfg: Cfg, lab: EppLabeling, index: int) -> list[Edge]:
     """Regenerate the unique path with the given index (greedy decode)."""
     if not 0 <= index < lab.total_paths:
         raise ValueError(f"path index {index} out of range 0..{lab.total_paths - 1}")
-    path: list[Edge] = []
-    v = ENTRY
-    rest = index
     by_eid = {e.eid: e for e in cfg.edges}
-    while v != EXIT:
-        best = None
-        for eid in lab.edge_order[v]:
-            val = lab.edge_val[eid]
-            if val <= rest and (best is None or val > lab.edge_val[best]):
-                best = eid
-        assert best is not None, "labeling invariant violated"
-        rest -= lab.edge_val[best]
-        edge = by_eid[best]
-        path.append(edge)
-        v = edge.dst
-    assert rest == 0, "labeling invariant violated"
-    return path
+    eids = dag.decode(
+        ENTRY, EXIT, lab.edge_order, lab.edge_val, lambda eid: by_eid[eid].dst, index
+    )
+    return [by_eid[eid] for eid in eids]
 
 
 def enumerate_paths(cfg: Cfg) -> list[list[Edge]]:

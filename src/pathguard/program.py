@@ -5,9 +5,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .config import MAX_CODE_BYTES, Config
-from .isa import JUMPS, TERMINATORS, Instruction, Op
+from .isa import JUMPS, TERMINATORS, Instruction, Op, block_leaders
 
 HEADER_BYTES = 32
 FUNCTION_ENTRY_BYTES = 8
@@ -53,6 +54,11 @@ class FunctionDef:
     visibility: Visibility
     body: list[Instruction]
     entry_offset: int = 0
+
+    @cached_property
+    def leaders(self) -> frozenset[int]:
+        """Basic-block leader offsets; the body is not changed after construction."""
+        return frozenset(block_leaders(self.body))
 
     def size_bytes(self, word_bytes: int) -> int:
         return sum(i.size(word_bytes) for i in self.body)

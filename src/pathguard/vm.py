@@ -17,7 +17,7 @@ from .config import (
     MAX_CODE_BYTES,
     OPERAND_STACK_LIMIT,
 )
-from .isa import CHECKED_ARITH, Op, block_leaders
+from .isa import CHECKED_ARITH, Op
 from .program import ContractProgram, SizeLimitExceeded
 
 # Trace detail levels.
@@ -248,7 +248,6 @@ class VM:
         # gas_probe(code name, fid, offset, gas) attributes charges to
         # instructions; call sites are charged call_base, callees self-report.
         self.gas_probe = gas_probe
-        self._leaders_cache: dict[tuple[int, int], frozenset[int]] = {}
 
     # -- public entry ---------------------------------------------------------
 
@@ -301,14 +300,6 @@ class VM:
             return code.selector_table[selector]
         return code.fallback_id
 
-    def _leaders(self, code: ContractProgram, fid: int) -> frozenset[int]:
-        key = (id(code), fid)
-        got = self._leaders_cache.get(key)
-        if got is None:
-            got = frozenset(block_leaders(code.functions[fid].body))
-            self._leaders_cache[key] = got
-        return got
-
     def _charge(self, amount: int) -> None:
         self.gas_used += amount
         if self.gas_used > self.gas_limit:
@@ -342,8 +333,8 @@ class VM:
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
-        body = code.functions[ifid].body
-        leaders = self._leaders(code, ifid)
+        fn = code.functions[ifid]
+        body = fn.body
         istack: list[tuple[int, int]] = []
         pc = 0
 
@@ -530,8 +521,8 @@ class VM:
                         )
                     istack.append((ifid, pc + 1))
                     ifid = callee
-                    body = code.functions[ifid].body
-                    leaders = self._leaders(code, ifid)
+                    fn = code.functions[ifid]
+                    body = fn.body
                     next_pc = 0
                 elif op is Op.IRET:
                     self._charge(gas.base_op)
@@ -540,8 +531,8 @@ class VM:
                     if full:
                         self._emit("CallReturn", self_addr, ifid, pc, None)
                     ifid, next_pc = istack.pop()
-                    body = code.functions[ifid].body
-                    leaders = self._leaders(code, ifid)
+                    fn = code.functions[ifid]
+                    body = fn.body
                 elif op is Op.CALL or op is Op.DELEGATECALL:
                     self._charge(gas.call_base)
                     is_delegate = op is Op.DELEGATECALL
@@ -598,11 +589,8 @@ class VM:
                         probe(code.name, probe_fid, pc, gas.call_base)
                     else:
                         probe(code.name, probe_fid, pc, self.gas_used - gas_before)
-                if next_pc != pc + 1 or next_pc in leaders:
-                    if full and next_pc < len(body):
-                        self._emit(
-                            "BlockEnter", self_addr, ifid, next_pc, {"code": code.name}
-                        )
+                if full and (next_pc != pc + 1 or next_pc in fn.leaders) and next_pc < len(body):
+                    self._emit("BlockEnter", self_addr, ifid, next_pc, {"code": code.name})
                 pc = next_pc
         except _FrameFailure as failure:
             world.rollback(token)

@@ -18,7 +18,7 @@ from .asm import assemble
 from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context, split_index
-from .config import Config, DEFAULT_CONFIG, load_config
+from .config import Config, config_from_json, config_to_json
 from .epp import index_to_path
 from .guardcode import Layout
 from .instrument import InstrumentedContract, instrument_contract
@@ -26,6 +26,7 @@ from .oracle import trace_oracle
 from .pathset import (
     STRATEGY_LIST,
     STRATEGY_MPHT,
+    ConstructionFailed,
     build_mpht,
     choose_strategy,
     mapping_slot,
@@ -81,8 +82,7 @@ class Bundle:
     @classmethod
     def from_json(cls, raw: dict, config: Config | None = None) -> "Bundle":
         if config is None:
-            cfg_raw = raw.get("config", {})
-            config = _config_from_json(cfg_raw)
+            config = config_from_json(raw.get("config", {}))
         programs = {}
         for entry in raw["contracts"]:
             if "source" in entry:
@@ -97,17 +97,6 @@ class Bundle:
             for acct in raw.get("accounts", [])
         }
         return cls(programs, boundary, config, deploy_order, accounts, raw.get("setup", []))
-
-
-def _config_from_json(raw: dict) -> Config:
-    import tempfile
-
-    if not raw:
-        return DEFAULT_CONFIG
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(raw, fh)
-        name = fh.name
-    return load_config(name)
 
 
 def _word(value) -> int:
@@ -228,7 +217,7 @@ def make_snapshot(
                     mpht = build_mpht(
                         embedded, config.guard.mpht_lambda, width=config.width
                     ).to_json()
-                except Exception:
+                except ConstructionFailed:
                     strategy = STRATEGY_LIST
             per_fn[str(fn.id)] = {
                 "name": fn.name,
@@ -289,6 +278,7 @@ class GuardedBundle:
         return {
             "fingerprint": self.snapshot["fingerprint"],
             "snapshot": self.snapshot,
+            "config": config_to_json(self.bundle.config),
             "boundary": sorted(self.bundle.boundary),
             "deploy": self.bundle.deploy_order,
             "accounts": [
@@ -497,7 +487,7 @@ def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecor
                     f"{edge.caller[0]}.fn{edge.caller[1]}@{edge.site[2]}"
                     f" -> {edge.callee[0]}.fn{edge.callee[1]}"
                 )
-    except Exception:
+    except ValueError:
         chain.append(f"<undecodable context {base}>")
     try:
         cfg = analysis.cfgs[(code, fid)]
@@ -508,7 +498,7 @@ def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecor
             for e in path
             if e.dst in cfg.blocks and not cfg.blocks[e.dst].empty
         ]
-    except Exception:
+    except ValueError:
         blocks = []
     return AlarmRecord(index, contract, fid, ctx_id, epp_id, combined, chain, blocks, inner)
 

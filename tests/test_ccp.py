@@ -232,3 +232,13 @@ def test_bijection_on_random_callgraphs(chunk):
         for node in cg.nodes:
             ids = sorted(context_to_id(lab, ch) for ch in enumerate_contexts(cg, node))
             assert ids == list(range(lab.num_ccs[node]))
+
+
+def test_tampered_labeling_raises_value_error(figcg):
+    cg = _graph(figcg)
+    lab = label_ccp(cg)
+    c = ("figcg", 2)
+    for ceid in lab.in_order[c]:
+        lab.call_val[ceid] += 9  # no in-edge fits any id
+    with pytest.raises(ValueError, match="invariant"):
+        id_to_context(cg, lab, c, 0)

@@ -190,3 +190,17 @@ def test_zero_edge_counts_on_reference_dag(loopy):
     nonzero_edges = [e for e in cfg.edges if lab.edge_val[e.eid] != 0]
     assert len(zero_edges) >= len([v for v in branching if len(cfg.out_edges(v)) >= 2])
     assert len(nonzero_edges) <= len(cfg.edges) - len(branching)
+
+
+def test_tampered_labeling_raises_value_error(diamond):
+    cfg = acyclicize(build_cfg(diamond.functions[0]))
+    lab = label_epp(cfg)
+    assert lab.total_paths == 2
+    nonzero = next(eid for eid, val in lab.edge_val.items() if val)
+    lab.edge_val[nonzero] = 5  # the index-1 path no longer sums to 1
+    with pytest.raises(ValueError, match="invariant"):
+        index_to_path(cfg, lab, 1)
+    for eid in lab.edge_order[ENTRY]:
+        lab.edge_val[eid] = 7  # nothing fits index 0 at the entry
+    with pytest.raises(ValueError, match="invariant"):
+        index_to_path(cfg, lab, 0)

@@ -158,3 +158,56 @@ def test_guarded_bundle_round_trips_to_json(visibility_setup):
     assert raw["fingerprint"] == snapshot["fingerprint"]
     assert "registry" in raw["contracts"]
     assert raw["contracts"]["registry"]["plan"]
+
+
+def test_config_round_trips_through_json():
+    from pathguard.config import config_from_json, config_to_json, load_config
+
+    config = load_config(None, width=8, admin=0xBE, gas={"sload": 50}, guard={"mpht_lambda": 5})
+    assert config_from_json(json.loads(json.dumps(config_to_json(config)))) == config
+
+
+def test_bundle_config_load_leaves_no_temp_files(tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    raw = dict(by_name("overflow").bundle_json)
+    assert raw["config"]
+    for _ in range(3):
+        assert Bundle.from_json(raw).config.width == 8
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_guarded_bundle_persists_its_config():
+    scenario = by_name("overflow")
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    raw = json.loads(json.dumps(guarded.to_json()))
+    assert Bundle.from_json({"contracts": [], "config": raw["config"]}).config == bundle.config
+
+
+def _mpht_snapshot(monkeypatch, error):
+    from pathguard import workflow
+    from pathguard.bundle import analyze_bundle
+
+    def failing_build(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(workflow, "choose_strategy", lambda n: workflow.STRATEGY_MPHT)
+    monkeypatch.setattr(workflow, "build_mpht", failing_build)
+    bundle = VISIBILITY.bundle()
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    name = sorted(analysis.boundary)[0]
+    return workflow.make_snapshot(analysis, {(name, 0): {0}}, bundle.config), name
+
+
+def test_make_snapshot_falls_back_to_list_when_mpht_construction_fails(monkeypatch):
+    from pathguard.pathset import STRATEGY_LIST, ConstructionFailed
+
+    snapshot, name = _mpht_snapshot(monkeypatch, ConstructionFailed("no seed"))
+    assert snapshot["contracts"][name]["0"]["strategy"] == STRATEGY_LIST
+
+
+def test_make_snapshot_propagates_unexpected_errors(monkeypatch):
+    with pytest.raises(RuntimeError):
+        _mpht_snapshot(monkeypatch, RuntimeError("bug"))
