@@ -220,7 +220,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_approve(args) -> int:
     guarded = _load_guarded(args.guarded, _config(args))
-    run = workflow.start_detection(guarded)
+    run = workflow.start_detection(guarded, mirror=False)
     _restore_world(run.deployed, json.loads(Path(args.world).read_text()), guarded)
     for line in Path(args.alarm_log).read_text().splitlines():
         if line.strip():

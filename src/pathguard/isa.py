@@ -12,6 +12,14 @@ from enum import Enum
 
 
 class Op(Enum):
+    """Opcodes, listed in dispatch order.
+
+    Each member's ``code`` is its index in this list. The VM dispatches on
+    these dense ints, split into ranges by ``<`` tests: stack ops, binary
+    then unary ALU ops, jumps and memory, one-operand environment reads,
+    zero-operand environment reads, then storage writes, calls and exits.
+    """
+
     PUSH = "PUSH"
     POP = "POP"
     DUP = "DUP"
@@ -23,34 +31,39 @@ class Op(Enum):
     LT = "LT"
     GT = "GT"
     EQ = "EQ"
-    ISZERO = "ISZERO"
     AND = "AND"
     OR = "OR"
+    ISZERO = "ISZERO"
     NOT = "NOT"
+    JUMPDEST = "JUMPDEST"
     JUMP = "JUMP"
     JUMPI = "JUMPI"
-    JUMPDEST = "JUMPDEST"
     MLOAD = "MLOAD"
     MSTORE = "MSTORE"
     SLOAD = "SLOAD"
-    SSTORE = "SSTORE"
+    CODELOAD = "CODELOAD"  # read a word from the contract's constant pool
     CALLDATALOAD = "CALLDATALOAD"
+    BALANCE = "BALANCE"
+    RETURNDATALOAD = "RETURNDATALOAD"
     CALLDATASIZE = "CALLDATASIZE"
     CALLER = "CALLER"
     ORIGIN = "ORIGIN"
     ADDRESS = "ADDRESS"
     CALLVALUE = "CALLVALUE"
-    BALANCE = "BALANCE"
-    CALL = "CALL"
-    DELEGATECALL = "DELEGATECALL"
+    RETURNDATASIZE = "RETURNDATASIZE"
+    SSTORE = "SSTORE"
     ICALL = "ICALL"
     IRET = "IRET"
+    CALL = "CALL"
+    DELEGATECALL = "DELEGATECALL"
     RETURN = "RETURN"
-    REVERT = "REVERT"
     STOP = "STOP"
-    RETURNDATALOAD = "RETURNDATALOAD"
-    RETURNDATASIZE = "RETURNDATASIZE"
-    CODELOAD = "CODELOAD"  # read a word from the contract's constant pool
+    REVERT = "REVERT"
+
+
+for _code, _op in enumerate(Op):
+    _op.code = _code
+del _code, _op
 
 
 # Opcodes that carry an immediate operand.

@@ -60,6 +60,11 @@ class FunctionDef:
         """Basic-block leader offsets; the body is not changed after construction."""
         return frozenset(block_leaders(self.body))
 
+    @cached_property
+    def decoded(self) -> tuple[list[int], list[int | None]]:
+        """Integer opcodes (``Op.code``) and immediates, as the VM dispatches them."""
+        return [i.op.code for i in self.body], [i.imm for i in self.body]
+
     def size_bytes(self, word_bytes: int) -> int:
         return sum(i.size(word_bytes) for i in self.body)
 

@@ -13,17 +13,33 @@ from .config import (
     CALL_DEPTH_LIMIT,
     Config,
     DEFAULT_CONFIG,
+    GasSchedule,
     INTERNAL_DEPTH_LIMIT,
     MAX_CODE_BYTES,
     OPERAND_STACK_LIMIT,
 )
-from .isa import CHECKED_ARITH, Op
+from .isa import Op
 from .program import ContractProgram, SizeLimitExceeded
 
 # Trace detail levels.
 TRACE_NONE = 0
 TRACE_CHECKS = 1  # PathChecked, Revert, external call boundaries
 TRACE_FULL = 2
+
+# Dispatch codes (``Op.code``), one line per range that ``_run_frame`` splits.
+_OPS = tuple(Op)
+_PUSH, _DUP, _SWAP = Op.PUSH.code, Op.DUP.code, Op.SWAP.code
+_ADD, _SUB, _DIV, _LT, _GT = Op.ADD.code, Op.SUB.code, Op.DIV.code, Op.LT.code, Op.GT.code
+_EQ, _AND, _OR, _ISZERO = Op.EQ.code, Op.AND.code, Op.OR.code, Op.ISZERO.code
+_JUMPDEST, _JUMP, _JUMPI = Op.JUMPDEST.code, Op.JUMP.code, Op.JUMPI.code
+_MLOAD, _MSTORE = Op.MLOAD.code, Op.MSTORE.code
+_SLOAD, _CODELOAD, _CALLDATALOAD = Op.SLOAD.code, Op.CODELOAD.code, Op.CALLDATALOAD.code
+_BALANCE = Op.BALANCE.code
+_CALLDATASIZE, _CALLER, _ORIGIN = Op.CALLDATASIZE.code, Op.CALLER.code, Op.ORIGIN.code
+_ADDRESS, _CALLVALUE = Op.ADDRESS.code, Op.CALLVALUE.code
+_SSTORE, _ICALL, _IRET = Op.SSTORE.code, Op.ICALL.code, Op.IRET.code
+_CALL, _DELEGATECALL = Op.CALL.code, Op.DELEGATECALL.code
+_RETURN, _STOP, _REVERT = Op.RETURN.code, Op.STOP.code, Op.REVERT.code
 
 
 class VmError(Exception):
@@ -231,6 +247,17 @@ class _OutOfGas(Exception):
     pass
 
 
+def _price_table(gas: GasSchedule) -> list[int]:
+    """Gas per opcode, indexed by ``Op.code``; SSTORE is priced by its operands."""
+    prices = [gas.base_op] * len(_OPS)
+    prices[_JUMPI] = gas.jumpi
+    prices[_MLOAD] = prices[_MSTORE] = gas.memory_op
+    prices[_SLOAD] = gas.sload
+    prices[_CALL] = prices[_DELEGATECALL] = gas.call_base
+    prices[_SSTORE] = 0
+    return prices
+
+
 class VM:
     """Executes transactions against a world. Not reentrant."""
 
@@ -300,11 +327,6 @@ class VM:
             return code.selector_table[selector]
         return code.fallback_id
 
-    def _charge(self, amount: int) -> None:
-        self.gas_used += amount
-        if self.gas_used > self.gas_limit:
-            raise _OutOfGas()
-
     def _emit(self, kind: str, contract: int, fn: int, offset: int, detail=None) -> None:
         self.trace.append(TraceEvent(kind, contract, fn, offset, detail))
 
@@ -319,13 +341,26 @@ class VM:
         fid: int,
         depth: int,
     ) -> tuple[bool, list[int]]:
-        """Run one message-call frame; returns (success, return data)."""
+        """Run one message-call frame; returns (success, return data).
+
+        Dispatches on ``FunctionDef.decoded``. The gas used so far lives in
+        the local ``gas_used``; it is written back to ``self.gas_used`` before
+        every exit from the frame and around every message call.
+        """
         world = self.world
         config = self.config
-        gas = config.gas
         mask = config.mask
         token = world.snapshot()
+        gas = config.gas
+        prices = _price_table(gas)
+        gas_limit = self.gas_limit
+        gas_used = self.gas_used
+        limit = OPERAND_STACK_LIMIT
         full = self.trace_level >= TRACE_FULL
+        check_log = self.check_log_addr if self.trace_level >= TRACE_CHECKS else None
+        emit = self._emit
+        name = code.name
+        pool = code.data_pool
 
         stack: list[int] = []
         memory: dict[int, int] = {}
@@ -334,215 +369,200 @@ class VM:
         # and memory are shared across internal frames.
         ifid = fid
         fn = code.functions[ifid]
-        body = fn.body
+        ops, imms = fn.decoded
+        n = len(ops)
         istack: list[tuple[int, int]] = []
         pc = 0
 
         if full:
-            self._emit("BlockEnter", self_addr, ifid, 0, {"code": code.name})
+            emit("BlockEnter", self_addr, ifid, 0, {"code": name})
 
-        def fail(reason: str, data: list[int] | None = None):
-            raise _FrameFailure(reason, data)
-
-        def push(v: int) -> None:
-            if len(stack) >= OPERAND_STACK_LIMIT:
-                fail("stack overflow")
-            stack.append(v)
-
-        def pop() -> int:
-            if not stack:
-                fail("stack underflow")
-            return stack.pop()
-
+        # gas_probe(code name, fid, offset, gas) gets each instruction's
+        # charge after it completes; probe_fid is the function it ran in.
         probe = self.gas_probe
+        gas_before = gas_used
+        probe_fid = ifid
         try:
             while True:
-                if pc >= len(body):
-                    fail("fell off function body")
-                instr = body[pc]
-                op = instr.op
+                if pc >= n:
+                    raise _FrameFailure("fell off function body")
+                op = ops[pc]
                 next_pc = pc + 1
-                gas_before = self.gas_used
-                probe_fid = ifid
+                gas_used += prices[op]
+                if gas_used > gas_limit:
+                    self.gas_used = gas_used
+                    raise _OutOfGas()
 
-                if op is Op.PUSH:
-                    self._charge(gas.base_op)
-                    push(instr.imm & mask)
-                elif op is Op.POP:
-                    self._charge(gas.base_op)
-                    pop()
-                elif op is Op.DUP:
-                    self._charge(gas.base_op)
-                    n = instr.imm
-                    if n < 1 or n > len(stack):
-                        fail("stack underflow")
-                    push(stack[-n])
-                elif op is Op.SWAP:
-                    self._charge(gas.base_op)
-                    n = instr.imm
-                    if n < 1 or n + 1 > len(stack):
-                        fail("stack underflow")
-                    stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
-                elif op in CHECKED_ARITH:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    if op is Op.ADD:
-                        exact = x + y
-                        overflow = exact > mask
-                    elif op is Op.SUB:
-                        exact = x - y
-                        overflow = x < y
+                if op < _ADD:  # PUSH POP DUP SWAP
+                    if op == _PUSH:
+                        if len(stack) >= limit:
+                            raise _FrameFailure("stack overflow")
+                        stack.append(imms[pc] & mask)
+                    elif op == _DUP:
+                        i = imms[pc]
+                        if i < 1 or i > len(stack):
+                            raise _FrameFailure("stack underflow")
+                        if len(stack) >= limit:
+                            raise _FrameFailure("stack overflow")
+                        stack.append(stack[-i])
+                    elif op == _SWAP:
+                        i = imms[pc]
+                        if i < 1 or i >= len(stack):
+                            raise _FrameFailure("stack underflow")
+                        stack[-1], stack[-1 - i] = stack[-1 - i], stack[-1]
                     else:
-                        exact = x * y
-                        overflow = exact > mask
-                    push(exact & mask)
-                    if full:
-                        self._emit(
-                            "ArithChecked",
-                            self_addr,
-                            ifid,
-                            pc,
-                            {"op": op.value, "overflow": overflow},
-                        )
-                elif op is Op.DIV:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    push(x // y if y else 0)
-                elif op is Op.LT:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    push(1 if x < y else 0)
-                elif op is Op.GT:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    push(1 if x > y else 0)
-                elif op is Op.EQ:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    push(1 if x == y else 0)
-                elif op is Op.ISZERO:
-                    self._charge(gas.base_op)
-                    push(1 if pop() == 0 else 0)
-                elif op is Op.AND:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    push(x & y)
-                elif op is Op.OR:
-                    self._charge(gas.base_op)
-                    y, x = pop(), pop()
-                    push(x | y)
-                elif op is Op.NOT:
-                    self._charge(gas.base_op)
-                    push(pop() ^ mask)
-                elif op is Op.JUMPDEST:
-                    self._charge(gas.base_op)
-                elif op is Op.JUMP:
-                    self._charge(gas.base_op)
-                    next_pc = instr.imm
-                elif op is Op.JUMPI:
-                    self._charge(gas.jumpi)
-                    cond = pop()
-                    taken = cond != 0
-                    if taken:
-                        next_pc = instr.imm
-                    if full:
-                        self._emit("BranchTaken", self_addr, ifid, pc, {"taken": taken})
-                elif op is Op.MLOAD:
-                    self._charge(gas.memory_op)
-                    push(memory.get(pop(), 0))
-                elif op is Op.MSTORE:
-                    self._charge(gas.memory_op)
-                    addr = pop()
-                    val = pop()
-                    memory[addr] = val
-                    if addr == self.check_log_addr and self.trace_level >= TRACE_CHECKS:
-                        self._emit(
-                            "PathChecked",
-                            self_addr,
-                            ifid,
-                            pc,
-                            {"combined": val, "code": code.name},
-                        )
-                elif op is Op.SLOAD:
-                    self._charge(gas.sload)
-                    push(world.sload(self_addr, pop()))
-                elif op is Op.SSTORE:
-                    slot = pop()
-                    val = pop()
+                        if not stack:
+                            raise _FrameFailure("stack underflow")
+                        stack.pop()
+                elif op < _ISZERO:  # binary ALU: result replaces x
+                    if len(stack) < 2:
+                        raise _FrameFailure("stack underflow")
+                    y = stack.pop()
+                    x = stack[-1]
+                    if op < _DIV:  # wraparound is profiled
+                        if op == _ADD:
+                            exact = x + y
+                            overflow = exact > mask
+                        elif op == _SUB:
+                            exact = x - y
+                            overflow = x < y
+                        else:
+                            exact = x * y
+                            overflow = exact > mask
+                        stack[-1] = exact & mask
+                        if full:
+                            emit(
+                                "ArithChecked",
+                                self_addr,
+                                ifid,
+                                pc,
+                                {"op": _OPS[op].value, "overflow": overflow},
+                            )
+                    elif op == _EQ:
+                        stack[-1] = 1 if x == y else 0
+                    elif op == _AND:
+                        stack[-1] = x & y
+                    elif op == _LT:
+                        stack[-1] = 1 if x < y else 0
+                    elif op == _GT:
+                        stack[-1] = 1 if x > y else 0
+                    elif op == _OR:
+                        stack[-1] = x | y
+                    else:
+                        stack[-1] = x // y if y else 0
+                elif op < _JUMPDEST:  # ISZERO NOT
+                    if not stack:
+                        raise _FrameFailure("stack underflow")
+                    if op == _ISZERO:
+                        stack[-1] = 1 if stack[-1] == 0 else 0
+                    else:
+                        stack[-1] ^= mask
+                elif op < _SLOAD:  # JUMPDEST JUMP JUMPI MLOAD MSTORE
+                    if op == _JUMPI:
+                        if not stack:
+                            raise _FrameFailure("stack underflow")
+                        taken = stack.pop() != 0
+                        if taken:
+                            next_pc = imms[pc]
+                        if full:
+                            emit("BranchTaken", self_addr, ifid, pc, {"taken": taken})
+                    elif op == _MLOAD:
+                        if not stack:
+                            raise _FrameFailure("stack underflow")
+                        stack[-1] = memory.get(stack[-1], 0)
+                    elif op == _MSTORE:
+                        if len(stack) < 2:
+                            raise _FrameFailure("stack underflow")
+                        addr = stack.pop()
+                        val = stack.pop()
+                        memory[addr] = val
+                        if addr == check_log:
+                            emit(
+                                "PathChecked",
+                                self_addr,
+                                ifid,
+                                pc,
+                                {"combined": val, "code": name},
+                            )
+                    elif op == _JUMP:
+                        next_pc = imms[pc]
+                elif op < _CALLDATASIZE:  # one-operand reads: result replaces it
+                    if not stack:
+                        raise _FrameFailure("stack underflow")
+                    i = stack[-1]
+                    if op == _SLOAD:
+                        stack[-1] = world.sload(self_addr, i)
+                    elif op == _CODELOAD:
+                        stack[-1] = (pool[i] if i < len(pool) else 0) & mask
+                    elif op == _CALLDATALOAD:
+                        stack[-1] = calldata[i] if i < len(calldata) else 0
+                    elif op == _BALANCE:
+                        stack[-1] = world.balance_of(i)
+                    else:
+                        stack[-1] = last_ret[i] if i < len(last_ret) else 0
+                elif op < _SSTORE:  # zero-operand reads
+                    if len(stack) >= limit:
+                        raise _FrameFailure("stack overflow")
+                    if op == _CALLDATASIZE:
+                        stack.append(len(calldata))
+                    elif op == _CALLER:
+                        stack.append(caller & mask)
+                    elif op == _ORIGIN:
+                        stack.append(origin & mask)
+                    elif op == _ADDRESS:
+                        stack.append(self_addr & mask)
+                    elif op == _CALLVALUE:
+                        stack.append(value & mask)
+                    else:
+                        stack.append(len(last_ret))
+                elif op == _SSTORE:  # charged after its operands are read
+                    if len(stack) < 2:
+                        raise _FrameFailure("stack underflow")
+                    slot = stack.pop()
+                    val = stack.pop()
                     prev = world.sload(self_addr, slot)
-                    self._charge(gas.sstore_cost(prev, val))
+                    gas_used += gas.sstore_cost(prev, val)
+                    if gas_used > gas_limit:
+                        self.gas_used = gas_used
+                        raise _OutOfGas()
                     world.sstore(self_addr, slot, val)
                     if full:
-                        self._emit(
+                        emit(
                             "Sstore", self_addr, ifid, pc, {"slot": slot, "value": val, "prev": prev}
                         )
-                elif op is Op.CALLDATALOAD:
-                    self._charge(gas.base_op)
-                    i = pop()
-                    push(calldata[i] if i < len(calldata) else 0)
-                elif op is Op.CALLDATASIZE:
-                    self._charge(gas.base_op)
-                    push(len(calldata))
-                elif op is Op.CALLER:
-                    self._charge(gas.base_op)
-                    push(caller & mask)
-                elif op is Op.ORIGIN:
-                    self._charge(gas.base_op)
-                    push(origin & mask)
-                elif op is Op.ADDRESS:
-                    self._charge(gas.base_op)
-                    push(self_addr & mask)
-                elif op is Op.CALLVALUE:
-                    self._charge(gas.base_op)
-                    push(value & mask)
-                elif op is Op.BALANCE:
-                    self._charge(gas.base_op)
-                    push(world.balance_of(pop()))
-                elif op is Op.CODELOAD:
-                    self._charge(gas.base_op)
-                    i = pop()
-                    pool = code.data_pool
-                    push((pool[i] if i < len(pool) else 0) & mask)
-                elif op is Op.RETURNDATALOAD:
-                    self._charge(gas.base_op)
-                    i = pop()
-                    push(last_ret[i] if i < len(last_ret) else 0)
-                elif op is Op.RETURNDATASIZE:
-                    self._charge(gas.base_op)
-                    push(len(last_ret))
-                elif op is Op.ICALL:
-                    self._charge(gas.base_op)
+                elif op == _ICALL:
                     if len(istack) >= INTERNAL_DEPTH_LIMIT:
-                        fail("internal call depth exceeded")
-                    callee = instr.imm
+                        raise _FrameFailure("internal call depth exceeded")
+                    callee = imms[pc]
                     if full:
-                        self._emit(
-                            "CallEnter", self_addr, ifid, pc, {"callee": callee}
-                        )
+                        emit("CallEnter", self_addr, ifid, pc, {"callee": callee})
                     istack.append((ifid, pc + 1))
                     ifid = callee
                     fn = code.functions[ifid]
-                    body = fn.body
+                    ops, imms = fn.decoded
+                    n = len(ops)
                     next_pc = 0
-                elif op is Op.IRET:
-                    self._charge(gas.base_op)
+                elif op == _IRET:
                     if not istack:
-                        fail("IRET outside internal call")
+                        raise _FrameFailure("IRET outside internal call")
                     if full:
-                        self._emit("CallReturn", self_addr, ifid, pc, None)
+                        emit("CallReturn", self_addr, ifid, pc, None)
                     ifid, next_pc = istack.pop()
                     fn = code.functions[ifid]
-                    body = fn.body
-                elif op is Op.CALL or op is Op.DELEGATECALL:
-                    self._charge(gas.call_base)
-                    is_delegate = op is Op.DELEGATECALL
-                    target = pop()
-                    call_value = 0 if is_delegate else pop()
-                    sel = pop()
-                    nargs = pop()
+                    ops, imms = fn.decoded
+                    n = len(ops)
+                elif op == _CALL or op == _DELEGATECALL:
+                    is_delegate = op == _DELEGATECALL
+                    if len(stack) < (3 if is_delegate else 4):
+                        raise _FrameFailure("stack underflow")
+                    target = stack.pop()
+                    call_value = 0 if is_delegate else stack.pop()
+                    sel = stack.pop()
+                    nargs = stack.pop()
                     if nargs > len(stack):
-                        fail("stack underflow")
-                    args = [pop() for _ in range(nargs)]
+                        raise _FrameFailure("stack underflow")
+                    args = [stack.pop() for _ in range(nargs)]
+                    self.gas_used = gas_used
                     ok, last_ret = self._message_call(
                         kind="delegatecall" if is_delegate else "call",
                         caller_code=code,
@@ -557,42 +577,40 @@ class VM:
                         calldata=args,
                         depth=depth,
                     )
-                    push(1 if ok else 0)
-                elif op is Op.RETURN:
-                    self._charge(gas.base_op)
-                    n = pop()
-                    if n > len(stack):
-                        fail("stack underflow")
-                    data = [pop() for _ in range(n)]
+                    gas_used = self.gas_used
+                    # the call site is charged call_base; callees self-report
+                    gas_before = gas_used - prices[op]
+                    stack.append(1 if ok else 0)
+                elif op == _STOP:
                     if probe is not None:
-                        probe(code.name, ifid, pc, gas.base_op)
-                    return True, data
-                elif op is Op.STOP:
-                    self._charge(gas.base_op)
-                    if probe is not None:
-                        probe(code.name, ifid, pc, gas.base_op)
+                        probe(name, ifid, pc, prices[op])
+                    self.gas_used = gas_used
                     return True, []
-                elif op is Op.REVERT:
-                    self._charge(gas.base_op)
-                    n = pop()
-                    if n > len(stack):
-                        fail("stack underflow")
-                    data = [pop() for _ in range(n)]
+                elif op == _RETURN or op == _REVERT:
+                    if not stack:
+                        raise _FrameFailure("stack underflow")
+                    i = stack.pop()
+                    if i > len(stack):
+                        raise _FrameFailure("stack underflow")
+                    data = [stack.pop() for _ in range(i)]
                     if probe is not None:
-                        probe(code.name, ifid, pc, gas.base_op)
-                    fail("revert", data)
+                        probe(name, ifid, pc, prices[op])
+                    if op == _REVERT:
+                        raise _FrameFailure("revert", data)
+                    self.gas_used = gas_used
+                    return True, data
                 else:  # pragma: no cover - exhaustive over Op
-                    fail(f"unimplemented opcode {op}")
+                    raise _FrameFailure(f"unimplemented opcode {_OPS[op]}")
 
                 if probe is not None:
-                    if op is Op.CALL or op is Op.DELEGATECALL:
-                        probe(code.name, probe_fid, pc, gas.call_base)
-                    else:
-                        probe(code.name, probe_fid, pc, self.gas_used - gas_before)
-                if full and (next_pc != pc + 1 or next_pc in fn.leaders) and next_pc < len(body):
-                    self._emit("BlockEnter", self_addr, ifid, next_pc, {"code": code.name})
+                    probe(name, probe_fid, pc, gas_used - gas_before)
+                    gas_before = gas_used
+                    probe_fid = ifid
+                if full and (next_pc != pc + 1 or next_pc in fn.leaders) and next_pc < n:
+                    emit("BlockEnter", self_addr, ifid, next_pc, {"code": name})
                 pc = next_pc
         except _FrameFailure as failure:
+            self.gas_used = gas_used
             world.rollback(token)
             if self.trace_level >= TRACE_CHECKS:
                 detail: dict = {"reason": failure.reason}

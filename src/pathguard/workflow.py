@@ -420,7 +420,13 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
         key = (code, fid, off)
         attribution[key] = attribution.get(key, 0) + amount
 
-    vm = VM(run.deployed.world, TRACE_CHECKS, lay.check_log, gas_probe=probe)
+    # the attribution is read only by _reconcile, which needs the mirror
+    vm = VM(
+        run.deployed.world,
+        TRACE_CHECKS,
+        lay.check_log,
+        gas_probe=probe if run.mirror is not None else None,
+    )
     receipt = vm.execute_transaction(tx)
 
     alarms = _collect_alarms(run, index, receipt)

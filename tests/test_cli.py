@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from pathguard import cli
+from pathguard import cli, workflow
 from pathguard.fixtures import ALL_SCENARIOS
 
 
@@ -50,6 +50,24 @@ def test_approve_round_trips_the_world(tmp_path, capsys):
     assert int(re.search(r"approved (\d+) paths", first).group(1)) > 0
     again = _main(capsys, *approve)
     assert again.startswith("approved 0 paths")
+
+
+def test_approve_builds_only_the_guarded_world(tmp_path, capsys, monkeypatch):
+    index, _ = _walk(tmp_path, capsys, "overflow")
+    built = []
+    real = workflow.build_world
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workflow, "build_world", counting)
+    _main(
+        capsys, "approve", tmp_path / "guarded.json", tmp_path / "world.json",
+        tmp_path / "alarms.jsonl", "--index", index, "--admin", "0xAD",
+    )
+    # review_and_approve reads no mirror, so none is built
+    assert len(built) == 1
 
 
 def test_simulate_false_alarms(tmp_path, capsys):

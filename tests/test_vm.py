@@ -1,18 +1,25 @@
 """VM semantics: modular arithmetic, revert atomicity, gas, determinism."""
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathguard.asm import assemble
-from pathguard.config import Config, GasSchedule
+from pathguard.config import OPERAND_STACK_LIMIT, Config, GasSchedule
+from pathguard.fixtures import ALL_SCENARIOS
+from pathguard.guardcode import Layout
+from pathguard.isa import Op
 from pathguard.program import SizeLimitExceeded
 from pathguard.vm import (
     STATUS_ACCEPTED,
     STATUS_OUT_OF_GAS,
     STATUS_REVERTED,
+    TRACE_CHECKS,
+    TRACE_FULL,
     Transaction,
     UnknownSelectorError,
     VM,
@@ -20,6 +27,7 @@ from pathguard.vm import (
     deploy,
     execute_transaction,
 )
+from pathguard.workflow import build_world, deploy_guarded, parse_tx, protect, train
 
 STORE_SRC = """
 contract store {
@@ -171,34 +179,42 @@ def test_determinism_identical_receipts():
 
 
 def test_gas_additivity_against_charge_log():
-    charges = []
+    """Every probed charge equals the schedule's price of the op at its offset."""
+    sstore_costs = []
 
     class LoggingSchedule(GasSchedule):
         def sstore_cost(self, prev, new):
             cost = super().sstore_cost(prev, new)
-            charges.append(cost)
+            sstore_costs.append(cost)
             return cost
 
-        def __getattribute__(self, name):
-            value = super().__getattribute__(name)
-            if name in (
-                "base_op",
-                "jumpi",
-                "sload",
-                "call_base",
-                "memory_op",
-            ):
-                charges.append(value)
-            return value
-
-    cfg = Config(gas=LoggingSchedule())
+    gas = LoggingSchedule()
+    cfg = Config(gas=gas)
     w = WorldState(cfg)
-    addr = deploy(w, assemble(STORE_SRC, cfg), 0xD0)
-    charges.clear()
-    r = execute_transaction(w, Transaction(1, addr, 0x03, [10, 20]))
-    # sstore_cost appends the true cost; drop the base sstore constants the
-    # wrapper also touched while computing it
-    assert r.gas_used == sum(charges)
+    prog = assemble(STORE_SRC, cfg)
+    addr = deploy(w, prog, 0xD0)
+    price = {
+        Op.JUMPI: gas.jumpi,
+        Op.MLOAD: gas.memory_op,
+        Op.MSTORE: gas.memory_op,
+        Op.SLOAD: gas.sload,
+        Op.CALL: gas.call_base,
+        Op.DELEGATECALL: gas.call_base,
+    }
+    txs = [(0x01, [5, 7]), (0x01, [5, 9]), (0x02, []), (0x03, [10, 20])]
+    for selector, calldata in txs:
+        charges = []
+        sstore_costs.clear()
+        vm = VM(w, gas_probe=lambda code, fid, off, amount: charges.append((fid, off, amount)))
+        r = vm.execute_transaction(Transaction(1, addr, selector, calldata))
+        assert charges and r.status != STATUS_OUT_OF_GAS
+        stored = iter(sstore_costs)
+        for fid, off, amount in charges:
+            op = prog.functions[fid].body[off].op
+            expected = next(stored) if op is Op.SSTORE else price.get(op, gas.base_op)
+            assert amount == expected, (selector, fid, off, op)
+        assert next(stored, None) is None
+        assert sum(amount for _, _, amount in charges) == r.gas_used
 
 
 SNAPSHOT_SRC = """
@@ -395,3 +411,152 @@ def test_call_depth_limit_fails_not_aborts():
     results = [e.get("success") for e in r.trace if e.kind == "ExternalCallReturn"]
     assert len(enters) == 64  # 63 nested frames plus the rejected attempt
     assert results.count(False) == 1  # only the depth-limited call fails
+
+
+def _vm_digest() -> str:
+    """sha256 over every receipt, trace event and probe charge of the corpus.
+
+    Each fixture runs its training stream plus one 30-tx test sequence twice:
+    uninstrumented at TRACE_FULL, and protected at TRACE_CHECKS with a gas
+    probe. Any change to the interpreter's observable behaviour moves it.
+    """
+    h = hashlib.sha256()
+
+    def feed(receipt):
+        h.update(
+            repr((receipt.status, receipt.gas_used, receipt.return_data, receipt.alarms)).encode()
+        )
+        for ev in receipt.trace:
+            h.update(repr((ev.kind, ev.contract, ev.fn, ev.offset, ev.detail)).encode())
+
+    def probe(code, fid, off, amount):
+        h.update(repr((code, fid, off, amount)).encode())
+
+    for scenario in ALL_SCENARIOS:
+        bundle = scenario.bundle()
+        records = scenario.training + scenario.test_sequence(random.Random(0), 30)[0]
+        h.update(scenario.name.encode())
+        plain = build_world(bundle)
+        for record in bundle.setup + records:
+            tx = parse_tx(record, plain, bundle)
+            feed(VM(plain.world, TRACE_FULL).execute_transaction(tx))
+        guarded = protect(bundle, train(bundle, scenario.training))
+        deployed = deploy_guarded(guarded)
+        config = bundle.config
+        check_log = Layout(config.width, config.guard.alarm_buffer_cap).check_log
+        for record in records:
+            tx = parse_tx(record, deployed, bundle)
+            vm = VM(deployed.world, TRACE_CHECKS, check_log, gas_probe=probe)
+            feed(vm.execute_transaction(tx))
+    return h.hexdigest()
+
+
+def test_observable_behaviour_pinned_on_corpus():
+    assert _vm_digest() == (
+        "5d5d463358100ec2dd016a7639409e61a1d33a6d2d82aaeddf63af601c2ce8eb"
+    )
+
+
+def _one_fn(body: str):
+    return assemble("contract t { fn f external selector=0x01 { %s } }" % body)
+
+
+@pytest.mark.parametrize(
+    "body, offset, gas_used",
+    [
+        ("ISZERO STOP", 0, 3),  # unary
+        ("PUSH 1 ADD STOP", 1, 6),  # checked binary
+        ("PUSH 1 LT STOP", 1, 6),  # plain binary
+        ("JUMPI end end: JUMPDEST STOP", 0, 10),
+        ("PUSH 1 MSTORE STOP", 1, 6),
+        ("PUSH 1 SWAP 1 STOP", 1, 6),
+        ("DUP 1 STOP", 0, 3),
+        ("PUSH 1 PUSH 2 RETURN", 2, 9),  # fewer words than RETURN's count
+    ],
+)
+def test_stack_underflow_reason_and_charge(body, offset, gas_used):
+    w = _world()
+    addr = deploy(w, _one_fn(body), 0xD0)
+    r = execute_transaction(w, Transaction(1, addr, 0x01))
+    assert r.status == STATUS_REVERTED
+    # the failing instruction is charged before its operands are popped
+    assert r.gas_used == gas_used
+    revert = r.trace[-1]
+    assert (revert.kind, revert.offset, revert.detail) == (
+        "Revert", offset, {"reason": "stack underflow"}
+    )
+
+
+@pytest.mark.parametrize(
+    "body, first, per_push",
+    [
+        ("loop: JUMPDEST PUSH 1 JUMP loop", 0, 9),  # PUSH at offset 1
+        ("PUSH 1 loop: JUMPDEST DUP 1 JUMP loop", 1, 9),  # DUP at offset 2
+    ],
+)
+def test_stack_overflow_at_limit(body, first, per_push):
+    w = _world()
+    addr = deploy(w, _one_fn(body), 0xD0)
+    r = execute_transaction(w, Transaction(1, addr, 0x01))
+    assert r.status == STATUS_REVERTED
+    revert = r.trace[-1]
+    assert (revert.kind, revert.offset, revert.detail) == (
+        "Revert", first + 1, {"reason": "stack overflow"}
+    )
+    # the stack holds exactly OPERAND_STACK_LIMIT words before the failing
+    # push; the leading PUSH of the DUP variant supplies one of them
+    pushes = OPERAND_STACK_LIMIT - first
+    assert r.gas_used == 3 * first + per_push * pushes + 6
+
+
+def test_gas_limit_equal_to_cost_is_enough():
+    w = _world()
+    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    cost = 3 * 5 + 20000
+    r = execute_transaction(w, Transaction(1, addr, 0x01, [5, 7], gas_limit=cost))
+    assert (r.status, r.gas_used) == (STATUS_ACCEPTED, cost)
+    w2 = _world()
+    addr = deploy(w2, assemble(STORE_SRC), 0xD0)
+    r = execute_transaction(w2, Transaction(1, addr, 0x01, [5, 7], gas_limit=cost - 1))
+    assert (r.status, r.gas_used) == (STATUS_OUT_OF_GAS, cost - 1)
+    assert w2.sload(addr, 5) == 0
+
+
+def test_failed_inner_call_gas_counts_toward_outer():
+    w = _world()
+    outer = deploy(w, assemble(CALLS_SRC), 0xD0)
+    inner = deploy(w, assemble(INNER_SRC), 0xD0)
+    r = execute_transaction(w, Transaction(1, outer, 0x0a, [inner]))
+    assert r.status == STATUS_ACCEPTED
+    # outer: 2 PUSH, SSTORE set, 4 PUSH, CALLDATALOAD, CALL, PUSH, MSTORE, STOP
+    outer_gas = 6 + 20000 + 15 + 700 + 6 + 3
+    # inner: 2 PUSH, SSTORE set (rolled back, still paid), PUSH, REVERT
+    inner_gas = 6 + 20000 + 6
+    assert r.gas_used == outer_gas + inner_gas
+
+
+FAILING_LIB_SRC = """
+contract lib {
+  fn setowner external selector=0x31 {
+    CALLER
+    PUSH 0
+    SSTORE
+    PUSH 0
+    REVERT
+  }
+}
+"""
+
+
+def test_failed_inner_delegatecall_gas_counts_toward_outer():
+    w = _world()
+    host = deploy(w, assemble(DELEGATE_HOST_SRC), 0xD0)
+    lib = deploy(w, assemble(FAILING_LIB_SRC), 0xD0)
+    r = execute_transaction(w, Transaction(0x77, host, 0x40, [lib]))
+    assert r.status == STATUS_ACCEPTED
+    assert w.sload(host, 0) == 0
+    # host: 3 PUSH, CALLDATALOAD, DELEGATECALL, POP, STOP
+    host_gas = 12 + 700 + 6
+    # lib: CALLER, PUSH, SSTORE set (rolled back), PUSH, REVERT
+    lib_gas = 6 + 20000 + 6
+    assert r.gas_used == host_gas + lib_gas
