@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .callgraph import CallGraph, K_ENTRY, acyclicize_callgraph, build_call_graph
 from .ccp import CcLabeling, label_ccp
-from .cfg import Cfg, acyclicize, build_cfg, insert_virtual_branches
+from .cfg import Cfg, Edge, acyclicize, build_cfg, insert_virtual_branches
 from .config import Config, DEFAULT_CONFIG
 from .epp import EppLabeling, IndexSpaceOverflow, label_epp
 from .isa import EXTERNAL_CALLS
@@ -23,6 +23,8 @@ class BundleAnalysis:
     boundary: set[str]
     config: Config
     cfgs: dict[tuple[str, int], Cfg] = field(default_factory=dict)
+    # out-edges per vertex of each finished CFG, for per-step trace replay
+    succ: dict[tuple[str, int], dict[int, list[Edge]]] = field(default_factory=dict)
     epp: dict[tuple[str, int], EppLabeling] = field(default_factory=dict)
     callgraph: CallGraph | None = None
     ccp: CcLabeling | None = None
@@ -72,6 +74,7 @@ def analyze_bundle(
         for fn in prog.functions:
             cfg = insert_virtual_branches(acyclicize(build_cfg(fn)), fn)
             ba.cfgs[(name, fn.id)] = cfg
+            ba.succ[(name, fn.id)] = cfg.successors()
             ba.epp[(name, fn.id)] = label_epp(cfg, config.width)
     cg = acyclicize_callgraph(build_call_graph(programs, boundary))
     ba.callgraph = cg

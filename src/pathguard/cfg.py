@@ -80,6 +80,17 @@ class Cfg:
     def in_edges(self, bid: int) -> list[Edge]:
         return [e for e in self.edges if e.dst == bid]
 
+    def successors(self) -> dict[int, list[Edge]]:
+        """Out-edges of every vertex in ``edges`` order, built in one pass.
+
+        A snapshot: later edge changes do not reach it, so build it only
+        from a finished graph.
+        """
+        succ: dict[int, list[Edge]] = {v: [] for v in self.vertices()}
+        for e in self.edges:
+            succ[e.src].append(e)
+        return succ
+
     def succ_sorted(self, bid: int) -> list[Edge]:
         return sorted(self.out_edges(bid), key=lambda e: (self.block_sort_key(e.dst), e.eid))
 

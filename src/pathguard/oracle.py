@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis
 from .callgraph import K_SURROGATE
-from .cfg import Cfg, EXIT, VIRTUAL_FALSE, VIRTUAL_TRUE
+from .cfg import Cfg, EXIT, Edge, VIRTUAL_FALSE, VIRTUAL_TRUE
 from .guardcode import (
     SLOT_EMPTY,
     band_direct,
@@ -39,6 +39,7 @@ class TraceMismatch(AssertionError):
 class _IFrame:
     fid: int
     cfg: Cfg
+    succ: dict[int, list[Edge]]
     lab: object
     vertex: int | None = None
     epp: int = 0
@@ -109,7 +110,8 @@ class TraceOracle:
         key = (frame.code, fid)
         cfg = self.analysis.cfgs[key]
         lab = self.analysis.epp[key]
-        frame.istack.append(_IFrame(fid, cfg, lab, None, lab.entry_val))
+        succ = self.analysis.succ[key]
+        frame.istack.append(_IFrame(fid, cfg, succ, lab, None, lab.entry_val))
 
     def _block_at(self, cfg: Cfg, start: int) -> int:
         for b in cfg.blocks.values():
@@ -129,7 +131,7 @@ class TraceOracle:
             return
         term = [
             e
-            for e in iframe.cfg.out_edges(iframe.vertex)
+            for e in iframe.succ[iframe.vertex]
             if e.origin and e.origin[0] == "term"
         ]
         if len(term) != 1:
@@ -166,7 +168,7 @@ class TraceOracle:
             iframe.vertex = self._block_at(iframe.cfg, 0)
             return
         cfg, lab = iframe.cfg, iframe.lab
-        for e in cfg.out_edges(iframe.vertex):
+        for e in iframe.succ[iframe.vertex]:
             if e.kind == "real" and e.dst != EXIT:
                 dst = cfg.blocks[e.dst]
                 if not dst.empty and dst.start == ev.offset:
@@ -196,7 +198,7 @@ class TraceOracle:
             return
         iframe = frame.top
         want = VIRTUAL_TRUE if ev.get("overflow") else VIRTUAL_FALSE
-        for e in iframe.cfg.out_edges(iframe.vertex):
+        for e in iframe.succ[iframe.vertex]:
             if e.kind == want and e.origin[0] == "arith" and e.origin[1] == ev.offset:
                 iframe.epp += iframe.lab.edge_val[e.eid]
                 iframe.vertex = e.dst
@@ -223,7 +225,7 @@ class TraceOracle:
         iframe = frame.istack.pop()
         # the IRET's terminator edge closes the callee's last path
         term = [
-            e for e in iframe.cfg.out_edges(iframe.vertex) if e.origin and e.origin[0] == "term"
+            e for e in iframe.succ[iframe.vertex] if e.origin and e.origin[0] == "term"
         ]
         if len(term) != 1:
             raise TraceMismatch(f"{iframe.cfg.fn_name}: CallReturn away from IRET")
@@ -295,7 +297,7 @@ class TraceOracle:
         # virtual branch on the success flag
         iframe = caller.top
         want = VIRTUAL_FALSE if success else VIRTUAL_TRUE
-        for e in iframe.cfg.out_edges(iframe.vertex):
+        for e in iframe.succ[iframe.vertex]:
             if e.kind == want and e.origin[0] == "callret" and e.origin[1] == ev.offset:
                 iframe.epp += iframe.lab.edge_val[e.eid]
                 iframe.vertex = e.dst

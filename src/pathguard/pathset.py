@@ -5,6 +5,9 @@ builder here and the generated in-contract checker compute bit-identical
 values. The perfect hash is the two-level bucket/displacement construction:
 keys group into m buckets; each bucket gets the lexicographically smallest
 displacement pair landing all its keys in free slots of an n-slot table.
+A key's position (f1 + d0*f2 + d1) mod n repeats with period n in d0, so d0
+runs over [0, n) only; for each d0, d1 is the lowest offset free for every
+key of the bucket, read off a bitmask of free slots.
 """
 
 from __future__ import annotations
@@ -143,10 +146,12 @@ def build_mpht(
 ) -> MphtSpec:
     """Perfect hash over the key set; deterministic for fixed inputs.
 
-    Buckets are processed largest first. For a fixed d0 the in-bucket
-    positions translate together as d1 varies, so intra-bucket collisions
-    are checked once per d0 and d1 is found by scanning free slots in
-    displacement order.
+    Buckets are processed largest first. d0 runs over [0, n), because
+    positions repeat with period n in d0; a bucket that fits for no d0 there
+    fits for none, and the next seed of the chain is tried. For a fixed d0
+    the in-bucket positions translate together as d1 varies, so
+    intra-bucket collisions are checked once per d0 and d1 is the lowest
+    offset that is free for every key of the bucket at once.
     """
     keys = sorted(set(keys))
     n = len(keys)
@@ -172,40 +177,38 @@ def _try_build(keys, n, m, seed, width):
         buckets.setdefault(g % m, []).append((key, f1 % n, f2 % n))
 
     table: list[int | None] = [None] * n
-    free = sorted(range(n))
+    free = (1 << n) - 1  # bit p set while slot p is empty
     disp = [(0, 0)] * m
     for bucket_id, items in sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        placed = _place_bucket(items, n, table, free)
+        placed = _place_bucket(items, n, free)
         if placed is None:
             return None
-        disp[bucket_id] = placed
+        d0, d1 = disp[bucket_id] = placed
+        for key, f1, f2 in items:
+            p = (f1 + d0 * f2 + d1) % n
+            table[p] = key
+            free &= ~(1 << p)
     assert all(v is not None for v in table)
     return MphtSpec(seed=seed, n=n, m=m, displacements=disp, slots=list(table))
 
 
-def _place_bucket(items, n, table, free):
-    import bisect
+def _place_bucket(items, n, free):
+    """Smallest (d0, d1) landing every key of the bucket in a free slot.
 
-    for d0 in range(DISP_LIMIT):
+    Bit d1 of ``twice >> b`` is set exactly when slot (b + d1) mod n is
+    free, so the lowest set bit of the AND over the bases is that d1.
+    """
+    full = (1 << n) - 1
+    twice = free | free << n
+    for d0 in range(min(n, DISP_LIMIT)):
         bases = [(f1 + d0 * f2) % n for _, f1, f2 in items]
         if len(set(bases)) != len(bases):
             continue  # d1 cannot separate them; translation is rigid
-        base0 = bases[0]
-        # scan free slots cyclically from base0: ascending d1 = (slot-base0) mod n
-        start = bisect.bisect_left(free, base0)
-        count = len(free)
-        for i in range(count):
-            slot = free[(start + i) % count]
-            d1 = (slot - base0) % n
-            if d1 >= DISP_LIMIT:
-                continue
-            positions = [(b + d1) % n for b in bases]
-            if all(table[p] is None for p in positions):
-                for (key, _, _), p in zip(items, positions):
-                    table[p] = key
-                    j = bisect.bisect_left(free, p)
-                    del free[j]
-                return (d0, d1)
+        fits = full
+        for b in bases:
+            fits &= twice >> b
+        if fits:
+            return d0, (fits & -fits).bit_length() - 1
     return None
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pathguard.asm import assemble
+from pathguard.bundle import analyze_bundle
 from pathguard.cfg import (
     ENTRY,
     EXIT,
@@ -19,6 +20,7 @@ from pathguard.cfg import (
     find_backedges,
     insert_virtual_branches,
 )
+from pathguard.fixtures import ALL_SCENARIOS
 
 
 def _names(cfg):
@@ -241,3 +243,14 @@ def test_nested_loops_each_cycle_has_exactly_one_backedge():
     assert cycles, "fixture must actually contain cycles"
     for cycle in cycles:
         assert len(set(cycle) & backedges) == 1
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
+def test_bundle_successor_index_matches_edge_scan(scenario):
+    """The per-vertex successor lists the oracle reads equal a scan of the
+    finished graph's edges, in the same order."""
+    bundle = scenario.bundle()
+    ba = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    assert ba.succ.keys() == ba.cfgs.keys()
+    for key, cfg in ba.cfgs.items():
+        assert ba.succ[key] == {v: cfg.out_edges(v) for v in cfg.vertices()}
