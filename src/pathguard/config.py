@@ -91,10 +91,6 @@ class Config:
         """Ctx-slot value marking "anomaly seen in a reentrant frame"."""
         return self.mask
 
-    # Ctx-slot rest value is 1 (not 0) so both slot writes around an
-    # unprotected call are updates of a nonzero slot, never fresh sets.
-    SLOT_EMPTY = 1
-
 
 def load_config(path: str | Path | None, **overrides) -> Config:
     """Build a Config from an optional JSON file plus keyword overrides."""

@@ -5,6 +5,9 @@ encoding, hashes, membership) is defined here exactly once, as both a Python
 function (used by the trace oracle and the harness) and an emitted
 instruction sequence (used by the rewriter). A cross-validation test runs
 the emitted sequences in the VM against the Python versions.
+
+Sequences are ``Asm`` item lists. Only this module reads items: ``resolve``
+turns one into an instruction at layout and ``seq_gas`` prices them.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from .pathset import (
     STRATEGY_LIST,
     STRATEGY_MAPPING,
     STRATEGY_MPHT,
+    build_list,
+    build_mpht,
+    mapping_slot,
+    mapping_value,
     mix,
     mix_constants,
     mix_shifts,
 )
+from .vm import price_table
 
 # Calldata prefix sent between protected contracts: [MARKER, ctx_base, site].
 MARKER_WORDS = 3
@@ -181,11 +189,12 @@ def marker_ctx(base: int, edge_val: int, surrogate: bool, width: int) -> int:
 
 
 class Asm:
-    """Collects instructions with symbolic labels and deferred ICALL targets.
+    """Collects instructions with symbolic labels.
 
     Items: ("i", Instruction) | ("mark", label) | ("jump", label)
-    | ("jumpi", label) | ("icall", key). The rewriter flattens these at
-    final layout; offsets are instruction indices so sizing is trivial.
+    | ("jumpi", label). Only this module reads them: ``resolve`` turns one
+    into an instruction at final layout; offsets are instruction indices so
+    sizing is trivial.
     """
 
     _uid = 0
@@ -215,10 +224,6 @@ class Asm:
 
     def jumpi(self, label: str) -> "Asm":
         self.items.append(("jumpi", label))
-        return self
-
-    def icall_ref(self, key) -> "Asm":
-        self.items.append(("icall", key))
         return self
 
     def extend(self, other: "Asm") -> "Asm":
@@ -381,7 +386,7 @@ def checker_pool(strategy: str, spec) -> list[int]:
 # -- per-point sequences ---------------------------------------------------------
 
 
-def seq_check_fragment(chk_key, lay: Layout, num_paths: int, code_id: int, fid: int) -> Asm:
+def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int, code_id: int, fid: int) -> Asm:
     """Compute combined, log it, test membership, set flag/alarm on a miss."""
     a = Asm()
     ok = Asm.fresh("ok")
@@ -390,7 +395,7 @@ def seq_check_fragment(chk_key, lay: Layout, num_paths: int, code_id: int, fid: 
     a.epp_addr(lay).emit(Op.MLOAD).emit(Op.ADD)  # [combined]
     a.emit(Op.DUP, 1).mstore(lay.check_log)
     a.emit(Op.DUP, 1)
-    a.icall_ref(chk_key)  # [combined, member]
+    a.emit(Op.ICALL, chk_fid)  # [combined, member]
     a.jumpi(ok)
     # miss: append (code id, fid, combined) to the alarm buffer, set the flag
     full = Asm.fresh("full")
@@ -498,7 +503,7 @@ def seq_internal_entry(entry_epp: int, lay: Layout) -> Asm:
 def seq_external_epilogue(
     code_id: int,
     fid: int,
-    chk_key,
+    chk_fid: int,
     num_paths: int,
     ctx_slot: int,
     marker: int,
@@ -517,7 +522,7 @@ def seq_external_epilogue(
     whole transaction.
     """
     a = Asm()
-    a.extend(seq_check_fragment(chk_key, lay, num_paths, code_id, fid))
+    a.extend(seq_check_fragment(chk_fid, lay, num_paths, code_id, fid))
     l_marker = Asm.fresh("xmark")
     l_mflag = Asm.fresh("xmflag")
     l_reent = Asm.fresh("xreent")
@@ -637,11 +642,11 @@ def _emit_relay_append(a: Asm, lay: Layout, config: Config) -> None:
 
 
 def seq_internal_epilogue(
-    code_id: int, fid: int, chk_key, num_paths: int, lay: Layout
+    code_id: int, fid: int, chk_fid: int, num_paths: int, lay: Layout
 ) -> Asm:
     """Exit stub for an internal function: check, then IRET."""
     a = Asm()
-    a.extend(seq_check_fragment(chk_key, lay, num_paths, code_id, fid))
+    a.extend(seq_check_fragment(chk_fid, lay, num_paths, code_id, fid))
     a.emit(Op.IRET)
     return a
 
@@ -649,7 +654,7 @@ def seq_internal_epilogue(
 def seq_backedge(
     code_id: int,
     fid: int,
-    chk_key,
+    chk_fid: int,
     num_paths: int,
     exit_val: int,
     reset_val: int,
@@ -659,7 +664,7 @@ def seq_backedge(
     a = Asm()
     if exit_val:
         a.epp_add(lay, exit_val)
-    a.extend(seq_check_fragment(chk_key, lay, num_paths, code_id, fid))
+    a.extend(seq_check_fragment(chk_fid, lay, num_paths, code_id, fid))
     a.epp_set(lay, reset_val)
     return a
 
@@ -710,40 +715,29 @@ def seq_call_result(vt_val: int, lay: Layout) -> Asm:
     return a
 
 
-def seq_protected_call_pre(site_gid: int, marker: int, lay: Layout, config: Config) -> Asm:
+def seq_protected_call_pre(
+    op: Op, site_gid: int, marker: int, lay: Layout, config: Config
+) -> Asm:
     """Rebuild the arg block with the [MARKER, ctx, site] calldata prefix.
 
-    Runs immediately before CALL/DELEGATECALL with the stack at
-    [args..., nargs, selector, (value,) addr]; stashes the head words,
-    injects the prefix, and restores the head with nargs + 3.
+    Runs immediately before ``op`` with the stack at [args..., nargs,
+    selector, addr] for DELEGATECALL and [args..., nargs, selector, value,
+    addr] for CALL; stashes the head words, injects the prefix, and restores
+    the head with nargs + 3.
     """
+    if op is Op.CALL:
+        head = [lay.tmp_addr, lay.tmp_val, lay.tmp_sel, lay.tmp_n]
+    else:
+        head = [lay.tmp_addr, lay.tmp_sel, lay.tmp_n]
     a = Asm()
-    a.mstore(lay.tmp_addr)
-    a.mstore(lay.tmp_val)  # selector for delegatecall; harmless rename
-    a.mstore(lay.tmp_sel)
-    a.mstore(lay.tmp_n)
+    for addr in head:
+        a.mstore(addr)
     a.push(site_gid)
     a.mload(lay.ctx)
     a.push(marker & config.mask)
     a.mload(lay.tmp_n).push(MARKER_WORDS).emit(Op.ADD)
-    a.mload(lay.tmp_sel)
-    a.mload(lay.tmp_val)
-    a.mload(lay.tmp_addr)
-    return a
-
-
-def seq_protected_call_pre_delegate(site_gid: int, marker: int, lay: Layout, config: Config) -> Asm:
-    """Delegatecall variant: head is [nargs, selector, addr]."""
-    a = Asm()
-    a.mstore(lay.tmp_addr)
-    a.mstore(lay.tmp_sel)
-    a.mstore(lay.tmp_n)
-    a.push(site_gid)
-    a.mload(lay.ctx)
-    a.push(marker & config.mask)
-    a.mload(lay.tmp_n).push(MARKER_WORDS).emit(Op.ADD)
-    a.mload(lay.tmp_sel)
-    a.mload(lay.tmp_addr)
+    for addr in reversed(head[:-1]):
+        a.mload(addr)
     return a
 
 
@@ -830,8 +824,8 @@ def seq_returndata_size_shim() -> Asm:
 def seq_admin_body(admin_addr: int, lay: Layout) -> Asm:
     """Administration entry: append (slot, value) pairs, caller-gated.
 
-    Calldata: [n, slot1, value1, ..., slotN, valueN]; the harness computes
-    mapping slots with pathset.mapping_slot.
+    Calldata: [n, slot1, value1, ..., slotN, valueN], built by
+    ``admin_calldata``.
     """
     a = Asm()
     ok = Asm.fresh("adm_ok")
@@ -857,62 +851,67 @@ def seq_admin_body(admin_addr: int, lay: Layout) -> Asm:
     return a
 
 
-def flatten(items: list[tuple], base: int, icall_of=None) -> list[Instruction]:
-    """Lay out an item list at a base instruction offset, resolving labels.
+def admin_calldata(pairs: list[tuple[int, int]], config: Config) -> list[int]:
+    """Admin-call payload appending (fid, key) safe pairs to the dynamic mapping."""
+    words = [len(pairs)]
+    for fid, key in pairs:
+        words += [mapping_slot(fid, key, config), mapping_value(key, config.width)]
+    return words
 
-    Labels become JUMPDESTs. ``icall_of`` maps deferred checker keys to
-    function ids.
-    """
-    offsets: dict[str, int] = {}
-    pos = base
-    for item in items:
-        if item[0] == "mark":
-            offsets[item[1]] = pos
-        pos += 1
-    out: list[Instruction] = []
-    for item in items:
-        kind = item[0]
-        if kind == "i":
-            out.append(item[1])
-        elif kind == "mark":
-            out.append(Instruction(Op.JUMPDEST))
-        elif kind == "jump":
-            out.append(Instruction(Op.JUMP, offsets[item[1]]))
-        elif kind == "jumpi":
-            out.append(Instruction(Op.JUMPI, offsets[item[1]]))
-        elif kind == "icall":
-            out.append(Instruction(Op.ICALL, icall_of(item[1])))
-        else:  # pragma: no cover
-            raise ValueError(kind)
-    return out
+
+# -- layout --------------------------------------------------------------------
+
+# The instruction each label item stands for; labels become JUMPDESTs.
+_LABEL_OPS = {"mark": Op.JUMPDEST, "jump": Op.JUMP, "jumpi": Op.JUMPI}
+
+
+def orig_label(offset: int) -> tuple:
+    """Label of an instruction of the code being rewritten, by old offset."""
+    return ("orig", offset)
+
+
+def relocatable(instr: Instruction) -> tuple:
+    """Item for an instruction of the code being rewritten: a jump's target
+    becomes ``orig_label(target)``, so the layout can move it."""
+    if instr.op is Op.JUMP:
+        return ("jump", orig_label(instr.imm))
+    if instr.op is Op.JUMPI:
+        return ("jumpi", orig_label(instr.imm))
+    return ("i", instr)
+
+
+def label_offsets(items: list[tuple], base: int = 0) -> dict:
+    """Offset of every label marked in an item list laid out from ``base``."""
+    return {item[1]: base + pos for pos, item in enumerate(items) if item[0] == "mark"}
+
+
+def resolve(item: tuple, labels: dict) -> Instruction:
+    """The instruction an item stands for, jump targets looked up in ``labels``."""
+    kind, arg = item
+    if kind == "i":
+        return arg
+    op = _LABEL_OPS[kind]
+    return Instruction(op) if op is Op.JUMPDEST else Instruction(op, labels[arg])
+
+
+def flatten(items: list[tuple], base: int) -> list[Instruction]:
+    """Lay out an item list at a base instruction offset, resolving labels."""
+    labels = label_offsets(items, base)
+    return [resolve(item, labels) for item in items]
 
 
 def seq_gas(items: list[tuple], config: Config) -> int:
-    """Static gas of an item list assuming every instruction executes once."""
-    gas = 0
-    g = config.gas
-    for item in items:
-        if item[0] == "i":
-            op = item[1].op
-            if op is Op.SLOAD:
-                gas += g.sload
-            elif op is Op.SSTORE:
-                gas += g.sstore_update
-            elif op is Op.JUMPI:
-                gas += g.jumpi
-            elif op in (Op.MLOAD, Op.MSTORE):
-                gas += g.memory_op
-            elif op in (Op.CALL, Op.DELEGATECALL):
-                gas += g.call_base
-            else:
-                gas += g.base_op
-        elif item[0] == "jump":
-            gas += g.base_op
-        elif item[0] == "jumpi":
-            gas += g.jumpi
-        elif item[0] in ("icall", "mark"):
-            gas += g.base_op
-    return gas
+    """Static gas of an item list assuming every instruction executes once.
+
+    Prices come from the VM's table; SSTORE, priced there by its operands,
+    counts as an update of a nonzero slot.
+    """
+    prices = price_table(config.gas)
+    prices[Op.SSTORE.code] = config.gas.sstore_update
+    return sum(
+        prices[(item[1].op if item[0] == "i" else _LABEL_OPS[item[0]]).code]
+        for item in items
+    )
 
 
 def check_gas(strategy: str, n: int, config: Config) -> int:
@@ -921,8 +920,6 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
     For the embedded strategies this is the hit cost of the checker body
     (mapping probe not reached); for the mapping it is the probe cost.
     """
-    from .pathset import build_list, build_mpht
-
     if strategy == STRATEGY_LIST:
         spec = build_list(range(n))
         body = seq_checker(STRATEGY_LIST, spec, 0, 0, 0, config)
@@ -940,18 +937,7 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
 def _hit_gas(body: Asm, config: Config) -> int:
     """Gas along the embedded-hit path: up to the first branch, then from
     its target (the found arm) to the IRET."""
-    head = []
-    label = None
-    for item in body.items:
-        head.append(item)
-        if item[0] == "jumpi":
-            label = item[1]
-            break
-    tail = []
-    seen = False
-    for item in body.items:
-        if item[0] == "mark" and item[1] == label:
-            seen = True
-        if seen:
-            tail.append(item)
-    return seq_gas(head, config) + seq_gas(tail, config)
+    items = body.items
+    branch = next(pos for pos, item in enumerate(items) if item[0] == "jumpi")
+    found = label_offsets(items)[items[branch][1]]
+    return seq_gas(items[: branch + 1] + items[found:], config)

@@ -20,8 +20,13 @@ from .guardcode import (
     Asm,
     Layout,
     SLOT_EMPTY,
+    admin_calldata,
     checker_pool,
     flatten,
+    label_offsets,
+    orig_label,
+    relocatable,
+    resolve,
     seq_arith_check,
     seq_backedge,
     seq_branch_add,
@@ -37,7 +42,6 @@ from .guardcode import (
     seq_internal_epilogue,
     seq_prologue,
     seq_protected_call_pre,
-    seq_protected_call_pre_delegate,
     seq_protected_call_post,
     seq_returndata_load_shim,
     seq_returndata_size_shim,
@@ -54,8 +58,6 @@ from .pathset import (
     build_list,
     build_mpht,
     choose_strategy,
-    mapping_slot,
-    mapping_value,
     mix,
 )
 from .program import (
@@ -81,6 +83,10 @@ POINT_EXT_UNPROT = "ExternalCallUnprotected"
 POINT_EXT_PROT = "ExternalCallProtected"
 POINT_EXIT = "FunctionExit"
 POINT_CHECK = "PathSetCheck"
+
+# Stub terminators stand in for the original exit they replace: same cost,
+# so their gas is not instrumentation overhead.
+_EXIT_OPS = frozenset({Op.RETURN, Op.IRET, Op.REVERT})
 
 
 class InstrumentationError(ValidationError):
@@ -110,7 +116,6 @@ class InstrumentedContract:
     # new (fid, offset) -> index into points, for gas attribution
     injected: dict[tuple[int, int], int]
     admin_selector: int
-    checker_fid: dict[int, int]
     # safe pairs that live in the dynamic mapping instead of embedded sets
     mapping_preseed: list[tuple[int, int]] = field(default_factory=list)
 
@@ -123,10 +128,7 @@ class InstrumentedContract:
 
     def preseed_calldata(self, config: Config) -> list[int]:
         """Admin-call payload seeding out-of-band safe pairs at deployment."""
-        words = [len(self.mapping_preseed)]
-        for fid, key in self.mapping_preseed:
-            words += [mapping_slot(fid, key, config), mapping_value(key, config.width)]
-        return words
+        return admin_calldata(self.mapping_preseed, config)
 
 
 def plan_strategies(
@@ -179,8 +181,6 @@ class _Rewriter:
         self.lay = Layout(config.width, config.guard.alarm_buffer_cap)
         self.points: list[InstrumentPoint] = []
         self.pool: list[int] = []
-        self.pool_base: dict[int, int] = {}
-        self.blob_bytes = 0
 
     def point(self, kind: str, site: tuple, **payload) -> int:
         self.points.append(InstrumentPoint(kind, site, payload))
@@ -194,17 +194,15 @@ class _Rewriter:
         self._scan_reserved_collisions()
         original_size = prog.compute_byte_size(config.word_bytes)
 
-        checker_fid: dict[int, int] = {}
-        next_fid = len(prog.functions)
-        for fn in prog.functions:
-            checker_fid[fn.id] = next_fid
-            next_fid += 1
-        admin_fid = next_fid
+        # checker ids are fixed up front so sequences ICALL them directly
+        count = len(prog.functions)
+        checker_fid = {fn.id: count + i for i, fn in enumerate(prog.functions)}
+        admin_fid = 2 * count
 
         new_functions: list[FunctionDef] = []
         injected: dict[tuple[int, int], int] = {}
         for fn in prog.functions:
-            body, owners = self._rewrite_function(fn, checker_fid)
+            body, owners = self._rewrite_function(fn, checker_fid[fn.id])
             new_functions.append(
                 FunctionDef(fn.id, fn.name, fn.visibility, body)
             )
@@ -215,22 +213,9 @@ class _Rewriter:
         for fn in prog.functions:
             strategy, spec = self.strategies[fn.id]
             base = len(self.pool)
-            self.pool_base[fn.id] = base
-            words = checker_pool(strategy, spec)
-            self.pool.extend(words)
+            self.pool.extend(checker_pool(strategy, spec))
             fn_seed = mix(
                 (fn.id ^ config.guard.mapping_salt) & config.mask, config.width
-            )
-            body = flatten(
-                seq_checker(
-                    strategy,
-                    spec,
-                    fn_seed,
-                    config.guard.mapping_tag,
-                    base,
-                    config,
-                ).items,
-                base=0,
             )
             pid = self.point(
                 POINT_CHECK,
@@ -239,32 +224,28 @@ class _Rewriter:
                 entries=len(spec.entries) if isinstance(spec, ListSpec) else spec.n,
             )
             self.points[pid].blob_bytes = spec.blob_bytes if spec else 0
-            # body bytes plus the new function-table entry
-            self.points[pid].code_bytes = (
-                sum(i.size(config.word_bytes) for i in body) + FUNCTION_ENTRY_BYTES
+            seq = seq_checker(
+                strategy, spec, fn_seed, config.guard.mapping_tag, base, config
             )
-            cf = checker_fid[fn.id]
             new_functions.append(
-                FunctionDef(cf, f"__chk_{fn.name}", Visibility.INTERNAL, body)
+                self._guard_function(
+                    checker_fid[fn.id], f"__chk_{fn.name}", Visibility.INTERNAL,
+                    seq, pid, injected,
+                )
             )
-            for off in range(len(body)):
-                injected[(cf, off)] = pid
 
         # administration entry point
         admin_selector = derive_selector(ADMIN_FN_NAME, config.width)
         taken = set(prog.selector_table)
         while admin_selector in taken:
             admin_selector = (admin_selector + 1) & ((1 << min(32, config.width)) - 1) or 1
-        admin_body = flatten(seq_admin_body(config.admin, self.lay).items, base=0)
         pid = self.point(POINT_WRAPPER, (ADMIN_FN_NAME, "admin"), selector=hex(admin_selector))
-        self.points[pid].code_bytes = (
-            sum(i.size(config.word_bytes) for i in admin_body) + FUNCTION_ENTRY_BYTES
-        )
         new_functions.append(
-            FunctionDef(admin_fid, ADMIN_FN_NAME, Visibility.EXTERNAL, admin_body)
+            self._guard_function(
+                admin_fid, ADMIN_FN_NAME, Visibility.EXTERNAL,
+                seq_admin_body(config.admin, self.lay), pid, injected,
+            )
         )
-        for off in range(len(admin_body)):
-            injected[(admin_fid, off)] = pid
 
         selector_table = dict(prog.selector_table)
         selector_table[admin_selector] = admin_fid
@@ -274,8 +255,7 @@ class _Rewriter:
             selector_table=selector_table,
             fallback_id=prog.fallback_id,
             data_pool=self.pool,
-            blob_bytes=self.blob_bytes
-            + sum(
+            blob_bytes=sum(
                 (self.strategies[f.id][1].blob_bytes if self.strategies[f.id][1] else 0)
                 for f in prog.functions
             ),
@@ -291,8 +271,21 @@ class _Rewriter:
             instrumented_size=size,
             injected=injected,
             admin_selector=admin_selector,
-            checker_fid=checker_fid,
         )
+
+    def _guard_function(
+        self, fid: int, name: str, visibility: Visibility, seq: Asm, pid: int,
+        injected: dict[tuple[int, int], int],
+    ) -> FunctionDef:
+        """A function made only of guard code, every offset owned by ``pid``."""
+        body = flatten(seq.items, base=0)
+        # body bytes plus the new function-table entry
+        self.points[pid].code_bytes = (
+            sum(i.size(self.config.word_bytes) for i in body) + FUNCTION_ENTRY_BYTES
+        )
+        for off in range(len(body)):
+            injected[(fid, off)] = pid
+        return FunctionDef(fid, name, visibility, body)
 
     def _scan_reserved_collisions(self) -> None:
         lo, hi = self.lay.reserved_range()
@@ -305,7 +298,7 @@ class _Rewriter:
                         "collides with reserved guard state"
                     )
 
-    def _rewrite_function(self, fn: FunctionDef, checker_fid: dict[int, int]):
+    def _rewrite_function(self, fn: FunctionDef, chk_fid: int):
         name = self.name
         config = self.config
         lay = self.lay
@@ -313,16 +306,14 @@ class _Rewriter:
         analysis = self.analysis
         cfg = analysis.cfgs[(name, fn.id)]
         lab = analysis.epp[(name, fn.id)]
-        cg = analysis.callgraph
         num_paths = lab.total_paths
-        chk_key = ("chk", fn.id)
         external = fn.visibility is Visibility.EXTERNAL
 
         before: dict[int, list[tuple[Asm, int]]] = {}
         after: dict[int, list[tuple[Asm, int]]] = {}
-        # replacement items carry their own point id; None marks stand-ins
-        # for the replaced original (same cost, not instrumentation overhead)
-        replace: dict[int, list[tuple[tuple, int | None]]] = {}
+        # (sequence, gas pid, byte pid) replacing an original; a None gas pid
+        # marks a stand-in for it (same cost, not instrumentation overhead)
+        replace: dict[int, tuple[Asm, int | None, int]] = {}
         stubs: list[tuple[Asm, int]] = []
 
         def add(where: dict, off: int, seq: Asm, pid: int) -> None:
@@ -402,9 +393,9 @@ class _Rewriter:
                     )
                     label = Asm.fresh("tramp")
                     stub = Asm().mark(label).epp_add(lay, val)
-                    stub.items.append(("origjump", fn.body[off].imm))
+                    stub.jump(orig_label(fn.body[off].imm))
                     stubs.append((stub, pid))
-                    replace[off] = [(("jumpi", label), None, pid)]
+                    replace[off] = (Asm().jumpi(label), None, pid)
                 else:
                     pid = self.point(
                         POINT_BRANCH, (fn.name, off), val=val, arm="fall"
@@ -436,21 +427,15 @@ class _Rewriter:
                 target=target_start,
             )
             seq = seq_backedge(
-                self.code_id, fn.id, chk_key, num_paths, exit_val, reset, lay
+                self.code_id, fn.id, chk_fid, num_paths, exit_val, reset, lay
             )
             instr = fn.body[jump_off]
-            if instr.op is Op.JUMP:
+            if instr.op is Op.JUMP or (instr.op is Op.JUMPI and instr.imm == target_start):
                 label = Asm.fresh("be")
-                stub = Asm().mark(label).extend(seq)
-                stub.items.append(("origjump", target_start))
+                stub = Asm().mark(label).extend(seq).jump(orig_label(target_start))
                 stubs.append((stub, pid))
-                replace[jump_off] = [(("jump", label), None, pid)]
-            elif instr.op is Op.JUMPI and instr.imm == target_start:
-                label = Asm.fresh("be")
-                stub = Asm().mark(label).extend(seq)
-                stub.items.append(("origjump", target_start))
-                stubs.append((stub, pid))
-                replace[jump_off] = [(("jumpi", label), None, pid)]
+                head = Asm().jump(label) if instr.op is Op.JUMP else Asm().jumpi(label)
+                replace[jump_off] = (head, None, pid)
             else:  # fallthrough backedge (irreducible shapes)
                 add(after, jump_off, seq, pid)
 
@@ -472,15 +457,14 @@ class _Rewriter:
             pid = self.point(POINT_EXIT, (fn.name, off), val=val, op=op.value)
             if op is Op.IRET:
                 used_iexit = True
-                pre.items.append(("jump", iexit_label))
+                pre.jump(iexit_label)
             elif op is Op.STOP:
                 used_exit = True
-                pre.push(0)
-                pre.items.append(("jump", exit_label))
+                pre.push(0).jump(exit_label)
             else:  # RETURN
                 used_exit = True
-                pre.items.append(("jump", exit_label))
-            replace[off] = [(item, pid, pid) for item in pre.items]
+                pre.jump(exit_label)
+            replace[off] = (pre, pid, pid)
 
         if used_exit:
             pid = self.point(
@@ -491,7 +475,7 @@ class _Rewriter:
                 seq_external_epilogue(
                     self.code_id,
                     fn.id,
-                    chk_key,
+                    chk_fid,
                     num_paths,
                     config.ctx_storage_slot,
                     guard.call_marker,
@@ -506,7 +490,7 @@ class _Rewriter:
             pid = self.point(POINT_CHECK, (fn.name, "iexit"), num_paths=num_paths)
             stub = Asm().mark(iexit_label)
             stub.extend(
-                seq_internal_epilogue(self.code_id, fn.id, chk_key, num_paths, lay)
+                seq_internal_epilogue(self.code_id, fn.id, chk_fid, num_paths, lay)
             )
             stubs.append((stub, pid))
 
@@ -538,9 +522,6 @@ class _Rewriter:
         return self._lay_out(fn, before, after, replace, stubs)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _start_of(self, cfg, bid: int) -> int:
-        return cfg.blocks[bid].start
 
     def _site_rows(self, fid: int):
         """(site gid, edge val, via_surrogate) rows for marker entries."""
@@ -594,10 +575,9 @@ class _Rewriter:
         if self._is_protected_site(fn.id, off):
             gid = self.analysis.site_gid[(self.name, fn.id, off)]
             pid = self.point(POINT_EXT_PROT, (fn.name, off), site_gid=gid)
-            if fn.body[off].op is Op.DELEGATECALL:
-                pre = seq_protected_call_pre_delegate(gid, config.guard.call_marker, lay, config)
-            else:
-                pre = seq_protected_call_pre(gid, config.guard.call_marker, lay, config)
+            pre = seq_protected_call_pre(
+                fn.body[off].op, gid, config.guard.call_marker, lay, config
+            )
             add(before, off, pre, pid)
             add(after, off, seq_protected_call_post(config.guard.call_marker, lay, config), pid)
         else:
@@ -611,100 +591,45 @@ class _Rewriter:
             )
 
     def _lay_out(self, fn, before, after, replace, stubs):
-        """Flatten plan items into the new body; fix all jump targets.
+        """Lay out plan items into the new body; fix all jump targets.
 
-        Entries carry separate gas and byte attribution: stand-ins for
-        replaced originals cost no extra gas but their bytes (net of the
-        removed instruction) belong to their point.
+        Original offsets become labels ``orig_label(off)``, so original jumps
+        and stub exits resolve like any guard jump. Entries carry separate
+        gas and byte attribution: stand-ins for replaced originals cost no
+        extra gas but their bytes (net of the removed instruction) belong to
+        their point.
         """
         word_bytes = self.config.word_bytes
-        entries: list[tuple] = []  # (tag, payload, gas pid, byte pid)
+        entries: list[tuple] = []  # (item, gas pid, byte pid)
+        labels: dict = {}
         for off, instr in enumerate(fn.body):
             for seq, pid in before.get(off, []):
-                entries += [("inj", item, pid, pid) for item in seq.items]
+                entries += [(item, pid, pid) for item in seq.items]
             if off in replace:
-                items = replace[off]
-                entries += [("inj", item, gpid, bpid) for item, gpid, bpid in items]
-                entries.append(("orig_anchor", off, None, None))
+                seq, gpid, bpid = replace[off]
+                entries += [(item, gpid, bpid) for item in seq.items]
                 # the replaced original's bytes are credited back
-                self.points[items[0][2]].code_bytes -= instr.size(word_bytes)
+                self.points[bpid].code_bytes -= instr.size(word_bytes)
             else:
-                entries.append(("orig", off, None, None))
+                labels[orig_label(off)] = len(entries)
+                entries.append((relocatable(instr), None, None))
             for seq, pid in after.get(off, []):
-                entries += [("inj", item, pid, pid) for item in seq.items]
+                entries += [(item, pid, pid) for item in seq.items]
+        stubs_from = len(entries)
         for seq, pid in stubs:
-            entries += [
-                ("inj", item, None if _stands_in_for_original(item) else pid, pid)
-                for item in seq.items
-            ]
+            entries += [(item, pid, pid) for item in seq.items]
+        labels.update(label_offsets([item for item, _gpid, _bpid in entries]))
 
-        # first pass: offsets
-        new_off: dict[int, int] = {}
-        labels: dict[str, int] = {}
-        pos = 0
-        for tag, payload, _gpid, _bpid in entries:
-            if tag == "orig":
-                new_off[payload] = pos
-                pos += 1
-            elif tag == "orig_anchor":
-                new_off[payload] = None  # replaced; jumps to it are invalid
-            else:
-                if payload[0] == "mark":
-                    labels[payload[1]] = pos
-                pos += 1
-
-        # second pass: emit
         body: list[Instruction] = []
         owners: dict[int, int] = {}
-
-        def emit(instr: Instruction, gpid=None, bpid=None):
-            if gpid is not None:
-                owners[len(body)] = gpid
+        for pos, (item, gpid, bpid) in enumerate(entries):
+            instr = resolve(item, labels)
+            if gpid is not None and not (pos >= stubs_from and instr.op in _EXIT_OPS):
+                owners[pos] = gpid
             if bpid is not None:
-                size = 1 + word_bytes if isinstance(instr.imm, tuple) else instr.size(word_bytes)
-                self.points[bpid].code_bytes += size
+                self.points[bpid].code_bytes += instr.size(word_bytes)
             body.append(instr)
-
-        for tag, payload, gpid, bpid in entries:
-            if tag == "orig":
-                instr = fn.body[payload]
-                if instr.op in (Op.JUMP, Op.JUMPI):
-                    tgt = new_off[instr.imm]
-                    assert tgt is not None, "jump into a replaced instruction"
-                    instr = Instruction(instr.op, tgt)
-                emit(instr)
-            elif tag == "orig_anchor":
-                continue
-            else:
-                kind = payload[0]
-                if kind == "i":
-                    emit(payload[1], gpid, bpid)
-                elif kind == "mark":
-                    emit(Instruction(Op.JUMPDEST), gpid, bpid)
-                elif kind == "jump":
-                    emit(Instruction(Op.JUMP, labels[payload[1]]), gpid, bpid)
-                elif kind == "jumpi":
-                    emit(Instruction(Op.JUMPI, labels[payload[1]]), gpid, bpid)
-                elif kind == "origjump":
-                    emit(Instruction(Op.JUMP, new_off[payload[1]]), gpid, bpid)
-                elif kind == "icall":
-                    emit(Instruction(Op.ICALL, ("pending", payload[1])), gpid, bpid)
-                else:  # pragma: no cover
-                    raise ValueError(kind)
         return body, owners
-
-
-def _stands_in_for_original(item: tuple) -> bool:
-    """Stub terminators replace the original exit instruction's cost."""
-    return item[0] == "i" and item[1].op in (Op.RETURN, Op.IRET, Op.REVERT)
-
-
-def _resolve_checker_calls(body: list[Instruction], checker_fid: dict[int, int]):
-    for i, instr in enumerate(body):
-        if instr.op is Op.ICALL and isinstance(instr.imm, tuple):
-            kind, key = instr.imm
-            assert kind == "pending"
-            body[i] = Instruction(Op.ICALL, checker_fid[key[1]])
 
 
 def instrument_contract(
@@ -721,8 +646,6 @@ def instrument_contract(
     while True:
         rewriter = _Rewriter(name, analysis, strategies, config)
         result = rewriter.rewrite()
-        for fn in result.program.functions:
-            _resolve_checker_calls(fn.body, result.checker_fid)
         validate_program(result.program, config)
         result.instrumented_size = result.program.byte_size
         result.mapping_preseed = list(preseed)

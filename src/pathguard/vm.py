@@ -247,7 +247,7 @@ class _OutOfGas(Exception):
     pass
 
 
-def _price_table(gas: GasSchedule) -> list[int]:
+def price_table(gas: GasSchedule) -> list[int]:
     """Gas per opcode, indexed by ``Op.code``; SSTORE is priced by its operands."""
     prices = [gas.base_op] * len(_OPS)
     prices[_JUMPI] = gas.jumpi
@@ -352,7 +352,7 @@ class VM:
         mask = config.mask
         token = world.snapshot()
         gas = config.gas
-        prices = _price_table(gas)
+        prices = price_table(gas)
         gas_limit = self.gas_limit
         gas_used = self.gas_used
         limit = OPERAND_STACK_LIMIT

@@ -20,18 +20,14 @@ from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context, split_index
 from .config import Config, config_from_json, config_to_json
 from .epp import index_to_path
-from .guardcode import Layout
-from .instrument import InstrumentedContract, instrument_contract
+from .guardcode import Layout, admin_calldata
+from .instrument import InstrumentedContract, instrument_contract, plan_strategies
 from .oracle import trace_oracle
-from .pathset import (
-    STRATEGY_LIST,
-    STRATEGY_MPHT,
-    ConstructionFailed,
-    build_mpht,
-    choose_strategy,
-    mapping_slot,
-    mapping_value,
-)
+from .pathset import mapping_slot, mapping_value
+
+# Not called here; stays importable because perfbench/spans.py wraps
+# workflow.build_mpht as well as instrument.build_mpht.
+from .pathset import build_mpht
 from .program import ContractProgram
 from .vm import (
     Receipt,
@@ -205,29 +201,19 @@ def make_snapshot(
     contracts: dict = {}
     for name in sorted(analysis.boundary):
         prog = analysis.programs[name]
-        per_fn = {}
-        for fn in prog.functions:
-            keys = sorted(safe.get((name, fn.id), ()))
-            space = analysis.index_space(name, fn.id)
-            embedded = [k for k in keys if k < space]
-            strategy = choose_strategy(len(embedded))
-            mpht = None
-            if strategy == STRATEGY_MPHT:
-                try:
-                    mpht = build_mpht(
-                        embedded, config.guard.mpht_lambda, width=config.width
-                    ).to_json()
-                except ConstructionFailed:
-                    strategy = STRATEGY_LIST
-            per_fn[str(fn.id)] = {
+        safe_sets = {fn.id: set(safe.get((name, fn.id), ())) for fn in prog.functions}
+        spaces = {fn.id: analysis.index_space(name, fn.id) for fn in prog.functions}
+        strategies, _preseed = plan_strategies(safe_sets, spaces, config)
+        contracts[name] = {
+            str(fn.id): {
                 "name": fn.name,
                 "num_paths": analysis.num_paths(name, fn.id),
                 "num_ccs": analysis.num_ccs(name, fn.id),
-                "safe": [hex(k) for k in keys],
-                "strategy": strategy,
-                "mpht": mpht,
+                "safe": [hex(k) for k in sorted(safe_sets[fn.id])],
+                "strategy": strategies[fn.id][0],
             }
-        contracts[name] = per_fn
+            for fn in prog.functions
+        }
     return {
         "fingerprint": analysis.fingerprint(),
         "width": config.width,
@@ -580,11 +566,11 @@ def review_and_approve(
                 missing.append((fid, key))
         if not missing:
             continue
-        words = [len(missing)]
-        for fid, key in missing:
-            words += [mapping_slot(fid, key, config), mapping_value(key, config.width)]
         tx = Transaction(
-            origin=admin, to=contract, selector=inst.admin_selector, calldata=words
+            origin=admin,
+            to=contract,
+            selector=inst.admin_selector,
+            calldata=admin_calldata(missing, config),
         )
         receipt = VM(run.deployed.world, TRACE_NONE).execute_transaction(tx)
         if receipt.status != STATUS_ACCEPTED:

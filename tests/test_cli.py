@@ -1,4 +1,5 @@
-"""End-to-end CLI walkthrough, run in-process: fixture, train, protect, run, approve."""
+"""CLI commands run in-process: asm, disasm, analyze, and the walkthrough
+fixture -> train -> protect -> run -> approve."""
 
 import json
 import re
@@ -6,7 +7,9 @@ import re
 import pytest
 
 from pathguard import cli, workflow
-from pathguard.fixtures import ALL_SCENARIOS
+from pathguard.asm import assemble
+from pathguard.bundle import analyze_bundle
+from pathguard.fixtures import ALL_SCENARIOS, PROXY_SRC
 
 
 def _main(capsys, *argv) -> str:
@@ -77,3 +80,37 @@ def test_simulate_false_alarms(tmp_path, capsys):
         tmp_path / "visibility.bundle.json", tmp_path / "visibility.train.jsonl",
     )
     assert int(re.search(r"false alarms: (\d+)", out).group(1)) > 0
+
+
+def test_asm_then_disasm_reassembles(tmp_path, capsys):
+    source = tmp_path / "proxy.src"
+    source.write_text(PROXY_SRC)
+    out = _main(capsys, "asm", source, "-o", tmp_path / "proxy.json")
+    assert out.startswith("proxy: 2 functions")
+    saved = json.loads((tmp_path / "proxy.json").read_text())
+    text = _main(capsys, "disasm", tmp_path / "proxy.json")
+    assert assemble(text).to_json() == saved
+
+
+def test_asm_rejects_bad_source(tmp_path, capsys):
+    source = tmp_path / "bad.src"
+    source.write_text("contract bad { fn f external { NOSUCHOP } }")
+    code = cli.main(["asm", str(source), "-o", str(tmp_path / "bad.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [(), ("--dump-cfg",), ("--dump-callgraph",), ("--dump-cfg", "--dump-callgraph")]
+)
+def test_analyze_prints_the_bundle_fingerprint(tmp_path, capsys, flags):
+    _main(capsys, "fixture", "delegatecall", "-o", tmp_path)
+    path = tmp_path / "delegatecall.bundle.json"
+    out = json.loads(_main(capsys, "analyze", path, *flags))
+    bundle = workflow.Bundle.load(path)
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    assert out["fingerprint"] == analysis.fingerprint()
+    # no flag dumps both graphs; a flag selects its own
+    assert ("cfgs" in out) == ("--dump-cfg" in flags or not flags)
+    assert ("callgraph" in out) == ("--dump-callgraph" in flags or not flags)

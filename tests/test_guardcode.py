@@ -26,7 +26,7 @@ def _run_unary(items, x, width=64, pool=None, extra_fns=None, storage=None):
     """Execute a sequence over one calldata word; returns the top-of-stack."""
     config = Config(width=width)
     body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]
-    body += flatten(items, base=2, icall_of=lambda key: 1)
+    body += flatten(items, base=2)
     body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
     fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, body)]
     if extra_fns:
@@ -85,7 +85,7 @@ def _checker_fn(strategy, spec, fn_seed, tag, config):
 def _call_checker(strategy, spec, key, width=64, storage=None, fn_seed=0, tag=0):
     config = Config(width=width)
     pool = checker_pool(strategy, spec)
-    a = Asm().icall_ref("chk")
+    a = Asm().emit(Op.ICALL, 1)
     return _run_unary(
         a.items,
         key,

@@ -1,5 +1,7 @@
 """Rewriting: observational equivalence, size accounting, plan content, spill."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
 from pathguard.guardcode import Layout
+from pathguard.isa import Op
 from pathguard.instrument import (
     InstrumentationError,
     instrument_contract,
@@ -218,3 +221,113 @@ def test_attack_transaction_guard_reverts(loopy):
     assert receipt.status == "GuardReverted"
     assert receipt.alarms
     assert w.dump() == before
+
+
+FRONT_SRC = """
+contract front {
+  fn go external selector=0x1 {
+    PUSH 0
+    CALLDATALOAD
+    JUMPI a         ; both arms meet at a: two paths per branch
+  a: JUMPDEST
+    PUSH 1
+    CALLDATALOAD
+    JUMPI b
+  b: JUMPDEST
+    PUSH 2
+    CALLDATALOAD
+    JUMPI c
+  c: JUMPDEST
+    PUSH 7
+    PUSH 1
+    PUSH 0x2
+    CALLVALUE
+    PUSH 0
+    SLOAD
+    CALL target=back
+    POP
+    STOP
+  }
+}
+"""
+
+BACK_SRC = """
+contract back {
+  fn step external selector=0x2 {
+    PUSH 0
+    CALLDATALOAD
+    PUSH 3
+    GT
+    JUMPI big
+    STOP
+  big: JUMPDEST
+    PUSH 1
+    PUSH 0
+    SSTORE
+    STOP
+  }
+}
+"""
+
+FAT_SRC = """
+contract fat { fn f external selector=0x1 {
+  PUSH 0
+  CALLDATALOAD
+  JUMPI one
+  STOP
+one: JUMPDEST
+  STOP
+} }
+"""
+
+
+def _guarded(sources, safe):
+    from pathguard.workflow import Bundle, make_snapshot, protect
+
+    bundle = Bundle.from_json({"contracts": [{"source": s} for s in sources]})
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    return protect(bundle, make_snapshot(analysis, safe, bundle.config))
+
+
+def _pinned_bundles(monkeypatch):
+    """Guarded bundles covering every emitted shape: the seven fixtures, a
+    protected CALL site, an Mpht checker and a forced spill to the mapping."""
+    from pathguard import instrument as instr_mod
+    from pathguard.fixtures import ALL_SCENARIOS
+    from pathguard.workflow import protect, train
+
+    for scenario in ALL_SCENARIOS:
+        bundle = scenario.bundle()
+        yield protect(bundle, train(bundle, scenario.training))
+    call = _guarded((FRONT_SRC, BACK_SRC), {})
+    assert any(
+        p.kind == "ExternalCallProtected" and p.payload.get("site_gid") is not None
+        for p in call.instrumented["front"].points
+    )
+    assert any(i.op is Op.CALL for i in call.instrumented["front"].program.functions[0].body)
+    yield call
+    mpht = _guarded((FRONT_SRC, BACK_SRC), {("front", 0): set(range(6))})
+    assert any(p.payload.get("strategy") == "Mpht" for p in mpht.instrumented["front"].points)
+    yield mpht
+    fat = _guarded((FAT_SRC,), {("fat", 0): {0, 1}})
+    monkeypatch.setattr(instr_mod, "MAX_CODE_BYTES", fat.instrumented["fat"].instrumented_size - 1)
+    spilled = _guarded((FAT_SRC,), {("fat", 0): {0, 1}})
+    assert spilled.instrumented["fat"].mapping_preseed == [(0, 0), (0, 1)]
+    yield spilled
+
+
+def test_guarded_output_pinned(monkeypatch):
+    """sha256 over the guarded bundles' JSON: any change to emitted code,
+    plans, sizes or preseeds moves it. Snapshots once carried an unread
+    per-function "mpht" field; it is stripped so the digest covers only
+    what every snapshot form shares."""
+    h = hashlib.sha256()
+    for guarded in _pinned_bundles(monkeypatch):
+        raw = guarded.to_json()
+        for per_fn in raw["snapshot"]["contracts"].values():
+            for entry in per_fn.values():
+                entry.pop("mpht", None)
+        h.update(json.dumps(raw, sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "9e436dc61729ec83c980c9d4974b4a5cac0acb1c2278ab36dd945c882dda7fbf"
+    )

@@ -184,7 +184,7 @@ def _measured_check_gas(strategy, n, config=CONFIG):
         spec = build_mpht(range(1000, 1000 + n), config.guard.mpht_lambda)
         member = 1000
     body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]
-    body += flatten(Asm().icall_ref("chk").items, base=2, icall_of=lambda key: 1)
+    body += flatten(Asm().emit(Op.ICALL, 1).items, base=2)
     body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
     chk = flatten(seq_checker(strategy, spec, 0, 0, 0, config).items, base=0)
     prog = ContractProgram(
@@ -237,3 +237,22 @@ def test_check_gas_crossover_measured():
     assert max(mpht_gas.values()) - min(mpht_gas.values()) <= 60  # modulus shape only
     crossover = next(n for n in range(1, 11) if mpht_gas[n] <= list_gas[n])
     assert crossover == 8
+
+
+def test_estimate_gas_pinned():
+    """sha256 over estimate_gas for widths 8-64, every strategy and n 1-39;
+    a ConstructionFailed is recorded by its message."""
+    h = hashlib.sha256()
+    for width in (8, 16, 32, 64):
+        config = Config(width=width)
+        for strategy in (STRATEGY_LIST, STRATEGY_MPHT, STRATEGY_MAPPING):
+            for n in range(1, 40):
+                try:
+                    est = estimate_gas(strategy, n, config)
+                    row = (est.deploy_gas, est.per_check_gas)
+                except ConstructionFailed as exc:
+                    row = str(exc)
+                h.update(repr((width, strategy, n, row)).encode())
+    assert h.hexdigest() == (
+        "71a796faaf5bb7f1c4916b355172c5d209929445d252a9cdf060dd0821cdb528"
+    )

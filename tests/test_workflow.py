@@ -187,14 +187,14 @@ def test_guarded_bundle_persists_its_config():
 
 
 def _mpht_snapshot(monkeypatch, error):
-    from pathguard import workflow
+    from pathguard import instrument, workflow
     from pathguard.bundle import analyze_bundle
 
     def failing_build(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(workflow, "choose_strategy", lambda n: workflow.STRATEGY_MPHT)
-    monkeypatch.setattr(workflow, "build_mpht", failing_build)
+    monkeypatch.setattr(instrument, "choose_strategy", lambda n: instrument.STRATEGY_MPHT)
+    monkeypatch.setattr(instrument, "build_mpht", failing_build)
     bundle = VISIBILITY.bundle()
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
     name = sorted(analysis.boundary)[0]
