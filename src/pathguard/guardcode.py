@@ -13,6 +13,7 @@ turns one into an instruction at layout and ``seq_gas`` prices them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import Config, INTERNAL_DEPTH_LIMIT
 from .isa import Instruction, Op
@@ -50,9 +51,9 @@ def relay_cnt_slot(config: Config) -> int:
     return config.mask - 1
 
 
-def relay_entry_slot(config: Config, index: int, word: int) -> int:
-    """Slot of one relayed alarm word; entries grow downward, 3 words each."""
-    return config.mask - 2 - 3 * index - word
+def relay_entry_slot(config: Config, word: int) -> int:
+    """Slot of one word of relayed alarm entry 0; entry j sits 3j slots lower."""
+    return config.mask - 2 - word
 
 
 @dataclass(frozen=True)
@@ -386,8 +387,17 @@ def checker_pool(strategy: str, spec) -> list[int]:
 # -- per-point sequences ---------------------------------------------------------
 
 
-def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int, code_id: int, fid: int) -> Asm:
-    """Compute combined, log it, test membership, set flag/alarm on a miss."""
+class SlowPaths(NamedTuple):
+    """Function ids of a contract's shared slow paths, reached only on a miss
+    or a flagged exit."""
+
+    alarm: int
+    relay: int
+    revert: int
+
+
+def seq_check_fragment(chk_fid: int, slow: SlowPaths, lay: Layout, num_paths: int, fid: int) -> Asm:
+    """Compute combined, log it, test membership, raise an alarm on a miss."""
     a = Asm()
     ok = Asm.fresh("ok")
     done = Asm.fresh("cont")
@@ -397,24 +407,31 @@ def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int, code_id: int, 
     a.emit(Op.DUP, 1)
     a.emit(Op.ICALL, chk_fid)  # [combined, member]
     a.jumpi(ok)
-    # miss: append (code id, fid, combined) to the alarm buffer, set the flag
-    full = Asm.fresh("full")
-    a.mload(lay.acnt).push(lay.alarm_cap).emit(Op.LT).emit(Op.ISZERO)
-    a.jumpi(full)
-    a.mload(lay.acnt).push(3).emit(Op.MUL).push(lay.abuf).emit(Op.ADD)  # [c, base]
-    a.emit(Op.DUP, 1).push(code_id).emit(Op.SWAP, 1).emit(Op.MSTORE)
-    a.push(1).emit(Op.ADD)
-    a.emit(Op.DUP, 1).push(fid).emit(Op.SWAP, 1).emit(Op.MSTORE)
-    a.push(1).emit(Op.ADD)  # [c, base+2]
-    a.emit(Op.DUP, 2).emit(Op.SWAP, 1).emit(Op.MSTORE)
-    a.mload(lay.acnt).push(1).emit(Op.ADD).mstore(lay.acnt)
-    a.mark(full)
-    a.mstore_const(lay.flag, 1)
-    a.emit(Op.POP)
+    a.push(fid).emit(Op.ICALL, slow.alarm)
     a.jump(done)
     a.mark(ok)
     a.emit(Op.POP)
     a.mark(done)
+    return a
+
+
+def seq_alarm_append(code_id: int, lay: Layout) -> Asm:
+    """Shared miss arm: consumes [combined, fid], sets the flag and appends
+    (code id, fid, combined) to the alarm buffer while it has room."""
+    a = Asm()
+    full = Asm.fresh("full")
+    a.mstore_const(lay.flag, 1)
+    a.mload(lay.acnt).push(lay.alarm_cap).emit(Op.LT).emit(Op.ISZERO)
+    a.jumpi(full)
+    a.mload(lay.acnt).push(3).emit(Op.MUL).push(lay.abuf).emit(Op.ADD)  # [c, fid, base]
+    a.emit(Op.DUP, 1).push(code_id).emit(Op.SWAP, 1).emit(Op.MSTORE)
+    a.push(1).emit(Op.ADD).emit(Op.SWAP, 1).emit(Op.DUP, 2).emit(Op.MSTORE)  # [c, base+1]
+    a.push(1).emit(Op.ADD).emit(Op.MSTORE)
+    a.add_mem(lay.acnt, 1)
+    a.emit(Op.IRET)
+    a.mark(full)
+    a.emit(Op.POP).emit(Op.POP)
+    a.emit(Op.IRET)
     return a
 
 
@@ -501,13 +518,12 @@ def seq_internal_entry(entry_epp: int, lay: Layout) -> Asm:
 
 
 def seq_external_epilogue(
-    code_id: int,
     fid: int,
     chk_fid: int,
+    slow: SlowPaths,
     num_paths: int,
     ctx_slot: int,
     marker: int,
-    guard_marker: int,
     poison: int,
     lay: Layout,
     config: Config,
@@ -516,19 +532,19 @@ def seq_external_epilogue(
 
     Expects the stack shaped for RETURN ([values..., n]); exit sites jump
     here (STOP sites push 0 first). Runs the path-set check, then the mode
-    dispatch: marker entries prefix return data with [MARKER, flag]; boundary
-    entries guard-revert when flagged; reentrant boundary entries poison the
-    ctx slot instead so the outer frame of the same contract reverts the
-    whole transaction.
+    dispatch: marker entries prefix return data with [MARKER, flag];
+    boundary entries guard-revert when flagged; reentrant boundary entries
+    poison the ctx slot instead so the outer frame of the same contract
+    reverts the whole transaction. Flagged arms ICALL the contract's shared
+    relay and guard-revert routines; unflagged arms run no shared code.
     """
     a = Asm()
-    a.extend(seq_check_fragment(chk_fid, lay, num_paths, code_id, fid))
+    a.extend(seq_check_fragment(chk_fid, slow, lay, num_paths, fid))
     l_marker = Asm.fresh("xmark")
     l_mflag = Asm.fresh("xmflag")
     l_reent = Asm.fresh("xreent")
     l_guard = Asm.fresh("xguard")
     l_poison = Asm.fresh("xpoison")
-    rcnt = relay_cnt_slot(config)
     a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
     a.jumpi(l_marker)
     a.mload(lay.mode).push(MODE_REENTRANT).emit(Op.EQ)
@@ -545,23 +561,33 @@ def seq_external_epilogue(
     a.emit(Op.RETURN)
     a.mark(l_mflag)
     # hand local alarm entries to the boundary frame through the relay
-    _emit_relay_append(a, lay, config)
+    a.emit(Op.ICALL, slow.relay)
     a.push(1).emit(Op.SWAP, 1)
     a.push(marker & config.mask).emit(Op.SWAP, 1)
     a.push(RET_PREFIX_WORDS).emit(Op.ADD)
     a.emit(Op.RETURN)
+    a.mark(l_guard)  # the routine never returns
+    a.push(fid).emit(Op.ICALL, slow.revert)
     a.mark(l_reent)
     a.mload(lay.flag)
     a.jumpi(l_poison)
     a.emit(Op.RETURN)
     a.mark(l_poison)
-    _emit_relay_append(a, lay, config)
+    a.emit(Op.ICALL, slow.relay)
     a.push(poison).push(ctx_slot).emit(Op.SSTORE)
     a.emit(Op.RETURN)
-    a.mark(l_guard)
-    # build [GUARD_MARKER, count, (addr, code id, fid, combined) * count]
-    # from the local buffer plus relayed entries; a flag with no entries at
-    # all means an unreadable inner region, reported as a sentinel
+    return a
+
+
+def seq_guard_revert(code_id: int, guard_marker: int, lay: Layout, config: Config) -> Asm:
+    """Shared guard revert: consumes [fid], never returns.
+
+    Reverts with [GUARD_MARKER, count, (addr, code id, fid, combined) * count]
+    from the relayed plus local entries; a flag with no entries at all means an
+    unreadable inner region, reported as the all-ones sentinel pair of fid.
+    """
+    a = Asm()
+    rcnt = relay_cnt_slot(config)
     loop = Asm.fresh("rev")
     done = Asm.fresh("revdone")
     rloop = Asm.fresh("rrev")
@@ -571,12 +597,13 @@ def seq_external_epilogue(
     a.push(rcnt).emit(Op.SLOAD)
     a.emit(Op.OR)
     a.jumpi(have)
-    a.push((1 << config.width) - 1).push(fid).push(code_id).emit(Op.ADDRESS)
+    a.push((1 << config.width) - 1).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
     a.push(1)
     a.push(guard_marker & config.mask)
     a.push(6)
     a.emit(Op.REVERT)
     a.mark(have)
+    a.emit(Op.POP)
     a.mload(lay.acnt).mstore(lay.tmp_x)
     a.mark(loop)
     a.mload(lay.tmp_x).emit(Op.ISZERO)
@@ -598,7 +625,7 @@ def seq_external_epilogue(
     a.jumpi(rdone)
     a.mload(lay.tmp_x).push(1).emit(Op.SUB).mstore(lay.tmp_x)
     for word in (2, 1, 0):  # combined, fid, code id
-        a.push(relay_entry_slot(config, 0, word))
+        a.push(relay_entry_slot(config, word))
         a.mload(lay.tmp_x).push(3).emit(Op.MUL)
         a.emit(Op.SUB).emit(Op.SLOAD)
     a.emit(Op.ADDRESS)
@@ -612,8 +639,9 @@ def seq_external_epilogue(
     return a
 
 
-def _emit_relay_append(a: Asm, lay: Layout, config: Config) -> None:
-    """Copy local alarm entries into the storage relay (flagged exits only)."""
+def seq_relay_append(lay: Layout, config: Config) -> Asm:
+    """Shared relay: copy local alarm entries into the storage relay, IRET."""
+    a = Asm()
     rel = Asm.fresh("rel")
     reldone = Asm.fresh("reldone")
     a.push(0).mstore(lay.tmp_x)  # i: local index
@@ -628,8 +656,8 @@ def _emit_relay_append(a: Asm, lay: Layout, config: Config) -> None:
         a.push(word)
         a.mload(lay.tmp_x).push(3).emit(Op.MUL).emit(Op.ADD)
         a.push(lay.abuf).emit(Op.ADD).emit(Op.MLOAD)
-        # slot = relay_entry_slot(j, word)
-        a.push(relay_entry_slot(config, 0, word))
+        # slot = relay_entry_slot(word) - 3j
+        a.push(relay_entry_slot(config, word))
         a.mload(lay.tmp_y).push(3).emit(Op.MUL)
         a.emit(Op.SUB)
         a.emit(Op.SSTORE)
@@ -638,23 +666,24 @@ def _emit_relay_append(a: Asm, lay: Layout, config: Config) -> None:
     a.jump(rel)
     a.mark(reldone)
     a.mload(lay.tmp_y).push(relay_cnt_slot(config)).emit(Op.SSTORE)
+    a.emit(Op.IRET)
     return a
 
 
 def seq_internal_epilogue(
-    code_id: int, fid: int, chk_fid: int, num_paths: int, lay: Layout
+    fid: int, chk_fid: int, slow: SlowPaths, num_paths: int, lay: Layout
 ) -> Asm:
     """Exit stub for an internal function: check, then IRET."""
     a = Asm()
-    a.extend(seq_check_fragment(chk_fid, lay, num_paths, code_id, fid))
+    a.extend(seq_check_fragment(chk_fid, slow, lay, num_paths, fid))
     a.emit(Op.IRET)
     return a
 
 
 def seq_backedge(
-    code_id: int,
     fid: int,
     chk_fid: int,
+    slow: SlowPaths,
     num_paths: int,
     exit_val: int,
     reset_val: int,
@@ -664,7 +693,7 @@ def seq_backedge(
     a = Asm()
     if exit_val:
         a.epp_add(lay, exit_val)
-    a.extend(seq_check_fragment(chk_fid, lay, num_paths, code_id, fid))
+    a.extend(seq_check_fragment(chk_fid, slow, lay, num_paths, fid))
     a.epp_set(lay, reset_val)
     return a
 

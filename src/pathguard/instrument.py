@@ -20,6 +20,7 @@ from .guardcode import (
     Asm,
     Layout,
     SLOT_EMPTY,
+    SlowPaths,
     admin_calldata,
     checker_pool,
     flatten,
@@ -35,7 +36,9 @@ from .guardcode import (
     seq_call_result,
     seq_checker,
     seq_admin_body,
+    seq_alarm_append,
     seq_external_epilogue,
+    seq_guard_revert,
     seq_icall_post,
     seq_icall_pre,
     seq_internal_entry,
@@ -43,6 +46,7 @@ from .guardcode import (
     seq_prologue,
     seq_protected_call_pre,
     seq_protected_call_post,
+    seq_relay_append,
     seq_returndata_load_shim,
     seq_returndata_size_shim,
     seq_unprotected_call_pre,
@@ -86,7 +90,7 @@ POINT_CHECK = "PathSetCheck"
 
 # Stub terminators stand in for the original exit they replace: same cost,
 # so their gas is not instrumentation overhead.
-_EXIT_OPS = frozenset({Op.RETURN, Op.IRET, Op.REVERT})
+_EXIT_OPS = frozenset({Op.RETURN, Op.IRET})
 
 
 class InstrumentationError(ValidationError):
@@ -119,10 +123,6 @@ class InstrumentedContract:
     # safe pairs that live in the dynamic mapping instead of embedded sets
     mapping_preseed: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def deploy_overhead_pct(self) -> float:
-        return self.instrumented_size / self.original_size - 1.0
-
     def plan_listing(self) -> str:
         return "\n".join(p.listing_line() for p in self.points) + "\n"
 
@@ -132,17 +132,19 @@ class InstrumentedContract:
 
 
 def plan_strategies(
-    safe_sets: dict[int, set[int]], analysis_spaces: dict[int, int], config: Config
+    analysis: BundleAnalysis, name: str, safe_sets: dict[int, set[int]], config: Config
 ) -> tuple[dict[int, tuple[str, object]], list[tuple[int, int]]]:
-    """Pick the storage strategy per function and split out-of-band keys.
+    """Pick the storage strategy per function of ``name`` and split out-of-band keys.
 
-    Keys outside the embedded index space (reentrant-band contexts observed
-    in training) go to the dynamic mapping preseed.
+    Functions missing from ``safe_sets`` have no safe keys. Keys outside the
+    embedded index space (reentrant-band contexts observed in training) go
+    to the dynamic mapping preseed.
     """
     strategies: dict[int, tuple[str, object]] = {}
     preseed: list[tuple[int, int]] = []
-    for fid, keys in safe_sets.items():
-        space = analysis_spaces[fid]
+    for fn in analysis.programs[name].functions:
+        fid, keys = fn.id, safe_sets.get(fn.id, ())
+        space = analysis.index_space(name, fid)
         embedded = sorted(k for k in keys if k < space)
         preseed += [(fid, k) for k in sorted(keys) if k >= space]
         strategy = choose_strategy(len(embedded))
@@ -194,10 +196,11 @@ class _Rewriter:
         self._scan_reserved_collisions()
         original_size = prog.compute_byte_size(config.word_bytes)
 
-        # checker ids are fixed up front so sequences ICALL them directly
+        # guard function ids are fixed up front so sequences ICALL them directly
         count = len(prog.functions)
         checker_fid = {fn.id: count + i for i, fn in enumerate(prog.functions)}
         admin_fid = 2 * count
+        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3)
 
         new_functions: list[FunctionDef] = []
         injected: dict[tuple[int, int], int] = {}
@@ -247,6 +250,20 @@ class _Rewriter:
             )
         )
 
+        # one copy per contract of each slow path, in SlowPaths order
+        shared = {
+            "__guard_alarm": seq_alarm_append(self.code_id, self.lay),
+            "__guard_relay": seq_relay_append(self.lay, config),
+            "__guard_revert": seq_guard_revert(
+                self.code_id, config.guard.guard_marker, self.lay, config
+            ),
+        }
+        for fid, (name, seq) in zip(self.slow, shared.items()):
+            pid = self.point(POINT_CHECK, (name, "shared"))
+            new_functions.append(
+                self._guard_function(fid, name, Visibility.INTERNAL, seq, pid, injected)
+            )
+
         selector_table = dict(prog.selector_table)
         selector_table[admin_selector] = admin_fid
         new_prog = ContractProgram(
@@ -255,10 +272,7 @@ class _Rewriter:
             selector_table=selector_table,
             fallback_id=prog.fallback_id,
             data_pool=self.pool,
-            blob_bytes=sum(
-                (self.strategies[f.id][1].blob_bytes if self.strategies[f.id][1] else 0)
-                for f in prog.functions
-            ),
+            blob_bytes=sum(p.blob_bytes for p in self.points),
             callsites=dict(prog.callsites),
             storage_init={config.ctx_storage_slot: SLOT_EMPTY},
         )
@@ -426,9 +440,7 @@ class _Rewriter:
                 reset=reset,
                 target=target_start,
             )
-            seq = seq_backedge(
-                self.code_id, fn.id, chk_fid, num_paths, exit_val, reset, lay
-            )
+            seq = seq_backedge(fn.id, chk_fid, self.slow, num_paths, exit_val, reset, lay)
             instr = fn.body[jump_off]
             if instr.op is Op.JUMP or (instr.op is Op.JUMPI and instr.imm == target_start):
                 label = Asm.fresh("be")
@@ -473,13 +485,12 @@ class _Rewriter:
             stub = Asm().mark(exit_label)
             stub.extend(
                 seq_external_epilogue(
-                    self.code_id,
                     fn.id,
                     chk_fid,
+                    self.slow,
                     num_paths,
                     config.ctx_storage_slot,
                     guard.call_marker,
-                    guard.guard_marker,
                     config.slot_poison,
                     lay,
                     config,
@@ -490,7 +501,7 @@ class _Rewriter:
             pid = self.point(POINT_CHECK, (fn.name, "iexit"), num_paths=num_paths)
             stub = Asm().mark(iexit_label)
             stub.extend(
-                seq_internal_epilogue(self.code_id, fn.id, chk_fid, num_paths, lay)
+                seq_internal_epilogue(fn.id, chk_fid, self.slow, num_paths, lay)
             )
             stubs.append((stub, pid))
 
@@ -639,10 +650,7 @@ def instrument_contract(
     config: Config,
 ) -> InstrumentedContract:
     """Plan and rewrite one contract; spills oversized sets to the mapping."""
-    prog = analysis.programs[name]
-    safe_sets = {fn.id: set(safe_sets.get(fn.id, ())) for fn in prog.functions}
-    spaces = {fn.id: analysis.index_space(name, fn.id) for fn in prog.functions}
-    strategies, preseed = plan_strategies(safe_sets, spaces, config)
+    strategies, preseed = plan_strategies(analysis, name, safe_sets, config)
     while True:
         rewriter = _Rewriter(name, analysis, strategies, config)
         result = rewriter.rewrite()

@@ -200,19 +200,17 @@ def make_snapshot(
 ) -> dict:
     contracts: dict = {}
     for name in sorted(analysis.boundary):
-        prog = analysis.programs[name]
-        safe_sets = {fn.id: set(safe.get((name, fn.id), ())) for fn in prog.functions}
-        spaces = {fn.id: analysis.index_space(name, fn.id) for fn in prog.functions}
-        strategies, _preseed = plan_strategies(safe_sets, spaces, config)
+        safe_sets = {fid: keys for (code, fid), keys in safe.items() if code == name}
+        strategies, _preseed = plan_strategies(analysis, name, safe_sets, config)
         contracts[name] = {
             str(fn.id): {
                 "name": fn.name,
                 "num_paths": analysis.num_paths(name, fn.id),
                 "num_ccs": analysis.num_ccs(name, fn.id),
-                "safe": [hex(k) for k in sorted(safe_sets[fn.id])],
+                "safe": [hex(k) for k in sorted(safe_sets.get(fn.id, ()))],
                 "strategy": strategies[fn.id][0],
             }
-            for fn in prog.functions
+            for fn in analysis.programs[name].functions
         }
     return {
         "fingerprint": analysis.fingerprint(),
@@ -251,7 +249,9 @@ class GuardedBundle:
             per_contract[name] = {
                 "original_size": inst.original_size,
                 "instrumented_size": inst.instrumented_size,
-                "deploy_overhead_pct": round(100 * inst.deploy_overhead_pct, 2),
+                "deploy_overhead_pct": round(
+                    100 * deploy_overhead_pct(inst.original_size, inst.instrumented_size), 2
+                ),
                 "deploy_gas_extra": (
                     (inst.instrumented_size - inst.original_size)
                     * self.bundle.config.gas.code_deposit_per_byte

@@ -5,8 +5,19 @@ import random
 import pytest
 
 from pathguard.config import Config
-from pathguard.guardcode import Asm, Layout, checker_pool, flatten, seq_checker
-from pathguard.isa import Instruction, Op
+from pathguard.guardcode import (
+    Asm,
+    Layout,
+    checker_pool,
+    flatten,
+    relay_cnt_slot,
+    relay_entry_slot,
+    seq_alarm_append,
+    seq_checker,
+    seq_guard_revert,
+    seq_relay_append,
+)
+from pathguard.isa import Op
 from pathguard.pathset import (
     STRATEGY_LIST,
     STRATEGY_MPHT,
@@ -22,13 +33,11 @@ from pathguard.program import ContractProgram, FunctionDef, Visibility, validate
 from pathguard.vm import Transaction, VM, WorldState, deploy
 
 
-def _run_unary(items, x, width=64, pool=None, extra_fns=None, storage=None):
-    """Execute a sequence over one calldata word; returns the top-of-stack."""
+def _execute(items, calldata, width=64, pool=None, extra_fns=None, storage=None):
+    """Run one tx into a probe function made of ``items``; ``extra_fns`` take
+    function ids 1, 2, ... Returns the receipt, the world and the address."""
     config = Config(width=width)
-    body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]
-    body += flatten(items, base=2)
-    body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
-    fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, body)]
+    fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(items, base=0))]
     if extra_fns:
         fns += extra_fns
     prog = ContractProgram("t", fns, {0x7: 0}, None, data_pool=pool or [])
@@ -38,7 +47,16 @@ def _run_unary(items, x, width=64, pool=None, extra_fns=None, storage=None):
     for slot, val in (storage or {}).items():
         world.sstore(addr, slot, val)
     world.commit(0)
-    receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, [x]))
+    receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, calldata))
+    return receipt, world, addr
+
+
+def _run_unary(items, x, width=64, pool=None, extra_fns=None, storage=None):
+    """Execute a sequence over one calldata word; returns the top-of-stack."""
+    probe = Asm().push(0).emit(Op.CALLDATALOAD)
+    probe.items += items
+    probe.push(1).emit(Op.RETURN)
+    receipt, _world, _addr = _execute(probe.items, [x], width, pool, extra_fns, storage)
     assert receipt.status == "Accepted", receipt
     return receipt.return_data[0], receipt.gas_used
 
@@ -161,3 +179,95 @@ def test_mapping_probe_in_vm():
         tag=config.guard.mapping_tag,
     )
     assert miss == 0
+
+
+# -- shared slow paths -----------------------------------------------------------
+
+CODE_ID = 3
+SLOW_FID = 1  # the routine under test, ICALLed from the probe
+
+
+def _slow_fn(seq):
+    return [FunctionDef(SLOW_FID, "slow", Visibility.INTERNAL, flatten(seq.items, base=0))]
+
+
+def _with_local_alarms(lay, entries):
+    """Probe prefix filling the local alarm buffer with (code id, fid, combined)."""
+    a = Asm()
+    for i, entry in enumerate(entries):
+        for word, value in enumerate(entry):
+            a.mstore_const(lay.abuf + 3 * i + word, value)
+    return a.mstore_const(lay.acnt, len(entries))
+
+
+def test_alarm_append_below_and_at_cap():
+    """A miss appends (code id, fid, combined) while the buffer has room; at
+    the cap it only sets the flag. Either way it consumes [combined, fid]."""
+    lay = Layout(64, alarm_cap=2)
+    held = [(CODE_ID, 4, 0x111)]
+    for prefill in (held, held + [(CODE_ID, 5, 0x222)]):
+        a = _with_local_alarms(lay, prefill).push(0xBEEF)  # balance sentinel
+        a.push(0x333).push(6).emit(Op.ICALL, SLOW_FID)
+        words = [lay.flag, lay.acnt] + [lay.abuf + i for i in range(3 * lay.alarm_cap)]
+        for addr in reversed(words):
+            a.mload(addr)
+        a.push(len(words) + 1).emit(Op.RETURN)
+        receipt, _, _ = _execute(a.items, [], extra_fns=_slow_fn(seq_alarm_append(CODE_ID, lay)))
+        assert receipt.status == "Accepted", receipt
+        flag, acnt, *buf, sentinel = receipt.return_data
+        entries = (prefill + [(CODE_ID, 6, 0x333)])[: lay.alarm_cap]
+        assert (flag, acnt, sentinel) == (1, len(entries), 0xBEEF)
+        assert buf == [w for entry in entries for w in entry] + [0] * (len(buf) - 3 * len(entries))
+
+
+def test_relay_append_copies_local_entries_into_storage():
+    """Local entries follow those already relayed, up to the buffer cap."""
+    config = Config()
+    lay = Layout(64, alarm_cap=3)
+    local = [(1, 2, 0x10), (1, 7, 0x20), (1, 9, 0x30)]
+    earlier = (2, 8, 0x99)  # relayed by an earlier frame
+    storage = {relay_cnt_slot(config): 1}
+    storage.update({relay_entry_slot(config, w): v for w, v in enumerate(earlier)})
+    a = _with_local_alarms(lay, local).emit(Op.ICALL, SLOW_FID).push(0).emit(Op.RETURN)
+    receipt, world, addr = _execute(
+        a.items, [], extra_fns=_slow_fn(seq_relay_append(lay, config)), storage=storage
+    )
+    assert receipt.status == "Accepted", receipt
+    assert world.sload(addr, relay_cnt_slot(config)) == lay.alarm_cap
+    relayed = [
+        tuple(world.sload(addr, relay_entry_slot(config, w) - 3 * j) for w in range(3))
+        for j in range(lay.alarm_cap + 1)
+    ]
+    assert relayed == [earlier] + local[:2] + [(0, 0, 0)]
+
+
+def test_guard_revert_payload_merges_local_and_relayed_entries():
+    config = Config()
+    lay = Layout(64)
+    gm = config.guard.guard_marker & config.mask
+    local = [(CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
+    relayed = [(1, 8, 0x99)]
+    storage = {relay_cnt_slot(config): len(relayed)}
+    storage.update({relay_entry_slot(config, w): v for w, v in enumerate(relayed[0])})
+    seq = seq_guard_revert(CODE_ID, config.guard.guard_marker, lay, config)
+    a = _with_local_alarms(lay, local).push(0xAA)  # left below fid, as at an exit
+    a.push(5).emit(Op.ICALL, SLOW_FID)
+    a.push(0).emit(Op.RETURN)  # never reached
+    receipt, world, addr = _execute(a.items, [], extra_fns=_slow_fn(seq), storage=storage)
+    assert receipt.status == "GuardReverted"
+    assert receipt.return_data == [gm, 3] + [
+        w for entry in relayed + local for w in (addr, *entry)
+    ]
+    assert [(r.code_id, r.fn, r.combined) for r in receipt.alarms] == relayed + local
+
+
+def test_guard_revert_without_entries_reports_sentinel():
+    """A flag with no entries (an unreadable inner region) reverts with the
+    all-ones sentinel pair of the flagged function."""
+    config = Config()
+    seq = seq_guard_revert(CODE_ID, config.guard.guard_marker, Layout(64), config)
+    a = Asm().push(5).emit(Op.ICALL, SLOW_FID).push(0).emit(Op.RETURN)
+    receipt, _, addr = _execute(a.items, [], extra_fns=_slow_fn(seq))
+    assert receipt.status == "GuardReverted"
+    gm = config.guard.guard_marker & config.mask
+    assert receipt.return_data == [gm, 1, addr, CODE_ID, 5, config.mask]

@@ -9,7 +9,14 @@ import pytest
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
-from pathguard.guardcode import Layout
+from pathguard.guardcode import (
+    Layout,
+    flatten,
+    relay_cnt_slot,
+    seq_alarm_append,
+    seq_guard_revert,
+    seq_relay_append,
+)
 from pathguard.isa import Op
 from pathguard.instrument import (
     InstrumentationError,
@@ -94,6 +101,42 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
     """instrumented - original == sum of per-point code and blob bytes."""
     for prog in (loopy, diamond, figcg):
         analysis, inst = _pair(prog, {})
+        point_bytes = sum(p.code_bytes + p.blob_bytes for p in inst.points)
+        assert inst.instrumented_size - inst.original_size == point_bytes
+
+
+def test_slow_paths_emitted_once_per_contract(figcg, loopy):
+    """Alarm append, relay and guard revert each live in one shared function;
+    no exit or backedge stub carries append, relay or payload code."""
+    lay = Layout(CONFIG.width, CONFIG.guard.alarm_buffer_cap)
+    gm = CONFIG.guard.guard_marker & CONFIG.mask
+    for prog in (figcg, loopy):  # two externals and an internal; backedges
+        analysis, inst = _pair(prog, {})
+        bodies = [fn.body for fn in inst.program.functions]
+        shared = []
+        for seq in (
+            seq_alarm_append(0, lay),
+            seq_relay_append(lay, CONFIG),
+            seq_guard_revert(0, CONFIG.guard.guard_marker, lay, CONFIG),
+        ):
+            assert bodies.count(flatten(seq.items, base=0)) == 1
+            shared.append(bodies.index(flatten(seq.items, base=0)))
+        for fn in inst.program.functions:
+            if fn.id in shared:
+                continue
+            pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
+            assert not pushed & {lay.acnt, lay.abuf, gm}, fn.name
+            # the relay count slot shares its number with the flag's address
+            slots = {
+                a.imm
+                for a, b in zip(fn.body, fn.body[1:])
+                if a.op is Op.PUSH and b.op in (Op.SLOAD, Op.SSTORE)
+            }
+            assert relay_cnt_slot(CONFIG) not in slots, fn.name
+        sites = [p.site for p in inst.points if p.kind == "PathSetCheck"]
+        assert [name for name, where in sites if where == "shared"] == [
+            inst.program.functions[fid].name for fid in shared
+        ]
         point_bytes = sum(p.code_bytes + p.blob_bytes for p in inst.points)
         assert inst.instrumented_size - inst.original_size == point_bytes
 
@@ -329,5 +372,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "9e436dc61729ec83c980c9d4974b4a5cac0acb1c2278ab36dd945c882dda7fbf"
+        "f9a5a03971cd8505076c5b9081944a91afc8b624611606d99827ff0ba403b779"
     )

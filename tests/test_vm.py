@@ -453,7 +453,7 @@ def _vm_digest() -> str:
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "5d5d463358100ec2dd016a7639409e61a1d33a6d2d82aaeddf63af601c2ce8eb"
+        "8a4c438686b2e7348ae03d811ca23c0f6a2551828629ac9e2e74dbd09f8943e1"
     )
 
 
