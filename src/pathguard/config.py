@@ -49,7 +49,6 @@ class GuardParams:
     """
 
     mpht_lambda: int = 4
-    mpht_max_seed_tries: int = 16
     alarm_buffer_cap: int = 8
     # Calldata / return-data marker for calls between protected contracts.
     call_marker: int = 0xC0DE_CA11_C0DE_CA11

@@ -25,7 +25,6 @@ from .pathset import (
     build_mpht,
     mapping_slot,
     mapping_value,
-    mix,
     mix_constants,
     mix_shifts,
 )
@@ -294,24 +293,26 @@ def seq_checker(
     strategy: str,
     spec,
     fn_seed: int,
-    mapping_tag: int,
+    probe_fid: int,
     pool_base: int,
     config: Config,
 ) -> Asm:
     """Body of a per-function checker: consumes [combined], IRETs [member].
 
-    Embedded structure first; the dynamic mapping probe (one SLOAD) runs only
-    on an embedded miss, so trained paths pay no storage read. Pool entries
-    store key+1: zero-padded pool reads can never match a real key.
+    Embedded structure only; an embedded miss hands [combined, fn_seed] to
+    the contract's shared mapping probe, so trained paths pay no storage
+    read. Pool entries store key+1: zero-padded pool reads can never match
+    a real key.
     """
     width = config.width
     lay = Layout(width)
     a = Asm()
+    if strategy != STRATEGY_MPHT and not (spec and spec.entries):
+        # no embedded set: every check is a mapping probe
+        return a.push(fn_seed).emit(Op.ICALL, probe_fid).emit(Op.IRET)
     found = Asm.fresh("hit")
-    out = Asm.fresh("out")
-
     a.mstore(lay.tmp_a)  # stash combined
-    if strategy == STRATEGY_LIST and spec is not None and spec.entries:
+    if strategy == STRATEGY_LIST:
         a.mload(lay.tmp_a).push(1).emit(Op.ADD).mstore(lay.tmp_x)
         a.mstore_const(lay.tmp_y, 0)
         for i in range(len(spec.entries)):
@@ -321,7 +322,7 @@ def seq_checker(
             a.mstore(lay.tmp_y)
         a.mload(lay.tmp_y)
         a.jumpi(found)
-    elif strategy == STRATEGY_MPHT:
+    else:  # STRATEGY_MPHT
         t = max(2, width // 3)
         tmask = (1 << t) - 1
         n, m = spec.n, spec.m
@@ -356,22 +357,19 @@ def seq_checker(
         a.push(pool_base + m).emit(Op.ADD).emit(Op.CODELOAD)
         a.mload(lay.tmp_a).push(1).emit(Op.ADD).emit(Op.EQ)
         a.jumpi(found)
-    # dynamic mapping probe: SLOAD(tag ^ mix(fn_seed ^ c)) == c + 1
-    a.mload(lay.tmp_a).push(fn_seed)
-    a.xor()
-    a.mix_top(width)
-    a.push(mapping_tag & config.mask)
-    a.xor()
-    a.emit(Op.SLOAD)
-    a.mload(lay.tmp_a).push(1).emit(Op.ADD).emit(Op.EQ)
-    a.jumpi(found)
-    a.push(0)
-    a.jump(out)
-    a.mark(found)
-    a.push(1)
-    a.mark(out)
-    a.emit(Op.IRET)
+    a.mload(lay.tmp_a).push(fn_seed).emit(Op.ICALL, probe_fid).emit(Op.IRET)
+    a.mark(found).push(1).emit(Op.IRET)
     return a
+
+
+def seq_mapping_probe(mapping_tag: int, config: Config) -> Asm:
+    """Shared dynamic-mapping probe: consumes [combined, fn_seed] and IRETs
+    [SLOAD(tag ^ mix(fn_seed ^ combined)) == combined + 1]."""
+    a = Asm().emit(Op.DUP, 2).xor().mix_top(config.width)
+    a.push(mapping_tag & config.mask).xor()
+    a.emit(Op.SLOAD)  # [combined, stored]
+    a.emit(Op.SWAP, 1).push(1).emit(Op.ADD).emit(Op.EQ)
+    return a.emit(Op.IRET)
 
 
 def checker_pool(strategy: str, spec) -> list[int]:
@@ -394,6 +392,7 @@ class SlowPaths(NamedTuple):
     alarm: int
     relay: int
     revert: int
+    probe: int
 
 
 def seq_check_fragment(chk_fid: int, slow: SlowPaths, lay: Layout, num_paths: int, fid: int) -> Asm:
@@ -946,27 +945,22 @@ def seq_gas(items: list[tuple], config: Config) -> int:
 def check_gas(strategy: str, n: int, config: Config) -> int:
     """Analytic per-check gas of the generated membership code.
 
-    For the embedded strategies this is the hit cost of the checker body
-    (mapping probe not reached); for the mapping it is the probe cost.
+    With an embedded set this is the hit path of the checker body: up to its
+    branch, then from the branch target (the found arm) to the IRET. With
+    none (the mapping, an empty list) every check is the checker's call into
+    the shared probe plus the probe itself.
     """
     if strategy == STRATEGY_LIST:
         spec = build_list(range(n))
-        body = seq_checker(STRATEGY_LIST, spec, 0, 0, 0, config)
-        return _hit_gas(body, config)
-    if strategy == STRATEGY_MPHT:
+    elif strategy == STRATEGY_MPHT:
         spec = build_mpht(range(max(1, n)), config.guard.mpht_lambda, width=config.width)
-        body = seq_checker(STRATEGY_MPHT, spec, 0, 0, 0, config)
-        return _hit_gas(body, config)
-    if strategy == STRATEGY_MAPPING:
-        body = seq_checker(STRATEGY_MAPPING, None, 0, 0, 0, config)
-        return seq_gas(body.items, config)
-    raise ValueError(strategy)
-
-
-def _hit_gas(body: Asm, config: Config) -> int:
-    """Gas along the embedded-hit path: up to the first branch, then from
-    its target (the found arm) to the IRET."""
-    items = body.items
-    branch = next(pos for pos, item in enumerate(items) if item[0] == "jumpi")
+    elif strategy == STRATEGY_MAPPING:
+        spec = None
+    else:
+        raise ValueError(strategy)
+    items = seq_checker(strategy, spec, 0, 0, 0, config).items
+    branch = next((pos for pos, item in enumerate(items) if item[0] == "jumpi"), None)
+    if branch is None:
+        return seq_gas(items + seq_mapping_probe(0, config).items, config)
     found = label_offsets(items)[items[branch][1]]
     return seq_gas(items[: branch + 1] + items[found:], config)

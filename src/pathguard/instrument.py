@@ -43,6 +43,7 @@ from .guardcode import (
     seq_icall_pre,
     seq_internal_entry,
     seq_internal_epilogue,
+    seq_mapping_probe,
     seq_prologue,
     seq_protected_call_pre,
     seq_protected_call_post,
@@ -62,7 +63,7 @@ from .pathset import (
     build_list,
     build_mpht,
     choose_strategy,
-    mix,
+    mapping_fn_seed,
 )
 from .program import (
     ContractProgram,
@@ -76,6 +77,8 @@ from .program import (
 )
 
 ADMIN_FN_NAME = "__guard_admin"
+# Name prefixes of the functions the rewriter adds to a contract.
+GUARD_NAME_PREFIXES = ("__guard_", "__chk_")
 
 POINT_WRAPPER = "ContractWrapper"
 POINT_ENTRY = "FunctionEntry"
@@ -200,7 +203,7 @@ class _Rewriter:
         count = len(prog.functions)
         checker_fid = {fn.id: count + i for i, fn in enumerate(prog.functions)}
         admin_fid = 2 * count
-        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3)
+        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3, admin_fid + 4)
 
         new_functions: list[FunctionDef] = []
         injected: dict[tuple[int, int], int] = {}
@@ -217,9 +220,6 @@ class _Rewriter:
             strategy, spec = self.strategies[fn.id]
             base = len(self.pool)
             self.pool.extend(checker_pool(strategy, spec))
-            fn_seed = mix(
-                (fn.id ^ config.guard.mapping_salt) & config.mask, config.width
-            )
             pid = self.point(
                 POINT_CHECK,
                 (fn.name, "checker"),
@@ -227,9 +227,8 @@ class _Rewriter:
                 entries=len(spec.entries) if isinstance(spec, ListSpec) else spec.n,
             )
             self.points[pid].blob_bytes = spec.blob_bytes if spec else 0
-            seq = seq_checker(
-                strategy, spec, fn_seed, config.guard.mapping_tag, base, config
-            )
+            fn_seed = mapping_fn_seed(fn.id, config)
+            seq = seq_checker(strategy, spec, fn_seed, self.slow.probe, base, config)
             new_functions.append(
                 self._guard_function(
                     checker_fid[fn.id], f"__chk_{fn.name}", Visibility.INTERNAL,
@@ -257,6 +256,7 @@ class _Rewriter:
             "__guard_revert": seq_guard_revert(
                 self.code_id, config.guard.guard_marker, self.lay, config
             ),
+            "__guard_probe": seq_mapping_probe(config.guard.mapping_tag, config),
         }
         for fid, (name, seq) in zip(self.slow, shared.items()):
             pid = self.point(POINT_CHECK, (name, "shared"))
@@ -305,6 +305,11 @@ class _Rewriter:
         lo, hi = self.lay.reserved_range()
         slot = self.config.ctx_storage_slot
         for fn in self.prog.functions:
+            if fn.name.startswith(GUARD_NAME_PREFIXES):
+                raise InstrumentationError(
+                    f"{self.name}.{fn.name}: function name uses a prefix "
+                    f"reserved for guard functions {GUARD_NAME_PREFIXES}"
+                )
             for off, instr in enumerate(fn.body):
                 if instr.op is Op.PUSH and (lo <= instr.imm < hi or instr.imm == slot):
                     raise InstrumentationError(

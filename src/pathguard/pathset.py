@@ -71,15 +71,16 @@ def mapping_value(key: int, width: int) -> int:
     return (key + 1) & ((1 << width) - 1)
 
 
-def mapping_slot(fid: int, key: int, config: Config) -> int:
-    """Storage slot of the dynamic-mapping entry for (function, key).
+def mapping_fn_seed(fid: int, config: Config) -> int:
+    """Per-function term of a mapping slot: a compile-time constant, so the
+    generated probe evaluates a single runtime mix."""
+    return mix((fid ^ config.guard.mapping_salt) & config.mask, config.width)
 
-    The per-function term is a compile-time constant, so the generated
-    checker evaluates a single runtime mix.
-    """
-    width = config.width
-    fn_seed = mix((fid ^ config.guard.mapping_salt) & config.mask, width)
-    return (mix((fn_seed ^ key) & config.mask, width) ^ config.guard.mapping_tag) & config.mask
+
+def mapping_slot(fid: int, key: int, config: Config) -> int:
+    """Storage slot of the dynamic-mapping entry for (function, key)."""
+    mixed = mix((mapping_fn_seed(fid, config) ^ key) & config.mask, config.width)
+    return (mixed ^ config.guard.mapping_tag) & config.mask
 
 
 def choose_strategy(n: int) -> str:

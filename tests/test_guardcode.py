@@ -15,6 +15,7 @@ from pathguard.guardcode import (
     seq_alarm_append,
     seq_checker,
     seq_guard_revert,
+    seq_mapping_probe,
     seq_relay_append,
 )
 from pathguard.isa import Op
@@ -24,6 +25,7 @@ from pathguard.pathset import (
     build_list,
     build_mpht,
     list_lookup,
+    mapping_fn_seed,
     mapping_slot,
     mapping_value,
     mix,
@@ -93,23 +95,27 @@ def test_mod_const(modulus):
         assert got == x % modulus
 
 
-def _checker_fn(strategy, spec, fn_seed, tag, config):
-    body = flatten(
-        seq_checker(strategy, spec, fn_seed, tag, 0, config).items, base=0
-    )
-    return FunctionDef(1, "chk", Visibility.INTERNAL, body)
+CHK_FID, PROBE_FID = 1, 2  # the test entry ICALLs the checker, which ICALLs the probe
 
 
-def _call_checker(strategy, spec, key, width=64, storage=None, fn_seed=0, tag=0):
+def _checker_fns(strategy, spec, fn_seed, config):
+    """The checker under test plus the contract's shared mapping probe."""
+    chk = seq_checker(strategy, spec, fn_seed, PROBE_FID, 0, config)
+    probe = seq_mapping_probe(config.guard.mapping_tag, config)
+    return [
+        FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, flatten(chk.items, base=0)),
+        FunctionDef(PROBE_FID, "mapprobe", Visibility.INTERNAL, flatten(probe.items, base=0)),
+    ]
+
+
+def _call_checker(strategy, spec, key, width=64, storage=None, fn_seed=0):
     config = Config(width=width)
-    pool = checker_pool(strategy, spec)
-    a = Asm().emit(Op.ICALL, 1)
     return _run_unary(
-        a.items,
+        Asm().emit(Op.ICALL, CHK_FID).items,
         key,
         width,
-        pool=pool,
-        extra_fns=[_checker_fn(strategy, spec, fn_seed, tag, config)],
+        pool=checker_pool(strategy, spec),
+        extra_fns=_checker_fns(strategy, spec, fn_seed, config),
         storage=storage,
     )
 
@@ -155,30 +161,35 @@ def test_mpht_checker_constant_gas_across_sizes():
 
 
 def test_mapping_probe_in_vm():
+    """The shared probe hits on an appended (fid, key) pair and misses on
+    another key or on another function's seed."""
     config = Config()
-    fid = 3
-    fn_seed = mix((fid ^ config.guard.mapping_salt) & config.mask, config.width)
-    key = 12345
-    slot = mapping_slot(fid, key, config)
-    spec = build_list([])
-    hit, _ = _call_checker(
-        STRATEGY_LIST,
-        spec,
-        key,
-        storage={slot: mapping_value(key, config.width)},
-        fn_seed=fn_seed,
-        tag=config.guard.mapping_tag,
-    )
-    assert hit == 1
-    miss, _ = _call_checker(
-        STRATEGY_LIST,
-        spec,
-        key + 1,
-        storage={slot: mapping_value(key, config.width)},
-        fn_seed=fn_seed,
-        tag=config.guard.mapping_tag,
-    )
-    assert miss == 0
+    fid, key = 3, 12345
+    storage = {mapping_slot(fid, key, config): mapping_value(key, config.width)}
+    probe = seq_mapping_probe(config.guard.mapping_tag, config)
+    fns = [FunctionDef(1, "mapprobe", Visibility.INTERNAL, flatten(probe.items, base=0))]
+    for combined, seed_fid, member in ((key, fid, 1), (key + 1, fid, 0), (key, fid + 1, 0)):
+        a = Asm().push(mapping_fn_seed(seed_fid, config)).emit(Op.ICALL, 1)
+        got, _ = _run_unary(a.items, combined, extra_fns=fns, storage=storage)
+        assert got == member, (combined, seed_fid)
+
+
+@pytest.mark.parametrize(
+    "strategy,keys",
+    [(STRATEGY_LIST, [5, 9, 14]), (STRATEGY_LIST, []), (STRATEGY_MPHT, [5, 9, 14, 20, 33, 47])],
+)
+def test_checker_falls_back_to_mapping_probe(strategy, keys):
+    """An embedded miss is accepted when the pair sits in the dynamic mapping;
+    an empty list goes to the mapping straight away."""
+    config = Config()
+    fid, appended = 3, 12345
+    spec = build_list(keys) if strategy == STRATEGY_LIST else build_mpht(keys)
+    storage = {mapping_slot(fid, appended, config): mapping_value(appended, config.width)}
+    for key, member in ((appended, 1), (appended + 1, 0), *((k, 1) for k in keys)):
+        got, _ = _call_checker(
+            strategy, spec, key, storage=storage, fn_seed=mapping_fn_seed(fid, config)
+        )
+        assert got == member, key
 
 
 # -- shared slow paths -----------------------------------------------------------

@@ -15,6 +15,7 @@ from pathguard.guardcode import (
     relay_cnt_slot,
     seq_alarm_append,
     seq_guard_revert,
+    seq_mapping_probe,
     seq_relay_append,
 )
 from pathguard.isa import Op
@@ -32,6 +33,7 @@ from pathguard.vm import (
     WorldState,
     deploy,
 )
+from pathguard.workflow import deploy_overhead_pct
 
 CONFIG = Config()
 
@@ -106,18 +108,21 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
 
 
 def test_slow_paths_emitted_once_per_contract(figcg, loopy):
-    """Alarm append, relay and guard revert each live in one shared function;
-    no exit or backedge stub carries append, relay or payload code."""
+    """Alarm append, relay, guard revert and the mapping probe each live in
+    one shared function; no exit or backedge stub carries append, relay or
+    payload code, and no checker probes storage."""
     lay = Layout(CONFIG.width, CONFIG.guard.alarm_buffer_cap)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
+    tag = CONFIG.guard.mapping_tag & CONFIG.mask
     for prog in (figcg, loopy):  # two externals and an internal; backedges
-        analysis, inst = _pair(prog, {})
+        analysis, inst = _pair(prog, {0: {0, 1, 2}})
         bodies = [fn.body for fn in inst.program.functions]
         shared = []
         for seq in (
             seq_alarm_append(0, lay),
             seq_relay_append(lay, CONFIG),
             seq_guard_revert(0, CONFIG.guard.guard_marker, lay, CONFIG),
+            seq_mapping_probe(CONFIG.guard.mapping_tag, CONFIG),
         ):
             assert bodies.count(flatten(seq.items, base=0)) == 1
             shared.append(bodies.index(flatten(seq.items, base=0)))
@@ -125,7 +130,9 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
             if fn.id in shared:
                 continue
             pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
-            assert not pushed & {lay.acnt, lay.abuf, gm}, fn.name
+            assert not pushed & {lay.acnt, lay.abuf, gm, tag}, fn.name
+            if fn.name.startswith("__chk_"):
+                assert all(i.op is not Op.SLOAD for i in fn.body), fn.name
             # the relay count slot shares its number with the flag's address
             slots = {
                 a.imm
@@ -142,7 +149,7 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
 
 
 def test_deploy_overhead_formula():
-    assert abs((1360 / 1000 - 1) - 0.36) < 1e-12
+    assert abs(deploy_overhead_pct(1000, 1360) - 0.36) < 1e-12
 
 
 def test_loopy_plan_covers_all_nonzero_values(loopy):
@@ -185,6 +192,19 @@ def test_reserved_literal_collision_rejected():
     )
     with pytest.raises(InstrumentationError, match="reserved"):
         _pair(prog, {0: set()})
+
+
+@pytest.mark.parametrize(
+    "name", ["__guard_admin", "__guard_alarm", "__guard_probe", "__chk_f", "__chk_other"]
+)
+def test_guard_name_collision_rejected(name):
+    """Contract functions may not use the guard functions' name prefixes."""
+    prog = assemble(
+        "contract t { fn f external selector=0x1 { STOP } "
+        "fn %s external selector=0x2 { STOP } }" % name
+    )
+    with pytest.raises(InstrumentationError, match=f"t.{name}: function name"):
+        _pair(prog, {})
 
 
 def test_randomized_safe_transactions_equivalent(loopy):
@@ -372,5 +392,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "f9a5a03971cd8505076c5b9081944a91afc8b624611606d99827ff0ba403b779"
+        "fdd65fe9675092e69bf3f1c0b75d59b807923e34cda06e3f961e2d46e4285400"
     )

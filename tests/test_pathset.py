@@ -20,6 +20,7 @@ from pathguard.pathset import (
     choose_strategy,
     estimate_gas,
     list_lookup,
+    mapping_fn_seed,
     mapping_slot,
     mapping_value,
     mix,
@@ -171,27 +172,31 @@ def test_mix_avalanche_and_width():
 
 
 def _measured_check_gas(strategy, n, config=CONFIG):
-    """VM-measured gas of one checker invocation (attribution on its fid)."""
-    from pathguard.guardcode import Asm, checker_pool, flatten, seq_checker
+    """VM-measured gas of one member check: the checker (fid 1) plus the
+    shared mapping probe (fid 2) when the check reaches it."""
+    from pathguard.guardcode import Asm, checker_pool, flatten, seq_checker, seq_mapping_probe
     from pathguard.isa import Instruction, Op
     from pathguard.program import ContractProgram, FunctionDef, Visibility, validate_program
     from pathguard.vm import Transaction, VM, WorldState, deploy
 
+    member = 1000
     if strategy == STRATEGY_LIST:
         spec = build_list(range(1000, 1000 + n))
-        member = 1000 if n else None
-    else:
+    elif strategy == STRATEGY_MPHT:
         spec = build_mpht(range(1000, 1000 + n), config.guard.mpht_lambda)
-        member = 1000
+    else:
+        spec = None
     body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]
     body += flatten(Asm().emit(Op.ICALL, 1).items, base=2)
     body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
-    chk = flatten(seq_checker(strategy, spec, 0, 0, 0, config).items, base=0)
+    chk = seq_checker(strategy, spec, mapping_fn_seed(0, config), 2, 0, config)
+    probe = seq_mapping_probe(config.guard.mapping_tag, config)
     prog = ContractProgram(
         "t",
         [
             FunctionDef(0, "probe", Visibility.EXTERNAL, body),
-            FunctionDef(1, "chk", Visibility.INTERNAL, chk),
+            FunctionDef(1, "chk", Visibility.INTERNAL, flatten(chk.items, base=0)),
+            FunctionDef(2, "mapprobe", Visibility.INTERNAL, flatten(probe.items, base=0)),
         ],
         {0x7: 0},
         None,
@@ -200,23 +205,27 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     validate_program(prog, config)
     world = WorldState(config)
     addr = deploy(world, prog, 0xD0)
+    world.sstore(addr, mapping_slot(0, member, config), mapping_value(member, config.width))
+    world.commit(0)
     gas = {"chk": 0}
 
-    def probe(code, fid, off, amount):
-        if fid == 1:
+    def probe_gas(code, fid, off, amount):
+        if fid in (1, 2):
             gas["chk"] += amount
 
-    receipt = VM(world, gas_probe=probe).execute_transaction(
-        Transaction(1, addr, 0x7, [member if member is not None else 5])
+    receipt = VM(world, gas_probe=probe_gas).execute_transaction(
+        Transaction(1, addr, 0x7, [member])
     )
     assert receipt.status == "Accepted"
+    assert receipt.return_data == [1]
     return gas["chk"]
 
 
 @pytest.mark.parametrize(
     "strategy,n",
     [(STRATEGY_LIST, 1), (STRATEGY_LIST, 5), (STRATEGY_MPHT, 6),
-     (STRATEGY_MPHT, 10), (STRATEGY_MPHT, 100), (STRATEGY_MPHT, 1000)],
+     (STRATEGY_MPHT, 10), (STRATEGY_MPHT, 100), (STRATEGY_MPHT, 1000),
+     (STRATEGY_MAPPING, 7)],
 )
 def test_cost_model_honesty_within_5_percent(strategy, n):
     """Analytic per-check gas tracks the VM-measured member check."""
@@ -254,5 +263,5 @@ def test_estimate_gas_pinned():
                     row = str(exc)
                 h.update(repr((width, strategy, n, row)).encode())
     assert h.hexdigest() == (
-        "71a796faaf5bb7f1c4916b355172c5d209929445d252a9cdf060dd0821cdb528"
+        "ced42d28b9e727490f9fe21f0df763faf2af1fab879ba4913102a08ca5f0b79a"
     )

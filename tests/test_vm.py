@@ -453,7 +453,7 @@ def _vm_digest() -> str:
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "8a4c438686b2e7348ae03d811ca23c0f6a2551828629ac9e2e74dbd09f8943e1"
+        "108dc12486291e47b580a06c8f79a8a82552161ecd562bd6ac082968a9979da3"
     )
 
 
