@@ -6,13 +6,14 @@ rewrites contract bytecode with the guard runtime, and drives the
 train / protect / detect / review workflow.
 """
 
-from .config import Config, GasSchedule, load_config
+from .config import Config, ConfigError, GasSchedule, load_config
 from .program import ContractProgram, ValidationError
 from .asm import assemble, disassemble
 from .vm import Receipt, Transaction, WorldState, deploy, execute_transaction
 
 __all__ = [
     "Config",
+    "ConfigError",
     "GasSchedule",
     "load_config",
     "ContractProgram",

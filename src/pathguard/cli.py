@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .asm import assemble, disassemble
 from .bundle import analyze_bundle
-from .config import Config, load_config
+from .config import Config, ConfigError, load_config
 from .epp import IndexSpaceOverflow
 from .oracle import TraceMismatch
 from .program import ContractProgram, SizeLimitExceeded, ValidationError
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, WorkflowError, IndexSpaceOverflow, TraceMismatch) as exc:
+    except (ValidationError, WorkflowError, ConfigError, IndexSpaceOverflow, TraceMismatch) as exc:
         if isinstance(exc, TrainingTxFailed):
             print(f"training failure: {exc}", file=sys.stderr)
             return EXIT_TRAINING
@@ -55,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pathguard",
         description="Path-profiling anomaly guard for the contract VM",
     )
-    parser.add_argument("--config", help="JSON config file (width, gas, boundary...)")
+    parser.add_argument(
+        "--config", help="JSON config file (word_width, gas, lambda, admin, reserved)"
+    )
     sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("asm", help="assemble a contract source file")

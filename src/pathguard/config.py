@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 SUPPORTED_WIDTHS = (8, 16, 32, 64)
@@ -15,6 +15,10 @@ MAX_CODE_BYTES = 24576
 OPERAND_STACK_LIMIT = 1024
 CALL_DEPTH_LIMIT = 64
 INTERNAL_DEPTH_LIMIT = 64
+
+
+class ConfigError(ValueError):
+    """A config names an unknown key or holds a value the machine cannot use."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class Config:
 
     def __post_init__(self) -> None:
         if self.width not in SUPPORTED_WIDTHS:
-            raise ValueError(f"unsupported word width {self.width}")
+            raise ConfigError(f"word_width: unsupported width {self.width}")
 
     @property
     def word_bytes(self) -> int:
@@ -93,7 +97,10 @@ class Config:
 
 def load_config(path: str | Path | None, **overrides) -> Config:
     """Build a Config from an optional JSON file plus keyword overrides."""
-    raw = json.loads(Path(path).read_text()) if path is not None else {}
+    try:
+        raw = json.loads(Path(path).read_text()) if path is not None else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from None
     return config_from_json(raw, **overrides)
 
 
@@ -101,28 +108,42 @@ def config_from_json(raw: dict, **overrides) -> Config:
     """Build a Config from a JSON config dict plus keyword overrides.
 
     Recognized JSON keys: ``word_width``, ``gas`` (schedule field overrides),
-    ``lambda``, ``admin``, ``reserved`` (guard constant overrides).
+    ``lambda``, ``admin``, ``reserved`` (guard constant overrides). Any other
+    key, or a value that is not a word, raises ``ConfigError`` naming its
+    section and key.
     """
-    width = raw.get("word_width", 64)
-    gas_kwargs: dict = dict(raw.get("gas", {}))
-    guard_kwargs: dict = {}
-    if "lambda" in raw:
-        guard_kwargs["mpht_lambda"] = raw["lambda"]
-    for key, val in raw.get("reserved", {}).items():
-        guard_kwargs[key] = _parse_word(val)
-    admin = _parse_word(raw["admin"]) if "admin" in raw else Config.admin
+    unknown = sorted(set(raw) - {"word_width", "gas", "lambda", "admin", "reserved"})
+    if unknown:
+        raise ConfigError(f"config: unknown key {unknown[0]!r}")
+    width = _parse_word(raw.get("word_width", 64), "word_width")
+    gas_kwargs = _words(raw, "gas")
+    guard_kwargs = {"mpht_lambda": _parse_word(raw["lambda"], "lambda")} if "lambda" in raw else {}
+    guard_kwargs.update(_words(raw, "reserved"))
+    admin = _parse_word(raw["admin"], "admin") if "admin" in raw else Config.admin
     width = overrides.pop("width", width)
     admin = overrides.pop("admin", admin)
     gas_kwargs.update(overrides.pop("gas", {}))
     guard_kwargs.update(overrides.pop("guard", {}))
     if overrides:
-        raise ValueError(f"unknown config overrides: {sorted(overrides)}")
+        raise ConfigError(f"unknown config overrides: {sorted(overrides)}")
     return Config(
         width=width,
-        gas=GasSchedule(**gas_kwargs),
-        guard=GuardParams(**guard_kwargs),
+        gas=_section(GasSchedule, "gas", gas_kwargs),
+        guard=_section(GuardParams, "reserved", guard_kwargs),
         admin=admin,
     )
+
+
+def _words(raw: dict, section: str) -> dict:
+    return {key: _parse_word(val, f"{section}.{key}") for key, val in raw.get(section, {}).items()}
+
+
+def _section(cls, section: str, kwargs: dict):
+    """``cls(**kwargs)``, rejecting a key that is not one of its fields."""
+    unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{section}: unknown key {unknown[0]!r}")
+    return cls(**kwargs)
 
 
 def config_to_json(config: Config) -> dict:
@@ -137,10 +158,13 @@ def config_to_json(config: Config) -> dict:
     }
 
 
-def _parse_word(value) -> int:
-    if isinstance(value, str):
-        return int(value, 16) if value.lower().startswith("0x") else int(value)
-    return int(value)
+def _parse_word(value, where: str) -> int:
+    try:
+        if isinstance(value, str):
+            return int(value, 16) if value.lower().startswith("0x") else int(value)
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: not a word: {value!r}") from None
 
 
 DEFAULT_CONFIG = Config()

@@ -23,6 +23,7 @@ from .pathset import (
     STRATEGY_MPHT,
     build_list,
     build_mpht,
+    mapping_fn_seed,
     mapping_slot,
     mapping_value,
     mix_constants,
@@ -290,26 +291,23 @@ class Asm:
 
 
 def seq_checker(
-    strategy: str,
-    spec,
-    fn_seed: int,
-    probe_fid: int,
-    pool_base: int,
-    config: Config,
+    strategy: str, spec, fid: int, miss_fid: int, pool_base: int, config: Config
 ) -> Asm:
-    """Body of a per-function checker: consumes [combined], IRETs [member].
+    """Body of function ``fid``'s checker: consumes [combined], IRETs [].
 
-    Embedded structure only; an embedded miss hands [combined, fn_seed] to
-    the contract's shared mapping probe, so trained paths pay no storage
-    read. Pool entries store key+1: zero-padded pool reads can never match
+    Embedded structure only: a hit returns at once, so trained paths pay no
+    storage read. An embedded miss hands [combined, fid, fn_seed] to the
+    contract's shared miss routine, which accepts the pair or raises the
+    alarm. Pool entries store key+1: zero-padded pool reads can never match
     a real key.
     """
     width = config.width
     lay = Layout(width)
     a = Asm()
+    miss = Asm().push(fid).push(mapping_fn_seed(fid, config)).emit(Op.ICALL, miss_fid)
     if strategy != STRATEGY_MPHT and not (spec and spec.entries):
-        # no embedded set: every check is a mapping probe
-        return a.push(fn_seed).emit(Op.ICALL, probe_fid).emit(Op.IRET)
+        # no embedded set: every check goes to the miss routine
+        return a.extend(miss).emit(Op.IRET)
     found = Asm.fresh("hit")
     a.mstore(lay.tmp_a)  # stash combined
     if strategy == STRATEGY_LIST:
@@ -357,18 +355,37 @@ def seq_checker(
         a.push(pool_base + m).emit(Op.ADD).emit(Op.CODELOAD)
         a.mload(lay.tmp_a).push(1).emit(Op.ADD).emit(Op.EQ)
         a.jumpi(found)
-    a.mload(lay.tmp_a).push(fn_seed).emit(Op.ICALL, probe_fid).emit(Op.IRET)
-    a.mark(found).push(1).emit(Op.IRET)
+    a.mload(lay.tmp_a).extend(miss).emit(Op.IRET)
+    a.mark(found).emit(Op.IRET)
     return a
 
 
-def seq_mapping_probe(mapping_tag: int, config: Config) -> Asm:
-    """Shared dynamic-mapping probe: consumes [combined, fn_seed] and IRETs
-    [SLOAD(tag ^ mix(fn_seed ^ combined)) == combined + 1]."""
-    a = Asm().emit(Op.DUP, 2).xor().mix_top(config.width)
+def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm:
+    """Shared miss routine: consumes [combined, fid, fn_seed], IRETs [].
+
+    Accepts the pair when the dynamic mapping holds it
+    (SLOAD(tag ^ mix(fn_seed ^ combined)) == combined + 1). Otherwise it
+    sets the flag and appends (code id, fid, combined) to the alarm buffer
+    while it has room.
+    """
+    a = Asm()
+    done = Asm.fresh("missdone")
+    a.emit(Op.DUP, 3).xor().mix_top(config.width)
     a.push(mapping_tag & config.mask).xor()
-    a.emit(Op.SLOAD)  # [combined, stored]
-    a.emit(Op.SWAP, 1).push(1).emit(Op.ADD).emit(Op.EQ)
+    a.emit(Op.SLOAD)  # [c, fid, stored]
+    a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)
+    a.jumpi(done)  # in the mapping: accepted
+    a.mstore_const(lay.flag, 1)
+    a.mload(lay.acnt).push(lay.alarm_cap).emit(Op.LT).emit(Op.ISZERO)
+    a.jumpi(done)  # buffer full: flagged only
+    a.mload(lay.acnt).push(3).emit(Op.MUL).push(lay.abuf).emit(Op.ADD)  # [c, fid, base]
+    a.emit(Op.DUP, 1).push(code_id).emit(Op.SWAP, 1).emit(Op.MSTORE)
+    a.push(1).emit(Op.ADD).emit(Op.SWAP, 1).emit(Op.DUP, 2).emit(Op.MSTORE)  # [c, base+1]
+    a.push(1).emit(Op.ADD).emit(Op.MSTORE)
+    a.add_mem(lay.acnt, 1)
+    a.emit(Op.IRET)
+    a.mark(done)
+    a.emit(Op.POP).emit(Op.POP)
     return a.emit(Op.IRET)
 
 
@@ -389,49 +406,18 @@ class SlowPaths(NamedTuple):
     """Function ids of a contract's shared slow paths, reached only on a miss
     or a flagged exit."""
 
-    alarm: int
     relay: int
     revert: int
-    probe: int
+    miss: int
 
 
-def seq_check_fragment(chk_fid: int, slow: SlowPaths, lay: Layout, num_paths: int, fid: int) -> Asm:
-    """Compute combined, log it, test membership, raise an alarm on a miss."""
+def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
+    """Compute combined, log it and hand it to the function's checker."""
     a = Asm()
-    ok = Asm.fresh("ok")
-    done = Asm.fresh("cont")
     a.mload(lay.ctx).push(num_paths).emit(Op.MUL)
     a.epp_addr(lay).emit(Op.MLOAD).emit(Op.ADD)  # [combined]
     a.emit(Op.DUP, 1).mstore(lay.check_log)
-    a.emit(Op.DUP, 1)
-    a.emit(Op.ICALL, chk_fid)  # [combined, member]
-    a.jumpi(ok)
-    a.push(fid).emit(Op.ICALL, slow.alarm)
-    a.jump(done)
-    a.mark(ok)
-    a.emit(Op.POP)
-    a.mark(done)
-    return a
-
-
-def seq_alarm_append(code_id: int, lay: Layout) -> Asm:
-    """Shared miss arm: consumes [combined, fid], sets the flag and appends
-    (code id, fid, combined) to the alarm buffer while it has room."""
-    a = Asm()
-    full = Asm.fresh("full")
-    a.mstore_const(lay.flag, 1)
-    a.mload(lay.acnt).push(lay.alarm_cap).emit(Op.LT).emit(Op.ISZERO)
-    a.jumpi(full)
-    a.mload(lay.acnt).push(3).emit(Op.MUL).push(lay.abuf).emit(Op.ADD)  # [c, fid, base]
-    a.emit(Op.DUP, 1).push(code_id).emit(Op.SWAP, 1).emit(Op.MSTORE)
-    a.push(1).emit(Op.ADD).emit(Op.SWAP, 1).emit(Op.DUP, 2).emit(Op.MSTORE)  # [c, base+1]
-    a.push(1).emit(Op.ADD).emit(Op.MSTORE)
-    a.add_mem(lay.acnt, 1)
-    a.emit(Op.IRET)
-    a.mark(full)
-    a.emit(Op.POP).emit(Op.POP)
-    a.emit(Op.IRET)
-    return a
+    return a.emit(Op.ICALL, chk_fid)
 
 
 def seq_prologue(
@@ -538,7 +524,7 @@ def seq_external_epilogue(
     relay and guard-revert routines; unflagged arms run no shared code.
     """
     a = Asm()
-    a.extend(seq_check_fragment(chk_fid, slow, lay, num_paths, fid))
+    a.extend(seq_check_fragment(chk_fid, lay, num_paths))
     l_marker = Asm.fresh("xmark")
     l_mflag = Asm.fresh("xmflag")
     l_reent = Asm.fresh("xreent")
@@ -669,30 +655,14 @@ def seq_relay_append(lay: Layout, config: Config) -> Asm:
     return a
 
 
-def seq_internal_epilogue(
-    fid: int, chk_fid: int, slow: SlowPaths, num_paths: int, lay: Layout
-) -> Asm:
-    """Exit stub for an internal function: check, then IRET."""
-    a = Asm()
-    a.extend(seq_check_fragment(chk_fid, slow, lay, num_paths, fid))
-    a.emit(Op.IRET)
-    return a
-
-
 def seq_backedge(
-    fid: int,
-    chk_fid: int,
-    slow: SlowPaths,
-    num_paths: int,
-    exit_val: int,
-    reset_val: int,
-    lay: Layout,
+    chk_fid: int, num_paths: int, exit_val: int, reset_val: int, lay: Layout
 ) -> Asm:
     """Backedge stub: close the current acyclic path, reset, continue."""
     a = Asm()
     if exit_val:
         a.epp_add(lay, exit_val)
-    a.extend(seq_check_fragment(chk_fid, slow, lay, num_paths, fid))
+    a.extend(seq_check_fragment(chk_fid, lay, num_paths))
     a.epp_set(lay, reset_val)
     return a
 
@@ -942,13 +912,19 @@ def seq_gas(items: list[tuple], config: Config) -> int:
     )
 
 
+def _taken_path(items: list[tuple]) -> list[tuple]:
+    """Items run when the first branch is taken: up to it, then from its target."""
+    branch = next(pos for pos, item in enumerate(items) if item[0] == "jumpi")
+    return items[: branch + 1] + items[label_offsets(items)[items[branch][1]]:]
+
+
 def check_gas(strategy: str, n: int, config: Config) -> int:
     """Analytic per-check gas of the generated membership code.
 
-    With an embedded set this is the hit path of the checker body: up to its
-    branch, then from the branch target (the found arm) to the IRET. With
-    none (the mapping, an empty list) every check is the checker's call into
-    the shared probe plus the probe itself.
+    With an embedded set this is the checker's hit path: up to its branch,
+    then the found arm. With none (the mapping, an empty list) every check is
+    the checker's call into the shared miss routine plus that routine's
+    accept path.
     """
     if strategy == STRATEGY_LIST:
         spec = build_list(range(n))
@@ -959,8 +935,7 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
     else:
         raise ValueError(strategy)
     items = seq_checker(strategy, spec, 0, 0, 0, config).items
-    branch = next((pos for pos, item in enumerate(items) if item[0] == "jumpi"), None)
-    if branch is None:
-        return seq_gas(items + seq_mapping_probe(0, config).items, config)
-    found = label_offsets(items)[items[branch][1]]
-    return seq_gas(items[: branch + 1] + items[found:], config)
+    if any(item[0] == "jumpi" for item in items):
+        return seq_gas(_taken_path(items), config)
+    miss = seq_miss(0, 0, Layout(config.width), config).items
+    return seq_gas(items + _taken_path(miss), config)

@@ -34,16 +34,15 @@ from .guardcode import (
     seq_calldata_load_shim,
     seq_calldata_size_shim,
     seq_call_result,
+    seq_check_fragment,
     seq_checker,
     seq_admin_body,
-    seq_alarm_append,
     seq_external_epilogue,
     seq_guard_revert,
     seq_icall_post,
     seq_icall_pre,
     seq_internal_entry,
-    seq_internal_epilogue,
-    seq_mapping_probe,
+    seq_miss,
     seq_prologue,
     seq_protected_call_pre,
     seq_protected_call_post,
@@ -63,7 +62,6 @@ from .pathset import (
     build_list,
     build_mpht,
     choose_strategy,
-    mapping_fn_seed,
 )
 from .program import (
     ContractProgram,
@@ -203,7 +201,7 @@ class _Rewriter:
         count = len(prog.functions)
         checker_fid = {fn.id: count + i for i, fn in enumerate(prog.functions)}
         admin_fid = 2 * count
-        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3, admin_fid + 4)
+        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3)
 
         new_functions: list[FunctionDef] = []
         injected: dict[tuple[int, int], int] = {}
@@ -227,8 +225,7 @@ class _Rewriter:
                 entries=len(spec.entries) if isinstance(spec, ListSpec) else spec.n,
             )
             self.points[pid].blob_bytes = spec.blob_bytes if spec else 0
-            fn_seed = mapping_fn_seed(fn.id, config)
-            seq = seq_checker(strategy, spec, fn_seed, self.slow.probe, base, config)
+            seq = seq_checker(strategy, spec, fn.id, self.slow.miss, base, config)
             new_functions.append(
                 self._guard_function(
                     checker_fid[fn.id], f"__chk_{fn.name}", Visibility.INTERNAL,
@@ -251,12 +248,11 @@ class _Rewriter:
 
         # one copy per contract of each slow path, in SlowPaths order
         shared = {
-            "__guard_alarm": seq_alarm_append(self.code_id, self.lay),
             "__guard_relay": seq_relay_append(self.lay, config),
             "__guard_revert": seq_guard_revert(
                 self.code_id, config.guard.guard_marker, self.lay, config
             ),
-            "__guard_probe": seq_mapping_probe(config.guard.mapping_tag, config),
+            "__guard_miss": seq_miss(self.code_id, config.guard.mapping_tag, self.lay, config),
         }
         for fid, (name, seq) in zip(self.slow, shared.items()):
             pid = self.point(POINT_CHECK, (name, "shared"))
@@ -445,7 +441,7 @@ class _Rewriter:
                 reset=reset,
                 target=target_start,
             )
-            seq = seq_backedge(fn.id, chk_fid, self.slow, num_paths, exit_val, reset, lay)
+            seq = seq_backedge(chk_fid, num_paths, exit_val, reset, lay)
             instr = fn.body[jump_off]
             if instr.op is Op.JUMP or (instr.op is Op.JUMPI and instr.imm == target_start):
                 label = Asm.fresh("be")
@@ -504,11 +500,8 @@ class _Rewriter:
             stubs.append((stub, pid))
         if used_iexit:
             pid = self.point(POINT_CHECK, (fn.name, "iexit"), num_paths=num_paths)
-            stub = Asm().mark(iexit_label)
-            stub.extend(
-                seq_internal_epilogue(fn.id, chk_fid, self.slow, num_paths, lay)
-            )
-            stubs.append((stub, pid))
+            stub = Asm().mark(iexit_label).extend(seq_check_fragment(chk_fid, lay, num_paths))
+            stubs.append((stub.emit(Op.IRET), pid))
 
         # call sites
         for off, instr in enumerate(fn.body):

@@ -653,7 +653,7 @@ def overhead_report(run: DetectionRun) -> dict:
             else 0.0,
             "runtime_overhead_buckets": buckets,
         },
-        "false_alarm_count": len({a.tx_index for a in run.alarm_log}),
+        "alarmed_txs": len({a.tx_index for a in run.alarm_log}),
         "gas_reconciliation_failures": run.recon_failures,
     }
 

@@ -114,3 +114,24 @@ def test_analyze_prints_the_bundle_fingerprint(tmp_path, capsys, flags):
     # no flag dumps both graphs; a flag selects its own
     assert ("cfgs" in out) == ("--dump-cfg" in flags or not flags)
     assert ("callgraph" in out) == ("--dump-callgraph" in flags or not flags)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"gas": {"sload_cost": 50}}', "sload_cost"),
+        ('{"reserved": {"no_such_tag": 1}}', "no_such_tag"),
+        ('{"word_width": 12}', "word_width"),
+        ('{"word_width": ', "bad.json"),
+    ],
+    ids=["gas-key", "reserved-key", "width", "not-json"],
+)
+def test_bad_config_file_is_a_validation_error(tmp_path, capsys, text, key):
+    _main(capsys, "fixture", "delegatecall", "-o", tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    bundle = tmp_path / "delegatecall.bundle.json"
+    code = cli.main(["--config", str(bad), "analyze", str(bundle)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err

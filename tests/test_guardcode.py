@@ -12,10 +12,9 @@ from pathguard.guardcode import (
     flatten,
     relay_cnt_slot,
     relay_entry_slot,
-    seq_alarm_append,
     seq_checker,
     seq_guard_revert,
-    seq_mapping_probe,
+    seq_miss,
     seq_relay_append,
 )
 from pathguard.isa import Op
@@ -95,29 +94,39 @@ def test_mod_const(modulus):
         assert got == x % modulus
 
 
-CHK_FID, PROBE_FID = 1, 2  # the test entry ICALLs the checker, which ICALLs the probe
+CODE_ID = 3
+CHK_FID, MISS_FID = 1, 2  # the test entry ICALLs the checker, which ICALLs the miss routine
+SENTINEL = 0xBEEF  # left below the routine's operands: it must survive the call
 
 
-def _checker_fns(strategy, spec, fn_seed, config):
-    """The checker under test plus the contract's shared mapping probe."""
-    chk = seq_checker(strategy, spec, fn_seed, PROBE_FID, 0, config)
-    probe = seq_mapping_probe(config.guard.mapping_tag, config)
+def _checker_fns(strategy, spec, fid, config):
+    """The checker under test plus the contract's shared miss routine."""
+    chk = seq_checker(strategy, spec, fid, MISS_FID, 0, config)
+    miss = seq_miss(CODE_ID, config.guard.mapping_tag, Layout(config.width), config)
     return [
         FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, flatten(chk.items, base=0)),
-        FunctionDef(PROBE_FID, "mapprobe", Visibility.INTERNAL, flatten(probe.items, base=0)),
+        FunctionDef(MISS_FID, "miss", Visibility.INTERNAL, flatten(miss.items, base=0)),
     ]
 
 
-def _call_checker(strategy, spec, key, width=64, storage=None, fn_seed=0):
+def _call_checker(strategy, spec, key, width=64, storage=None, fid=0):
+    """One check of ``key``; returns (member, gas) with membership read back
+    as ISZERO(flag), since a miss that the mapping does not accept flags."""
     config = Config(width=width)
-    return _run_unary(
-        Asm().emit(Op.ICALL, CHK_FID).items,
-        key,
+    a = Asm().push(SENTINEL).push(key).emit(Op.ICALL, CHK_FID)
+    a.mload(Layout(width).flag).emit(Op.ISZERO).push(2).emit(Op.RETURN)
+    receipt, _, _ = _execute(
+        a.items,
+        [],
         width,
         pool=checker_pool(strategy, spec),
-        extra_fns=_checker_fns(strategy, spec, fn_seed, config),
+        extra_fns=_checker_fns(strategy, spec, fid, config),
         storage=storage,
     )
+    assert receipt.status == "Accepted", receipt
+    member, sentinel = receipt.return_data
+    assert sentinel == SENTINEL
+    return member, receipt.gas_used
 
 
 def test_list_checker_in_vm():
@@ -160,20 +169,6 @@ def test_mpht_checker_constant_gas_across_sizes():
     assert len(set(gases)) == 1
 
 
-def test_mapping_probe_in_vm():
-    """The shared probe hits on an appended (fid, key) pair and misses on
-    another key or on another function's seed."""
-    config = Config()
-    fid, key = 3, 12345
-    storage = {mapping_slot(fid, key, config): mapping_value(key, config.width)}
-    probe = seq_mapping_probe(config.guard.mapping_tag, config)
-    fns = [FunctionDef(1, "mapprobe", Visibility.INTERNAL, flatten(probe.items, base=0))]
-    for combined, seed_fid, member in ((key, fid, 1), (key + 1, fid, 0), (key, fid + 1, 0)):
-        a = Asm().push(mapping_fn_seed(seed_fid, config)).emit(Op.ICALL, 1)
-        got, _ = _run_unary(a.items, combined, extra_fns=fns, storage=storage)
-        assert got == member, (combined, seed_fid)
-
-
 @pytest.mark.parametrize(
     "strategy,keys",
     [(STRATEGY_LIST, [5, 9, 14]), (STRATEGY_LIST, []), (STRATEGY_MPHT, [5, 9, 14, 20, 33, 47])],
@@ -186,15 +181,12 @@ def test_checker_falls_back_to_mapping_probe(strategy, keys):
     spec = build_list(keys) if strategy == STRATEGY_LIST else build_mpht(keys)
     storage = {mapping_slot(fid, appended, config): mapping_value(appended, config.width)}
     for key, member in ((appended, 1), (appended + 1, 0), *((k, 1) for k in keys)):
-        got, _ = _call_checker(
-            strategy, spec, key, storage=storage, fn_seed=mapping_fn_seed(fid, config)
-        )
+        got, _ = _call_checker(strategy, spec, key, storage=storage, fid=fid)
         assert got == member, key
 
 
 # -- shared slow paths -----------------------------------------------------------
 
-CODE_ID = 3
 SLOW_FID = 1  # the routine under test, ICALLed from the probe
 
 
@@ -211,23 +203,50 @@ def _with_local_alarms(lay, entries):
     return a.mstore_const(lay.acnt, len(entries))
 
 
+def _run_miss(lay, prefill, combined, fid, seed, storage=None):
+    """ICALL the shared miss routine over [combined, fid, seed] with the
+    alarm buffer prefilled; returns (flag, acnt, buffer words)."""
+    config = Config()
+    a = _with_local_alarms(lay, prefill).push(SENTINEL)
+    a.push(combined).push(fid).push(seed).emit(Op.ICALL, SLOW_FID)
+    words = [lay.flag, lay.acnt] + [lay.abuf + i for i in range(3 * lay.alarm_cap)]
+    for addr in reversed(words):
+        a.mload(addr)
+    a.push(len(words) + 1).emit(Op.RETURN)
+    miss = seq_miss(CODE_ID, config.guard.mapping_tag, lay, config)
+    receipt, _, _ = _execute(a.items, [], extra_fns=_slow_fn(miss), storage=storage)
+    assert receipt.status == "Accepted", receipt
+    flag, acnt, *buf, sentinel = receipt.return_data
+    assert sentinel == SENTINEL
+    return flag, acnt, buf
+
+
+def test_mapping_probe_in_vm():
+    """The miss routine accepts an appended (fid, key) pair and raises the
+    alarm on another key or on another function's seed."""
+    config = Config()
+    lay = Layout(64)
+    fid, key = 3, 12345
+    storage = {mapping_slot(fid, key, config): mapping_value(key, config.width)}
+    for combined, seed_fid, member in ((key, fid, 1), (key + 1, fid, 0), (key, fid + 1, 0)):
+        seed = mapping_fn_seed(seed_fid, config)
+        flag, acnt, buf = _run_miss(lay, [], combined, fid, seed, storage)
+        alarmed = [] if member else [CODE_ID, fid, combined]
+        assert (flag, acnt) == (1 - member, 1 - member), (combined, seed_fid)
+        assert buf == alarmed + [0] * (len(buf) - len(alarmed)), (combined, seed_fid)
+
+
 def test_alarm_append_below_and_at_cap():
-    """A miss appends (code id, fid, combined) while the buffer has room; at
-    the cap it only sets the flag. Either way it consumes [combined, fid]."""
+    """A miss outside the mapping appends (code id, fid, combined) while the
+    buffer has room; at the cap it only sets the flag. Either way it
+    consumes [combined, fid, fn_seed]."""
     lay = Layout(64, alarm_cap=2)
     held = [(CODE_ID, 4, 0x111)]
+    seed = mapping_fn_seed(6, Config())
     for prefill in (held, held + [(CODE_ID, 5, 0x222)]):
-        a = _with_local_alarms(lay, prefill).push(0xBEEF)  # balance sentinel
-        a.push(0x333).push(6).emit(Op.ICALL, SLOW_FID)
-        words = [lay.flag, lay.acnt] + [lay.abuf + i for i in range(3 * lay.alarm_cap)]
-        for addr in reversed(words):
-            a.mload(addr)
-        a.push(len(words) + 1).emit(Op.RETURN)
-        receipt, _, _ = _execute(a.items, [], extra_fns=_slow_fn(seq_alarm_append(CODE_ID, lay)))
-        assert receipt.status == "Accepted", receipt
-        flag, acnt, *buf, sentinel = receipt.return_data
+        flag, acnt, buf = _run_miss(lay, prefill, 0x333, 6, seed)
         entries = (prefill + [(CODE_ID, 6, 0x333)])[: lay.alarm_cap]
-        assert (flag, acnt, sentinel) == (1, len(entries), 0xBEEF)
+        assert (flag, acnt) == (1, len(entries))
         assert buf == [w for entry in entries for w in entry] + [0] * (len(buf) - 3 * len(entries))
 
 

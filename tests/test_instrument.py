@@ -13,9 +13,8 @@ from pathguard.guardcode import (
     Layout,
     flatten,
     relay_cnt_slot,
-    seq_alarm_append,
     seq_guard_revert,
-    seq_mapping_probe,
+    seq_miss,
     seq_relay_append,
 )
 from pathguard.isa import Op
@@ -108,30 +107,42 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
 
 
 def test_slow_paths_emitted_once_per_contract(figcg, loopy):
-    """Alarm append, relay, guard revert and the mapping probe each live in
-    one shared function; no exit or backedge stub carries append, relay or
-    payload code, and no checker probes storage."""
+    """Relay, guard revert and the miss routine (mapping probe plus alarm
+    append) each live in one shared function. No exit or backedge stub
+    carries append, relay or payload code or branches on a checker's
+    answer, no checker probes storage, and only checkers reach the miss
+    routine."""
     lay = Layout(CONFIG.width, CONFIG.guard.alarm_buffer_cap)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
     tag = CONFIG.guard.mapping_tag & CONFIG.mask
     for prog in (figcg, loopy):  # two externals and an internal; backedges
         analysis, inst = _pair(prog, {0: {0, 1, 2}})
-        bodies = [fn.body for fn in inst.program.functions]
+        functions = inst.program.functions
+        # the originals, one checker each, the admin entry, three routines
+        assert len(functions) == 2 * len(prog.functions) + 4
+        bodies = [fn.body for fn in functions]
         shared = []
         for seq in (
-            seq_alarm_append(0, lay),
             seq_relay_append(lay, CONFIG),
             seq_guard_revert(0, CONFIG.guard.guard_marker, lay, CONFIG),
-            seq_mapping_probe(CONFIG.guard.mapping_tag, CONFIG),
+            seq_miss(0, CONFIG.guard.mapping_tag, lay, CONFIG),
         ):
             assert bodies.count(flatten(seq.items, base=0)) == 1
             shared.append(bodies.index(flatten(seq.items, base=0)))
-        for fn in inst.program.functions:
+        miss_fid = shared[-1]
+        checkers = {fn.id for fn in functions if fn.name.startswith("__chk_")}
+        for fn in functions:
+            calls = {i.imm for i in fn.body if i.op is Op.ICALL}
+            if miss_fid in calls:
+                assert fn.id in checkers, fn.name
+            for i, nxt in zip(fn.body, fn.body[1:]):
+                if i.op is Op.ICALL and i.imm in checkers:
+                    assert nxt.op is not Op.JUMPI, fn.name
             if fn.id in shared:
                 continue
             pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
             assert not pushed & {lay.acnt, lay.abuf, gm, tag}, fn.name
-            if fn.name.startswith("__chk_"):
+            if fn.id in checkers:
                 assert all(i.op is not Op.SLOAD for i in fn.body), fn.name
             # the relay count slot shares its number with the flag's address
             slots = {
@@ -142,7 +153,7 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
             assert relay_cnt_slot(CONFIG) not in slots, fn.name
         sites = [p.site for p in inst.points if p.kind == "PathSetCheck"]
         assert [name for name, where in sites if where == "shared"] == [
-            inst.program.functions[fid].name for fid in shared
+            functions[fid].name for fid in shared
         ]
         point_bytes = sum(p.code_bytes + p.blob_bytes for p in inst.points)
         assert inst.instrumented_size - inst.original_size == point_bytes
@@ -195,7 +206,8 @@ def test_reserved_literal_collision_rejected():
 
 
 @pytest.mark.parametrize(
-    "name", ["__guard_admin", "__guard_alarm", "__guard_probe", "__chk_f", "__chk_other"]
+    "name",
+    ["__guard_admin", "__guard_alarm", "__guard_probe", "__guard_miss", "__chk_f", "__chk_other"],
 )
 def test_guard_name_collision_rejected(name):
     """Contract functions may not use the guard functions' name prefixes."""
@@ -392,5 +404,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "fdd65fe9675092e69bf3f1c0b75d59b807923e34cda06e3f961e2d46e4285400"
+        "3b1bb3a3a7019fa72abffae2bd2801ea88615da28fc0e6e69612a18c8993a5cf"
     )

@@ -20,7 +20,6 @@ from pathguard.pathset import (
     choose_strategy,
     estimate_gas,
     list_lookup,
-    mapping_fn_seed,
     mapping_slot,
     mapping_value,
     mix,
@@ -173,8 +172,8 @@ def test_mix_avalanche_and_width():
 
 def _measured_check_gas(strategy, n, config=CONFIG):
     """VM-measured gas of one member check: the checker (fid 1) plus the
-    shared mapping probe (fid 2) when the check reaches it."""
-    from pathguard.guardcode import Asm, checker_pool, flatten, seq_checker, seq_mapping_probe
+    shared miss routine (fid 2) when the check reaches it."""
+    from pathguard.guardcode import Asm, Layout, checker_pool, flatten, seq_checker, seq_miss
     from pathguard.isa import Instruction, Op
     from pathguard.program import ContractProgram, FunctionDef, Visibility, validate_program
     from pathguard.vm import Transaction, VM, WorldState, deploy
@@ -187,16 +186,19 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     else:
         spec = None
     body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]
-    body += flatten(Asm().emit(Op.ICALL, 1).items, base=2)
+    lay = Layout(config.width)
+    # the check raises no alarm on a member: the flag reads back zero
+    check = Asm().emit(Op.ICALL, 1).mload(lay.flag).emit(Op.ISZERO)
+    body += flatten(check.items, base=2)
     body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
-    chk = seq_checker(strategy, spec, mapping_fn_seed(0, config), 2, 0, config)
-    probe = seq_mapping_probe(config.guard.mapping_tag, config)
+    chk = seq_checker(strategy, spec, 0, 2, 0, config)
+    miss = seq_miss(0, config.guard.mapping_tag, lay, config)
     prog = ContractProgram(
         "t",
         [
             FunctionDef(0, "probe", Visibility.EXTERNAL, body),
             FunctionDef(1, "chk", Visibility.INTERNAL, flatten(chk.items, base=0)),
-            FunctionDef(2, "mapprobe", Visibility.INTERNAL, flatten(probe.items, base=0)),
+            FunctionDef(2, "miss", Visibility.INTERNAL, flatten(miss.items, base=0)),
         ],
         {0x7: 0},
         None,
@@ -263,5 +265,5 @@ def test_estimate_gas_pinned():
                     row = str(exc)
                 h.update(repr((width, strategy, n, row)).encode())
     assert h.hexdigest() == (
-        "ced42d28b9e727490f9fe21f0df763faf2af1fab879ba4913102a08ca5f0b79a"
+        "2af91c652cef7fe6bf91dec4e7dbcbc5ea8b38f6961bbed9e21bd863113936cc"
     )

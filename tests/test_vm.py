@@ -453,7 +453,7 @@ def _vm_digest() -> str:
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "108dc12486291e47b580a06c8f79a8a82552161ecd562bd6ac082968a9979da3"
+        "9697874dc4210e2a941379458816d2782d2c84383c1c81eb39e5cd235dfe06e1"
     )
 
 

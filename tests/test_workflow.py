@@ -139,7 +139,7 @@ def test_overhead_report_shape(visibility_setup):
     run = run_detection(guarded, records)
     report = overhead_report(run)
     assert not report["gas_reconciliation_failures"]
-    assert report["false_alarm_count"] == 0
+    assert report["alarmed_txs"] == 0
     contract = report["contracts"]["registry"]
     assert contract["instrumented_size"] > contract["original_size"]
     assert contract["point_bytes_total"] == (
@@ -165,6 +165,29 @@ def test_config_round_trips_through_json():
 
     config = load_config(None, width=8, admin=0xBE, gas={"sload": 50}, guard={"mpht_lambda": 5})
     assert config_from_json(json.loads(json.dumps(config_to_json(config)))) == config
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"word_widht": 8}, "config: unknown key 'word_widht'"),
+        ({"gas": {"sload_cost": 50}}, "gas: unknown key 'sload_cost'"),
+        ({"gas": {"sload": "cheap"}}, "gas.sload: not a word"),
+        ({"lambda": "x"}, "lambda: not a word"),
+        ({"reserved": {"no_such_tag": 1}}, "reserved: unknown key 'no_such_tag'"),
+        ({"reserved": {"call_marker": "0xzz"}}, "reserved.call_marker: not a word"),
+        ({"admin": "ad"}, "admin: not a word"),
+        ({"word_width": 12}, "word_width: unsupported width 12"),
+    ],
+    ids=["top-key", "gas-key", "gas-word", "lambda-word", "reserved-key", "reserved-word",
+         "admin-word", "width"],
+)
+def test_config_errors_name_section_and_key(raw, message):
+    from pathguard.config import ConfigError, config_from_json
+
+    with pytest.raises(ConfigError) as info:
+        config_from_json(raw)
+    assert str(info.value).startswith(message)
 
 
 def test_bundle_config_load_leaves_no_temp_files(tmp_path, monkeypatch):
