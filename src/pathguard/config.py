@@ -109,9 +109,11 @@ def config_from_json(raw: dict, **overrides) -> Config:
 
     Recognized JSON keys: ``word_width``, ``gas`` (schedule field overrides),
     ``lambda``, ``admin``, ``reserved`` (guard constant overrides). Any other
-    key, or a value that is not a word, raises ``ConfigError`` naming its
-    section and key.
+    key, a section that is not a JSON object, or a value that is not a word
+    (an integer or an integer string; not a float or a bool), raises
+    ``ConfigError`` naming its section and key.
     """
+    _require_object(raw, "config")
     unknown = sorted(set(raw) - {"word_width", "gas", "lambda", "admin", "reserved"})
     if unknown:
         raise ConfigError(f"config: unknown key {unknown[0]!r}")
@@ -134,8 +136,15 @@ def config_from_json(raw: dict, **overrides) -> Config:
     )
 
 
+def _require_object(value, where: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: not a JSON object: {value!r}")
+
+
 def _words(raw: dict, section: str) -> dict:
-    return {key: _parse_word(val, f"{section}.{key}") for key, val in raw.get(section, {}).items()}
+    values = raw.get(section, {})
+    _require_object(values, section)
+    return {key: _parse_word(val, f"{section}.{key}") for key, val in values.items()}
 
 
 def _section(cls, section: str, kwargs: dict):
@@ -159,12 +168,15 @@ def config_to_json(config: Config) -> dict:
 
 
 def _parse_word(value, where: str) -> int:
+    # bool is an int subclass, and int() would truncate a float in silence
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     try:
         if isinstance(value, str):
             return int(value, 16) if value.lower().startswith("0x") else int(value)
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: not a word: {value!r}") from None
+    except ValueError:
+        pass
+    raise ConfigError(f"{where}: not a word: {value!r}")
 
 
 DEFAULT_CONFIG = Config()

@@ -403,11 +403,10 @@ def checker_pool(strategy: str, spec) -> list[int]:
 
 
 class SlowPaths(NamedTuple):
-    """Function ids of a contract's shared slow paths, reached only on a miss
-    or a flagged exit."""
+    """Function ids of a contract's shared slow paths, reached only on a
+    flagged exit or a check miss."""
 
-    relay: int
-    revert: int
+    exit: int
     miss: int
 
 
@@ -502,76 +501,78 @@ def seq_internal_entry(entry_epp: int, lay: Layout) -> Asm:
     return Asm().epp_set(lay, entry_epp)
 
 
+def _marker_return(flag: int, config: Config) -> Asm:
+    """RETURN [vals..., n] as [vals..., flag, MARKER] with n + 2 words."""
+    a = Asm().push(flag).emit(Op.SWAP, 1)
+    a.push(config.guard.call_marker & config.mask).emit(Op.SWAP, 1)
+    return a.push(RET_PREFIX_WORDS).emit(Op.ADD).emit(Op.RETURN)
+
+
 def seq_external_epilogue(
-    fid: int,
-    chk_fid: int,
-    slow: SlowPaths,
-    num_paths: int,
-    ctx_slot: int,
-    marker: int,
-    poison: int,
-    lay: Layout,
-    config: Config,
+    fid: int, chk_fid: int, exit_fid: int, num_paths: int, lay: Layout, config: Config
 ) -> Asm:
     """Shared exit stub for an external function.
 
     Expects the stack shaped for RETURN ([values..., n]); exit sites jump
-    here (STOP sites push 0 first). Runs the path-set check, then the mode
-    dispatch: marker entries prefix return data with [MARKER, flag];
-    boundary entries guard-revert when flagged; reentrant boundary entries
-    poison the ctx slot instead so the outer frame of the same contract
-    reverts the whole transaction. Flagged arms ICALL the contract's shared
-    relay and guard-revert routines; unflagged arms run no shared code.
+    here (STOP sites push 0 first). Runs the path-set check, then tests the
+    flag once: a flagged exit pushes fid and ICALLs the contract's shared
+    flagged exit, which never returns. Unflagged, marker entries prefix
+    return data with [0, MARKER] and other entries return as they are. The
+    flagged arm sits before the marker arm so the stub, like every function
+    body, ends in a terminator: the validator cannot see that the ICALL
+    never returns.
     """
     a = Asm()
     a.extend(seq_check_fragment(chk_fid, lay, num_paths))
+    l_flag = Asm.fresh("xflag")
     l_marker = Asm.fresh("xmark")
-    l_mflag = Asm.fresh("xmflag")
-    l_reent = Asm.fresh("xreent")
-    l_guard = Asm.fresh("xguard")
-    l_poison = Asm.fresh("xpoison")
+    a.mload(lay.flag)
+    a.jumpi(l_flag)
     a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
     a.jumpi(l_marker)
-    a.mload(lay.mode).push(MODE_REENTRANT).emit(Op.EQ)
-    a.jumpi(l_reent)
-    a.mload(lay.flag)
-    a.jumpi(l_guard)
     a.emit(Op.RETURN)
-    a.mark(l_marker)  # [vals..., n] -> [vals..., flag, MARKER, n+2]
-    a.mload(lay.flag)
-    a.jumpi(l_mflag)
-    a.push(0).emit(Op.SWAP, 1)
-    a.push(marker & config.mask).emit(Op.SWAP, 1)
-    a.push(RET_PREFIX_WORDS).emit(Op.ADD)
-    a.emit(Op.RETURN)
-    a.mark(l_mflag)
-    # hand local alarm entries to the boundary frame through the relay
-    a.emit(Op.ICALL, slow.relay)
-    a.push(1).emit(Op.SWAP, 1)
-    a.push(marker & config.mask).emit(Op.SWAP, 1)
-    a.push(RET_PREFIX_WORDS).emit(Op.ADD)
-    a.emit(Op.RETURN)
-    a.mark(l_guard)  # the routine never returns
-    a.push(fid).emit(Op.ICALL, slow.revert)
-    a.mark(l_reent)
-    a.mload(lay.flag)
-    a.jumpi(l_poison)
-    a.emit(Op.RETURN)
-    a.mark(l_poison)
-    a.emit(Op.ICALL, slow.relay)
-    a.push(poison).push(ctx_slot).emit(Op.SSTORE)
-    a.emit(Op.RETURN)
-    return a
+    a.mark(l_flag)
+    a.push(fid).emit(Op.ICALL, exit_fid)
+    a.mark(l_marker)
+    return a.extend(_marker_return(0, config))
 
 
-def seq_guard_revert(code_id: int, guard_marker: int, lay: Layout, config: Config) -> Asm:
-    """Shared guard revert: consumes [fid], never returns.
+def seq_flagged_exit(code_id: int, lay: Layout, config: Config) -> Asm:
+    """Shared flagged exit: consumes [vals..., n, fid], never returns.
+
+    Boundary entries guard-revert (``_guard_revert``). Marker and reentrant
+    entries hand their local alarm entries to the boundary frame through the
+    storage relay (``_relay``); a marker entry then returns with the
+    [1, MARKER] prefix, a reentrant one poisons the ctx slot so the outer
+    frame of the same contract reverts the whole transaction, and returns.
+    Its RETURNs stand in for the original exit, like the stub's.
+    """
+    a = Asm()
+    l_relay = Asm.fresh("xrelay")
+    l_marker = Asm.fresh("xmflag")
+    a.mload(lay.mode)  # MODE_BOUNDARY is 0
+    a.jumpi(l_relay)
+    a.extend(_guard_revert(code_id, lay, config))
+    a.mark(l_relay)
+    a.emit(Op.POP)  # fid: only a guard revert reports it
+    a.extend(_relay(lay, config))
+    a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
+    a.jumpi(l_marker)
+    a.push(config.slot_poison).push(config.ctx_storage_slot).emit(Op.SSTORE)
+    a.emit(Op.RETURN)
+    a.mark(l_marker)
+    return a.extend(_marker_return(1, config))
+
+
+def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
+    """Guard revert: consumes [fid], never returns.
 
     Reverts with [GUARD_MARKER, count, (addr, code id, fid, combined) * count]
     from the relayed plus local entries; a flag with no entries at all means an
     unreadable inner region, reported as the all-ones sentinel pair of fid.
     """
     a = Asm()
+    guard_marker = config.guard.guard_marker & config.mask
     rcnt = relay_cnt_slot(config)
     loop = Asm.fresh("rev")
     done = Asm.fresh("revdone")
@@ -584,7 +585,7 @@ def seq_guard_revert(code_id: int, guard_marker: int, lay: Layout, config: Confi
     a.jumpi(have)
     a.push((1 << config.width) - 1).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
     a.push(1)
-    a.push(guard_marker & config.mask)
+    a.push(guard_marker)
     a.push(6)
     a.emit(Op.REVERT)
     a.mark(have)
@@ -617,15 +618,15 @@ def seq_guard_revert(code_id: int, guard_marker: int, lay: Layout, config: Confi
     a.jump(rloop)
     a.mark(rdone)
     a.mload(lay.acnt).mload(lay.tmp_y).emit(Op.ADD)
-    a.push(guard_marker & config.mask)
+    a.push(guard_marker)
     a.mload(lay.acnt).mload(lay.tmp_y).emit(Op.ADD).push(4).emit(Op.MUL)
     a.push(2).emit(Op.ADD)
     a.emit(Op.REVERT)
     return a
 
 
-def seq_relay_append(lay: Layout, config: Config) -> Asm:
-    """Shared relay: copy local alarm entries into the storage relay, IRET."""
+def _relay(lay: Layout, config: Config) -> Asm:
+    """Copy local alarm entries into the storage relay, up to the cap."""
     a = Asm()
     rel = Asm.fresh("rel")
     reldone = Asm.fresh("reldone")
@@ -651,7 +652,6 @@ def seq_relay_append(lay: Layout, config: Config) -> Asm:
     a.jump(rel)
     a.mark(reldone)
     a.mload(lay.tmp_y).push(relay_cnt_slot(config)).emit(Op.SSTORE)
-    a.emit(Op.IRET)
     return a
 
 

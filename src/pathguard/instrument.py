@@ -38,7 +38,7 @@ from .guardcode import (
     seq_checker,
     seq_admin_body,
     seq_external_epilogue,
-    seq_guard_revert,
+    seq_flagged_exit,
     seq_icall_post,
     seq_icall_pre,
     seq_internal_entry,
@@ -46,7 +46,6 @@ from .guardcode import (
     seq_prologue,
     seq_protected_call_pre,
     seq_protected_call_post,
-    seq_relay_append,
     seq_returndata_load_shim,
     seq_returndata_size_shim,
     seq_unprotected_call_pre,
@@ -201,7 +200,7 @@ class _Rewriter:
         count = len(prog.functions)
         checker_fid = {fn.id: count + i for i, fn in enumerate(prog.functions)}
         admin_fid = 2 * count
-        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3)
+        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2)
 
         new_functions: list[FunctionDef] = []
         injected: dict[tuple[int, int], int] = {}
@@ -248,10 +247,7 @@ class _Rewriter:
 
         # one copy per contract of each slow path, in SlowPaths order
         shared = {
-            "__guard_relay": seq_relay_append(self.lay, config),
-            "__guard_revert": seq_guard_revert(
-                self.code_id, config.guard.guard_marker, self.lay, config
-            ),
+            "__guard_exit": seq_flagged_exit(self.code_id, self.lay, config),
             "__guard_miss": seq_miss(self.code_id, config.guard.mapping_tag, self.lay, config),
         }
         for fid, (name, seq) in zip(self.slow, shared.items()):
@@ -287,14 +283,17 @@ class _Rewriter:
         self, fid: int, name: str, visibility: Visibility, seq: Asm, pid: int,
         injected: dict[tuple[int, int], int],
     ) -> FunctionDef:
-        """A function made only of guard code, every offset owned by ``pid``."""
+        """A function made only of guard code: ``pid`` owns its bytes and the
+        gas of every offset but its RETURNs, which stand in for the original
+        exit of the function that called it (as in the exit stub)."""
         body = flatten(seq.items, base=0)
         # body bytes plus the new function-table entry
         self.points[pid].code_bytes = (
             sum(i.size(self.config.word_bytes) for i in body) + FUNCTION_ENTRY_BYTES
         )
-        for off in range(len(body)):
-            injected[(fid, off)] = pid
+        for off, instr in enumerate(body):
+            if instr.op is not Op.RETURN:
+                injected[(fid, off)] = pid
         return FunctionDef(fid, name, visibility, body)
 
     def _scan_reserved_collisions(self) -> None:
@@ -480,24 +479,9 @@ class _Rewriter:
             replace[off] = (pre, pid, pid)
 
         if used_exit:
-            pid = self.point(
-                POINT_CHECK, (fn.name, "exit"), num_paths=num_paths
-            )
-            stub = Asm().mark(exit_label)
-            stub.extend(
-                seq_external_epilogue(
-                    fn.id,
-                    chk_fid,
-                    self.slow,
-                    num_paths,
-                    config.ctx_storage_slot,
-                    guard.call_marker,
-                    config.slot_poison,
-                    lay,
-                    config,
-                )
-            )
-            stubs.append((stub, pid))
+            pid = self.point(POINT_CHECK, (fn.name, "exit"), num_paths=num_paths)
+            seq = seq_external_epilogue(fn.id, chk_fid, self.slow.exit, num_paths, lay, config)
+            stubs.append((Asm().mark(exit_label).extend(seq), pid))
         if used_iexit:
             pid = self.point(POINT_CHECK, (fn.name, "iexit"), num_paths=num_paths)
             stub = Asm().mark(iexit_label).extend(seq_check_fragment(chk_fid, lay, num_paths))

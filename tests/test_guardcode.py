@@ -6,6 +6,9 @@ import pytest
 
 from pathguard.config import Config
 from pathguard.guardcode import (
+    MODE_BOUNDARY,
+    MODE_MARKER,
+    MODE_REENTRANT,
     Asm,
     Layout,
     checker_pool,
@@ -13,9 +16,8 @@ from pathguard.guardcode import (
     relay_cnt_slot,
     relay_entry_slot,
     seq_checker,
-    seq_guard_revert,
+    seq_flagged_exit,
     seq_miss,
-    seq_relay_append,
 )
 from pathguard.isa import Op
 from pathguard.pathset import (
@@ -250,28 +252,57 @@ def test_alarm_append_below_and_at_cap():
         assert buf == [w for entry in entries for w in entry] + [0] * (len(buf) - 3 * len(entries))
 
 
-def test_relay_append_copies_local_entries_into_storage():
-    """Local entries follow those already relayed, up to the buffer cap."""
+def _run_flagged_exit(lay, mode, local, storage=None, fid=5):
+    """Run the shared flagged exit in ``mode`` over [0xA1, 0xA2, 2, fid] with
+    the local alarm buffer holding ``local``; returns (receipt, world, addr)."""
+    config = Config()
+    a = _with_local_alarms(lay, local).mstore_const(lay.mode, mode)
+    a.push(0xA1).push(0xA2).push(2).push(fid).emit(Op.ICALL, SLOW_FID)
+    a.push(0).emit(Op.RETURN)  # never reached
+    seq = seq_flagged_exit(CODE_ID, lay, config)
+    return _execute(a.items, [], extra_fns=_slow_fn(seq), storage=storage)
+
+
+def _relayed(world, addr, config, count):
+    return [
+        tuple(world.sload(addr, relay_entry_slot(config, w) - 3 * j) for w in range(3))
+        for j in range(count)
+    ]
+
+
+def test_flagged_exit_marker_relays_and_returns_flag():
+    """A marker entry appends its local entries after those already relayed,
+    up to the buffer cap, then returns its values under [1, MARKER]."""
     config = Config()
     lay = Layout(64, alarm_cap=3)
     local = [(1, 2, 0x10), (1, 7, 0x20), (1, 9, 0x30)]
     earlier = (2, 8, 0x99)  # relayed by an earlier frame
     storage = {relay_cnt_slot(config): 1}
     storage.update({relay_entry_slot(config, w): v for w, v in enumerate(earlier)})
-    a = _with_local_alarms(lay, local).emit(Op.ICALL, SLOW_FID).push(0).emit(Op.RETURN)
-    receipt, world, addr = _execute(
-        a.items, [], extra_fns=_slow_fn(seq_relay_append(lay, config)), storage=storage
-    )
+    receipt, world, addr = _run_flagged_exit(lay, MODE_MARKER, local, storage)
     assert receipt.status == "Accepted", receipt
+    assert receipt.return_data == [config.guard.call_marker & config.mask, 1, 0xA2, 0xA1]
     assert world.sload(addr, relay_cnt_slot(config)) == lay.alarm_cap
-    relayed = [
-        tuple(world.sload(addr, relay_entry_slot(config, w) - 3 * j) for w in range(3))
-        for j in range(lay.alarm_cap + 1)
-    ]
-    assert relayed == [earlier] + local[:2] + [(0, 0, 0)]
+    assert _relayed(world, addr, config, lay.alarm_cap + 1) == [earlier] + local[:2] + [(0, 0, 0)]
+    assert world.sload(addr, config.ctx_storage_slot) == 0
+
+
+def test_flagged_exit_reentrant_relays_then_poisons_slot():
+    """A reentrant entry relays its entries, poisons the ctx slot so the outer
+    frame reverts, and returns its values unchanged."""
+    config = Config()
+    lay = Layout(64)
+    local = [(1, 2, 0x10), (1, 7, 0x20)]
+    receipt, world, addr = _run_flagged_exit(lay, MODE_REENTRANT, local)
+    assert receipt.status == "Accepted", receipt
+    assert receipt.return_data == [0xA2, 0xA1]
+    assert world.sload(addr, relay_cnt_slot(config)) == len(local)
+    assert _relayed(world, addr, config, len(local)) == local
+    assert world.sload(addr, config.ctx_storage_slot) == config.slot_poison
 
 
 def test_guard_revert_payload_merges_local_and_relayed_entries():
+    """A boundary entry reverts with the relayed plus local entries."""
     config = Config()
     lay = Layout(64)
     gm = config.guard.guard_marker & config.mask
@@ -279,11 +310,7 @@ def test_guard_revert_payload_merges_local_and_relayed_entries():
     relayed = [(1, 8, 0x99)]
     storage = {relay_cnt_slot(config): len(relayed)}
     storage.update({relay_entry_slot(config, w): v for w, v in enumerate(relayed[0])})
-    seq = seq_guard_revert(CODE_ID, config.guard.guard_marker, lay, config)
-    a = _with_local_alarms(lay, local).push(0xAA)  # left below fid, as at an exit
-    a.push(5).emit(Op.ICALL, SLOW_FID)
-    a.push(0).emit(Op.RETURN)  # never reached
-    receipt, world, addr = _execute(a.items, [], extra_fns=_slow_fn(seq), storage=storage)
+    receipt, world, addr = _run_flagged_exit(lay, MODE_BOUNDARY, local, storage)
     assert receipt.status == "GuardReverted"
     assert receipt.return_data == [gm, 3] + [
         w for entry in relayed + local for w in (addr, *entry)
@@ -295,9 +322,7 @@ def test_guard_revert_without_entries_reports_sentinel():
     """A flag with no entries (an unreadable inner region) reverts with the
     all-ones sentinel pair of the flagged function."""
     config = Config()
-    seq = seq_guard_revert(CODE_ID, config.guard.guard_marker, Layout(64), config)
-    a = Asm().push(5).emit(Op.ICALL, SLOW_FID).push(0).emit(Op.RETURN)
-    receipt, _, addr = _execute(a.items, [], extra_fns=_slow_fn(seq))
+    receipt, _, addr = _run_flagged_exit(Layout(64), MODE_BOUNDARY, [])
     assert receipt.status == "GuardReverted"
     gm = config.guard.guard_marker & config.mask
     assert receipt.return_data == [gm, 1, addr, CODE_ID, 5, config.mask]

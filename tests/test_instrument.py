@@ -13,9 +13,8 @@ from pathguard.guardcode import (
     Layout,
     flatten,
     relay_cnt_slot,
-    seq_guard_revert,
+    seq_flagged_exit,
     seq_miss,
-    seq_relay_append,
 )
 from pathguard.isa import Op
 from pathguard.instrument import (
@@ -107,29 +106,29 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
 
 
 def test_slow_paths_emitted_once_per_contract(figcg, loopy):
-    """Relay, guard revert and the miss routine (mapping probe plus alarm
-    append) each live in one shared function. No exit or backedge stub
-    carries append, relay or payload code or branches on a checker's
-    answer, no checker probes storage, and only checkers reach the miss
-    routine."""
+    """The flagged exit (relay, ctx-slot poison and guard revert) and the miss
+    routine (mapping probe plus alarm append) each live in one shared
+    function. No exit or backedge stub carries append, relay, poison or
+    payload code or branches on a checker's answer, no checker probes
+    storage, and only checkers reach the miss routine."""
     lay = Layout(CONFIG.width, CONFIG.guard.alarm_buffer_cap)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
     tag = CONFIG.guard.mapping_tag & CONFIG.mask
+    poison = (CONFIG.slot_poison, CONFIG.ctx_storage_slot)
     for prog in (figcg, loopy):  # two externals and an internal; backedges
         analysis, inst = _pair(prog, {0: {0, 1, 2}})
         functions = inst.program.functions
-        # the originals, one checker each, the admin entry, three routines
-        assert len(functions) == 2 * len(prog.functions) + 4
+        # the originals, one checker each, the admin entry, two routines
+        assert len(functions) == 2 * len(prog.functions) + 3
         bodies = [fn.body for fn in functions]
         shared = []
         for seq in (
-            seq_relay_append(lay, CONFIG),
-            seq_guard_revert(0, CONFIG.guard.guard_marker, lay, CONFIG),
+            seq_flagged_exit(0, lay, CONFIG),
             seq_miss(0, CONFIG.guard.mapping_tag, lay, CONFIG),
         ):
             assert bodies.count(flatten(seq.items, base=0)) == 1
             shared.append(bodies.index(flatten(seq.items, base=0)))
-        miss_fid = shared[-1]
+        exit_fid, miss_fid = shared
         checkers = {fn.id for fn in functions if fn.name.startswith("__chk_")}
         for fn in functions:
             calls = {i.imm for i in fn.body if i.op is Op.ICALL}
@@ -138,25 +137,63 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
             for i, nxt in zip(fn.body, fn.body[1:]):
                 if i.op is Op.ICALL and i.imm in checkers:
                     assert nxt.op is not Op.JUMPI, fn.name
-            if fn.id in shared:
-                continue
-            pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
-            assert not pushed & {lay.acnt, lay.abuf, gm, tag}, fn.name
-            if fn.id in checkers:
-                assert all(i.op is not Op.SLOAD for i in fn.body), fn.name
             # the relay count slot shares its number with the flag's address
             slots = {
                 a.imm
                 for a, b in zip(fn.body, fn.body[1:])
                 if a.op is Op.PUSH and b.op in (Op.SLOAD, Op.SSTORE)
             }
+            stores = {
+                (a.imm, b.imm)
+                for a, b, c in zip(fn.body, fn.body[1:], fn.body[2:])
+                if a.op is b.op is Op.PUSH and c.op is Op.SSTORE
+            }
+            pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
+            if fn.id == exit_fid:
+                assert relay_cnt_slot(CONFIG) in slots and poison in stores and gm in pushed
+                continue
             assert relay_cnt_slot(CONFIG) not in slots, fn.name
+            assert poison not in stores, fn.name
+            assert gm not in pushed, fn.name
+            if fn.id == miss_fid:
+                continue
+            assert not pushed & {lay.acnt, lay.abuf, tag}, fn.name
+            if fn.id in checkers:
+                assert all(i.op is not Op.SLOAD for i in fn.body), fn.name
         sites = [p.site for p in inst.points if p.kind == "PathSetCheck"]
         assert [name for name, where in sites if where == "shared"] == [
             functions[fid].name for fid in shared
         ]
         point_bytes = sum(p.code_bytes + p.blob_bytes for p in inst.points)
         assert inst.instrumented_size - inst.original_size == point_bytes
+
+
+def test_flagged_marker_exit_reconciles():
+    """A flagged marker-mode exit that returns (here a call carrying the call
+    marker straight from the origin) adds exactly the gas of the offsets
+    ``injected`` owns: the RETURN in the shared flagged exit stands in for
+    the original STOP, like the stub's own RETURN."""
+    prog = assemble("contract t { fn f external selector=0x1 { PUSH 1 PUSH 0 SSTORE STOP } }")
+    analysis, inst = _pair(prog, {0: set()})  # untrained: the exit check misses
+    attribution = {}
+
+    def probe(code, fid, off, amount):
+        attribution[(fid, off)] = attribution.get((fid, off), 0) + amount
+
+    w1 = WorldState(CONFIG)
+    r1 = VM(w1).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1))
+    w2 = WorldState(CONFIG)
+    marker = CONFIG.guard.call_marker & CONFIG.mask
+    r2 = VM(
+        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_probe=probe
+    ).execute_transaction(
+        Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [marker, 0, 0])
+    )
+    assert (r2.status, r2.return_data, r2.alarms) == ("Accepted", [marker, 1], [])
+    injected_gas = sum(
+        amount for key, amount in attribution.items() if key in inst.injected
+    )
+    assert r2.gas_used - r1.gas_used == injected_gas
 
 
 def test_deploy_overhead_formula():
@@ -207,7 +244,15 @@ def test_reserved_literal_collision_rejected():
 
 @pytest.mark.parametrize(
     "name",
-    ["__guard_admin", "__guard_alarm", "__guard_probe", "__guard_miss", "__chk_f", "__chk_other"],
+    [
+        "__guard_admin",
+        "__guard_alarm",
+        "__guard_probe",
+        "__guard_miss",
+        "__guard_exit",
+        "__chk_f",
+        "__chk_other",
+    ],
 )
 def test_guard_name_collision_rejected(name):
     """Contract functions may not use the guard functions' name prefixes."""
@@ -404,5 +449,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "3b1bb3a3a7019fa72abffae2bd2801ea88615da28fc0e6e69612a18c8993a5cf"
+        "a61ca7967b571f52de97a923de3a5dcc6f0f2f01f8685567e931dbcc948f9d84"
     )

@@ -413,33 +413,21 @@ def test_call_depth_limit_fails_not_aborts():
     assert results.count(False) == 1  # only the depth-limited call fails
 
 
-def _vm_digest() -> str:
-    """sha256 over every receipt, trace event and probe charge of the corpus.
+def _vm_runs(probe=None):
+    """Run the pinned corpus; yield (scenario, protected, receipt, world) per tx.
 
     Each fixture runs its training stream plus one 30-tx test sequence twice:
-    uninstrumented at TRACE_FULL, and protected at TRACE_CHECKS with a gas
-    probe. Any change to the interpreter's observable behaviour moves it.
+    uninstrumented at TRACE_FULL, and protected at TRACE_CHECKS with ``probe``
+    as the gas probe.
     """
-    h = hashlib.sha256()
-
-    def feed(receipt):
-        h.update(
-            repr((receipt.status, receipt.gas_used, receipt.return_data, receipt.alarms)).encode()
-        )
-        for ev in receipt.trace:
-            h.update(repr((ev.kind, ev.contract, ev.fn, ev.offset, ev.detail)).encode())
-
-    def probe(code, fid, off, amount):
-        h.update(repr((code, fid, off, amount)).encode())
-
     for scenario in ALL_SCENARIOS:
         bundle = scenario.bundle()
         records = scenario.training + scenario.test_sequence(random.Random(0), 30)[0]
-        h.update(scenario.name.encode())
         plain = build_world(bundle)
         for record in bundle.setup + records:
             tx = parse_tx(record, plain, bundle)
-            feed(VM(plain.world, TRACE_FULL).execute_transaction(tx))
+            receipt = VM(plain.world, TRACE_FULL).execute_transaction(tx)
+            yield scenario.name, False, receipt, plain.world
         guarded = protect(bundle, train(bundle, scenario.training))
         deployed = deploy_guarded(guarded)
         config = bundle.config
@@ -447,13 +435,67 @@ def _vm_digest() -> str:
         for record in records:
             tx = parse_tx(record, deployed, bundle)
             vm = VM(deployed.world, TRACE_CHECKS, check_log, gas_probe=probe)
-            feed(vm.execute_transaction(tx))
+            yield scenario.name, True, vm.execute_transaction(tx), deployed.world
+
+
+def _vm_digest() -> str:
+    """sha256 over every receipt, trace event and probe charge of the corpus
+    run by ``_vm_runs``. Any change to the interpreter's observable behaviour
+    moves it."""
+    h = hashlib.sha256()
+
+    def probe(code, fid, off, amount):
+        h.update(repr((code, fid, off, amount)).encode())
+
+    current = None
+    for name, _protected, receipt, _world in _vm_runs(probe):
+        if name != current:
+            current = name
+            h.update(name.encode())
+        h.update(
+            repr((receipt.status, receipt.gas_used, receipt.return_data, receipt.alarms)).encode()
+        )
+        for ev in receipt.trace:
+            h.update(repr((ev.kind, ev.contract, ev.fn, ev.offset, ev.detail)).encode())
     return h.hexdigest()
+
+
+def _vm_records():
+    """Per-tx records of the ``_vm_runs`` corpus that do not depend on code
+    layout: status, gas, return data, alarms (the receipt's and those of
+    inner guard reverts), the PathChecked (contract, fn, combined) sequence
+    and a digest of every account's storage after the tx. Two builds can be
+    compared record by record when emitted code changes."""
+    count: dict[tuple[str, bool], int] = {}
+    for name, protected, receipt, world in _vm_runs():
+        index = count[(name, protected)] = count.get((name, protected), -1) + 1
+        alarms = [dataclasses.astuple(a) for a in receipt.alarms]
+        for ev in receipt.trace:
+            if ev.kind == "Revert" and ev.get("guard"):
+                alarms += [dataclasses.astuple(a) for a in ev.get("alarms", [])]
+        storage = {
+            hex(addr): sorted(acct.storage.items()) for addr, acct in world.accounts.items()
+        }
+        yield {
+            "scenario": name,
+            "protected": protected,
+            "index": index,
+            "status": receipt.status,
+            "gas_used": receipt.gas_used,
+            "return_data": receipt.return_data,
+            "alarms": alarms,
+            "checked": [
+                (ev.contract, ev.fn, ev.get("combined"))
+                for ev in receipt.trace
+                if ev.kind == "PathChecked"
+            ],
+            "storage": hashlib.sha256(repr(sorted(storage.items())).encode()).hexdigest(),
+        }
 
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "9697874dc4210e2a941379458816d2782d2c84383c1c81eb39e5cd235dfe06e1"
+        "c630d71932a7a8a8809018a07f9e7048a9c6de22a96d7eff7d9907959bdb26cc"
     )
 
 
@@ -560,3 +602,17 @@ def test_failed_inner_delegatecall_gas_counts_toward_outer():
     # lib: CALLER, PUSH, SSTORE set (rolled back), PUSH, REVERT
     lib_gas = 6 + 20000 + 6
     assert r.gas_used == host_gas + lib_gas
+
+
+if __name__ == "__main__":
+    # Dump the corpus records as JSON lines, to compare two builds:
+    #   PYTHONPATH=src python tests/test_vm.py --records FILE
+    import argparse
+    import json
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--records", required=True, help="output file (JSON lines)")
+    out = parser.parse_args().records
+    with open(out, "w") as fh:
+        for rec in _vm_records():
+            fh.write(json.dumps(rec) + "\n")

@@ -178,9 +178,16 @@ def test_config_round_trips_through_json():
         ({"reserved": {"call_marker": "0xzz"}}, "reserved.call_marker: not a word"),
         ({"admin": "ad"}, "admin: not a word"),
         ({"word_width": 12}, "word_width: unsupported width 12"),
+        ([64], "config: not a JSON object"),
+        ({"gas": 5}, "gas: not a JSON object"),
+        ({"reserved": [1]}, "reserved: not a JSON object"),
+        ({"gas": {"sload": 2.5}}, "gas.sload: not a word"),
+        ({"word_width": 64.0}, "word_width: not a word"),
+        ({"reserved": {"alarm_buffer_cap": True}}, "reserved.alarm_buffer_cap: not a word"),
     ],
     ids=["top-key", "gas-key", "gas-word", "lambda-word", "reserved-key", "reserved-word",
-         "admin-word", "width"],
+         "admin-word", "width", "top-object", "gas-object", "reserved-object", "float-word",
+         "float-width", "bool-word"],
 )
 def test_config_errors_name_section_and_key(raw, message):
     from pathguard.config import ConfigError, config_from_json
@@ -234,3 +241,51 @@ def test_make_snapshot_falls_back_to_list_when_mpht_construction_fails(monkeypat
 def test_make_snapshot_propagates_unexpected_errors(monkeypatch):
     with pytest.raises(RuntimeError):
         _mpht_snapshot(monkeypatch, RuntimeError("bug"))
+
+
+def _thief_reentering_with(calldata: list[int]) -> str:
+    """The reentrancy fixture's thief, its fallback re-entering ``withdraw``
+    with ``calldata`` instead of none."""
+    from pathguard.fixtures import THIEF_SRC
+
+    head, fallback = THIEF_SRC.split("fn fallback")
+    pushes = "".join(f"    PUSH {word:#x}\n" for word in reversed(calldata))
+    call = "    PUSH 0\n    PUSH 0x12\n"
+    assert call in fallback
+    return head + "fn fallback" + fallback.replace(
+        call, f"{pushes}    PUSH {len(calldata)}\n    PUSH 0x12\n", 1
+    )
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="the prologue trusts any caller whose calldata starts with "
+                "the call marker, so a forged marker entry is never reentrant",
+            ),
+        ),
+    ],
+    ids=["plain", "forged-marker"],
+)
+def test_reentry_through_unprotected_contract_alarms(forged):
+    """The thief's reentry into the vault alarms and the vault keeps its
+    funds, also when the thief prefixes its calldata with the call marker."""
+    raw = json.loads(json.dumps(REENTRANCY.bundle_json))
+    marker = Bundle.from_json(raw).config.guard.call_marker
+    if forged:
+        raw["contracts"][1]["source"] = _thief_reentering_with([marker, 0, 0])
+    bundle = Bundle.from_json(raw)
+    guarded = protect(bundle, train(bundle, REENTRANCY.training))
+    run = start_detection(guarded, mirror=False)
+    assert not run_transaction(run, REENTRANCY.training[0]).alarms  # a user deposit
+    world, vault = run.deployed.world, run.deployed.addresses["vault"]
+    before = world.accounts[vault].balance
+    outcome = run_transaction(run, REENTRANCY.attack[-1])
+    assert outcome.alarms
+    assert world.accounts[vault].balance >= before
