@@ -6,7 +6,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph, K_ENTRY, acyclicize_callgraph, build_call_graph
+from .callgraph import (
+    CallGraph,
+    K_ENTRY,
+    K_SURROGATE,
+    Node,
+    acyclicize_callgraph,
+    build_call_graph,
+)
 from .ccp import CcLabeling, label_ccp
 from .cfg import Cfg, Edge, acyclicize, build_cfg, insert_virtual_branches
 from .config import Config, DEFAULT_CONFIG
@@ -29,6 +36,10 @@ class BundleAnalysis:
     callgraph: CallGraph | None = None
     ccp: CcLabeling | None = None
     site_gid: dict[Site, int] = field(default_factory=dict)
+    # (site, callee node) -> (call edge value, via surrogate), every sited edge
+    site_val: dict[tuple[Site, Node], tuple[int, bool]] = field(default_factory=dict)
+    # function node -> value of its program-entry edge
+    entry_vals: dict[Node, int] = field(default_factory=dict)
 
     def num_paths(self, contract: str, fid: int) -> int:
         return self.epp[(contract, fid)].total_paths
@@ -40,10 +51,13 @@ class BundleAnalysis:
         return self.num_paths(contract, fid) * self.num_ccs(contract, fid)
 
     def entry_sval(self, contract: str, fid: int) -> int:
-        for e in self.callgraph.in_edges((contract, fid)):
-            if e.kind == K_ENTRY:
-                return self.ccp.call_val[e.ceid]
-        raise KeyError(f"{contract}.{fid} has no entry edge")
+        """Value of the function's program-entry edge; KeyError if it has none."""
+        return self.entry_vals[(contract, fid)]
+
+    def site_protected(self, contract: str, fid: int, off: int) -> bool:
+        """Whether the external call at this site targets a protected contract."""
+        info = self.programs[contract].callsites.get((fid, off))
+        return info is not None and info.target in self.boundary
 
     def fingerprint(self) -> str:
         data = {
@@ -79,6 +93,12 @@ def analyze_bundle(
     cg = acyclicize_callgraph(build_call_graph(programs, boundary))
     ba.callgraph = cg
     ba.ccp = label_ccp(cg, config.width)
+    for e in cg.edges:
+        val = ba.ccp.call_val[e.ceid]
+        if e.site:
+            ba.site_val[(e.site, e.callee)] = (val, e.kind == K_SURROGATE)
+        elif e.kind == K_ENTRY:
+            ba.entry_vals[e.callee] = val
     # dense callsite ids for annotated protected external callsites
     sites = sorted(
         {

@@ -51,12 +51,6 @@ class CallGraph:
     def in_edges(self, node: Node) -> list[CallEdge]:
         return [e for e in self.edges if e.callee == node]
 
-    def edge_at_site(self, site: tuple, callee: Node) -> CallEdge | None:
-        for e in self.edges:
-            if e.site == site and e.callee == callee and e.kind != K_SURROGATE:
-                return e
-        return None
-
     def topo_order(self) -> list[Node]:
         return dag.topo_order([S, *self.nodes], self.out_edges, _callee, lambda n: n, "call graph")
 
@@ -75,10 +69,6 @@ class CallGraph:
             ],
             "warnings": self.warnings,
         }
-
-
-class AmbiguousCallTarget(Warning):
-    pass
 
 
 def build_call_graph(

@@ -9,6 +9,7 @@ wraparound and failed-call outcomes become path-distinguishing edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter
 
 from . import dag
@@ -74,25 +75,28 @@ class Cfg:
         b = self.blocks[bid]
         return (b.start, bid)
 
-    def out_edges(self, bid: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == bid]
-
-    def in_edges(self, bid: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == bid]
-
     def successors(self) -> dict[int, list[Edge]]:
-        """Out-edges of every vertex in ``edges`` order, built in one pass.
+        """Out-edges of every vertex in ``edges`` order (eid order), built in
+        one pass.
 
         A snapshot: later edge changes do not reach it, so build it only
-        from a finished graph.
+        once the edges it must see are in place.
         """
         succ: dict[int, list[Edge]] = {v: [] for v in self.vertices()}
         for e in self.edges:
             succ[e.src].append(e)
         return succ
 
-    def succ_sorted(self, bid: int) -> list[Edge]:
-        return sorted(self.out_edges(bid), key=lambda e: (self.block_sort_key(e.dst), e.eid))
+    def block_at(self, start: int) -> int:
+        """Id of the nonempty block starting at offset ``start``.
+
+        Indexed on first use, so call it only on a finished graph.
+        """
+        return self._block_starts[start]
+
+    @cached_property
+    def _block_starts(self) -> dict[int, int]:
+        return {b.start: bid for bid, b in self.blocks.items() if not b.empty}
 
     def new_block(self, start: int, end: int) -> Block:
         b = Block(self._next_bid, start, end)
@@ -113,7 +117,7 @@ class Cfg:
         """Deterministic topological order; raises ValueError on a cycle."""
         return dag.topo_order(
             self.vertices(),
-            lambda v: sorted(self.out_edges(v), key=lambda e: e.eid),
+            self.successors().__getitem__,
             _dst,
             self.block_sort_key,
             f"{self.fn_name}: graph",
@@ -186,7 +190,7 @@ def build_cfg(fn: FunctionDef) -> Cfg:
 
 
 def _prune_unreachable(cfg: Cfg) -> None:
-    seen = dag.reachable(ENTRY, cfg.out_edges, _dst)
+    seen = dag.reachable(ENTRY, cfg.successors().__getitem__, _dst)
     dead = [b for b in cfg.blocks if b not in seen]
     if dead:
         cfg.warnings.append(f"{cfg.fn_name}: unreachable blocks pruned: {sorted(dead)}")
@@ -197,7 +201,10 @@ def _prune_unreachable(cfg: Cfg) -> None:
 
 def find_backedges(cfg: Cfg) -> list[Edge]:
     """DFS backedges; successors visited in ascending block-offset order."""
-    return dag.backedges(ENTRY, cfg.succ_sorted, _dst)
+    succ = cfg.successors()
+    for outs in succ.values():
+        outs.sort(key=lambda e: (cfg.block_sort_key(e.dst), e.eid))
+    return dag.backedges(ENTRY, succ.__getitem__, _dst)
 
 
 def acyclicize(cfg: Cfg, backedges: list[Edge] | None = None) -> Cfg:
@@ -219,11 +226,12 @@ def acyclicize(cfg: Cfg, backedges: list[Edge] | None = None) -> Cfg:
         by_source.setdefault(e.src, []).append((e.src, e.dst))
     # Surrogates are deduplicated, including against the existing real
     # ENTRY edge when the loop header is the entry block.
+    pairs = {(e.src, e.dst) for e in cfg.edges}
     for header in sorted(by_header, key=cfg.block_sort_key):
-        if not any(e.src == ENTRY and e.dst == header for e in cfg.edges):
+        if (ENTRY, header) not in pairs:
             cfg.add_edge(ENTRY, header, SURROGATE_ENTRY, ("surrogate", tuple(by_header[header])))
     for source in sorted(by_source, key=cfg.block_sort_key):
-        if not any(e.src == source and e.dst == EXIT for e in cfg.edges):
+        if (source, EXIT) not in pairs:
             cfg.add_edge(source, EXIT, SURROGATE_EXIT, ("surrogate", tuple(by_source[source])))
     cfg.topo_order()  # raises if the removal missed a cycle
     return cfg
@@ -243,16 +251,16 @@ def _dominators(cfg: Cfg) -> dict[int, set[int]]:
     verts = cfg.vertices()
     dom = {v: set(verts) for v in verts}
     dom[ENTRY] = {ENTRY}
+    preds: dict[int, list[int]] = {v: [] for v in verts}
+    for e in cfg.edges:
+        preds[e.dst].append(e.src)
     changed = True
     while changed:
         changed = False
         for v in verts:
-            if v == ENTRY:
+            if v == ENTRY or not preds[v]:
                 continue
-            preds = [e.src for e in cfg.in_edges(v)]
-            if not preds:
-                continue
-            new = set.intersection(*(dom[p] for p in preds)) | {v}
+            new = set.intersection(*(dom[p] for p in preds[v])) | {v}
             if new != dom[v]:
                 dom[v] = new
                 changed = True

@@ -226,20 +226,7 @@ def _cmd_approve(args) -> int:
     _restore_world(run.deployed, json.loads(Path(args.world).read_text()), guarded)
     for line in Path(args.alarm_log).read_text().splitlines():
         if line.strip():
-            raw = json.loads(line)
-            run.alarm_log.append(
-                workflow.AlarmRecord(
-                    tx_index=raw["tx_index"],
-                    contract=int(raw["contract"], 16),
-                    function=raw["function"],
-                    ctx_id=raw["ctx_id"],
-                    epp_id=raw["epp_id"],
-                    combined_id=int(raw["combined_id"], 16),
-                    context_chain=raw["context_chain"],
-                    path_blocks=raw["path_blocks"],
-                    inner=raw.get("inner", False),
-                )
-            )
+            run.alarm_log.append(workflow.AlarmRecord.from_json(json.loads(line)))
     admin = int(args.admin, 16) if args.admin.lower().startswith("0x") else int(args.admin)
     result = workflow.review_and_approve(run, args.index, admin)
     print(f"approved {result['approved']} paths ({result.get('gas', 0)} gas)")

@@ -38,19 +38,18 @@ class EppLabeling:
         ]
 
 
-def minimize_nonzero(cfg: Cfg, num_paths: dict[int, int], v: int) -> list[Edge]:
-    """Out-edges of v in value order: descending NumPaths(dst), ties by offset."""
-    outs = cfg.out_edges(v)
-    outs.sort(key=lambda e: (-num_paths[e.dst], cfg.block_sort_key(e.dst), e.eid))
-    return outs
+def minimize_nonzero(cfg: Cfg, num_paths: dict[int, int], outs: list[Edge]) -> list[Edge]:
+    """One vertex's out-edges in value order: descending NumPaths(dst), ties by offset."""
+    return sorted(outs, key=lambda e: (-num_paths[e.dst], cfg.block_sort_key(e.dst), e.eid))
 
 
 def label_epp(cfg: Cfg, width: int = 64) -> EppLabeling:
     """Label the acyclic CFG; raises IndexSpaceOverflow past 2**(width-1) paths."""
     dst = {e.eid: e.dst for e in cfg.edges}
+    succ = cfg.successors()
 
     def ranked(v: int, num_paths: dict[int, int]) -> list[int]:
-        outs = minimize_nonzero(cfg, num_paths, v)
+        outs = minimize_nonzero(cfg, num_paths, succ[v])
         if not outs:
             raise ValueError(f"{cfg.fn_name}: vertex {v} cannot reach EXIT")
         return [e.eid for e in outs]
@@ -109,12 +108,13 @@ def index_to_path(cfg: Cfg, lab: EppLabeling, index: int) -> list[Edge]:
 def enumerate_paths(cfg: Cfg) -> list[list[Edge]]:
     """All ENTRY->EXIT paths by exhaustive DFS; the independent test oracle."""
     paths: list[list[Edge]] = []
+    succ = cfg.successors()
 
     def walk(v: int, acc: list[Edge]) -> None:
         if v == EXIT:
             paths.append(list(acc))
             return
-        for e in sorted(cfg.out_edges(v), key=lambda e: e.eid):
+        for e in succ[v]:
             acc.append(e)
             walk(e.dst, acc)
             acc.pop()

@@ -420,7 +420,6 @@ def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
 
 
 def seq_prologue(
-    fid: int,
     num_ccs: int,
     sval: int,
     entry_epp: int,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis
-from .callgraph import K_EXTERNAL, K_SURROGATE
 from .cfg import VIRTUAL_TRUE
 from .config import Config, MAX_CODE_BYTES
 from .guardcode import (
@@ -349,7 +348,6 @@ class _Rewriter:
                 before,
                 0,
                 seq_prologue(
-                    fn.id,
                     num_ccs,
                     sval,
                     lab.entry_val,
@@ -420,19 +418,12 @@ class _Rewriter:
             elif tag == "entry":
                 pass  # folded into the entry sequence
 
-        # backedges: close the path, reset, continue to the original target
+        # backedges: close the path, reset, continue to the original target;
+        # each backedge's source block ends at its jump
+        exit_vals = {cfg.blocks[bid].end - 1: val for bid, val in lab.exit_val.items()}
         for jump_off, target_start in cfg.backedges:
-            src_block = next(
-                b for b in cfg.blocks.values() if b.end == jump_off + 1 and not b.empty
-            )
-            exit_val = lab.exit_val.get(src_block.bid, 0)
-            reset = lab.reset_val[
-                next(
-                    b.bid
-                    for b in cfg.blocks.values()
-                    if b.start == target_start and not b.empty
-                )
-            ]
+            exit_val = exit_vals.get(jump_off, 0)
+            reset = lab.reset_val[cfg.block_at(target_start)]
             pid = self.point(
                 POINT_BACKEDGE,
                 (fn.name, jump_off),
@@ -504,7 +495,7 @@ class _Rewriter:
         last_call_protected = False
         for off, instr in enumerate(fn.body):
             if instr.op in EXTERNAL_CALLS:
-                last_call_protected = self._is_protected_site(fn.id, off)
+                last_call_protected = self.analysis.site_protected(self.name, fn.id, off)
             elif instr.op is Op.RETURNDATALOAD and last_call_protected:
                 pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndata")
                 add(before, off, seq_returndata_load_shim(), pid)
@@ -518,54 +509,31 @@ class _Rewriter:
 
     def _site_rows(self, fid: int):
         """(site gid, edge val, via_surrogate) rows for marker entries."""
-        analysis = self.analysis
-        cg = analysis.callgraph
-        rows = []
-        for e in cg.edges:
-            if e.callee != (self.name, fid):
-                continue
-            if e.kind == K_EXTERNAL:
-                rows.append((analysis.site_gid[e.site], analysis.ccp.call_val[e.ceid], False))
-            elif e.kind == K_SURROGATE and e.site:
-                caller_prog = analysis.programs[e.site[0]]
-                if caller_prog.functions[e.site[1]].body[e.site[2]].op in EXTERNAL_CALLS:
-                    rows.append(
-                        (analysis.site_gid[e.site], analysis.ccp.call_val[e.ceid], True)
-                    )
-        return sorted(rows)
-
-    def _is_protected_site(self, fid: int, off: int) -> bool:
-        info = self.prog.callsites.get((fid, off))
-        return info is not None and info.target in self.analysis.boundary
+        site_gid = self.analysis.site_gid
+        return sorted(
+            (site_gid[site], val, surrogate)
+            for (site, callee), (val, surrogate) in self.analysis.site_val.items()
+            if callee == (self.name, fid) and site in site_gid
+        )
 
     def _plan_icall(self, fn, off, before, after, add) -> None:
-        analysis = self.analysis
-        cg = analysis.callgraph
         site = (self.name, fn.id, off)
-        callee = (self.name, fn.body[off].imm)
-        edge = cg.edge_at_site(site, callee)
-        if edge is not None:
-            val = analysis.ccp.call_val[edge.ceid]
+        val, surrogate = self.analysis.site_val[(site, (self.name, fn.body[off].imm))]
+        if not surrogate:
             pid = self.point(POINT_ICALL, (fn.name, off), val=val)
             add(before, off, seq_icall_pre(val, None, self.lay, self.config), pid)
             rid = self.point(POINT_IRETURN, (fn.name, off), val=-val)
             add(after, off, seq_icall_post(val, False, self.lay, self.config), rid)
         else:
-            surr = next(
-                e
-                for e in cg.edges
-                if e.kind == K_SURROGATE and e.site == site and e.callee == callee
-            )
-            vs = analysis.ccp.call_val[surr.ceid]
-            pid = self.point(POINT_ICALL, (fn.name, off), surrogate_val=vs)
-            add(before, off, seq_icall_pre(0, vs, self.lay, self.config), pid)
+            pid = self.point(POINT_ICALL, (fn.name, off), surrogate_val=val)
+            add(before, off, seq_icall_pre(0, val, self.lay, self.config), pid)
             rid = self.point(POINT_IRETURN, (fn.name, off), restore=True)
             add(after, off, seq_icall_post(0, True, self.lay, self.config), rid)
 
     def _plan_external_call(self, fn, off, before, after, add) -> None:
         config = self.config
         lay = self.lay
-        if self._is_protected_site(fn.id, off):
+        if self.analysis.site_protected(self.name, fn.id, off):
             gid = self.analysis.site_gid[(self.name, fn.id, off)]
             pid = self.point(POINT_EXT_PROT, (fn.name, off), site_gid=gid)
             pre = seq_protected_call_pre(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis
-from .callgraph import K_SURROGATE
 from .cfg import Cfg, EXIT, Edge, VIRTUAL_FALSE, VIRTUAL_TRUE
 from .guardcode import (
     SLOT_EMPTY,
@@ -25,7 +24,7 @@ from .guardcode import (
     slot_decode,
     slot_encode,
 )
-from .isa import EXTERNAL_CALLS, Op
+from .isa import Op
 from .vm import Receipt, STATUS_ACCEPTED, TraceEvent
 
 Pair = tuple[int, str, int, int]  # (self address, code name, function id, combined)
@@ -65,21 +64,6 @@ class TraceOracle:
         self.analysis = analysis
         self.config = analysis.config
         self.boundary = analysis.boundary
-        # (code, fid, offset) -> (value, via_surrogate) for internal calls
-        self.icall_edges: dict[tuple[str, int, int], tuple[int, bool]] = {}
-        # (site, callee node) -> (value, via_surrogate) for protected calls
-        self.ext_edges: dict[tuple, tuple[int, bool]] = {}
-        cg = analysis.callgraph
-        for e in cg.edges:
-            if not e.site:
-                continue
-            op = analysis.programs[e.site[0]].functions[e.site[1]].body[e.site[2]].op
-            surrogate = e.kind == K_SURROGATE
-            val = analysis.ccp.call_val[e.ceid]
-            if op in EXTERNAL_CALLS:
-                self.ext_edges[(e.site, e.callee)] = (val, surrogate)
-            else:
-                self.icall_edges[e.site] = (val, surrogate)
 
     # -- public ------------------------------------------------------------
 
@@ -112,12 +96,6 @@ class TraceOracle:
         lab = self.analysis.epp[key]
         succ = self.analysis.succ[key]
         frame.istack.append(_IFrame(fid, cfg, succ, lab, None, lab.entry_val))
-
-    def _block_at(self, cfg: Cfg, start: int) -> int:
-        for b in cfg.blocks.values():
-            if b.start == start and not b.empty:
-                return b.bid
-        raise TraceMismatch(f"{cfg.fn_name}: no block at offset {start}")
 
     def _emit(self, frame: _Frame, iframe: _IFrame, epp: int) -> None:
         num_paths = iframe.lab.total_paths
@@ -165,7 +143,7 @@ class TraceOracle:
         if iframe.vertex is None:
             if ev.offset != 0:
                 raise TraceMismatch("function did not start at offset 0")
-            iframe.vertex = self._block_at(iframe.cfg, 0)
+            iframe.vertex = iframe.cfg.block_at(0)
             return
         cfg, lab = iframe.cfg, iframe.lab
         for e in iframe.succ[iframe.vertex]:
@@ -180,7 +158,7 @@ class TraceOracle:
         if (src_block.end - 1, ev.offset) in cfg.backedges:
             exit_val = lab.exit_val.get(iframe.vertex, 0)
             self._emit(self.frames[-1], iframe, iframe.epp + exit_val)
-            target = self._block_at(cfg, ev.offset)
+            target = cfg.block_at(ev.offset)
             iframe.epp = lab.reset_val[target]
             iframe.vertex = target
             return
@@ -209,14 +187,15 @@ class TraceOracle:
         frame = self._active()
         if frame is None:
             return
+        callee = ev.get("callee")
         site = (frame.code, ev.fn, ev.offset)
-        val, surrogate = self.icall_edges[site]
+        val, surrogate = self.analysis.site_val[(site, (frame.code, callee))]
         if surrogate:
             frame.ctx_saves.append(frame.ctx)
             frame.ctx = val & self.config.mask
         else:
             frame.ctx = (frame.ctx + val) & self.config.mask
-        self._enter_function(frame, ev.get("callee"))
+        self._enter_function(frame, callee)
 
     def _on_CallReturn(self, ev: TraceEvent) -> None:
         frame = self._active()
@@ -233,8 +212,8 @@ class TraceOracle:
         # undo the context delta; the call site is the caller's current
         # vertex terminator (an ICALL instruction)
         caller = frame.istack[-1]
-        icall_off = caller.cfg.blocks[caller.vertex].end - 1
-        val, surrogate = self.icall_edges[(frame.code, caller.fid, icall_off)]
+        site = (frame.code, caller.fid, caller.cfg.blocks[caller.vertex].end - 1)
+        val, surrogate = self.analysis.site_val[(site, (frame.code, iframe.fid))]
         if surrogate:
             frame.ctx = frame.ctx_saves.pop()
         else:
@@ -248,7 +227,7 @@ class TraceOracle:
         target = ev.get("target")
         self_addr = caller.self_addr if kind == "delegatecall" else target
         site = (caller.code, ev.fn, ev.offset) if caller and caller.code else None
-        protected_site = site is not None and self._site_protected(site)
+        protected_site = site is not None and self.analysis.site_protected(*site)
 
         # caller side: persist ctx across calls leaving the boundary
         if caller and caller.code and not caller.aborted and not protected_site:
@@ -262,7 +241,7 @@ class TraceOracle:
         frame = _Frame(self_addr, code)
         num_ccs = self.analysis.num_ccs(code, fid)
         if protected_site and not caller.aborted:
-            edge = self.ext_edges.get((site, (code, fid)))
+            edge = self.analysis.site_val.get((site, (code, fid)))
             if edge is not None:
                 val, surrogate = edge
                 frame.ctx = marker_ctx(caller.ctx, val, surrogate, self.config.width)
@@ -290,8 +269,7 @@ class TraceOracle:
         if caller is None or not caller.code or caller.aborted:
             return
         # restore the persisted slot if this was an unprotected-site call
-        site = (caller.code, ev.fn, ev.offset)
-        if not self._site_protected(site):
+        if not self.analysis.site_protected(caller.code, ev.fn, ev.offset):
             addr, prev = caller.slot_saves.pop()
             self.slots[addr] = prev
         # virtual branch on the success flag
@@ -318,13 +296,6 @@ class TraceOracle:
         if not frame.code or frame.aborted or not frame.istack:
             return None
         return frame
-
-    def _site_protected(self, site: tuple) -> bool:
-        prog = self.analysis.programs.get(site[0])
-        if prog is None:
-            return False
-        info = prog.callsites.get((site[1], site[2]))
-        return info is not None and info.target in self.boundary
 
 
 def trace_oracle(

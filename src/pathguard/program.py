@@ -99,9 +99,6 @@ class ContractProgram:
         )
         return self._byte_size
 
-    def function(self, fid: int) -> FunctionDef:
-        return self.functions[fid]
-
     def function_by_name(self, name: str) -> FunctionDef:
         for f in self.functions:
             if f.name == name:

@@ -331,6 +331,11 @@ class AlarmRecord:
             "inner": self.inner,
         }
 
+    @classmethod
+    def from_json(cls, raw: dict) -> "AlarmRecord":
+        hexed = {k: int(raw[k], 16) for k in ("contract", "combined_id")}
+        return cls(**{**raw, **hexed})
+
 
 @dataclass
 class TxOutcome:
@@ -618,7 +623,7 @@ def overhead_report(run: DetectionRun) -> dict:
             "gas_orig": out.gas_orig,
         }
         if out.gas_orig:
-            pct = (out.gas_instr - out.gas_orig) / out.gas_orig
+            pct = runtime_overhead_pct(out.gas_orig, out.gas_instr)
             entry["runtime_overhead_pct"] = round(100 * pct, 2)
             overheads.append(pct)
         txs.append(entry)

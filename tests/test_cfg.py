@@ -217,9 +217,10 @@ def _simple_cycles(cfg):
     """All simple cycles over real edges, by DFS path enumeration."""
     cycles = []
     blocks = sorted(cfg.blocks, key=cfg.block_sort_key)
+    succ = cfg.successors()
 
     def walk(start, node, path_edges, seen):
-        for e in cfg.out_edges(node):
+        for e in succ[node]:
             if e.dst == start:
                 cycles.append(tuple(path_edges + [e.eid]))
             elif e.dst not in seen and e.dst in cfg.blocks:
@@ -253,4 +254,5 @@ def test_bundle_successor_index_matches_edge_scan(scenario):
     ba = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
     assert ba.succ.keys() == ba.cfgs.keys()
     for key, cfg in ba.cfgs.items():
-        assert ba.succ[key] == {v: cfg.out_edges(v) for v in cfg.vertices()}
+        scan = {v: [e for e in cfg.edges if e.src == v] for v in cfg.vertices()}
+        assert ba.succ[key] == scan

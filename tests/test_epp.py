@@ -84,7 +84,7 @@ def test_minimize_nonzero_ordering_rule():
     lab = label_epp(cfg)
     assert lab.num_paths[heavy] == 3 and lab.num_paths[light] == 1
     vals = {
-        e.dst: lab.edge_val[e.eid] for e in cfg.out_edges(0)
+        e.dst: lab.edge_val[e.eid] for e in cfg.successors()[0]
     }
     assert vals[heavy] == 0 and vals[light] == 3
 
@@ -99,7 +99,7 @@ def test_equal_successors_tie_by_offset():
     cfg.add_edge(1, EXIT, REAL, ("term", 1))
     cfg.add_edge(2, EXIT, REAL, ("term", 2))
     lab = label_epp(cfg)
-    vals = {e.dst: lab.edge_val[e.eid] for e in cfg.out_edges(0)}
+    vals = {e.dst: lab.edge_val[e.eid] for e in cfg.successors()[0]}
     assert vals[1] == 0 and vals[2] == 1  # lower offset wins the zero
 
 
@@ -157,9 +157,10 @@ def random_dag(rng: random.Random, max_vertices: int = 12) -> Cfg:
     # make every vertex reachable: pull orphans from ENTRY
     reached = set()
     work = [ENTRY]
+    succ = cfg.successors()
     while work:
         v = work.pop()
-        for e in cfg.out_edges(v):
+        for e in succ[v]:
             if e.dst not in (EXIT,) and e.dst not in reached:
                 reached.add(e.dst)
                 work.append(e.dst)
@@ -185,10 +186,11 @@ def test_zero_edge_counts_on_reference_dag(loopy):
     most edges minus vertices with successors."""
     cfg = acyclicize(build_cfg(loopy.functions[0]))
     lab = label_epp(cfg)
-    branching = [v for v in [ENTRY, *cfg.blocks] if len(cfg.out_edges(v)) >= 1]
+    succ = cfg.successors()
+    branching = [v for v in [ENTRY, *cfg.blocks] if len(succ[v]) >= 1]
     zero_edges = [e for e in cfg.edges if lab.edge_val[e.eid] == 0]
     nonzero_edges = [e for e in cfg.edges if lab.edge_val[e.eid] != 0]
-    assert len(zero_edges) >= len([v for v in branching if len(cfg.out_edges(v)) >= 2])
+    assert len(zero_edges) >= len([v for v in branching if len(succ[v]) >= 2])
     assert len(nonzero_edges) <= len(cfg.edges) - len(branching)
 
 

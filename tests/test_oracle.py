@@ -4,7 +4,9 @@ import pytest
 
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
+from pathguard.callgraph import K_ENTRY, K_SURROGATE
 from pathguard.config import Config
+from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.guardcode import Layout
 from pathguard.instrument import instrument_contract
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
@@ -162,6 +164,121 @@ def test_cross_contract_marker_protocol_matches():
     assert checked_pairs_from_receipt(instrumented) == oracle
     # beta's context is alpha's plus the callsite edge value
     assert {p[1] for p in oracle} == {"alpha", "beta"}
+
+
+PINGPONG_SRC = """
+contract {name} {{
+  fn {fn} external selector={sel} {{
+    PUSH 0
+    CALLDATALOAD
+    ISZERO
+    JUMPI done
+    PUSH 1
+    CALLDATALOAD
+    PUSH 0
+    CALLDATALOAD
+    PUSH 1
+    SUB
+    PUSH 2
+    PUSH {peer_sel}
+    PUSH 0
+    {peer_addr}
+    CALL target={peer} fn={peer_fn}
+    POP
+  done: JUMPDEST
+    STOP
+  }}
+}}
+"""
+
+
+def _pingpong():
+    """alpha.ping([depth, beta]) CALLs beta.pong([depth - 1, beta]), which
+    CALLs its caller back, until depth reaches 0."""
+    alpha = PINGPONG_SRC.format(
+        name="alpha", fn="ping", sel="0x77", peer="beta", peer_fn="pong",
+        peer_sel="0x78", peer_addr="PUSH 1\n    CALLDATALOAD",
+    )
+    beta = PINGPONG_SRC.format(
+        name="beta", fn="pong", sel="0x78", peer="alpha", peer_fn="ping",
+        peer_sel="0x77", peer_addr="CALLER",
+    )
+    return {"alpha": assemble(alpha), "beta": assemble(beta)}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_cross_contract_recursion_matches(depth):
+    """The call cycle alpha -> beta -> alpha is cut by a surrogate, so the
+    inner alpha frames enter through a via-surrogate marker row."""
+    programs = _pingpong()
+    analysis = analyze_bundle(programs, set(programs), CONFIG)
+    rows = [
+        surrogate
+        for (site, _callee), (_val, surrogate) in analysis.site_val.items()
+        if site in analysis.site_gid
+    ]
+    assert sorted(rows) == [False, True]
+
+    def run(progs, trace_mode):
+        world = WorldState(CONFIG)
+        addr_a = deploy(world, progs["alpha"], 0xD0)
+        addr_b = deploy(world, progs["beta"], 0xD0)
+        vm = VM(world, trace_mode, Layout(CONFIG.width).check_log)
+        return vm.execute_transaction(Transaction(1, addr_a, 0x77, [depth, addr_b]))
+
+    original = run(programs, TRACE_FULL)
+    assert original.status == "Accepted"
+    oracle = trace_oracle(original.trace, analysis, original.status)
+    guarded = {
+        name: instrument_contract(name, analysis, {0: set()}, CONFIG).program
+        for name in programs
+    }
+    instrumented = run(guarded, TRACE_CHECKS)
+    assert checked_pairs_from_receipt(instrumented) == oracle
+    assert [p[1] for p in oracle] == (["beta", "alpha"] * 2)[-(depth + 1):]
+    if depth == 3:
+        assert [(p[1], p[3]) for p in oracle] == [
+            ("beta", 14), ("alpha", 5), ("beta", 5), ("alpha", 0)
+        ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: (_pingpong(), None), id="pingpong"),
+        pytest.param(lambda: ({"rec": assemble(RECURSIVE_SRC)}, None), id="recursive"),
+        *(
+            pytest.param(lambda s=s: (s.bundle().programs, s.bundle().boundary), id=s.name)
+            for s in ALL_SCENARIOS
+        ),
+    ],
+)
+def test_analysis_indexes_match_edge_scan(make):
+    """The call-site, entry-value and block-start indexes equal brute-force
+    scans of the finished graphs."""
+    programs, boundary = make()
+    analysis = analyze_bundle(programs, boundary, CONFIG)
+    cg, ccp = analysis.callgraph, analysis.ccp
+    assert analysis.site_val == {
+        (e.site, e.callee): (ccp.call_val[e.ceid], e.kind == K_SURROGATE)
+        for e in cg.edges
+        if e.site
+    }
+    for name, fid in cg.nodes:
+        entry = [e for e in cg.edges if e.callee == (name, fid) and e.kind == K_ENTRY]
+        if entry:
+            assert analysis.entry_sval(name, fid) == ccp.call_val[entry[0].ceid]
+        else:
+            with pytest.raises(KeyError):
+                analysis.entry_sval(name, fid)
+    for cfg in analysis.cfgs.values():
+        for b in cfg.blocks.values():
+            scan = [c.bid for c in cfg.blocks.values() if c.start == b.start and not c.empty]
+            if scan:
+                assert cfg.block_at(b.start) == scan[0]
+            else:
+                with pytest.raises(KeyError):
+                    cfg.block_at(b.start)
 
 
 def test_reverting_exit_emits_no_check():

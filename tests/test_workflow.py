@@ -7,6 +7,7 @@ import pytest
 
 from pathguard.fixtures import DELEGATECALL, REENTRANCY, VISIBILITY, by_name
 from pathguard.workflow import (
+    AlarmRecord,
     Bundle,
     FingerprintMismatch,
     NotAdmin,
@@ -93,6 +94,18 @@ def test_alarm_approve_then_replay_accepts(visibility_setup):
     # idempotent: nothing left to append
     again = review_and_approve(run, outcome.index, bundle.config.admin)
     assert again["approved"] == 0 and again["gas"] == 0
+
+
+@pytest.mark.parametrize("scenario", [REENTRANCY, VISIBILITY], ids=lambda s: s.name)
+def test_alarm_record_round_trips_through_json(scenario):
+    """Every alarm of a detection run, the reentrancy fixture's inner one
+    included, survives the alarm-log JSON that ``pathguard approve`` reads."""
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    alarms = run_detection(guarded, scenario.attack, mirror=False).alarm_log
+    assert alarms and any(a.inner for a in alarms) == (scenario is REENTRANCY)
+    for a in alarms:
+        assert AlarmRecord.from_json(json.loads(json.dumps(a.to_json()))) == a
 
 
 def test_not_admin_rejected(visibility_setup):
