@@ -27,6 +27,8 @@ class GasSchedule:
 
     ``sstore_set`` applies to a zero slot receiving a nonzero value,
     ``sstore_update`` to every other store. There are no refunds.
+    Transient storage (``tload``, ``tstore``) has flat prices, as in
+    EIP-1153.
     """
 
     base_op: int = 3
@@ -34,6 +36,8 @@ class GasSchedule:
     sload: int = 200
     sstore_set: int = 20000
     sstore_update: int = 5000
+    tload: int = 100
+    tstore: int = 100
     call_base: int = 700
     code_deposit_per_byte: int = 200
     memory_op: int = 3
@@ -62,8 +66,6 @@ class GuardParams:
     mapping_tag: int = 0x5AFE_5E75_5AFE_5E75
     # Salt for the per-function slice of the mapping slot space.
     mapping_salt: int = 0x00F5_EED0_00F5_EED0
-    # Storage slot that persists ctx across calls to unprotected contracts.
-    ctx_slot_offset: int = 1  # slot index counted down from 2**W - 1
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,6 @@ class Config:
     @property
     def mask(self) -> int:
         return (1 << self.width) - 1
-
-    @property
-    def ctx_storage_slot(self) -> int:
-        return self.mask - self.guard.ctx_slot_offset + 1
 
     @property
     def slot_poison(self) -> int:

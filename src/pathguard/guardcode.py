@@ -41,19 +41,12 @@ MODE_BOUNDARY = 0
 MODE_MARKER = 1
 MODE_REENTRANT = 2
 
-# Ctx-slot content when no unprotected call is in flight (kept nonzero so
-# both slot writes around a call are updates, not fresh sets).
-SLOT_EMPTY = 1
-
-
-def relay_cnt_slot(config: Config) -> int:
-    """Storage slot counting alarm entries relayed by flagged inner frames."""
-    return config.mask - 1
-
-
-def relay_entry_slot(config: Config, word: int) -> int:
-    """Slot of one word of relayed alarm entry 0; entry j sits 3j slots lower."""
-    return config.mask - 2 - word
+# Transient slots (EIP-1153). Transient storage belongs to the guard alone
+# and is empty at the start of every transaction, so the ctx slot reads 0
+# while no unprotected call is in flight.
+CTX_SLOT = 0  # encoded ctx of a frame whose call left the boundary
+RELAY_CNT_SLOT = 1  # alarm entries relayed by flagged inner frames
+RELAY_ENTRY_SLOT = 2  # word w of relayed entry j sits at RELAY_ENTRY_SLOT + 3j + w
 
 
 @dataclass(frozen=True)
@@ -151,12 +144,12 @@ class Layout:
 
 
 def slot_encode(ctx: int, width: int) -> int:
-    """Ctx-slot content while an unprotected call is in flight."""
-    return (ctx + 2) & ((1 << width) - 1)
+    """Ctx-slot content while an unprotected call is in flight (nonzero)."""
+    return (ctx + 1) & ((1 << width) - 1)
 
 
 def slot_decode(stored: int, width: int) -> int:
-    return (stored - 2) & ((1 << width) - 1)
+    return (stored - 1) & ((1 << width) - 1)
 
 
 def band_direct(sval: int) -> int:
@@ -424,7 +417,6 @@ def seq_prologue(
     sval: int,
     entry_epp: int,
     site_rows: list[tuple[int, int, bool]],
-    ctx_slot: int,
     marker: int,
     config: Config,
 ) -> Asm:
@@ -437,7 +429,7 @@ def seq_prologue(
     lay = Layout(width)
     a = Asm()
     l_mark = Asm.fresh("mark")
-    l_fresh = Asm.fresh("fresh")
+    l_reentrant = Asm.fresh("reentrant")
     l_direct = Asm.fresh("direct")
     l_done = Asm.fresh("entry_done")
 
@@ -445,17 +437,10 @@ def seq_prologue(
     a.push(0).emit(Op.CALLDATALOAD).push(marker & config.mask).emit(Op.EQ)
     a.emit(Op.AND)
     a.jumpi(l_mark)
-    # markerless: inspect the persisted ctx slot
-    a.push(ctx_slot).emit(Op.SLOAD)
-    a.emit(Op.DUP, 1).push(SLOT_EMPTY).emit(Op.EQ)
-    a.jumpi(l_fresh)
-    # reentrant: ctx = (slot - 2) + 2 * NumCCs
-    a.push(2).emit(Op.SUB)
-    a.push((2 * num_ccs) & config.mask).emit(Op.ADD)
-    a.mstore(lay.ctx)
-    a.mstore_const(lay.mode, MODE_REENTRANT)
-    a.jump(l_done)
-    a.mark(l_fresh)
+    # markerless: a set ctx slot means reentry through an unprotected call
+    a.push(CTX_SLOT).emit(Op.TLOAD)
+    a.emit(Op.DUP, 1)
+    a.jumpi(l_reentrant)
     a.emit(Op.POP)
     a.emit(Op.CALLER).emit(Op.ORIGIN).emit(Op.EQ)
     a.jumpi(l_direct)
@@ -464,6 +449,12 @@ def seq_prologue(
     a.mark(l_direct)
     if band_direct(sval):
         a.mstore_const(lay.ctx, band_direct(sval) & config.mask)
+    a.jump(l_done)
+    a.mark(l_reentrant)
+    # ctx = (slot - 1) + 2 * NumCCs, in one addition
+    a.push((2 * num_ccs - 1) & config.mask).emit(Op.ADD)
+    a.mstore(lay.ctx)
+    a.mstore_const(lay.mode, MODE_REENTRANT)
     a.jump(l_done)
     a.mark(l_mark)
     # marker entry: ctx = base + val(site -> this fn); surrogate rows replace
@@ -541,7 +532,7 @@ def seq_flagged_exit(code_id: int, lay: Layout, config: Config) -> Asm:
 
     Boundary entries guard-revert (``_guard_revert``). Marker and reentrant
     entries hand their local alarm entries to the boundary frame through the
-    storage relay (``_relay``); a marker entry then returns with the
+    transient relay (``_relay``); a marker entry then returns with the
     [1, MARKER] prefix, a reentrant one poisons the ctx slot so the outer
     frame of the same contract reverts the whole transaction, and returns.
     Its RETURNs stand in for the original exit, like the stub's.
@@ -557,7 +548,7 @@ def seq_flagged_exit(code_id: int, lay: Layout, config: Config) -> Asm:
     a.extend(_relay(lay, config))
     a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
     a.jumpi(l_marker)
-    a.push(config.slot_poison).push(config.ctx_storage_slot).emit(Op.SSTORE)
+    a.push(config.slot_poison).push(CTX_SLOT).emit(Op.TSTORE)
     a.emit(Op.RETURN)
     a.mark(l_marker)
     return a.extend(_marker_return(1, config))
@@ -572,14 +563,13 @@ def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
     """
     a = Asm()
     guard_marker = config.guard.guard_marker & config.mask
-    rcnt = relay_cnt_slot(config)
     loop = Asm.fresh("rev")
     done = Asm.fresh("revdone")
     rloop = Asm.fresh("rrev")
     rdone = Asm.fresh("rrevdone")
     have = Asm.fresh("have")
     a.mload(lay.acnt)
-    a.push(rcnt).emit(Op.SLOAD)
+    a.push(RELAY_CNT_SLOT).emit(Op.TLOAD)
     a.emit(Op.OR)
     a.jumpi(have)
     a.push((1 << config.width) - 1).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
@@ -603,16 +593,16 @@ def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
     a.emit(Op.ADDRESS)  # [combined, fid, code id, addr]
     a.jump(loop)
     a.mark(done)
-    a.push(rcnt).emit(Op.SLOAD).mstore(lay.tmp_y)  # relayed count
+    a.push(RELAY_CNT_SLOT).emit(Op.TLOAD).mstore(lay.tmp_y)  # relayed count
     a.mload(lay.tmp_y).mstore(lay.tmp_x)
     a.mark(rloop)
     a.mload(lay.tmp_x).emit(Op.ISZERO)
     a.jumpi(rdone)
     a.mload(lay.tmp_x).push(1).emit(Op.SUB).mstore(lay.tmp_x)
     for word in (2, 1, 0):  # combined, fid, code id
-        a.push(relay_entry_slot(config, word))
+        a.push(RELAY_ENTRY_SLOT + word)
         a.mload(lay.tmp_x).push(3).emit(Op.MUL)
-        a.emit(Op.SUB).emit(Op.SLOAD)
+        a.emit(Op.ADD).emit(Op.TLOAD)
     a.emit(Op.ADDRESS)
     a.jump(rloop)
     a.mark(rdone)
@@ -625,12 +615,12 @@ def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
 
 
 def _relay(lay: Layout, config: Config) -> Asm:
-    """Copy local alarm entries into the storage relay, up to the cap."""
+    """Copy local alarm entries into the transient relay, up to the cap."""
     a = Asm()
     rel = Asm.fresh("rel")
     reldone = Asm.fresh("reldone")
     a.push(0).mstore(lay.tmp_x)  # i: local index
-    a.push(relay_cnt_slot(config)).emit(Op.SLOAD).mstore(lay.tmp_y)  # j: relay index
+    a.push(RELAY_CNT_SLOT).emit(Op.TLOAD).mstore(lay.tmp_y)  # j: relay index
     a.mark(rel)
     a.mload(lay.tmp_x).mload(lay.acnt).emit(Op.LT).emit(Op.ISZERO)
     a.jumpi(reldone)
@@ -641,16 +631,16 @@ def _relay(lay: Layout, config: Config) -> Asm:
         a.push(word)
         a.mload(lay.tmp_x).push(3).emit(Op.MUL).emit(Op.ADD)
         a.push(lay.abuf).emit(Op.ADD).emit(Op.MLOAD)
-        # slot = relay_entry_slot(word) - 3j
-        a.push(relay_entry_slot(config, word))
+        # slot = RELAY_ENTRY_SLOT + 3j + word
+        a.push(RELAY_ENTRY_SLOT + word)
         a.mload(lay.tmp_y).push(3).emit(Op.MUL)
-        a.emit(Op.SUB)
-        a.emit(Op.SSTORE)
+        a.emit(Op.ADD)
+        a.emit(Op.TSTORE)
     a.add_mem(lay.tmp_x, 1)
     a.add_mem(lay.tmp_y, 1)
     a.jump(rel)
     a.mark(reldone)
-    a.mload(lay.tmp_y).push(relay_cnt_slot(config)).emit(Op.SSTORE)
+    a.mload(lay.tmp_y).push(RELAY_CNT_SLOT).emit(Op.TSTORE)
     return a
 
 
@@ -754,24 +744,25 @@ def seq_protected_call_post(marker: int, lay: Layout, config: Config) -> Asm:
     return a
 
 
-def seq_unprotected_call_pre(ctx_slot: int, lay: Layout, config: Config) -> Asm:
-    """Persist ctx (encoded, nonzero) across a call leaving the boundary."""
+def seq_unprotected_call_pre(lay: Layout) -> Asm:
+    """Keep ctx (encoded, nonzero) in the ctx slot across a call leaving the
+    boundary, saving the slot's previous content."""
     a = Asm()
-    a.push(ctx_slot).emit(Op.SLOAD).mstore(lay.tmp_slot)
-    a.mload(lay.ctx).push(2).emit(Op.ADD)
-    a.push(ctx_slot).emit(Op.SSTORE)
+    a.push(CTX_SLOT).emit(Op.TLOAD).mstore(lay.tmp_slot)
+    a.mload(lay.ctx).push(1).emit(Op.ADD)
+    a.push(CTX_SLOT).emit(Op.TSTORE)
     return a
 
 
-def seq_unprotected_call_post(ctx_slot: int, poison: int, lay: Layout) -> Asm:
+def seq_unprotected_call_post(poison: int, lay: Layout) -> Asm:
     """Pick up a poison signal from a reentrant frame, then restore the slot."""
     a = Asm()
     skip = Asm.fresh("nopoison")
-    a.push(ctx_slot).emit(Op.SLOAD).push(poison).emit(Op.EQ).emit(Op.ISZERO)
+    a.push(CTX_SLOT).emit(Op.TLOAD).push(poison).emit(Op.EQ).emit(Op.ISZERO)
     a.jumpi(skip)
     a.mstore_const(lay.flag, 1)
     a.mark(skip)
-    a.mload(lay.tmp_slot).push(ctx_slot).emit(Op.SSTORE)
+    a.mload(lay.tmp_slot).push(CTX_SLOT).emit(Op.TSTORE)
     return a
 
 

@@ -17,8 +17,8 @@ from .cfg import VIRTUAL_TRUE
 from .config import Config, MAX_CODE_BYTES
 from .guardcode import (
     Asm,
+    CTX_SLOT,
     Layout,
-    SLOT_EMPTY,
     SlowPaths,
     admin_calldata,
     checker_pool,
@@ -265,7 +265,6 @@ class _Rewriter:
             data_pool=self.pool,
             blob_bytes=sum(p.blob_bytes for p in self.points),
             callsites=dict(prog.callsites),
-            storage_init={config.ctx_storage_slot: SLOT_EMPTY},
         )
         size = new_prog.compute_byte_size(config.word_bytes)
         return InstrumentedContract(
@@ -297,7 +296,6 @@ class _Rewriter:
 
     def _scan_reserved_collisions(self) -> None:
         lo, hi = self.lay.reserved_range()
-        slot = self.config.ctx_storage_slot
         for fn in self.prog.functions:
             if fn.name.startswith(GUARD_NAME_PREFIXES):
                 raise InstrumentationError(
@@ -305,10 +303,15 @@ class _Rewriter:
                     f"reserved for guard functions {GUARD_NAME_PREFIXES}"
                 )
             for off, instr in enumerate(fn.body):
-                if instr.op is Op.PUSH and (lo <= instr.imm < hi or instr.imm == slot):
+                if instr.op is Op.PUSH and lo <= instr.imm < hi:
                     raise InstrumentationError(
                         f"{self.name}.{fn.name}@{off}: literal {instr.imm:#x} "
                         "collides with reserved guard state"
+                    )
+                if instr.op in (Op.TLOAD, Op.TSTORE):
+                    raise InstrumentationError(
+                        f"{self.name}.{fn.name}@{off}: {instr.op.value} uses transient "
+                        "storage, which is reserved for the guard"
                     )
 
     def _rewrite_function(self, fn: FunctionDef, chk_fid: int):
@@ -352,7 +355,6 @@ class _Rewriter:
                     sval,
                     lab.entry_val,
                     rows,
-                    config.ctx_storage_slot,
                     guard.call_marker,
                     config,
                 ),
@@ -542,14 +544,9 @@ class _Rewriter:
             add(before, off, pre, pid)
             add(after, off, seq_protected_call_post(config.guard.call_marker, lay, config), pid)
         else:
-            pid = self.point(POINT_EXT_UNPROT, (fn.name, off), slot=hex(config.ctx_storage_slot))
-            add(before, off, seq_unprotected_call_pre(config.ctx_storage_slot, lay, config), pid)
-            add(
-                after,
-                off,
-                seq_unprotected_call_post(config.ctx_storage_slot, config.slot_poison, lay),
-                pid,
-            )
+            pid = self.point(POINT_EXT_UNPROT, (fn.name, off), slot=hex(CTX_SLOT))
+            add(before, off, seq_unprotected_call_pre(lay), pid)
+            add(after, off, seq_unprotected_call_post(config.slot_poison, lay), pid)
 
     def _lay_out(self, fn, before, after, replace, stubs):
         """Lay out plan items into the new body; fix all jump targets.

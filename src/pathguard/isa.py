@@ -41,6 +41,7 @@ class Op(Enum):
     MLOAD = "MLOAD"
     MSTORE = "MSTORE"
     SLOAD = "SLOAD"
+    TLOAD = "TLOAD"  # transient storage (EIP-1153): cleared every transaction
     CODELOAD = "CODELOAD"  # read a word from the contract's constant pool
     CALLDATALOAD = "CALLDATALOAD"
     BALANCE = "BALANCE"
@@ -52,6 +53,7 @@ class Op(Enum):
     CALLVALUE = "CALLVALUE"
     RETURNDATASIZE = "RETURNDATASIZE"
     SSTORE = "SSTORE"
+    TSTORE = "TSTORE"
     ICALL = "ICALL"
     IRET = "IRET"
     CALL = "CALL"

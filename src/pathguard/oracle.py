@@ -5,8 +5,9 @@ pairs that instrumented code would check.
 This is the independent reference implementation for the profiling
 equivalence tests and the source of truth during training. It mirrors the
 wrapper's entry classification (marker, direct, foreign, reentrant), the
-ctx-slot persistence around unprotected calls, and the path decomposition at
-backedges; membership outcomes are irrelevant here, only the checked pairs.
+transient ctx slot around unprotected calls (empty at the start of every
+transaction), and the path decomposition at backedges; membership outcomes
+are irrelevant here, only the checked pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from .bundle import BundleAnalysis
 from .cfg import Cfg, EXIT, Edge, VIRTUAL_FALSE, VIRTUAL_TRUE
 from .guardcode import (
-    SLOT_EMPTY,
     band_direct,
     band_foreign,
     band_reentrant,
@@ -229,9 +229,9 @@ class TraceOracle:
         site = (caller.code, ev.fn, ev.offset) if caller and caller.code else None
         protected_site = site is not None and self.analysis.site_protected(*site)
 
-        # caller side: persist ctx across calls leaving the boundary
+        # caller side: keep ctx in the ctx slot across calls leaving the boundary
         if caller and caller.code and not caller.aborted and not protected_site:
-            prev = self.slots.get(caller.self_addr, SLOT_EMPTY)
+            prev = self.slots.get(caller.self_addr, 0)
             caller.slot_saves.append((caller.self_addr, prev))
             self.slots[caller.self_addr] = slot_encode(caller.ctx, self.config.width)
 
@@ -248,8 +248,8 @@ class TraceOracle:
             else:
                 frame.ctx = caller.ctx  # unknown pairing: base alone
         else:
-            stored = self.slots.get(self_addr, SLOT_EMPTY)
-            if stored != SLOT_EMPTY:
+            stored = self.slots.get(self_addr, 0)
+            if stored:
                 frame.ctx = band_reentrant(
                     slot_decode(stored, self.config.width), num_ccs, self.config.width
                 )
@@ -268,7 +268,7 @@ class TraceOracle:
         caller = self.frames[-1] if self.frames else None
         if caller is None or not caller.code or caller.aborted:
             return
-        # restore the persisted slot if this was an unprotected-site call
+        # restore the ctx slot if this was an unprotected-site call
         if not self.analysis.site_protected(caller.code, ev.fn, ev.offset):
             addr, prev = caller.slot_saves.pop()
             self.slots[addr] = prev

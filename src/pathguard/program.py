@@ -53,7 +53,6 @@ class FunctionDef:
     name: str
     visibility: Visibility
     body: list[Instruction]
-    entry_offset: int = 0
 
     @cached_property
     def leaders(self) -> frozenset[int]:
@@ -82,8 +81,6 @@ class ContractProgram:
     blob_bytes: int = 0
     # (function id, offset) -> CallsiteInfo for annotated external calls.
     callsites: dict[tuple[int, int], CallsiteInfo] = field(default_factory=dict)
-    # Storage slots initialized at deployment (instrumented programs).
-    storage_init: dict[int, int] = field(default_factory=dict)
 
     @property
     def byte_size(self) -> int:
@@ -123,7 +120,6 @@ class ContractProgram:
                     "id": f.id,
                     "name": f.name,
                     "visibility": f.visibility.value,
-                    "entry_offset": f.entry_offset,
                     "body": [[i.op.value, i.imm] for i in f.body],
                 }
                 for f in self.functions
@@ -135,7 +131,6 @@ class ContractProgram:
             "callsites": {
                 f"{fid}:{off}": info.to_json() for (fid, off), info in self.callsites.items()
             },
-            "storage_init": {hex(k): hex(v) for k, v in self.storage_init.items()},
             "byte_size": self._byte_size,
         }
 
@@ -149,7 +144,6 @@ class ContractProgram:
                     name=f["name"],
                     visibility=Visibility(f["visibility"]),
                     body=[Instruction(Op(op), imm) for op, imm in f["body"]],
-                    entry_offset=f.get("entry_offset", 0),
                 )
                 for f in raw["functions"]
             ],
@@ -161,7 +155,6 @@ class ContractProgram:
                 (int(key.split(":")[0]), int(key.split(":")[1])): CallsiteInfo.from_json(info)
                 for key, info in raw.get("callsites", {}).items()
             },
-            storage_init={int(k, 16): int(v, 16) for k, v in raw.get("storage_init", {}).items()},
         )
         prog._byte_size = raw.get("byte_size", 0)
         return prog

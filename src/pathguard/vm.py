@@ -34,10 +34,11 @@ _EQ, _AND, _OR, _ISZERO = Op.EQ.code, Op.AND.code, Op.OR.code, Op.ISZERO.code
 _JUMPDEST, _JUMP, _JUMPI = Op.JUMPDEST.code, Op.JUMP.code, Op.JUMPI.code
 _MLOAD, _MSTORE = Op.MLOAD.code, Op.MSTORE.code
 _SLOAD, _CODELOAD, _CALLDATALOAD = Op.SLOAD.code, Op.CODELOAD.code, Op.CALLDATALOAD.code
-_BALANCE = Op.BALANCE.code
+_TLOAD, _BALANCE = Op.TLOAD.code, Op.BALANCE.code
 _CALLDATASIZE, _CALLER, _ORIGIN = Op.CALLDATASIZE.code, Op.CALLER.code, Op.ORIGIN.code
 _ADDRESS, _CALLVALUE = Op.ADDRESS.code, Op.CALLVALUE.code
-_SSTORE, _ICALL, _IRET = Op.SSTORE.code, Op.ICALL.code, Op.IRET.code
+_SSTORE, _TSTORE = Op.SSTORE.code, Op.TSTORE.code
+_ICALL, _IRET = Op.ICALL.code, Op.IRET.code
 _CALL, _DELEGATECALL = Op.CALL.code, Op.DELEGATECALL.code
 _RETURN, _STOP, _REVERT = Op.RETURN.code, Op.STOP.code, Op.REVERT.code
 
@@ -113,11 +114,19 @@ class Receipt:
 
 
 class WorldState:
-    """Accounts with balances, storage and code, behind an undo journal."""
+    """Accounts with balances, storage and code, behind an undo journal.
+
+    Transient storage (EIP-1153) is one map per executing account that
+    lives for one transaction: ``execute_transaction`` swaps in an empty
+    ``transient`` at the start of each, and the last transaction's maps stay
+    readable until the next begins. The journal undoes transient writes like
+    storage writes; ``dump`` and ``clone`` leave transient storage out.
+    """
 
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.config = config
         self.accounts: dict[int, Account] = {}
+        self.transient: dict[int, dict[int, int]] = {}
         # contract addresses must fit a machine word
         self.next_address = 0x100 if config.width > 8 else 0x80
         self.deploy_log: list[tuple[int, int]] = []  # (address, deploy gas)
@@ -156,13 +165,23 @@ class WorldState:
         return acct.storage.get(slot, 0) if acct else 0
 
     def sstore(self, addr: int, slot: int, value: int) -> int:
-        acct = self.account(addr)
-        prev = acct.storage.get(slot, 0)
-        self._journal.append(("sto", addr, slot, prev))
+        return self._store(self.account(addr).storage, slot, value)
+
+    def tload(self, addr: int, slot: int) -> int:
+        slots = self.transient.get(addr)
+        return slots.get(slot, 0) if slots else 0
+
+    def tstore(self, addr: int, slot: int, value: int) -> int:
+        return self._store(self.transient.setdefault(addr, {}), slot, value)
+
+    def _store(self, slots: dict[int, int], slot: int, value: int) -> int:
+        """Journaled write of one storage or transient slot (zero deletes)."""
+        prev = slots.get(slot, 0)
+        self._journal.append(("sto", slots, slot, prev))
         if value == 0:
-            acct.storage.pop(slot, None)
+            slots.pop(slot, None)
         else:
-            acct.storage[slot] = value
+            slots[slot] = value
         return prev
 
     # -- snapshot / rollback -------------------------------------------------
@@ -177,12 +196,11 @@ class WorldState:
             entry = self._journal.pop()
             tag = entry[0]
             if tag == "sto":
-                _, addr, slot, prev = entry
-                storage = self.accounts[addr].storage
+                _, slots, slot, prev = entry
                 if prev == 0:
-                    storage.pop(slot, None)
+                    slots.pop(slot, None)
                 else:
-                    storage[slot] = prev
+                    slots[slot] = prev
             elif tag == "bal":
                 _, addr, prev = entry
                 self.accounts[addr].balance = prev
@@ -226,9 +244,6 @@ def deploy(world: WorldState, program: ContractProgram, deployer: int) -> int:
     acct = world.account(addr)
     acct.code = program
     gas = size * world.config.gas.code_deposit_per_byte
-    for slot, value in program.storage_init.items():
-        world.sstore(addr, slot, value)
-        gas += world.config.gas.sstore_set if value != 0 else 0
     world.deploy_log.append((addr, gas))
     world.commit(0)
     return addr
@@ -253,6 +268,8 @@ def price_table(gas: GasSchedule) -> list[int]:
     prices[_JUMPI] = gas.jumpi
     prices[_MLOAD] = prices[_MSTORE] = gas.memory_op
     prices[_SLOAD] = gas.sload
+    prices[_TLOAD] = gas.tload
+    prices[_TSTORE] = gas.tstore
     prices[_CALL] = prices[_DELEGATECALL] = gas.call_base
     prices[_SSTORE] = 0
     return prices
@@ -291,6 +308,7 @@ class VM:
         self.trace: list[TraceEvent] = []
         self.gas_used = 0
         self.gas_limit = tx.gas_limit
+        world.transient = {}
         token = world.snapshot()
         if not world.transfer(tx.origin, tx.to, tx.value):
             world.rollback(token)
@@ -498,6 +516,8 @@ class VM:
                         stack[-1] = calldata[i] if i < len(calldata) else 0
                     elif op == _BALANCE:
                         stack[-1] = world.balance_of(i)
+                    elif op == _TLOAD:
+                        stack[-1] = world.tload(self_addr, i)
                     else:
                         stack[-1] = last_ret[i] if i < len(last_ret) else 0
                 elif op < _SSTORE:  # zero-operand reads
@@ -581,6 +601,11 @@ class VM:
                     # the call site is charged call_base; callees self-report
                     gas_before = gas_used - prices[op]
                     stack.append(1 if ok else 0)
+                elif op == _TSTORE:
+                    if len(stack) < 2:
+                        raise _FrameFailure("stack underflow")
+                    slot = stack.pop()
+                    world.tstore(self_addr, slot, stack.pop())
                 elif op == _STOP:
                     if probe is not None:
                         probe(name, ifid, pc, prices[op])

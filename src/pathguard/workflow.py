@@ -503,15 +503,15 @@ def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecor
 def _reconcile(run, index, receipt, attribution, gas_orig) -> None:
     """gas delta must equal the sum of charges at injected offsets."""
     injected_gas = 0
-    for name, inst in run.guarded.instrumented.items():
-        for (fid, off), pid in inst.injected.items():
-            amount = attribution.get((name, fid, off), 0)
-            if amount:
-                injected_gas += amount
-                kind = inst.points[pid].kind
-                key = (name, kind)
-                run.point_gas[key] = run.point_gas.get(key, 0) + amount
-                run.point_hits[key] = run.point_hits.get(key, 0) + 1
+    instrumented = run.guarded.instrumented
+    for (name, fid, off), amount in attribution.items():
+        inst = instrumented.get(name)
+        pid = inst.injected.get((fid, off)) if inst else None
+        if pid is not None and amount:
+            injected_gas += amount
+            key = (name, inst.points[pid].kind)
+            run.point_gas[key] = run.point_gas.get(key, 0) + amount
+            run.point_hits[key] = run.point_hits.get(key, 0) + 1
     if receipt.gas_used - gas_orig != injected_gas:
         run.recon_failures.append(index)
 

@@ -9,12 +9,13 @@ from pathguard.guardcode import (
     MODE_BOUNDARY,
     MODE_MARKER,
     MODE_REENTRANT,
+    CTX_SLOT,
+    RELAY_CNT_SLOT,
+    RELAY_ENTRY_SLOT,
     Asm,
     Layout,
     checker_pool,
     flatten,
-    relay_cnt_slot,
-    relay_entry_slot,
     seq_checker,
     seq_flagged_exit,
     seq_miss,
@@ -252,20 +253,27 @@ def test_alarm_append_below_and_at_cap():
         assert buf == [w for entry in entries for w in entry] + [0] * (len(buf) - 3 * len(entries))
 
 
-def _run_flagged_exit(lay, mode, local, storage=None, fid=5):
+def _run_flagged_exit(lay, mode, local, relayed=(), fid=5):
     """Run the shared flagged exit in ``mode`` over [0xA1, 0xA2, 2, fid] with
-    the local alarm buffer holding ``local``; returns (receipt, world, addr)."""
+    the local alarm buffer holding ``local`` and the transient relay holding
+    ``relayed``, as earlier inner frames of the tx leave it; returns
+    (receipt, world, addr)."""
     config = Config()
     a = _with_local_alarms(lay, local).mstore_const(lay.mode, mode)
+    for j, entry in enumerate(relayed):
+        for word, value in enumerate(entry):
+            a.push(value).push(RELAY_ENTRY_SLOT + 3 * j + word).emit(Op.TSTORE)
+    a.push(len(relayed)).push(RELAY_CNT_SLOT).emit(Op.TSTORE)
     a.push(0xA1).push(0xA2).push(2).push(fid).emit(Op.ICALL, SLOW_FID)
     a.push(0).emit(Op.RETURN)  # never reached
     seq = seq_flagged_exit(CODE_ID, lay, config)
-    return _execute(a.items, [], extra_fns=_slow_fn(seq), storage=storage)
+    return _execute(a.items, [], extra_fns=_slow_fn(seq))
 
 
-def _relayed(world, addr, config, count):
+def _relayed(world, addr, count):
+    """Relayed entries in the transient storage the last tx left behind."""
     return [
-        tuple(world.sload(addr, relay_entry_slot(config, w) - 3 * j) for w in range(3))
+        tuple(world.tload(addr, RELAY_ENTRY_SLOT + 3 * j + w) for w in range(3))
         for j in range(count)
     ]
 
@@ -277,14 +285,13 @@ def test_flagged_exit_marker_relays_and_returns_flag():
     lay = Layout(64, alarm_cap=3)
     local = [(1, 2, 0x10), (1, 7, 0x20), (1, 9, 0x30)]
     earlier = (2, 8, 0x99)  # relayed by an earlier frame
-    storage = {relay_cnt_slot(config): 1}
-    storage.update({relay_entry_slot(config, w): v for w, v in enumerate(earlier)})
-    receipt, world, addr = _run_flagged_exit(lay, MODE_MARKER, local, storage)
+    receipt, world, addr = _run_flagged_exit(lay, MODE_MARKER, local, [earlier])
     assert receipt.status == "Accepted", receipt
     assert receipt.return_data == [config.guard.call_marker & config.mask, 1, 0xA2, 0xA1]
-    assert world.sload(addr, relay_cnt_slot(config)) == lay.alarm_cap
-    assert _relayed(world, addr, config, lay.alarm_cap + 1) == [earlier] + local[:2] + [(0, 0, 0)]
-    assert world.sload(addr, config.ctx_storage_slot) == 0
+    assert world.tload(addr, RELAY_CNT_SLOT) == lay.alarm_cap
+    assert _relayed(world, addr, lay.alarm_cap + 1) == [earlier] + local[:2] + [(0, 0, 0)]
+    assert world.tload(addr, CTX_SLOT) == 0
+    assert world.dump()[hex(addr)]["storage"] == {}
 
 
 def test_flagged_exit_reentrant_relays_then_poisons_slot():
@@ -296,9 +303,10 @@ def test_flagged_exit_reentrant_relays_then_poisons_slot():
     receipt, world, addr = _run_flagged_exit(lay, MODE_REENTRANT, local)
     assert receipt.status == "Accepted", receipt
     assert receipt.return_data == [0xA2, 0xA1]
-    assert world.sload(addr, relay_cnt_slot(config)) == len(local)
-    assert _relayed(world, addr, config, len(local)) == local
-    assert world.sload(addr, config.ctx_storage_slot) == config.slot_poison
+    assert world.tload(addr, RELAY_CNT_SLOT) == len(local)
+    assert _relayed(world, addr, len(local)) == local
+    assert world.tload(addr, CTX_SLOT) == config.slot_poison
+    assert world.dump()[hex(addr)]["storage"] == {}
 
 
 def test_guard_revert_payload_merges_local_and_relayed_entries():
@@ -308,9 +316,7 @@ def test_guard_revert_payload_merges_local_and_relayed_entries():
     gm = config.guard.guard_marker & config.mask
     local = [(CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
     relayed = [(1, 8, 0x99)]
-    storage = {relay_cnt_slot(config): len(relayed)}
-    storage.update({relay_entry_slot(config, w): v for w, v in enumerate(relayed[0])})
-    receipt, world, addr = _run_flagged_exit(lay, MODE_BOUNDARY, local, storage)
+    receipt, world, addr = _run_flagged_exit(lay, MODE_BOUNDARY, local, relayed)
     assert receipt.status == "GuardReverted"
     assert receipt.return_data == [gm, 3] + [
         w for entry in relayed + local for w in (addr, *entry)

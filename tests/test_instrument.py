@@ -10,9 +10,10 @@ from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
 from pathguard.guardcode import (
+    CTX_SLOT,
+    RELAY_CNT_SLOT,
     Layout,
     flatten,
-    relay_cnt_slot,
     seq_flagged_exit,
     seq_miss,
 )
@@ -114,7 +115,7 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
     lay = Layout(CONFIG.width, CONFIG.guard.alarm_buffer_cap)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
     tag = CONFIG.guard.mapping_tag & CONFIG.mask
-    poison = (CONFIG.slot_poison, CONFIG.ctx_storage_slot)
+    poison = (CONFIG.slot_poison, CTX_SLOT)
     for prog in (figcg, loopy):  # two externals and an internal; backedges
         analysis, inst = _pair(prog, {0: {0, 1, 2}})
         functions = inst.program.functions
@@ -137,22 +138,21 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
             for i, nxt in zip(fn.body, fn.body[1:]):
                 if i.op is Op.ICALL and i.imm in checkers:
                     assert nxt.op is not Op.JUMPI, fn.name
-            # the relay count slot shares its number with the flag's address
             slots = {
                 a.imm
                 for a, b in zip(fn.body, fn.body[1:])
-                if a.op is Op.PUSH and b.op in (Op.SLOAD, Op.SSTORE)
+                if a.op is Op.PUSH and b.op in (Op.TLOAD, Op.TSTORE)
             }
             stores = {
                 (a.imm, b.imm)
                 for a, b, c in zip(fn.body, fn.body[1:], fn.body[2:])
-                if a.op is b.op is Op.PUSH and c.op is Op.SSTORE
+                if a.op is b.op is Op.PUSH and c.op is Op.TSTORE
             }
             pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
             if fn.id == exit_fid:
-                assert relay_cnt_slot(CONFIG) in slots and poison in stores and gm in pushed
+                assert RELAY_CNT_SLOT in slots and poison in stores and gm in pushed
                 continue
-            assert relay_cnt_slot(CONFIG) not in slots, fn.name
+            assert RELAY_CNT_SLOT not in slots, fn.name
             assert poison not in stores, fn.name
             assert gm not in pushed, fn.name
             if fn.id == miss_fid:
@@ -239,6 +239,15 @@ def test_reserved_literal_collision_rejected():
         "contract t { fn f external { PUSH %d POP STOP } }" % top
     )
     with pytest.raises(InstrumentationError, match="reserved"):
+        _pair(prog, {0: set()})
+
+
+@pytest.mark.parametrize("body", ["PUSH 0 TLOAD POP STOP", "PUSH 1 PUSH 0 TSTORE STOP"])
+def test_transient_storage_use_rejected(body):
+    """Transient storage holds the guard's ctx and relay slots; a contract
+    that reads or writes it cannot be protected."""
+    prog = assemble("contract t { fn f external { %s } }" % body)
+    with pytest.raises(InstrumentationError, match=r"t.f@\d: T(LOAD|STORE) uses transient"):
         _pair(prog, {0: set()})
 
 
@@ -449,5 +458,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "a61ca7967b571f52de97a923de3a5dcc6f0f2f01f8685567e931dbcc948f9d84"
+        "c00995963a938997b8d3aa50d6da0bb341c4d8f7f35d6e2df3ab1b5bff2796ce"
     )

@@ -359,6 +359,167 @@ def test_delegatecall_writes_caller_storage():
     assert w.sload(lib, 0) == 0
 
 
+TSTASH_SRC = """
+contract tstash {
+  fn put external selector=0x61 {
+    PUSH 1
+    CALLDATALOAD     ; value
+    PUSH 0
+    CALLDATALOAD     ; slot
+    TSTORE
+    STOP
+  }
+  fn get external selector=0x62 {
+    PUSH 0
+    CALLDATALOAD
+    TLOAD
+    PUSH 1
+    RETURN
+  }
+  fn put_then_revert external selector=0x63 {
+    PUSH 9
+    PUSH 5
+    TSTORE
+    PUSH 0
+    REVERT
+  }
+}
+"""
+
+# Host: set its slot 1 to 41, call the library (DELEGATECALL for 0x70, CALL
+# for 0x71) with the selector in calldata word 1, return its slot 1.
+TRANSIENT_HOST_SRC = """
+contract thost {
+  fn delegate external selector=0x70 {
+    PUSH 41
+    PUSH 1
+    TSTORE
+    PUSH 0           ; nargs
+    PUSH 1
+    CALLDATALOAD     ; selector
+    PUSH 0
+    CALLDATALOAD     ; lib address
+    DELEGATECALL
+    POP
+    PUSH 1
+    TLOAD
+    PUSH 1
+    RETURN
+  }
+  fn call external selector=0x71 {
+    PUSH 41
+    PUSH 1
+    TSTORE
+    PUSH 0           ; nargs
+    PUSH 1
+    CALLDATALOAD     ; selector
+    PUSH 0           ; value
+    PUSH 0
+    CALLDATALOAD     ; lib address
+    CALL
+    POP
+    PUSH 1
+    TLOAD
+    PUSH 1
+    RETURN
+  }
+}
+"""
+
+# Library: slot 1 += 1 in the executing account's transient storage; 0x73
+# then reverts its frame.
+TRANSIENT_LIB_SRC = """
+contract tlib {
+  fn bump external selector=0x72 {
+    PUSH 1
+    TLOAD
+    PUSH 1
+    ADD
+    PUSH 1
+    TSTORE
+    STOP
+  }
+  fn bump_then_revert external selector=0x73 {
+    PUSH 1
+    TLOAD
+    PUSH 1
+    ADD
+    PUSH 1
+    TSTORE
+    PUSH 0
+    REVERT
+  }
+}
+"""
+
+
+def test_transient_value_gone_in_next_tx():
+    """A transient write is readable for the rest of its tx and the world
+    keeps it until the next tx, which starts with empty transient storage."""
+    w = _world()
+    addr = deploy(w, assemble(TSTASH_SRC), 0xD0)
+    assert execute_transaction(w, Transaction(1, addr, 0x61, [5, 9])).status == STATUS_ACCEPTED
+    assert w.tload(addr, 5) == 9
+    r = execute_transaction(w, Transaction(1, addr, 0x62, [5]))
+    assert (r.status, r.return_data) == (STATUS_ACCEPTED, [0])
+    assert w.tload(addr, 5) == 0
+
+
+def test_transient_write_rolled_back_by_tx_revert():
+    w = _world()
+    addr = deploy(w, assemble(TSTASH_SRC), 0xD0)
+    r = execute_transaction(w, Transaction(1, addr, 0x63))
+    assert r.status == STATUS_REVERTED
+    assert w.tload(addr, 5) == 0
+
+
+@pytest.mark.parametrize(
+    "host_sel, lib_sel, host_sees, lib_keeps",
+    [
+        (0x70, 0x72, 42, 0),  # DELEGATECALL: the library bumps the host's map
+        (0x70, 0x73, 41, 0),  # ... and its frame revert undoes the bump
+        (0x71, 0x72, 41, 1),  # CALL: the library sees only its own map
+        (0x71, 0x73, 41, 0),
+    ],
+    ids=["delegatecall", "delegatecall-frame-revert", "call", "call-frame-revert"],
+)
+def test_transient_storage_follows_executing_account(host_sel, lib_sel, host_sees, lib_keeps):
+    w = _world()
+    host = deploy(w, assemble(TRANSIENT_HOST_SRC), 0xD0)
+    lib = deploy(w, assemble(TRANSIENT_LIB_SRC), 0xD0)
+    r = execute_transaction(w, Transaction(1, host, host_sel, [lib, lib_sel]))
+    assert (r.status, r.return_data) == (STATUS_ACCEPTED, [host_sees])
+    assert (w.tload(host, 1), w.tload(lib, 1)) == (host_sees, lib_keeps)
+
+
+def test_transient_ops_charge_their_schedule_fields():
+    """TLOAD and TSTORE cost ``gas.tload`` and ``gas.tstore`` flat, in the
+    VM and in guardcode's static pricing."""
+    from pathguard.guardcode import Asm, seq_gas
+
+    for gas in (GasSchedule(), GasSchedule(tload=7, tstore=11)):
+        config = Config(gas=gas)
+        w = WorldState(config)
+        addr = deploy(w, assemble(TSTASH_SRC, config), 0xD0)
+        # PUSH, CALLDATALOAD, PUSH, CALLDATALOAD, TSTORE, STOP
+        put = execute_transaction(w, Transaction(1, addr, 0x61, [5, 9]))
+        assert put.gas_used == 5 * gas.base_op + gas.tstore
+        # PUSH, CALLDATALOAD, TLOAD, PUSH, RETURN
+        get = execute_transaction(w, Transaction(1, addr, 0x62, [5]))
+        assert get.gas_used == 4 * gas.base_op + gas.tload
+        seq = Asm().push(0).emit(Op.TLOAD).push(1).emit(Op.TSTORE)
+        assert seq_gas(seq.items, config) == 2 * gas.base_op + gas.tload + gas.tstore
+
+
+def test_transient_storage_not_in_dump_or_clone():
+    w = _world()
+    addr = deploy(w, assemble(TSTASH_SRC), 0xD0)
+    execute_transaction(w, Transaction(1, addr, 0x61, [5, 9]))
+    assert w.tload(addr, 5) == 9
+    assert w.dump()[hex(addr)]["storage"] == {}
+    assert w.clone().transient == {}
+
+
 def test_empty_calldata_no_selector_runs_fallback():
     src = """
     contract t {
@@ -495,7 +656,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "c630d71932a7a8a8809018a07f9e7048a9c6de22a96d7eff7d9907959bdb26cc"
+        "4bed2d4f3314e8ab779ddf6e3a185bc95bce02caadad6b1d0cbec9478bc4ed92"
     )
 
 

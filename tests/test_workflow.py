@@ -197,10 +197,11 @@ def test_config_round_trips_through_json():
         ({"gas": {"sload": 2.5}}, "gas.sload: not a word"),
         ({"word_width": 64.0}, "word_width: not a word"),
         ({"reserved": {"alarm_buffer_cap": True}}, "reserved.alarm_buffer_cap: not a word"),
+        ({"reserved": {"ctx_slot_offset": 1}}, "reserved: unknown key 'ctx_slot_offset'"),
     ],
     ids=["top-key", "gas-key", "gas-word", "lambda-word", "reserved-key", "reserved-word",
          "admin-word", "width", "top-object", "gas-object", "reserved-object", "float-word",
-         "float-width", "bool-word"],
+         "float-width", "bool-word", "removed-ctx-slot"],
 )
 def test_config_errors_name_section_and_key(raw, message):
     from pathguard.config import ConfigError, config_from_json
