@@ -26,8 +26,8 @@ from .pathset import (
     mapping_fn_seed,
     mapping_slot,
     mapping_value,
-    mix_constants,
-    mix_shifts,
+    field_bits,
+    mix_constant,
 )
 from .vm import price_table
 
@@ -255,20 +255,13 @@ class Asm:
         return self.emit(Op.MSTORE)
 
     def xor(self) -> "Asm":
-        """x ^ y over the top two words: (x|y) - (x&y)."""
-        self.emit(Op.DUP, 2).emit(Op.DUP, 2).emit(Op.AND)
-        self.emit(Op.SWAP, 2).emit(Op.OR)
-        return self.emit(Op.SWAP, 1).emit(Op.SUB)
+        """x ^ y over the top two words: the native XOR opcode."""
+        return self.emit(Op.XOR)
 
     def mix_top(self, width: int) -> "Asm":
-        """pathset.mix over the top word, bit-identical."""
-        s1, s2, s3 = mix_shifts(width)
-        c1, c2 = mix_constants(width)
-        for shift, mult in ((s1, c1), (s2, c2)):
-            self.emit(Op.DUP, 1).push(1 << shift).emit(Op.DIV)
-            self.xor()
-            self.push(mult).emit(Op.MUL)
-        self.emit(Op.DUP, 1).push(1 << s3).emit(Op.DIV)
+        """pathset.mix over the top word, bit-identical: multiply, xorshift."""
+        self.push(mix_constant(width)).emit(Op.MUL)
+        self.emit(Op.DUP, 1).push(1 << field_bits(width)).emit(Op.DIV)
         return self.xor()
 
     def mod_const(self, modulus: int) -> "Asm":
@@ -314,9 +307,9 @@ def seq_checker(
         a.mload(lay.tmp_y)
         a.jumpi(found)
     else:  # STRATEGY_MPHT
-        t = max(2, width // 3)
+        t = field_bits(width)
         tmask = (1 << t) - 1
-        n, m = spec.n, spec.m
+        r, m = spec.size, spec.m
         a.mload(lay.tmp_a).push(spec.seed & config.mask)
         a.xor()
         a.mix_top(width)
@@ -334,17 +327,17 @@ def seq_checker(
         a.mload(lay.tmp_y).push(1 << 16).emit(Op.DIV)  # d0
         a.mload(lay.tmp_x).push(tmask).emit(Op.AND)  # f2
         if inner:
-            a.mod_const(n)
+            a.mod_const(r)
         a.emit(Op.MUL)
         if inner:
-            a.mod_const(n)
+            a.mod_const(r)
         a.mload(lay.tmp_x).push(1 << t).emit(Op.DIV).push(tmask).emit(Op.AND)  # f1
         if inner:
-            a.mod_const(n)
+            a.mod_const(r)
         a.emit(Op.ADD)
         a.mload(lay.tmp_y).push((1 << 16) - 1).emit(Op.AND)  # d1
         a.emit(Op.ADD)
-        a.mod_const(n)
+        a.mod_const(r)
         a.push(pool_base + m).emit(Op.ADD).emit(Op.CODELOAD)
         a.mload(lay.tmp_a).push(1).emit(Op.ADD).emit(Op.EQ)
         a.jumpi(found)
@@ -357,13 +350,12 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
     """Shared miss routine: consumes [combined, fid, fn_seed], IRETs [].
 
     Accepts the pair when the dynamic mapping holds it
-    (SLOAD(tag ^ mix(fn_seed ^ combined)) == combined + 1). Otherwise it
-    sets the flag and appends (code id, fid, combined) to the alarm buffer
-    while it has room.
+    (SLOAD(mapping_slot) == combined + 1). Otherwise it sets the flag and
+    appends (code id, fid, combined) to the alarm buffer while it has room.
     """
     a = Asm()
     done = Asm.fresh("missdone")
-    a.emit(Op.DUP, 3).xor().mix_top(config.width)
+    a.emit(Op.DUP, 3).xor().push(mix_constant(config.width)).emit(Op.MUL)
     a.push(mapping_tag & config.mask).xor()
     a.emit(Op.SLOAD)  # [c, fid, stored]
     a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)
@@ -383,12 +375,13 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
 
 
 def checker_pool(strategy: str, spec) -> list[int]:
-    """Constant-pool words backing a checker (entries stored as key+1)."""
+    """Constant-pool words backing a checker (entries stored as key+1, an
+    empty table slot as 0)."""
     if strategy == STRATEGY_LIST:
         return [k + 1 for k in spec.entries] if spec else []
     if strategy == STRATEGY_MPHT:
         packed = [(d0 << 16) | d1 for d0, d1 in spec.displacements]
-        return packed + [k + 1 for k in spec.slots]
+        return packed + [0 if k is None else k + 1 for k in spec.slots]
     return []
 
 

@@ -617,6 +617,6 @@ def instrument_contract(
             raise SizeLimitExceeded(name, result.instrumented_size)
         _, fid = max(candidates)
         strategy, spec = strategies[fid]
-        keys = spec.entries if isinstance(spec, ListSpec) else spec.slots
-        preseed += [(fid, k) for k in sorted(keys)]
+        keys = spec.entries if isinstance(spec, ListSpec) else spec.keys
+        preseed += [(fid, k) for k in keys]
         strategies[fid] = (STRATEGY_LIST, build_list([]))

@@ -33,6 +33,7 @@ class Op(Enum):
     EQ = "EQ"
     AND = "AND"
     OR = "OR"
+    XOR = "XOR"
     ISZERO = "ISZERO"
     NOT = "NOT"
     JUMPDEST = "JUMPDEST"

@@ -1,19 +1,22 @@
-"""Safe path set storage: embedded list, minimal perfect hash table, mapping.
+"""Safe path set storage: embedded list, perfect hash table, mapping.
 
-All hashing is a width-parameterized xorshift-multiply finalizer so the
-builder here and the generated in-contract checker compute bit-identical
-values. The perfect hash is the two-level bucket/displacement construction:
+All hashing is a width-parameterized multiply-shift hash (Dietzfelbinger et
+al. 1997): one odd multiply, then one xorshift that folds the well-mixed
+high bits down into the low ones. The builder here and the generated
+in-contract checker compute bit-identical values. The perfect hash is the
+two-level bucket/displacement construction (Belazzougui et al., ESA 2009):
 keys group into m buckets; each bucket gets the lexicographically smallest
-displacement pair landing all its keys in free slots of an n-slot table.
-A key's position (f1 + d0*f2 + d1) mod n repeats with period n in d0, so d0
-runs over [0, n) only; for each d0, d1 is the lowest offset free for every
-key of the bucket, read off a bitmask of free slots.
+displacement pair landing all its keys in free slots of an r-slot table,
+with r the smallest prime >= n. A key's position (f1 + d0*f2 + d1) mod r
+repeats with period r in d0, so d0 runs over [0, r) only; for each d0, d1
+is the lowest offset free for every key of the bucket, read off a bitmask
+of free slots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import Config, DEFAULT_CONFIG
 from .program import BLOB_ENTRY_BYTES, BLOB_HEADER_BYTES
@@ -22,15 +25,17 @@ STRATEGY_LIST = "List"
 STRATEGY_MPHT = "Mpht"
 STRATEGY_MAPPING = "Mapping"
 
-# Strategy boundary: an embedded list wins below six entries.
+# Strategy boundary: an embedded list wins below six entries. From four
+# entries a table check costs no more gas than a list check
+# (test_check_gas_crossover_measured), but below six a list still deploys
+# fewer bytes.
 LIST_MAX = 6
 
-DISP_LIMIT = 1 << 16
-MPHT_MAX_KEYS = 1 << 16
+# Largest prime below 2**16: d0 and d1 stay below the table size and pack
+# into 16 bits each.
+MPHT_MAX_KEYS = 65521
 
-_MIX_MULT1 = 0xBF58476D1CE4E5B9
-_MIX_MULT2 = 0x94D049BB133111EB
-_MIX_SHIFTS = (30, 27, 31)
+_MIX_MULT = 0xBF58476D1CE4E5B9
 DEFAULT_SEED = 0x9E3779B97F4A7C15
 
 
@@ -38,30 +43,27 @@ class ConstructionFailed(Exception):
     pass
 
 
-def mix_shifts(width: int) -> tuple[int, int, int]:
-    return tuple(max(1, width * s // 64) for s in _MIX_SHIFTS)
+def mix_constant(width: int) -> int:
+    """Odd multiplier of the hash at a word width."""
+    return (_MIX_MULT & ((1 << width) - 1)) | 1
 
 
-def mix_constants(width: int) -> tuple[int, int]:
-    mask = (1 << width) - 1
-    return (_MIX_MULT1 & mask) | 1, (_MIX_MULT2 & mask) | 1
+def field_bits(width: int) -> int:
+    """Width of the f1 and f2 hash fields, and the hash's xorshift."""
+    return max(2, width // 3)
 
 
 def mix(x: int, width: int = 64) -> int:
-    """Keyed avalanche finalizer, xorshift-multiply rounds modulo 2**width."""
+    """Multiply-shift hash modulo 2**width: odd multiply, then xorshift."""
     mask = (1 << width) - 1
-    s1, s2, s3 = mix_shifts(width)
-    c1, c2 = mix_constants(width)
-    z = x & mask
-    z = ((z ^ (z >> s1)) * c1) & mask
-    z = ((z ^ (z >> s2)) * c2) & mask
-    return z ^ (z >> s3)
+    z = (x * mix_constant(width)) & mask
+    return z ^ (z >> field_bits(width))
 
 
 def hash_fields(key: int, seed: int, width: int = 64) -> tuple[int, int, int]:
-    """Split mix(key XOR seed) into (g, f1, f2) thirds for bucket/position."""
+    """Split mix(key XOR seed) into (g, f1, f2) for bucket and position."""
     h = mix((key ^ seed) & ((1 << width) - 1), width)
-    t = max(2, width // 3)
+    t = field_bits(width)
     tmask = (1 << t) - 1
     return h >> (2 * t), (h >> t) & tmask, h & tmask
 
@@ -72,15 +74,18 @@ def mapping_value(key: int, width: int) -> int:
 
 
 def mapping_fn_seed(fid: int, config: Config) -> int:
-    """Per-function term of a mapping slot: a compile-time constant, so the
-    generated probe evaluates a single runtime mix."""
+    """Per-function term of a mapping slot: a compile-time constant."""
     return mix((fid ^ config.guard.mapping_salt) & config.mask, config.width)
 
 
 def mapping_slot(fid: int, key: int, config: Config) -> int:
-    """Storage slot of the dynamic-mapping entry for (function, key)."""
-    mixed = mix((mapping_fn_seed(fid, config) ^ key) & config.mask, config.width)
-    return (mixed ^ config.guard.mapping_tag) & config.mask
+    """Storage slot of the dynamic-mapping entry for (function, key).
+
+    tag ^ ((fn_seed ^ key) * odd) needs no avalanche: for a fixed function
+    it is injective in the key, and the probe evaluates one multiply.
+    """
+    spread = (mapping_fn_seed(fid, config) ^ key) * mix_constant(config.width)
+    return (spread ^ config.guard.mapping_tag) & config.mask
 
 
 def choose_strategy(n: int) -> str:
@@ -99,15 +104,23 @@ class ListSpec:
 @dataclass
 class MphtSpec:
     seed: int
-    n: int
-    m: int
+    n: int  # keys
+    m: int  # buckets
     displacements: list[tuple[int, int]]
-    slots: list[int]
+    slots: list[int | None]  # table_size(n) slots; None is an empty slot
+
+    @property
+    def size(self) -> int:
+        return len(self.slots)
+
+    @property
+    def keys(self) -> list[int]:
+        return sorted(k for k in self.slots if k is not None)
 
     @property
     def blob_bytes(self) -> int:
         # one pool word per displacement pair plus one per slot
-        return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * (self.m + self.n)
+        return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * (self.m + self.size)
 
     def to_json(self) -> dict:
         return {
@@ -115,7 +128,7 @@ class MphtSpec:
             "n": self.n,
             "m": self.m,
             "displacements": [list(d) for d in self.displacements],
-            "slots": [hex(s) for s in self.slots],
+            "slots": [None if s is None else hex(s) for s in self.slots],
         }
 
     @classmethod
@@ -125,7 +138,7 @@ class MphtSpec:
             n=raw["n"],
             m=raw["m"],
             displacements=[tuple(d) for d in raw["displacements"]],
-            slots=[int(s, 16) for s in raw["slots"]],
+            slots=[None if s is None else int(s, 16) for s in raw["slots"]],
         )
 
 
@@ -138,6 +151,19 @@ def list_lookup(spec: ListSpec, key: int) -> bool:
     return key in spec.entries
 
 
+def table_size(n: int) -> int:
+    """Slots of an n-key table: the smallest prime >= n (1 for one key).
+
+    Two keys of a bucket move apart by d0*(f2 - f2') as d0 varies. Modulo a
+    prime that difference reaches every offset; modulo n it reaches only
+    multiples of gcd(f2 - f2', n), so n-slot tables fail at small even n.
+    """
+    r = n
+    while r > 1 and any(r % p == 0 for p in range(2, math.isqrt(r) + 1)):
+        r += 1
+    return r
+
+
 def build_mpht(
     keys,
     lam: int | None = None,
@@ -147,8 +173,8 @@ def build_mpht(
 ) -> MphtSpec:
     """Perfect hash over the key set; deterministic for fixed inputs.
 
-    Buckets are processed largest first. d0 runs over [0, n), because
-    positions repeat with period n in d0; a bucket that fits for no d0 there
+    Buckets are processed largest first. d0 runs over [0, r), because
+    positions repeat with period r in d0; a bucket that fits for no d0 there
     fits for none, and the next seed of the chain is tried. For a fixed d0
     the in-bucket positions translate together as d1 varies, so
     intra-bucket collisions are checked once per d0 and d1 is the lowest
@@ -162,47 +188,47 @@ def build_mpht(
         raise ConstructionFailed(f"{n} keys exceed the {MPHT_MAX_KEYS} slot limit")
     lam = lam or 4
     m = max(1, math.ceil(n / lam))
+    r = table_size(n)
     cur_seed = seed & ((1 << width) - 1)
     for _attempt in range(max_tries):
-        spec = _try_build(keys, n, m, cur_seed, width)
+        spec = _try_build(keys, r, m, cur_seed, width)
         if spec is not None:
             return spec
         cur_seed = mix(cur_seed, width)
     raise ConstructionFailed(f"no seed found after {max_tries} tries (n={n})")
 
 
-def _try_build(keys, n, m, seed, width):
+def _try_build(keys, r, m, seed, width):
     buckets: dict[int, list[tuple[int, int, int]]] = {}
     for key in keys:
         g, f1, f2 = hash_fields(key, seed, width)
-        buckets.setdefault(g % m, []).append((key, f1 % n, f2 % n))
+        buckets.setdefault(g % m, []).append((key, f1 % r, f2 % r))
 
-    table: list[int | None] = [None] * n
-    free = (1 << n) - 1  # bit p set while slot p is empty
+    table: list[int | None] = [None] * r
+    free = (1 << r) - 1  # bit p set while slot p is empty
     disp = [(0, 0)] * m
     for bucket_id, items in sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        placed = _place_bucket(items, n, free)
+        placed = _place_bucket(items, r, free)
         if placed is None:
             return None
         d0, d1 = disp[bucket_id] = placed
         for key, f1, f2 in items:
-            p = (f1 + d0 * f2 + d1) % n
+            p = (f1 + d0 * f2 + d1) % r
             table[p] = key
             free &= ~(1 << p)
-    assert all(v is not None for v in table)
-    return MphtSpec(seed=seed, n=n, m=m, displacements=disp, slots=list(table))
+    return MphtSpec(seed=seed, n=len(keys), m=m, displacements=disp, slots=table)
 
 
-def _place_bucket(items, n, free):
+def _place_bucket(items, r, free):
     """Smallest (d0, d1) landing every key of the bucket in a free slot.
 
-    Bit d1 of ``twice >> b`` is set exactly when slot (b + d1) mod n is
+    Bit d1 of ``twice >> b`` is set exactly when slot (b + d1) mod r is
     free, so the lowest set bit of the AND over the bases is that d1.
     """
-    full = (1 << n) - 1
-    twice = free | free << n
-    for d0 in range(min(n, DISP_LIMIT)):
-        bases = [(f1 + d0 * f2) % n for _, f1, f2 in items]
+    full = (1 << r) - 1
+    twice = free | free << r
+    for d0 in range(r):
+        bases = [(f1 + d0 * f2) % r for _, f1, f2 in items]
         if len(set(bases)) != len(bases):
             continue  # d1 cannot separate them; translation is rigid
         fits = full
@@ -217,8 +243,8 @@ def mpht_lookup(spec: MphtSpec, key: int, width: int = 64) -> bool:
     """Single-probe membership: position then slot comparison."""
     g, f1, f2 = hash_fields(key, spec.seed, width)
     d0, d1 = spec.displacements[g % spec.m]
-    pos = (f1 % spec.n + d0 * (f2 % spec.n) + d1) % spec.n
-    return spec.slots[pos] == key
+    r = spec.size
+    return spec.slots[(f1 % r + d0 * (f2 % r) + d1) % r] == key
 
 
 @dataclass
@@ -237,7 +263,7 @@ def estimate_gas(strategy: str, n: int, config: Config = DEFAULT_CONFIG) -> GasE
         check = guardcode.check_gas(STRATEGY_LIST, n, config)
     elif strategy == STRATEGY_MPHT:
         m = max(1, math.ceil(n / config.guard.mpht_lambda))
-        deploy = per_byte * (BLOB_ENTRY_BYTES * (n + m) + BLOB_HEADER_BYTES)
+        deploy = per_byte * (BLOB_ENTRY_BYTES * (table_size(n) + m) + BLOB_HEADER_BYTES)
         check = guardcode.check_gas(STRATEGY_MPHT, n, config)
     elif strategy == STRATEGY_MAPPING:
         deploy = config.gas.sstore_set * n

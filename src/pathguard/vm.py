@@ -30,7 +30,8 @@ TRACE_FULL = 2
 _OPS = tuple(Op)
 _PUSH, _DUP, _SWAP = Op.PUSH.code, Op.DUP.code, Op.SWAP.code
 _ADD, _SUB, _DIV, _LT, _GT = Op.ADD.code, Op.SUB.code, Op.DIV.code, Op.LT.code, Op.GT.code
-_EQ, _AND, _OR, _ISZERO = Op.EQ.code, Op.AND.code, Op.OR.code, Op.ISZERO.code
+_EQ, _AND, _OR, _XOR = Op.EQ.code, Op.AND.code, Op.OR.code, Op.XOR.code
+_ISZERO = Op.ISZERO.code
 _JUMPDEST, _JUMP, _JUMPI = Op.JUMPDEST.code, Op.JUMP.code, Op.JUMPI.code
 _MLOAD, _MSTORE = Op.MLOAD.code, Op.MSTORE.code
 _SLOAD, _CODELOAD, _CALLDATALOAD = Op.SLOAD.code, Op.CODELOAD.code, Op.CALLDATALOAD.code
@@ -458,6 +459,8 @@ class VM:
                             )
                     elif op == _EQ:
                         stack[-1] = 1 if x == y else 0
+                    elif op == _XOR:
+                        stack[-1] = x ^ y
                     elif op == _AND:
                         stack[-1] = x & y
                     elif op == _LT:

@@ -67,14 +67,18 @@ def _run_unary(items, x, width=64, pool=None, extra_fns=None, storage=None):
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
 def test_xor_macro_matches_python(width):
+    """Asm.xor is the native XOR opcode: x ^ y at every width for 3 gas, and
+    a frame failure, charged before the pop, on a one-word stack."""
     rng = random.Random(width)
-    mask = (1 << width) - 1
     for _ in range(20):
         x, y = rng.getrandbits(width), rng.getrandbits(width)
-        a = Asm().push(y)
-        a.xor()
-        got, _ = _run_unary(a.items, x, width)
-        assert got == (x ^ y) & mask
+        got, gas = _run_unary(Asm().push(y).xor().items, x, width)
+        assert got == x ^ y
+        assert gas == 6 * 3  # PUSH CALLDATALOAD PUSH XOR PUSH RETURN
+    receipt, _world, _addr = _execute(Asm().push(1).xor().emit(Op.STOP).items, [], width)
+    assert receipt.status == "Reverted"
+    assert receipt.gas_used == 2 * 3
+    assert receipt.trace[-1].detail == {"reason": "stack underflow"}
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])

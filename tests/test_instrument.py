@@ -458,5 +458,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "c00995963a938997b8d3aa50d6da0bb341c4d8f7f35d6e2df3ab1b5bff2796ce"
+        "0ea49f9e658bc9cda4bfe486dd325ba09d5549ef2f9630c4615d6a3d20eed452"
     )

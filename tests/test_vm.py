@@ -656,7 +656,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "4bed2d4f3314e8ab779ddf6e3a185bc95bce02caadad6b1d0cbec9478bc4ed92"
+        "c37ec3afb2fbfb64960744905887eb95e0675422c86368478abc76e02d9bd370"
     )
 
 

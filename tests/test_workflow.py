@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pathguard.fixtures import DELEGATECALL, REENTRANCY, VISIBILITY, by_name
+from pathguard.isa import Op
 from pathguard.workflow import (
     AlarmRecord,
     Bundle,
@@ -228,6 +229,50 @@ def test_guarded_bundle_persists_its_config():
     guarded = protect(bundle, train(bundle, scenario.training))
     raw = json.loads(json.dumps(guarded.to_json()))
     assert Bundle.from_json({"contracts": [], "config": raw["config"]}).config == bundle.config
+
+
+XOR_SRC = """
+contract mask {
+  fn toggle external selector=0x01 {
+    PUSH 0
+    SLOAD
+    PUSH 0
+    CALLDATALOAD
+    XOR
+    DUP 1
+    PUSH 0
+    SSTORE
+    PUSH 0xF0
+    AND
+    JUMPI high
+    PUSH 0
+    PUSH 1
+    RETURN
+  high: JUMPDEST
+    PUSH 1
+    PUSH 1
+    RETURN
+  }
+}
+"""
+
+
+def test_contract_using_xor_is_protected_and_reconciles():
+    """XOR is an ordinary ALU op: a contract that uses it is analyzed,
+    trained, rewritten and run with exact gas reconciliation, and an
+    untrained arm behind it still alarms."""
+    bundle = Bundle.from_json({"contracts": [{"source": XOR_SRC}]})
+    assert any(i.op is Op.XOR for i in bundle.programs["mask"].functions[0].body)
+    toggle = [{"origin": 1, "to": "mask", "fn": "toggle", "calldata": [v]} for v in (1, 2, 6, 0x10)]
+    guarded = protect(bundle, train(bundle, toggle[:2]))
+    run = run_detection(guarded, toggle)
+    assert [o.status for o in run.outcomes] == ["Accepted"] * 3 + ["GuardReverted"]
+    assert [o.receipt.return_data for o in run.outcomes[:3]] == [[0], [0], [0]]
+    assert [len(o.alarms) for o in run.outcomes] == [0, 0, 0, 1]
+    assert run.deployed.world.accounts[run.deployed.addresses["mask"]].storage == {0: 5}
+    report = overhead_report(run)
+    assert not report["gas_reconciliation_failures"]
+    assert [t["gas_orig"] is not None for t in report["transactions"]] == [True] * 3 + [False]
 
 
 def _mpht_snapshot(monkeypatch, error):
