@@ -43,18 +43,21 @@ MODE_REENTRANT = 2
 
 # Transient slots (EIP-1153). Transient storage belongs to the guard alone
 # and is empty at the start of every transaction, so the ctx slot reads 0
-# while no unprotected call is in flight.
+# while no unprotected call is in flight. The alarm buffer is one per
+# executing account per transaction: every frame of the contract (and every
+# DELEGATECALL-reached callee running in its account) appends to it, and the
+# revert journal drops a reverted frame's appends.
 CTX_SLOT = 0  # encoded ctx of a frame whose call left the boundary
-RELAY_CNT_SLOT = 1  # alarm entries relayed by flagged inner frames
-RELAY_ENTRY_SLOT = 2  # word w of relayed entry j sits at RELAY_ENTRY_SLOT + 3j + w
+ALARM_CNT_SLOT = 1  # alarm entries appended so far
+ALARM_ENTRY_SLOT = 2  # word w of entry j sits at ALARM_ENTRY_SLOT + 3j + w
 
 
 @dataclass(frozen=True)
 class Layout:
-    """Reserved memory words, the top 160 words of the address space."""
+    """Reserved memory words, the top 14 + 2 * INTERNAL_DEPTH_LIMIT (142)
+    words of the address space."""
 
     width: int
-    alarm_cap: int = 8
 
     def _top(self) -> int:
         return 1 << self.width
@@ -116,17 +119,8 @@ class Layout:
         return self._top() - 14
 
     @property
-    def acnt(self) -> int:
-        return self._top() - 15
-
-    @property
-    def abuf(self) -> int:
-        # (code id, function id, combined) per alarm entry
-        return self._top() - 15 - 3 * self.alarm_cap
-
-    @property
     def epp_base(self) -> int:
-        return self.abuf - INTERNAL_DEPTH_LIMIT
+        return self.check_log - INTERNAL_DEPTH_LIMIT
 
     @property
     def ctxsave_base(self) -> int:
@@ -351,9 +345,11 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
 
     Accepts the pair when the dynamic mapping holds it
     (SLOAD(mapping_slot) == combined + 1). Otherwise it sets the flag and
-    appends (code id, fid, combined) to the alarm buffer while it has room.
+    appends (code id, fid, combined) to the transient alarm buffer while it
+    holds fewer than ``alarm_buffer_cap`` entries.
     """
     a = Asm()
+    full = Asm.fresh("missfull")
     done = Asm.fresh("missdone")
     a.emit(Op.DUP, 3).xor().push(mix_constant(config.width)).emit(Op.MUL)
     a.push(mapping_tag & config.mask).xor()
@@ -361,14 +357,17 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
     a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)
     a.jumpi(done)  # in the mapping: accepted
     a.mstore_const(lay.flag, 1)
-    a.mload(lay.acnt).push(lay.alarm_cap).emit(Op.LT).emit(Op.ISZERO)
-    a.jumpi(done)  # buffer full: flagged only
-    a.mload(lay.acnt).push(3).emit(Op.MUL).push(lay.abuf).emit(Op.ADD)  # [c, fid, base]
-    a.emit(Op.DUP, 1).push(code_id).emit(Op.SWAP, 1).emit(Op.MSTORE)
-    a.push(1).emit(Op.ADD).emit(Op.SWAP, 1).emit(Op.DUP, 2).emit(Op.MSTORE)  # [c, base+1]
-    a.push(1).emit(Op.ADD).emit(Op.MSTORE)
-    a.add_mem(lay.acnt, 1)
+    a.push(ALARM_CNT_SLOT).emit(Op.TLOAD)  # [c, fid, count]
+    a.emit(Op.DUP, 1).push(config.guard.alarm_buffer_cap).emit(Op.LT).emit(Op.ISZERO)
+    a.jumpi(full)  # buffer full: flagged only
+    a.emit(Op.DUP, 1).push(1).emit(Op.ADD).push(ALARM_CNT_SLOT).emit(Op.TSTORE)
+    a.push(3).emit(Op.MUL).push(ALARM_ENTRY_SLOT).emit(Op.ADD)  # [c, fid, base]
+    a.push(code_id).emit(Op.DUP, 2).emit(Op.TSTORE)
+    a.push(1).emit(Op.ADD).emit(Op.SWAP, 1).emit(Op.DUP, 2).emit(Op.TSTORE)  # [c, base+1]
+    a.push(1).emit(Op.ADD).emit(Op.TSTORE)
     a.emit(Op.IRET)
+    a.mark(full)
+    a.emit(Op.POP)
     a.mark(done)
     a.emit(Op.POP).emit(Op.POP)
     return a.emit(Op.IRET)
@@ -524,21 +523,20 @@ def seq_flagged_exit(code_id: int, lay: Layout, config: Config) -> Asm:
     """Shared flagged exit: consumes [vals..., n, fid], never returns.
 
     Boundary entries guard-revert (``_guard_revert``). Marker and reentrant
-    entries hand their local alarm entries to the boundary frame through the
-    transient relay (``_relay``); a marker entry then returns with the
+    entries leave their alarm entries in the transient buffer, where a frame
+    of the same account reads them: a marker entry returns with the
     [1, MARKER] prefix, a reentrant one poisons the ctx slot so the outer
     frame of the same contract reverts the whole transaction, and returns.
     Its RETURNs stand in for the original exit, like the stub's.
     """
     a = Asm()
-    l_relay = Asm.fresh("xrelay")
+    l_inner = Asm.fresh("xinner")
     l_marker = Asm.fresh("xmflag")
     a.mload(lay.mode)  # MODE_BOUNDARY is 0
-    a.jumpi(l_relay)
+    a.jumpi(l_inner)
     a.extend(_guard_revert(code_id, lay, config))
-    a.mark(l_relay)
+    a.mark(l_inner)
     a.emit(Op.POP)  # fid: only a guard revert reports it
-    a.extend(_relay(lay, config))
     a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
     a.jumpi(l_marker)
     a.push(config.slot_poison).push(CTX_SLOT).emit(Op.TSTORE)
@@ -551,89 +549,46 @@ def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
     """Guard revert: consumes [fid], never returns.
 
     Reverts with [GUARD_MARKER, count, (addr, code id, fid, combined) * count]
-    from the relayed plus local entries; a flag with no entries at all means an
-    unreadable inner region, reported as the all-ones sentinel pair of fid.
+    from the transient alarm buffer, in append order. A flag with an empty
+    buffer means a protected callee reached by CALL flagged and its entries
+    stayed in its own account's buffer; that is reported as the all-ones
+    sentinel pair of fid.
     """
     a = Asm()
     guard_marker = config.guard.guard_marker & config.mask
     loop = Asm.fresh("rev")
     done = Asm.fresh("revdone")
-    rloop = Asm.fresh("rrev")
-    rdone = Asm.fresh("rrevdone")
     have = Asm.fresh("have")
-    a.mload(lay.acnt)
-    a.push(RELAY_CNT_SLOT).emit(Op.TLOAD)
-    a.emit(Op.OR)
+    a.push(ALARM_CNT_SLOT).emit(Op.TLOAD)  # [fid, count]
+    a.emit(Op.DUP, 1)
     a.jumpi(have)
+    a.emit(Op.POP)
     a.push((1 << config.width) - 1).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
     a.push(1)
     a.push(guard_marker)
     a.push(6)
     a.emit(Op.REVERT)
     a.mark(have)
-    a.emit(Op.POP)
-    a.mload(lay.acnt).mstore(lay.tmp_x)
+    a.emit(Op.SWAP, 1).emit(Op.POP)  # [count]
+    a.emit(Op.DUP, 1).mstore(lay.tmp_y)  # count, for the payload head
+    a.mstore(lay.tmp_x)  # entries left to push, last first
     a.mark(loop)
     a.mload(lay.tmp_x).emit(Op.ISZERO)
     a.jumpi(done)
     a.mload(lay.tmp_x).push(1).emit(Op.SUB)
     a.emit(Op.DUP, 1).mstore(lay.tmp_x)
-    a.push(3).emit(Op.MUL).push(lay.abuf).emit(Op.ADD)  # [entry base]
-    a.emit(Op.DUP, 1).push(2).emit(Op.ADD).emit(Op.MLOAD)  # [base, combined]
+    a.push(3).emit(Op.MUL).push(ALARM_ENTRY_SLOT).emit(Op.ADD)  # [entry base]
+    a.emit(Op.DUP, 1).push(2).emit(Op.ADD).emit(Op.TLOAD)  # [base, combined]
     a.emit(Op.SWAP, 1)  # [combined, base]
-    a.emit(Op.DUP, 1).push(1).emit(Op.ADD).emit(Op.MLOAD)  # [combined, base, fid]
-    a.emit(Op.SWAP, 1).emit(Op.MLOAD)  # [combined, fid, code id]
+    a.emit(Op.DUP, 1).push(1).emit(Op.ADD).emit(Op.TLOAD)  # [combined, base, fid]
+    a.emit(Op.SWAP, 1).emit(Op.TLOAD)  # [combined, fid, code id]
     a.emit(Op.ADDRESS)  # [combined, fid, code id, addr]
     a.jump(loop)
     a.mark(done)
-    a.push(RELAY_CNT_SLOT).emit(Op.TLOAD).mstore(lay.tmp_y)  # relayed count
-    a.mload(lay.tmp_y).mstore(lay.tmp_x)
-    a.mark(rloop)
-    a.mload(lay.tmp_x).emit(Op.ISZERO)
-    a.jumpi(rdone)
-    a.mload(lay.tmp_x).push(1).emit(Op.SUB).mstore(lay.tmp_x)
-    for word in (2, 1, 0):  # combined, fid, code id
-        a.push(RELAY_ENTRY_SLOT + word)
-        a.mload(lay.tmp_x).push(3).emit(Op.MUL)
-        a.emit(Op.ADD).emit(Op.TLOAD)
-    a.emit(Op.ADDRESS)
-    a.jump(rloop)
-    a.mark(rdone)
-    a.mload(lay.acnt).mload(lay.tmp_y).emit(Op.ADD)
+    a.mload(lay.tmp_y)
     a.push(guard_marker)
-    a.mload(lay.acnt).mload(lay.tmp_y).emit(Op.ADD).push(4).emit(Op.MUL)
-    a.push(2).emit(Op.ADD)
+    a.mload(lay.tmp_y).push(4).emit(Op.MUL).push(2).emit(Op.ADD)
     a.emit(Op.REVERT)
-    return a
-
-
-def _relay(lay: Layout, config: Config) -> Asm:
-    """Copy local alarm entries into the transient relay, up to the cap."""
-    a = Asm()
-    rel = Asm.fresh("rel")
-    reldone = Asm.fresh("reldone")
-    a.push(0).mstore(lay.tmp_x)  # i: local index
-    a.push(RELAY_CNT_SLOT).emit(Op.TLOAD).mstore(lay.tmp_y)  # j: relay index
-    a.mark(rel)
-    a.mload(lay.tmp_x).mload(lay.acnt).emit(Op.LT).emit(Op.ISZERO)
-    a.jumpi(reldone)
-    a.mload(lay.tmp_y).push(lay.alarm_cap).emit(Op.LT).emit(Op.ISZERO)
-    a.jumpi(reldone)
-    for word in range(3):
-        # value = mem[abuf + 3i + word]
-        a.push(word)
-        a.mload(lay.tmp_x).push(3).emit(Op.MUL).emit(Op.ADD)
-        a.push(lay.abuf).emit(Op.ADD).emit(Op.MLOAD)
-        # slot = RELAY_ENTRY_SLOT + 3j + word
-        a.push(RELAY_ENTRY_SLOT + word)
-        a.mload(lay.tmp_y).push(3).emit(Op.MUL)
-        a.emit(Op.ADD)
-        a.emit(Op.TSTORE)
-    a.add_mem(lay.tmp_x, 1)
-    a.add_mem(lay.tmp_y, 1)
-    a.jump(rel)
-    a.mark(reldone)
-    a.mload(lay.tmp_y).push(RELAY_CNT_SLOT).emit(Op.TSTORE)
     return a
 
 

@@ -179,7 +179,7 @@ class _Rewriter:
         self.strategies = strategies
         self.config = config
         self.code_id = sorted(analysis.boundary).index(name)
-        self.lay = Layout(config.width, config.guard.alarm_buffer_cap)
+        self.lay = Layout(config.width)
         self.points: list[InstrumentPoint] = []
         self.pool: list[int] = []
 

@@ -102,25 +102,26 @@ class TraceOracle:
         combined = (frame.ctx * num_paths + epp) & self.config.mask
         self.out.append((frame.self_addr, frame.code, iframe.fid, combined))
 
+    @staticmethod
+    def _term_edge(iframe: _IFrame, where: str) -> Edge:
+        """The one terminator edge leaving the function's current vertex."""
+        term = [
+            e for e in iframe.succ[iframe.vertex] if e.origin and e.origin[0] == "term"
+        ]
+        if len(term) != 1:
+            raise TraceMismatch(f"{iframe.cfg.fn_name}: {where}")
+        return term[0]
+
     def _emit_exit(self, frame: _Frame) -> None:
         """Close the final pending path of the frame's active function."""
         iframe = frame.top if frame.istack else None
         if iframe is None or iframe.vertex is None:
             return
-        term = [
-            e
-            for e in iframe.succ[iframe.vertex]
-            if e.origin and e.origin[0] == "term"
-        ]
-        if len(term) != 1:
-            raise TraceMismatch(
-                f"{iframe.cfg.fn_name}: frame ended away from a terminator"
-            )
-        off = term[0].origin[1]
+        term = self._term_edge(iframe, "frame ended away from a terminator")
         prog = self.analysis.programs[frame.code]
-        if prog.functions[iframe.fid].body[off].op is Op.REVERT:
+        if prog.functions[iframe.fid].body[term.origin[1]].op is Op.REVERT:
             return  # reverting exits emit no check
-        self._emit(frame, iframe, iframe.epp + iframe.lab.edge_val[term[0].eid])
+        self._emit(frame, iframe, iframe.epp + iframe.lab.edge_val[term.eid])
 
     # -- event handlers ---------------------------------------------------------
 
@@ -203,12 +204,8 @@ class TraceOracle:
             return
         iframe = frame.istack.pop()
         # the IRET's terminator edge closes the callee's last path
-        term = [
-            e for e in iframe.succ[iframe.vertex] if e.origin and e.origin[0] == "term"
-        ]
-        if len(term) != 1:
-            raise TraceMismatch(f"{iframe.cfg.fn_name}: CallReturn away from IRET")
-        self._emit(frame, iframe, iframe.epp + iframe.lab.edge_val[term[0].eid])
+        term = self._term_edge(iframe, "CallReturn away from IRET")
+        self._emit(frame, iframe, iframe.epp + iframe.lab.edge_val[term.eid])
         # undo the context delta; the call site is the caller's current
         # vertex terminator (an ICALL instruction)
         caller = frame.istack[-1]

@@ -401,7 +401,7 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
     """Execute one stream transaction on the guarded world (and its mirror)."""
     guarded = run.guarded
     config = guarded.bundle.config
-    lay = Layout(config.width, config.guard.alarm_buffer_cap)
+    lay = Layout(config.width)
     index = run.next_index()
     tx = parse_tx(record, run.deployed, guarded.bundle)
 
@@ -456,11 +456,11 @@ def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecor
     contract, fid, combined = raw.contract, raw.fn, raw.combined
     code = sorted(analysis.boundary)[raw.code_id]
     if combined == config.mask:
-        # sentinel: the anomaly happened in a reentrant callee frame that
-        # returned normally after poisoning the ctx slot
+        # sentinel: the flag came from a protected callee reached by CALL,
+        # whose alarm entries stayed in its own account's buffer
         return AlarmRecord(
             index, contract, fid, 0, 0, combined,
-            ["<reentrant callee of this function raised the anomaly>"], [], inner,
+            ["<protected callee reached by CALL raised the anomaly>"], [], inner,
         )
     num_paths = analysis.num_paths(code, fid)
     num_ccs = analysis.num_ccs(code, fid)

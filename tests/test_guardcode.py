@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from pathguard.config import Config
+from pathguard.config import Config, GuardParams
 from pathguard.guardcode import (
     MODE_BOUNDARY,
     MODE_MARKER,
     MODE_REENTRANT,
+    ALARM_CNT_SLOT,
+    ALARM_ENTRY_SLOT,
     CTX_SLOT,
-    RELAY_CNT_SLOT,
-    RELAY_ENTRY_SLOT,
     Asm,
     Layout,
     checker_pool,
@@ -37,14 +37,15 @@ from pathguard.program import ContractProgram, FunctionDef, Visibility, validate
 from pathguard.vm import Transaction, VM, WorldState, deploy
 
 
-def _execute(items, calldata, width=64, pool=None, extra_fns=None, storage=None):
+def _execute(items, calldata, width=64, pool=None, extra_fns=None, storage=None, selectors=None):
     """Run one tx into a probe function made of ``items``; ``extra_fns`` take
-    function ids 1, 2, ... Returns the receipt, the world and the address."""
+    function ids 1, 2, ... and ``selectors`` maps selectors to the external
+    ones. Returns the receipt, the world and the address."""
     config = Config(width=width)
     fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(items, base=0))]
     if extra_fns:
         fns += extra_fns
-    prog = ContractProgram("t", fns, {0x7: 0}, None, data_pool=pool or [])
+    prog = ContractProgram("t", fns, {0x7: 0, **(selectors or {})}, None, data_pool=pool or [])
     validate_program(prog, config)
     world = WorldState(config)
     addr = deploy(world, prog, 0xD0)
@@ -109,10 +110,9 @@ SENTINEL = 0xBEEF  # left below the routine's operands: it must survive the call
 def _checker_fns(strategy, spec, fid, config):
     """The checker under test plus the contract's shared miss routine."""
     chk = seq_checker(strategy, spec, fid, MISS_FID, 0, config)
-    miss = seq_miss(CODE_ID, config.guard.mapping_tag, Layout(config.width), config)
     return [
         FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, flatten(chk.items, base=0)),
-        FunctionDef(MISS_FID, "miss", Visibility.INTERNAL, flatten(miss.items, base=0)),
+        _miss_fn(config, MISS_FID),
     ]
 
 
@@ -201,138 +201,213 @@ def _slow_fn(seq):
     return [FunctionDef(SLOW_FID, "slow", Visibility.INTERNAL, flatten(seq.items, base=0))]
 
 
-def _with_local_alarms(lay, entries):
-    """Probe prefix filling the local alarm buffer with (code id, fid, combined)."""
+def _with_alarms(entries):
+    """Probe prefix filling the transient alarm buffer with (code id, fid,
+    combined) entries, as earlier frames of the tx leave it."""
     a = Asm()
-    for i, entry in enumerate(entries):
+    for j, entry in enumerate(entries):
         for word, value in enumerate(entry):
-            a.mstore_const(lay.abuf + 3 * i + word, value)
-    return a.mstore_const(lay.acnt, len(entries))
+            a.push(value).push(ALARM_ENTRY_SLOT + 3 * j + word).emit(Op.TSTORE)
+    return a.push(len(entries)).push(ALARM_CNT_SLOT).emit(Op.TSTORE)
 
 
-def _run_miss(lay, prefill, combined, fid, seed, storage=None):
+def _buffer_slots(entries):
+    """Transient map of a buffer holding ``entries`` (zero words are absent)."""
+    slots = {ALARM_CNT_SLOT: len(entries)}
+    for j, entry in enumerate(entries):
+        for word, value in enumerate(entry):
+            slots[ALARM_ENTRY_SLOT + 3 * j + word] = value
+    return {slot: value for slot, value in slots.items() if value}
+
+
+def _transient(world, addr):
+    """Transient slots the last tx left behind in ``addr``'s map."""
+    return dict(world.transient.get(addr, {}))
+
+
+def _miss_fn(config, fid=SLOW_FID, code_id=CODE_ID):
+    """The shared miss routine as internal function ``fid``."""
+    miss = seq_miss(code_id, config.guard.mapping_tag, Layout(config.width), config)
+    return FunctionDef(fid, "miss", Visibility.INTERNAL, flatten(miss.items, base=0))
+
+
+def _run_miss(prefill, combined, fid, seed, storage=None, cap=8):
     """ICALL the shared miss routine over [combined, fid, seed] with the
-    alarm buffer prefilled; returns (flag, acnt, buffer words)."""
-    config = Config()
-    a = _with_local_alarms(lay, prefill).push(SENTINEL)
+    alarm buffer prefilled; returns (flag, transient map)."""
+    config = Config(guard=GuardParams(alarm_buffer_cap=cap))
+    a = _with_alarms(prefill).push(SENTINEL)
     a.push(combined).push(fid).push(seed).emit(Op.ICALL, SLOW_FID)
-    words = [lay.flag, lay.acnt] + [lay.abuf + i for i in range(3 * lay.alarm_cap)]
-    for addr in reversed(words):
-        a.mload(addr)
-    a.push(len(words) + 1).emit(Op.RETURN)
-    miss = seq_miss(CODE_ID, config.guard.mapping_tag, lay, config)
-    receipt, _, _ = _execute(a.items, [], extra_fns=_slow_fn(miss), storage=storage)
+    a.mload(Layout(64).flag).push(2).emit(Op.RETURN)
+    receipt, world, addr = _execute(a.items, [], extra_fns=[_miss_fn(config)], storage=storage)
     assert receipt.status == "Accepted", receipt
-    flag, acnt, *buf, sentinel = receipt.return_data
+    flag, sentinel = receipt.return_data
     assert sentinel == SENTINEL
-    return flag, acnt, buf
+    return flag, _transient(world, addr)
 
 
 def test_mapping_probe_in_vm():
     """The miss routine accepts an appended (fid, key) pair and raises the
     alarm on another key or on another function's seed."""
     config = Config()
-    lay = Layout(64)
     fid, key = 3, 12345
     storage = {mapping_slot(fid, key, config): mapping_value(key, config.width)}
     for combined, seed_fid, member in ((key, fid, 1), (key + 1, fid, 0), (key, fid + 1, 0)):
         seed = mapping_fn_seed(seed_fid, config)
-        flag, acnt, buf = _run_miss(lay, [], combined, fid, seed, storage)
-        alarmed = [] if member else [CODE_ID, fid, combined]
-        assert (flag, acnt) == (1 - member, 1 - member), (combined, seed_fid)
-        assert buf == alarmed + [0] * (len(buf) - len(alarmed)), (combined, seed_fid)
+        flag, slots = _run_miss([], combined, fid, seed, storage)
+        alarmed = [] if member else [(CODE_ID, fid, combined)]
+        assert flag == 1 - member, (combined, seed_fid)
+        assert slots == _buffer_slots(alarmed), (combined, seed_fid)
 
 
 def test_alarm_append_below_and_at_cap():
-    """A miss outside the mapping appends (code id, fid, combined) while the
-    buffer has room; at the cap it only sets the flag. Either way it
+    """A miss outside the mapping appends (code id, fid, combined) to the
+    transient buffer while it holds fewer than ``alarm_buffer_cap`` entries;
+    at the cap it only sets the flag and writes nothing. Either way it
     consumes [combined, fid, fn_seed]."""
-    lay = Layout(64, alarm_cap=2)
+    cap = 2
     held = [(CODE_ID, 4, 0x111)]
     seed = mapping_fn_seed(6, Config())
     for prefill in (held, held + [(CODE_ID, 5, 0x222)]):
-        flag, acnt, buf = _run_miss(lay, prefill, 0x333, 6, seed)
-        entries = (prefill + [(CODE_ID, 6, 0x333)])[: lay.alarm_cap]
-        assert (flag, acnt) == (1, len(entries))
-        assert buf == [w for entry in entries for w in entry] + [0] * (len(buf) - 3 * len(entries))
+        flag, slots = _run_miss(prefill, 0x333, 6, seed, cap=cap)
+        assert flag == 1
+        assert slots == _buffer_slots((prefill + [(CODE_ID, 6, 0x333)])[:cap])
 
 
-def _run_flagged_exit(lay, mode, local, relayed=(), fid=5):
+def _run_flagged_exit(mode, entries, fid=5):
     """Run the shared flagged exit in ``mode`` over [0xA1, 0xA2, 2, fid] with
-    the local alarm buffer holding ``local`` and the transient relay holding
-    ``relayed``, as earlier inner frames of the tx leave it; returns
-    (receipt, world, addr)."""
+    the transient alarm buffer holding ``entries``; returns (receipt, world,
+    addr)."""
     config = Config()
-    a = _with_local_alarms(lay, local).mstore_const(lay.mode, mode)
-    for j, entry in enumerate(relayed):
-        for word, value in enumerate(entry):
-            a.push(value).push(RELAY_ENTRY_SLOT + 3 * j + word).emit(Op.TSTORE)
-    a.push(len(relayed)).push(RELAY_CNT_SLOT).emit(Op.TSTORE)
+    lay = Layout(64)
+    a = _with_alarms(entries).mstore_const(lay.mode, mode)
     a.push(0xA1).push(0xA2).push(2).push(fid).emit(Op.ICALL, SLOW_FID)
     a.push(0).emit(Op.RETURN)  # never reached
     seq = seq_flagged_exit(CODE_ID, lay, config)
     return _execute(a.items, [], extra_fns=_slow_fn(seq))
 
 
-def _relayed(world, addr, count):
-    """Relayed entries in the transient storage the last tx left behind."""
-    return [
-        tuple(world.tload(addr, RELAY_ENTRY_SLOT + 3 * j + w) for w in range(3))
-        for j in range(count)
-    ]
-
-
-def test_flagged_exit_marker_relays_and_returns_flag():
-    """A marker entry appends its local entries after those already relayed,
-    up to the buffer cap, then returns its values under [1, MARKER]."""
+def test_flagged_exit_marker_returns_flag():
+    """A marker entry returns its values under [1, MARKER] and leaves the
+    alarm buffer as the misses left it, for a frame of the same account."""
     config = Config()
-    lay = Layout(64, alarm_cap=3)
-    local = [(1, 2, 0x10), (1, 7, 0x20), (1, 9, 0x30)]
-    earlier = (2, 8, 0x99)  # relayed by an earlier frame
-    receipt, world, addr = _run_flagged_exit(lay, MODE_MARKER, local, [earlier])
+    entries = [(2, 8, 0x99), (1, 2, 0x10)]
+    receipt, world, addr = _run_flagged_exit(MODE_MARKER, entries)
     assert receipt.status == "Accepted", receipt
     assert receipt.return_data == [config.guard.call_marker & config.mask, 1, 0xA2, 0xA1]
-    assert world.tload(addr, RELAY_CNT_SLOT) == lay.alarm_cap
-    assert _relayed(world, addr, lay.alarm_cap + 1) == [earlier] + local[:2] + [(0, 0, 0)]
-    assert world.tload(addr, CTX_SLOT) == 0
+    assert _transient(world, addr) == _buffer_slots(entries)
     assert world.dump()[hex(addr)]["storage"] == {}
 
 
-def test_flagged_exit_reentrant_relays_then_poisons_slot():
-    """A reentrant entry relays its entries, poisons the ctx slot so the outer
-    frame reverts, and returns its values unchanged."""
+def test_flagged_exit_reentrant_poisons_slot():
+    """A reentrant entry poisons the ctx slot so the outer frame reverts,
+    leaves the alarm buffer as it is, and returns its values unchanged."""
     config = Config()
-    lay = Layout(64)
-    local = [(1, 2, 0x10), (1, 7, 0x20)]
-    receipt, world, addr = _run_flagged_exit(lay, MODE_REENTRANT, local)
+    entries = [(1, 2, 0x10), (1, 7, 0x20)]
+    receipt, world, addr = _run_flagged_exit(MODE_REENTRANT, entries)
     assert receipt.status == "Accepted", receipt
     assert receipt.return_data == [0xA2, 0xA1]
-    assert world.tload(addr, RELAY_CNT_SLOT) == len(local)
-    assert _relayed(world, addr, len(local)) == local
-    assert world.tload(addr, CTX_SLOT) == config.slot_poison
+    assert _transient(world, addr) == {
+        **_buffer_slots(entries), CTX_SLOT: config.slot_poison
+    }
     assert world.dump()[hex(addr)]["storage"] == {}
 
 
-def test_guard_revert_payload_merges_local_and_relayed_entries():
-    """A boundary entry reverts with the relayed plus local entries."""
+def test_guard_revert_payload_lists_buffer_in_append_order():
+    """A boundary entry reverts with every buffered entry, in append order."""
     config = Config()
-    lay = Layout(64)
     gm = config.guard.guard_marker & config.mask
-    local = [(CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
-    relayed = [(1, 8, 0x99)]
-    receipt, world, addr = _run_flagged_exit(lay, MODE_BOUNDARY, local, relayed)
+    entries = [(1, 8, 0x99), (CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
+    receipt, world, addr = _run_flagged_exit(MODE_BOUNDARY, entries)
     assert receipt.status == "GuardReverted"
     assert receipt.return_data == [gm, 3] + [
-        w for entry in relayed + local for w in (addr, *entry)
+        w for entry in entries for w in (addr, *entry)
     ]
-    assert [(r.code_id, r.fn, r.combined) for r in receipt.alarms] == relayed + local
+    assert [(r.code_id, r.fn, r.combined) for r in receipt.alarms] == entries
 
 
 def test_guard_revert_without_entries_reports_sentinel():
-    """A flag with no entries (an unreadable inner region) reverts with the
-    all-ones sentinel pair of the flagged function."""
+    """A flag with an empty buffer (a protected callee reached by CALL
+    flagged) reverts with the all-ones sentinel pair of the flagged
+    function."""
     config = Config()
-    receipt, _, addr = _run_flagged_exit(Layout(64), MODE_BOUNDARY, [])
+    receipt, _, addr = _run_flagged_exit(MODE_BOUNDARY, [])
     assert receipt.status == "GuardReverted"
     gm = config.guard.guard_marker & config.mask
     assert receipt.return_data == [gm, 1, addr, CODE_ID, 5, config.mask]
+
+
+def test_inner_guard_revert_rolls_back_only_its_own_appends():
+    """A frame that misses, then calls its own account, whose inner boundary
+    frame misses and guard-reverts: the inner payload lists the whole buffer,
+    and the revert journal drops only the inner append, so the outer frame's
+    entry and count survive with no copy."""
+    config = Config()
+    exit_fid, miss_fid, inner_fid = 1, 2, 3
+    outer = Asm().push(0x111).push(4).push(mapping_fn_seed(4, config)).emit(Op.ICALL, miss_fid)
+    outer.push(0).push(0x8).push(0).emit(Op.ADDRESS).emit(Op.CALL)  # [ok]
+    words = range(ALARM_CNT_SLOT, ALARM_ENTRY_SLOT + 6)  # count and two entries
+    for slot in reversed(words):
+        outer.push(slot).emit(Op.TLOAD)
+    outer.push(len(words) + 1).emit(Op.RETURN)
+    inner = Asm().push(0x222).push(5).push(mapping_fn_seed(5, config)).emit(Op.ICALL, miss_fid)
+    inner.push(0).push(5).emit(Op.ICALL, exit_fid)
+    inner.push(0).emit(Op.RETURN)  # never reached
+    fns = _slow_fn(seq_flagged_exit(CODE_ID, Layout(64), config)) + [
+        _miss_fn(config, miss_fid),
+        FunctionDef(inner_fid, "inner", Visibility.EXTERNAL, flatten(inner.items, base=0)),
+    ]
+    receipt, world, addr = _execute(outer.items, [], extra_fns=fns, selectors={0x8: inner_fid})
+    assert receipt.status == "Accepted", receipt
+    assert receipt.return_data == [1, CODE_ID, 4, 0x111, 0, 0, 0, 0]  # ..., call failed
+    assert _transient(world, addr) == _buffer_slots([(CODE_ID, 4, 0x111)])
+    (revert,) = [ev for ev in receipt.trace if ev.kind == "Revert"]
+    assert [(a.code_id, a.fn, a.combined) for a in revert.get("alarms")] == [
+        (CODE_ID, 4, 0x111),
+        (CODE_ID, 5, 0x222),
+    ]
+
+
+@pytest.mark.parametrize("op", [Op.DELEGATECALL, Op.CALL])
+def test_callee_entries_land_in_executing_account_buffer(op):
+    """A protected callee reached by DELEGATECALL runs its miss routine in
+    the caller's account, so its entry, under its own code id, lands in the
+    caller's buffer and the caller's guard revert reports it. Reached by
+    CALL, the entry stays in the callee's account and the caller reports
+    the sentinel."""
+    config = Config()
+    lib_id, lib_fid = CODE_ID + 1, 6
+    world = WorldState(config)
+    body = Asm().push(0x333).push(lib_fid).push(mapping_fn_seed(lib_fid, config))
+    body.emit(Op.ICALL, 1).emit(Op.STOP)
+    lib = ContractProgram(
+        "lib",
+        [
+            FunctionDef(0, "f", Visibility.EXTERNAL, flatten(body.items, base=0)),
+            _miss_fn(config, 1, lib_id),
+        ],
+        {0x9: 0},
+        None,
+    )
+    validate_program(lib, config)
+    lib_addr = deploy(world, lib, 0xD0)
+    host = Asm().push(0).push(0x9)
+    if op is Op.CALL:
+        host.push(0)  # value
+    host.push(lib_addr).emit(op).emit(Op.POP)
+    host.push(0).push(5).emit(Op.ICALL, SLOW_FID)
+    host.push(0).emit(Op.RETURN)  # never reached
+    prog = ContractProgram(
+        "host",
+        [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(host.items, base=0))]
+        + _slow_fn(seq_flagged_exit(CODE_ID, Layout(64), config)),
+        {0x7: 0},
+        None,
+    )
+    validate_program(prog, config)
+    addr = deploy(world, prog, 0xD0)
+    receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, []))
+    assert receipt.status == "GuardReverted", receipt
+    expected = (lib_id, lib_fid, 0x333) if op is Op.DELEGATECALL else (CODE_ID, 5, config.mask)
+    assert [(a.contract, a.code_id, a.fn, a.combined) for a in receipt.alarms] == [
+        (addr, *expected)
+    ]

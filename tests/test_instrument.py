@@ -10,8 +10,8 @@ from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
 from pathguard.guardcode import (
+    ALARM_CNT_SLOT,
     CTX_SLOT,
-    RELAY_CNT_SLOT,
     Layout,
     flatten,
     seq_flagged_exit,
@@ -107,12 +107,13 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
 
 
 def test_slow_paths_emitted_once_per_contract(figcg, loopy):
-    """The flagged exit (relay, ctx-slot poison and guard revert) and the miss
+    """The flagged exit (ctx-slot poison and guard revert) and the miss
     routine (mapping probe plus alarm append) each live in one shared
-    function. No exit or backedge stub carries append, relay, poison or
-    payload code or branches on a checker's answer, no checker probes
-    storage, and only checkers reach the miss routine."""
-    lay = Layout(CONFIG.width, CONFIG.guard.alarm_buffer_cap)
+    function, and only these two touch the transient alarm buffer. No exit
+    or backedge stub carries append, poison or payload code or branches on a
+    checker's answer, no checker probes storage, and only checkers reach the
+    miss routine."""
+    lay = Layout(CONFIG.width)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
     tag = CONFIG.guard.mapping_tag & CONFIG.mask
     poison = (CONFIG.slot_poison, CTX_SLOT)
@@ -150,14 +151,15 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
             }
             pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
             if fn.id == exit_fid:
-                assert RELAY_CNT_SLOT in slots and poison in stores and gm in pushed
+                assert ALARM_CNT_SLOT in slots and poison in stores and gm in pushed
                 continue
-            assert RELAY_CNT_SLOT not in slots, fn.name
             assert poison not in stores, fn.name
             assert gm not in pushed, fn.name
             if fn.id == miss_fid:
+                assert ALARM_CNT_SLOT in slots and tag in pushed
                 continue
-            assert not pushed & {lay.acnt, lay.abuf, tag}, fn.name
+            assert ALARM_CNT_SLOT not in slots, fn.name
+            assert tag not in pushed, fn.name
             if fn.id in checkers:
                 assert all(i.op is not Op.SLOAD for i in fn.body), fn.name
         sites = [p.site for p in inst.points if p.kind == "PathSetCheck"]
@@ -244,7 +246,7 @@ def test_reserved_literal_collision_rejected():
 
 @pytest.mark.parametrize("body", ["PUSH 0 TLOAD POP STOP", "PUSH 1 PUSH 0 TSTORE STOP"])
 def test_transient_storage_use_rejected(body):
-    """Transient storage holds the guard's ctx and relay slots; a contract
+    """Transient storage holds the guard's ctx slot and alarm buffer; a contract
     that reads or writes it cannot be protected."""
     prog = assemble("contract t { fn f external { %s } }" % body)
     with pytest.raises(InstrumentationError, match=r"t.f@\d: T(LOAD|STORE) uses transient"):
@@ -458,5 +460,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "0ea49f9e658bc9cda4bfe486dd325ba09d5549ef2f9630c4615d6a3d20eed452"
+        "4c5e508622d96d2076918163964f4e2c99d050dfa618d08692c9198720466f38"
     )

@@ -125,6 +125,20 @@ def test_mpht_seed_exhaustion():
         build_mpht(range(16), width=8)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConstructionFailed,
+    reason="hash_fields leaves the bucket field g only width - 2 * field_bits(width) "
+    "bits (6 at width 16, 4 at width 8), so at most 64 (16) buckets are used "
+    "whatever m is, and the crowded buckets fit under no seed of the chain",
+)
+@pytest.mark.parametrize("n, width", [(277, 16), (100, 8)])
+def test_mpht_builds_consecutive_keys_at_narrow_width(n, width):
+    """Known defect (README, "Known limitations"): these key sets fail all
+    16 seeds, so production falls back to a list plus a mapping preseed."""
+    build_mpht(range(n), width=width)
+
+
 def test_mpht_table_size_is_the_next_prime():
     """A prime size keeps every d0*(f2 - f2') step generating all slots, and
     the deploy estimate counts those slots; the largest size still packs d0

@@ -16,6 +16,7 @@ from pathguard.isa import Op
 from pathguard.program import SizeLimitExceeded
 from pathguard.vm import (
     STATUS_ACCEPTED,
+    STATUS_GUARD_REVERTED,
     STATUS_OUT_OF_GAS,
     STATUS_REVERTED,
     TRACE_CHECKS,
@@ -592,7 +593,7 @@ def _vm_runs(probe=None):
         guarded = protect(bundle, train(bundle, scenario.training))
         deployed = deploy_guarded(guarded)
         config = bundle.config
-        check_log = Layout(config.width, config.guard.alarm_buffer_cap).check_log
+        check_log = Layout(config.width).check_log
         for record in records:
             tx = parse_tx(record, deployed, bundle)
             vm = VM(deployed.world, TRACE_CHECKS, check_log, gas_probe=probe)
@@ -623,17 +624,25 @@ def _vm_digest() -> str:
 
 def _vm_records():
     """Per-tx records of the ``_vm_runs`` corpus that do not depend on code
-    layout: status, gas, return data, alarms (the receipt's and those of
-    inner guard reverts), the PathChecked (contract, fn, combined) sequence
-    and a digest of every account's storage after the tx. Two builds can be
-    compared record by record when emitted code changes."""
+    layout: status, gas, return data, alarms, the PathChecked (contract, fn,
+    combined) sequence and a digest of every account's storage after the
+    tx. Alarms are read as ``workflow._collect_alarms`` reads them: the
+    receipt's payload of a guard-reverted tx, else those of its inner guard
+    reverts. Two builds can be compared record by record when emitted code
+    changes."""
     count: dict[tuple[str, bool], int] = {}
     for name, protected, receipt, world in _vm_runs():
         index = count[(name, protected)] = count.get((name, protected), -1) + 1
-        alarms = [dataclasses.astuple(a) for a in receipt.alarms]
-        for ev in receipt.trace:
-            if ev.kind == "Revert" and ev.get("guard"):
-                alarms += [dataclasses.astuple(a) for a in ev.get("alarms", [])]
+        if receipt.status == STATUS_GUARD_REVERTED:
+            raw = receipt.alarms
+        else:
+            raw = [
+                a
+                for ev in receipt.trace
+                if ev.kind == "Revert" and ev.get("guard")
+                for a in ev.get("alarms", [])
+            ]
+        alarms = [dataclasses.astuple(a) for a in raw]
         storage = {
             hex(addr): sorted(acct.storage.items()) for addr, acct in world.accounts.items()
         }
@@ -656,7 +665,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "c37ec3afb2fbfb64960744905887eb95e0675422c86368478abc76e02d9bd370"
+        "0e651a9a16c41befd6851bd55c398feaf01dd39995d0316fc21a86bbb3fa4aba"
     )
 
 

@@ -348,3 +348,94 @@ def test_reentry_through_unprotected_contract_alarms(forged):
     outcome = run_transaction(run, REENTRANCY.attack[-1])
     assert outcome.alarms
     assert world.accounts[vault].balance >= before
+
+
+@pytest.mark.parametrize(
+    "scenario, chain_mark",
+    [
+        # the mark is the chain's first entry (reentrancy) or its last
+        pytest.param(REENTRANCY, "<reentry via unprotected call>", id="reentrancy"),
+        pytest.param(DELEGATECALL, "proxy.fn1@5 -> dlib.fn0", id="delegatecall"),
+    ],
+)
+def test_same_account_frame_alarm_reaches_boundary_payload(scenario, chain_mark):
+    """The attack's anomaly is raised in a frame sharing the boundary frame's
+    account (a reentrant vault frame, a DELEGATECALL-reached library), and
+    the boundary frame's guard revert reports that frame's own pair, read
+    from the one transient alarm buffer."""
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    run = start_detection(guarded, mirror=False)
+    outcome = run_transaction(run, scenario.attack[-1])
+    boundary = "vault" if scenario is REENTRANCY else "proxy"
+    (alarm,) = outcome.alarms
+    assert alarm.contract == run.deployed.addresses[boundary]
+    assert chain_mark in (alarm.context_chain[0], alarm.context_chain[-1])
+    assert alarm.combined_id != bundle.config.mask
+
+
+TWO_HOP_JSON = {
+    "contracts": [
+        {
+            "source": """
+contract front {
+  fn set_back external selector=0x3f {
+    PUSH 0
+    CALLDATALOAD
+    PUSH 0
+    SSTORE
+    STOP
+  }
+  fn go external selector=0x01 {
+    PUSH 0
+    CALLDATALOAD
+    PUSH 1
+    PUSH 0x02
+    PUSH 0
+    PUSH 0
+    SLOAD
+    CALL target=back
+    POP
+    STOP
+  }
+}
+"""
+        },
+        {
+            "source": """
+contract back {
+  fn step external selector=0x02 {
+    PUSH 0
+    CALLDATALOAD
+    JUMPI big
+    STOP
+  big: JUMPDEST
+    PUSH 1
+    PUSH 0
+    SSTORE
+    STOP
+  }
+}
+"""
+        },
+    ],
+    "boundary": ["front", "back"],
+    "setup": [{"origin": 1, "to": "front", "fn": "set_back", "calldata": ["@back"]}],
+}
+
+
+def test_call_reached_callee_miss_reports_labelled_sentinel():
+    """A protected callee reached by CALL misses: its entry stays in its own
+    account's buffer, so the caller's guard revert carries the all-ones
+    sentinel, labelled as the callee's anomaly."""
+    bundle = Bundle.from_json(json.loads(json.dumps(TWO_HOP_JSON)))
+    go = [{"origin": 1, "to": "front", "fn": "go", "calldata": [v]} for v in (0, 0, 1)]
+    guarded = protect(bundle, train(bundle, go[:1]))
+    run = start_detection(guarded, mirror=False)
+    outcomes = [run_transaction(run, record) for record in go[1:]]
+    assert [o.status for o in outcomes] == ["Accepted", "GuardReverted"]
+    (alarm,) = outcomes[1].alarms
+    assert alarm.contract == run.deployed.addresses["front"]
+    assert alarm.function == 1  # go
+    assert alarm.combined_id == bundle.config.mask
+    assert alarm.context_chain == ["<protected callee reached by CALL raised the anomaly>"]
