@@ -210,6 +210,9 @@ def _cmd_run(args) -> int:
         + ", ".join(f"{s}={statuses.count(s)}" for s in sorted(set(statuses)))
     )
     print(f"alarms: {len(run.alarm_log)} on {len({a.tx_index for a in run.alarm_log})} txs")
+    failed = len(run.recon_failures)
+    mirrored = sum(o.gas_orig is not None for o in run.outcomes)
+    print(f"reconciled {mirrored - failed} txs, {failed} gas reconciliation failures")
     if args.alarms:
         lines = [json.dumps(a.to_json()) for a in run.alarm_log]
         Path(args.alarms).write_text("\n".join(lines) + ("\n" if lines else ""))

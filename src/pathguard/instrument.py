@@ -116,8 +116,9 @@ class InstrumentedContract:
     points: list[InstrumentPoint]
     original_size: int
     instrumented_size: int
-    # new (fid, offset) -> index into points, for gas attribution
-    injected: dict[tuple[int, int], int]
+    # owners[fid][offset]: the point whose gas the offset is, or -1 for
+    # original code and the guard RETURNs that stand in for an original exit
+    owners: list[list[int]]
     admin_selector: int
     # safe pairs that live in the dynamic mapping instead of embedded sets
     mapping_preseed: list[tuple[int, int]] = field(default_factory=list)
@@ -202,14 +203,13 @@ class _Rewriter:
         self.slow = SlowPaths(admin_fid + 1, admin_fid + 2)
 
         new_functions: list[FunctionDef] = []
-        injected: dict[tuple[int, int], int] = {}
+        owners: list[list[int]] = []
         for fn in prog.functions:
-            body, owners = self._rewrite_function(fn, checker_fid[fn.id])
+            body, table = self._rewrite_function(fn, checker_fid[fn.id])
             new_functions.append(
                 FunctionDef(fn.id, fn.name, fn.visibility, body)
             )
-            for off, pid in owners.items():
-                injected[(fn.id, off)] = pid
+            owners.append(table)
 
         # checker functions share the contract constant pool
         for fn in prog.functions:
@@ -227,7 +227,7 @@ class _Rewriter:
             new_functions.append(
                 self._guard_function(
                     checker_fid[fn.id], f"__chk_{fn.name}", Visibility.INTERNAL,
-                    seq, pid, injected,
+                    seq, pid, owners,
                 )
             )
 
@@ -240,7 +240,7 @@ class _Rewriter:
         new_functions.append(
             self._guard_function(
                 admin_fid, ADMIN_FN_NAME, Visibility.EXTERNAL,
-                seq_admin_body(config.admin, self.lay), pid, injected,
+                seq_admin_body(config.admin, self.lay), pid, owners,
             )
         )
 
@@ -252,7 +252,7 @@ class _Rewriter:
         for fid, (name, seq) in zip(self.slow, shared.items()):
             pid = self.point(POINT_CHECK, (name, "shared"))
             new_functions.append(
-                self._guard_function(fid, name, Visibility.INTERNAL, seq, pid, injected)
+                self._guard_function(fid, name, Visibility.INTERNAL, seq, pid, owners)
             )
 
         selector_table = dict(prog.selector_table)
@@ -273,13 +273,13 @@ class _Rewriter:
             points=self.points,
             original_size=original_size,
             instrumented_size=size,
-            injected=injected,
+            owners=owners,
             admin_selector=admin_selector,
         )
 
     def _guard_function(
         self, fid: int, name: str, visibility: Visibility, seq: Asm, pid: int,
-        injected: dict[tuple[int, int], int],
+        owners: list[list[int]],
     ) -> FunctionDef:
         """A function made only of guard code: ``pid`` owns its bytes and the
         gas of every offset but its RETURNs, which stand in for the original
@@ -289,9 +289,7 @@ class _Rewriter:
         self.points[pid].code_bytes = (
             sum(i.size(self.config.word_bytes) for i in body) + FUNCTION_ENTRY_BYTES
         )
-        for off, instr in enumerate(body):
-            if instr.op is not Op.RETURN:
-                injected[(fid, off)] = pid
+        owners.append([-1 if instr.op is Op.RETURN else pid for instr in body])
         return FunctionDef(fid, name, visibility, body)
 
     def _scan_reserved_collisions(self) -> None:
@@ -579,11 +577,12 @@ class _Rewriter:
         labels.update(label_offsets([item for item, _gpid, _bpid in entries]))
 
         body: list[Instruction] = []
-        owners: dict[int, int] = {}
+        owners: list[int] = []
         for pos, (item, gpid, bpid) in enumerate(entries):
             instr = resolve(item, labels)
-            if gpid is not None and not (pos >= stubs_from and instr.op in _EXIT_OPS):
-                owners[pos] = gpid
+            if gpid is None or (pos >= stubs_from and instr.op in _EXIT_OPS):
+                gpid = -1
+            owners.append(gpid)
             if bpid is not None:
                 self.points[bpid].code_bytes += instr.size(word_bytes)
             body.append(instr)

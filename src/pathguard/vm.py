@@ -284,15 +284,17 @@ class VM:
         world: WorldState,
         trace_level: int = TRACE_FULL,
         check_log_addr: int | None = None,
-        gas_probe=None,
+        gas_points: dict[str, tuple[list[list[int]], list[int]]] | None = None,
     ):
         self.world = world
         self.config = world.config
         self.trace_level = trace_level
         self.check_log_addr = check_log_addr
-        # gas_probe(code name, fid, offset, gas) attributes charges to
-        # instructions; call sites are charged call_base, callees self-report.
-        self.gas_probe = gas_probe
+        # gas_points maps a code name to (owners, acc): owners[fid][offset] is
+        # the point that owns the offset, or -1, and each charge at an owned
+        # offset is added into acc[point]. Call sites are charged call_base;
+        # callees report their own gas.
+        self.gas_points = gas_points
 
     # -- public entry ---------------------------------------------------------
 
@@ -396,11 +398,14 @@ class VM:
         if full:
             emit("BlockEnter", self_addr, ifid, 0, {"code": name})
 
-        # gas_probe(code name, fid, offset, gas) gets each instruction's
-        # charge after it completes; probe_fid is the function it ran in.
-        probe = self.gas_probe
+        # each instruction's charge is added after it completes, at its
+        # offset in ``own``, the table of the function it ran in
+        points = self.gas_points.get(name) if self.gas_points else None
+        acc = own = owners = None
+        if points is not None:
+            owners, acc = points
+            own = owners[ifid]
         gas_before = gas_used
-        probe_fid = ifid
         try:
             while True:
                 if pc >= n:
@@ -609,20 +614,18 @@ class VM:
                         raise _FrameFailure("stack underflow")
                     slot = stack.pop()
                     world.tstore(self_addr, slot, stack.pop())
-                elif op == _STOP:
-                    if probe is not None:
-                        probe(name, ifid, pc, prices[op])
-                    self.gas_used = gas_used
-                    return True, []
-                elif op == _RETURN or op == _REVERT:
-                    if not stack:
-                        raise _FrameFailure("stack underflow")
-                    i = stack.pop()
-                    if i > len(stack):
-                        raise _FrameFailure("stack underflow")
-                    data = [stack.pop() for _ in range(i)]
-                    if probe is not None:
-                        probe(name, ifid, pc, prices[op])
+                elif op == _STOP or op == _RETURN or op == _REVERT:
+                    data = []
+                    if op != _STOP:
+                        if not stack:
+                            raise _FrameFailure("stack underflow")
+                        i = stack.pop()
+                        if i > len(stack):
+                            raise _FrameFailure("stack underflow")
+                        data = [stack.pop() for _ in range(i)]
+                    # the frame exits here, so its last charge is added now
+                    if acc is not None and own[pc] >= 0:
+                        acc[own[pc]] += prices[op]
                     if op == _REVERT:
                         raise _FrameFailure("revert", data)
                     self.gas_used = gas_used
@@ -630,10 +633,12 @@ class VM:
                 else:  # pragma: no cover - exhaustive over Op
                     raise _FrameFailure(f"unimplemented opcode {_OPS[op]}")
 
-                if probe is not None:
-                    probe(name, probe_fid, pc, gas_used - gas_before)
+                if acc is not None:
+                    pid = own[pc]
+                    if pid >= 0:
+                        acc[pid] += gas_used - gas_before
                     gas_before = gas_used
-                    probe_fid = ifid
+                    own = owners[ifid]
                 if full and (next_pc != pc + 1 or next_pc in fn.leaders) and next_pc < n:
                     emit("BlockEnter", self_addr, ifid, next_pc, {"code": name})
                 pc = next_pc

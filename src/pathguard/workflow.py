@@ -355,6 +355,8 @@ class DetectionRun:
     mirror: DeployedWorld | None
     outcomes: list[TxOutcome] = field(default_factory=list)
     alarm_log: list[AlarmRecord] = field(default_factory=list)
+    # guard gas and hits per (code name, point kind), summed over reconciled
+    # txs; a hit is one point that charged gas in one tx
     point_gas: dict[tuple[str, str], int] = field(default_factory=dict)
     point_hits: dict[tuple[str, str], int] = field(default_factory=dict)
     recon_failures: list[int] = field(default_factory=list)
@@ -405,19 +407,14 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
     index = run.next_index()
     tx = parse_tx(record, run.deployed, guarded.bundle)
 
-    attribution: dict[tuple[str, int, int], int] = {}
-
-    def probe(code, fid, off, amount):
-        key = (code, fid, off)
-        attribution[key] = attribution.get(key, 0) + amount
-
-    # the attribution is read only by _reconcile, which needs the mirror
-    vm = VM(
-        run.deployed.world,
-        TRACE_CHECKS,
-        lay.check_log,
-        gas_probe=probe if run.mirror is not None else None,
-    )
+    # per-point gas is read only by _reconcile, which needs the mirror
+    points = None
+    if run.mirror is not None:
+        points = {
+            name: (inst.owners, [0] * len(inst.points))
+            for name, inst in guarded.instrumented.items()
+        }
+    vm = VM(run.deployed.world, TRACE_CHECKS, lay.check_log, gas_points=points)
     receipt = vm.execute_transaction(tx)
 
     alarms = _collect_alarms(run, index, receipt)
@@ -428,7 +425,7 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
         mirror_tx = parse_tx(record, run.mirror, guarded.bundle)
         mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(mirror_tx)
         gas_orig = mirror_receipt.gas_used
-        _reconcile(run, index, receipt, attribution, gas_orig)
+        _reconcile(run, index, receipt, points, gas_orig)
     outcome = TxOutcome(
         index, receipt.status, receipt.gas_used, gas_orig, alarms, receipt, record
     )
@@ -500,18 +497,17 @@ def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecor
     return AlarmRecord(index, contract, fid, ctx_id, epp_id, combined, chain, blocks, inner)
 
 
-def _reconcile(run, index, receipt, attribution, gas_orig) -> None:
-    """gas delta must equal the sum of charges at injected offsets."""
+def _reconcile(run, index, receipt, points, gas_orig) -> None:
+    """gas delta must equal the sum of the guard points' charges."""
     injected_gas = 0
-    instrumented = run.guarded.instrumented
-    for (name, fid, off), amount in attribution.items():
-        inst = instrumented.get(name)
-        pid = inst.injected.get((fid, off)) if inst else None
-        if pid is not None and amount:
-            injected_gas += amount
-            key = (name, inst.points[pid].kind)
-            run.point_gas[key] = run.point_gas.get(key, 0) + amount
-            run.point_hits[key] = run.point_hits.get(key, 0) + 1
+    for name, (_owners, acc) in points.items():
+        kinds = run.guarded.instrumented[name].points
+        for pid, amount in enumerate(acc):
+            if amount:
+                injected_gas += amount
+                key = (name, kinds[pid].kind)
+                run.point_gas[key] = run.point_gas.get(key, 0) + amount
+                run.point_hits[key] = run.point_hits.get(key, 0) + 1
     if receipt.gas_used - gas_orig != injected_gas:
         run.recon_failures.append(index)
 

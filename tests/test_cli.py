@@ -20,17 +20,32 @@ def _main(capsys, *argv) -> str:
 
 
 def _walk(tmp_path, capsys, name: str) -> tuple[int, set[int]]:
-    """fixture -> train -> protect -> run; returns (printed index, alarmed txs)."""
+    """fixture -> train -> protect -> run; returns (printed index, alarmed txs).
+
+    The run's report must balance: no gas reconciliation failure, guard gas
+    per point kind summing to the reconciled txs' gas delta, and point bytes
+    equal to each contract's size delta."""
     out = _main(capsys, "fixture", name, "-o", tmp_path)
     index = int(re.search(r"at tx (\d+)", out).group(1))
     bundle = tmp_path / f"{name}.bundle.json"
     _main(capsys, "train", bundle, tmp_path / f"{name}.train.jsonl", "-o", tmp_path / "snap.json")
     _main(capsys, "protect", bundle, tmp_path / "snap.json", "-o", tmp_path / "guarded.json")
-    _main(
+    out = _main(
         capsys, "run", tmp_path / "guarded.json", tmp_path / f"{name}.detect.jsonl",
         "--alarms", tmp_path / "alarms.jsonl", "--report", tmp_path / "report.json",
         "--world", tmp_path / "world.json",
     )
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["gas_reconciliation_failures"] == []
+    reconciled = [t for t in report["transactions"] if t["gas_orig"] is not None]
+    assert reconciled
+    assert f"reconciled {len(reconciled)} txs, 0 gas reconciliation failures" in out
+    contracts = report["contracts"].values()
+    assert sum(
+        kind["runtime_gas"] for info in contracts for kind in info["points"].values()
+    ) == sum(t["gas_instr"] - t["gas_orig"] for t in reconciled)
+    for info in contracts:
+        assert info["point_bytes_total"] == info["instrumented_size"] - info["original_size"]
     lines = (tmp_path / "alarms.jsonl").read_text().splitlines()
     return index, {json.loads(line)["tx_index"] for line in lines}
 

@@ -9,6 +9,7 @@ import pytest
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
+from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.guardcode import (
     ALARM_CNT_SLOT,
     CTX_SLOT,
@@ -32,7 +33,7 @@ from pathguard.vm import (
     WorldState,
     deploy,
 )
-from pathguard.workflow import deploy_overhead_pct
+from pathguard.workflow import deploy_overhead_pct, protect, train
 
 CONFIG = Config()
 
@@ -76,26 +77,28 @@ def test_safe_run_observationally_equivalent(loopy):
         assert _nonreserved(w1, a1) == _nonreserved(w2, a2)
 
 
+def _point_gas(inst) -> tuple[dict, list[int]]:
+    """VM gas points for ``inst`` alone, and the accumulator they fill."""
+    acc = [0] * len(inst.points)
+    return {inst.name: (inst.owners, acc)}, acc
+
+
 def test_gas_delta_equals_injected_attribution(loopy):
     analysis, inst = _pair(loopy, {0: {0, 1, 2, 3, 4}})
-    attribution = {}
-
-    def probe(code, fid, off, amount):
-        attribution[(fid, off)] = attribution.get((fid, off), 0) + amount
-
+    points, acc = _point_gas(inst)
     w1 = WorldState(CONFIG)
     a1 = deploy(w1, loopy, 0xD0)
     r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, a1, 0x10, [8]))
     w2 = WorldState(CONFIG)
     a2 = deploy(w2, inst.program, 0xD0)
     r2 = VM(
-        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_probe=probe
+        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_points=points
     ).execute_transaction(Transaction(1, a2, 0x10, [8]))
     assert r2.status == "Accepted"
-    injected_gas = sum(
-        amount for key, amount in attribution.items() if key in inst.injected
-    )
-    assert r2.gas_used - r1.gas_used == injected_gas
+    assert r2.gas_used - r1.gas_used == sum(acc)
+    # the loop's backedges ran, and each ICALLed the checker
+    kinds = {inst.points[pid].kind for pid, gas in enumerate(acc) if gas}
+    assert {"Backedge", "PathSetCheck"} <= kinds
 
 
 def test_size_accounting_reconciles(loopy, diamond, figcg):
@@ -173,29 +176,56 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
 def test_flagged_marker_exit_reconciles():
     """A flagged marker-mode exit that returns (here a call carrying the call
     marker straight from the origin) adds exactly the gas of the offsets
-    ``injected`` owns: the RETURN in the shared flagged exit stands in for
-    the original STOP, like the stub's own RETURN."""
+    the points own: the RETURN in the shared flagged exit stands in for the
+    original STOP, like the stub's own RETURN."""
     prog = assemble("contract t { fn f external selector=0x1 { PUSH 1 PUSH 0 SSTORE STOP } }")
     analysis, inst = _pair(prog, {0: set()})  # untrained: the exit check misses
-    attribution = {}
-
-    def probe(code, fid, off, amount):
-        attribution[(fid, off)] = attribution.get((fid, off), 0) + amount
-
+    points, acc = _point_gas(inst)
     w1 = WorldState(CONFIG)
     r1 = VM(w1).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1))
     w2 = WorldState(CONFIG)
     marker = CONFIG.guard.call_marker & CONFIG.mask
     r2 = VM(
-        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_probe=probe
+        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_points=points
     ).execute_transaction(
         Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [marker, 0, 0])
     )
     assert (r2.status, r2.return_data, r2.alarms) == ("Accepted", [marker, 1], [])
-    injected_gas = sum(
-        amount for key, amount in attribution.items() if key in inst.injected
-    )
-    assert r2.gas_used - r1.gas_used == injected_gas
+    assert r2.gas_used - r1.gas_used == sum(acc)
+
+
+_EXITS = (Op.STOP, Op.RETURN, Op.IRET)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
+def test_owner_tables_cover_every_offset(scenario):
+    """One table per function, as long as its body. A guard function belongs
+    to its one point except its RETURNs; in a rewritten function every
+    owned offset belongs to a point sited in it, and the unowned offsets are
+    the original code in order, give or take exits. Every point owns code."""
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    for name, inst in guarded.instrumented.items():
+        original = bundle.programs[name].functions
+        functions = inst.program.functions
+        assert len(inst.owners) == len(functions)
+        owned = set()
+        for fn, table in zip(functions, inst.owners):
+            assert len(table) == len(fn.body), fn.name
+            owned |= set(table) - {-1}
+            if fn.id >= len(original):
+                (pid,) = {pid for pid in table if pid >= 0}
+                assert inst.points[pid].site[1] in ("checker", "admin", "shared")
+                assert table == [
+                    -1 if i.op is Op.RETURN else pid for i in fn.body
+                ], fn.name
+                continue
+            assert all(inst.points[pid].site[0] == fn.name for pid in table if pid >= 0)
+            kept = [i.op for i, pid in zip(fn.body, table) if pid < 0]
+            assert [op for op in kept if op not in _EXITS] == [
+                i.op for i in original[fn.id].body if i.op not in _EXITS
+            ], fn.name
+        assert owned == set(range(len(inst.points))), name
 
 
 def test_deploy_overhead_formula():

@@ -246,18 +246,15 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     addr = deploy(world, prog, 0xD0)
     world.sstore(addr, mapping_slot(0, member, config), mapping_value(member, config.width))
     world.commit(0)
-    gas = {"chk": 0}
-
-    def probe_gas(code, fid, off, amount):
-        if fid in (1, 2):
-            gas["chk"] += amount
-
-    receipt = VM(world, gas_probe=probe_gas).execute_transaction(
+    # one gas point: every offset of the checker and the miss routine
+    owners = [[-1 if fn.id == 0 else 0] * len(fn.body) for fn in prog.functions]
+    acc = [0]
+    receipt = VM(world, gas_points={"t": (owners, acc)}).execute_transaction(
         Transaction(1, addr, 0x7, [member])
     )
     assert receipt.status == "Accepted"
     assert receipt.return_data == [1]
-    return gas["chk"]
+    return acc[0]
 
 
 @pytest.mark.parametrize(

@@ -180,7 +180,8 @@ def test_determinism_identical_receipts():
 
 
 def test_gas_additivity_against_charge_log():
-    """Every probed charge equals the schedule's price of the op at its offset."""
+    """With each offset its own gas point, every offset of these straight-line
+    functions is charged once, at the schedule's price of its op."""
     sstore_costs = []
 
     class LoggingSchedule(GasSchedule):
@@ -204,18 +205,23 @@ def test_gas_additivity_against_charge_log():
     }
     txs = [(0x01, [5, 7]), (0x01, [5, 9]), (0x02, []), (0x03, [10, 20])]
     for selector, calldata in txs:
-        charges = []
         sstore_costs.clear()
-        vm = VM(w, gas_probe=lambda code, fid, off, amount: charges.append((fid, off, amount)))
+        points = _offset_points(w)
+        vm = VM(w, gas_points=points)
         r = vm.execute_transaction(Transaction(1, addr, selector, calldata))
-        assert charges and r.status != STATUS_OUT_OF_GAS
+        assert r.status != STATUS_OUT_OF_GAS
+        charges = _offset_charges(points)
+        fid = prog.selector_table[selector]
+        assert [(f, off) for _, f, off, _ in charges] == [
+            (fid, off) for off in range(len(prog.functions[fid].body))
+        ]
         stored = iter(sstore_costs)
-        for fid, off, amount in charges:
+        for _, fid, off, amount in charges:
             op = prog.functions[fid].body[off].op
             expected = next(stored) if op is Op.SSTORE else price.get(op, gas.base_op)
             assert amount == expected, (selector, fid, off, op)
         assert next(stored, None) is None
-        assert sum(amount for _, _, amount in charges) == r.gas_used
+        assert sum(amount for *_, amount in charges) == r.gas_used
 
 
 SNAPSHOT_SRC = """
@@ -575,12 +581,39 @@ def test_call_depth_limit_fails_not_aborts():
     assert results.count(False) == 1  # only the depth-limited call fails
 
 
-def _vm_runs(probe=None):
-    """Run the pinned corpus; yield (scenario, protected, receipt, world) per tx.
+def _offset_points(world):
+    """Gas points for every code deployed in ``world``: each offset is its
+    own point, numbered in (fid, offset) order."""
+    points = {}
+    for acct in world.accounts.values():
+        code = acct.code
+        if code is not None and code.name not in points:
+            owners, n = [], 0
+            for fn in code.functions:
+                owners.append(list(range(n, n + len(fn.body))))
+                n += len(fn.body)
+            points[code.name] = (owners, [0] * n)
+    return points
+
+
+def _offset_charges(points) -> list[tuple[str, int, int, int]]:
+    """Sorted (code, fid, offset, gas) rows of the nonzero totals in ``points``."""
+    return sorted(
+        (code, fid, off, acc[pid])
+        for code, (owners, acc) in points.items()
+        for fid, table in enumerate(owners)
+        for off, pid in enumerate(table)
+        if acc[pid]
+    )
+
+
+def _vm_runs(charges=False):
+    """Run the pinned corpus; yield (scenario, protected, receipt, world,
+    charges) per tx.
 
     Each fixture runs its training stream plus one 30-tx test sequence twice:
-    uninstrumented at TRACE_FULL, and protected at TRACE_CHECKS with ``probe``
-    as the gas probe.
+    uninstrumented at TRACE_FULL, and protected at TRACE_CHECKS. With
+    ``charges``, a protected tx also yields its ``_offset_charges``.
     """
     for scenario in ALL_SCENARIOS:
         bundle = scenario.bundle()
@@ -589,31 +622,32 @@ def _vm_runs(probe=None):
         for record in bundle.setup + records:
             tx = parse_tx(record, plain, bundle)
             receipt = VM(plain.world, TRACE_FULL).execute_transaction(tx)
-            yield scenario.name, False, receipt, plain.world
+            yield scenario.name, False, receipt, plain.world, None
         guarded = protect(bundle, train(bundle, scenario.training))
         deployed = deploy_guarded(guarded)
         config = bundle.config
         check_log = Layout(config.width).check_log
         for record in records:
             tx = parse_tx(record, deployed, bundle)
-            vm = VM(deployed.world, TRACE_CHECKS, check_log, gas_probe=probe)
-            yield scenario.name, True, vm.execute_transaction(tx), deployed.world
+            points = _offset_points(deployed.world) if charges else None
+            vm = VM(deployed.world, TRACE_CHECKS, check_log, gas_points=points)
+            receipt = vm.execute_transaction(tx)
+            rows = _offset_charges(points) if charges else None
+            yield scenario.name, True, receipt, deployed.world, rows
 
 
 def _vm_digest() -> str:
-    """sha256 over every receipt, trace event and probe charge of the corpus
-    run by ``_vm_runs``. Any change to the interpreter's observable behaviour
-    moves it."""
+    """sha256 over every receipt, trace event and per-offset gas total of the
+    corpus run by ``_vm_runs``. Any change to the interpreter's observable
+    behaviour moves it."""
     h = hashlib.sha256()
-
-    def probe(code, fid, off, amount):
-        h.update(repr((code, fid, off, amount)).encode())
-
     current = None
-    for name, _protected, receipt, _world in _vm_runs(probe):
+    for name, _protected, receipt, _world, charges in _vm_runs(charges=True):
         if name != current:
             current = name
             h.update(name.encode())
+        if charges is not None:
+            h.update(repr(charges).encode())
         h.update(
             repr((receipt.status, receipt.gas_used, receipt.return_data, receipt.alarms)).encode()
         )
@@ -631,7 +665,7 @@ def _vm_records():
     reverts. Two builds can be compared record by record when emitted code
     changes."""
     count: dict[tuple[str, bool], int] = {}
-    for name, protected, receipt, world in _vm_runs():
+    for name, protected, receipt, world, _charges in _vm_runs():
         index = count[(name, protected)] = count.get((name, protected), -1) + 1
         if receipt.status == STATUS_GUARD_REVERTED:
             raw = receipt.alarms
@@ -665,7 +699,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "0e651a9a16c41befd6851bd55c398feaf01dd39995d0316fc21a86bbb3fa4aba"
+        "ed6eed6f081ca223e4658c45a843aab9e2cddebfb476a909bd3e8f0ff2719727"
     )
 
 

@@ -275,6 +275,26 @@ def test_contract_using_xor_is_protected_and_reconciles():
     assert [t["gas_orig"] is not None for t in report["transactions"]] == [True] * 3 + [False]
 
 
+def test_delegatecall_guard_gas_lands_on_library_points():
+    """A DELEGATECALL runs the library's code in the proxy's account. Guard
+    gas is attributed by code, not by account, so the library frame's gas
+    lands on the library's points, and the totals reconcile exactly. A
+    point's hits count the txs in which it charged gas."""
+    bundle = DELEGATECALL.bundle()
+    guarded = protect(bundle, train(bundle, DELEGATECALL.training))
+    run = run_detection(guarded, DELEGATECALL.training * 3)
+    reconciled = [o for o in run.outcomes if o.gas_orig is not None]
+    assert len(reconciled) == 6 and not run.recon_failures
+    assert sum(run.point_gas.values()) == sum(o.gas_instr - o.gas_orig for o in reconciled)
+    # no tx targets the library, so its points charge only in proxy frames
+    library = {kind: gas for (name, kind), gas in run.point_gas.items() if name == "dlib"}
+    assert library["ContractWrapper"] > 0 and library["PathSetCheck"] > 0
+    for (name, kind), hits in run.point_hits.items():
+        points = sum(p.kind == kind for p in guarded.instrumented[name].points)
+        # every tx takes the same path, so each charges the same points
+        assert hits % len(reconciled) == 0 and 0 < hits <= points * len(reconciled)
+
+
 def _mpht_snapshot(monkeypatch, error):
     from pathguard import instrument, workflow
     from pathguard.bundle import analyze_bundle
