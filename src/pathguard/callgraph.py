@@ -33,10 +33,9 @@ class CallEdge:
     caller: Node
     callee: Node
     kind: str
-    # (contract, caller fid, offset) for real callsites; () for entry edges;
-    # the replaced callsite's ceid for surrogates.
+    # (contract, caller fid, offset) for real callsites and the surrogates
+    # that replace them; () for entry edges.
     site: tuple = ()
-    origin_ceid: int | None = None
 
 
 @dataclass
@@ -165,7 +164,7 @@ def acyclicize_callgraph(cg: CallGraph) -> CallGraph:
     next_id = max((e.ceid for e in cg.edges), default=-1) + 1
     for be in sorted(backedges, key=lambda e: e.ceid):
         cg.edges.append(
-            CallEdge(next_id, S, be.callee, K_SURROGATE, site=be.site, origin_ceid=be.ceid)
+            CallEdge(next_id, S, be.callee, K_SURROGATE, site=be.site)
         )
         next_id += 1
     cg.topo_order()  # raises if a cycle survived

@@ -17,10 +17,12 @@ from .config import Config, ConfigError, load_config
 from .epp import IndexSpaceOverflow
 from .oracle import TraceMismatch
 from .program import ContractProgram, SizeLimitExceeded, ValidationError
-from .vm import Account
+from .vm import Account, WorldState
 from . import workflow
 from .workflow import (
     Bundle,
+    DeployedWorld,
+    DetectionRun,
     GuardedBundle,
     TrainingTxFailed,
     WorkflowError,
@@ -225,8 +227,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_approve(args) -> int:
     guarded = _load_guarded(args.guarded, _config(args))
-    run = workflow.start_detection(guarded, mirror=False)
-    _restore_world(run.deployed, json.loads(Path(args.world).read_text()), guarded)
+    deployed = _restore_world(json.loads(Path(args.world).read_text()), guarded)
+    run = DetectionRun(guarded, deployed, None)
     for line in Path(args.alarm_log).read_text().splitlines():
         if line.strip():
             run.alarm_log.append(workflow.AlarmRecord.from_json(json.loads(line)))
@@ -286,23 +288,19 @@ def _dump_world(deployed) -> dict:
     }
 
 
-def _restore_world(deployed, raw: dict, guarded: GuardedBundle) -> None:
-    world = deployed.world
+def _restore_world(raw: dict, guarded: GuardedBundle) -> DeployedWorld:
+    """The guarded world ``_dump_world`` saved, with the guarded programs."""
+    world = WorldState(guarded.bundle.config)
     programs = guarded.programs()
-    world.accounts.clear()
     world.next_address = raw["next_address"]
     for addr_hex, entry in raw["accounts"].items():
-        acct = Account(
+        world.accounts[int(addr_hex, 16)] = Account(
             balance=entry["balance"],
             storage={int(k, 16): int(v, 16) for k, v in entry["storage"].items()},
             code=programs.get(entry["code"]) if entry["code"] else None,
         )
-        world.accounts[int(addr_hex, 16)] = acct
-    world.commit(0)
-    deployed.addresses.clear()
-    deployed.addresses.update({n: int(a, 16) for n, a in raw["addresses"].items()})
-    deployed.names.clear()
-    deployed.names.update({a: n for n, a in deployed.addresses.items()})
+    addresses = {n: int(a, 16) for n, a in raw["addresses"].items()}
+    return DeployedWorld(world, addresses, {a: n for n, a in addresses.items()})
 
 
 if __name__ == "__main__":

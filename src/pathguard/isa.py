@@ -100,10 +100,6 @@ class Instruction:
         return f"{self.op.value} {self.imm}"
 
 
-def ins(op: Op, imm: int | None = None) -> Instruction:
-    return Instruction(op, imm)
-
-
 def block_leaders(body: list[Instruction]) -> list[int]:
     """Offsets where basic blocks begin, in ascending order.
 

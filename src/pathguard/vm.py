@@ -23,7 +23,7 @@ from .program import ContractProgram, SizeLimitExceeded
 
 # Trace detail levels.
 TRACE_NONE = 0
-TRACE_CHECKS = 1  # PathChecked, Revert, external call boundaries
+TRACE_CHECKS = 1  # PathChecked, Revert
 TRACE_FULL = 2
 
 # Dispatch codes (``Op.code``), one line per range that ``_run_frame`` splits.
@@ -295,6 +295,7 @@ class VM:
         # offset is added into acc[point]. Call sites are charged call_base;
         # callees report their own gas.
         self.gas_points = gas_points
+        self.prices = price_table(self.config.gas)
 
     # -- public entry ---------------------------------------------------------
 
@@ -373,7 +374,7 @@ class VM:
         mask = config.mask
         token = world.snapshot()
         gas = config.gas
-        prices = price_table(gas)
+        prices = self.prices
         gas_limit = self.gas_limit
         gas_used = self.gas_used
         limit = OPERAND_STACK_LIMIT
@@ -487,11 +488,8 @@ class VM:
                     if op == _JUMPI:
                         if not stack:
                             raise _FrameFailure("stack underflow")
-                        taken = stack.pop() != 0
-                        if taken:
+                        if stack.pop():
                             next_pc = imms[pc]
-                        if full:
-                            emit("BranchTaken", self_addr, ifid, pc, {"taken": taken})
                     elif op == _MLOAD:
                         if not stack:
                             raise _FrameFailure("stack underflow")
@@ -554,10 +552,6 @@ class VM:
                         self.gas_used = gas_used
                         raise _OutOfGas()
                     world.sstore(self_addr, slot, val)
-                    if full:
-                        emit(
-                            "Sstore", self_addr, ifid, pc, {"slot": slot, "value": val, "prev": prev}
-                        )
                 elif op == _ICALL:
                     if len(istack) >= INTERNAL_DEPTH_LIMIT:
                         raise _FrameFailure("internal call depth exceeded")
@@ -671,81 +665,63 @@ class VM:
         depth: int,
     ) -> tuple[bool, list[int]]:
         world = self.world
-        trace_boundary = self.trace_level >= TRACE_CHECKS
+        full = self.trace_level >= TRACE_FULL
         acct = world.accounts.get(target)
         code = acct.code if acct else None
         fid = self._dispatch(code, selector) if code else None
-
-        def boundary(detail_fid, extra=None):
-            if trace_boundary:
-                detail = {
-                    "kind": kind,
-                    "target": target,
-                    "code": code.name if code else None,
-                    "fn": detail_fid,
-                    "site": site,
-                    "selector": selector,
-                }
-                if extra:
-                    detail.update(extra)
-                self._emit("ExternalCallEnter", caller_self, site[0], site[1], detail)
-
+        reason = None
         if depth >= CALL_DEPTH_LIMIT:
-            boundary(None, {"reason": "depth"})
-            ok = False
+            fid, reason = None, "depth"
+        elif code is not None and fid is None:
+            reason = "selector"
+        if full:
+            detail = {
+                "kind": kind,
+                "target": target,
+                "code": code.name if code else None,
+                "fn": fid,
+                "site": site,
+                "selector": selector,
+            }
+            if reason:
+                detail["reason"] = reason
+            self._emit("ExternalCallEnter", caller_self, site[0], site[1], detail)
+
+        ok, data = False, []
+        if reason:
+            pass  # refused: no frame runs and no value moves
         elif code is None:
             # Plain value transfer to a code-less account.
-            boundary(None)
             ok = kind == "delegatecall" or world.transfer(caller_self, target, call_value)
-            if trace_boundary:
-                self._emit(
-                    "ExternalCallReturn", caller_self, site[0], site[1], {"success": ok}
-                )
-            return ok, []
-        elif fid is None:
-            boundary(None, {"reason": "selector"})
-            ok = False
+        elif kind == "delegatecall":
+            ok, data = self._run_frame(
+                code=code,
+                self_addr=caller_self,
+                caller=caller_caller,
+                origin=origin,
+                value=caller_value,
+                calldata=calldata,
+                fid=fid,
+                depth=depth + 1,
+            )
         else:
-            boundary(fid)
-            if kind == "delegatecall":
+            token = world.snapshot()
+            if world.transfer(caller_self, target, call_value):
                 ok, data = self._run_frame(
                     code=code,
-                    self_addr=caller_self,
-                    caller=caller_caller,
+                    self_addr=target,
+                    caller=caller_self,
                     origin=origin,
-                    value=caller_value,
+                    value=call_value,
                     calldata=calldata,
                     fid=fid,
                     depth=depth + 1,
                 )
-            else:
-                token = world.snapshot()
-                if not world.transfer(caller_self, target, call_value):
-                    world.rollback(token)
-                    ok, data = False, []
-                else:
-                    ok, data = self._run_frame(
-                        code=code,
-                        self_addr=target,
-                        caller=caller_self,
-                        origin=origin,
-                        value=call_value,
-                        calldata=calldata,
-                        fid=fid,
-                        depth=depth + 1,
-                    )
-                    if not ok:
-                        world.rollback(token)
-            if trace_boundary:
-                self._emit(
-                    "ExternalCallReturn", caller_self, site[0], site[1], {"success": ok}
-                )
-            return ok, data
-        if trace_boundary:
-            self._emit(
-                "ExternalCallReturn", caller_self, site[0], site[1], {"success": ok}
-            )
-        return ok, []
+            if not ok:
+                world.rollback(token)
+        if full:
+            self._emit("ExternalCallReturn", caller_self, site[0], site[1], {"success": ok})
+        return ok, data
 
 
 def _parse_guard_payload(data: list[int]) -> list[RawAlarm]:

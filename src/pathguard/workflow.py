@@ -174,11 +174,9 @@ def load_txs(path: str | Path) -> list[dict]:
 # -- training --------------------------------------------------------------------
 
 
-def train(
-    bundle: Bundle, tx_records: list[dict], analysis: BundleAnalysis | None = None
-) -> dict:
+def train(bundle: Bundle, tx_records: list[dict]) -> dict:
     """Execute the corpus uninstrumented; union oracle pairs into a snapshot."""
-    analysis = analysis or analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
     deployed = build_world(bundle)
     safe: dict[tuple[str, int], set[int]] = {}
     for index, record in enumerate(bundle.setup + tx_records):
@@ -345,7 +343,6 @@ class TxOutcome:
     gas_orig: int | None
     alarms: list[AlarmRecord]
     receipt: Receipt
-    record: dict | None = None
 
 
 @dataclass
@@ -426,9 +423,7 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
         mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(mirror_tx)
         gas_orig = mirror_receipt.gas_used
         _reconcile(run, index, receipt, points, gas_orig)
-    outcome = TxOutcome(
-        index, receipt.status, receipt.gas_used, gas_orig, alarms, receipt, record
-    )
+    outcome = TxOutcome(index, receipt.status, receipt.gas_used, gas_orig, alarms, receipt)
     run.outcomes.append(outcome)
     run.alarm_log.extend(alarms)
     return outcome
@@ -524,14 +519,16 @@ def run_detection(
 # -- review / approval ----------------------------------------------------------------
 
 
-def review_and_approve(
-    run: DetectionRun, alarm_tx_index: int, admin: int, approve: bool = True
-) -> dict:
-    """Replay the rejected transaction in a forked world; optionally approve.
+def review_and_approve(run: DetectionRun, alarm_tx_index: int, admin: int) -> dict:
+    """Approve every pair the alarms of one transaction recorded.
 
-    Approval issues one administration transaction per affected contract
-    appending every missing pair to its dynamic mapping (sstore_set gas per
-    path). Re-approval is a no-op.
+    Review reads the alarm records (function, context chain, block path);
+    nothing is executed for it. Approval issues one administration
+    transaction per affected contract, appending the pairs its dynamic
+    mapping lacks (sstore_set gas per path); pairs already there are
+    skipped, so re-approval is a no-op. Returns ``{"approved", "gas"}``.
+    The caller sends the alarmed transaction again on the live world, as
+    ``false_alarm_simulation`` does.
     """
     config = run.guarded.bundle.config
     if admin != config.admin:
@@ -539,17 +536,6 @@ def review_and_approve(
     alarms = [a for a in run.alarm_log if a.tx_index == alarm_tx_index]
     if not alarms:
         raise WorkflowError(f"no alarms recorded for tx {alarm_tx_index}")
-    # triage: replay the rejected transaction in a fork (guard-reverted txs
-    # left no state behind, so the current world is their pre-state)
-    replay_status = None
-    outcome = next((o for o in run.outcomes if o.index == alarm_tx_index), None)
-    if outcome is not None and outcome.record is not None:
-        fork = run.deployed.world.clone()
-        forked = DeployedWorld(fork, dict(run.deployed.addresses), dict(run.deployed.names))
-        tx = parse_tx(outcome.record, forked, run.guarded.bundle)
-        replay_status = VM(fork, TRACE_NONE).execute_transaction(tx).status
-    if not approve:
-        return {"approved": 0, "replay_status": replay_status}
     appended = 0
     gas = 0
     by_contract: dict[int, list[tuple[int, int]]] = {}
@@ -578,7 +564,7 @@ def review_and_approve(
             raise WorkflowError(f"administration tx failed: {receipt.status}")
         appended += len(missing)
         gas += receipt.gas_used
-    return {"approved": appended, "gas": gas, "replay_status": replay_status}
+    return {"approved": appended, "gas": gas}
 
 
 # -- reports -----------------------------------------------------------------------

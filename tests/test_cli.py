@@ -84,8 +84,9 @@ def test_approve_builds_only_the_guarded_world(tmp_path, capsys, monkeypatch):
         capsys, "approve", tmp_path / "guarded.json", tmp_path / "world.json",
         tmp_path / "alarms.jsonl", "--index", index, "--admin", "0xAD",
     )
-    # review_and_approve reads no mirror, so none is built
-    assert len(built) == 1
+    # the guarded world is loaded from --world, and review_and_approve
+    # reads no mirror, so no world is deployed
+    assert built == []
 
 
 def test_simulate_false_alarms(tmp_path, capsys):

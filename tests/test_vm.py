@@ -13,6 +13,7 @@ from pathguard.config import OPERAND_STACK_LIMIT, Config, GasSchedule
 from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.guardcode import Layout
 from pathguard.isa import Op
+from pathguard.oracle import TraceOracle
 from pathguard.program import SizeLimitExceeded
 from pathguard.vm import (
     STATUS_ACCEPTED,
@@ -699,8 +700,20 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "ed6eed6f081ca223e4658c45a843aab9e2cddebfb476a909bd3e8f0ff2719727"
+        "b890947851381ec5bf617fcd653e4abc22e0a5ef24fbf3ff77efe14af305752d"
     )
+
+
+def test_every_trace_event_has_a_reader():
+    """An uninstrumented TRACE_FULL trace holds only events the trace oracle
+    handles; a protected TRACE_CHECKS trace only the two detection reads."""
+    full: set[str] = set()
+    checks: set[str] = set()
+    for _name, protected, receipt, _world, _charges in _vm_runs():
+        (checks if protected else full).update(ev.kind for ev in receipt.trace)
+    assert {"BlockEnter", "ExternalCallEnter", "ExternalCallReturn"} <= full
+    assert [k for k in sorted(full) if not hasattr(TraceOracle, f"_on_{k}")] == []
+    assert checks == {"PathChecked", "Revert"}
 
 
 def _one_fn(body: str):

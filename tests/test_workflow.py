@@ -7,6 +7,7 @@ import pytest
 
 from pathguard.fixtures import DELEGATECALL, REENTRANCY, VISIBILITY, by_name
 from pathguard.isa import Op
+from pathguard.vm import VM, WorldState
 from pathguard.workflow import (
     AlarmRecord,
     Bundle,
@@ -95,6 +96,42 @@ def test_alarm_approve_then_replay_accepts(visibility_setup):
     # idempotent: nothing left to append
     again = review_and_approve(run, outcome.index, bundle.config.admin)
     assert again["approved"] == 0 and again["gas"] == 0
+
+
+@pytest.mark.parametrize("scenario", [REENTRANCY, VISIBILITY], ids=lambda s: s.name)
+def test_review_runs_only_the_admin_transactions(scenario, monkeypatch):
+    """Review forks no world and re-runs nothing: it executes one admin
+    transaction per contract the alarms name, on the live world. The
+    reentrancy attack is accepted with an inner alarm; the visibility attack
+    is guard-reverted."""
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    run = start_detection(guarded, mirror=False)
+    for record in scenario.attack:
+        outcome = run_transaction(run, record)
+        if outcome.alarms:
+            break
+    assert outcome.alarms
+    executed, clones = [], []
+    real_execute, real_clone = VM.execute_transaction, WorldState.clone
+
+    def execute(vm, tx):
+        executed.append(tx)
+        return real_execute(vm, tx)
+
+    def clone(world):
+        clones.append(world)
+        return real_clone(world)
+
+    monkeypatch.setattr(VM, "execute_transaction", execute)
+    monkeypatch.setattr(WorldState, "clone", clone)
+    result = review_and_approve(run, outcome.index, bundle.config.admin)
+    assert clones == []
+    assert sorted(tx.to for tx in executed) == sorted({a.contract for a in outcome.alarms})
+    assert set(result) == {"approved", "gas"} and result["approved"] > 0
+    for tx in executed:
+        inst = guarded.instrumented[run.deployed.names[tx.to]]
+        assert (tx.origin, tx.selector) == (bundle.config.admin, inst.admin_selector)
 
 
 @pytest.mark.parametrize("scenario", [REENTRANCY, VISIBILITY], ids=lambda s: s.name)
