@@ -842,7 +842,7 @@ def seq_gas(items: list[tuple], config: Config) -> int:
     Prices come from the VM's table; SSTORE, priced there by its operands,
     counts as an update of a nonzero slot.
     """
-    prices = price_table(config.gas)
+    prices = list(price_table(config.gas))
     prices[Op.SSTORE.code] = config.gas.sstore_update
     return sum(
         prices[(item[1].op if item[0] == "i" else _LABEL_OPS[item[0]]).code]

@@ -59,10 +59,15 @@ class FunctionDef:
         """Basic-block leader offsets; the body is not changed after construction."""
         return frozenset(block_leaders(self.body))
 
-    @cached_property
-    def decoded(self) -> tuple[list[int], list[int | None]]:
-        """Integer opcodes (``Op.code``) and immediates, as the VM dispatches them."""
-        return [i.op.code for i in self.body], [i.imm for i in self.body]
+    # The VM's decoded blocks by start offset, for the one engine key they
+    # were decoded under; ``blocks`` starts a new cache when the key changes.
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocks_key: object = field(default=None, init=False, repr=False, compare=False)
+
+    def blocks(self, key) -> dict:
+        if self._blocks_key is not key:
+            self._blocks_key, self._blocks = key, {}
+        return self._blocks
 
     def size_bytes(self, word_bytes: int) -> int:
         return sum(i.size(word_bytes) for i in self.body)

@@ -7,6 +7,7 @@ frame failures and transaction failures restore the exact prior state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .config import (
@@ -29,7 +30,7 @@ TRACE_FULL = 2
 # Dispatch codes (``Op.code``), one line per range that ``_run_frame`` splits.
 _OPS = tuple(Op)
 _PUSH, _DUP, _SWAP = Op.PUSH.code, Op.DUP.code, Op.SWAP.code
-_ADD, _SUB, _DIV, _LT, _GT = Op.ADD.code, Op.SUB.code, Op.DIV.code, Op.LT.code, Op.GT.code
+_ADD, _SUB, _DIV, _LT = Op.ADD.code, Op.SUB.code, Op.DIV.code, Op.LT.code
 _EQ, _AND, _OR, _XOR = Op.EQ.code, Op.AND.code, Op.OR.code, Op.XOR.code
 _ISZERO = Op.ISZERO.code
 _JUMPDEST, _JUMP, _JUMPI = Op.JUMPDEST.code, Op.JUMP.code, Op.JUMPI.code
@@ -41,7 +42,47 @@ _ADDRESS, _CALLVALUE = Op.ADDRESS.code, Op.CALLVALUE.code
 _SSTORE, _TSTORE = Op.SSTORE.code, Op.TSTORE.code
 _ICALL, _IRET = Op.ICALL.code, Op.IRET.code
 _CALL, _DELEGATECALL = Op.CALL.code, Op.DELEGATECALL.code
-_RETURN, _STOP, _REVERT = Op.RETURN.code, Op.STOP.code, Op.REVERT.code
+_STOP, _REVERT = Op.STOP.code, Op.REVERT.code
+# Ends a block cut short by its entry check: charges the first op that
+# fails and raises its failure.
+_FAIL = len(_OPS)
+
+# (stack words an op reads, its net stack change), by ``Op.code``. Only ops
+# with a net change of +1 check for overflow. DUP and SWAP read as deep as
+# their immediate; CALL and DELEGATECALL also pop a runtime argument count.
+_EFFECTS = [(0, 0)] * len(_OPS)  # SWAP JUMPDEST JUMP ICALL IRET STOP
+for _ops, _effect in (
+    ("PUSH DUP CALLDATASIZE CALLER ORIGIN ADDRESS CALLVALUE RETURNDATASIZE", (0, 1)),
+    ("POP JUMPI RETURN REVERT", (1, -1)),
+    ("ADD SUB MUL DIV LT GT EQ AND OR XOR", (2, -1)),
+    ("ISZERO NOT MLOAD SLOAD TLOAD CODELOAD CALLDATALOAD BALANCE RETURNDATALOAD", (1, 0)),
+    ("MSTORE SSTORE TSTORE", (2, -2)),
+    ("CALL", (4, -3)),
+    ("DELEGATECALL", (3, -2)),
+):
+    for _name in _ops.split():
+        _EFFECTS[Op[_name].code] = _effect
+del _ops, _effect, _name
+# DUP 0 and SWAP 0 name no stack word: they fail at any height.
+_NEVER = float("inf")
+
+# A block ends after one of these, or before a JUMPDEST.
+_ENDS = frozenset(
+    op.code
+    for op in (
+        Op.JUMP, Op.JUMPI, Op.ICALL, Op.IRET, Op.CALL, Op.DELEGATECALL,
+        Op.SSTORE, Op.RETURN, Op.STOP, Op.REVERT,
+    )
+)
+# Block-ending ops that check runtime values. Each adds its own charge to a
+# mirrored point once its check passes; every other op's charge is added
+# with its block's at entry.
+_SELF_CHARGED = frozenset(
+    op.code for op in (Op.ICALL, Op.IRET, Op.CALL, Op.DELEGATECALL, Op.RETURN, Op.REVERT)
+)
+# Ops a directly preceding PUSH is fused into: its word becomes their
+# immediate, read in place of the top of the stack.
+_FUSES = frozenset([_MLOAD, _MSTORE, *range(_ADD, _ISZERO)])
 
 
 class VmError(Exception):
@@ -263,8 +304,12 @@ class _OutOfGas(Exception):
     pass
 
 
-def price_table(gas: GasSchedule) -> list[int]:
-    """Gas per opcode, indexed by ``Op.code``; SSTORE is priced by its operands."""
+@functools.lru_cache(maxsize=64)
+def price_table(gas: GasSchedule) -> tuple[int, ...]:
+    """Gas per opcode, indexed by ``Op.code``; SSTORE is priced by its operands.
+
+    One tuple per schedule, shared by every VM that runs under it.
+    """
     prices = [gas.base_op] * len(_OPS)
     prices[_JUMPI] = gas.jumpi
     prices[_MLOAD] = prices[_MSTORE] = gas.memory_op
@@ -273,7 +318,101 @@ def price_table(gas: GasSchedule) -> list[int]:
     prices[_TSTORE] = gas.tstore
     prices[_CALL] = prices[_DELEGATECALL] = gas.call_base
     prices[_SSTORE] = 0
-    return prices
+    return tuple(prices)
+
+
+@functools.lru_cache(maxsize=64)
+def _engine_key(gas: GasSchedule, mask: int) -> tuple:
+    """What a decoded block depends on: the price table and the word mask.
+
+    One object per (schedule, mask), so that ``FunctionDef.blocks`` can tell
+    its cache is current by identity.
+    """
+    return price_table(gas), mask
+
+
+def _block(
+    body: list, start: int, prices: tuple, mask: int, entry: tuple[int, int] | None = None
+) -> list:
+    """Decode the basic block at ``start``.
+
+    A block ends after a jump, call, SSTORE, IRET or exit, or before a
+    JUMPDEST; validation makes every jump target one. Returns ``[gas, need,
+    room, ops, end, None, ()]``:
+
+    - ``gas``: the static gas of all its ops;
+    - ``need``, ``room``: the least and greatest stack height at which it
+      can be entered without a stack failure;
+    - ``ops``: ``(op, imm, pc)`` tuples. JUMPDEST is dropped, a PUSH is
+      fused into a following op of ``_FUSES``, which then carries its word
+      as ``imm``, and DUP/SWAP carry the negative index they read;
+    - ``end``: the pc after the block.
+
+    The last two slots cache the block's ``_point_totals`` for one owner
+    table. Given ``entry``, a (stack height, gas left) at which the
+    block fails its entry check, decoding stops before the first op that
+    fails there and ends in a ``_FAIL`` op for it: the ops before it run as
+    in any block, and ``_FAIL`` charges the op and raises where it would.
+    """
+    if start >= len(body):
+        raise _FrameFailure("fell off function body")
+    gas = need = height = peak = 0
+    ops: list[tuple] = []
+    pc, n = start, len(body)
+    while pc < n:
+        ins = body[pc]
+        op = ins.op.code
+        if op == _JUMPDEST and pc > start:
+            break
+        price = prices[op]
+        reads, delta = _EFFECTS[op]
+        imm = ins.imm
+        if imm is not None:
+            if op == _PUSH:
+                imm &= mask
+            elif op == _DUP:
+                reads, imm = (imm if imm > 0 else _NEVER), -imm
+            elif op == _SWAP:
+                reads, imm = (imm + 1 if imm > 0 else _NEVER), -1 - imm
+        if entry is not None:
+            words = entry[0] + height
+            if (
+                gas + price > entry[1]
+                or words < reads
+                or (delta > 0 and words >= OPERAND_STACK_LIMIT)
+            ):
+                reason = "stack underflow" if words < reads else "stack overflow"
+                ops.append((_FAIL, (price, reason), pc))
+                break
+        gas += price
+        if reads - height > need:
+            need = reads - height
+        height += delta
+        if height > peak:
+            peak = height
+        if op in _FUSES and ops and ops[-1][0] == _PUSH:
+            ops[-1] = (op, ops[-1][1], pc)
+        elif op != _JUMPDEST:
+            ops.append((op, imm, pc))
+        pc += 1
+        if op in _ENDS:
+            break
+    return [gas, need, OPERAND_STACK_LIMIT - peak, tuple(ops), pc, None, ()]
+
+
+def _point_totals(
+    body: list, start: int, end: int, prices: tuple, own: list[int]
+) -> tuple[tuple[int, int], ...]:
+    """``(point, gas)`` sums, under one owner table, of the charges that the
+    block over ``body[start:end]`` adds at entry: those of all its ops but a
+    ``_SELF_CHARGED`` last one."""
+    totals: dict[int, int] = {}
+    for pc in range(start, end):
+        pid = own[pc]
+        op = body[pc].op.code
+        if pid >= 0 and op not in _SELF_CHARGED:
+            totals[pid] = totals.get(pid, 0) + prices[op]
+    return tuple(totals.items())
 
 
 class VM:
@@ -295,7 +434,8 @@ class VM:
         # offset is added into acc[point]. Call sites are charged call_base;
         # callees report their own gas.
         self.gas_points = gas_points
-        self.prices = price_table(self.config.gas)
+        self.key = _engine_key(self.config.gas, self.config.mask)
+        self.prices = self.key[0]
 
     # -- public entry ---------------------------------------------------------
 
@@ -365,24 +505,37 @@ class VM:
     ) -> tuple[bool, list[int]]:
         """Run one message-call frame; returns (success, return data).
 
-        Dispatches on ``FunctionDef.decoded``. The gas used so far lives in
-        the local ``gas_used``; it is written back to ``self.gas_used`` before
-        every exit from the frame and around every message call.
+        Runs basic blocks, each decoded once and cached on its
+        ``FunctionDef`` (``_block``). At block entry it checks the gas left
+        and both stack bounds, charges the block's static gas, adds its
+        per-point totals when mirrored and then runs its ops without per-op
+        checks. Only checks on runtime values stay at their op: the
+        RETURN/REVERT word count, the CALL argument count, the SSTORE price,
+        the ICALL depth and IRET. Each of those ops ends its block and adds
+        its own charge to a mirrored point once its check passes. A block
+        that fails its entry check is decoded again for that entry: its
+        failure-free prefix runs as an ordinary block, then a ``_FAIL`` op
+        charges the first failing op and raises there. So gas, trace and
+        point totals match a machine that checked every op. The gas used so
+        far lives in the local ``gas_used``; it is written back to
+        ``self.gas_used`` before every exit from the frame and around every
+        message call.
         """
         world = self.world
         config = self.config
         mask = config.mask
         token = world.snapshot()
         gas = config.gas
+        key = self.key
         prices = self.prices
         gas_limit = self.gas_limit
         gas_used = self.gas_used
-        limit = OPERAND_STACK_LIMIT
         full = self.trace_level >= TRACE_FULL
         check_log = self.check_log_addr if self.trace_level >= TRACE_CHECKS else None
         emit = self._emit
         name = code.name
         pool = code.data_pool
+        functions = code.functions
 
         stack: list[int] = []
         memory: dict[int, int] = {}
@@ -390,114 +543,92 @@ class VM:
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
-        fn = code.functions[ifid]
-        ops, imms = fn.decoded
-        n = len(ops)
+        fn = functions[ifid]
+        blocks = fn.blocks(key)
         istack: list[tuple[int, int]] = []
         pc = 0
 
-        if full:
-            emit("BlockEnter", self_addr, ifid, 0, {"code": name})
-
-        # each instruction's charge is added after it completes, at its
-        # offset in ``own``, the table of the function it ran in
+        # each charge is added at its offset in ``own``, the owner table of
+        # the function it ran in
         points = self.gas_points.get(name) if self.gas_points else None
         acc = own = owners = None
         if points is not None:
             owners, acc = points
             own = owners[ifid]
-        gas_before = gas_used
         try:
             while True:
-                if pc >= n:
-                    raise _FrameFailure("fell off function body")
-                op = ops[pc]
-                next_pc = pc + 1
-                gas_used += prices[op]
-                if gas_used > gas_limit:
-                    self.gas_used = gas_used
-                    raise _OutOfGas()
+                try:
+                    blk = blocks[pc]
+                except KeyError:
+                    blk = blocks[pc] = _block(fn.body, pc, prices, mask)
+                cost, need, room, ops, nxt, seen, totals = blk
+                height = len(stack)
+                if gas_used + cost > gas_limit or height < need or height > room:
+                    blk = _block(fn.body, pc, prices, mask, (height, gas_limit - gas_used))
+                    cost, need, room, ops, nxt, seen, totals = blk
+                gas_used += cost
+                if acc is not None:
+                    if seen is not own:
+                        totals = _point_totals(fn.body, pc, nxt, prices, own)
+                        blk[5], blk[6] = own, totals
+                    for pid, charge in totals:
+                        acc[pid] += charge
+                if full and pc in fn.leaders:
+                    emit("BlockEnter", self_addr, ifid, pc, {"code": name})
 
-                if op < _ADD:  # PUSH POP DUP SWAP
-                    if op == _PUSH:
-                        if len(stack) >= limit:
-                            raise _FrameFailure("stack overflow")
-                        stack.append(imms[pc] & mask)
-                    elif op == _DUP:
-                        i = imms[pc]
-                        if i < 1 or i > len(stack):
-                            raise _FrameFailure("stack underflow")
-                        if len(stack) >= limit:
-                            raise _FrameFailure("stack overflow")
-                        stack.append(stack[-i])
-                    elif op == _SWAP:
-                        i = imms[pc]
-                        if i < 1 or i >= len(stack):
-                            raise _FrameFailure("stack underflow")
-                        stack[-1], stack[-1 - i] = stack[-1 - i], stack[-1]
-                    else:
-                        if not stack:
-                            raise _FrameFailure("stack underflow")
-                        stack.pop()
-                elif op < _ISZERO:  # binary ALU: result replaces x
-                    if len(stack) < 2:
-                        raise _FrameFailure("stack underflow")
-                    y = stack.pop()
-                    x = stack[-1]
-                    if op < _DIV:  # wraparound is profiled
-                        if op == _ADD:
-                            exact = x + y
-                            overflow = exact > mask
-                        elif op == _SUB:
-                            exact = x - y
-                            overflow = x < y
+                for op, imm, pc in ops:
+                    if op < _ISZERO:
+                        if op >= _ADD:  # binary ALU: result replaces x
+                            y = stack.pop() if imm is None else imm
+                            x = stack[-1]
+                            if op < _DIV:  # wraparound is profiled
+                                if op == _ADD:
+                                    exact = x + y
+                                elif op == _SUB:
+                                    exact = x - y
+                                else:
+                                    exact = x * y
+                                stack[-1] = exact & mask
+                                if full:
+                                    emit(
+                                        "ArithChecked",
+                                        self_addr,
+                                        ifid,
+                                        pc,
+                                        {
+                                            "op": _OPS[op].value,
+                                            "overflow": x < y if op == _SUB else exact > mask,
+                                        },
+                                    )
+                            elif op == _AND:
+                                stack[-1] = x & y
+                            elif op == _DIV:
+                                stack[-1] = x // y if y else 0
+                            elif op == _OR:
+                                stack[-1] = x | y
+                            elif op == _XOR:
+                                stack[-1] = x ^ y
+                            elif op == _EQ:
+                                stack[-1] = 1 if x == y else 0
+                            elif op == _LT:
+                                stack[-1] = 1 if x < y else 0
+                            else:
+                                stack[-1] = 1 if x > y else 0
+                        elif op == _PUSH:
+                            stack.append(imm)
+                        elif op == _DUP:
+                            stack.append(stack[imm])
+                        elif op == _SWAP:
+                            stack[-1], stack[imm] = stack[imm], stack[-1]
                         else:
-                            exact = x * y
-                            overflow = exact > mask
-                        stack[-1] = exact & mask
-                        if full:
-                            emit(
-                                "ArithChecked",
-                                self_addr,
-                                ifid,
-                                pc,
-                                {"op": _OPS[op].value, "overflow": overflow},
-                            )
-                    elif op == _EQ:
-                        stack[-1] = 1 if x == y else 0
-                    elif op == _XOR:
-                        stack[-1] = x ^ y
-                    elif op == _AND:
-                        stack[-1] = x & y
-                    elif op == _LT:
-                        stack[-1] = 1 if x < y else 0
-                    elif op == _GT:
-                        stack[-1] = 1 if x > y else 0
-                    elif op == _OR:
-                        stack[-1] = x | y
-                    else:
-                        stack[-1] = x // y if y else 0
-                elif op < _JUMPDEST:  # ISZERO NOT
-                    if not stack:
-                        raise _FrameFailure("stack underflow")
-                    if op == _ISZERO:
-                        stack[-1] = 1 if stack[-1] == 0 else 0
-                    else:
-                        stack[-1] ^= mask
-                elif op < _SLOAD:  # JUMPDEST JUMP JUMPI MLOAD MSTORE
-                    if op == _JUMPI:
-                        if not stack:
-                            raise _FrameFailure("stack underflow")
-                        if stack.pop():
-                            next_pc = imms[pc]
+                            stack.pop()
                     elif op == _MLOAD:
-                        if not stack:
-                            raise _FrameFailure("stack underflow")
-                        stack[-1] = memory.get(stack[-1], 0)
+                        if imm is None:
+                            stack[-1] = memory.get(stack[-1], 0)
+                        else:
+                            stack.append(memory.get(imm, 0))
                     elif op == _MSTORE:
-                        if len(stack) < 2:
-                            raise _FrameFailure("stack underflow")
-                        addr = stack.pop()
+                        addr = stack.pop() if imm is None else imm
                         val = stack.pop()
                         memory[addr] = val
                         if addr == check_log:
@@ -508,134 +639,133 @@ class VM:
                                 pc,
                                 {"combined": val, "code": name},
                             )
-                    elif op == _JUMP:
-                        next_pc = imms[pc]
-                elif op < _CALLDATASIZE:  # one-operand reads: result replaces it
-                    if not stack:
-                        raise _FrameFailure("stack underflow")
-                    i = stack[-1]
-                    if op == _SLOAD:
-                        stack[-1] = world.sload(self_addr, i)
-                    elif op == _CODELOAD:
-                        stack[-1] = (pool[i] if i < len(pool) else 0) & mask
-                    elif op == _CALLDATALOAD:
-                        stack[-1] = calldata[i] if i < len(calldata) else 0
-                    elif op == _BALANCE:
-                        stack[-1] = world.balance_of(i)
-                    elif op == _TLOAD:
-                        stack[-1] = world.tload(self_addr, i)
-                    else:
-                        stack[-1] = last_ret[i] if i < len(last_ret) else 0
-                elif op < _SSTORE:  # zero-operand reads
-                    if len(stack) >= limit:
-                        raise _FrameFailure("stack overflow")
-                    if op == _CALLDATASIZE:
-                        stack.append(len(calldata))
-                    elif op == _CALLER:
-                        stack.append(caller & mask)
-                    elif op == _ORIGIN:
-                        stack.append(origin & mask)
-                    elif op == _ADDRESS:
-                        stack.append(self_addr & mask)
-                    elif op == _CALLVALUE:
-                        stack.append(value & mask)
-                    else:
-                        stack.append(len(last_ret))
-                elif op == _SSTORE:  # charged after its operands are read
-                    if len(stack) < 2:
-                        raise _FrameFailure("stack underflow")
-                    slot = stack.pop()
-                    val = stack.pop()
-                    prev = world.sload(self_addr, slot)
-                    gas_used += gas.sstore_cost(prev, val)
-                    if gas_used > gas_limit:
+                    elif op < _SLOAD:  # ISZERO NOT JUMP JUMPI
+                        if op == _JUMPI:
+                            if stack.pop():
+                                nxt = imm
+                        elif op == _JUMP:
+                            nxt = imm
+                        elif op == _ISZERO:
+                            stack[-1] = 1 if stack[-1] == 0 else 0
+                        else:
+                            stack[-1] ^= mask
+                    elif op < _CALLDATASIZE:  # one-operand reads: result replaces it
+                        i = stack[-1]
+                        if op == _CALLDATALOAD:
+                            stack[-1] = calldata[i] if i < len(calldata) else 0
+                        elif op == _CODELOAD:
+                            stack[-1] = (pool[i] if i < len(pool) else 0) & mask
+                        elif op == _SLOAD:
+                            stack[-1] = world.sload(self_addr, i)
+                        elif op == _TLOAD:
+                            stack[-1] = world.tload(self_addr, i)
+                        elif op == _BALANCE:
+                            stack[-1] = world.balance_of(i)
+                        else:
+                            stack[-1] = last_ret[i] if i < len(last_ret) else 0
+                    elif op < _SSTORE:  # zero-operand reads
+                        if op == _CALLDATASIZE:
+                            stack.append(len(calldata))
+                        elif op == _CALLER:
+                            stack.append(caller & mask)
+                        elif op == _ORIGIN:
+                            stack.append(origin & mask)
+                        elif op == _ADDRESS:
+                            stack.append(self_addr & mask)
+                        elif op == _CALLVALUE:
+                            stack.append(value & mask)
+                        else:
+                            stack.append(len(last_ret))
+                    elif op == _ICALL:
+                        if len(istack) >= INTERNAL_DEPTH_LIMIT:
+                            raise _FrameFailure("internal call depth exceeded")
+                        if full:
+                            emit("CallEnter", self_addr, ifid, pc, {"callee": imm})
+                        if acc is not None:
+                            if own[pc] >= 0:
+                                acc[own[pc]] += prices[op]
+                            own = owners[imm]
+                        istack.append((ifid, pc + 1))
+                        ifid = imm
+                        fn = functions[ifid]
+                        blocks = fn.blocks(key)
+                        nxt = 0
+                    elif op == _IRET:
+                        if not istack:
+                            raise _FrameFailure("IRET outside internal call")
+                        if full:
+                            emit("CallReturn", self_addr, ifid, pc, None)
+                        ifid, nxt = istack.pop()
+                        if acc is not None:
+                            if own[pc] >= 0:
+                                acc[own[pc]] += prices[op]
+                            own = owners[ifid]
+                        fn = functions[ifid]
+                        blocks = fn.blocks(key)
+                    elif op == _SSTORE:  # charged after its operands are read
+                        slot = stack.pop()
+                        val = stack.pop()
+                        charge = gas.sstore_cost(world.sload(self_addr, slot), val)
+                        gas_used += charge
+                        if gas_used > gas_limit:
+                            self.gas_used = gas_used
+                            raise _OutOfGas()
+                        if acc is not None and own[pc] >= 0:
+                            acc[own[pc]] += charge
+                        world.sstore(self_addr, slot, val)
+                    elif op == _TSTORE:
+                        slot = stack.pop()
+                        world.tstore(self_addr, slot, stack.pop())
+                    elif op == _CALL or op == _DELEGATECALL:
+                        is_delegate = op == _DELEGATECALL
+                        target = stack.pop()
+                        call_value = 0 if is_delegate else stack.pop()
+                        sel = stack.pop()
+                        nargs = stack.pop()
+                        if nargs > len(stack):
+                            raise _FrameFailure("stack underflow")
+                        args = [stack.pop() for _ in range(nargs)]
                         self.gas_used = gas_used
-                        raise _OutOfGas()
-                    world.sstore(self_addr, slot, val)
-                elif op == _ICALL:
-                    if len(istack) >= INTERNAL_DEPTH_LIMIT:
-                        raise _FrameFailure("internal call depth exceeded")
-                    callee = imms[pc]
-                    if full:
-                        emit("CallEnter", self_addr, ifid, pc, {"callee": callee})
-                    istack.append((ifid, pc + 1))
-                    ifid = callee
-                    fn = code.functions[ifid]
-                    ops, imms = fn.decoded
-                    n = len(ops)
-                    next_pc = 0
-                elif op == _IRET:
-                    if not istack:
-                        raise _FrameFailure("IRET outside internal call")
-                    if full:
-                        emit("CallReturn", self_addr, ifid, pc, None)
-                    ifid, next_pc = istack.pop()
-                    fn = code.functions[ifid]
-                    ops, imms = fn.decoded
-                    n = len(ops)
-                elif op == _CALL or op == _DELEGATECALL:
-                    is_delegate = op == _DELEGATECALL
-                    if len(stack) < (3 if is_delegate else 4):
-                        raise _FrameFailure("stack underflow")
-                    target = stack.pop()
-                    call_value = 0 if is_delegate else stack.pop()
-                    sel = stack.pop()
-                    nargs = stack.pop()
-                    if nargs > len(stack):
-                        raise _FrameFailure("stack underflow")
-                    args = [stack.pop() for _ in range(nargs)]
-                    self.gas_used = gas_used
-                    ok, last_ret = self._message_call(
-                        kind="delegatecall" if is_delegate else "call",
-                        caller_code=code,
-                        caller_self=self_addr,
-                        caller_caller=caller,
-                        caller_value=value,
-                        origin=origin,
-                        site=(ifid, pc),
-                        target=target,
-                        selector=sel if sel != 0 else None,
-                        call_value=call_value,
-                        calldata=args,
-                        depth=depth,
-                    )
-                    gas_used = self.gas_used
-                    # the call site is charged call_base; callees self-report
-                    gas_before = gas_used - prices[op]
-                    stack.append(1 if ok else 0)
-                elif op == _TSTORE:
-                    if len(stack) < 2:
-                        raise _FrameFailure("stack underflow")
-                    slot = stack.pop()
-                    world.tstore(self_addr, slot, stack.pop())
-                elif op == _STOP or op == _RETURN or op == _REVERT:
-                    data = []
-                    if op != _STOP:
-                        if not stack:
-                            raise _FrameFailure("stack underflow")
-                        i = stack.pop()
-                        if i > len(stack):
-                            raise _FrameFailure("stack underflow")
-                        data = [stack.pop() for _ in range(i)]
-                    # the frame exits here, so its last charge is added now
-                    if acc is not None and own[pc] >= 0:
-                        acc[own[pc]] += prices[op]
-                    if op == _REVERT:
-                        raise _FrameFailure("revert", data)
-                    self.gas_used = gas_used
-                    return True, data
-                else:  # pragma: no cover - exhaustive over Op
-                    raise _FrameFailure(f"unimplemented opcode {_OPS[op]}")
-
-                if acc is not None:
-                    pid = own[pc]
-                    if pid >= 0:
-                        acc[pid] += gas_used - gas_before
-                    gas_before = gas_used
-                    own = owners[ifid]
-                if full and (next_pc != pc + 1 or next_pc in fn.leaders) and next_pc < n:
-                    emit("BlockEnter", self_addr, ifid, next_pc, {"code": name})
-                pc = next_pc
+                        ok, last_ret = self._message_call(
+                            kind="delegatecall" if is_delegate else "call",
+                            caller_code=code,
+                            caller_self=self_addr,
+                            caller_caller=caller,
+                            caller_value=value,
+                            origin=origin,
+                            site=(ifid, pc),
+                            target=target,
+                            selector=sel if sel != 0 else None,
+                            call_value=call_value,
+                            calldata=args,
+                            depth=depth,
+                        )
+                        gas_used = self.gas_used
+                        # the call site is charged call_base; callees self-report
+                        if acc is not None and own[pc] >= 0:
+                            acc[own[pc]] += prices[op]
+                        stack.append(1 if ok else 0)
+                    elif op < _FAIL:  # RETURN STOP REVERT
+                        data = []
+                        if op != _STOP:
+                            i = stack.pop()
+                            if i > len(stack):
+                                raise _FrameFailure("stack underflow")
+                            data = [stack.pop() for _ in range(i)]
+                            if acc is not None and own[pc] >= 0:
+                                acc[own[pc]] += prices[op]
+                        if op == _REVERT:
+                            raise _FrameFailure("revert", data)
+                        self.gas_used = gas_used
+                        return True, data
+                    else:  # _FAIL
+                        charge, reason = imm
+                        gas_used += charge
+                        if gas_used > gas_limit:
+                            self.gas_used = gas_used
+                            raise _OutOfGas()
+                        raise _FrameFailure(reason)
+                pc = nxt
         except _FrameFailure as failure:
             self.gas_used = gas_used
             world.rollback(token)

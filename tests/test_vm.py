@@ -12,9 +12,9 @@ from pathguard.asm import assemble
 from pathguard.config import OPERAND_STACK_LIMIT, Config, GasSchedule
 from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.guardcode import Layout
-from pathguard.isa import Op
+from pathguard.isa import Instruction, Op
 from pathguard.oracle import TraceOracle
-from pathguard.program import SizeLimitExceeded
+from pathguard.program import ContractProgram, FunctionDef, SizeLimitExceeded, Visibility
 from pathguard.vm import (
     STATUS_ACCEPTED,
     STATUS_GUARD_REVERTED,
@@ -30,6 +30,7 @@ from pathguard.vm import (
     execute_transaction,
 )
 from pathguard.workflow import build_world, deploy_guarded, parse_tx, protect, train
+from vm_reference import ReferenceVM
 
 STORE_SRC = """
 contract store {
@@ -582,14 +583,14 @@ def test_call_depth_limit_fails_not_aborts():
     assert results.count(False) == 1  # only the depth-limited call fails
 
 
-def _offset_points(world):
+def _offset_points(world, first=0):
     """Gas points for every code deployed in ``world``: each offset is its
-    own point, numbered in (fid, offset) order."""
+    own point, numbered in (fid, offset) order from ``first``."""
     points = {}
     for acct in world.accounts.values():
         code = acct.code
         if code is not None and code.name not in points:
-            owners, n = [], 0
+            owners, n = [], first
             for fn in code.functions:
                 owners.append(list(range(n, n + len(fn.body))))
                 n += len(fn.body)
@@ -731,6 +732,7 @@ def _one_fn(body: str):
         ("PUSH 1 SWAP 1 STOP", 1, 6),
         ("DUP 1 STOP", 0, 3),
         ("PUSH 1 PUSH 2 RETURN", 2, 9),  # fewer words than RETURN's count
+        ("PUSH 1 JUMP l l: JUMPDEST POP POP STOP", 4, 15),  # block needs 2, gets 1
     ],
 )
 def test_stack_underflow_reason_and_charge(body, offset, gas_used):
@@ -766,6 +768,118 @@ def test_stack_overflow_at_limit(body, first, per_push):
     # push; the leading PUSH of the DUP variant supplies one of them
     pushes = OPERAND_STACK_LIMIT - first
     assert r.gas_used == 3 * first + per_push * pushes + 6
+
+
+def _program(*bodies: list[Instruction]) -> ContractProgram:
+    """A contract built without validation: function 0 is external under
+    selector 0x01, the rest are internal."""
+    fns = [
+        FunctionDef(
+            fid, f"f{fid}", Visibility.EXTERNAL if fid == 0 else Visibility.INTERNAL, body
+        )
+        for fid, body in enumerate(bodies)
+    ]
+    return ContractProgram("t", fns, {0x01: 0})
+
+
+def _failure(prog: ContractProgram, width=64) -> tuple[str, int, tuple]:
+    """(status, gas used, (fn, offset, detail) of the last trace event)."""
+    w = _world(width)
+    addr = deploy(w, prog, 0xD0)
+    r = execute_transaction(w, Transaction(1, addr, 0x01))
+    last = r.trace[-1]
+    assert last.kind == "Revert"
+    return r.status, r.gas_used, (last.fn, last.offset, last.detail)
+
+
+def _ins(op: Op, imm: int | None = None) -> Instruction:
+    return Instruction(op, imm)
+
+
+def test_fall_off_after_not_taken_final_jumpi():
+    # one block of seven ops whose final JUMPI is not taken
+    body = [
+        _ins(Op.JUMPDEST), _ins(Op.PUSH, 5), _ins(Op.PUSH, 7), _ins(Op.ADD),
+        _ins(Op.POP), _ins(Op.PUSH, 0), _ins(Op.JUMPI, 0),
+    ]
+    assert _failure(_program(body)) == (
+        STATUS_REVERTED, 6 * 3 + 10, (0, 7, {"reason": "fell off function body"})
+    )
+
+
+def test_internal_call_depth_exceeded():
+    # the entry's ICALL, then 64 rounds of PUSH POP ICALL; the last ICALL
+    # finds INTERNAL_DEPTH_LIMIT frames open and fails, charged
+    entry = [_ins(Op.ICALL, 1), _ins(Op.STOP)]
+    rec = [_ins(Op.PUSH, 1), _ins(Op.POP), _ins(Op.ICALL, 1), _ins(Op.IRET)]
+    assert _failure(_program(entry, rec)) == (
+        STATUS_REVERTED, 3 + 64 * 9, (1, 2, {"reason": "internal call depth exceeded"})
+    )
+
+
+def test_iret_outside_internal_call():
+    body = [_ins(Op.PUSH, 1), _ins(Op.POP), _ins(Op.IRET)]
+    assert _failure(_program(body)) == (
+        STATUS_REVERTED, 9, (0, 2, {"reason": "IRET outside internal call"})
+    )
+
+
+@pytest.mark.parametrize(
+    "body", ["PUSH 1 PUSH 2 DUP 0 STOP", "PUSH 1 PUSH 2 SWAP 0 POP STOP"]
+)
+def test_zero_dup_and_swap_fail_mid_block(body):
+    # depth 0 never names a stack word, whatever the stack holds
+    assert _failure(_one_fn(body)) == (
+        STATUS_REVERTED, 9, (0, 2, {"reason": "stack underflow"})
+    )
+
+
+OOG_SRC = """
+contract oog { fn f external selector=0x01 {
+  PUSH 200
+  PUSH 100
+  ADD            ; wraps at width 8
+  PUSH 7
+  ADD
+  JUMP next
+next: JUMPDEST
+  PUSH 3
+  MUL
+  PUSH 1
+  SUB
+  PUSH 0
+  MSTORE
+  STOP
+} }
+"""
+
+
+def test_out_of_gas_at_every_limit_keeps_the_trace_prefix():
+    """Every op of this straight-line program costs 3, so the op at offset p
+    has been charged once 3 * (p + 1) gas is spent. Under any smaller limit
+    the trace holds each BlockEnter whose predecessors were paid for and
+    each ArithChecked whose op was, and no other event."""
+    config = Config(width=8)
+    prog = assemble(OOG_SRC, config)
+    cost = 3 * len(prog.functions[0].body)
+
+    def run(limit):
+        w = WorldState(config)
+        addr = deploy(w, prog, 0xD0)
+        r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=limit))
+        return r, [(e.kind, e.fn, e.offset, e.detail) for e in r.trace]
+
+    done, full = run(cost)
+    assert (done.status, done.gas_used) == (STATUS_ACCEPTED, cost)
+    assert [k for k, *_ in full] == [
+        "BlockEnter", "ArithChecked", "ArithChecked", "BlockEnter", "ArithChecked",
+        "ArithChecked",
+    ]
+    paid = {"BlockEnter": 0, "ArithChecked": 1}
+    for limit in range(1, cost):
+        r, trace = run(limit)
+        assert (r.status, r.gas_used) == (STATUS_OUT_OF_GAS, limit)
+        assert trace == [ev for ev in full if 3 * (ev[2] + paid[ev[0]]) <= limit], limit
 
 
 def test_gas_limit_equal_to_cost_is_enough():
@@ -819,6 +933,129 @@ def test_failed_inner_delegatecall_gas_counts_toward_outer():
     # lib: CALLER, PUSH, SSTORE set (rolled back), PUSH, REVERT
     lib_gas = 6 + 20000 + 6
     assert r.gas_used == host_gas + lib_gas
+
+
+# Ops that a PUSH is fused into: its word becomes their right operand.
+_FUSED = [Op.MLOAD, Op.MSTORE] + [op for op in Op if Op.ADD.code <= op.code <= Op.XOR.code]
+# Ops that take a PUSHed word as a slot, index or count, unfused.
+_READ_PUSH = [
+    Op.SSTORE, Op.TSTORE, Op.SLOAD, Op.TLOAD, Op.CODELOAD, Op.CALLDATALOAD, Op.BALANCE,
+    Op.RETURNDATALOAD, Op.RETURN, Op.REVERT,
+]
+_DIFF_ORIGIN = 0x11
+
+
+@st.composite
+def _diff_cases(draw):
+    """A random unvalidated program over the whole ISA, and one to three txs.
+
+    Function 0 is the external entry. It may open with a run of PUSHes that
+    fills the stack, up to near OPERAND_STACK_LIMIT. Each function has a
+    JUMPDEST, and every jump targets one. Fragments pair a PUSH with an op
+    that reads its word, fused or not, including stores to the check log,
+    and a body may end in an exit or run off its end.
+    """
+    width = draw(st.sampled_from([8, 64]))
+    # cheap storage and calls, so that they complete under small gas limits
+    gas = GasSchedule(
+        memory_op=4, sload=7, sstore_set=40, sstore_update=20, tload=5, tstore=6, call_base=30
+    )
+    config = Config(width=width, gas=gas)
+    mask = config.mask
+    check_log = Layout(width).check_log
+    # mask + 2 is wider than a word; an unvalidated PUSH of it pushes 1
+    words = st.one_of(
+        st.integers(0, 6), st.sampled_from([check_log, mask, mask + 2, 0x80, 1 << (width - 1)])
+    )
+    nfns = draw(st.integers(1, 3))
+    plain = [op for op in Op if op not in (Op.JUMP, Op.JUMPI, Op.ICALL, Op.JUMPDEST)]
+    bodies = []
+    for fid in range(nfns):
+        items = draw(st.lists(
+            st.one_of(
+                st.sampled_from(plain),
+                st.sampled_from([Op.PUSH, Op.DUP, Op.SWAP]),
+                st.sampled_from([Op.JUMPDEST, Op.JUMP, Op.JUMPI, Op.ICALL]),
+                st.tuples(words, st.sampled_from(_FUSED)),
+                st.tuples(words, st.sampled_from(_READ_PUSH)),
+                st.just((check_log, Op.MSTORE)),
+            ),
+            min_size=1, max_size=20,
+        ))
+        items += draw(st.sampled_from([[], [Op.STOP], [Op.RETURN], [Op.REVERT], [Op.IRET]]))
+        body = []
+        for item in items:
+            if isinstance(item, tuple):
+                body += [("i", Instruction(Op.PUSH, item[0])), ("i", Instruction(item[1]))]
+            else:
+                body.append(item)
+        if Op.JUMPDEST not in body:
+            body.insert(draw(st.integers(0, len(body))), Op.JUMPDEST)
+        if fid == 0:
+            fill = draw(
+                st.sampled_from([0, 8, 32, OPERAND_STACK_LIMIT - 2, OPERAND_STACK_LIMIT])
+            )
+            body = [("i", Instruction(Op.PUSH, 1))] * fill + body
+        dests = [off for off, item in enumerate(body) if item is Op.JUMPDEST]
+        out = []
+        for item in body:
+            if isinstance(item, tuple):
+                out.append(item[1])
+            elif item in (Op.JUMP, Op.JUMPI):
+                out.append(Instruction(item, draw(st.sampled_from(dests))))
+            elif item is Op.ICALL:
+                out.append(Instruction(item, draw(st.integers(0, nfns - 1))))
+            elif item in (Op.DUP, Op.SWAP):
+                out.append(Instruction(item, draw(st.integers(0, 3))))
+            elif item is Op.PUSH:
+                out.append(Instruction(item, draw(words)))
+            else:
+                out.append(Instruction(item))
+        bodies.append(out)
+    txs = draw(st.lists(
+        st.tuples(
+            st.lists(words, max_size=3),  # calldata
+            st.integers(0, 2),  # value
+            st.one_of(st.integers(1, 300), st.integers(3_000, 20_000), st.just(20_000)),  # gas
+        ),
+        min_size=1, max_size=3,
+    ))
+    return config, _program(*bodies), txs
+
+
+def _diff_run(vm_cls, config, prog, txs, level, mirrored):
+    world = WorldState(config)
+    world.set_balance(_DIFF_ORIGIN, 100)
+    addr = deploy(world, prog, 0xD0)
+    runs = []
+    for i, (calldata, value, gas_limit) in enumerate(txs):
+        # a new owner table per tx, numbered apart from the last one's
+        points = _offset_points(world, first=i) if mirrored else None
+        vm = vm_cls(world, level, Layout(config.width).check_log, gas_points=points)
+        r = vm.execute_transaction(
+            Transaction(_DIFF_ORIGIN, addr, 0x01, calldata, value, gas_limit)
+        )
+        runs.append((
+            (r.status, r.gas_used, r.return_data, r.alarms),
+            [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace],
+            _offset_charges(points) if mirrored else None,
+            world.dump(),
+            world.transient,
+        ))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_diff_cases())
+def test_block_engine_matches_per_instruction_reference(case):
+    """Receipts, traces, per-offset charges and world state equal those of the
+    per-instruction loop in tests/vm_reference.py, at TRACE_FULL and at
+    TRACE_CHECKS with every offset its own gas point."""
+    config, prog, txs = case
+    for level, mirrored in ((TRACE_FULL, False), (TRACE_CHECKS, True)):
+        got = _diff_run(VM, config, prog, txs, level, mirrored)
+        want = _diff_run(ReferenceVM, config, prog, txs, level, mirrored)
+        assert got == want
 
 
 if __name__ == "__main__":
