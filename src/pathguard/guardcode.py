@@ -388,8 +388,8 @@ def checker_pool(strategy: str, spec) -> list[int]:
 
 
 class SlowPaths(NamedTuple):
-    """Function ids of a contract's shared slow paths, reached only on a
-    flagged exit or a check miss."""
+    """Function ids of a contract's shared slow paths, reached only on an
+    exit that is not a clean boundary exit, or on a check miss."""
 
     exit: int
     miss: int
@@ -453,12 +453,9 @@ def seq_prologue(
     a.push(2).emit(Op.CALLDATALOAD)  # [site]
     l_sum = Asm.fresh("sum")
     for gid, val, via_surrogate in site_rows:
-        l_row = Asm.fresh("row")
         nxt = Asm.fresh("nxt")
-        a.emit(Op.DUP, 1).push(gid).emit(Op.EQ)
-        a.jumpi(l_row)
-        a.jump(nxt)
-        a.mark(l_row)
+        a.emit(Op.DUP, 1).push(gid).emit(Op.EQ).emit(Op.ISZERO)
+        a.jumpi(nxt)
         a.emit(Op.POP)
         if via_surrogate:
             a.push(val & config.mask)
@@ -483,66 +480,62 @@ def seq_internal_entry(entry_epp: int, lay: Layout) -> Asm:
     return Asm().epp_set(lay, entry_epp)
 
 
-def _marker_return(flag: int, config: Config) -> Asm:
-    """RETURN [vals..., n] as [vals..., flag, MARKER] with n + 2 words."""
-    a = Asm().push(flag).emit(Op.SWAP, 1)
-    a.push(config.guard.call_marker & config.mask).emit(Op.SWAP, 1)
-    return a.push(RET_PREFIX_WORDS).emit(Op.ADD).emit(Op.RETURN)
-
-
 def seq_external_epilogue(
-    fid: int, chk_fid: int, exit_fid: int, num_paths: int, lay: Layout, config: Config
+    fid: int, chk_fid: int, exit_fid: int, num_paths: int, lay: Layout
 ) -> Asm:
     """Shared exit stub for an external function.
 
     Expects the stack shaped for RETURN ([values..., n]); exit sites jump
-    here (STOP sites push 0 first). Runs the path-set check, then tests the
-    flag once: a flagged exit pushes fid and ICALLs the contract's shared
-    flagged exit, which never returns. Unflagged, marker entries prefix
-    return data with [0, MARKER] and other entries return as they are. The
-    flagged arm sits before the marker arm so the stub, like every function
-    body, ends in a terminator: the validator cannot see that the ICALL
-    never returns.
+    here (STOP sites push 0 first). Runs the path-set check, then tests
+    flag | mode once: a clean boundary frame returns as it is. Any other
+    frame pushes fid and ICALLs the contract's shared exit routine, which
+    guard-reverts or prepares the return; the stub's last RETURN then
+    returns what the routine left.
     """
     a = Asm()
     a.extend(seq_check_fragment(chk_fid, lay, num_paths))
-    l_flag = Asm.fresh("xflag")
-    l_marker = Asm.fresh("xmark")
-    a.mload(lay.flag)
-    a.jumpi(l_flag)
-    a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
-    a.jumpi(l_marker)
+    l_slow = Asm.fresh("xslow")
+    a.mload(lay.flag).mload(lay.mode).emit(Op.OR)
+    a.jumpi(l_slow)
     a.emit(Op.RETURN)
-    a.mark(l_flag)
-    a.push(fid).emit(Op.ICALL, exit_fid)
-    a.mark(l_marker)
-    return a.extend(_marker_return(0, config))
+    a.mark(l_slow)
+    return a.push(fid).emit(Op.ICALL, exit_fid).emit(Op.RETURN)
 
 
-def seq_flagged_exit(code_id: int, lay: Layout, config: Config) -> Asm:
-    """Shared flagged exit: consumes [vals..., n, fid], never returns.
+def seq_exit_routine(code_id: int, lay: Layout, config: Config) -> Asm:
+    """Shared exit routine: consumes [vals..., n, fid], IRETs the stack the
+    stub's RETURN returns.
 
-    Boundary entries guard-revert (``_guard_revert``). Marker and reentrant
+    Reached by every exit but a clean boundary one. A boundary entry is
+    flagged and guard-reverts (``_guard_revert``). Marker and reentrant
     entries leave their alarm entries in the transient buffer, where a frame
-    of the same account reads them: a marker entry returns with the
-    [1, MARKER] prefix, a reentrant one poisons the ctx slot so the outer
-    frame of the same contract reverts the whole transaction, and returns.
-    Its RETURNs stand in for the original exit, like the stub's.
+    of the same account reads them: a marker entry returns its values under
+    the [MARKER, flag] prefix, and a flagged reentrant one poisons the ctx
+    slot so the outer frame of the same contract reverts the whole
+    transaction. The marker test comes first: marker exits are the
+    routine's common case.
     """
     a = Asm()
-    l_inner = Asm.fresh("xinner")
-    l_marker = Asm.fresh("xmflag")
-    a.mload(lay.mode)  # MODE_BOUNDARY is 0
-    a.jumpi(l_inner)
-    a.extend(_guard_revert(code_id, lay, config))
-    a.mark(l_inner)
-    a.emit(Op.POP)  # fid: only a guard revert reports it
+    l_marker = Asm.fresh("xmark")
+    l_reentrant = Asm.fresh("xreent")
+    l_done = Asm.fresh("xdone")
     a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
     a.jumpi(l_marker)
+    a.mload(lay.mode)  # MODE_BOUNDARY is 0
+    a.jumpi(l_reentrant)
+    a.extend(_guard_revert(code_id, lay, config))
+    a.mark(l_reentrant)
+    a.emit(Op.POP)  # fid: only a guard revert reports it
+    a.mload(lay.flag).emit(Op.ISZERO)
+    a.jumpi(l_done)
     a.push(config.slot_poison).push(CTX_SLOT).emit(Op.TSTORE)
-    a.emit(Op.RETURN)
+    a.mark(l_done)
+    a.emit(Op.IRET)
     a.mark(l_marker)
-    return a.extend(_marker_return(1, config))
+    # [vals..., n, fid] -> [vals..., flag, MARKER, n + 2]
+    a.emit(Op.POP).mload(lay.flag).emit(Op.SWAP, 1)
+    a.push(config.guard.call_marker & config.mask).emit(Op.SWAP, 1)
+    return a.push(RET_PREFIX_WORDS).emit(Op.ADD).emit(Op.IRET)
 
 
 def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:

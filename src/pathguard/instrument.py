@@ -36,8 +36,8 @@ from .guardcode import (
     seq_check_fragment,
     seq_checker,
     seq_admin_body,
+    seq_exit_routine,
     seq_external_epilogue,
-    seq_flagged_exit,
     seq_icall_post,
     seq_icall_pre,
     seq_internal_entry,
@@ -117,7 +117,8 @@ class InstrumentedContract:
     original_size: int
     instrumented_size: int
     # owners[fid][offset]: the point whose gas the offset is, or -1 for
-    # original code and the guard RETURNs that stand in for an original exit
+    # original code and the stub RETURNs and IRETs that stand in for an
+    # original exit
     owners: list[list[int]]
     admin_selector: int
     # safe pairs that live in the dynamic mapping instead of embedded sets
@@ -246,7 +247,7 @@ class _Rewriter:
 
         # one copy per contract of each slow path, in SlowPaths order
         shared = {
-            "__guard_exit": seq_flagged_exit(self.code_id, self.lay, config),
+            "__guard_exit": seq_exit_routine(self.code_id, self.lay, config),
             "__guard_miss": seq_miss(self.code_id, config.guard.mapping_tag, self.lay, config),
         }
         for fid, (name, seq) in zip(self.slow, shared.items()):
@@ -282,14 +283,13 @@ class _Rewriter:
         owners: list[list[int]],
     ) -> FunctionDef:
         """A function made only of guard code: ``pid`` owns its bytes and the
-        gas of every offset but its RETURNs, which stand in for the original
-        exit of the function that called it (as in the exit stub)."""
+        gas of every offset."""
         body = flatten(seq.items, base=0)
         # body bytes plus the new function-table entry
         self.points[pid].code_bytes = (
             sum(i.size(self.config.word_bytes) for i in body) + FUNCTION_ENTRY_BYTES
         )
-        owners.append([-1 if instr.op is Op.RETURN else pid for instr in body])
+        owners.append([pid] * len(body))
         return FunctionDef(fid, name, visibility, body)
 
     def _scan_reserved_collisions(self) -> None:
@@ -471,7 +471,7 @@ class _Rewriter:
 
         if used_exit:
             pid = self.point(POINT_CHECK, (fn.name, "exit"), num_paths=num_paths)
-            seq = seq_external_epilogue(fn.id, chk_fid, self.slow.exit, num_paths, lay, config)
+            seq = seq_external_epilogue(fn.id, chk_fid, self.slow.exit, num_paths, lay)
             stubs.append((Asm().mark(exit_label).extend(seq), pid))
         if used_iexit:
             pid = self.point(POINT_CHECK, (fn.name, "iexit"), num_paths=num_paths)
@@ -601,7 +601,6 @@ def instrument_contract(
         rewriter = _Rewriter(name, analysis, strategies, config)
         result = rewriter.rewrite()
         validate_program(result.program, config)
-        result.instrumented_size = result.program.byte_size
         result.mapping_preseed = list(preseed)
         if result.instrumented_size <= MAX_CODE_BYTES:
             return result

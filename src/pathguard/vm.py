@@ -728,7 +728,6 @@ class VM:
                         self.gas_used = gas_used
                         ok, last_ret = self._message_call(
                             kind="delegatecall" if is_delegate else "call",
-                            caller_code=code,
                             caller_self=self_addr,
                             caller_caller=caller,
                             caller_value=value,
@@ -782,7 +781,6 @@ class VM:
     def _message_call(
         self,
         kind: str,
-        caller_code: ContractProgram,
         caller_self: int,
         caller_caller: int,
         caller_value: int,

@@ -28,7 +28,7 @@ from .pathset import mapping_slot, mapping_value
 # Not called here; stays importable because perfbench/spans.py wraps
 # workflow.build_mpht as well as instrument.build_mpht.
 from .pathset import build_mpht
-from .program import ContractProgram
+from .program import ContractProgram, validate_program
 from .vm import (
     Receipt,
     STATUS_ACCEPTED,
@@ -85,6 +85,7 @@ class Bundle:
                 prog = assemble(entry["source"], config)
             else:
                 prog = ContractProgram.from_json(entry["program"])
+                validate_program(prog, config)
             programs[prog.name] = prog
         boundary = set(raw.get("boundary", list(programs)))
         deploy_order = raw.get("deploy", list(programs))

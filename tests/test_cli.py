@@ -117,6 +117,22 @@ def test_asm_rejects_bad_source(tmp_path, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_protect_rejects_an_invalid_program_entry(tmp_path, capsys):
+    """A bundle whose serialized program ICALLs a missing function exits
+    with the validation code before anything is protected."""
+    (tmp_path / "snap.json").write_text("{}")
+    fn = {"id": 0, "name": "f", "visibility": "external", "body": [["ICALL", 5], ["STOP", None]]}
+    bad = tmp_path / "bad.bundle.json"
+    bad.write_text(json.dumps(
+        {"contracts": [{"program": {"name": "bad", "functions": [fn], "selector_table": {"0x1": 0}}}]}
+    ))
+    code = cli.main(["protect", str(bad), str(tmp_path / "snap.json"), "-o", str(tmp_path / "g.json")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ICALL to unknown function 5" in err
+    assert not (tmp_path / "g.json").exists()
+
+
 @pytest.mark.parametrize(
     "flags", [(), ("--dump-cfg",), ("--dump-callgraph",), ("--dump-cfg", "--dump-callgraph")]
 )

@@ -17,7 +17,8 @@ from pathguard.guardcode import (
     checker_pool,
     flatten,
     seq_checker,
-    seq_flagged_exit,
+    seq_exit_routine,
+    seq_external_epilogue,
     seq_miss,
 )
 from pathguard.isa import Op
@@ -273,56 +274,75 @@ def test_alarm_append_below_and_at_cap():
         assert slots == _buffer_slots((prefill + [(CODE_ID, 6, 0x333)])[:cap])
 
 
-def _run_flagged_exit(mode, entries, fid=5):
-    """Run the shared flagged exit in ``mode`` over [0xA1, 0xA2, 2, fid] with
-    the transient alarm buffer holding ``entries``; returns (receipt, world,
-    addr)."""
+EXIT_FN = 5  # the external function whose exit the stub closes
+ACCEPT_FID = 2  # a checker that accepts every pair
+
+
+def _run_exit(mode, flag, entries):
+    """Close a frame entered in ``mode`` with ``flag`` through an external
+    exit stub over the values [0xA1, 0xA2] (n = 2), the transient alarm
+    buffer holding ``entries``; the stub reaches the exit routine as
+    function SLOW_FID. Returns (receipt, world, addr); the VM traces at
+    TRACE_FULL, so the trace shows every ICALL."""
     config = Config()
     lay = Layout(64)
-    a = _with_alarms(entries).mstore_const(lay.mode, mode)
-    a.push(0xA1).push(0xA2).push(2).push(fid).emit(Op.ICALL, SLOW_FID)
-    a.push(0).emit(Op.RETURN)  # never reached
-    seq = seq_flagged_exit(CODE_ID, lay, config)
-    return _execute(a.items, [], extra_fns=_slow_fn(seq))
+    a = _with_alarms(entries).mstore_const(lay.mode, mode).mstore_const(lay.flag, flag)
+    a.push(0xA1).push(0xA2).push(2)
+    a.extend(seq_external_epilogue(EXIT_FN, ACCEPT_FID, SLOW_FID, 1, lay))
+    accept = Asm().emit(Op.POP).emit(Op.IRET)
+    fns = _slow_fn(seq_exit_routine(CODE_ID, lay, config)) + [
+        FunctionDef(ACCEPT_FID, "accept", Visibility.INTERNAL, flatten(accept.items, base=0))
+    ]
+    return _execute(a.items, [], extra_fns=fns)
 
 
-def test_flagged_exit_marker_returns_flag():
-    """A marker entry returns its values under [1, MARKER] and leaves the
-    alarm buffer as the misses left it, for a frame of the same account."""
+def _routine_calls(receipt):
+    return [ev for ev in receipt.trace if ev.kind == "CallEnter" and ev.get("callee") == SLOW_FID]
+
+
+@pytest.mark.parametrize(
+    "mode,flag,prefix,poisoned",
+    [
+        (MODE_BOUNDARY, 0, [], False),
+        (MODE_MARKER, 0, [0], False),
+        (MODE_MARKER, 1, [1], False),
+        (MODE_REENTRANT, 0, [], False),
+        (MODE_REENTRANT, 1, [], True),
+    ],
+    ids=["boundary", "marker", "marker-flagged", "reentrant", "reentrant-flagged"],
+)
+def test_exit_returns_by_mode_and_flag(mode, flag, prefix, poisoned):
+    """Every exit that does not guard-revert returns the frame's values: a
+    marker entry under [MARKER, flag], any other entry as they are. Only a
+    flagged reentrant entry poisons the ctx slot, so the outer frame of the
+    same contract reverts the whole transaction. The alarm buffer stays as
+    the misses left it, for a frame of the same account. Only a clean
+    boundary exit returns from the stub without calling the exit routine."""
     config = Config()
     entries = [(2, 8, 0x99), (1, 2, 0x10)]
-    receipt, world, addr = _run_flagged_exit(MODE_MARKER, entries)
+    receipt, world, addr = _run_exit(mode, flag, entries)
     assert receipt.status == "Accepted", receipt
-    assert receipt.return_data == [config.guard.call_marker & config.mask, 1, 0xA2, 0xA1]
-    assert _transient(world, addr) == _buffer_slots(entries)
+    marker = [config.guard.call_marker & config.mask] if mode == MODE_MARKER else []
+    assert receipt.return_data == marker + prefix + [0xA2, 0xA1]
+    poison = {CTX_SLOT: config.slot_poison} if poisoned else {}
+    assert _transient(world, addr) == {**_buffer_slots(entries), **poison}
     assert world.dump()[hex(addr)]["storage"] == {}
-
-
-def test_flagged_exit_reentrant_poisons_slot():
-    """A reentrant entry poisons the ctx slot so the outer frame reverts,
-    leaves the alarm buffer as it is, and returns its values unchanged."""
-    config = Config()
-    entries = [(1, 2, 0x10), (1, 7, 0x20)]
-    receipt, world, addr = _run_flagged_exit(MODE_REENTRANT, entries)
-    assert receipt.status == "Accepted", receipt
-    assert receipt.return_data == [0xA2, 0xA1]
-    assert _transient(world, addr) == {
-        **_buffer_slots(entries), CTX_SLOT: config.slot_poison
-    }
-    assert world.dump()[hex(addr)]["storage"] == {}
+    assert len(_routine_calls(receipt)) == (mode != MODE_BOUNDARY)
 
 
 def test_guard_revert_payload_lists_buffer_in_append_order():
-    """A boundary entry reverts with every buffered entry, in append order."""
+    """A flagged boundary entry reverts with every buffered entry, in append
+    order."""
     config = Config()
     gm = config.guard.guard_marker & config.mask
     entries = [(1, 8, 0x99), (CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
-    receipt, world, addr = _run_flagged_exit(MODE_BOUNDARY, entries)
+    receipt, world, addr = _run_exit(MODE_BOUNDARY, 1, entries)
     assert receipt.status == "GuardReverted"
     assert receipt.return_data == [gm, 3] + [
         w for entry in entries for w in (addr, *entry)
     ]
     assert [(r.code_id, r.fn, r.combined) for r in receipt.alarms] == entries
+    assert len(_routine_calls(receipt)) == 1
 
 
 def test_guard_revert_without_entries_reports_sentinel():
@@ -330,10 +350,10 @@ def test_guard_revert_without_entries_reports_sentinel():
     flagged) reverts with the all-ones sentinel pair of the flagged
     function."""
     config = Config()
-    receipt, _, addr = _run_flagged_exit(MODE_BOUNDARY, [])
+    receipt, _, addr = _run_exit(MODE_BOUNDARY, 1, [])
     assert receipt.status == "GuardReverted"
     gm = config.guard.guard_marker & config.mask
-    assert receipt.return_data == [gm, 1, addr, CODE_ID, 5, config.mask]
+    assert receipt.return_data == [gm, 1, addr, CODE_ID, EXIT_FN, config.mask]
 
 
 def test_inner_guard_revert_rolls_back_only_its_own_appends():
@@ -352,7 +372,7 @@ def test_inner_guard_revert_rolls_back_only_its_own_appends():
     inner = Asm().push(0x222).push(5).push(mapping_fn_seed(5, config)).emit(Op.ICALL, miss_fid)
     inner.push(0).push(5).emit(Op.ICALL, exit_fid)
     inner.push(0).emit(Op.RETURN)  # never reached
-    fns = _slow_fn(seq_flagged_exit(CODE_ID, Layout(64), config)) + [
+    fns = _slow_fn(seq_exit_routine(CODE_ID, Layout(64), config)) + [
         _miss_fn(config, miss_fid),
         FunctionDef(inner_fid, "inner", Visibility.EXTERNAL, flatten(inner.items, base=0)),
     ]
@@ -399,7 +419,7 @@ def test_callee_entries_land_in_executing_account_buffer(op):
     prog = ContractProgram(
         "host",
         [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(host.items, base=0))]
-        + _slow_fn(seq_flagged_exit(CODE_ID, Layout(64), config)),
+        + _slow_fn(seq_exit_routine(CODE_ID, Layout(64), config)),
         {0x7: 0},
         None,
     )

@@ -15,7 +15,7 @@ from pathguard.guardcode import (
     CTX_SLOT,
     Layout,
     flatten,
-    seq_flagged_exit,
+    seq_exit_routine,
     seq_miss,
 )
 from pathguard.isa import Op
@@ -110,16 +110,18 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
 
 
 def test_slow_paths_emitted_once_per_contract(figcg, loopy):
-    """The flagged exit (ctx-slot poison and guard revert) and the miss
-    routine (mapping probe plus alarm append) each live in one shared
-    function, and only these two touch the transient alarm buffer. No exit
-    or backedge stub carries append, poison or payload code or branches on a
-    checker's answer, no checker probes storage, and only checkers reach the
-    miss routine."""
+    """The exit routine (ctx-slot poison, guard revert and the marker
+    return) and the miss routine (mapping probe plus alarm append) each live
+    in one shared function, and only these two touch the transient alarm
+    buffer. No exit or backedge stub carries append, poison, payload or
+    marker-return code or branches on a checker's answer, no guard function
+    RETURNs, no checker probes storage, and only checkers reach the miss
+    routine."""
     lay = Layout(CONFIG.width)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
     tag = CONFIG.guard.mapping_tag & CONFIG.mask
     poison = (CONFIG.slot_poison, CTX_SLOT)
+    marker = CONFIG.guard.call_marker & CONFIG.mask
     for prog in (figcg, loopy):  # two externals and an internal; backedges
         analysis, inst = _pair(prog, {0: {0, 1, 2}})
         functions = inst.program.functions
@@ -128,7 +130,7 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
         bodies = [fn.body for fn in functions]
         shared = []
         for seq in (
-            seq_flagged_exit(0, lay, CONFIG),
+            seq_exit_routine(0, lay, CONFIG),
             seq_miss(0, CONFIG.guard.mapping_tag, lay, CONFIG),
         ):
             assert bodies.count(flatten(seq.items, base=0)) == 1
@@ -153,9 +155,17 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
                 if a.op is b.op is Op.PUSH and c.op is Op.TSTORE
             }
             pushed = {i.imm for i in fn.body if i.op is Op.PUSH}
+            marker_return = any(
+                a.op is Op.PUSH and a.imm == marker and b.op is Op.SWAP
+                for a, b in zip(fn.body, fn.body[1:])
+            )
+            if fn.id >= len(prog.functions):
+                assert all(i.op is not Op.RETURN for i in fn.body), fn.name
             if fn.id == exit_fid:
                 assert ALARM_CNT_SLOT in slots and poison in stores and gm in pushed
+                assert marker_return
                 continue
+            assert not marker_return, fn.name
             assert poison not in stores, fn.name
             assert gm not in pushed, fn.name
             if fn.id == miss_fid:
@@ -176,8 +186,8 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
 def test_flagged_marker_exit_reconciles():
     """A flagged marker-mode exit that returns (here a call carrying the call
     marker straight from the origin) adds exactly the gas of the offsets
-    the points own: the RETURN in the shared flagged exit stands in for the
-    original STOP, like the stub's own RETURN."""
+    the points own: the exit routine prepares the return and the stub's
+    RETURN after its call stands in for the original STOP."""
     prog = assemble("contract t { fn f external selector=0x1 { PUSH 1 PUSH 0 SSTORE STOP } }")
     analysis, inst = _pair(prog, {0: set()})  # untrained: the exit check misses
     points, acc = _point_gas(inst)
@@ -200,9 +210,9 @@ _EXITS = (Op.STOP, Op.RETURN, Op.IRET)
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
 def test_owner_tables_cover_every_offset(scenario):
     """One table per function, as long as its body. A guard function belongs
-    to its one point except its RETURNs; in a rewritten function every
-    owned offset belongs to a point sited in it, and the unowned offsets are
-    the original code in order, give or take exits. Every point owns code."""
+    to its one point at every offset; in a rewritten function every owned
+    offset belongs to a point sited in it, and the unowned offsets are the
+    original code in order, give or take exits. Every point owns code."""
     bundle = scenario.bundle()
     guarded = protect(bundle, train(bundle, scenario.training))
     for name, inst in guarded.instrumented.items():
@@ -216,9 +226,7 @@ def test_owner_tables_cover_every_offset(scenario):
             if fn.id >= len(original):
                 (pid,) = {pid for pid in table if pid >= 0}
                 assert inst.points[pid].site[1] in ("checker", "admin", "shared")
-                assert table == [
-                    -1 if i.op is Op.RETURN else pid for i in fn.body
-                ], fn.name
+                assert table == [pid] * len(fn.body), fn.name
                 continue
             assert all(inst.points[pid].site[0] == fn.name for pid in table if pid >= 0)
             kept = [i.op for i, pid in zip(fn.body, table) if pid < 0]
@@ -490,5 +498,5 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "4c5e508622d96d2076918163964f4e2c99d050dfa618d08692c9198720466f38"
+        "44c2382c944bdfd2af24b21bf5b47058222ff6b2ea32dfe25f94eb17597101da"
     )

@@ -701,7 +701,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "b890947851381ec5bf617fcd653e4abc22e0a5ef24fbf3ff77efe14af305752d"
+        "f503fb16d71e300366236334b664c6db9fc7f70c3a11f7e15c4e8810d5067f7a"
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from pathguard.fixtures import DELEGATECALL, REENTRANCY, VISIBILITY, by_name
 from pathguard.isa import Op
+from pathguard.program import ValidationError
 from pathguard.vm import VM, WorldState
 from pathguard.workflow import (
     AlarmRecord,
@@ -258,6 +259,19 @@ def test_bundle_config_load_leaves_no_temp_files(tmp_path, monkeypatch):
     for _ in range(3):
         assert Bundle.from_json(raw).config.width == 8
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bundle_validates_preassembled_programs():
+    """A serialized program entry is validated at load like an assembled
+    one: an ICALL to a function that does not exist is a ValidationError,
+    not an IndexError when the call runs."""
+    body = [["ICALL", 5], ["STOP", None]]
+    fn = {"id": 0, "name": "f", "visibility": "external", "body": body}
+    raw = {"contracts": [{"program": {"name": "bad", "functions": [fn], "selector_table": {"0x1": 0}}}]}
+    with pytest.raises(ValidationError, match="ICALL to unknown function 5"):
+        Bundle.from_json(raw)
+    fn["body"] = [["STOP", None]]
+    assert list(Bundle.from_json(raw).programs) == ["bad"]
 
 
 def test_guarded_bundle_persists_its_config():

@@ -271,7 +271,6 @@ class ReferenceVM(VM):
                     self.gas_used = gas_used
                     ok, last_ret = self._message_call(
                         kind="delegatecall" if is_delegate else "call",
-                        caller_code=code,
                         caller_self=self_addr,
                         caller_caller=caller,
                         caller_value=value,
