@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from .callgraph import (
     CallGraph,
-    K_ENTRY,
     K_SURROGATE,
     Node,
     acyclicize_callgraph,
@@ -38,8 +37,6 @@ class BundleAnalysis:
     site_gid: dict[Site, int] = field(default_factory=dict)
     # (site, callee node) -> (call edge value, via surrogate), every sited edge
     site_val: dict[tuple[Site, Node], tuple[int, bool]] = field(default_factory=dict)
-    # function node -> value of its program-entry edge
-    entry_vals: dict[Node, int] = field(default_factory=dict)
 
     def num_paths(self, contract: str, fid: int) -> int:
         return self.epp[(contract, fid)].total_paths
@@ -49,10 +46,6 @@ class BundleAnalysis:
 
     def index_space(self, contract: str, fid: int) -> int:
         return self.num_paths(contract, fid) * self.num_ccs(contract, fid)
-
-    def entry_sval(self, contract: str, fid: int) -> int:
-        """Value of the function's program-entry edge; KeyError if it has none."""
-        return self.entry_vals[(contract, fid)]
 
     def site_protected(self, contract: str, fid: int, off: int) -> bool:
         """Whether the external call at this site targets a protected contract."""
@@ -94,11 +87,8 @@ def analyze_bundle(
     ba.callgraph = cg
     ba.ccp = label_ccp(cg, config.width)
     for e in cg.edges:
-        val = ba.ccp.call_val[e.ceid]
         if e.site:
-            ba.site_val[(e.site, e.callee)] = (val, e.kind == K_SURROGATE)
-        elif e.kind == K_ENTRY:
-            ba.entry_vals[e.callee] = val
+            ba.site_val[(e.site, e.callee)] = (ba.ccp.call_val[e.ceid], e.kind == K_SURROGATE)
     # dense callsite ids for annotated protected external callsites
     sites = sorted(
         {

@@ -36,6 +36,10 @@ EXIT_SIZE = 3
 EXIT_TRAINING = 4
 
 
+class StaleGuardedProgram(WorkflowError):
+    """A saved guarded program differs from the one this build emits."""
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -184,10 +188,13 @@ def _cmd_protect(args) -> int:
             f"{name}: {info['original_size']} -> {info['instrumented_size']} bytes "
             f"({info['deploy_overhead_pct']}% deployment overhead)"
         )
+        for fn, why in info["demoted"].items():
+            print(f"  {name}.{fn}: safe paths moved to the dynamic mapping ({why})")
     return EXIT_OK
 
 
 def _load_guarded(path: str, config: Config | None) -> GuardedBundle:
+    """Protect the saved originals again; each program must equal the saved one."""
     raw = json.loads(Path(path).read_text())
     bundle = Bundle.from_json(
         {
@@ -200,7 +207,14 @@ def _load_guarded(path: str, config: Config | None) -> GuardedBundle:
         },
         config,
     )
-    return workflow.protect(bundle, raw["snapshot"])
+    guarded = workflow.protect(bundle, raw["snapshot"])
+    for name, inst in guarded.instrumented.items():
+        if raw["contracts"].get(name, {}).get("program") != inst.program.to_json():
+            raise StaleGuardedProgram(
+                f"{path}: the saved program of {name} differs from the one this "
+                "build emits; protect the bundle again"
+            )
+    return guarded
 
 
 def _cmd_run(args) -> int:

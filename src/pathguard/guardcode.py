@@ -21,6 +21,8 @@ from .pathset import (
     STRATEGY_LIST,
     STRATEGY_MAPPING,
     STRATEGY_MPHT,
+    ListSpec,
+    MphtSpec,
     build_list,
     build_mpht,
     mapping_fn_seed,
@@ -146,14 +148,10 @@ def slot_decode(stored: int, width: int) -> int:
     return (stored - 1) & ((1 << width) - 1)
 
 
-def band_direct(sval: int) -> int:
-    """Entry context: called straight from the transaction origin."""
-    return sval
-
-
-def band_foreign(num_ccs: int, sval: int) -> int:
-    """Entry context: markerless call from some contract."""
-    return num_ccs + sval
+def band_foreign(num_ccs: int) -> int:
+    """Entry context: markerless call from some contract. (A call from the
+    origin has context 0, the value of the function's first in-edge.)"""
+    return num_ccs
 
 
 def band_reentrant(outer_ctx: int, num_ccs: int, width: int) -> int:
@@ -271,7 +269,7 @@ class Asm:
 
 
 def seq_checker(
-    strategy: str, spec, fid: int, miss_fid: int, pool_base: int, config: Config
+    spec: ListSpec | MphtSpec, fid: int, miss_fid: int, pool_base: int, config: Config
 ) -> Asm:
     """Body of function ``fid``'s checker: consumes [combined], IRETs [].
 
@@ -285,22 +283,22 @@ def seq_checker(
     lay = Layout(width)
     a = Asm()
     miss = Asm().push(fid).push(mapping_fn_seed(fid, config)).emit(Op.ICALL, miss_fid)
-    if strategy != STRATEGY_MPHT and not (spec and spec.entries):
+    if not spec.n:
         # no embedded set: every check goes to the miss routine
         return a.extend(miss).emit(Op.IRET)
     found = Asm.fresh("hit")
     a.mstore(lay.tmp_a)  # stash combined
-    if strategy == STRATEGY_LIST:
+    if isinstance(spec, ListSpec):
         a.mload(lay.tmp_a).push(1).emit(Op.ADD).mstore(lay.tmp_x)
         a.mstore_const(lay.tmp_y, 0)
-        for i in range(len(spec.entries)):
+        for i in range(spec.n):
             a.push(pool_base + i).emit(Op.CODELOAD)
             a.mload(lay.tmp_x).emit(Op.EQ)
             a.mload(lay.tmp_y).emit(Op.OR)
             a.mstore(lay.tmp_y)
         a.mload(lay.tmp_y)
         a.jumpi(found)
-    else:  # STRATEGY_MPHT
+    else:  # MphtSpec
         t = field_bits(width)
         tmask = (1 << t) - 1
         r, m = spec.size, spec.m
@@ -373,15 +371,13 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
     return a.emit(Op.IRET)
 
 
-def checker_pool(strategy: str, spec) -> list[int]:
+def checker_pool(spec: ListSpec | MphtSpec) -> list[int]:
     """Constant-pool words backing a checker (entries stored as key+1, an
     empty table slot as 0)."""
-    if strategy == STRATEGY_LIST:
-        return [k + 1 for k in spec.entries] if spec else []
-    if strategy == STRATEGY_MPHT:
-        packed = [(d0 << 16) | d1 for d0, d1 in spec.displacements]
-        return packed + [0 if k is None else k + 1 for k in spec.slots]
-    return []
+    if isinstance(spec, ListSpec):
+        return [k + 1 for k in spec.keys]
+    packed = [(d0 << 16) | d1 for d0, d1 in spec.displacements]
+    return packed + [0 if k is None else k + 1 for k in spec.slots]
 
 
 # -- per-point sequences ---------------------------------------------------------
@@ -406,7 +402,6 @@ def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
 
 def seq_prologue(
     num_ccs: int,
-    sval: int,
     entry_epp: int,
     site_rows: list[tuple[int, int, bool]],
     marker: int,
@@ -436,11 +431,9 @@ def seq_prologue(
     a.emit(Op.POP)
     a.emit(Op.CALLER).emit(Op.ORIGIN).emit(Op.EQ)
     a.jumpi(l_direct)
-    a.mstore_const(lay.ctx, band_foreign(num_ccs, sval) & config.mask)
+    a.mstore_const(lay.ctx, band_foreign(num_ccs) & config.mask)
     a.jump(l_done)
-    a.mark(l_direct)
-    if band_direct(sval):
-        a.mstore_const(lay.ctx, band_direct(sval) & config.mask)
+    a.mark(l_direct)  # direct band: ctx stays 0
     a.jump(l_done)
     a.mark(l_reentrant)
     # ctx = (slot - 1) + 2 * NumCCs, in one addition
@@ -738,8 +731,9 @@ def seq_calldata_load_shim(lay: Layout) -> Asm:
 
 
 def seq_calldata_size_shim(lay: Layout) -> Asm:
-    """Emitted after CALLDATASIZE: subtract the marker offset."""
-    return Asm().mload(lay.cdoff).emit(Op.SWAP, 1).emit(Op.SUB)
+    """Emitted after CALLDATASIZE: subtract the marker offset (SUB takes
+    the top word from the one below it)."""
+    return Asm().mload(lay.cdoff).emit(Op.SUB)
 
 
 def seq_returndata_load_shim() -> Asm:
@@ -747,7 +741,7 @@ def seq_returndata_load_shim() -> Asm:
 
 
 def seq_returndata_size_shim() -> Asm:
-    return Asm().push(RET_PREFIX_WORDS).emit(Op.SWAP, 1).emit(Op.SUB)
+    return Asm().push(RET_PREFIX_WORDS).emit(Op.SUB)
 
 
 def seq_admin_body(admin_addr: int, lay: Layout) -> Asm:
@@ -862,10 +856,10 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
     elif strategy == STRATEGY_MPHT:
         spec = build_mpht(range(max(1, n)), config.guard.mpht_lambda, width=config.width)
     elif strategy == STRATEGY_MAPPING:
-        spec = None
+        spec = ListSpec([])
     else:
         raise ValueError(strategy)
-    items = seq_checker(strategy, spec, 0, 0, 0, config).items
+    items = seq_checker(spec, 0, 0, 0, config).items
     if any(item[0] == "jumpi" for item in items):
         return seq_gas(_taken_path(items), config)
     miss = seq_miss(0, 0, Layout(config.width), config).items

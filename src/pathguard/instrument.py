@@ -20,7 +20,6 @@ from .guardcode import (
     CTX_SLOT,
     Layout,
     SlowPaths,
-    admin_calldata,
     checker_pool,
     flatten,
     label_offsets,
@@ -55,7 +54,6 @@ from .pathset import (
     ConstructionFailed,
     ListSpec,
     MphtSpec,
-    STRATEGY_LIST,
     STRATEGY_MPHT,
     build_list,
     build_mpht,
@@ -73,6 +71,7 @@ from .program import (
 )
 
 ADMIN_FN_NAME = "__guard_admin"
+EXIT_FN_NAME = "__guard_exit"
 # Name prefixes of the functions the rewriter adds to a contract.
 GUARD_NAME_PREFIXES = ("__guard_", "__chk_")
 
@@ -110,6 +109,22 @@ class InstrumentPoint:
 
 
 @dataclass
+class SetPlan:
+    """Where each function's safe pairs live: its embedded set, else the
+    dynamic mapping, seeded at deployment."""
+
+    specs: dict[int, ListSpec | MphtSpec]
+    preseed: list[tuple[int, int]]  # (fid, key) pairs seeded in the mapping
+    demoted: dict[int, str]  # fid -> why its embedded keys went to the mapping
+
+    def demote(self, fid: int, keys, reason: str) -> None:
+        """Move ``keys`` of ``fid`` to the preseed and leave it no embedded set."""
+        self.preseed += [(fid, k) for k in keys]
+        self.specs[fid] = ListSpec([])
+        self.demoted[fid] = reason
+
+
+@dataclass
 class InstrumentedContract:
     name: str
     program: ContractProgram
@@ -121,64 +136,46 @@ class InstrumentedContract:
     # original exit
     owners: list[list[int]]
     admin_selector: int
-    # safe pairs that live in the dynamic mapping instead of embedded sets
-    mapping_preseed: list[tuple[int, int]] = field(default_factory=list)
+    plan: SetPlan
 
     def plan_listing(self) -> str:
         return "\n".join(p.listing_line() for p in self.points) + "\n"
 
-    def preseed_calldata(self, config: Config) -> list[int]:
-        """Admin-call payload seeding out-of-band safe pairs at deployment."""
-        return admin_calldata(self.mapping_preseed, config)
-
 
 def plan_strategies(
     analysis: BundleAnalysis, name: str, safe_sets: dict[int, set[int]], config: Config
-) -> tuple[dict[int, tuple[str, object]], list[tuple[int, int]]]:
-    """Pick the storage strategy per function of ``name`` and split out-of-band keys.
+) -> SetPlan:
+    """Pick the embedded set per function of ``name`` and split out-of-band keys.
 
     Functions missing from ``safe_sets`` have no safe keys. Keys outside the
     embedded index space (reentrant-band contexts observed in training) go
-    to the dynamic mapping preseed.
+    to the dynamic mapping preseed, and so do the keys of a table that
+    cannot be built.
     """
-    strategies: dict[int, tuple[str, object]] = {}
-    preseed: list[tuple[int, int]] = []
+    plan = SetPlan({}, [], {})
     for fn in analysis.programs[name].functions:
         fid, keys = fn.id, safe_sets.get(fn.id, ())
         space = analysis.index_space(name, fid)
         embedded = sorted(k for k in keys if k < space)
-        preseed += [(fid, k) for k in sorted(keys) if k >= space]
-        strategy = choose_strategy(len(embedded))
-        if strategy == STRATEGY_MPHT:
-            try:
-                spec = build_mpht(
-                    embedded, config.guard.mpht_lambda, width=config.width
-                )
-            except ConstructionFailed:
-                strategy = STRATEGY_LIST
-                spec = None
-                preseed += [(fid, k) for k in embedded]
-                embedded = []
-        if strategy == STRATEGY_LIST:
-            spec = build_list(embedded)
-        strategies[fid] = (strategy, spec)
-    return strategies, preseed
+        plan.preseed += [(fid, k) for k in sorted(keys) if k >= space]
+        if choose_strategy(len(embedded)) != STRATEGY_MPHT:
+            plan.specs[fid] = build_list(embedded)
+            continue
+        try:
+            plan.specs[fid] = build_mpht(embedded, config.guard.mpht_lambda, width=config.width)
+        except ConstructionFailed as exc:
+            plan.demote(fid, embedded, f"mpht construction failed: {exc}")
+    return plan
 
 
 class _Rewriter:
     """Single-contract rewrite pass."""
 
-    def __init__(
-        self,
-        name: str,
-        analysis: BundleAnalysis,
-        strategies: dict[int, tuple[str, object]],
-        config: Config,
-    ):
+    def __init__(self, name: str, analysis: BundleAnalysis, plan: SetPlan, config: Config):
         self.name = name
         self.analysis = analysis
         self.prog = analysis.programs[name]
-        self.strategies = strategies
+        self.plan = plan
         self.config = config
         self.code_id = sorted(analysis.boundary).index(name)
         self.lay = Layout(config.width)
@@ -214,17 +211,15 @@ class _Rewriter:
 
         # checker functions share the contract constant pool
         for fn in prog.functions:
-            strategy, spec = self.strategies[fn.id]
+            spec = self.plan.specs[fn.id]
             base = len(self.pool)
-            self.pool.extend(checker_pool(strategy, spec))
+            self.pool.extend(checker_pool(spec))
+            why = {"demoted": self.plan.demoted[fn.id]} if fn.id in self.plan.demoted else {}
             pid = self.point(
-                POINT_CHECK,
-                (fn.name, "checker"),
-                strategy=strategy,
-                entries=len(spec.entries) if isinstance(spec, ListSpec) else spec.n,
+                POINT_CHECK, (fn.name, "checker"), strategy=spec.strategy, entries=spec.n, **why
             )
-            self.points[pid].blob_bytes = spec.blob_bytes if spec else 0
-            seq = seq_checker(strategy, spec, fn.id, self.slow.miss, base, config)
+            self.points[pid].blob_bytes = spec.blob_bytes
+            seq = seq_checker(spec, fn.id, self.slow.miss, base, config)
             new_functions.append(
                 self._guard_function(
                     checker_fid[fn.id], f"__chk_{fn.name}", Visibility.INTERNAL,
@@ -247,7 +242,7 @@ class _Rewriter:
 
         # one copy per contract of each slow path, in SlowPaths order
         shared = {
-            "__guard_exit": seq_exit_routine(self.code_id, self.lay, config),
+            EXIT_FN_NAME: seq_exit_routine(self.code_id, self.lay, config),
             "__guard_miss": seq_miss(self.code_id, config.guard.mapping_tag, self.lay, config),
         }
         for fid, (name, seq) in zip(self.slow, shared.items()):
@@ -276,6 +271,7 @@ class _Rewriter:
             instrumented_size=size,
             owners=owners,
             admin_selector=admin_selector,
+            plan=self.plan,
         )
 
     def _guard_function(
@@ -336,26 +332,17 @@ class _Rewriter:
         # entry
         if external:
             num_ccs = analysis.num_ccs(name, fn.id)
-            sval = analysis.entry_sval(name, fn.id)
             rows = self._site_rows(fn.id)
             pid = self.point(
                 POINT_WRAPPER,
                 (fn.name, 0),
                 cases="marker/direct/foreign/reentrant",
-                sval=sval,
                 num_ccs=num_ccs,
             )
             add(
                 before,
                 0,
-                seq_prologue(
-                    num_ccs,
-                    sval,
-                    lab.entry_val,
-                    rows,
-                    guard.call_marker,
-                    config,
-                ),
+                seq_prologue(num_ccs, lab.entry_val, rows, guard.call_marker, config),
                 pid,
             )
         else:
@@ -596,25 +583,16 @@ def instrument_contract(
     config: Config,
 ) -> InstrumentedContract:
     """Plan and rewrite one contract; spills oversized sets to the mapping."""
-    strategies, preseed = plan_strategies(analysis, name, safe_sets, config)
+    plan = plan_strategies(analysis, name, safe_sets, config)
     while True:
-        rewriter = _Rewriter(name, analysis, strategies, config)
-        result = rewriter.rewrite()
+        result = _Rewriter(name, analysis, plan, config).rewrite()
         validate_program(result.program, config)
-        result.mapping_preseed = list(preseed)
-        if result.instrumented_size <= MAX_CODE_BYTES:
+        size = result.instrumented_size
+        if size <= MAX_CODE_BYTES:
             return result
         # spill: demote the largest embedded set to the dynamic mapping
-        candidates = [
-            (len(spec.entries) if isinstance(spec, ListSpec) else spec.n, fid)
-            for fid, (strategy, spec) in strategies.items()
-            if spec is not None
-            and (isinstance(spec, MphtSpec) or spec.entries)
-        ]
+        candidates = [(spec.n, fid) for fid, spec in plan.specs.items() if spec.n]
         if not candidates:
-            raise SizeLimitExceeded(name, result.instrumented_size)
+            raise SizeLimitExceeded(name, size)
         _, fid = max(candidates)
-        strategy, spec = strategies[fid]
-        keys = spec.entries if isinstance(spec, ListSpec) else spec.keys
-        preseed += [(fid, k) for k in keys]
-        strategies[fid] = (STRATEGY_LIST, build_list([]))
+        plan.demote(fid, plan.specs[fid].keys, f"size limit: {size} > {MAX_CODE_BYTES} bytes")

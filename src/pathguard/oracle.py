@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .bundle import BundleAnalysis
 from .cfg import Cfg, EXIT, Edge, VIRTUAL_FALSE, VIRTUAL_TRUE
 from .guardcode import (
-    band_direct,
     band_foreign,
     band_reentrant,
     marker_ctx,
@@ -132,9 +131,7 @@ class TraceOracle:
             frame = _Frame(ev.contract, code if self._protected(code) else None)
             self.frames.append(frame)
             if frame.code:
-                sval = self.analysis.entry_sval(code, ev.fn)
-                frame.ctx = band_direct(sval)
-                self._enter_function(frame, ev.fn)
+                self._enter_function(frame, ev.fn)  # direct band: ctx 0
         frame = self.frames[-1]
         if not frame.code or frame.aborted:
             return
@@ -252,8 +249,7 @@ class TraceOracle:
                 )
             else:
                 # nested frames are entered by a contract, never the origin
-                sval = self.analysis.entry_sval(code, fid)
-                frame.ctx = band_foreign(num_ccs, sval) & self.config.mask
+                frame.ctx = band_foreign(num_ccs) & self.config.mask
         self.frames.append(frame)
         self._enter_function(frame, fid)
 

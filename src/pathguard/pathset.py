@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .config import Config, DEFAULT_CONFIG
 from .program import BLOB_ENTRY_BYTES, BLOB_HEADER_BYTES
@@ -94,15 +95,23 @@ def choose_strategy(n: int) -> str:
 
 @dataclass
 class ListSpec:
-    entries: list[int]  # sorted
+    """An embedded sorted list; empty, it is the "no embedded set" form."""
+
+    strategy: ClassVar[str] = STRATEGY_LIST
+    keys: list[int]  # sorted
+
+    @property
+    def n(self) -> int:
+        return len(self.keys)
 
     @property
     def blob_bytes(self) -> int:
-        return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * len(self.entries)
+        return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * len(self.keys)
 
 
 @dataclass
 class MphtSpec:
+    strategy: ClassVar[str] = STRATEGY_MPHT
     seed: int
     n: int  # keys
     m: int  # buckets
@@ -148,7 +157,7 @@ def build_list(keys) -> ListSpec:
 
 
 def list_lookup(spec: ListSpec, key: int) -> bool:
-    return key in spec.entries
+    return key in spec.keys
 
 
 def table_size(n: int) -> int:

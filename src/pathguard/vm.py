@@ -773,8 +773,11 @@ class VM:
                 if failure.data and failure.data[0] == (
                     config.guard.guard_marker & mask
                 ):
-                    detail["guard"] = True
-                    detail["alarms"] = _parse_guard_payload(failure.data)
+                    # named by its code, as PathChecked is: detection
+                    # trusts only the payload of a guard routine
+                    detail.update(
+                        guard=True, code=name, alarms=_parse_guard_payload(failure.data)
+                    )
                 self._emit("Revert", self_addr, ifid, pc, detail)
             return False, failure.data
 

@@ -21,7 +21,7 @@ from .ccp import id_to_context, split_index
 from .config import Config, config_from_json, config_to_json
 from .epp import index_to_path
 from .guardcode import Layout, admin_calldata
-from .instrument import InstrumentedContract, instrument_contract, plan_strategies
+from .instrument import EXIT_FN_NAME, InstrumentedContract, instrument_contract, plan_strategies
 from .oracle import trace_oracle
 from .pathset import mapping_slot, mapping_value
 
@@ -200,14 +200,14 @@ def make_snapshot(
     contracts: dict = {}
     for name in sorted(analysis.boundary):
         safe_sets = {fid: keys for (code, fid), keys in safe.items() if code == name}
-        strategies, _preseed = plan_strategies(analysis, name, safe_sets, config)
+        specs = plan_strategies(analysis, name, safe_sets, config).specs
         contracts[name] = {
             str(fn.id): {
                 "name": fn.name,
                 "num_paths": analysis.num_paths(name, fn.id),
                 "num_ccs": analysis.num_ccs(name, fn.id),
                 "safe": [hex(k) for k in sorted(safe_sets.get(fn.id, ()))],
-                "strategy": strategies[fn.id][0],
+                "strategy": specs[fn.id].strategy,
             }
             for fn in analysis.programs[name].functions
         }
@@ -245,6 +245,7 @@ class GuardedBundle:
     def deployment_report(self) -> dict:
         per_contract = {}
         for name, inst in self.instrumented.items():
+            functions = inst.program.functions
             per_contract[name] = {
                 "original_size": inst.original_size,
                 "instrumented_size": inst.instrumented_size,
@@ -255,7 +256,9 @@ class GuardedBundle:
                     (inst.instrumented_size - inst.original_size)
                     * self.bundle.config.gas.code_deposit_per_byte
                 ),
-                "mapping_preseed": len(inst.mapping_preseed),
+                "mapping_preseed": len(inst.plan.preseed),
+                # function name -> why its embedded set went to the mapping
+                "demoted": {functions[f].name: why for f, why in inst.plan.demoted.items()},
             }
         return per_contract
 
@@ -279,7 +282,7 @@ class GuardedBundle:
                     "original_size": inst.original_size,
                     "instrumented_size": inst.instrumented_size,
                     "admin_selector": hex(inst.admin_selector),
-                    "preseed": [[fid, hex(k)] for fid, k in inst.mapping_preseed],
+                    "preseed": [[fid, hex(k)] for fid, k in inst.plan.preseed],
                     "plan": inst.plan_listing(),
                 }
                 for name, inst in self.instrumented.items()
@@ -366,24 +369,33 @@ class DetectionRun:
 def deploy_guarded(guarded: GuardedBundle) -> DeployedWorld:
     """Deploy the instrumented bundle, preseed mappings, run setup txs."""
     deployed = build_world(guarded.bundle, guarded.programs())
-    config = guarded.bundle.config
     for name, inst in guarded.instrumented.items():
-        if inst.mapping_preseed:
-            tx = Transaction(
-                origin=config.admin,
-                to=deployed.addresses[name],
-                selector=inst.admin_selector,
-                calldata=inst.preseed_calldata(config),
-            )
-            receipt = VM(deployed.world, TRACE_NONE).execute_transaction(tx)
-            if receipt.status != STATUS_ACCEPTED:
-                raise WorkflowError(f"preseed failed on {name}: {receipt.status}")
+        if inst.plan.preseed:
+            _append_pairs(deployed, name, inst, inst.plan.preseed)
     for record in guarded.bundle.setup:
         tx = parse_tx(record, deployed, guarded.bundle)
         receipt = VM(deployed.world, TRACE_NONE).execute_transaction(tx)
         if receipt.status != STATUS_ACCEPTED:
             raise WorkflowError(f"setup tx failed on guarded world: {receipt.status}")
     return deployed
+
+
+def _append_pairs(
+    deployed: DeployedWorld, name: str, inst: InstrumentedContract, pairs: list[tuple[int, int]]
+) -> int:
+    """Append safe (fid, key) pairs to ``name``'s dynamic mapping by one
+    administration transaction; returns its gas."""
+    config = deployed.world.config
+    tx = Transaction(
+        origin=config.admin,
+        to=deployed.addresses[name],
+        selector=inst.admin_selector,
+        calldata=admin_calldata(pairs, config),
+    )
+    receipt = VM(deployed.world, TRACE_NONE).execute_transaction(tx)
+    if receipt.status != STATUS_ACCEPTED:
+        raise WorkflowError(f"administration tx on {name} failed: {receipt.status}")
+    return receipt.gas_used
 
 
 def start_detection(guarded: GuardedBundle, mirror: bool = True) -> DetectionRun:
@@ -431,16 +443,23 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
 
 
 def _collect_alarms(run: DetectionRun, index: int, receipt: Receipt) -> list[AlarmRecord]:
-    alarms = []
-    if receipt.status == STATUS_GUARD_REVERTED:
-        for raw in receipt.alarms:
-            alarms.append(_enrich_alarm(run, index, raw, False))
-    else:
-        for ev in receipt.trace:
-            if ev.kind == "Revert" and ev.get("guard"):
-                for raw in ev.get("alarms", []):
-                    alarms.append(_enrich_alarm(run, index, raw, True))
-    return alarms
+    """Alarms of a guard-reverted tx's own revert, else of its inner guard
+    reverts. A payload counts only when the exit routine of instrumented
+    code reverted with it: any contract can revert with the guard marker."""
+    inner = receipt.status != STATUS_GUARD_REVERTED
+    # the frame that ends a transaction reports its Revert last
+    events = receipt.trace if inner else receipt.trace[-1:]
+    return [
+        _enrich_alarm(run, index, raw, inner)
+        for ev in events
+        if ev.kind == "Revert" and ev.get("guard") and _from_exit_routine(run.guarded, ev)
+        for raw in ev.get("alarms")
+    ]
+
+
+def _from_exit_routine(guarded: GuardedBundle, ev) -> bool:
+    inst = guarded.instrumented.get(ev.get("code"))
+    return inst is not None and inst.program.functions[ev.fn].name == EXIT_FN_NAME
 
 
 def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecord:
@@ -554,17 +573,8 @@ def review_and_approve(run: DetectionRun, alarm_tx_index: int, admin: int) -> di
                 missing.append((fid, key))
         if not missing:
             continue
-        tx = Transaction(
-            origin=admin,
-            to=contract,
-            selector=inst.admin_selector,
-            calldata=admin_calldata(missing, config),
-        )
-        receipt = VM(run.deployed.world, TRACE_NONE).execute_transaction(tx)
-        if receipt.status != STATUS_ACCEPTED:
-            raise WorkflowError(f"administration tx failed: {receipt.status}")
+        gas += _append_pairs(run.deployed, name, inst, missing)
         appended += len(missing)
-        gas += receipt.gas_used
     return {"approved": appended, "gas": gas}
 
 

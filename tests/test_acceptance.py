@@ -285,7 +285,7 @@ def test_criterion_6_mpht_properties():
     for n in (10, 100, 1000):
         members = list(range(7_000_000, 7_000_000 + n))
         table = build_mpht(members)
-        _, gas = _call_checker(STRATEGY_MPHT, table, members[n // 2])
+        _, gas = _call_checker(table, members[n // 2])
         gases.add(gas)
     assert len(gases) == 1
     print(f"\n[criterion 6] PASS - 0 FN / 0 FP over 2^16 space; check gas "

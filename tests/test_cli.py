@@ -167,3 +167,56 @@ def test_bad_config_file_is_a_validation_error(tmp_path, capsys, text, key):
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("command", ["run", "approve"])
+def test_run_and_approve_reject_a_stale_guarded_program(tmp_path, capsys, command):
+    """``run`` and ``approve`` protect the saved originals again; a saved
+    program that differs from that build (here one edited instruction)
+    exits with the validation code and names its contract."""
+    index, _ = _walk(tmp_path, capsys, "overflow")
+    path = tmp_path / "guarded.json"
+    raw = json.loads(path.read_text())
+    name = sorted(raw["contracts"])[0]
+    body = raw["contracts"][name]["program"]["functions"][0]["body"]
+    off = next(i for i, (op, _imm) in enumerate(body) if op == "PUSH")
+    body[off][1] += 1
+    path.write_text(json.dumps(raw))
+    argv = {
+        "run": ["run", path, tmp_path / "overflow.detect.jsonl"],
+        "approve": [
+            "approve", path, tmp_path / "world.json", tmp_path / "alarms.jsonl",
+            "--index", index, "--admin", "0xAD",
+        ],
+    }[command]
+    code = cli.main([str(a) for a in argv])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"saved program of {name} differs" in err
+
+
+def test_protect_prints_why_a_set_moved_to_the_mapping(tmp_path, capsys, monkeypatch):
+    """A demoted set is named with its reason in ``protect``'s output, and
+    the guarded bundle still runs with its keys in the mapping."""
+    from pathguard import instrument
+    from pathguard.pathset import ConstructionFailed
+
+    def failing(*args, **kwargs):
+        raise ConstructionFailed("no seed found after 16 tries (n=1)")
+
+    monkeypatch.setattr(instrument, "choose_strategy", lambda n: instrument.STRATEGY_MPHT)
+    monkeypatch.setattr(instrument, "build_mpht", failing)
+    _main(capsys, "fixture", "visibility", "-o", tmp_path)
+    bundle = tmp_path / "visibility.bundle.json"
+    training = tmp_path / "visibility.train.jsonl"
+    _main(capsys, "train", bundle, training, "-o", tmp_path / "snap.json")
+    out = _main(capsys, "protect", bundle, tmp_path / "snap.json", "-o", tmp_path / "guarded.json")
+    guarded = json.loads((tmp_path / "guarded.json").read_text())
+    demoted = re.findall(
+        r"^  (\w+)\.(\w+): safe paths moved to the dynamic mapping "
+        r"\(mpht construction failed: no seed found after 16 tries \(n=1\)\)$",
+        out, re.M,
+    )
+    assert demoted and {c for c, _fn in demoted} == set(guarded["contracts"])
+    out = _main(capsys, "run", tmp_path / "guarded.json", training)
+    assert "alarms: 0 on 0 txs" in out

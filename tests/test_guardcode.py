@@ -108,16 +108,16 @@ CHK_FID, MISS_FID = 1, 2  # the test entry ICALLs the checker, which ICALLs the 
 SENTINEL = 0xBEEF  # left below the routine's operands: it must survive the call
 
 
-def _checker_fns(strategy, spec, fid, config):
+def _checker_fns(spec, fid, config):
     """The checker under test plus the contract's shared miss routine."""
-    chk = seq_checker(strategy, spec, fid, MISS_FID, 0, config)
+    chk = seq_checker(spec, fid, MISS_FID, 0, config)
     return [
         FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, flatten(chk.items, base=0)),
         _miss_fn(config, MISS_FID),
     ]
 
 
-def _call_checker(strategy, spec, key, width=64, storage=None, fid=0):
+def _call_checker(spec, key, width=64, storage=None, fid=0):
     """One check of ``key``; returns (member, gas) with membership read back
     as ISZERO(flag), since a miss that the mapping does not accept flags."""
     config = Config(width=width)
@@ -127,8 +127,8 @@ def _call_checker(strategy, spec, key, width=64, storage=None, fid=0):
         a.items,
         [],
         width,
-        pool=checker_pool(strategy, spec),
-        extra_fns=_checker_fns(strategy, spec, fid, config),
+        pool=checker_pool(spec),
+        extra_fns=_checker_fns(spec, fid, config),
         storage=storage,
     )
     assert receipt.status == "Accepted", receipt
@@ -140,15 +140,15 @@ def _call_checker(strategy, spec, key, width=64, storage=None, fid=0):
 def test_list_checker_in_vm():
     spec = build_list([1, 4, 9, 16, 25])
     for k in (1, 4, 9, 16, 25):
-        assert _call_checker(STRATEGY_LIST, spec, k)[0] == 1
+        assert _call_checker(spec, k)[0] == 1
     for k in (0, 2, 10, 24, 26, 2**40):
-        assert _call_checker(STRATEGY_LIST, spec, k)[0] == 0
+        assert _call_checker(spec, k)[0] == 0
 
 
 def test_empty_list_checker_rejects_everything():
     spec = build_list([])
     for k in (0, 1, 7):
-        assert _call_checker(STRATEGY_LIST, spec, k)[0] == 0
+        assert _call_checker(spec, k)[0] == 0
 
 
 @pytest.mark.parametrize("n", [1, 6, 40])
@@ -158,13 +158,13 @@ def test_mpht_checker_in_vm(n):
     spec = build_mpht(keys)
     for k in keys:
         assert mpht_lookup(spec, k)
-        assert _call_checker(STRATEGY_MPHT, spec, k)[0] == 1
+        assert _call_checker(spec, k)[0] == 1
     for _ in range(20):
         k = rng.getrandbits(33)
         if k not in keys:
             expected = 1 if mpht_lookup(spec, k) else 0
             assert expected == 0
-            assert _call_checker(STRATEGY_MPHT, spec, k)[0] == 0
+            assert _call_checker(spec, k)[0] == 0
 
 
 def test_mpht_checker_constant_gas_across_sizes():
@@ -172,7 +172,7 @@ def test_mpht_checker_constant_gas_across_sizes():
     for n in (10, 100, 1000):
         keys = list(range(100000, 100000 + n))
         spec = build_mpht(keys)
-        _, gas = _call_checker(STRATEGY_MPHT, spec, keys[n // 2])
+        _, gas = _call_checker(spec, keys[n // 2])
         gases.append(gas)
     assert len(set(gases)) == 1
 
@@ -189,7 +189,7 @@ def test_checker_falls_back_to_mapping_probe(strategy, keys):
     spec = build_list(keys) if strategy == STRATEGY_LIST else build_mpht(keys)
     storage = {mapping_slot(fid, appended, config): mapping_value(appended, config.width)}
     for key, member in ((appended, 1), (appended + 1, 0), *((k, 1) for k in keys)):
-        got, _ = _call_checker(strategy, spec, key, storage=storage, fid=fid)
+        got, _ = _call_checker(spec, key, storage=storage, fid=fid)
         assert got == member, key
 
 

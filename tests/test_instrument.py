@@ -14,6 +14,7 @@ from pathguard.guardcode import (
     ALARM_CNT_SLOT,
     CTX_SLOT,
     Layout,
+    admin_calldata,
     flatten,
     seq_exit_routine,
     seq_miss,
@@ -349,13 +350,13 @@ def test_spill_to_mapping_keeps_acceptance():
 
     real_limit = instr_mod.MAX_CODE_BYTES
     inst = instrument_contract("fat", analysis, {0: {0, 1}}, config)
-    assert not inst.mapping_preseed
+    assert not inst.plan.preseed
     try:
         instr_mod.MAX_CODE_BYTES = inst.instrumented_size - 1
         spilled = instrument_contract("fat", analysis, {0: {0, 1}}, config)
     finally:
         instr_mod.MAX_CODE_BYTES = real_limit
-    assert spilled.mapping_preseed == [(0, 0), (0, 1)]
+    assert spilled.plan.preseed == [(0, 0), (0, 1)]
     assert spilled.instrumented_size < inst.instrumented_size
     # the spilled bundle still accepts both trained paths via the mapping
     world = WorldState(config)
@@ -363,7 +364,7 @@ def test_spill_to_mapping_keeps_acceptance():
     from pathguard.vm import execute_transaction
 
     admin_tx = Transaction(
-        config.admin, addr, spilled.admin_selector, spilled.preseed_calldata(config)
+        config.admin, addr, spilled.admin_selector, admin_calldata(spilled.plan.preseed, config)
     )
     assert execute_transaction(world, admin_tx).status == "Accepted"
     for word in (0, 1):
@@ -481,7 +482,7 @@ def _pinned_bundles(monkeypatch):
     fat = _guarded((FAT_SRC,), {("fat", 0): {0, 1}})
     monkeypatch.setattr(instr_mod, "MAX_CODE_BYTES", fat.instrumented["fat"].instrumented_size - 1)
     spilled = _guarded((FAT_SRC,), {("fat", 0): {0, 1}})
-    assert spilled.instrumented["fat"].mapping_preseed == [(0, 0), (0, 1)]
+    assert spilled.instrumented["fat"].plan.preseed == [(0, 0), (0, 1)]
     yield spilled
 
 
@@ -498,5 +499,135 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "44c2382c944bdfd2af24b21bf5b47058222ff6b2ea32dfe25f94eb17597101da"
+        "19dc69bde2028b8e4c77580dbb89d9e0b852b5acf51b8f0d53474dc240bb38bb"
     )
+
+
+@pytest.mark.parametrize("cause", ["construction", "size"])
+def test_demotion_says_why(monkeypatch, cause):
+    """A table that cannot be built and a contract over the size limit go
+    through one demotion: the keys move to the preseed, the function keeps
+    no embedded set, and the plan listing and the deployment report both
+    say why."""
+    from pathguard import instrument as instr_mod
+    from pathguard.pathset import ConstructionFailed, ListSpec
+
+    if cause == "construction":
+        def failing(*args, **kwargs):
+            raise ConstructionFailed("no seed found after 16 tries (n=6)")
+
+        monkeypatch.setattr(instr_mod, "build_mpht", failing)
+        sources, name, keys = (FRONT_SRC, BACK_SRC), "front", set(range(6))
+        reason = "mpht construction failed: no seed found after 16 tries (n=6)"
+    else:
+        sources, name, keys = (FAT_SRC,), "fat", {0, 1}
+        size = _guarded(sources, {(name, 0): keys}).instrumented[name].instrumented_size
+        monkeypatch.setattr(instr_mod, "MAX_CODE_BYTES", size - 1)
+        reason = f"size limit: {size} > {size - 1} bytes"
+    guarded = _guarded(sources, {(name, 0): keys})
+    inst = guarded.instrumented[name]
+    assert inst.plan.preseed == [(0, k) for k in sorted(keys)]
+    assert inst.plan.specs[0] == ListSpec([])
+    assert f"demoted={reason} entries=0 strategy=List" in inst.plan_listing()
+    fn = inst.program.functions[0].name
+    assert guarded.deployment_report()[name]["demoted"] == {fn: reason}
+    for other, info in guarded.deployment_report().items():
+        assert info["demoted"] == ({fn: reason} if other == name else {})
+
+
+SHIM_FRONT_SRC = """
+contract sfront {
+  fn go external selector=0x1 {
+    PUSH 9
+    PUSH 8
+    PUSH 2          ; two argument words
+    PUSH 0x2
+    PUSH 0
+    PUSH 0
+    CALLDATALOAD    ; the callee's address
+    CALL target=sback
+    POP
+    RETURNDATASIZE
+    PUSH 0
+    SSTORE
+    STOP
+  }
+}
+"""
+
+SHIM_BACK_SRC = """
+contract sback {
+  fn echo external selector=0x2 {
+    CALLDATASIZE
+    PUSH 0
+    SSTORE
+    PUSH 7
+    PUSH 6
+    PUSH 5
+    PUSH 3          ; three return words
+    RETURN
+  }
+}
+"""
+
+
+def test_size_shims_hide_the_call_protocol_words():
+    """A marker-entered callee reads the size of the calldata its caller
+    sent, not of the marker prefix with it; after a protected call the
+    caller reads the size of the callee's own return data."""
+    from pathguard.workflow import Bundle, run_detection
+
+    sources = (SHIM_FRONT_SRC, SHIM_BACK_SRC)
+    bundle = Bundle.from_json({"contracts": [{"source": s} for s in sources]})
+    records = [{"to": "sfront", "fn": "go", "calldata": ["@sback"]}]
+    guarded = protect(bundle, train(bundle, records))
+    run = run_detection(guarded, records)
+    (outcome,) = run.outcomes
+    assert (outcome.status, outcome.alarms, run.recon_failures) == ("Accepted", [], [])
+    for deployed in (run.deployed, run.mirror):
+        world, addresses = deployed.world, deployed.addresses
+        assert {name: world.sload(addresses[name], 0) for name in addresses} == {
+            "sfront": 3, "sback": 2
+        }
+
+
+ROTATED_SRC = """
+contract rot { fn f external selector=0x1 {
+  PUSH 0
+  CALLDATALOAD
+  JUMP cond
+body: JUMPDEST
+  PUSH 1
+  SUB
+cond: JUMPDEST
+  DUP 1
+  JUMPI body
+  POP
+  STOP
+} }
+"""
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_rotated_loop_fallthrough_backedge(n):
+    """A rotated loop's body falls through into its test, so its backedge
+    leaves at no jump and the closer follows the body's last instruction.
+    The checked pairs equal the oracle's, and the gas reconciles exactly."""
+    prog = assemble(ROTATED_SRC)
+    analysis = analyze_bundle({"rot": prog}, {"rot"}, CONFIG)
+    body = prog.functions[0].body
+    assert [body[off].op for off, _ in analysis.cfgs[("rot", 0)].backedges] == [Op.SUB]
+    w1 = WorldState(CONFIG)
+    r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1, [n]))
+    oracle = trace_oracle(r1.trace, analysis, r1.status)
+    assert r1.status == "Accepted" and len(oracle) == n + 1
+    inst = instrument_contract("rot", analysis, {0: {p[3] for p in oracle}}, CONFIG)
+    points, acc = _point_gas(inst)
+    w2 = WorldState(CONFIG)
+    vm = VM(w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_points=points)
+    r2 = vm.execute_transaction(Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [n]))
+    assert (r2.status, r2.alarms) == ("Accepted", [])
+    assert checked_pairs_from_receipt(r2) == oracle
+    assert r2.gas_used - r1.gas_used == sum(acc)
+    backedge = sum(gas for pid, gas in enumerate(acc) if inst.points[pid].kind == "Backedge")
+    assert (backedge > 0) == (n > 0)

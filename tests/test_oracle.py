@@ -1,10 +1,13 @@
 """Trace oracle: the canonical loop walkthrough and oracle/instrumented equality."""
 
+import random
+
 import pytest
 
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
-from pathguard.callgraph import K_ENTRY, K_SURROGATE
+from pathguard.callgraph import K_ENTRY, K_SURROGATE, acyclicize_callgraph
+from pathguard.ccp import label_ccp
 from pathguard.config import Config
 from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.guardcode import Layout
@@ -254,8 +257,8 @@ def test_cross_contract_recursion_matches(depth):
     ],
 )
 def test_analysis_indexes_match_edge_scan(make):
-    """The call-site, entry-value and block-start indexes equal brute-force
-    scans of the finished graphs."""
+    """The call-site and block-start indexes equal brute-force scans of the
+    finished graphs, and every external function enters with context 0."""
     programs, boundary = make()
     analysis = analyze_bundle(programs, boundary, CONFIG)
     cg, ccp = analysis.callgraph, analysis.ccp
@@ -264,13 +267,12 @@ def test_analysis_indexes_match_edge_scan(make):
         for e in cg.edges
         if e.site
     }
-    for name, fid in cg.nodes:
-        entry = [e for e in cg.edges if e.callee == (name, fid) and e.kind == K_ENTRY]
-        if entry:
-            assert analysis.entry_sval(name, fid) == ccp.call_val[entry[0].ceid]
-        else:
-            with pytest.raises(KeyError):
-                analysis.entry_sval(name, fid)
+    # the direct band is context 0: an external function's program-entry
+    # edge has the lowest callsite id among its in-edges, so its value is 0
+    for name in analysis.boundary:
+        for fn in programs[name].external_functions():
+            entry = [e for e in cg.in_edges((name, fn.id)) if e.kind == K_ENTRY]
+            assert [ccp.call_val[e.ceid] for e in entry] == [0]
     for cfg in analysis.cfgs.values():
         for b in cfg.blocks.values():
             scan = [c.bid for c in cfg.blocks.values() if c.start == b.start and not c.empty]
@@ -279,6 +281,22 @@ def test_analysis_indexes_match_edge_scan(make):
             else:
                 with pytest.raises(KeyError):
                     cfg.block_at(b.start)
+
+
+def test_leading_entry_edges_have_value_zero_on_random_callgraphs():
+    """``build_call_graph`` numbers the external functions' entry edges
+    before every callsite, as ``random_callgraph`` does; such an edge is its
+    callee's first in-edge, so it always has context value 0. (An entry edge
+    given later to a dead function need not.)"""
+    from test_ccp import random_callgraph
+
+    rng = random.Random(11)
+    for _ in range(300):
+        cg = acyclicize_callgraph(random_callgraph(rng))
+        ccp = label_ccp(cg)
+        first_site = min((e.ceid for e in cg.edges if e.kind != K_ENTRY), default=len(cg.edges))
+        leading = [e for e in cg.edges if e.kind == K_ENTRY and e.ceid < first_site]
+        assert leading and all(ccp.call_val[e.ceid] == 0 for e in leading)
 
 
 def test_reverting_exit_emits_no_check():

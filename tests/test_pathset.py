@@ -13,6 +13,7 @@ from pathguard.pathset import (
     DEFAULT_SEED,
     MPHT_MAX_KEYS,
     ConstructionFailed,
+    ListSpec,
     STRATEGY_LIST,
     STRATEGY_MAPPING,
     STRATEGY_MPHT,
@@ -221,14 +222,14 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     elif strategy == STRATEGY_MPHT:
         spec = build_mpht(range(1000, 1000 + n), config.guard.mpht_lambda)
     else:
-        spec = None
+        spec = ListSpec([])  # no embedded set
     body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]
     lay = Layout(config.width)
     # the check raises no alarm on a member: the flag reads back zero
     check = Asm().emit(Op.ICALL, 1).mload(lay.flag).emit(Op.ISZERO)
     body += flatten(check.items, base=2)
     body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
-    chk = seq_checker(strategy, spec, 0, 2, 0, config)
+    chk = seq_checker(spec, 0, 2, 0, config)
     miss = seq_miss(0, config.guard.mapping_tag, lay, config)
     prog = ContractProgram(
         "t",
@@ -239,7 +240,7 @@ def _measured_check_gas(strategy, n, config=CONFIG):
         ],
         {0x7: 0},
         None,
-        data_pool=checker_pool(strategy, spec),
+        data_pool=checker_pool(spec),
     )
     validate_program(prog, config)
     world = WorldState(config)

@@ -701,7 +701,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "f503fb16d71e300366236334b664c6db9fc7f70c3a11f7e15c4e8810d5067f7a"
+        "d954f86068794b6f10a9c2c38fddb5cc94c625cc782d0ecc62940f78760cbcfd"
     )
 
 

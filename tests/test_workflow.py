@@ -15,6 +15,7 @@ from pathguard.workflow import (
     FingerprintMismatch,
     NotAdmin,
     TrainingTxFailed,
+    WorkflowError,
     false_alarm_simulation,
     overhead_report,
     protect,
@@ -510,3 +511,50 @@ def test_call_reached_callee_miss_reports_labelled_sentinel():
     assert alarm.function == 1  # go
     assert alarm.combined_id == bundle.config.mask
     assert alarm.context_chain == ["<protected callee reached by CALL raised the anomaly>"]
+
+
+FORGER_SRC = """
+contract p {
+  fn go external selector=0x1 {
+    PUSH 0
+    PUSH 0x5
+    PUSH 0
+    PUSH 0
+    CALLDATALOAD
+    CALL target=evil
+    POP
+    STOP
+  }
+}
+"""
+
+
+def _evil_src(payload: list[int]) -> str:
+    pushes = "".join(f"    PUSH {word:#x}\n" for word in reversed(payload))
+    body = f"{pushes}    PUSH {len(payload)}\n    REVERT\n"
+    return "contract evil {\n  fn f external selector=0x5 {\n%s  }\n}\n" % body
+
+
+@pytest.mark.parametrize(
+    "code_id, fid", [(99, 0), (0, 7), (0, 0)], ids=["bad-code-id", "bad-fid", "valid-ids"]
+)
+def test_forged_guard_payload_raises_no_alarm(code_id, fid):
+    """An unprotected contract that reverts with the guard marker and a made-up
+    alarm entry is no guard revert: only the exit routine of instrumented
+    code raises alarms. Caught by the protected caller, or ending the tx, the
+    forged payload gives no alarm and no exception."""
+    marker = Bundle.from_json({"contracts": [{"source": FORGER_SRC}]}).config.guard.guard_marker
+    evil = _evil_src([marker, 1, 0x100, code_id, fid, 5])
+    bundle = Bundle.from_json(
+        {"contracts": [{"source": FORGER_SRC}, {"source": evil}], "boundary": ["p"]}
+    )
+    call = {"origin": 1, "to": "p", "fn": "go", "calldata": ["@evil"]}
+    guarded = protect(bundle, train(bundle, [call]))
+    run = start_detection(guarded)
+    caught = run_transaction(run, call)
+    assert (caught.status, caught.alarms) == ("Accepted", [])
+    assert caught.receipt.trace[0].get("guard")  # the forged revert was seen
+    direct = run_transaction(run, {"origin": 1, "to": "evil", "fn": "f"})
+    assert direct.alarms == [] and not run.alarm_log
+    with pytest.raises(WorkflowError, match="no alarms recorded"):
+        review_and_approve(run, caught.index, bundle.config.admin)
