@@ -13,6 +13,7 @@ turns one into an instruction at layout and ``seq_gas`` prices them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
 from .config import Config, INTERNAL_DEPTH_LIMIT
@@ -25,11 +26,13 @@ from .pathset import (
     MphtSpec,
     build_list,
     build_mpht,
+    disp_bits,
     mapping_fn_seed,
     mapping_slot,
     mapping_value,
     field_bits,
     mix_constant,
+    mpht_position,
 )
 from .vm import price_table
 
@@ -85,7 +88,8 @@ class Layout:
         return self._top() - 5
 
     @property
-    def tmp_a(self) -> int:
+    def retoff(self) -> int:
+        """Return-data prefix words of the frame's last external call."""
         return self._top() - 6
 
     @property
@@ -277,64 +281,55 @@ def seq_checker(
     storage read. An embedded miss hands [combined, fid, fn_seed] to the
     contract's shared miss routine, which accepts the pair or raises the
     alarm. Pool entries store key+1: zero-padded pool reads can never match
-    a real key.
+    a real key. Working words stay on the stack.
+
+    A list compares combined+1 with its entries in key order and returns
+    at the first match, so a hit on entry i costs i entry steps. A table
+    probes one slot: bucket g % m gives the packed displacements, and the
+    slot (f1 + d0*f2 + d1) % r holds key+1 (pathset.mpht_position).
     """
     width = config.width
-    lay = Layout(width)
     a = Asm()
     miss = Asm().push(fid).push(mapping_fn_seed(fid, config)).emit(Op.ICALL, miss_fid)
     if not spec.n:
         # no embedded set: every check goes to the miss routine
         return a.extend(miss).emit(Op.IRET)
     found = Asm.fresh("hit")
-    a.mstore(lay.tmp_a)  # stash combined
     if isinstance(spec, ListSpec):
-        a.mload(lay.tmp_a).push(1).emit(Op.ADD).mstore(lay.tmp_x)
-        a.mstore_const(lay.tmp_y, 0)
+        a.push(1).emit(Op.ADD)  # [combined+1]
         for i in range(spec.n):
-            a.push(pool_base + i).emit(Op.CODELOAD)
-            a.mload(lay.tmp_x).emit(Op.EQ)
-            a.mload(lay.tmp_y).emit(Op.OR)
-            a.mstore(lay.tmp_y)
-        a.mload(lay.tmp_y)
-        a.jumpi(found)
+            a.emit(Op.DUP, 1).push(pool_base + i).emit(Op.CODELOAD).emit(Op.EQ)
+            a.jumpi(found)
+        a.push(1).emit(Op.SUB)  # [combined]
     else:  # MphtSpec
         t = field_bits(width)
         tmask = (1 << t) - 1
+        s = disp_bits(width)
         r, m = spec.size, spec.m
-        a.mload(lay.tmp_a).push(spec.seed & config.mask)
-        a.xor()
-        a.mix_top(width)
-        a.mstore(lay.tmp_x)  # h
-        # displacement word for bucket g % m, g = h >> 2t
+        a.emit(Op.DUP, 1).push(spec.seed & config.mask).xor()
+        a.mix_top(width)  # [c, h]
+        # displacement word of bucket g % m, g = h >> 2t
         if m == 1:
-            a.push(pool_base).emit(Op.CODELOAD)
+            a.push(pool_base)
         else:
-            a.mload(lay.tmp_x).push(1 << (2 * t)).emit(Op.DIV)
+            a.emit(Op.DUP, 1).push(1 << (2 * t)).emit(Op.DIV)
             a.mod_const(m)
-            a.push(pool_base).emit(Op.ADD).emit(Op.CODELOAD)
-        a.mstore(lay.tmp_y)  # packed (d0 << 16) | d1
-        # position sum; fields fit W >= 32 without inner reduction
-        inner = width < 32
-        a.mload(lay.tmp_y).push(1 << 16).emit(Op.DIV)  # d0
-        a.mload(lay.tmp_x).push(tmask).emit(Op.AND)  # f2
-        if inner:
-            a.mod_const(r)
+            a.push(pool_base).emit(Op.ADD)
+        a.emit(Op.CODELOAD)  # [c, h, (d0 << s) | d1]
+        # the position sum stays below the word at every width: d0, d1 < 2**s
+        a.emit(Op.DUP, 1).push(1 << s).emit(Op.DIV)  # d0
+        a.emit(Op.DUP, 3).push(tmask).emit(Op.AND)  # f2
         a.emit(Op.MUL)
-        if inner:
-            a.mod_const(r)
-        a.mload(lay.tmp_x).push(1 << t).emit(Op.DIV).push(tmask).emit(Op.AND)  # f1
-        if inner:
-            a.mod_const(r)
-        a.emit(Op.ADD)
-        a.mload(lay.tmp_y).push((1 << 16) - 1).emit(Op.AND)  # d1
-        a.emit(Op.ADD)
+        a.emit(Op.DUP, 3).push(1 << t).emit(Op.DIV).push(tmask).emit(Op.AND)  # f1
+        a.emit(Op.ADD)  # [c, h, dw, d0*f2 + f1]
+        a.emit(Op.SWAP, 2).emit(Op.POP)  # [c, sum, dw]
+        a.push((1 << s) - 1).emit(Op.AND).emit(Op.ADD)  # + d1
         a.mod_const(r)
-        a.push(pool_base + m).emit(Op.ADD).emit(Op.CODELOAD)
-        a.mload(lay.tmp_a).push(1).emit(Op.ADD).emit(Op.EQ)
+        a.push(pool_base + m).emit(Op.ADD).emit(Op.CODELOAD)  # [c, slot word]
+        a.emit(Op.DUP, 2).push(1).emit(Op.ADD).emit(Op.EQ)
         a.jumpi(found)
-    a.mload(lay.tmp_a).extend(miss).emit(Op.IRET)
-    a.mark(found).emit(Op.IRET)
+    a.extend(miss).emit(Op.IRET)
+    a.mark(found).emit(Op.POP).emit(Op.IRET)
     return a
 
 
@@ -371,13 +366,23 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
     return a.emit(Op.IRET)
 
 
-def checker_pool(spec: ListSpec | MphtSpec) -> list[int]:
-    """Constant-pool words backing a checker (entries stored as key+1, an
-    empty table slot as 0)."""
+def checker_pool(spec: ListSpec | MphtSpec, width: int) -> list[int]:
+    """Constant-pool words backing a checker: entries stored as key+1, an
+    empty table slot as 0.
+
+    A key+1 word wraps to 0 when read, so combined = 2**width - 1 probes
+    for 0. An empty slot that this combined lands on holds x+1 instead, for
+    some x that lands elsewhere: no combined that probes the slot matches.
+    """
     if isinstance(spec, ListSpec):
         return [k + 1 for k in spec.keys]
-    packed = [(d0 << 16) | d1 for d0, d1 in spec.displacements]
-    return packed + [0 if k is None else k + 1 for k in spec.slots]
+    s = disp_bits(width)
+    packed = [(d0 << s) | d1 for d0, d1 in spec.displacements]
+    slots = [0 if k is None else k + 1 for k in spec.slots]
+    top = mpht_position(spec, (1 << width) - 1, width)
+    if spec.slots[top] is None:
+        slots[top] = next(x + 1 for x in count() if mpht_position(spec, x, width) != top)
+    return packed + slots
 
 
 # -- per-point sequences ---------------------------------------------------------
@@ -597,28 +602,29 @@ def seq_branch_add(val: int, lay: Layout) -> Asm:
 def seq_arith_check(op: Op, vt_val: int, lay: Layout) -> tuple[Asm, Asm]:
     """Pre/post fragments realizing the wraparound virtual branch.
 
-    pre runs just before the arithmetic op (operands on stack), post right
-    after it; both arms fall through to the same continuation.
+    pre runs just before the arithmetic op ([a, b] on the stack, b on top)
+    and saves the operands the test needs under them; post runs right after
+    it, consumes them and leaves [r]. Both arms fall through to the same
+    continuation.
     """
     pre = Asm()
     post = Asm()
     skip = Asm.fresh("novf")
-    if op is Op.ADD:
-        # overflow iff result < a; save a (second from top)
-        pre.emit(Op.DUP, 2).mstore(lay.tmp_a)
-        post.emit(Op.DUP, 1).mload(lay.tmp_a).emit(Op.LT)  # r < a
-    elif op is Op.SUB:
-        # underflow iff a < b iff result > a; save a
-        pre.emit(Op.DUP, 2).mstore(lay.tmp_a)
-        post.emit(Op.DUP, 1).mload(lay.tmp_a).emit(Op.GT)  # r > a
-    else:  # MUL: overflow iff a != 0 and r / a != b; save both
-        pre.emit(Op.DUP, 2).mstore(lay.tmp_a)
-        pre.emit(Op.DUP, 1).mstore(lay.tmp_x)
-        post.emit(Op.DUP, 1).mload(lay.tmp_a).emit(Op.DIV)  # r / a (0 when a=0)
-        post.mload(lay.tmp_x).emit(Op.EQ).emit(Op.ISZERO)
-        post.mload(lay.tmp_a).emit(Op.ISZERO).emit(Op.ISZERO).emit(Op.AND)
-    post.emit(Op.ISZERO)
-    post.jumpi(skip)
+    if op is Op.MUL:
+        # no overflow iff a = 0 or r / a = b
+        pre.emit(Op.DUP, 2).emit(Op.DUP, 2)  # [a, b, a, b]
+        post.emit(Op.SWAP, 2).emit(Op.SWAP, 1)  # [r, a, b]
+        post.emit(Op.DUP, 3).emit(Op.DUP, 3).emit(Op.DIV)  # [r, a, b, r / a] (0 when a=0)
+        post.emit(Op.EQ).emit(Op.SWAP, 1).emit(Op.ISZERO).emit(Op.OR)
+        post.jumpi(skip)
+    else:
+        pre.emit(Op.DUP, 2)  # [a, b, a]
+        if op is Op.SUB:
+            pre.emit(Op.SWAP, 1)  # [a, a, b]
+        post.emit(Op.SWAP, 1).emit(Op.DUP, 2)  # [r, a, r]
+        # ADD overflows iff r < a; SUB underflows iff a < b iff r > a
+        post.emit(Op.GT if op is Op.ADD else Op.LT).emit(Op.ISZERO)
+        post.jumpi(skip)
     post.epp_add(lay, vt_val)
     post.mark(skip)
     return pre, post
@@ -662,10 +668,17 @@ def seq_protected_call_pre(
     return a
 
 
-def seq_protected_call_post(marker: int, lay: Layout, config: Config) -> Asm:
-    """Merge the callee's anomaly flag from the return-data prefix."""
+def seq_protected_call_post(marker: int, lay: Layout, config: Config, shims: bool) -> Asm:
+    """Merge the callee's anomaly flag from the return-data prefix.
+
+    A call that failed, or returned no [MARKER, flag] prefix, left raw
+    return data. With ``shims`` (the contract reads return data), the
+    prefix length is recorded in ``lay.retoff`` for the return-data shims.
+    """
     a = Asm()
     skip = Asm.fresh("nomerge")
+    if shims:
+        a.mstore_const(lay.retoff, 0)
     a.emit(Op.DUP, 1).emit(Op.ISZERO)
     a.jumpi(skip)
     a.emit(Op.RETURNDATASIZE).push(RET_PREFIX_WORDS).emit(Op.LT)
@@ -674,6 +687,8 @@ def seq_protected_call_post(marker: int, lay: Layout, config: Config) -> Asm:
     a.jumpi(skip)
     a.push(1).emit(Op.RETURNDATALOAD)
     a.mload(lay.flag).emit(Op.OR).mstore(lay.flag)
+    if shims:
+        a.mstore_const(lay.retoff, RET_PREFIX_WORDS)
     a.mark(skip)
     return a
 
@@ -688,9 +703,12 @@ def seq_unprotected_call_pre(lay: Layout) -> Asm:
     return a
 
 
-def seq_unprotected_call_post(poison: int, lay: Layout) -> Asm:
-    """Pick up a poison signal from a reentrant frame, then restore the slot."""
+def seq_unprotected_call_post(poison: int, lay: Layout, shims: bool) -> Asm:
+    """Pick up a poison signal from a reentrant frame, then restore the slot.
+    With ``shims``, record that the return data has no prefix."""
     a = Asm()
+    if shims:
+        a.mstore_const(lay.retoff, 0)
     skip = Asm.fresh("nopoison")
     a.push(CTX_SLOT).emit(Op.TLOAD).push(poison).emit(Op.EQ).emit(Op.ISZERO)
     a.jumpi(skip)
@@ -736,12 +754,14 @@ def seq_calldata_size_shim(lay: Layout) -> Asm:
     return Asm().mload(lay.cdoff).emit(Op.SUB)
 
 
-def seq_returndata_load_shim() -> Asm:
-    return Asm().push(RET_PREFIX_WORDS).emit(Op.ADD)
+def seq_returndata_load_shim(lay: Layout) -> Asm:
+    """Replacement prefix for RETURNDATALOAD: skip the last call's prefix."""
+    return Asm().mload(lay.retoff).emit(Op.ADD)
 
 
-def seq_returndata_size_shim() -> Asm:
-    return Asm().push(RET_PREFIX_WORDS).emit(Op.SUB)
+def seq_returndata_size_shim(lay: Layout) -> Asm:
+    """Emitted after RETURNDATASIZE: subtract the last call's prefix."""
+    return Asm().mload(lay.retoff).emit(Op.SUB)
 
 
 def seq_admin_body(admin_addr: int, lay: Layout) -> Asm:
@@ -837,19 +857,19 @@ def seq_gas(items: list[tuple], config: Config) -> int:
     )
 
 
-def _taken_path(items: list[tuple]) -> list[tuple]:
-    """Items run when the first branch is taken: up to it, then from its target."""
-    branch = next(pos for pos, item in enumerate(items) if item[0] == "jumpi")
+def _taken_path(items: list[tuple], branch: int) -> list[tuple]:
+    """Items run when the branch at ``branch`` is the first one taken: up to
+    it, then from its target."""
     return items[: branch + 1] + items[label_offsets(items)[items[branch][1]]:]
 
 
 def check_gas(strategy: str, n: int, config: Config) -> int:
     """Analytic per-check gas of the generated membership code.
 
-    With an embedded set this is the checker's hit path: up to its branch,
-    then the found arm. With none (the mapping, an empty list) every check is
-    the checker's call into the shared miss routine plus that routine's
-    accept path.
+    With an embedded set this is the most a member pays: a hit on the last
+    branch (a list's last entry, the table's one probe), then the found arm.
+    With none (the mapping, an empty list) every check is the checker's
+    call into the shared miss routine plus that routine's accept path.
     """
     if strategy == STRATEGY_LIST:
         spec = build_list(range(n))
@@ -860,7 +880,9 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
     else:
         raise ValueError(strategy)
     items = seq_checker(spec, 0, 0, 0, config).items
-    if any(item[0] == "jumpi" for item in items):
-        return seq_gas(_taken_path(items), config)
+    branches = [pos for pos, item in enumerate(items) if item[0] == "jumpi"]
+    if branches:
+        return seq_gas(_taken_path(items, branches[-1]), config)
     miss = seq_miss(0, 0, Layout(config.width), config).items
-    return seq_gas(items + _taken_path(miss), config)
+    accept = next(pos for pos, item in enumerate(miss) if item[0] == "jumpi")
+    return seq_gas(items + _taken_path(miss, accept), config)

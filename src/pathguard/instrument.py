@@ -181,6 +181,13 @@ class _Rewriter:
         self.lay = Layout(config.width)
         self.points: list[InstrumentPoint] = []
         self.pool: list[int] = []
+        # Return data, and the memory word that records its prefix, are per
+        # external frame, shared by its internal calls: the contract reads
+        # return data behind a shim once any of its calls can be prefixed.
+        reads = {Op.RETURNDATALOAD, Op.RETURNDATASIZE}
+        self.shims = any(
+            analysis.site_protected(name, fid, off) for fid, off in self.prog.callsites
+        ) and any(i.op in reads for fn in self.prog.functions for i in fn.body)
 
     def point(self, kind: str, site: tuple, **payload) -> int:
         self.points.append(InstrumentPoint(kind, site, payload))
@@ -213,7 +220,7 @@ class _Rewriter:
         for fn in prog.functions:
             spec = self.plan.specs[fn.id]
             base = len(self.pool)
-            self.pool.extend(checker_pool(spec))
+            self.pool.extend(checker_pool(spec, config.width))
             why = {"demoted": self.plan.demoted[fn.id]} if fn.id in self.plan.demoted else {}
             pid = self.point(
                 POINT_CHECK, (fn.name, "checker"), strategy=spec.strategy, entries=spec.n, **why
@@ -478,17 +485,15 @@ class _Rewriter:
                 pid = self.point(POINT_WRAPPER, (fn.name, off), shim="calldatasize")
                 add(after, off, seq_calldata_size_shim(lay), pid)
 
-        # return-data shims after protected callsites
-        last_call_protected = False
-        for off, instr in enumerate(fn.body):
-            if instr.op in EXTERNAL_CALLS:
-                last_call_protected = self.analysis.site_protected(self.name, fn.id, off)
-            elif instr.op is Op.RETURNDATALOAD and last_call_protected:
-                pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndata")
-                add(before, off, seq_returndata_load_shim(), pid)
-            elif instr.op is Op.RETURNDATASIZE and last_call_protected:
-                pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndatasize")
-                add(after, off, seq_returndata_size_shim(), pid)
+        # return-data shims: skip the prefix the last call left, if any
+        if self.shims:
+            for off, instr in enumerate(fn.body):
+                if instr.op is Op.RETURNDATALOAD:
+                    pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndata")
+                    add(before, off, seq_returndata_load_shim(lay), pid)
+                elif instr.op is Op.RETURNDATASIZE:
+                    pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndatasize")
+                    add(after, off, seq_returndata_size_shim(lay), pid)
 
         return self._lay_out(fn, before, after, replace, stubs)
 
@@ -527,11 +532,12 @@ class _Rewriter:
                 fn.body[off].op, gid, config.guard.call_marker, lay, config
             )
             add(before, off, pre, pid)
-            add(after, off, seq_protected_call_post(config.guard.call_marker, lay, config), pid)
+            post = seq_protected_call_post(config.guard.call_marker, lay, config, self.shims)
+            add(after, off, post, pid)
         else:
             pid = self.point(POINT_EXT_UNPROT, (fn.name, off), slot=hex(CTX_SLOT))
             add(before, off, seq_unprotected_call_pre(lay), pid)
-            add(after, off, seq_unprotected_call_post(config.slot_poison, lay), pid)
+            add(after, off, seq_unprotected_call_post(config.slot_poison, lay, self.shims), pid)
 
     def _lay_out(self, fn, before, after, replace, stubs):
         """Lay out plan items into the new body; fix all jump targets.

@@ -26,10 +26,10 @@ STRATEGY_LIST = "List"
 STRATEGY_MPHT = "Mpht"
 STRATEGY_MAPPING = "Mapping"
 
-# Strategy boundary: an embedded list wins below six entries. From four
-# entries a table check costs no more gas than a list check
-# (test_check_gas_crossover_measured), but below six a list still deploys
-# fewer bytes.
+# Strategy boundary: an embedded list wins below six entries, where it
+# deploys fewer bytes. A list check stops at its first hit; from seven
+# entries a table check costs no more gas than a hit on a list's last entry
+# (test_check_gas_crossover_measured).
 LIST_MAX = 6
 
 # Largest prime below 2**16: d0 and d1 stay below the table size and pack
@@ -52,6 +52,12 @@ def mix_constant(width: int) -> int:
 def field_bits(width: int) -> int:
     """Width of the f1 and f2 hash fields, and the hash's xorshift."""
     return max(2, width // 3)
+
+
+def disp_bits(width: int) -> int:
+    """Width of each displacement in a packed pool word, d0 above d1. Every
+    table must fit: a table of r slots needs r <= 2**disp_bits."""
+    return min(16, width // 2)
 
 
 def mix(x: int, width: int = 64) -> int:
@@ -202,9 +208,15 @@ def build_mpht(
     for _attempt in range(max_tries):
         spec = _try_build(keys, r, m, cur_seed, width)
         if spec is not None:
-            return spec
+            break
         cur_seed = mix(cur_seed, width)
-    raise ConstructionFailed(f"no seed found after {max_tries} tries (n={n})")
+    else:
+        raise ConstructionFailed(f"no seed found after {max_tries} tries (n={n})")
+    if r > 1 << disp_bits(width):
+        raise ConstructionFailed(
+            f"{r} slots: displacements do not pack into a {width}-bit pool word"
+        )
+    return spec
 
 
 def _try_build(keys, r, m, seed, width):
@@ -248,12 +260,17 @@ def _place_bucket(items, r, free):
     return None
 
 
-def mpht_lookup(spec: MphtSpec, key: int, width: int = 64) -> bool:
-    """Single-probe membership: position then slot comparison."""
+def mpht_position(spec: MphtSpec, key: int, width: int = 64) -> int:
+    """The one slot a key can occupy."""
     g, f1, f2 = hash_fields(key, spec.seed, width)
     d0, d1 = spec.displacements[g % spec.m]
     r = spec.size
-    return spec.slots[(f1 % r + d0 * (f2 % r) + d1) % r] == key
+    return (f1 % r + d0 * (f2 % r) + d1) % r
+
+
+def mpht_lookup(spec: MphtSpec, key: int, width: int = 64) -> bool:
+    """Single-probe membership: position then slot comparison."""
+    return spec.slots[mpht_position(spec, key, width)] == key
 
 
 @dataclass

@@ -466,14 +466,20 @@ def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecor
     analysis = run.guarded.analysis
     config = run.guarded.bundle.config
     contract, fid, combined = raw.contract, raw.fn, raw.combined
-    code = sorted(analysis.boundary)[raw.code_id]
-    if combined == config.mask:
+    boundary = sorted(analysis.boundary)
+    if raw.code_id >= len(boundary) or (boundary[raw.code_id], fid) not in analysis.cfgs:
+        # unprotected code reached by DELEGATECALL runs in the account and
+        # can write its alarm buffer
+        label = "<alarm entry names no protected function>"
+    elif combined == config.mask:
         # sentinel: the flag came from a protected callee reached by CALL,
         # whose alarm entries stayed in its own account's buffer
-        return AlarmRecord(
-            index, contract, fid, 0, 0, combined,
-            ["<protected callee reached by CALL raised the anomaly>"], [], inner,
-        )
+        label = "<protected callee reached by CALL raised the anomaly>"
+    else:
+        label = None
+    if label:
+        return AlarmRecord(index, contract, fid, 0, 0, combined, [label], [], inner)
+    code = boundary[raw.code_id]
     num_paths = analysis.num_paths(code, fid)
     num_ccs = analysis.num_ccs(code, fid)
     ctx_id, epp_id = split_index(combined, num_paths)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathguard.config import Config, GuardParams
 from pathguard.guardcode import (
@@ -14,8 +16,10 @@ from pathguard.guardcode import (
     CTX_SLOT,
     Asm,
     Layout,
+    check_gas,
     checker_pool,
     flatten,
+    seq_arith_check,
     seq_checker,
     seq_exit_routine,
     seq_external_epilogue,
@@ -25,6 +29,7 @@ from pathguard.isa import Op
 from pathguard.pathset import (
     STRATEGY_LIST,
     STRATEGY_MPHT,
+    ConstructionFailed,
     build_list,
     build_mpht,
     list_lookup,
@@ -33,15 +38,20 @@ from pathguard.pathset import (
     mapping_value,
     mix,
     mpht_lookup,
+    mpht_position,
 )
 from pathguard.program import ContractProgram, FunctionDef, Visibility, validate_program
 from pathguard.vm import Transaction, VM, WorldState, deploy
 
 
-def _execute(items, calldata, width=64, pool=None, extra_fns=None, storage=None, selectors=None):
+def _execute(
+    items, calldata, width=64, pool=None, extra_fns=None, storage=None, selectors=None,
+    points=None,
+):
     """Run one tx into a probe function made of ``items``; ``extra_fns`` take
     function ids 1, 2, ... and ``selectors`` maps selectors to the external
-    ones. Returns the receipt, the world and the address."""
+    ones; ``points`` are the VM's gas points of the contract. Returns the
+    receipt, the world and the address."""
     config = Config(width=width)
     fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(items, base=0))]
     if extra_fns:
@@ -53,7 +63,8 @@ def _execute(items, calldata, width=64, pool=None, extra_fns=None, storage=None,
     for slot, val in (storage or {}).items():
         world.sstore(addr, slot, val)
     world.commit(0)
-    receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, calldata))
+    vm = VM(world, gas_points=points and {"t": points})
+    receipt = vm.execute_transaction(Transaction(1, addr, 0x7, calldata))
     return receipt, world, addr
 
 
@@ -127,7 +138,7 @@ def _call_checker(spec, key, width=64, storage=None, fid=0):
         a.items,
         [],
         width,
-        pool=checker_pool(spec),
+        pool=checker_pool(spec, width),
         extra_fns=_checker_fns(spec, fid, config),
         storage=storage,
     )
@@ -191,6 +202,136 @@ def test_checker_falls_back_to_mapping_probe(strategy, keys):
     for key, member in ((appended, 1), (appended + 1, 0), *((k, 1) for k in keys)):
         got, _ = _call_checker(spec, key, storage=storage, fid=fid)
         assert got == member, key
+
+
+# Transient slots the recording miss stub writes: [combined, fid, fn_seed]
+# and a mark that it ran (zero words are absent from the transient map).
+STUB_COMBINED, STUB_FID, STUB_SEED, STUB_RAN = 10, 11, 12, 13
+
+
+def _recording_miss():
+    """A miss routine that records the words the checker hands it."""
+    a = Asm().push(STUB_SEED).emit(Op.TSTORE).push(STUB_FID).emit(Op.TSTORE)
+    a.push(STUB_COMBINED).emit(Op.TSTORE).push(1).push(STUB_RAN).emit(Op.TSTORE)
+    return a.emit(Op.IRET)
+
+
+def _probe_checker(spec, key, width, fid, pool_base):
+    """One check of ``key`` by a checker whose pool sits at ``pool_base``,
+    missing into the recording stub. Returns (the miss stub's transient
+    words or None on a hit, the checker's own gas)."""
+    config = Config(width=width)
+    sentinel = 0x5A  # below the checker's operand: it must survive the call
+    probe = Asm().push(sentinel).push(key).emit(Op.ICALL, CHK_FID).push(1).emit(Op.RETURN)
+    chk = flatten(seq_checker(spec, fid, MISS_FID, pool_base, config).items, base=0)
+    fns = [
+        FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, chk),
+        FunctionDef(MISS_FID, "miss", Visibility.INTERNAL, flatten(_recording_miss().items, 0)),
+    ]
+    pool = [w & config.mask for w in range(7, 7 + pool_base)] + checker_pool(spec, width)
+    # one gas point: every offset of the checker
+    owners = [[-1] * len(probe.items), [0] * len(chk), [-1] * len(fns[1].body)]
+    acc = [0]
+    receipt, world, addr = _execute(probe.items, [], width, pool, fns, points=(owners, acc))
+    assert (receipt.status, receipt.return_data) == ("Accepted", [sentinel]), receipt
+    slots = _transient(world, addr)
+    if not slots:
+        return None, acc[0]
+    return tuple(slots.get(s, 0) for s in (STUB_COMBINED, STUB_FID, STUB_SEED, STUB_RAN)), acc[0]
+
+
+@st.composite
+def _checker_cases(draw):
+    """A width, a key set that builds (a list of 1-5 keys or a table of
+    6-12), probes, a fid and a pool offset. Keys and probes lean to the
+    ends of the word, where key+1 wraps."""
+    width = draw(st.sampled_from([8, 16, 32, 64]))
+    mask = (1 << width) - 1
+    word = st.one_of(st.integers(0, mask), st.integers(mask - 3, mask), st.integers(0, 3))
+    table = draw(st.booleans())
+    n = draw(st.integers(6, 12) if table else st.integers(1, 5))
+    keys = sorted(draw(st.lists(word, min_size=n, max_size=n, unique=True)))
+    if table:
+        try:
+            spec = build_mpht(keys, Config().guard.mpht_lambda, width=width)
+        except ConstructionFailed:
+            assume(False)
+    else:
+        spec = build_list(keys)
+    probes = draw(st.lists(word, min_size=1, max_size=3))
+    return width, spec, probes, draw(st.integers(0, 6)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_checker_cases())
+def test_checker_hits_members_and_hands_misses_the_original_word(case):
+    """Every member hits, at every rank of a list, and pays check_gas less
+    22 gas per list entry after its own; a table pays check_gas flat. A
+    non-member reaches the miss routine with [combined, fid, fn_seed],
+    combined being the probed word itself, key+1 wrap or not."""
+    width, spec, probes, fid, pool_base = case
+    config = Config(width=width)
+    strategy = spec.strategy
+    for rank, key in enumerate(spec.keys, start=1):
+        missed, gas = _probe_checker(spec, key, width, fid, pool_base)
+        assert missed is None, (key, missed)
+        steps = spec.n - rank if strategy == STRATEGY_LIST else 0
+        assert gas == check_gas(strategy, spec.n, config) - 22 * steps
+    for key in probes + [0, config.mask - 1, config.mask]:
+        if key in spec.keys:
+            continue
+        missed, _gas = _probe_checker(spec, key, width, fid, pool_base)
+        assert missed == (key, fid, mapping_fn_seed(fid, config), 1), key
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_table_slot_of_the_all_ones_word_never_reads_zero(width):
+    """combined = 2**width - 1 probes its slot for key+1 = 0, the word of
+    an empty slot. When that slot is empty, the pool fills it with a word
+    no combined landing there can match, so the check misses."""
+    rng = random.Random(width)
+    mask = (1 << width) - 1
+    while True:
+        spec = build_mpht({rng.getrandbits(width - 1) for _ in range(8)}, width=width)
+        top = mpht_position(spec, mask, width)
+        if spec.slots[top] is None:
+            break
+    assert checker_pool(spec, width)[spec.m + top] != 0
+    missed, _gas = _probe_checker(spec, mask, width, 1, 0)
+    assert missed == (mask, 1, mapping_fn_seed(1, Config(width=width)), 1)
+
+
+def _run_arith(op, a, b, width):
+    """Run ``a op b`` between seq_arith_check's fragments; returns (the
+    words left on the stack, whether the virtual branch fired)."""
+    lay = Layout(width)
+    pre, post = seq_arith_check(op, 1, lay)
+    body = Asm().mstore_const(lay.depth, 0).push(0x5A).push(a).push(b)
+    body.extend(pre).emit(op).extend(post)
+    body.epp_addr(lay).emit(Op.MLOAD).push(3).emit(Op.RETURN)
+    receipt, _world, _addr = _execute(body.items, [], width)
+    assert receipt.status == "Accepted", receipt
+    sentinel, r, fired = receipt.return_data[::-1]
+    assert sentinel == 0x5A
+    return r, fired
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    op=st.sampled_from([Op.ADD, Op.SUB, Op.MUL]),
+    width=st.sampled_from([8, 16, 32, 64]),
+    data=st.data(),
+)
+def test_arith_check_fires_exactly_on_wraparound(op, width, data):
+    """The wraparound virtual branch fires exactly when the op wraps, and
+    the fragments leave only the result on the stack."""
+    mask = (1 << width) - 1
+    word = st.one_of(st.integers(0, mask), st.integers(0, 3), st.integers(mask - 3, mask))
+    a, b = data.draw(word), data.draw(word)
+    exact = {Op.ADD: a + b, Op.SUB: a - b, Op.MUL: a * b}[op]
+    r, fired = _run_arith(op, a, b, width)
+    assert r == exact & mask
+    assert fired == (not 0 <= exact <= mask)
 
 
 # -- shared slow paths -----------------------------------------------------------

@@ -499,7 +499,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "19dc69bde2028b8e4c77580dbb89d9e0b852b5acf51b8f0d53474dc240bb38bb"
+        "0d34e72d6d7a943e66903c672ec29ec5927d0721dc3bfc957ca7b00d12355073"
     )
 
 
@@ -589,6 +589,119 @@ def test_size_shims_hide_the_call_protocol_words():
         assert {name: world.sload(addresses[name], 0) for name in addresses} == {
             "sfront": 3, "sback": 2
         }
+
+
+_RD_CALLS = {
+    "back": """
+    PUSH 1
+    CALLDATALOAD    ; back's argument: zero reverts
+    PUSH 1          ; one argument word
+    PUSH 0x2
+    PUSH 0
+    PUSH 2
+    CALLDATALOAD    ; back's address
+    CALL target=back
+    POP""",
+    "plain": """
+    PUSH 0
+    PUSH 0x3
+    PUSH 0
+    PUSH 3
+    CALLDATALOAD    ; plain's address
+    CALL target=plain
+    POP""",
+}
+
+
+def _rd_front_src(first: str) -> str:
+    """front.go calls ``first`` (back or plain) unless its first word says
+    to call the other one, which comes later in the body; either way it
+    then stores RETURNDATASIZE and RETURNDATALOAD 1."""
+    second = "plain" if first == "back" else "back"
+    pick = 0 if first == "back" else 1
+    return f"""
+contract front {{
+  fn go external selector=0x1 {{
+    PUSH 0
+    CALLDATALOAD
+    PUSH {pick}
+    EQ
+    ISZERO
+    JUMPI other{_RD_CALLS[first]}
+    JUMP read
+  other: JUMPDEST{_RD_CALLS[second]}
+  read: JUMPDEST
+    RETURNDATASIZE
+    PUSH 0
+    SSTORE
+    PUSH 1
+    RETURNDATALOAD
+    PUSH 1
+    SSTORE
+    STOP
+  }}
+}}
+"""
+
+
+RD_BACK_SRC = """
+contract back {
+  fn f external selector=0x2 {
+    PUSH 0
+    CALLDATALOAD
+    JUMPI ok
+    PUSH 9
+    PUSH 5
+    PUSH 2
+    REVERT
+  ok: JUMPDEST
+    PUSH 7
+    PUSH 6
+    PUSH 5
+    PUSH 3
+    RETURN
+  }
+}
+"""
+
+RD_PLAIN_SRC = """
+contract plain {
+  fn g external selector=0x3 {
+    PUSH 4
+    PUSH 3
+    PUSH 2
+    PUSH 3
+    RETURN
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("first", ["back", "plain"])
+@pytest.mark.parametrize(
+    "which, arg, seen",
+    [(0, 0, (2, 9)), (0, 1, (3, 6)), (1, 0, (3, 3))],
+    ids=["protected-reverted", "protected-returned", "unprotected"],
+)
+def test_return_data_shims_follow_the_call_that_ran(first, which, arg, seen):
+    """The return-data shims skip the [MARKER, flag] prefix only when the
+    call that ran left one: not after a protected callee reverted with its
+    raw data, and not after an unprotected call, whichever call comes last
+    in the body. The guarded world reads what the mirror reads."""
+    from pathguard.workflow import Bundle, run_detection
+
+    sources = (_rd_front_src(first), RD_BACK_SRC, RD_PLAIN_SRC)
+    bundle = Bundle.from_json(
+        {"contracts": [{"source": s} for s in sources], "boundary": ["front", "back"]}
+    )
+    record = {"to": "front", "fn": "go", "calldata": [which, arg, "@back", "@plain"]}
+    guarded = protect(bundle, train(bundle, [record]))
+    run = run_detection(guarded, [record])
+    (outcome,) = run.outcomes
+    assert (outcome.status, outcome.alarms, run.recon_failures) == ("Accepted", [], [])
+    for deployed in (run.deployed, run.mirror):
+        front = deployed.addresses["front"]
+        assert (deployed.world.sload(front, 0), deployed.world.sload(front, 1)) == seen
 
 
 ROTATED_SRC = """

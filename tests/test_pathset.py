@@ -209,14 +209,15 @@ def test_mix_avalanche_and_width():
 
 
 def _measured_check_gas(strategy, n, config=CONFIG):
-    """VM-measured gas of one member check: the checker (fid 1) plus the
-    shared miss routine (fid 2) when the check reaches it."""
+    """VM-measured gas of one member check, of the greatest key (a list's
+    last entry): the checker (fid 1) plus the shared miss routine (fid 2)
+    when the check reaches it."""
     from pathguard.guardcode import Asm, Layout, checker_pool, flatten, seq_checker, seq_miss
     from pathguard.isa import Instruction, Op
     from pathguard.program import ContractProgram, FunctionDef, Visibility, validate_program
     from pathguard.vm import Transaction, VM, WorldState, deploy
 
-    member = 1000
+    member = 1000 + max(n, 1) - 1
     if strategy == STRATEGY_LIST:
         spec = build_list(range(1000, 1000 + n))
     elif strategy == STRATEGY_MPHT:
@@ -240,7 +241,7 @@ def _measured_check_gas(strategy, n, config=CONFIG):
         ],
         {0x7: 0},
         None,
-        data_pool=checker_pool(spec),
+        data_pool=checker_pool(spec, config.width),
     )
     validate_program(prog, config)
     world = WorldState(config)
@@ -272,18 +273,22 @@ def test_cost_model_honesty_within_5_percent(strategy, n):
 
 
 def test_check_gas_crossover_measured():
-    """List checks grow linearly; the table check is flat. The measured
-    crossover sits at n=4 under the default schedule: the table hashes with
-    one multiply, one xorshift and native XORs (about 30 gas). It lies below
-    the n=6 strategy boundary (LIST_MAX), which stays where a list of five
-    still deploys fewer bytes than a table; recorded as a fidelity note."""
+    """A list check stops at its first hit, so a member on entry i pays i
+    entry steps of 22 gas (DUP, PUSH, CODELOAD, EQ, JUMPI); a list's worst
+    member is its last. The table check is flat: it hashes with one
+    multiply, one xorshift and native XORs. Measured on the last entry, the
+    crossover sits at n=7 under the default schedule, above the n=6
+    strategy boundary (LIST_MAX): a six-key set pays 163 gas in a table
+    where its worst list member would pay 147, and a list of five still
+    deploys fewer bytes; recorded as a fidelity note."""
     list_gas = {n: _measured_check_gas(STRATEGY_LIST, n) for n in range(1, 11)}
     mpht_gas = {n: _measured_check_gas(STRATEGY_MPHT, n) for n in range(1, 11)}
     for n in range(2, 11):
-        assert list_gas[n] == list_gas[n - 1] + 30  # 10 instructions per entry
+        assert list_gas[n] == list_gas[n - 1] + 22  # 5 instructions per entry
     assert max(mpht_gas.values()) - min(mpht_gas.values()) <= 60  # modulus shape only
     crossover = next(n for n in range(1, 11) if mpht_gas[n] <= list_gas[n])
-    assert crossover == 4
+    assert crossover == 7
+    assert (list_gas[6], mpht_gas[6]) == (147, 163)
 
 
 def test_estimate_gas_pinned():
@@ -301,5 +306,5 @@ def test_estimate_gas_pinned():
                     row = str(exc)
                 h.update(repr((width, strategy, n, row)).encode())
     assert h.hexdigest() == (
-        "21c38e088905dd1fd6f448dfeeff0e5f0a37bff2525a6f99e36887566ef6f316"
+        "fee775982a7f62b13f1f669064b96dea5faee5ac21afd5d1c0bed00404752a37"
     )

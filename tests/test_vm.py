@@ -701,7 +701,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "d954f86068794b6f10a9c2c38fddb5cc94c625cc782d0ecc62940f78760cbcfd"
+        "c155f4e99cafa3601c747fba2582f812d475f2ce4c80a10ac1e1b6260ee8886c"
     )
 
 
@@ -1058,15 +1058,70 @@ def test_block_engine_matches_per_instruction_reference(case):
         assert got == want
 
 
+# Record fields compared by ``diff_records``, in column order; gas last.
+_DIFF_FIELDS = ("status", "return_data", "alarms", "checked", "storage", "gas_used")
+
+
+def diff_records(parent: list[dict], change: list[dict]) -> str:
+    """Per-scenario count of records whose fields differ between two
+    ``_vm_records`` dumps, then each scenario's gas deltas (change minus
+    parent) as ``delta x count``. Records pair by (scenario, protected,
+    index); a record that has no pair is counted under ``unpaired``."""
+    key = lambda rec: (rec["scenario"], rec["protected"], rec["index"])  # noqa: E731
+    old = {key(rec): rec for rec in parent}
+    new = {key(rec): rec for rec in change}
+    rows: dict[str, dict] = {}
+    for k in sorted(old.keys() | new.keys(), key=lambda k: (k[0], k[1], k[2])):
+        row = rows.setdefault(k[0], {"records": 0, "unpaired": 0, "deltas": {}})
+        row["records"] += 1
+        if k not in old or k not in new:
+            row["unpaired"] += 1
+            continue
+        for field in _DIFF_FIELDS:
+            row[field] = row.get(field, 0) + (old[k][field] != new[k][field])
+        delta = new[k]["gas_used"] - old[k]["gas_used"]
+        row["deltas"][delta] = row["deltas"].get(delta, 0) + 1
+    columns = ("records", "unpaired") + _DIFF_FIELDS
+    lines = ["scenario".ljust(18) + "".join(c.rjust(12) for c in columns)]
+    for name, row in rows.items():
+        lines.append(name.ljust(18) + "".join(str(row.get(c, 0)).rjust(12) for c in columns))
+    lines.append("gas deltas (change - parent), delta x records:")
+    for name, row in rows.items():
+        hist = ", ".join(f"{d:+d} x {n}" for d, n in sorted(row["deltas"].items()))
+        lines.append(f"  {name}: {hist}")
+    return "\n".join(lines)
+
+
+def test_diff_records_counts_each_field_and_gas_delta():
+    base = {"scenario": "s", "protected": True, "status": "Accepted", "return_data": [1],
+            "alarms": [], "checked": [["c", 0, 5]], "storage": "ab", "gas_used": 100}
+    parent = [dict(base, index=i) for i in range(3)]
+    change = [dict(base, index=0, gas_used=90), dict(base, index=1, status="Reverted"),
+              dict(base, index=3)]
+    out = diff_records(parent, change).splitlines()
+    assert out[1].split() == ["s", "4", "2", "1", "0", "0", "0", "0", "1"]
+    assert out[-1] == "  s: -10 x 1, +0 x 1"
+
+
 if __name__ == "__main__":
-    # Dump the corpus records as JSON lines, to compare two builds:
+    # Dump the corpus records as JSON lines, then compare two builds' dumps:
     #   PYTHONPATH=src python tests/test_vm.py --records FILE
+    #   PYTHONPATH=src python tests/test_vm.py --diff PARENT CHANGE
     import argparse
     import json
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--records", required=True, help="output file (JSON lines)")
-    out = parser.parse_args().records
-    with open(out, "w") as fh:
-        for rec in _vm_records():
-            fh.write(json.dumps(rec) + "\n")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--records", metavar="FILE", help="output file (JSON lines)")
+    mode.add_argument("--diff", nargs=2, metavar=("PARENT", "CHANGE"), help="two --records files")
+    args = parser.parse_args()
+    if args.diff:
+        dumps = []
+        for path in args.diff:
+            with open(path) as fh:
+                dumps.append([json.loads(line) for line in fh])
+        print(diff_records(*dumps))
+    else:
+        with open(args.records, "w") as fh:
+            for rec in _vm_records():
+                fh.write(json.dumps(rec) + "\n")

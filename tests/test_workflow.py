@@ -558,3 +558,61 @@ def test_forged_guard_payload_raises_no_alarm(code_id, fid):
     assert direct.alarms == [] and not run.alarm_log
     with pytest.raises(WorkflowError, match="no alarms recorded"):
         review_and_approve(run, caught.index, bundle.config.admin)
+
+
+P_SRC = """
+contract p {
+  fn go external selector=0x1 {
+    PUSH 0
+    PUSH 0x5
+    PUSH 0
+    CALLDATALOAD    ; lib's address
+    DELEGATECALL target=lib
+    POP
+    PUSH 1
+    CALLDATALOAD
+    JUMPI odd
+    STOP
+  odd: JUMPDEST
+    STOP
+  }
+}
+"""
+
+LIB_SRC = """
+contract lib {
+  fn f external selector=0x5 {
+    PUSH 1
+    PUSH 1
+    TSTORE          ; one alarm entry in the buffer
+    PUSH 99
+    PUSH 2
+    TSTORE          ; code id 99
+    PUSH 5
+    PUSH 4
+    TSTORE          ; fid 0, combined 5
+    STOP
+  }
+}
+"""
+
+
+def test_alarm_entry_naming_no_protected_function_is_labelled():
+    """An unprotected library reached by DELEGATECALL runs in the protected
+    account and writes a made-up entry (code id 99) into its alarm buffer.
+    The frame's genuine miss still guard-reverts the tx with its own alarm,
+    and the made-up entry becomes a labelled record instead of an error."""
+    bundle = Bundle.from_json(
+        {"contracts": [{"source": P_SRC}, {"source": LIB_SRC}], "boundary": ["p"]}
+    )
+    calls = [{"origin": 1, "to": "p", "fn": "go", "calldata": ["@lib", v]} for v in (0, 1)]
+    guarded = protect(bundle, train(bundle, calls[:1]))
+    run = start_detection(guarded, mirror=False)
+    outcome = run_transaction(run, calls[1])
+    assert outcome.status == "GuardReverted"
+    forged, genuine = outcome.alarms
+    p = run.deployed.addresses["p"]
+    assert (forged.contract, forged.function, forged.combined_id) == (p, 0, 5)
+    assert forged.context_chain == ["<alarm entry names no protected function>"]
+    assert (genuine.contract, genuine.function) == (p, 0)
+    assert genuine.context_chain == ["entry -> p.fn0"] and genuine.path_blocks
