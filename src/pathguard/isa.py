@@ -12,10 +12,10 @@ from enum import Enum
 
 
 class Op(Enum):
-    """Opcodes, listed in dispatch order.
+    """Opcodes, listed by kind.
 
-    Each member's ``code`` is its index in this list. The VM dispatches on
-    these dense ints, split into ranges by ``<`` tests: stack ops, binary
+    Each member's ``code`` is its index in this list; the VM's price and
+    stack-effect tables are indexed by it. The ranges are stack ops, binary
     then unary ALU ops, jumps and memory, one-operand environment reads,
     zero-operand environment reads, then storage writes, calls and exits.
     """

@@ -195,6 +195,10 @@ def validate_program(prog: ContractProgram, config: Config) -> None:
                 f"{prog.name}.{f.name}: body must end with a terminator or jump"
             )
         for off, instr in enumerate(f.body):
+            if instr.imm is not None and type(instr.imm) is not int:  # bool is not a word
+                raise ValidationError(
+                    f"{prog.name}.{f.name}@{off}: immediate {instr.imm!r} is not an int"
+                )
             if instr.imm is not None and not (0 <= instr.imm <= mask):
                 if instr.op in JUMPS or instr.op is Op.ICALL:
                     pass  # range-checked below with better messages

@@ -8,6 +8,8 @@ frame failures and transaction failures restore the exact prior state.
 from __future__ import annotations
 
 import functools
+import operator
+import re
 from dataclasses import dataclass, field
 
 from .config import (
@@ -27,18 +29,20 @@ TRACE_NONE = 0
 TRACE_CHECKS = 1  # PathChecked, Revert
 TRACE_FULL = 2
 
-# Dispatch codes (``Op.code``), one line per range that ``_run_frame`` splits.
+# Dispatch codes (``Op.code``).
 _OPS = tuple(Op)
-_PUSH, _DUP, _SWAP = Op.PUSH.code, Op.DUP.code, Op.SWAP.code
-_ADD, _SUB, _DIV, _LT = Op.ADD.code, Op.SUB.code, Op.DIV.code, Op.LT.code
-_EQ, _AND, _OR, _XOR = Op.EQ.code, Op.AND.code, Op.OR.code, Op.XOR.code
-_ISZERO = Op.ISZERO.code
+_PUSH, _POP, _DUP, _SWAP = Op.PUSH.code, Op.POP.code, Op.DUP.code, Op.SWAP.code
+_ADD, _SUB, _MUL, _DIV = Op.ADD.code, Op.SUB.code, Op.MUL.code, Op.DIV.code
+_LT, _GT, _EQ = Op.LT.code, Op.GT.code, Op.EQ.code
+_AND, _OR, _XOR = Op.AND.code, Op.OR.code, Op.XOR.code
+_ISZERO, _NOT = Op.ISZERO.code, Op.NOT.code
 _JUMPDEST, _JUMP, _JUMPI = Op.JUMPDEST.code, Op.JUMP.code, Op.JUMPI.code
 _MLOAD, _MSTORE = Op.MLOAD.code, Op.MSTORE.code
 _SLOAD, _CODELOAD, _CALLDATALOAD = Op.SLOAD.code, Op.CODELOAD.code, Op.CALLDATALOAD.code
-_TLOAD, _BALANCE = Op.TLOAD.code, Op.BALANCE.code
+_TLOAD, _BALANCE, _RETURNDATALOAD = Op.TLOAD.code, Op.BALANCE.code, Op.RETURNDATALOAD.code
 _CALLDATASIZE, _CALLER, _ORIGIN = Op.CALLDATASIZE.code, Op.CALLER.code, Op.ORIGIN.code
 _ADDRESS, _CALLVALUE = Op.ADDRESS.code, Op.CALLVALUE.code
+_RETURNDATASIZE = Op.RETURNDATASIZE.code
 _SSTORE, _TSTORE = Op.SSTORE.code, Op.TSTORE.code
 _ICALL, _IRET = Op.ICALL.code, Op.IRET.code
 _CALL, _DELEGATECALL = Op.CALL.code, Op.DELEGATECALL.code
@@ -74,15 +78,60 @@ _ENDS = frozenset(
         Op.SSTORE, Op.RETURN, Op.STOP, Op.REVERT,
     )
 )
+# Block-ending ops that ``_run_frame`` runs itself, after the block's compiled
+# part: they check runtime values, change frames or exit.
+_TAILS = (_ENDS - {_JUMP, _JUMPI}) | {_FAIL}
 # Block-ending ops that check runtime values. Each adds its own charge to a
 # mirrored point once its check passes; every other op's charge is added
 # with its block's at entry.
 _SELF_CHARGED = frozenset(
     op.code for op in (Op.ICALL, Op.IRET, Op.CALL, Op.DELEGATECALL, Op.RETURN, Op.REVERT)
 )
-# Ops a directly preceding PUSH is fused into: its word becomes their
-# immediate, read in place of the top of the stack.
-_FUSES = frozenset([_MLOAD, _MSTORE, *range(_ADD, _ISZERO)])
+
+# Source templates of the compiled straight-line ops, by ``Op.code``. Each
+# names its operands ``{x}`` (second from top) and ``{y}`` (top), or ``{i}``,
+# and reads frame state through the locals of ``_LOCALS``.
+_BINARY = {
+    _DIV: "{x} // {y} if {y} else 0",
+    _LT: "1 if {x} < {y} else 0",
+    _GT: "1 if {x} > {y} else 0",
+    _EQ: "1 if {x} == {y} else 0",
+    _AND: "{x} & {y}",
+    _OR: "{x} | {y}",
+    _XOR: "{x} ^ {y}",
+}
+# wraparound is profiled: (operator, overflow test; t is the exact result)
+_CHECKED = {_ADD: ("+", "t > {mask}"), _SUB: ("-", "{x} < {y}"), _MUL: ("*", "t > {mask}")}
+_UNARY = {
+    _ISZERO: "0 if {i} else 1",
+    _NOT: "{i} ^ {mask}",
+    _MLOAD: "M.get({i}, 0)",
+    _SLOAD: "W.sload(A, {i})",
+    _TLOAD: "W.tload(A, {i})",
+    _CODELOAD: "(P[{i}] if {i} < len(P) else 0) & {mask}",
+    _CALLDATALOAD: "C[{i}] if {i} < len(C) else 0",
+    _BALANCE: "W.balance_of({i})",
+    _RETURNDATALOAD: "R[{i}] if {i} < len(R) else 0",
+}
+_NULLARY = {
+    _CALLDATASIZE: "len(C)",
+    _CALLER: "X.caller",
+    _ORIGIN: "X.origin",
+    _ADDRESS: "X.address",
+    _CALLVALUE: "X.value",
+    _RETURNDATASIZE: "len(R)",
+}
+# Frame locals a compiled block may read, loaded from its ``_Frame`` once
+# at the top when its source uses them.
+_LOCALS = {
+    "W": "X.world", "A": "X.addr", "C": "X.calldata", "P": "X.pool", "R": "X.ret",
+    "F": "X.full", "CL": "X.check_log",
+}
+# the frame locals each op's source reads
+_READS = {_MSTORE: ("CL",), _TSTORE: ("W", "A"), **{op: ("F",) for op in _CHECKED}}
+for _op, _template in {**_UNARY, **_NULLARY}.items():
+    _READS[_op] = tuple(name for name in _LOCALS if re.search(rf"\b{name}\b", _template))
+del _op, _template
 
 
 class VmError(Exception):
@@ -138,6 +187,16 @@ class Transaction:
     def __post_init__(self) -> None:
         if self.gas_limit <= 0:
             raise VmError("gas_limit must be positive")
+
+
+def check_words(tx: Transaction, mask: int) -> None:
+    """Raise VmError unless ``tx``'s value and every calldata word is an int
+    in [0, mask]: the VM reads them as words, unmasked."""
+    if type(tx.value) is not int or not 0 <= tx.value <= mask:
+        raise VmError(f"transaction value {tx.value!r} is not a word in [0, {mask:#x}]")
+    for word in tx.calldata:
+        if type(word) is not int or not 0 <= word <= mask:
+            raise VmError(f"calldata word {word!r} is not a word in [0, {mask:#x}]")
 
 
 STATUS_ACCEPTED = "Accepted"
@@ -326,9 +385,36 @@ def _engine_key(gas: GasSchedule, mask: int) -> tuple:
     """What a decoded block depends on: the price table and the word mask.
 
     One object per (schedule, mask), so that ``FunctionDef.blocks`` can tell
-    its cache is current by identity.
+    its cache is current by identity. The trace a block writes is not part
+    of it: compiled code reads it from its ``_Frame``, so the blocks that
+    setup transactions decode untraced serve detection too.
     """
     return price_table(gas), mask
+
+
+class _Frame:
+    """What a compiled block reads of its message frame besides the stack and
+    memory: ``fid`` follows internal calls and ``ret`` holds the last message
+    call's return data. The environment words are masked. ``full`` asks for
+    ArithChecked events, and a store to ``check_log`` (None for none) is a
+    PathChecked event."""
+
+    __slots__ = (
+        "world", "addr", "fid", "calldata", "pool", "ret", "trace", "name",
+        "caller", "origin", "address", "value", "full", "check_log",
+    )
+
+    def __init__(
+        self, vm: "VM", code: ContractProgram, addr, fid, calldata, caller, origin, value
+    ):
+        mask = vm.config.mask
+        self.world, self.addr, self.fid, self.ret = vm.world, addr, fid, []
+        self.calldata, self.pool, self.name = calldata, code.data_pool, code.name
+        self.trace = vm.trace
+        self.caller, self.origin = caller & mask, origin & mask
+        self.address, self.value = addr & mask, value & mask
+        self.full = vm.trace_level >= TRACE_FULL
+        self.check_log = vm.check_log_addr if vm.trace_level >= TRACE_CHECKS else None
 
 
 def _block(
@@ -338,26 +424,28 @@ def _block(
 
     A block ends after a jump, call, SSTORE, IRET or exit, or before a
     JUMPDEST; validation makes every jump target one. Returns ``[gas, need,
-    room, ops, end, None, ()]``:
+    room, run, tail, end, None, ()]``:
 
     - ``gas``: the static gas of all its ops;
     - ``need``, ``room``: the least and greatest stack height at which it
       can be entered without a stack failure;
-    - ``ops``: ``(op, imm, pc)`` tuples. JUMPDEST is dropped, a PUSH is
-      fused into a following op of ``_FUSES``, which then carries its word
-      as ``imm``, and DUP/SWAP carry the negative index they read;
+    - ``run``: its straight-line ops compiled by ``_compile``, or None when
+      it has none;
+    - ``tail``: its last op as ``(op, imm, pc)`` when that op is one of
+      ``_TAILS``, which ``_run_frame`` runs after ``run``, else None;
     - ``end``: the pc after the block.
 
     The last two slots cache the block's ``_point_totals`` for one owner
     table. Given ``entry``, a (stack height, gas left) at which the
     block fails its entry check, decoding stops before the first op that
-    fails there and ends in a ``_FAIL`` op for it: the ops before it run as
+    fails there and ends in a ``_FAIL`` tail for it: the ops before it run as
     in any block, and ``_FAIL`` charges the op and raises where it would.
     """
     if start >= len(body):
         raise _FrameFailure("fell off function body")
     gas = need = height = peak = 0
     ops: list[tuple] = []
+    tail = None
     pc, n = start, len(body)
     while pc < n:
         ins = body[pc]
@@ -367,13 +455,12 @@ def _block(
         price = prices[op]
         reads, delta = _EFFECTS[op]
         imm = ins.imm
-        if imm is not None:
-            if op == _PUSH:
-                imm &= mask
-            elif op == _DUP:
-                reads, imm = (imm if imm > 0 else _NEVER), -imm
-            elif op == _SWAP:
-                reads, imm = (imm + 1 if imm > 0 else _NEVER), -1 - imm
+        if op == _PUSH:
+            imm &= mask
+        elif op == _DUP:
+            reads = imm if imm > 0 else _NEVER
+        elif op == _SWAP:
+            reads = imm + 1 if imm > 0 else _NEVER
         if entry is not None:
             words = entry[0] + height
             if (
@@ -382,7 +469,7 @@ def _block(
                 or (delta > 0 and words >= OPERAND_STACK_LIMIT)
             ):
                 reason = "stack underflow" if words < reads else "stack overflow"
-                ops.append((_FAIL, (price, reason), pc))
+                tail = (_FAIL, (price, reason), pc)
                 break
         gas += price
         if reads - height > need:
@@ -390,14 +477,157 @@ def _block(
         height += delta
         if height > peak:
             peak = height
-        if op in _FUSES and ops and ops[-1][0] == _PUSH:
-            ops[-1] = (op, ops[-1][1], pc)
+        if op in _TAILS:
+            tail = (op, imm, pc)
         elif op != _JUMPDEST:
             ops.append((op, imm, pc))
         pc += 1
         if op in _ENDS:
             break
-    return [gas, need, OPERAND_STACK_LIMIT - peak, tuple(ops), pc, None, ()]
+    # a block with DUP 0 or SWAP 0 always fails its entry check
+    run = None
+    if ops and need != _NEVER:
+        run = _compile(tuple(ops), pc, mask)
+    return [gas, need, OPERAND_STACK_LIMIT - peak, run, tail, pc, None, ()]
+
+
+def _source(ops: tuple, end: int, mask: int) -> str:
+    """Python source of ``run(S, M, X)``, the straight-line ``ops`` of a block.
+
+    ``S`` is the operand stack, ``M`` the memory and ``X`` the ``_Frame``.
+    Operands live in locals over a symbolic stack: ``e1``, ``e2``, ... are
+    the words the block found on top of ``S`` at entry, read where it used
+    them, ``v0``, ``v1``, ... each op's result, and an int a PUSHed word.
+    Reads and writes of memory, storage and the environment, and their
+    events, run in op order at their own pc. ``S`` is written once at the
+    end with the block's net change, and ``run`` returns the next pc. Only
+    ints from ``ops`` and the arguments, each through ``operator.index``,
+    are rendered into the source; it names no other value.
+    """
+    index = operator.index
+    end, mask = index(end), index(mask)
+    lines: list[str] = []
+    stack: list = []
+    taken = 0  # entry words on the symbolic stack: e{taken} .. e1
+    used: set[str] = set()  # entry words and frame locals the source reads
+    stored: dict = {}  # words this block stored at constant memory addresses
+    count = 0
+    nxt = str(end)
+
+    def take(k: int) -> None:
+        nonlocal taken
+        while len(stack) < k:
+            taken += 1
+            stack.insert(0, f"e{taken}")
+
+    def pop() -> str:
+        word = stack.pop()
+        if isinstance(word, int):
+            return str(word)
+        used.add(word)
+        return word
+
+    def result(expr: str) -> None:
+        nonlocal count
+        lines.append(f"v{count} = {expr}")
+        stack.append(f"v{count}")
+        count += 1
+
+    def event(kind: str, pc: int, detail: str) -> str:
+        return f'X.trace.append(E("{kind}", X.addr, X.fid, {pc}, {{{detail}}}))'
+
+    for op, imm, pc in ops:
+        pc = index(pc)
+        used.update(_READS.get(op, ()))
+        if op == _PUSH:
+            stack.append(index(imm))
+        elif op == _POP:
+            take(1)
+            stack.pop()
+        elif op == _DUP:
+            k = index(imm)
+            take(k)
+            stack.append(stack[-k])
+        elif op == _SWAP:
+            k = index(imm) + 1
+            take(k)
+            stack[-1], stack[-k] = stack[-k], stack[-1]
+        elif op in _CHECKED:
+            take(2)
+            y, x = pop(), pop()
+            sign, test = _CHECKED[op]
+            lines.append(f"t = {x} {sign} {y}")
+            result(f"t & {mask}")
+            overflow = test.format(x=x, y=y, mask=mask)
+            lines += ["if F:", "    " + event(
+                "ArithChecked", pc, f'"op": "{_OPS[op].value}", "overflow": {overflow}'
+            )]
+        elif op in _BINARY:
+            take(2)
+            y, x = pop(), pop()
+            result(_BINARY[op].format(x=x, y=y))
+        elif op in _UNARY:
+            take(1)
+            if op == _MLOAD and stack[-1] in stored:
+                stack.append(stored[stack.pop()])
+            else:
+                result(_UNARY[op].format(i=pop(), mask=mask))
+        elif op in _NULLARY:
+            result(_NULLARY[op])
+        elif op == _MSTORE or op == _TSTORE:
+            take(2)
+            if op == _MSTORE and isinstance(stack[-1], int):
+                stored[stack[-1]] = stack[-2]
+            elif op == _MSTORE:
+                stored.clear()  # the address may be any of them
+            addr, word = pop(), pop()
+            if op == _TSTORE:
+                lines.append(f"W.tstore(A, {addr}, {word})")
+                continue
+            lines += [
+                f"M[{addr}] = {word}",
+                f"if {addr} == CL:",
+                "    " + event("PathChecked", pc, f'"combined": {word}, "code": X.name'),
+            ]
+        elif op == _JUMP:
+            nxt = str(index(imm))
+        elif op == _JUMPI:
+            take(1)
+            nxt = f"{index(imm)} if {pop()} else {end}"
+        else:
+            raise ValueError(f"{_OPS[op].value} is not a straight-line op")
+
+    # write back the words above the deepest entry word still in place
+    keep = 0
+    while keep < min(taken, len(stack)) and stack[keep] == f"e{taken - keep}":
+        keep += 1
+    drop = taken - keep
+    out = [str(w) if isinstance(w, int) else w for w in stack[keep:]]
+    used.update(w for w in out if w.startswith("e"))
+    if drop == len(out) == 1:
+        lines.append(f"S[-1] = {out[0]}")
+    elif drop and out:
+        lines.append(f"S[-{drop}:] = {', '.join(out)},")
+    elif drop:
+        lines.append(f"del S[-{drop}:]")
+    elif len(out) == 1:
+        lines.append(f"S.append({out[0]})")
+    elif out:
+        lines.append(f"S += {', '.join(out)},")
+    lines.append(f"return {nxt}")
+
+    head = [f"{name} = {load}" for name, load in _LOCALS.items() if name in used]
+    head += [f"e{k} = S[-{k}]" for k in range(1, taken + 1) if f"e{k}" in used]
+    return "def run(S, M, X):\n" + "".join(f"    {line}\n" for line in head + lines)
+
+
+@functools.lru_cache(maxsize=4096)
+def _compile(ops: tuple, end: int, mask: int):
+    """``run`` built from ``_source``, one per block content, shared by every
+    ``FunctionDef`` (and every VM) that runs that block."""
+    namespace = {"E": TraceEvent, "__builtins__": {"len": len}}
+    exec(compile(_source(ops, end, mask), "<block>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _point_totals(
@@ -441,6 +671,7 @@ class VM:
 
     def execute_transaction(self, tx: Transaction) -> Receipt:
         world = self.world
+        check_words(tx, self.config.mask)
         acct = world.accounts.get(tx.to)
         if acct is None or acct.code is None:
             raise VmError(f"transaction target {tx.to:#x} is not a contract")
@@ -507,17 +738,18 @@ class VM:
 
         Runs basic blocks, each decoded once and cached on its
         ``FunctionDef`` (``_block``). At block entry it checks the gas left
-        and both stack bounds, charges the block's static gas, adds its
-        per-point totals when mirrored and then runs its ops without per-op
-        checks. Only checks on runtime values stay at their op: the
+        and both stack bounds, charges the block's static gas and adds its
+        per-point totals when mirrored. Then the block's compiled
+        straight-line part runs (``_compile``); no op in it can fail. Only
+        the ops that check runtime values run here, as the block's tail: the
         RETURN/REVERT word count, the CALL argument count, the SSTORE price,
-        the ICALL depth and IRET. Each of those ops ends its block and adds
-        its own charge to a mirrored point once its check passes. A block
-        that fails its entry check is decoded again for that entry: its
-        failure-free prefix runs as an ordinary block, then a ``_FAIL`` op
-        charges the first failing op and raises there. So gas, trace and
-        point totals match a machine that checked every op. The gas used so
-        far lives in the local ``gas_used``; it is written back to
+        the ICALL depth and IRET, and STOP. Each of those ops ends its block
+        and adds its own charge to a mirrored point once its check passes. A
+        block that fails its entry check is decoded again for that entry:
+        its failure-free prefix runs as an ordinary block, then a ``_FAIL``
+        tail charges the first failing op and raises there. So gas, trace
+        and point totals match a machine that checked every op. The gas used
+        so far lives in the local ``gas_used``; it is written back to
         ``self.gas_used`` before every exit from the frame and around every
         message call.
         """
@@ -531,15 +763,13 @@ class VM:
         gas_limit = self.gas_limit
         gas_used = self.gas_used
         full = self.trace_level >= TRACE_FULL
-        check_log = self.check_log_addr if self.trace_level >= TRACE_CHECKS else None
         emit = self._emit
         name = code.name
-        pool = code.data_pool
         functions = code.functions
 
         stack: list[int] = []
         memory: dict[int, int] = {}
-        last_ret: list[int] = []
+        frame = _Frame(self, code, self_addr, fid, calldata, caller, origin, value)
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
@@ -561,122 +791,25 @@ class VM:
                     blk = blocks[pc]
                 except KeyError:
                     blk = blocks[pc] = _block(fn.body, pc, prices, mask)
-                cost, need, room, ops, nxt, seen, totals = blk
+                cost, need, room, run, tail, nxt, seen, totals = blk
                 height = len(stack)
                 if gas_used + cost > gas_limit or height < need or height > room:
                     blk = _block(fn.body, pc, prices, mask, (height, gas_limit - gas_used))
-                    cost, need, room, ops, nxt, seen, totals = blk
+                    cost, need, room, run, tail, nxt, seen, totals = blk
                 gas_used += cost
                 if acc is not None:
                     if seen is not own:
                         totals = _point_totals(fn.body, pc, nxt, prices, own)
-                        blk[5], blk[6] = own, totals
+                        blk[6], blk[7] = own, totals
                     for pid, charge in totals:
                         acc[pid] += charge
                 if full and pc in fn.leaders:
                     emit("BlockEnter", self_addr, ifid, pc, {"code": name})
-
-                for op, imm, pc in ops:
-                    if op < _ISZERO:
-                        if op >= _ADD:  # binary ALU: result replaces x
-                            y = stack.pop() if imm is None else imm
-                            x = stack[-1]
-                            if op < _DIV:  # wraparound is profiled
-                                if op == _ADD:
-                                    exact = x + y
-                                elif op == _SUB:
-                                    exact = x - y
-                                else:
-                                    exact = x * y
-                                stack[-1] = exact & mask
-                                if full:
-                                    emit(
-                                        "ArithChecked",
-                                        self_addr,
-                                        ifid,
-                                        pc,
-                                        {
-                                            "op": _OPS[op].value,
-                                            "overflow": x < y if op == _SUB else exact > mask,
-                                        },
-                                    )
-                            elif op == _AND:
-                                stack[-1] = x & y
-                            elif op == _DIV:
-                                stack[-1] = x // y if y else 0
-                            elif op == _OR:
-                                stack[-1] = x | y
-                            elif op == _XOR:
-                                stack[-1] = x ^ y
-                            elif op == _EQ:
-                                stack[-1] = 1 if x == y else 0
-                            elif op == _LT:
-                                stack[-1] = 1 if x < y else 0
-                            else:
-                                stack[-1] = 1 if x > y else 0
-                        elif op == _PUSH:
-                            stack.append(imm)
-                        elif op == _DUP:
-                            stack.append(stack[imm])
-                        elif op == _SWAP:
-                            stack[-1], stack[imm] = stack[imm], stack[-1]
-                        else:
-                            stack.pop()
-                    elif op == _MLOAD:
-                        if imm is None:
-                            stack[-1] = memory.get(stack[-1], 0)
-                        else:
-                            stack.append(memory.get(imm, 0))
-                    elif op == _MSTORE:
-                        addr = stack.pop() if imm is None else imm
-                        val = stack.pop()
-                        memory[addr] = val
-                        if addr == check_log:
-                            emit(
-                                "PathChecked",
-                                self_addr,
-                                ifid,
-                                pc,
-                                {"combined": val, "code": name},
-                            )
-                    elif op < _SLOAD:  # ISZERO NOT JUMP JUMPI
-                        if op == _JUMPI:
-                            if stack.pop():
-                                nxt = imm
-                        elif op == _JUMP:
-                            nxt = imm
-                        elif op == _ISZERO:
-                            stack[-1] = 1 if stack[-1] == 0 else 0
-                        else:
-                            stack[-1] ^= mask
-                    elif op < _CALLDATASIZE:  # one-operand reads: result replaces it
-                        i = stack[-1]
-                        if op == _CALLDATALOAD:
-                            stack[-1] = calldata[i] if i < len(calldata) else 0
-                        elif op == _CODELOAD:
-                            stack[-1] = (pool[i] if i < len(pool) else 0) & mask
-                        elif op == _SLOAD:
-                            stack[-1] = world.sload(self_addr, i)
-                        elif op == _TLOAD:
-                            stack[-1] = world.tload(self_addr, i)
-                        elif op == _BALANCE:
-                            stack[-1] = world.balance_of(i)
-                        else:
-                            stack[-1] = last_ret[i] if i < len(last_ret) else 0
-                    elif op < _SSTORE:  # zero-operand reads
-                        if op == _CALLDATASIZE:
-                            stack.append(len(calldata))
-                        elif op == _CALLER:
-                            stack.append(caller & mask)
-                        elif op == _ORIGIN:
-                            stack.append(origin & mask)
-                        elif op == _ADDRESS:
-                            stack.append(self_addr & mask)
-                        elif op == _CALLVALUE:
-                            stack.append(value & mask)
-                        else:
-                            stack.append(len(last_ret))
-                    elif op == _ICALL:
+                if run is not None:
+                    nxt = run(stack, memory, frame)
+                if tail is not None:
+                    op, imm, pc = tail
+                    if op == _ICALL:
                         if len(istack) >= INTERNAL_DEPTH_LIMIT:
                             raise _FrameFailure("internal call depth exceeded")
                         if full:
@@ -686,7 +819,7 @@ class VM:
                                 acc[own[pc]] += prices[op]
                             own = owners[imm]
                         istack.append((ifid, pc + 1))
-                        ifid = imm
+                        ifid = frame.fid = imm
                         fn = functions[ifid]
                         blocks = fn.blocks(key)
                         nxt = 0
@@ -696,6 +829,7 @@ class VM:
                         if full:
                             emit("CallReturn", self_addr, ifid, pc, None)
                         ifid, nxt = istack.pop()
+                        frame.fid = ifid
                         if acc is not None:
                             if own[pc] >= 0:
                                 acc[own[pc]] += prices[op]
@@ -713,9 +847,6 @@ class VM:
                         if acc is not None and own[pc] >= 0:
                             acc[own[pc]] += charge
                         world.sstore(self_addr, slot, val)
-                    elif op == _TSTORE:
-                        slot = stack.pop()
-                        world.tstore(self_addr, slot, stack.pop())
                     elif op == _CALL or op == _DELEGATECALL:
                         is_delegate = op == _DELEGATECALL
                         target = stack.pop()
@@ -726,7 +857,7 @@ class VM:
                             raise _FrameFailure("stack underflow")
                         args = [stack.pop() for _ in range(nargs)]
                         self.gas_used = gas_used
-                        ok, last_ret = self._message_call(
+                        ok, frame.ret = self._message_call(
                             kind="delegatecall" if is_delegate else "call",
                             caller_self=self_addr,
                             caller_caller=caller,
@@ -767,19 +898,25 @@ class VM:
                 pc = nxt
         except _FrameFailure as failure:
             self.gas_used = gas_used
-            world.rollback(token)
-            if self.trace_level >= TRACE_CHECKS:
-                detail: dict = {"reason": failure.reason}
-                if failure.data and failure.data[0] == (
-                    config.guard.guard_marker & mask
-                ):
-                    # named by its code, as PathChecked is: detection
-                    # trusts only the payload of a guard routine
-                    detail.update(
-                        guard=True, code=name, alarms=_parse_guard_payload(failure.data)
-                    )
-                self._emit("Revert", self_addr, ifid, pc, detail)
-            return False, failure.data
+            return self._frame_failed(failure, token, name, self_addr, ifid, pc)
+
+    def _frame_failed(
+        self, failure: _FrameFailure, token: int, name: str, self_addr: int, fid: int, pc: int
+    ) -> tuple[bool, list[int]]:
+        """Roll a failed frame back and trace its Revert at (fid, pc)."""
+        self.world.rollback(token)
+        if self.trace_level >= TRACE_CHECKS:
+            detail: dict = {"reason": failure.reason}
+            if failure.data and failure.data[0] == (
+                self.config.guard.guard_marker & self.config.mask
+            ):
+                # named by its code, as PathChecked is: detection
+                # trusts only the payload of a guard routine
+                detail.update(
+                    guard=True, code=name, alarms=_parse_guard_payload(failure.data)
+                )
+            self._emit("Revert", self_addr, fid, pc, detail)
+        return False, failure.data
 
     def _message_call(
         self,

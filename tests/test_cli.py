@@ -133,6 +133,22 @@ def test_protect_rejects_an_invalid_program_entry(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("imm", ["5", 1.5], ids=["str", "float"])
+def test_protect_rejects_a_non_int_immediate(tmp_path, capsys, imm):
+    (tmp_path / "snap.json").write_text("{}")
+    body = [["PUSH", imm], ["POP", None], ["STOP", None]]
+    fn = {"id": 0, "name": "f", "visibility": "external", "body": body}
+    program = {"name": "bad", "functions": [fn], "selector_table": {"0x1": 0}}
+    bad = tmp_path / "bad.bundle.json"
+    bad.write_text(json.dumps({"contracts": [{"program": program}]}))
+    out = tmp_path / "g.json"
+    code = cli.main(["protect", str(bad), str(tmp_path / "snap.json"), "-o", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"immediate {imm!r} is not an int" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags", [(), ("--dump-cfg",), ("--dump-callgraph",), ("--dump-cfg", "--dump-callgraph")]
 )
@@ -220,3 +236,23 @@ def test_protect_prints_why_a_set_moved_to_the_mapping(tmp_path, capsys, monkeyp
     assert demoted and {c for c, _fn in demoted} == set(guarded["contracts"])
     out = _main(capsys, "run", tmp_path / "guarded.json", training)
     assert "alarms: 0 on 0 txs" in out
+
+
+@pytest.mark.parametrize(
+    "field, word", [("value", -7), ("calldata", [-1]), ("calldata", [1 << 80])],
+    ids=["negative-value", "negative-calldata", "wide-calldata"],
+)
+def test_run_rejects_a_transaction_word_out_of_range(tmp_path, capsys, field, word):
+    _main(capsys, "fixture", "visibility", "-o", tmp_path)
+    bundle = tmp_path / "visibility.bundle.json"
+    training = tmp_path / "visibility.train.jsonl"
+    _main(capsys, "train", bundle, training, "-o", tmp_path / "snap.json")
+    _main(capsys, "protect", bundle, tmp_path / "snap.json", "-o", tmp_path / "guarded.json")
+    record = json.loads(training.read_text().splitlines()[0])
+    record[field] = word
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    code = cli.main(["run", str(tmp_path / "guarded.json"), str(bad)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a word" in err

@@ -14,7 +14,14 @@ from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.guardcode import Layout
 from pathguard.isa import Instruction, Op
 from pathguard.oracle import TraceOracle
-from pathguard.program import ContractProgram, FunctionDef, SizeLimitExceeded, Visibility
+from pathguard.program import (
+    ContractProgram,
+    FunctionDef,
+    SizeLimitExceeded,
+    ValidationError,
+    Visibility,
+    validate_program,
+)
 from pathguard.vm import (
     STATUS_ACCEPTED,
     STATUS_GUARD_REVERTED,
@@ -22,14 +29,27 @@ from pathguard.vm import (
     STATUS_REVERTED,
     TRACE_CHECKS,
     TRACE_FULL,
+    TRACE_NONE,
     Transaction,
     UnknownSelectorError,
     VM,
+    VmError,
     WorldState,
+    _compile,
+    _source,
     deploy,
     execute_transaction,
 )
-from pathguard.workflow import build_world, deploy_guarded, parse_tx, protect, train
+from pathguard.workflow import (
+    WorkflowError,
+    build_world,
+    deploy_guarded,
+    parse_tx,
+    protect,
+    run_transaction,
+    start_detection,
+    train,
+)
 from vm_reference import ReferenceVM
 
 STORE_SRC = """
@@ -609,22 +629,24 @@ def _offset_charges(points) -> list[tuple[str, int, int, int]]:
     )
 
 
-def _vm_runs(charges=False):
-    """Run the pinned corpus; yield (scenario, protected, receipt, world,
-    charges) per tx.
+def _vm_runs(charges=False, vm_cls=VM, plain_levels=(TRACE_FULL,)):
+    """Run the pinned corpus under ``vm_cls``; yield (scenario, protected,
+    receipt, world, charges) per tx.
 
-    Each fixture runs its training stream plus one 30-tx test sequence twice:
-    uninstrumented at TRACE_FULL, and protected at TRACE_CHECKS. With
-    ``charges``, a protected tx also yields its ``_offset_charges``.
+    Each fixture runs its training stream plus one 30-tx test sequence:
+    uninstrumented at each of ``plain_levels``, and protected at
+    TRACE_CHECKS. With ``charges``, a protected tx also yields its
+    ``_offset_charges``.
     """
     for scenario in ALL_SCENARIOS:
         bundle = scenario.bundle()
         records = scenario.training + scenario.test_sequence(random.Random(0), 30)[0]
-        plain = build_world(bundle)
-        for record in bundle.setup + records:
-            tx = parse_tx(record, plain, bundle)
-            receipt = VM(plain.world, TRACE_FULL).execute_transaction(tx)
-            yield scenario.name, False, receipt, plain.world, None
+        for level in plain_levels:
+            plain = build_world(bundle)
+            for record in bundle.setup + records:
+                tx = parse_tx(record, plain, bundle)
+                receipt = vm_cls(plain.world, level).execute_transaction(tx)
+                yield scenario.name, False, receipt, plain.world, None
         guarded = protect(bundle, train(bundle, scenario.training))
         deployed = deploy_guarded(guarded)
         config = bundle.config
@@ -632,7 +654,7 @@ def _vm_runs(charges=False):
         for record in records:
             tx = parse_tx(record, deployed, bundle)
             points = _offset_points(deployed.world) if charges else None
-            vm = VM(deployed.world, TRACE_CHECKS, check_log, gas_points=points)
+            vm = vm_cls(deployed.world, TRACE_CHECKS, check_log, gas_points=points)
             receipt = vm.execute_transaction(tx)
             rows = _offset_charges(points) if charges else None
             yield scenario.name, True, receipt, deployed.world, rows
@@ -935,9 +957,10 @@ def test_failed_inner_delegatecall_gas_counts_toward_outer():
     assert r.gas_used == host_gas + lib_gas
 
 
-# Ops that a PUSH is fused into: its word becomes their right operand.
+# Ops whose top operand a compiled block reads as a literal after a PUSH.
 _FUSED = [Op.MLOAD, Op.MSTORE] + [op for op in Op if Op.ADD.code <= op.code <= Op.XOR.code]
-# Ops that take a PUSHed word as a slot, index or count, unfused.
+# Ops that take a PUSHed word as a slot, index or count (the ones that end
+# a block read it from the stack).
 _READ_PUSH = [
     Op.SSTORE, Op.TSTORE, Op.SLOAD, Op.TLOAD, Op.CODELOAD, Op.CALLDATALOAD, Op.BALANCE,
     Op.RETURNDATALOAD, Op.RETURN, Op.REVERT,
@@ -952,7 +975,7 @@ def _diff_cases(draw):
     Function 0 is the external entry. It may open with a run of PUSHes that
     fills the stack, up to near OPERAND_STACK_LIMIT. Each function has a
     JUMPDEST, and every jump targets one. Fragments pair a PUSH with an op
-    that reads its word, fused or not, including stores to the check log,
+    that reads its word, as a literal or not, including stores to the check log,
     and a body may end in an exit or run off its end.
     """
     width = draw(st.sampled_from([8, 64]))
@@ -963,10 +986,12 @@ def _diff_cases(draw):
     config = Config(width=width, gas=gas)
     mask = config.mask
     check_log = Layout(width).check_log
-    # mask + 2 is wider than a word; an unvalidated PUSH of it pushes 1
-    words = st.one_of(
-        st.integers(0, 6), st.sampled_from([check_log, mask, mask + 2, 0x80, 1 << (width - 1)])
+    # mask + 2 is wider than a word; an unvalidated PUSH of it pushes 1, and
+    # a transaction may not carry it
+    tx_words = st.one_of(
+        st.integers(0, 6), st.sampled_from([check_log, mask, 0x80, 1 << (width - 1)])
     )
+    words = st.one_of(tx_words, st.just(mask + 2))
     nfns = draw(st.integers(1, 3))
     plain = [op for op in Op if op not in (Op.JUMP, Op.JUMPI, Op.ICALL, Op.JUMPDEST)]
     bodies = []
@@ -1014,7 +1039,7 @@ def _diff_cases(draw):
         bodies.append(out)
     txs = draw(st.lists(
         st.tuples(
-            st.lists(words, max_size=3),  # calldata
+            st.lists(tx_words, max_size=3),  # calldata
             st.integers(0, 2),  # value
             st.one_of(st.integers(1, 300), st.integers(3_000, 20_000), st.just(20_000)),  # gas
         ),
@@ -1049,13 +1074,176 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored):
 @given(case=_diff_cases())
 def test_block_engine_matches_per_instruction_reference(case):
     """Receipts, traces, per-offset charges and world state equal those of the
-    per-instruction loop in tests/vm_reference.py, at TRACE_FULL and at
-    TRACE_CHECKS with every offset its own gas point."""
-    config, prog, txs = case
-    for level, mirrored in ((TRACE_FULL, False), (TRACE_CHECKS, True)):
+    per-instruction loop in tests/vm_reference.py, at TRACE_FULL, at
+    TRACE_CHECKS with every offset its own gas point, and at TRACE_NONE."""
+    _assert_matches_reference(*case)
+
+
+_LEVELS = ((TRACE_FULL, False), (TRACE_CHECKS, True), (TRACE_NONE, False))
+
+
+def _assert_matches_reference(config, prog, txs) -> None:
+    for level, mirrored in _LEVELS:
         got = _diff_run(VM, config, prog, txs, level, mirrored)
         want = _diff_run(ReferenceVM, config, prog, txs, level, mirrored)
-        assert got == want
+        assert got == want, level
+
+
+_MASK64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize(
+    "body, calldata, returned",
+    [
+        pytest.param(
+            "PUSH 10 PUSH 20 PUSH 30 JUMP l l: JUMPDEST DUP 3 SWAP 2 ADD SWAP 2 PUSH 3 RETURN",
+            [], [10, 10, 50], id="dup-swap-below-entry",
+        ),
+        pytest.param(
+            "PUSH 7 PUSH 5 MSTORE PUSH 5 MLOAD PUSH 9 PUSH 5 TSTORE PUSH 5 TLOAD "
+            "PUSH 8 PUSH 0 CALLDATALOAD MSTORE PUSH 5 MLOAD PUSH 3 RETURN",
+            [5], [8, 9, 7], id="load-after-store",
+        ),
+        pytest.param(
+            "PUSH 5 PUSH 0 DIV PUSH 6 PUSH 0 CALLDATALOAD DIV PUSH 7 PUSH 2 DIV PUSH 3 RETURN",
+            [0], [3, 0, 0], id="div-by-zero",
+        ),
+        pytest.param(
+            "PUSH 3 PUSH 4 ADD PUSH 1 MSTORE PUSH 1 MLOAD PUSH 2 MUL PUSH 1 SUB "
+            "PUSH 0 PUSH 1 SUB PUSH 2 RETURN",
+            [], [_MASK64, 13], id="push-into-memory-and-alu",
+        ),
+    ],
+)
+def test_compiled_block_matches_reference(body, calldata, returned):
+    """Each body's ops up to RETURN form one or two blocks; their compiled
+    code returns these words and matches the reference at every level."""
+    prog = _one_fn(body)
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, calldata))
+    assert (r.status, r.return_data) == (STATUS_ACCEPTED, returned)
+    _assert_matches_reference(Config(), prog, [(calldata, 0, 10_000)])
+
+
+def test_dynamic_store_to_the_check_log_is_traced():
+    check_log = Layout(64).check_log
+    prog = _one_fn(f"PUSH 42 PUSH 0 CALLDATALOAD MSTORE PUSH 43 PUSH {check_log} MSTORE STOP")
+    for calldata, combined in (([check_log], [42, 43]), ([check_log - 1], [43])):
+        w = _world()
+        addr = deploy(w, prog, 0xD0)
+        r = VM(w, TRACE_CHECKS, check_log).execute_transaction(
+            Transaction(1, addr, 0x01, calldata)
+        )
+        assert [(e.kind, e.get("combined")) for e in r.trace] == [
+            ("PathChecked", c) for c in combined
+        ]
+        _assert_matches_reference(Config(), prog, [(calldata, 0, 10_000)])
+
+
+@pytest.mark.parametrize(
+    "gas_limit, status, trace",
+    [
+        (10_000, STATUS_REVERTED, [("BlockEnter", 0), ("ArithChecked", 2), ("Revert", 4)]),
+        (8, STATUS_OUT_OF_GAS, [("BlockEnter", 0)]),
+    ],
+    ids=["underflow-at-second-pop", "out-of-gas-at-add"],
+)
+def test_block_failing_its_entry_check_runs_its_prefix(gas_limit, status, trace):
+    """The ops before the one that fails run, with their events."""
+    prog = _one_fn("PUSH 1 PUSH 2 ADD POP POP STOP")
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=gas_limit))
+    assert (r.status, [(e.kind, e.offset) for e in r.trace]) == (status, trace)
+    _assert_matches_reference(Config(), prog, [([], 0, gas_limit)])
+
+
+def _corpus_observed(vm_cls):
+    """Per tx of ``_vm_runs`` under ``vm_cls``, originals at TRACE_FULL and
+    TRACE_NONE: receipt, trace, per-offset charges and the world's dump."""
+    for name, protected, r, world, charges in _vm_runs(True, vm_cls, (TRACE_FULL, TRACE_NONE)):
+        trace = [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace]
+        receipt = (r.status, r.gas_used, r.return_data, r.alarms)
+        yield name, protected, receipt, trace, charges, world.dump()
+
+
+def test_block_engine_matches_reference_on_corpus():
+    """Every fixture's training and test streams, on its original and its
+    protected contracts, run alike under the block engine and the
+    per-instruction reference."""
+    got = list(_corpus_observed(VM))
+    want = list(_corpus_observed(ReferenceVM))
+    assert len(got) == len(want)
+    for mine, reference in zip(got, want):
+        assert mine == reference, mine[:2]
+
+
+def _word_world():
+    w = _world()
+    w.set_balance(5, 10)
+    return w, deploy(w, _one_fn("PUSH 0 CALLDATALOAD CODELOAD PUSH 1 RETURN"), 0xD0)
+
+
+@pytest.mark.parametrize(
+    "calldata, value",
+    [([-1], -7), ([1 << 80], 0), ([-1], 0)],
+    ids=["negative-value", "wide-calldata", "negative-codeload-index"],
+)
+def test_transaction_words_out_of_range_are_refused(calldata, value):
+    w, addr = _word_world()
+    before = w.dump()
+    with pytest.raises(VmError, match="not a word"):
+        VM(w).execute_transaction(Transaction(5, addr, 0x01, calldata, value))
+    assert w.dump() == before
+
+
+def test_parse_tx_reports_out_of_range_words():
+    scenario = ALL_SCENARIOS[0]
+    bundle = scenario.bundle()
+    deployed = build_world(bundle)
+    record = dict(scenario.training[0], value=-1)
+    with pytest.raises(WorkflowError, match="not a word"):
+        parse_tx(record, deployed, bundle)
+
+
+@pytest.mark.parametrize("imm", ["1\nimport os", 1.5, True])
+def test_non_int_immediates_never_reach_the_compiler(imm):
+    """Validation refuses the program; the compiler itself renders only ints."""
+    prog = _one_fn("PUSH 1 POP STOP")
+    prog.functions[0].body[0] = Instruction(Op.PUSH, imm)
+    misses = _compile.cache_info().misses
+    with pytest.raises(ValidationError, match="not an int"):
+        validate_program(prog, Config())
+    assert _compile.cache_info().misses == misses
+    if not isinstance(imm, bool):
+        with pytest.raises(TypeError):
+            _source(((Op.PUSH.code, imm, 0),), 1, _MASK64)
+
+
+def test_protecting_again_compiles_no_new_block():
+    """A second protect and detection of the same bundle builds new
+    ``FunctionDef``s, whose blocks all come from the compiled-block cache;
+    the receipts are the same either way, and the cache is bounded."""
+    scenario = ALL_SCENARIOS[0]
+    bundle = scenario.bundle()
+    snapshot = train(bundle, scenario.training)
+    records = scenario.test_sequence(random.Random(0), 30)[0]
+
+    def detect():
+        run = start_detection(protect(bundle, snapshot))
+        return [
+            (o.status, o.gas_instr, o.gas_orig, o.receipt.return_data, o.receipt.trace)
+            for o in (run_transaction(run, rec) for rec in records)
+        ]
+
+    _compile.cache_clear()
+    first = detect()
+    info = _compile.cache_info()
+    assert info.misses > 0
+    assert detect() == first
+    assert _compile.cache_info().misses == info.misses
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # Record fields compared by ``diff_records``, in column order; gas last.
