@@ -17,7 +17,7 @@ from .config import Config, ConfigError, load_config
 from .epp import IndexSpaceOverflow
 from .oracle import TraceMismatch
 from .program import ContractProgram, SizeLimitExceeded, ValidationError
-from .vm import Account, WorldState
+from .vm import Account, VmError, WorldState
 from . import workflow
 from .workflow import (
     Bundle,
@@ -45,7 +45,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, WorkflowError, ConfigError, IndexSpaceOverflow, TraceMismatch) as exc:
+    except (
+        ValidationError, WorkflowError, ConfigError, IndexSpaceOverflow, TraceMismatch, VmError
+    ) as exc:
         if isinstance(exc, TrainingTxFailed):
             print(f"training failure: {exc}", file=sys.stderr)
             return EXIT_TRAINING

@@ -484,9 +484,10 @@ def _block(
         pc += 1
         if op in _ENDS:
             break
-    # a block with DUP 0 or SWAP 0 always fails its entry check
+    # a block that needs more words than the stack can hold (DUP 0, SWAP 0,
+    # or an immediate past OPERAND_STACK_LIMIT) always fails its entry check
     run = None
-    if ops and need != _NEVER:
+    if ops and need <= OPERAND_STACK_LIMIT:
         run = _compile(tuple(ops), pc, mask)
     return [gas, need, OPERAND_STACK_LIMIT - peak, run, tail, pc, None, ()]
 
@@ -510,7 +511,6 @@ def _source(ops: tuple, end: int, mask: int) -> str:
     stack: list = []
     taken = 0  # entry words on the symbolic stack: e{taken} .. e1
     used: set[str] = set()  # entry words and frame locals the source reads
-    stored: dict = {}  # words this block stored at constant memory addresses
     count = 0
     nxt = str(end)
 
@@ -568,18 +568,11 @@ def _source(ops: tuple, end: int, mask: int) -> str:
             result(_BINARY[op].format(x=x, y=y))
         elif op in _UNARY:
             take(1)
-            if op == _MLOAD and stack[-1] in stored:
-                stack.append(stored[stack.pop()])
-            else:
-                result(_UNARY[op].format(i=pop(), mask=mask))
+            result(_UNARY[op].format(i=pop(), mask=mask))
         elif op in _NULLARY:
             result(_NULLARY[op])
         elif op == _MSTORE or op == _TSTORE:
             take(2)
-            if op == _MSTORE and isinstance(stack[-1], int):
-                stored[stack[-1]] = stack[-2]
-            elif op == _MSTORE:
-                stored.clear()  # the address may be any of them
             addr, word = pop(), pop()
             if op == _TSTORE:
                 lines.append(f"W.tstore(A, {addr}, {word})")
@@ -898,25 +891,19 @@ class VM:
                 pc = nxt
         except _FrameFailure as failure:
             self.gas_used = gas_used
-            return self._frame_failed(failure, token, name, self_addr, ifid, pc)
-
-    def _frame_failed(
-        self, failure: _FrameFailure, token: int, name: str, self_addr: int, fid: int, pc: int
-    ) -> tuple[bool, list[int]]:
-        """Roll a failed frame back and trace its Revert at (fid, pc)."""
-        self.world.rollback(token)
-        if self.trace_level >= TRACE_CHECKS:
-            detail: dict = {"reason": failure.reason}
-            if failure.data and failure.data[0] == (
-                self.config.guard.guard_marker & self.config.mask
-            ):
-                # named by its code, as PathChecked is: detection
-                # trusts only the payload of a guard routine
-                detail.update(
-                    guard=True, code=name, alarms=_parse_guard_payload(failure.data)
-                )
-            self._emit("Revert", self_addr, fid, pc, detail)
-        return False, failure.data
+            world.rollback(token)
+            if self.trace_level >= TRACE_CHECKS:
+                detail: dict = {"reason": failure.reason}
+                if failure.data and failure.data[0] == (
+                    config.guard.guard_marker & mask
+                ):
+                    # named by its code, as PathChecked is: detection
+                    # trusts only the payload of a guard routine
+                    detail.update(
+                        guard=True, code=name, alarms=_parse_guard_payload(failure.data)
+                    )
+                self._emit("Revert", self_addr, ifid, pc, detail)
+            return False, failure.data
 
     def _message_call(
         self,

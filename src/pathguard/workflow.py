@@ -38,9 +38,7 @@ from .vm import (
     TRACE_FULL,
     TRACE_NONE,
     VM,
-    VmError,
     WorldState,
-    check_words,
     deploy,
 )
 
@@ -155,7 +153,7 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
     else:
         selector = _word(fn)
     calldata = [deployed.resolve(w) for w in record.get("calldata", [])]
-    tx = Transaction(
+    return Transaction(
         origin=_word(record.get("origin", 1)),
         to=to,
         selector=selector,
@@ -163,11 +161,6 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
         value=_word(record.get("value", 0)),
         gas_limit=int(record.get("gas_limit", 10_000_000)),
     )
-    try:
-        check_words(tx, deployed.world.config.mask)
-    except VmError as exc:
-        raise WorkflowError(str(exc)) from None
-    return tx
 
 
 def load_txs(path: str | Path) -> list[dict]:

@@ -256,3 +256,16 @@ def test_run_rejects_a_transaction_word_out_of_range(tmp_path, capsys, field, wo
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not a word" in err
+
+
+def test_train_rejects_a_transaction_word_out_of_range(tmp_path, capsys):
+    _main(capsys, "fixture", "visibility", "-o", tmp_path)
+    training = tmp_path / "visibility.train.jsonl"
+    record = json.loads(training.read_text().splitlines()[0])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(dict(record, value=-1)) + "\n")
+    bundle = tmp_path / "visibility.bundle.json"
+    code = cli.main(["train", str(bundle), str(bad), "-o", str(tmp_path / "snap.json")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a word" in err

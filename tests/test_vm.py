@@ -41,7 +41,6 @@ from pathguard.vm import (
     execute_transaction,
 )
 from pathguard.workflow import (
-    WorkflowError,
     build_world,
     deploy_guarded,
     parse_tx,
@@ -1159,6 +1158,23 @@ def test_block_failing_its_entry_check_runs_its_prefix(gas_limit, status, trace)
     _assert_matches_reference(Config(), prog, [([], 0, gas_limit)])
 
 
+@pytest.mark.parametrize("op", ["DUP", "SWAP"])
+def test_dup_or_swap_past_the_stack_limit_underflows(op):
+    """A DUP or SWAP immediate past OPERAND_STACK_LIMIT is a valid word at
+    width 64. No stack holds that many words, so its block fails its entry
+    check there; only the ops before it are compiled."""
+    prog = _one_fn(f"PUSH 1 PUSH 2 {op} {1 << 40} STOP")
+    validate_program(prog, Config())
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01))
+    assert r.status == STATUS_REVERTED
+    assert [(e.kind, e.offset, e.get("reason")) for e in r.trace] == [
+        ("Revert", 2, "stack underflow")
+    ]
+    _assert_matches_reference(Config(), prog, [([], 0, 10_000)])
+
+
 def _corpus_observed(vm_cls):
     """Per tx of ``_vm_runs`` under ``vm_cls``, originals at TRACE_FULL and
     TRACE_NONE: receipt, trace, per-offset charges and the world's dump."""
@@ -1196,15 +1212,6 @@ def test_transaction_words_out_of_range_are_refused(calldata, value):
     with pytest.raises(VmError, match="not a word"):
         VM(w).execute_transaction(Transaction(5, addr, 0x01, calldata, value))
     assert w.dump() == before
-
-
-def test_parse_tx_reports_out_of_range_words():
-    scenario = ALL_SCENARIOS[0]
-    bundle = scenario.bundle()
-    deployed = build_world(bundle)
-    record = dict(scenario.training[0], value=-1)
-    with pytest.raises(WorkflowError, match="not a word"):
-        parse_tx(record, deployed, bundle)
 
 
 @pytest.mark.parametrize("imm", ["1\nimport os", 1.5, True])

@@ -19,6 +19,7 @@ from pathguard.vm import (
     VM,
     _FrameFailure,
     _OutOfGas,
+    _parse_guard_payload,
 )
 
 _OPS = tuple(Op)
@@ -318,4 +319,14 @@ class ReferenceVM(VM):
                 pc = next_pc
         except _FrameFailure as failure:
             self.gas_used = gas_used
-            return self._frame_failed(failure, token, name, self_addr, ifid, pc)
+            world.rollback(token)
+            if self.trace_level >= TRACE_CHECKS:
+                detail: dict = {"reason": failure.reason}
+                if failure.data and failure.data[0] == (
+                    config.guard.guard_marker & mask
+                ):
+                    detail["guard"] = True
+                    detail["code"] = name
+                    detail["alarms"] = _parse_guard_payload(failure.data)
+                self._emit("Revert", self_addr, ifid, pc, detail)
+            return False, failure.data
