@@ -9,6 +9,7 @@ S => callee, mirroring the CFG treatment of backedges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 
 from . import dag
@@ -49,6 +50,15 @@ class CallGraph:
 
     def in_edges(self, node: Node) -> list[CallEdge]:
         return [e for e in self.edges if e.callee == node]
+
+    def edge(self, ceid: int) -> CallEdge:
+        """The edge with id ``ceid``. Indexed on first use, so call it only
+        on a finished graph."""
+        return self._edges_by_id[ceid]
+
+    @cached_property
+    def _edges_by_id(self) -> dict[int, CallEdge]:
+        return {e.ceid: e for e in self.edges}
 
     def topo_order(self) -> list[Node]:
         return dag.topo_order([S, *self.nodes], self.out_edges, _callee, lambda n: n, "call graph")

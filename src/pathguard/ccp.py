@@ -59,11 +59,9 @@ def id_to_context(cg: CallGraph, lab: CcLabeling, node: Node, ctx_id: int) -> li
     """Regenerate the callsite chain for a context id (greedy decode, backward)."""
     if not 0 <= ctx_id < lab.num_ccs[node]:
         raise ValueError(f"context id {ctx_id} out of range 0..{lab.num_ccs[node] - 1}")
-    by_ceid = {e.ceid: e for e in cg.edges}
-    ceids = dag.decode(
-        node, S, lab.in_order, lab.call_val, lambda ceid: by_ceid[ceid].caller, ctx_id
-    )
-    return [by_ceid[ceid] for ceid in reversed(ceids)]
+    edge = cg.edge
+    ceids = dag.decode(node, S, lab.in_order, lab.call_val, lambda ceid: edge(ceid).caller, ctx_id)
+    return [edge(ceid) for ceid in reversed(ceids)]
 
 
 def enumerate_contexts(cg: CallGraph, node: Node) -> list[list[CallEdge]]:

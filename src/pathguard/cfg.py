@@ -98,6 +98,14 @@ class Cfg:
     def _block_starts(self) -> dict[int, int]:
         return {b.start: bid for bid, b in self.blocks.items() if not b.empty}
 
+    def edge(self, eid: int) -> Edge:
+        """The edge with id ``eid``; indexed on first use, like ``block_at``."""
+        return self._edges_by_id[eid]
+
+    @cached_property
+    def _edges_by_id(self) -> dict[int, Edge]:
+        return {e.eid: e for e in self.edges}
+
     def new_block(self, start: int, end: int) -> Block:
         b = Block(self._next_bid, start, end)
         self._next_bid += 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .asm import assemble, disassemble
 from .bundle import analyze_bundle
-from .config import Config, ConfigError, load_config
+from .config import Config, ConfigError, load_config, read_word
 from .epp import IndexSpaceOverflow
 from .oracle import TraceMismatch
 from .program import ContractProgram, SizeLimitExceeded, ValidationError
@@ -248,7 +248,7 @@ def _cmd_approve(args) -> int:
     for line in Path(args.alarm_log).read_text().splitlines():
         if line.strip():
             run.alarm_log.append(workflow.AlarmRecord.from_json(json.loads(line)))
-    admin = int(args.admin, 16) if args.admin.lower().startswith("0x") else int(args.admin)
+    admin = read_word(args.admin, "--admin", WorkflowError, guarded.bundle.config.mask)
     result = workflow.review_and_approve(run, args.index, admin)
     print(f"approved {result['approved']} paths ({result.get('gas', 0)} gas)")
     Path(args.world).write_text(json.dumps(_dump_world(run.deployed), indent=2))
@@ -305,17 +305,28 @@ def _dump_world(deployed) -> dict:
 
 
 def _restore_world(raw: dict, guarded: GuardedBundle) -> DeployedWorld:
-    """The guarded world ``_dump_world`` saved, with the guarded programs."""
-    world = WorldState(guarded.bundle.config)
+    """The guarded world ``_dump_world`` saved, with the guarded programs.
+    Every address, balance and storage word must be a word of the bundle's
+    width (WorkflowError otherwise)."""
+    config = guarded.bundle.config
+
+    def word(value, where: str) -> int:
+        return read_word(value, f"world {where}", WorkflowError, config.mask)
+
+    world = WorldState(config)
     programs = guarded.programs()
-    world.next_address = raw["next_address"]
+    world.next_address = word(raw["next_address"], "next_address")
     for addr_hex, entry in raw["accounts"].items():
-        world.accounts[int(addr_hex, 16)] = Account(
-            balance=entry["balance"],
-            storage={int(k, 16): int(v, 16) for k, v in entry["storage"].items()},
+        where = f"account {addr_hex}"
+        world.accounts[word(addr_hex, "account address")] = Account(
+            balance=word(entry["balance"], f"{where} balance"),
+            storage={
+                word(k, f"{where} storage key"): word(v, f"{where} storage[{k}]")
+                for k, v in entry["storage"].items()
+            },
             code=programs.get(entry["code"]) if entry["code"] else None,
         )
-    addresses = {n: int(a, 16) for n, a in raw["addresses"].items()}
+    addresses = {n: word(a, f"address of {n}") for n, a in raw["addresses"].items()}
     return DeployedWorld(world, addresses, {a: n for n, a in addresses.items()})
 
 

@@ -115,11 +115,11 @@ def config_from_json(raw: dict, **overrides) -> Config:
     unknown = sorted(set(raw) - {"word_width", "gas", "lambda", "admin", "reserved"})
     if unknown:
         raise ConfigError(f"config: unknown key {unknown[0]!r}")
-    width = _parse_word(raw.get("word_width", 64), "word_width")
+    width = read_word(raw.get("word_width", 64), "word_width")
     gas_kwargs = _words(raw, "gas")
-    guard_kwargs = {"mpht_lambda": _parse_word(raw["lambda"], "lambda")} if "lambda" in raw else {}
+    guard_kwargs = {"mpht_lambda": read_word(raw["lambda"], "lambda")} if "lambda" in raw else {}
     guard_kwargs.update(_words(raw, "reserved"))
-    admin = _parse_word(raw["admin"], "admin") if "admin" in raw else Config.admin
+    admin = read_word(raw["admin"], "admin") if "admin" in raw else Config.admin
     width = overrides.pop("width", width)
     admin = overrides.pop("admin", admin)
     gas_kwargs.update(overrides.pop("gas", {}))
@@ -142,7 +142,7 @@ def _require_object(value, where: str) -> None:
 def _words(raw: dict, section: str) -> dict:
     values = raw.get(section, {})
     _require_object(values, section)
-    return {key: _parse_word(val, f"{section}.{key}") for key, val in values.items()}
+    return {key: read_word(val, f"{section}.{key}") for key, val in values.items()}
 
 
 def _section(cls, section: str, kwargs: dict):
@@ -165,16 +165,27 @@ def config_to_json(config: Config) -> dict:
     }
 
 
-def _parse_word(value, where: str) -> int:
+def read_word(
+    value, where: str, error: type[Exception] = ConfigError, mask: int | None = None
+) -> int:
+    """A word read from JSON: an int, or a string of one in decimal or
+    ``0x`` hex, and in [0, mask] when ``mask`` is given. Anything else (a
+    float, a bool, a word out of range) raises ``error``, the reading
+    format's own error type, naming ``where``."""
+    word = None
     # bool is an int subclass, and int() would truncate a float in silence
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    try:
-        if isinstance(value, str):
-            return int(value, 16) if value.lower().startswith("0x") else int(value)
-    except ValueError:
-        pass
-    raise ConfigError(f"{where}: not a word: {value!r}")
+        word = value
+    elif isinstance(value, str):
+        try:
+            word = int(value, 16) if value.lower().startswith("0x") else int(value)
+        except ValueError:
+            pass
+    if word is None:
+        raise error(f"{where}: not a word: {value!r}")
+    if mask is not None and not 0 <= word <= mask:
+        raise error(f"{where}: {value!r} is not a word in [0, {mask:#x}]")
+    return word
 
 
 DEFAULT_CONFIG = Config()

@@ -96,16 +96,27 @@ def number(order: Iterable, root: Hashable, ranked: Callable, head: Head):
 def decode(start, root, edge_order: dict, value: dict, head: Head, index: int) -> list:
     """Edge ids from start to the root whose values sum to index (greedy).
 
+    At each vertex it takes the edge of greatest value that fits what is
+    left of the index, the first such edge in ``edge_order`` on a tie.
+    Values never fall along ``edge_order`` (``number`` builds them so), so
+    the scan runs from the top down and stops at the first fit.
+
     Raises ValueError when the labeling is inconsistent with the index.
     """
     path = []
     v, rest = start, index
     while v != root:
-        fits = [e for e in edge_order[v] if value[e] <= rest]
-        if not fits:
+        edges = edge_order[v]
+        i = len(edges) - 1
+        while i >= 0 and value[edges[i]] > rest:
+            i -= 1
+        if i < 0:
             raise ValueError(f"labeling invariant violated: no edge of {v} fits {rest}")
-        best = max(fits, key=value.__getitem__)
-        rest -= value[best]
+        fit = value[edges[i]]
+        while i > 0 and value[edges[i - 1]] == fit:
+            i -= 1
+        best = edges[i]
+        rest -= fit
         path.append(best)
         v = head(best)
     if rest:

@@ -98,11 +98,9 @@ def index_to_path(cfg: Cfg, lab: EppLabeling, index: int) -> list[Edge]:
     """Regenerate the unique path with the given index (greedy decode)."""
     if not 0 <= index < lab.total_paths:
         raise ValueError(f"path index {index} out of range 0..{lab.total_paths - 1}")
-    by_eid = {e.eid: e for e in cfg.edges}
-    eids = dag.decode(
-        ENTRY, EXIT, lab.edge_order, lab.edge_val, lambda eid: by_eid[eid].dst, index
-    )
-    return [by_eid[eid] for eid in eids]
+    edge = cfg.edge
+    eids = dag.decode(ENTRY, EXIT, lab.edge_order, lab.edge_val, lambda eid: edge(eid).dst, index)
+    return [edge(eid) for eid in eids]
 
 
 def enumerate_paths(cfg: Cfg) -> list[list[Edge]]:

@@ -121,12 +121,9 @@ class Layout:
         return self._top() - 13
 
     @property
-    def check_log(self) -> int:
-        return self._top() - 14
-
-    @property
     def epp_base(self) -> int:
-        return self.check_log - INTERNAL_DEPTH_LIMIT
+        """Path accumulators, one per internal depth 0 .. INTERNAL_DEPTH_LIMIT."""
+        return self.tmp_y - 1 - INTERNAL_DEPTH_LIMIT
 
     @property
     def ctxsave_base(self) -> int:
@@ -370,16 +367,18 @@ def checker_pool(spec: ListSpec | MphtSpec, width: int) -> list[int]:
     """Constant-pool words backing a checker: entries stored as key+1, an
     empty table slot as 0.
 
-    A key+1 word wraps to 0 when read, so combined = 2**width - 1 probes
-    for 0. An empty slot that this combined lands on holds x+1 instead, for
-    some x that lands elsewhere: no combined that probes the slot matches.
+    key+1 wraps to 0 at combined = 2**width - 1, which then probes for 0,
+    as the checker's own ADD does. An empty slot that this combined lands on
+    holds x+1 instead, for some x that lands elsewhere: no combined that
+    probes the slot matches.
     """
+    mask = (1 << width) - 1
     if isinstance(spec, ListSpec):
-        return [k + 1 for k in spec.keys]
+        return [(k + 1) & mask for k in spec.keys]
     s = disp_bits(width)
     packed = [(d0 << s) | d1 for d0, d1 in spec.displacements]
-    slots = [0 if k is None else k + 1 for k in spec.slots]
-    top = mpht_position(spec, (1 << width) - 1, width)
+    slots = [0 if k is None else (k + 1) & mask for k in spec.slots]
+    top = mpht_position(spec, mask, width)
     if spec.slots[top] is None:
         slots[top] = next(x + 1 for x in count() if mpht_position(spec, x, width) != top)
     return packed + slots
@@ -397,11 +396,12 @@ class SlowPaths(NamedTuple):
 
 
 def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
-    """Compute combined, log it and hand it to the function's checker."""
+    """Compute combined and hand it to the function's checker. The VM
+    traces the checker call, with combined on top of the stack, as the
+    check's PathChecked event."""
     a = Asm()
     a.mload(lay.ctx).push(num_paths).emit(Op.MUL)
     a.epp_addr(lay).emit(Op.MLOAD).emit(Op.ADD)  # [combined]
-    a.emit(Op.DUP, 1).mstore(lay.check_log)
     return a.emit(Op.ICALL, chk_fid)
 
 

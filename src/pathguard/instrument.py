@@ -137,6 +137,7 @@ class InstrumentedContract:
     owners: list[list[int]]
     admin_selector: int
     plan: SetPlan
+    checkers: frozenset[int]  # ids of the per-function checkers
 
     def plan_listing(self) -> str:
         return "\n".join(p.listing_line() for p in self.points) + "\n"
@@ -279,6 +280,7 @@ class _Rewriter:
             owners=owners,
             admin_selector=admin_selector,
             plan=self.plan,
+            checkers=frozenset(checker_fid.values()),
         )
 
     def _guard_function(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .config import MAX_CODE_BYTES, Config
+from .config import MAX_CODE_BYTES, Config, read_word
 from .isa import JUMPS, TERMINATORS, Instruction, Op, block_leaders
 
 HEADER_BYTES = 32
@@ -154,7 +154,10 @@ class ContractProgram:
             ],
             selector_table={int(s, 16): fid for s, fid in raw["selector_table"].items()},
             fallback_id=raw.get("fallback_id"),
-            data_pool=[int(w, 16) for w in raw.get("data_pool", [])],
+            data_pool=[
+                read_word(w, f"{raw['name']}: data_pool[{i}]", ValidationError)
+                for i, w in enumerate(raw.get("data_pool", []))
+            ],
             blob_bytes=raw.get("blob_bytes", 0),
             callsites={
                 (int(key.split(":")[0]), int(key.split(":")[1])): CallsiteInfo.from_json(info)
@@ -222,6 +225,11 @@ def validate_program(prog: ContractProgram, config: Config) -> None:
                 raise ValidationError(
                     f"{prog.name}.{f.name}@{off}: ICALL to unknown function {instr.imm}"
                 )
+    for i, word in enumerate(prog.data_pool):
+        if type(word) is not int or not 0 <= word <= mask:
+            raise ValidationError(
+                f"{prog.name}: data_pool[{i}] = {word!r} is not a word in [0, {mask:#x}]"
+            )
     for sel, fid in prog.selector_table.items():
         fn = prog.functions[fid]
         if fn.visibility is not Visibility.EXTERNAL:

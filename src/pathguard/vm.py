@@ -26,7 +26,7 @@ from .program import ContractProgram, SizeLimitExceeded
 
 # Trace detail levels.
 TRACE_NONE = 0
-TRACE_CHECKS = 1  # PathChecked, Revert
+TRACE_CHECKS = 1  # PathChecked (one per checker call), Revert
 TRACE_FULL = 2
 
 # Dispatch codes (``Op.code``).
@@ -125,10 +125,10 @@ _NULLARY = {
 # at the top when its source uses them.
 _LOCALS = {
     "W": "X.world", "A": "X.addr", "C": "X.calldata", "P": "X.pool", "R": "X.ret",
-    "F": "X.full", "CL": "X.check_log",
+    "F": "X.full",
 }
 # the frame locals each op's source reads
-_READS = {_MSTORE: ("CL",), _TSTORE: ("W", "A"), **{op: ("F",) for op in _CHECKED}}
+_READS = {_TSTORE: ("W", "A"), **{op: ("F",) for op in _CHECKED}}
 for _op, _template in {**_UNARY, **_NULLARY}.items():
     _READS[_op] = tuple(name for name in _LOCALS if re.search(rf"\b{name}\b", _template))
 del _op, _template
@@ -395,13 +395,12 @@ def _engine_key(gas: GasSchedule, mask: int) -> tuple:
 class _Frame:
     """What a compiled block reads of its message frame besides the stack and
     memory: ``fid`` follows internal calls and ``ret`` holds the last message
-    call's return data. The environment words are masked. ``full`` asks for
-    ArithChecked events, and a store to ``check_log`` (None for none) is a
-    PathChecked event."""
+    call's return data. The environment words are masked, and ``full`` asks
+    for ArithChecked events."""
 
     __slots__ = (
-        "world", "addr", "fid", "calldata", "pool", "ret", "trace", "name",
-        "caller", "origin", "address", "value", "full", "check_log",
+        "world", "addr", "fid", "calldata", "pool", "ret", "trace",
+        "caller", "origin", "address", "value", "full",
     )
 
     def __init__(
@@ -409,12 +408,11 @@ class _Frame:
     ):
         mask = vm.config.mask
         self.world, self.addr, self.fid, self.ret = vm.world, addr, fid, []
-        self.calldata, self.pool, self.name = calldata, code.data_pool, code.name
+        self.calldata, self.pool = calldata, code.data_pool
         self.trace = vm.trace
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
         self.full = vm.trace_level >= TRACE_FULL
-        self.check_log = vm.check_log_addr if vm.trace_level >= TRACE_CHECKS else None
 
 
 def _block(
@@ -499,8 +497,8 @@ def _source(ops: tuple, end: int, mask: int) -> str:
     Operands live in locals over a symbolic stack: ``e1``, ``e2``, ... are
     the words the block found on top of ``S`` at entry, read where it used
     them, ``v0``, ``v1``, ... each op's result, and an int a PUSHed word.
-    Reads and writes of memory, storage and the environment, and their
-    events, run in op order at their own pc. ``S`` is written once at the
+    Reads and writes of memory, storage and the environment, and
+    ArithChecked events, run in op order at their own pc. ``S`` is written once at the
     end with the block's net change, and ``run`` returns the next pc. Only
     ints from ``ops`` and the arguments, each through ``operator.index``,
     are rendered into the source; it names no other value.
@@ -533,9 +531,6 @@ def _source(ops: tuple, end: int, mask: int) -> str:
         stack.append(f"v{count}")
         count += 1
 
-    def event(kind: str, pc: int, detail: str) -> str:
-        return f'X.trace.append(E("{kind}", X.addr, X.fid, {pc}, {{{detail}}}))'
-
     for op, imm, pc in ops:
         pc = index(pc)
         used.update(_READS.get(op, ()))
@@ -559,9 +554,11 @@ def _source(ops: tuple, end: int, mask: int) -> str:
             lines.append(f"t = {x} {sign} {y}")
             result(f"t & {mask}")
             overflow = test.format(x=x, y=y, mask=mask)
-            lines += ["if F:", "    " + event(
-                "ArithChecked", pc, f'"op": "{_OPS[op].value}", "overflow": {overflow}'
-            )]
+            detail = f'{{"op": "{_OPS[op].value}", "overflow": {overflow}}}'
+            lines += [
+                "if F:",
+                f'    X.trace.append(E("ArithChecked", X.addr, X.fid, {pc}, {detail}))',
+            ]
         elif op in _BINARY:
             take(2)
             y, x = pop(), pop()
@@ -576,12 +573,8 @@ def _source(ops: tuple, end: int, mask: int) -> str:
             addr, word = pop(), pop()
             if op == _TSTORE:
                 lines.append(f"W.tstore(A, {addr}, {word})")
-                continue
-            lines += [
-                f"M[{addr}] = {word}",
-                f"if {addr} == CL:",
-                "    " + event("PathChecked", pc, f'"combined": {word}, "code": X.name'),
-            ]
+            else:
+                lines.append(f"M[{addr}] = {word}")
         elif op == _JUMP:
             nxt = str(index(imm))
         elif op == _JUMPI:
@@ -645,13 +638,16 @@ class VM:
         self,
         world: WorldState,
         trace_level: int = TRACE_FULL,
-        check_log_addr: int | None = None,
+        checkers: dict[str, frozenset[int]] | None = None,
         gas_points: dict[str, tuple[list[list[int]], list[int]]] | None = None,
     ):
         self.world = world
         self.config = world.config
         self.trace_level = trace_level
-        self.check_log_addr = check_log_addr
+        # checkers maps a code name to its checker function ids: at
+        # TRACE_CHECKS and above, each ICALL of one is a PathChecked event
+        # that carries the word on top of the stack as ``combined``
+        self.checkers = checkers
         # gas_points maps a code name to (owners, acc): owners[fid][offset] is
         # the point that owns the offset, or -1, and each charge at an owned
         # offset is added into acc[point]. Call sites are charged call_base;
@@ -736,7 +732,8 @@ class VM:
         straight-line part runs (``_compile``); no op in it can fail. Only
         the ops that check runtime values run here, as the block's tail: the
         RETURN/REVERT word count, the CALL argument count, the SSTORE price,
-        the ICALL depth and IRET, and STOP. Each of those ops ends its block
+        the ICALL depth and IRET, and STOP. An ICALL of one of the code's
+        ``checkers`` is also where a PathChecked event is traced. Each of those ops ends its block
         and adds its own charge to a mirrored point once its check passes. A
         block that fails its entry check is decoded again for that entry:
         its failure-free prefix runs as an ordinary block, then a ``_FAIL``
@@ -759,6 +756,11 @@ class VM:
         emit = self._emit
         name = code.name
         functions = code.functions
+        checkers = (
+            self.checkers.get(name)
+            if self.checkers and self.trace_level >= TRACE_CHECKS
+            else None
+        )
 
         stack: list[int] = []
         memory: dict[int, int] = {}
@@ -805,6 +807,12 @@ class VM:
                     if op == _ICALL:
                         if len(istack) >= INTERNAL_DEPTH_LIMIT:
                             raise _FrameFailure("internal call depth exceeded")
+                        if checkers is not None and imm in checkers:
+                            combined = stack[-1] if stack else None
+                            emit(
+                                "PathChecked", self_addr, ifid, pc,
+                                {"combined": combined, "code": name},
+                            )
                         if full:
                             emit("CallEnter", self_addr, ifid, pc, {"callee": imm})
                         if acc is not None:
@@ -997,7 +1005,7 @@ def execute_transaction(
     world: WorldState,
     tx: Transaction,
     trace_level: int = TRACE_FULL,
-    check_log_addr: int | None = None,
+    checkers: dict[str, frozenset[int]] | None = None,
 ) -> Receipt:
     """Convenience wrapper creating a fresh VM per transaction."""
-    return VM(world, trace_level, check_log_addr).execute_transaction(tx)
+    return VM(world, trace_level, checkers).execute_transaction(tx)

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .asm import assemble
 from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context, split_index
-from .config import Config, config_from_json, config_to_json
+from .config import Config, config_from_json, config_to_json, read_word
 from .epp import index_to_path
-from .guardcode import Layout, admin_calldata
+from .guardcode import admin_calldata
 from .instrument import EXIT_FN_NAME, InstrumentedContract, instrument_contract, plan_strategies
 from .oracle import trace_oracle
 from .pathset import mapping_slot, mapping_value
@@ -220,8 +221,14 @@ def make_snapshot(
 
 
 def snapshot_safe_sets(snapshot: dict, name: str) -> dict[int, set[int]]:
+    """Each function's safe keys in ``name``'s part of ``snapshot``. A key
+    must be a word of the snapshot's width (WorkflowError otherwise)."""
+    mask = (1 << snapshot["width"]) - 1
     return {
-        int(fid): {int(h, 16) for h in entry["safe"]}
+        int(fid): {
+            read_word(h, f"snapshot {name}.fn{fid} safe key", WorkflowError, mask)
+            for h in entry["safe"]
+        }
         for fid, entry in snapshot["contracts"].get(name, {}).items()
     }
 
@@ -235,6 +242,11 @@ class GuardedBundle:
     analysis: BundleAnalysis
     instrumented: dict[str, InstrumentedContract]
     snapshot: dict
+
+    @cached_property
+    def checkers(self) -> dict[str, frozenset[int]]:
+        """Each instrumented contract's checker ids, as ``VM`` takes them."""
+        return {name: inst.checkers for name, inst in self.instrumented.items()}
 
     def programs(self) -> dict[str, ContractProgram]:
         progs = dict(self.bundle.programs)
@@ -296,6 +308,10 @@ def protect(bundle: Bundle, snapshot: dict) -> GuardedBundle:
     if snapshot["fingerprint"] != analysis.fingerprint():
         raise FingerprintMismatch(
             "snapshot was trained against different code or labeling"
+        )
+    if snapshot.get("width") != bundle.config.width:
+        raise FingerprintMismatch(
+            f"snapshot width {snapshot.get('width')!r} is not the bundle's {bundle.config.width}"
         )
     instrumented = {}
     for name in sorted(bundle.boundary):
@@ -412,8 +428,6 @@ def start_detection(guarded: GuardedBundle, mirror: bool = True) -> DetectionRun
 def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
     """Execute one stream transaction on the guarded world (and its mirror)."""
     guarded = run.guarded
-    config = guarded.bundle.config
-    lay = Layout(config.width)
     index = run.next_index()
     tx = parse_tx(record, run.deployed, guarded.bundle)
 
@@ -424,7 +438,7 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
             name: (inst.owners, [0] * len(inst.points))
             for name, inst in guarded.instrumented.items()
         }
-    vm = VM(run.deployed.world, TRACE_CHECKS, lay.check_log, gas_points=points)
+    vm = VM(run.deployed.world, TRACE_CHECKS, guarded.checkers, gas_points=points)
     receipt = vm.execute_transaction(tx)
 
     alarms = _collect_alarms(run, index, receipt)

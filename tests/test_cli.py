@@ -269,3 +269,70 @@ def test_train_rejects_a_transaction_word_out_of_range(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not a word" in err
+
+
+def _exit_2(capsys, argv, *needles) -> None:
+    code = cli.main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION, err
+    assert err.startswith("error:") and all(n in err for n in needles), err
+
+
+@pytest.mark.parametrize("place", ["storage", "balance"])
+@pytest.mark.parametrize("above_mask", [False, True], ids=["negative", "above-mask"])
+def test_approve_rejects_a_world_word_out_of_range(tmp_path, capsys, place, above_mask):
+    """A saved world's storage words and balances are read as words of the
+    bundle's width (overflow runs at 8 bits): one outside it exits with the
+    validation code, and the world file is left as it was."""
+    index, _ = _walk(tmp_path, capsys, "overflow")
+    path = tmp_path / "world.json"
+    raw = json.loads(path.read_text())
+    acct = next(iter(raw["accounts"].values()))
+    if place == "storage":
+        acct["storage"]["0x0"] = hex(0x100) if above_mask else "-0x1"
+    else:
+        acct["balance"] = 0x100 if above_mask else -1
+    path.write_text(json.dumps(raw))
+    _exit_2(
+        capsys,
+        ["approve", tmp_path / "guarded.json", path, tmp_path / "alarms.jsonl",
+         "--index", index, "--admin", "0xAD"],
+        "world account", "not a word",
+    )
+    assert json.loads(path.read_text()) == raw
+
+
+@pytest.mark.parametrize("key", ["-0x5", hex(1 << 80)], ids=["negative", "above-mask"])
+def test_protect_rejects_a_safe_key_out_of_range(tmp_path, capsys, key):
+    """A snapshot's safe keys are words of its width: a negative key (which
+    once became pool word -4) or one above the mask exits with the
+    validation code before anything is written."""
+    _main(capsys, "fixture", "reentrancy", "-o", tmp_path)
+    bundle = tmp_path / "reentrancy.bundle.json"
+    snap = tmp_path / "snap.json"
+    _main(capsys, "train", bundle, tmp_path / "reentrancy.train.jsonl", "-o", snap)
+    raw = json.loads(snap.read_text())
+    assert raw["width"] == 64
+    entry = next(iter(raw["contracts"]["vault"].values()))
+    entry["safe"].append(key)
+    snap.write_text(json.dumps(raw))
+    out = tmp_path / "guarded.json"
+    _exit_2(capsys, ["protect", bundle, snap, "-o", out], "safe key", "not a word")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "word, needle",
+    [("-0x1", "not a word: '-0x1'"), (hex(1 << 80), "is not a word in [0, 0xffffffffffffffff]")],
+    ids=["negative", "above-mask"],
+)
+def test_protect_rejects_a_pool_word_out_of_range(tmp_path, capsys, word, needle):
+    (tmp_path / "snap.json").write_text("{}")
+    body = [["PUSH", 0], ["CODELOAD", None], ["POP", None], ["STOP", None]]
+    fn = {"id": 0, "name": "f", "visibility": "external", "body": body}
+    program = {"name": "bad", "functions": [fn], "selector_table": {"0x1": 0}, "data_pool": [word]}
+    bad = tmp_path / "bad.bundle.json"
+    bad.write_text(json.dumps({"contracts": [{"program": program}]}))
+    out = tmp_path / "g.json"
+    _exit_2(capsys, ["protect", bad, tmp_path / "snap.json", "-o", out], "data_pool[0]", needle)
+    assert not out.exists()

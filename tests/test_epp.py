@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pathguard import dag
 from pathguard.cfg import ENTRY, EXIT, REAL, Cfg, acyclicize, build_cfg
 from pathguard.epp import (
     IndexSpaceOverflow,
@@ -206,3 +207,15 @@ def test_tampered_labeling_raises_value_error(diamond):
         lab.edge_val[eid] = 7  # nothing fits index 0 at the entry
     with pytest.raises(ValueError, match="invariant"):
         index_to_path(cfg, lab, 0)
+
+
+def test_decode_takes_the_first_of_tied_fitting_edges():
+    """Two edges of equal value both fit: decode takes the one first in
+    value order, as a max over the fitting edges would."""
+    order = {"a": ["x", "y", "z"], "b": ["w"]}
+    value = {"x": 0, "y": 2, "z": 2, "w": 0}
+    head = {"x": "r", "y": "b", "z": "r", "w": "r"}.__getitem__
+    assert dag.decode("a", "r", order, value, head, 2) == ["y", "w"]
+    assert dag.decode("a", "r", order, value, head, 0) == ["x"]
+    with pytest.raises(ValueError, match="left at the root"):
+        dag.decode("a", "r", order, value, head, 3)

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from pathguard.bundle import analyze_bundle
+from pathguard.ccp import context_to_id, id_to_context
+from pathguard.epp import index_to_path, path_to_index
 from pathguard.fixtures import ALL_SCENARIOS, DELEGATECALL, REENTRANCY, by_name
 from pathguard.workflow import protect, run_detection, train
 
@@ -113,3 +116,25 @@ def test_token8_mapping_slots_clear_of_business_storage():
         space = analysis.index_space("token8", fn.id)
         for key in range(2 * space):
             assert mapping_slot(fn.id, key, config) not in business
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
+def test_every_path_and_context_index_round_trips(scenario):
+    """Index -> path -> index over every acyclic path of every protected
+    function, and id -> context -> id over every calling context of every
+    call-graph node: the decoders alarm review uses are exact inverses."""
+    bundle = scenario.bundle()
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    paths = 0
+    for key, cfg in analysis.cfgs.items():
+        lab = analysis.epp[key]
+        for index in range(lab.total_paths):
+            assert path_to_index(lab, index_to_path(cfg, lab, index)) == index, (key, index)
+        paths += lab.total_paths
+    contexts = 0
+    cg, ccp = analysis.callgraph, analysis.ccp
+    for node in cg.nodes:
+        for ctx in range(ccp.num_ccs[node]):
+            assert context_to_id(ccp, id_to_context(cg, ccp, node, ctx)) == ctx, (node, ctx)
+        contexts += ccp.num_ccs[node]
+    assert paths and contexts

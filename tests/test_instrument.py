@@ -52,7 +52,7 @@ def _run_both(prog, inst, tx_args, config=CONFIG):
     r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(to=a1, **tx_args))
     w2 = WorldState(config)
     a2 = deploy(w2, inst.program, 0xD0)
-    vm = VM(w2, TRACE_CHECKS, Layout(config.width).check_log)
+    vm = VM(w2, TRACE_CHECKS, {inst.name: inst.checkers})
     r2 = vm.execute_transaction(Transaction(to=a2, **tx_args))
     return (w1, a1, r1), (w2, a2, r2)
 
@@ -93,7 +93,7 @@ def test_gas_delta_equals_injected_attribution(loopy):
     w2 = WorldState(CONFIG)
     a2 = deploy(w2, inst.program, 0xD0)
     r2 = VM(
-        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_points=points
+        w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points
     ).execute_transaction(Transaction(1, a2, 0x10, [8]))
     assert r2.status == "Accepted"
     assert r2.gas_used - r1.gas_used == sum(acc)
@@ -197,7 +197,7 @@ def test_flagged_marker_exit_reconciles():
     w2 = WorldState(CONFIG)
     marker = CONFIG.guard.call_marker & CONFIG.mask
     r2 = VM(
-        w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_points=points
+        w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points
     ).execute_transaction(
         Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [marker, 0, 0])
     )
@@ -386,7 +386,7 @@ def test_attack_transaction_guard_reverts(loopy):
     w = WorldState(CONFIG)
     addr = deploy(w, inst.program, 0xD0)
     before = w.dump()
-    vm = VM(w, TRACE_CHECKS, Layout(CONFIG.width).check_log)
+    vm = VM(w, TRACE_CHECKS, {inst.name: inst.checkers})
     receipt = vm.execute_transaction(Transaction(1, addr, 0x10, [8]))
     assert receipt.status == "GuardReverted"
     assert receipt.alarms
@@ -499,7 +499,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "0d34e72d6d7a943e66903c672ec29ec5927d0721dc3bfc957ca7b00d12355073"
+        "c4520f134d4077366d2b39ccb25654861a2d83f5a673b67edf0b76ecd000dc86"
     )
 
 
@@ -737,7 +737,7 @@ def test_rotated_loop_fallthrough_backedge(n):
     inst = instrument_contract("rot", analysis, {0: {p[3] for p in oracle}}, CONFIG)
     points, acc = _point_gas(inst)
     w2 = WorldState(CONFIG)
-    vm = VM(w2, TRACE_CHECKS, Layout(CONFIG.width).check_log, gas_points=points)
+    vm = VM(w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points)
     r2 = vm.execute_transaction(Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [n]))
     assert (r2.status, r2.alarms) == ("Accepted", [])
     assert checked_pairs_from_receipt(r2) == oracle

@@ -10,7 +10,6 @@ from pathguard.callgraph import K_ENTRY, K_SURROGATE, acyclicize_callgraph
 from pathguard.ccp import label_ccp
 from pathguard.config import Config
 from pathguard.fixtures import ALL_SCENARIOS
-from pathguard.guardcode import Layout
 from pathguard.instrument import instrument_contract
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
 from pathguard.vm import (
@@ -37,7 +36,7 @@ def _instrumented_run(analysis, name, safe_sets, tx, config=CONFIG):
     world = WorldState(config)
     addr = deploy(world, inst.program, 0xD0)
     tx.to = addr
-    vm = VM(world, TRACE_CHECKS, Layout(config.width).check_log)
+    vm = VM(world, TRACE_CHECKS, {name: inst.checkers})
     return vm.execute_transaction(tx)
 
 
@@ -162,7 +161,7 @@ def test_cross_contract_marker_protocol_matches():
     inst_b = instrument_contract("beta", analysis, {0: set()}, CONFIG)
     addr_a2 = deploy(world2, inst_a.program, 0xD0)
     addr_b2 = deploy(world2, inst_b.program, 0xD0)
-    vm = VM(world2, TRACE_CHECKS, Layout(CONFIG.width).check_log)
+    vm = VM(world2, TRACE_CHECKS, {"alpha": inst_a.checkers, "beta": inst_b.checkers})
     instrumented = vm.execute_transaction(Transaction(1, addr_a2, 0x77, [addr_b2]))
     assert checked_pairs_from_receipt(instrumented) == oracle
     # beta's context is alpha's plus the callsite edge value
@@ -222,21 +221,22 @@ def test_cross_contract_recursion_matches(depth):
     ]
     assert sorted(rows) == [False, True]
 
-    def run(progs, trace_mode):
+    def run(progs, trace_mode, checkers=None):
         world = WorldState(CONFIG)
         addr_a = deploy(world, progs["alpha"], 0xD0)
         addr_b = deploy(world, progs["beta"], 0xD0)
-        vm = VM(world, trace_mode, Layout(CONFIG.width).check_log)
+        vm = VM(world, trace_mode, checkers)
         return vm.execute_transaction(Transaction(1, addr_a, 0x77, [depth, addr_b]))
 
     original = run(programs, TRACE_FULL)
     assert original.status == "Accepted"
     oracle = trace_oracle(original.trace, analysis, original.status)
-    guarded = {
-        name: instrument_contract(name, analysis, {0: set()}, CONFIG).program
-        for name in programs
-    }
-    instrumented = run(guarded, TRACE_CHECKS)
+    insts = {name: instrument_contract(name, analysis, {0: set()}, CONFIG) for name in programs}
+    instrumented = run(
+        {name: inst.program for name, inst in insts.items()},
+        TRACE_CHECKS,
+        {name: inst.checkers for name, inst in insts.items()},
+    )
     assert checked_pairs_from_receipt(instrumented) == oracle
     assert [p[1] for p in oracle] == (["beta", "alpha"] * 2)[-(depth + 1):]
     if depth == 3:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pathguard.asm import assemble
 from pathguard.config import OPERAND_STACK_LIMIT, Config, GasSchedule
 from pathguard.fixtures import ALL_SCENARIOS
-from pathguard.guardcode import Layout
 from pathguard.isa import Instruction, Op
 from pathguard.oracle import TraceOracle
 from pathguard.program import (
@@ -648,12 +647,10 @@ def _vm_runs(charges=False, vm_cls=VM, plain_levels=(TRACE_FULL,)):
                 yield scenario.name, False, receipt, plain.world, None
         guarded = protect(bundle, train(bundle, scenario.training))
         deployed = deploy_guarded(guarded)
-        config = bundle.config
-        check_log = Layout(config.width).check_log
         for record in records:
             tx = parse_tx(record, deployed, bundle)
             points = _offset_points(deployed.world) if charges else None
-            vm = vm_cls(deployed.world, TRACE_CHECKS, check_log, gas_points=points)
+            vm = vm_cls(deployed.world, TRACE_CHECKS, guarded.checkers, gas_points=points)
             receipt = vm.execute_transaction(tx)
             rows = _offset_charges(points) if charges else None
             yield scenario.name, True, receipt, deployed.world, rows
@@ -722,7 +719,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "c155f4e99cafa3601c747fba2582f812d475f2ce4c80a10ac1e1b6260ee8886c"
+        "2395e22d2a1e73d2b97daae177aec6cc7171e842ce19ab2742e9d6e9a055b96d"
     )
 
 
@@ -969,13 +966,14 @@ _DIFF_ORIGIN = 0x11
 
 @st.composite
 def _diff_cases(draw):
-    """A random unvalidated program over the whole ISA, and one to three txs.
+    """A random unvalidated program over the whole ISA, one to three txs,
+    and the functions traced as checkers.
 
     Function 0 is the external entry. It may open with a run of PUSHes that
     fills the stack, up to near OPERAND_STACK_LIMIT. Each function has a
     JUMPDEST, and every jump targets one. Fragments pair a PUSH with an op
-    that reads its word, as a literal or not, including stores to the check log,
-    and a body may end in an exit or run off its end.
+    that reads its word, as a literal or not, and a body may end in an exit
+    or run off its end.
     """
     width = draw(st.sampled_from([8, 64]))
     # cheap storage and calls, so that they complete under small gas limits
@@ -984,12 +982,9 @@ def _diff_cases(draw):
     )
     config = Config(width=width, gas=gas)
     mask = config.mask
-    check_log = Layout(width).check_log
     # mask + 2 is wider than a word; an unvalidated PUSH of it pushes 1, and
     # a transaction may not carry it
-    tx_words = st.one_of(
-        st.integers(0, 6), st.sampled_from([check_log, mask, 0x80, 1 << (width - 1)])
-    )
+    tx_words = st.one_of(st.integers(0, 6), st.sampled_from([mask, 0x80, 1 << (width - 1)]))
     words = st.one_of(tx_words, st.just(mask + 2))
     nfns = draw(st.integers(1, 3))
     plain = [op for op in Op if op not in (Op.JUMP, Op.JUMPI, Op.ICALL, Op.JUMPDEST)]
@@ -1002,7 +997,6 @@ def _diff_cases(draw):
                 st.sampled_from([Op.JUMPDEST, Op.JUMP, Op.JUMPI, Op.ICALL]),
                 st.tuples(words, st.sampled_from(_FUSED)),
                 st.tuples(words, st.sampled_from(_READ_PUSH)),
-                st.just((check_log, Op.MSTORE)),
             ),
             min_size=1, max_size=20,
         ))
@@ -1044,10 +1038,11 @@ def _diff_cases(draw):
         ),
         min_size=1, max_size=3,
     ))
-    return config, _program(*bodies), txs
+    checkers = draw(st.frozensets(st.integers(0, nfns - 1)))
+    return config, _program(*bodies), txs, checkers
 
 
-def _diff_run(vm_cls, config, prog, txs, level, mirrored):
+def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
     world = WorldState(config)
     world.set_balance(_DIFF_ORIGIN, 100)
     addr = deploy(world, prog, 0xD0)
@@ -1055,7 +1050,7 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored):
     for i, (calldata, value, gas_limit) in enumerate(txs):
         # a new owner table per tx, numbered apart from the last one's
         points = _offset_points(world, first=i) if mirrored else None
-        vm = vm_cls(world, level, Layout(config.width).check_log, gas_points=points)
+        vm = vm_cls(world, level, {prog.name: checkers}, gas_points=points)
         r = vm.execute_transaction(
             Transaction(_DIFF_ORIGIN, addr, 0x01, calldata, value, gas_limit)
         )
@@ -1081,10 +1076,10 @@ def test_block_engine_matches_per_instruction_reference(case):
 _LEVELS = ((TRACE_FULL, False), (TRACE_CHECKS, True), (TRACE_NONE, False))
 
 
-def _assert_matches_reference(config, prog, txs) -> None:
+def _assert_matches_reference(config, prog, txs, checkers=frozenset()) -> None:
     for level, mirrored in _LEVELS:
-        got = _diff_run(VM, config, prog, txs, level, mirrored)
-        want = _diff_run(ReferenceVM, config, prog, txs, level, mirrored)
+        got = _diff_run(VM, config, prog, txs, level, mirrored, checkers)
+        want = _diff_run(ReferenceVM, config, prog, txs, level, mirrored, checkers)
         assert got == want, level
 
 
@@ -1125,19 +1120,42 @@ def test_compiled_block_matches_reference(body, calldata, returned):
     _assert_matches_reference(Config(), prog, [(calldata, 0, 10_000)])
 
 
-def test_dynamic_store_to_the_check_log_is_traced():
-    check_log = Layout(64).check_log
-    prog = _one_fn(f"PUSH 42 PUSH 0 CALLDATALOAD MSTORE PUSH 43 PUSH {check_log} MSTORE STOP")
-    for calldata, combined in (([check_log], [42, 43]), ([check_log - 1], [43])):
+def test_checker_calls_are_traced_at_checks_and_full():
+    """Each ICALL of a function named as a checker is one PathChecked event,
+    at the ICALL's offset in its caller, carrying the top word and ahead of
+    CallEnter. Other ICALLs and memory stores raise none, nor does
+    TRACE_NONE; the reference VM traces the same events."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 {
+    PUSH 42 ICALL chk PUSH 0 CALLDATALOAD ICALL chk PUSH 7 PUSH 0 MSTORE PUSH 9 ICALL other STOP
+  }
+  fn chk internal { PUSH 5 PUSH 1 MSTORE POP IRET }
+  fn other internal { POP IRET }
+}
+""")
+    checkers = frozenset({1})
+    traced = {}
+    for level in (TRACE_NONE, TRACE_CHECKS, TRACE_FULL):
         w = _world()
         addr = deploy(w, prog, 0xD0)
-        r = VM(w, TRACE_CHECKS, check_log).execute_transaction(
-            Transaction(1, addr, 0x01, calldata)
-        )
-        assert [(e.kind, e.get("combined")) for e in r.trace] == [
-            ("PathChecked", c) for c in combined
+        r = VM(w, level, {"t": checkers}).execute_transaction(Transaction(1, addr, 0x01, [43]))
+        assert r.status == STATUS_ACCEPTED
+        traced[level] = [
+            (e.kind, e.fn, e.offset, e.get("combined"), e.get("code"))
+            for e in r.trace
+            if e.kind in ("PathChecked", "CallEnter")
         ]
-        _assert_matches_reference(Config(), prog, [(calldata, 0, 10_000)])
+    assert traced[TRACE_NONE] == []
+    assert traced[TRACE_CHECKS] == [
+        ("PathChecked", 0, 1, 42, "t"), ("PathChecked", 0, 4, 43, "t")
+    ]
+    assert traced[TRACE_FULL] == [
+        ("PathChecked", 0, 1, 42, "t"), ("CallEnter", 0, 1, None, None),
+        ("PathChecked", 0, 4, 43, "t"), ("CallEnter", 0, 4, None, None),
+        ("CallEnter", 0, 9, None, None),
+    ]
+    _assert_matches_reference(Config(), prog, [([43], 0, 10_000)], checkers)
 
 
 @pytest.mark.parametrize(
@@ -1226,6 +1244,14 @@ def test_non_int_immediates_never_reach_the_compiler(imm):
     if not isinstance(imm, bool):
         with pytest.raises(TypeError):
             _source(((Op.PUSH.code, imm, 0),), 1, _MASK64)
+
+
+@pytest.mark.parametrize("word", [-1, 1 << 64, "5", 1.5, True])
+def test_validation_refuses_a_pool_word_that_is_no_word(word):
+    prog = _one_fn("PUSH 1 CODELOAD POP STOP")
+    prog.data_pool = [7, word]
+    with pytest.raises(ValidationError, match=r"data_pool\[1\]"):
+        validate_program(prog, Config())
 
 
 def test_protecting_again_compiles_no_new_block():

@@ -58,6 +58,9 @@ def test_fingerprint_mismatch_rejected(visibility_setup):
     stale["fingerprint"] = "0" * 16
     with pytest.raises(FingerprintMismatch):
         protect(bundle, stale)
+    # the width bounds the snapshot's safe keys, so it must be the bundle's
+    with pytest.raises(FingerprintMismatch, match="width 128"):
+        protect(bundle, dict(snapshot, width=128))
 
 
 def test_duplicate_training_adds_no_paths(visibility_setup):

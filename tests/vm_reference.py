@@ -67,9 +67,11 @@ class ReferenceVM(VM):
         gas_used = self.gas_used
         limit = OPERAND_STACK_LIMIT
         full = self.trace_level >= TRACE_FULL
-        check_log = self.check_log_addr if self.trace_level >= TRACE_CHECKS else None
         emit = self._emit
         name = code.name
+        checkers = set()
+        if self.checkers and self.trace_level >= TRACE_CHECKS:
+            checkers = self.checkers.get(name, checkers)
         pool = code.data_pool
 
         stack: list[int] = []
@@ -182,16 +184,7 @@ class ReferenceVM(VM):
                         if len(stack) < 2:
                             raise _FrameFailure("stack underflow")
                         addr = stack.pop()
-                        val = stack.pop()
-                        memory[addr] = val
-                        if addr == check_log:
-                            emit(
-                                "PathChecked",
-                                self_addr,
-                                ifid,
-                                pc,
-                                {"combined": val, "code": name},
-                            )
+                        memory[addr] = stack.pop()
                     elif op == _JUMP:
                         next_pc = imms[pc]
                 elif op < _CALLDATASIZE:  # one-operand reads
@@ -240,6 +233,14 @@ class ReferenceVM(VM):
                     if len(istack) >= INTERNAL_DEPTH_LIMIT:
                         raise _FrameFailure("internal call depth exceeded")
                     callee = imms[pc]
+                    if callee in checkers:
+                        emit(
+                            "PathChecked",
+                            self_addr,
+                            ifid,
+                            pc,
+                            {"combined": stack[-1] if stack else None, "code": name},
+                        )
                     if full:
                         emit("CallEnter", self_addr, ifid, pc, {"callee": callee})
                     istack.append((ifid, pc + 1))
