@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .asm import assemble, disassemble
 from .bundle import analyze_bundle
-from .config import Config, ConfigError, load_config, read_word
+from .config import Config, ConfigError, load_config, read_json, read_word
 from .epp import IndexSpaceOverflow
 from .oracle import TraceMismatch
 from .program import ContractProgram, SizeLimitExceeded, ValidationError
@@ -138,7 +138,7 @@ def _cmd_asm(args) -> int:
 
 
 def _cmd_disasm(args) -> int:
-    prog = ContractProgram.from_json(json.loads(Path(args.program).read_text()))
+    prog = ContractProgram.from_json(read_json(args.program, ValidationError))
     print(disassemble(prog), end="")
     return EXIT_OK
 
@@ -182,7 +182,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_protect(args) -> int:
     bundle = Bundle.load(args.bundle, _config(args))
-    snapshot = json.loads(Path(args.snapshot).read_text())
+    snapshot = read_json(args.snapshot, WorkflowError)
     guarded = workflow.protect(bundle, snapshot)
     Path(args.output).write_text(json.dumps(guarded.to_json(), indent=2))
     for name, info in guarded.deployment_report().items():
@@ -197,7 +197,7 @@ def _cmd_protect(args) -> int:
 
 def _load_guarded(path: str, config: Config | None) -> GuardedBundle:
     """Protect the saved originals again; each program must equal the saved one."""
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path, WorkflowError)
     bundle = Bundle.from_json(
         {
             "contracts": [{"program": p} for p in raw["originals"].values()],
@@ -243,12 +243,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_approve(args) -> int:
     guarded = _load_guarded(args.guarded, _config(args))
-    deployed = _restore_world(json.loads(Path(args.world).read_text()), guarded)
+    mask = guarded.bundle.config.mask
+    deployed = _restore_world(read_json(args.world, WorkflowError), guarded)
     run = DetectionRun(guarded, deployed, None)
-    for line in Path(args.alarm_log).read_text().splitlines():
-        if line.strip():
-            run.alarm_log.append(workflow.AlarmRecord.from_json(json.loads(line)))
-    admin = read_word(args.admin, "--admin", WorkflowError, guarded.bundle.config.mask)
+    for raw in read_json(args.alarm_log, WorkflowError, lines=True):
+        run.alarm_log.append(workflow.AlarmRecord.from_json(raw, mask))
+    admin = read_word(args.admin, "--admin", WorkflowError, mask)
     result = workflow.review_and_approve(run, args.index, admin)
     print(f"approved {result['approved']} paths ({result.get('gas', 0)} gas)")
     Path(args.world).write_text(json.dumps(_dump_world(run.deployed), indent=2))

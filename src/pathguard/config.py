@@ -95,10 +95,7 @@ class Config:
 
 def load_config(path: str | Path | None, **overrides) -> Config:
     """Build a Config from an optional JSON file plus keyword overrides."""
-    try:
-        raw = json.loads(Path(path).read_text()) if path is not None else {}
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not JSON: {exc}") from None
+    raw = read_json(path, ConfigError) if path is not None else {}
     return config_from_json(raw, **overrides)
 
 
@@ -186,6 +183,31 @@ def read_word(
     if mask is not None and not 0 <= word <= mask:
         raise error(f"{where}: {value!r} is not a word in [0, {mask:#x}]")
     return word
+
+
+def read_json(path: str | Path, error: type[Exception] = ConfigError, lines: bool = False):
+    """The JSON document in file ``path``, or with ``lines`` the list of its
+    JSON-lines records (blank lines and ``#`` comments skipped). A file that
+    cannot be read or does not parse raises ``error``, the reading format's
+    own error type, naming the file and line."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read: {exc}") from None
+    if not lines:
+        return _parse_json(text, path, None, error)
+    return [
+        _parse_json(line, path, number, error)
+        for number, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+
+
+def _parse_json(text: str, path, line: int | None, error: type[Exception]):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{line or exc.lineno}: not JSON: {exc.msg}") from None
 
 
 DEFAULT_CONFIG = Config()

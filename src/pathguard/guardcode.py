@@ -12,7 +12,6 @@ turns one into an instruction at layout and ``seq_gas`` prices them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple
 
@@ -57,84 +56,31 @@ ALARM_CNT_SLOT = 1  # alarm entries appended so far
 ALARM_ENTRY_SLOT = 2  # word w of entry j sits at ALARM_ENTRY_SLOT + 3j + w
 
 
-@dataclass(frozen=True)
 class Layout:
     """Reserved memory words, the top 14 + 2 * INTERNAL_DEPTH_LIMIT (142)
     words of the address space."""
 
-    width: int
-
-    def _top(self) -> int:
-        return 1 << self.width
-
-    @property
-    def ctx(self) -> int:
-        return self._top() - 1
-
-    @property
-    def flag(self) -> int:
-        return self._top() - 2
-
-    @property
-    def cdoff(self) -> int:
-        return self._top() - 3
-
-    @property
-    def mode(self) -> int:
-        return self._top() - 4
-
-    @property
-    def depth(self) -> int:
-        return self._top() - 5
-
-    @property
-    def retoff(self) -> int:
-        """Return-data prefix words of the frame's last external call."""
-        return self._top() - 6
-
-    @property
-    def tmp_n(self) -> int:
-        return self._top() - 7
-
-    @property
-    def tmp_sel(self) -> int:
-        return self._top() - 8
-
-    @property
-    def tmp_val(self) -> int:
-        return self._top() - 9
-
-    @property
-    def tmp_addr(self) -> int:
-        return self._top() - 10
-
-    @property
-    def tmp_slot(self) -> int:
-        return self._top() - 11
-
-    @property
-    def tmp_x(self) -> int:
-        return self._top() - 12
-
-    @property
-    def tmp_y(self) -> int:
-        return self._top() - 13
-
-    @property
-    def epp_base(self) -> int:
-        """Path accumulators, one per internal depth 0 .. INTERNAL_DEPTH_LIMIT."""
-        return self.tmp_y - 1 - INTERNAL_DEPTH_LIMIT
-
-    @property
-    def ctxsave_base(self) -> int:
-        return self.epp_base - INTERNAL_DEPTH_LIMIT
-
-    @property
-    def reserved_low(self) -> int:
-        return self.ctxsave_base
-
-    def reserved_range(self) -> tuple[int, int]:
-        return self.reserved_low, self._top()
+    def __init__(self, width: int):
+        top = 1 << width
+        self.width = width
+        self.ctx = top - 1
+        self.flag = top - 2
+        self.cdoff = top - 3
+        self.mode = top - 4
+        self.depth = top - 5
+        self.retoff = top - 6  # return-data prefix words of the frame's last external call
+        self.tmp_n = top - 7
+        self.tmp_sel = top - 8
+        self.tmp_val = top - 9
+        self.tmp_addr = top - 10
+        self.tmp_slot = top - 11
+        self.tmp_x = top - 12
+        self.tmp_y = top - 13
+        # path accumulators, one per internal depth 0 .. INTERNAL_DEPTH_LIMIT
+        self.epp_base = self.tmp_y - 1 - INTERNAL_DEPTH_LIMIT
+        self.ctxsave_base = self.epp_base - INTERNAL_DEPTH_LIMIT
+        self.reserved_low = self.ctxsave_base
+        self.reserved_range = (self.reserved_low, top)
 
 
 # -- protocol arithmetic (python side, mirrored by emitted code) --------------
@@ -247,15 +193,11 @@ class Asm:
         self.epp_addr(lay)
         return self.emit(Op.MSTORE)
 
-    def xor(self) -> "Asm":
-        """x ^ y over the top two words: the native XOR opcode."""
-        return self.emit(Op.XOR)
-
     def mix_top(self, width: int) -> "Asm":
         """pathset.mix over the top word, bit-identical: multiply, xorshift."""
         self.push(mix_constant(width)).emit(Op.MUL)
         self.emit(Op.DUP, 1).push(1 << field_bits(width)).emit(Op.DIV)
-        return self.xor()
+        return self.emit(Op.XOR)
 
     def mod_const(self, modulus: int) -> "Asm":
         """x mod m for constant m over the top word."""
@@ -303,7 +245,7 @@ def seq_checker(
         tmask = (1 << t) - 1
         s = disp_bits(width)
         r, m = spec.size, spec.m
-        a.emit(Op.DUP, 1).push(spec.seed & config.mask).xor()
+        a.emit(Op.DUP, 1).push(spec.seed & config.mask).emit(Op.XOR)
         a.mix_top(width)  # [c, h]
         # displacement word of bucket g % m, g = h >> 2t
         if m == 1:
@@ -330,7 +272,7 @@ def seq_checker(
     return a
 
 
-def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm:
+def seq_miss(code_id: int, config: Config) -> Asm:
     """Shared miss routine: consumes [combined, fid, fn_seed], IRETs [].
 
     Accepts the pair when the dynamic mapping holds it
@@ -338,11 +280,12 @@ def seq_miss(code_id: int, mapping_tag: int, lay: Layout, config: Config) -> Asm
     appends (code id, fid, combined) to the transient alarm buffer while it
     holds fewer than ``alarm_buffer_cap`` entries.
     """
+    lay = Layout(config.width)
     a = Asm()
     full = Asm.fresh("missfull")
     done = Asm.fresh("missdone")
-    a.emit(Op.DUP, 3).xor().push(mix_constant(config.width)).emit(Op.MUL)
-    a.push(mapping_tag & config.mask).xor()
+    a.emit(Op.DUP, 3).emit(Op.XOR).push(mix_constant(config.width)).emit(Op.MUL)
+    a.push(config.guard.mapping_tag & config.mask).emit(Op.XOR)
     a.emit(Op.SLOAD)  # [c, fid, stored]
     a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)
     a.jumpi(done)  # in the mapping: accepted
@@ -409,7 +352,6 @@ def seq_prologue(
     num_ccs: int,
     entry_epp: int,
     site_rows: list[tuple[int, int, bool]],
-    marker: int,
     config: Config,
 ) -> Asm:
     """External-function wrapper entry: classify the caller, set ctx/mode.
@@ -417,8 +359,7 @@ def seq_prologue(
     site_rows: (site gid, edge value, via_surrogate) for every call edge that
     can reach this function with a marker.
     """
-    width = config.width
-    lay = Layout(width)
+    lay = Layout(config.width)
     a = Asm()
     l_mark = Asm.fresh("mark")
     l_reentrant = Asm.fresh("reentrant")
@@ -426,7 +367,7 @@ def seq_prologue(
     l_done = Asm.fresh("entry_done")
 
     a.emit(Op.CALLDATASIZE).push(MARKER_WORDS).emit(Op.LT).emit(Op.ISZERO)
-    a.push(0).emit(Op.CALLDATALOAD).push(marker & config.mask).emit(Op.EQ)
+    a.push(0).emit(Op.CALLDATALOAD).push(config.guard.call_marker & config.mask).emit(Op.EQ)
     a.emit(Op.AND)
     a.jumpi(l_mark)
     # markerless: a set ctx slot means reentry through an unprotected call
@@ -473,11 +414,6 @@ def seq_prologue(
     return a
 
 
-def seq_internal_entry(entry_epp: int, lay: Layout) -> Asm:
-    """Internal-function entry: reset the frame's path accumulator."""
-    return Asm().epp_set(lay, entry_epp)
-
-
 def seq_external_epilogue(
     fid: int, chk_fid: int, exit_fid: int, num_paths: int, lay: Layout
 ) -> Asm:
@@ -500,7 +436,7 @@ def seq_external_epilogue(
     return a.push(fid).emit(Op.ICALL, exit_fid).emit(Op.RETURN)
 
 
-def seq_exit_routine(code_id: int, lay: Layout, config: Config) -> Asm:
+def seq_exit_routine(code_id: int, config: Config) -> Asm:
     """Shared exit routine: consumes [vals..., n, fid], IRETs the stack the
     stub's RETURN returns.
 
@@ -513,6 +449,7 @@ def seq_exit_routine(code_id: int, lay: Layout, config: Config) -> Asm:
     transaction. The marker test comes first: marker exits are the
     routine's common case.
     """
+    lay = Layout(config.width)
     a = Asm()
     l_marker = Asm.fresh("xmark")
     l_reentrant = Asm.fresh("xreent")
@@ -521,7 +458,7 @@ def seq_exit_routine(code_id: int, lay: Layout, config: Config) -> Asm:
     a.jumpi(l_marker)
     a.mload(lay.mode)  # MODE_BOUNDARY is 0
     a.jumpi(l_reentrant)
-    a.extend(_guard_revert(code_id, lay, config))
+    a.extend(_guard_revert(code_id, config))
     a.mark(l_reentrant)
     a.emit(Op.POP)  # fid: only a guard revert reports it
     a.mload(lay.flag).emit(Op.ISZERO)
@@ -536,7 +473,7 @@ def seq_exit_routine(code_id: int, lay: Layout, config: Config) -> Asm:
     return a.push(RET_PREFIX_WORDS).emit(Op.ADD).emit(Op.IRET)
 
 
-def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
+def _guard_revert(code_id: int, config: Config) -> Asm:
     """Guard revert: consumes [fid], never returns.
 
     Reverts with [GUARD_MARKER, count, (addr, code id, fid, combined) * count]
@@ -545,6 +482,7 @@ def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
     stayed in its own account's buffer; that is reported as the all-ones
     sentinel pair of fid.
     """
+    lay = Layout(config.width)
     a = Asm()
     guard_marker = config.guard.guard_marker & config.mask
     loop = Asm.fresh("rev")
@@ -554,7 +492,7 @@ def _guard_revert(code_id: int, lay: Layout, config: Config) -> Asm:
     a.emit(Op.DUP, 1)
     a.jumpi(have)
     a.emit(Op.POP)
-    a.push((1 << config.width) - 1).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
+    a.push(config.mask).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
     a.push(1)
     a.push(guard_marker)
     a.push(6)
@@ -593,10 +531,6 @@ def seq_backedge(
     a.extend(seq_check_fragment(chk_fid, lay, num_paths))
     a.epp_set(lay, reset_val)
     return a
-
-
-def seq_branch_add(val: int, lay: Layout) -> Asm:
-    return Asm().epp_add(lay, val)
 
 
 def seq_arith_check(op: Op, vt_val: int, lay: Layout) -> tuple[Asm, Asm]:
@@ -642,9 +576,7 @@ def seq_call_result(vt_val: int, lay: Layout) -> Asm:
     return a
 
 
-def seq_protected_call_pre(
-    op: Op, site_gid: int, marker: int, lay: Layout, config: Config
-) -> Asm:
+def seq_protected_call_pre(op: Op, site_gid: int, config: Config) -> Asm:
     """Rebuild the arg block with the [MARKER, ctx, site] calldata prefix.
 
     Runs immediately before ``op`` with the stack at [args..., nargs,
@@ -652,6 +584,7 @@ def seq_protected_call_pre(
     addr] for CALL; stashes the head words, injects the prefix, and restores
     the head with nargs + 3.
     """
+    lay = Layout(config.width)
     if op is Op.CALL:
         head = [lay.tmp_addr, lay.tmp_val, lay.tmp_sel, lay.tmp_n]
     else:
@@ -661,20 +594,21 @@ def seq_protected_call_pre(
         a.mstore(addr)
     a.push(site_gid)
     a.mload(lay.ctx)
-    a.push(marker & config.mask)
+    a.push(config.guard.call_marker & config.mask)
     a.mload(lay.tmp_n).push(MARKER_WORDS).emit(Op.ADD)
     for addr in reversed(head[:-1]):
         a.mload(addr)
     return a
 
 
-def seq_protected_call_post(marker: int, lay: Layout, config: Config, shims: bool) -> Asm:
+def seq_protected_call_post(config: Config, shims: bool) -> Asm:
     """Merge the callee's anomaly flag from the return-data prefix.
 
     A call that failed, or returned no [MARKER, flag] prefix, left raw
     return data. With ``shims`` (the contract reads return data), the
-    prefix length is recorded in ``lay.retoff`` for the return-data shims.
+    prefix length is recorded in ``Layout.retoff`` for the return-data shims.
     """
+    lay = Layout(config.width)
     a = Asm()
     skip = Asm.fresh("nomerge")
     if shims:
@@ -683,7 +617,8 @@ def seq_protected_call_post(marker: int, lay: Layout, config: Config, shims: boo
     a.jumpi(skip)
     a.emit(Op.RETURNDATASIZE).push(RET_PREFIX_WORDS).emit(Op.LT)
     a.jumpi(skip)
-    a.push(0).emit(Op.RETURNDATALOAD).push(marker & config.mask).emit(Op.EQ).emit(Op.ISZERO)
+    a.push(0).emit(Op.RETURNDATALOAD).push(config.guard.call_marker & config.mask)
+    a.emit(Op.EQ).emit(Op.ISZERO)
     a.jumpi(skip)
     a.push(1).emit(Op.RETURNDATALOAD)
     a.mload(lay.flag).emit(Op.OR).mstore(lay.flag)
@@ -703,14 +638,15 @@ def seq_unprotected_call_pre(lay: Layout) -> Asm:
     return a
 
 
-def seq_unprotected_call_post(poison: int, lay: Layout, shims: bool) -> Asm:
+def seq_unprotected_call_post(config: Config, shims: bool) -> Asm:
     """Pick up a poison signal from a reentrant frame, then restore the slot.
     With ``shims``, record that the return data has no prefix."""
+    lay = Layout(config.width)
     a = Asm()
     if shims:
         a.mstore_const(lay.retoff, 0)
     skip = Asm.fresh("nopoison")
-    a.push(CTX_SLOT).emit(Op.TLOAD).push(poison).emit(Op.EQ).emit(Op.ISZERO)
+    a.push(CTX_SLOT).emit(Op.TLOAD).push(config.slot_poison).emit(Op.EQ).emit(Op.ISZERO)
     a.jumpi(skip)
     a.mstore_const(lay.flag, 1)
     a.mark(skip)
@@ -718,21 +654,24 @@ def seq_unprotected_call_post(poison: int, lay: Layout, shims: bool) -> Asm:
     return a
 
 
-def seq_icall_pre(val: int, surrogate_val: int | None, lay: Layout, config: Config) -> Asm:
-    """Context and depth bookkeeping before an internal call."""
+def seq_icall_pre(val: int, surrogate: bool, config: Config) -> Asm:
+    """Context and depth bookkeeping before an internal call: ctx += val
+    on a call edge, or saved and replaced by val through a surrogate."""
+    lay = Layout(config.width)
     a = Asm()
-    if surrogate_val is not None:
+    if surrogate:
         a.mload(lay.ctx)
         a.mload(lay.depth).push(lay.ctxsave_base).emit(Op.ADD)
         a.emit(Op.MSTORE)
-        a.mstore_const(lay.ctx, surrogate_val & config.mask)
+        a.mstore_const(lay.ctx, val & config.mask)
     elif val:
         a.add_mem(lay.ctx, val & config.mask)
-    a.add_mem(lay.depth, 1)
-    return a
+    return a.add_mem(lay.depth, 1)
 
 
-def seq_icall_post(val: int, surrogate: bool, lay: Layout, config: Config) -> Asm:
+def seq_icall_post(val: int, surrogate: bool, config: Config) -> Asm:
+    """Undo ``seq_icall_pre`` after the call returns."""
+    lay = Layout(config.width)
     a = Asm()
     a.mload(lay.depth).push(1).emit(Op.SUB).mstore(lay.depth)
     if surrogate:
@@ -743,38 +682,18 @@ def seq_icall_post(val: int, surrogate: bool, lay: Layout, config: Config) -> As
     return a
 
 
-def seq_calldata_load_shim(lay: Layout) -> Asm:
-    """Replacement prefix for CALLDATALOAD: shift the index by the marker offset."""
-    return Asm().mload(lay.cdoff).emit(Op.ADD)
-
-
-def seq_calldata_size_shim(lay: Layout) -> Asm:
-    """Emitted after CALLDATASIZE: subtract the marker offset (SUB takes
-    the top word from the one below it)."""
-    return Asm().mload(lay.cdoff).emit(Op.SUB)
-
-
-def seq_returndata_load_shim(lay: Layout) -> Asm:
-    """Replacement prefix for RETURNDATALOAD: skip the last call's prefix."""
-    return Asm().mload(lay.retoff).emit(Op.ADD)
-
-
-def seq_returndata_size_shim(lay: Layout) -> Asm:
-    """Emitted after RETURNDATASIZE: subtract the last call's prefix."""
-    return Asm().mload(lay.retoff).emit(Op.SUB)
-
-
-def seq_admin_body(admin_addr: int, lay: Layout) -> Asm:
+def seq_admin_body(config: Config) -> Asm:
     """Administration entry: append (slot, value) pairs, caller-gated.
 
     Calldata: [n, slot1, value1, ..., slotN, valueN], built by
     ``admin_calldata``.
     """
+    lay = Layout(config.width)
     a = Asm()
     ok = Asm.fresh("adm_ok")
     loop = Asm.fresh("adm_loop")
     done = Asm.fresh("adm_done")
-    a.emit(Op.CALLER).push(admin_addr).emit(Op.EQ)
+    a.emit(Op.CALLER).push(config.admin).emit(Op.EQ)
     a.jumpi(ok)
     a.push(0).emit(Op.REVERT)
     a.mark(ok)
@@ -883,6 +802,6 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
     branches = [pos for pos, item in enumerate(items) if item[0] == "jumpi"]
     if branches:
         return seq_gas(_taken_path(items, branches[-1]), config)
-    miss = seq_miss(0, 0, Layout(config.width), config).items
+    miss = seq_miss(0, config).items
     accept = next(pos for pos, item in enumerate(miss) if item[0] == "jumpi")
     return seq_gas(items + _taken_path(miss, accept), config)

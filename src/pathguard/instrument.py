@@ -28,9 +28,6 @@ from .guardcode import (
     resolve,
     seq_arith_check,
     seq_backedge,
-    seq_branch_add,
-    seq_calldata_load_shim,
-    seq_calldata_size_shim,
     seq_call_result,
     seq_check_fragment,
     seq_checker,
@@ -39,13 +36,10 @@ from .guardcode import (
     seq_external_epilogue,
     seq_icall_post,
     seq_icall_pre,
-    seq_internal_entry,
     seq_miss,
     seq_prologue,
     seq_protected_call_pre,
     seq_protected_call_post,
-    seq_returndata_load_shim,
-    seq_returndata_size_shim,
     seq_unprotected_call_pre,
     seq_unprotected_call_post,
 )
@@ -89,6 +83,16 @@ POINT_CHECK = "PathSetCheck"
 # Stub terminators stand in for the original exit they replace: same cost,
 # so their gas is not instrumentation overhead.
 _EXIT_OPS = frozenset({Op.RETURN, Op.IRET})
+
+# Calldata and return-data reads skip the prefix a marker call or return put
+# in front: op -> (point kind, shim, placement, reserved word, arithmetic).
+# A load's index gains the prefix length; a size loses it.
+_SHIMS = {
+    Op.CALLDATALOAD: (POINT_WRAPPER, "calldata", "before", "cdoff", Op.ADD),
+    Op.CALLDATASIZE: (POINT_WRAPPER, "calldatasize", "after", "cdoff", Op.SUB),
+    Op.RETURNDATALOAD: (POINT_EXT_PROT, "returndata", "before", "retoff", Op.ADD),
+    Op.RETURNDATASIZE: (POINT_EXT_PROT, "returndatasize", "after", "retoff", Op.SUB),
+}
 
 
 class InstrumentationError(ValidationError):
@@ -244,14 +248,14 @@ class _Rewriter:
         new_functions.append(
             self._guard_function(
                 admin_fid, ADMIN_FN_NAME, Visibility.EXTERNAL,
-                seq_admin_body(config.admin, self.lay), pid, owners,
+                seq_admin_body(config), pid, owners,
             )
         )
 
         # one copy per contract of each slow path, in SlowPaths order
         shared = {
-            EXIT_FN_NAME: seq_exit_routine(self.code_id, self.lay, config),
-            "__guard_miss": seq_miss(self.code_id, config.guard.mapping_tag, self.lay, config),
+            EXIT_FN_NAME: seq_exit_routine(self.code_id, config),
+            "__guard_miss": seq_miss(self.code_id, config),
         }
         for fid, (name, seq) in zip(self.slow, shared.items()):
             pid = self.point(POINT_CHECK, (name, "shared"))
@@ -298,7 +302,7 @@ class _Rewriter:
         return FunctionDef(fid, name, visibility, body)
 
     def _scan_reserved_collisions(self) -> None:
-        lo, hi = self.lay.reserved_range()
+        lo, hi = self.lay.reserved_range
         for fn in self.prog.functions:
             if fn.name.startswith(GUARD_NAME_PREFIXES):
                 raise InstrumentationError(
@@ -319,9 +323,7 @@ class _Rewriter:
 
     def _rewrite_function(self, fn: FunctionDef, chk_fid: int):
         name = self.name
-        config = self.config
         lay = self.lay
-        guard = config.guard
         analysis = self.analysis
         cfg = analysis.cfgs[(name, fn.id)]
         lab = analysis.epp[(name, fn.id)]
@@ -348,15 +350,10 @@ class _Rewriter:
                 cases="marker/direct/foreign/reentrant",
                 num_ccs=num_ccs,
             )
-            add(
-                before,
-                0,
-                seq_prologue(num_ccs, lab.entry_val, rows, guard.call_marker, config),
-                pid,
-            )
+            add(before, 0, seq_prologue(num_ccs, lab.entry_val, rows, self.config), pid)
         else:
             pid = self.point(POINT_ENTRY, (fn.name, 0), entry_val=lab.entry_val)
-            add(before, 0, seq_internal_entry(lab.entry_val, lay), pid)
+            add(before, 0, Asm().epp_set(lay, lab.entry_val), pid)
 
         # branch points on nonzero-value edges
         backedge_jumps = {off for off, _tgt in cfg.backedges}
@@ -386,13 +383,13 @@ class _Rewriter:
             if tag == "fall" or tag == "callret":
                 off = edge.origin[1]
                 pid = self.point(POINT_BRANCH, (fn.name, off), val=val)
-                add(after, off, seq_branch_add(val, lay), pid)
+                add(after, off, Asm().epp_add(lay, val), pid)
             elif tag == "jump":
                 off = edge.origin[1]
                 if off in backedge_jumps:
                     continue
                 pid = self.point(POINT_BRANCH, (fn.name, off), val=val)
-                add(before, off, seq_branch_add(val, lay), pid)
+                add(before, off, Asm().epp_add(lay, val), pid)
             elif tag == "branch":
                 off, is_taken = edge.origin[1], edge.origin[2]
                 if is_taken:
@@ -408,11 +405,7 @@ class _Rewriter:
                     pid = self.point(
                         POINT_BRANCH, (fn.name, off), val=val, arm="fall"
                     )
-                    add(after, off, seq_branch_add(val, lay), pid)
-            elif tag == "term":
-                pass  # folded into the exit-site replacement
-            elif tag == "entry":
-                pass  # folded into the entry sequence
+                    add(after, off, Asm().epp_add(lay, val), pid)
 
         # backedges: close the path, reset, continue to the original target;
         # each backedge's source block ends at its jump
@@ -474,28 +467,26 @@ class _Rewriter:
             stub = Asm().mark(iexit_label).extend(seq_check_fragment(chk_fid, lay, num_paths))
             stubs.append((stub.emit(Op.IRET), pid))
 
-        # call sites
+        def shim(off: int, op: Op) -> None:
+            kind, name, where, word, arith = _SHIMS[op]
+            pid = self.point(kind, (fn.name, off), shim=name)
+            seq = Asm().mload(getattr(lay, word)).emit(arith)
+            add(before if where == "before" else after, off, seq, pid)
+
+        # call sites and calldata shims
         for off, instr in enumerate(fn.body):
             if instr.op is Op.ICALL:
                 self._plan_icall(fn, off, before, after, add)
             elif instr.op in EXTERNAL_CALLS:
                 self._plan_external_call(fn, off, before, after, add)
-            elif instr.op is Op.CALLDATALOAD:
-                pid = self.point(POINT_WRAPPER, (fn.name, off), shim="calldata")
-                add(before, off, seq_calldata_load_shim(lay), pid)
-            elif instr.op is Op.CALLDATASIZE:
-                pid = self.point(POINT_WRAPPER, (fn.name, off), shim="calldatasize")
-                add(after, off, seq_calldata_size_shim(lay), pid)
+            elif instr.op in (Op.CALLDATALOAD, Op.CALLDATASIZE):
+                shim(off, instr.op)
 
         # return-data shims: skip the prefix the last call left, if any
         if self.shims:
             for off, instr in enumerate(fn.body):
-                if instr.op is Op.RETURNDATALOAD:
-                    pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndata")
-                    add(before, off, seq_returndata_load_shim(lay), pid)
-                elif instr.op is Op.RETURNDATASIZE:
-                    pid = self.point(POINT_EXT_PROT, (fn.name, off), shim="returndatasize")
-                    add(after, off, seq_returndata_size_shim(lay), pid)
+                if instr.op in (Op.RETURNDATALOAD, Op.RETURNDATASIZE):
+                    shim(off, instr.op)
 
         return self._lay_out(fn, before, after, replace, stubs)
 
@@ -513,33 +504,26 @@ class _Rewriter:
     def _plan_icall(self, fn, off, before, after, add) -> None:
         site = (self.name, fn.id, off)
         val, surrogate = self.analysis.site_val[(site, (self.name, fn.body[off].imm))]
-        if not surrogate:
-            pid = self.point(POINT_ICALL, (fn.name, off), val=val)
-            add(before, off, seq_icall_pre(val, None, self.lay, self.config), pid)
-            rid = self.point(POINT_IRETURN, (fn.name, off), val=-val)
-            add(after, off, seq_icall_post(val, False, self.lay, self.config), rid)
-        else:
+        if surrogate:
             pid = self.point(POINT_ICALL, (fn.name, off), surrogate_val=val)
-            add(before, off, seq_icall_pre(0, val, self.lay, self.config), pid)
             rid = self.point(POINT_IRETURN, (fn.name, off), restore=True)
-            add(after, off, seq_icall_post(0, True, self.lay, self.config), rid)
+        else:
+            pid = self.point(POINT_ICALL, (fn.name, off), val=val)
+            rid = self.point(POINT_IRETURN, (fn.name, off), val=-val)
+        add(before, off, seq_icall_pre(val, surrogate, self.config), pid)
+        add(after, off, seq_icall_post(val, surrogate, self.config), rid)
 
     def _plan_external_call(self, fn, off, before, after, add) -> None:
         config = self.config
-        lay = self.lay
         if self.analysis.site_protected(self.name, fn.id, off):
             gid = self.analysis.site_gid[(self.name, fn.id, off)]
             pid = self.point(POINT_EXT_PROT, (fn.name, off), site_gid=gid)
-            pre = seq_protected_call_pre(
-                fn.body[off].op, gid, config.guard.call_marker, lay, config
-            )
-            add(before, off, pre, pid)
-            post = seq_protected_call_post(config.guard.call_marker, lay, config, self.shims)
-            add(after, off, post, pid)
+            add(before, off, seq_protected_call_pre(fn.body[off].op, gid, config), pid)
+            add(after, off, seq_protected_call_post(config, self.shims), pid)
         else:
             pid = self.point(POINT_EXT_UNPROT, (fn.name, off), slot=hex(CTX_SLOT))
-            add(before, off, seq_unprotected_call_pre(lay), pid)
-            add(after, off, seq_unprotected_call_post(config.slot_poison, lay, self.shims), pid)
+            add(before, off, seq_unprotected_call_pre(self.lay), pid)
+            add(after, off, seq_unprotected_call_post(config, self.shims), pid)
 
     def _lay_out(self, fn, before, after, replace, stubs):
         """Lay out plan items into the new body; fix all jump targets.

@@ -10,8 +10,7 @@ mirrored uninstrumented world for exact overhead accounting.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .asm import assemble
 from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context, split_index
-from .config import Config, config_from_json, config_to_json, read_word
+from .config import Config, config_from_json, config_to_json, read_json, read_word
 from .epp import index_to_path
 from .guardcode import admin_calldata
 from .instrument import EXIT_FN_NAME, InstrumentedContract, instrument_contract, plan_strategies
@@ -73,8 +72,7 @@ class Bundle:
 
     @classmethod
     def load(cls, path: str | Path, config: Config | None = None) -> "Bundle":
-        raw = json.loads(Path(path).read_text())
-        return cls.from_json(raw, config)
+        return cls.from_json(read_json(path, WorkflowError), config)
 
     @classmethod
     def from_json(cls, raw: dict, config: Config | None = None) -> "Bundle":
@@ -90,17 +88,15 @@ class Bundle:
             programs[prog.name] = prog
         boundary = set(raw.get("boundary", list(programs)))
         deploy_order = raw.get("deploy", list(programs))
+
+        def word(value, where: str) -> int:
+            return read_word(value, f"bundle account {where}", WorkflowError, config.mask)
+
         accounts = {
-            _word(acct["address"]): _word(acct.get("balance", 0))
+            word(acct.get("address"), "address"): word(acct.get("balance", 0), "balance")
             for acct in raw.get("accounts", [])
         }
         return cls(programs, boundary, config, deploy_order, accounts, raw.get("setup", []))
-
-
-def _word(value) -> int:
-    if isinstance(value, str):
-        return int(value, 16) if value.lower().startswith("0x") else int(value)
-    return int(value)
 
 
 @dataclass
@@ -110,11 +106,14 @@ class DeployedWorld:
     names: dict[int, str]  # address -> contract name
 
     def resolve(self, ref) -> int:
-        if isinstance(ref, str) and ref in self.addresses:
-            return self.addresses[ref]
-        if isinstance(ref, str) and ref.startswith("@"):
-            return self.addresses[ref[1:]]
-        return _word(ref)
+        """A contract name, "@" and a contract name, or a word of the world's
+        width (WorkflowError otherwise)."""
+        if isinstance(ref, str):
+            if ref in self.addresses:
+                return self.addresses[ref]
+            if ref.startswith("@") and ref[1:] in self.addresses:
+                return self.addresses[ref[1:]]
+        return read_word(ref, "transaction word", WorkflowError, self.world.config.mask)
 
 
 def build_world(
@@ -137,9 +136,13 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
 
     ``to`` may be a contract name or address; ``fn`` a function name,
     "fallback", or a hex selector; calldata words may use "@Name" to refer
-    to deployed contract addresses.
+    to deployed contract addresses. Every other word must be a word of the
+    bundle's width (WorkflowError otherwise).
     """
-    to = deployed.resolve(record["to"])
+    if not isinstance(record, dict):
+        raise WorkflowError(f"transaction record is not a JSON object: {record!r}")
+    mask = bundle.config.mask
+    to = deployed.resolve(record.get("to"))
     fn = record.get("fn", "fallback")
     if fn == "fallback":
         selector = None
@@ -152,25 +155,24 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
         if selector is None:
             raise WorkflowError(f"{name}.{fn} has no selector")
     else:
-        selector = _word(fn)
+        selector = read_word(fn, "transaction fn", WorkflowError, mask)
     calldata = [deployed.resolve(w) for w in record.get("calldata", [])]
     return Transaction(
-        origin=_word(record.get("origin", 1)),
+        origin=read_word(record.get("origin", 1), "transaction origin", WorkflowError, mask),
         to=to,
         selector=selector,
         calldata=calldata,
-        value=_word(record.get("value", 0)),
-        gas_limit=int(record.get("gas_limit", 10_000_000)),
+        value=read_word(record.get("value", 0), "transaction value", WorkflowError, mask),
+        # a gas budget, not a machine word
+        gas_limit=read_word(
+            record.get("gas_limit", 10_000_000), "transaction gas_limit", WorkflowError
+        ),
     )
 
 
 def load_txs(path: str | Path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            records.append(json.loads(line))
-    return records
+    """The transaction records of a JSON-lines stream file."""
+    return read_json(path, WorkflowError, lines=True)
 
 
 # -- training --------------------------------------------------------------------
@@ -221,16 +223,23 @@ def make_snapshot(
 
 
 def snapshot_safe_sets(snapshot: dict, name: str) -> dict[int, set[int]]:
-    """Each function's safe keys in ``name``'s part of ``snapshot``. A key
-    must be a word of the snapshot's width (WorkflowError otherwise)."""
+    """Each function's safe keys in ``name``'s part of ``snapshot``, whose
+    width ``protect`` has checked. Each entry must hold a list of safe keys,
+    each a word of that width (WorkflowError otherwise)."""
     mask = (1 << snapshot["width"]) - 1
-    return {
-        int(fid): {
-            read_word(h, f"snapshot {name}.fn{fid} safe key", WorkflowError, mask)
-            for h in entry["safe"]
+    per_fn = snapshot["contracts"].get(name, {})
+    if not isinstance(per_fn, dict):
+        raise WorkflowError(f"snapshot {name}: not a JSON object")
+    sets = {}
+    for fid, entry in per_fn.items():
+        where = f"snapshot {name}.fn{fid}"
+        safe = entry.get("safe") if isinstance(entry, dict) else None
+        if not isinstance(safe, list):
+            raise WorkflowError(f"{where}: no list of safe keys")
+        sets[read_word(fid, f"{where} id", WorkflowError)] = {
+            read_word(h, f"{where} safe key", WorkflowError, mask) for h in safe
         }
-        for fid, entry in snapshot["contracts"].get(name, {}).items()
-    }
+    return sets
 
 
 # -- protection --------------------------------------------------------------------
@@ -305,7 +314,7 @@ class GuardedBundle:
 def protect(bundle: Bundle, snapshot: dict) -> GuardedBundle:
     """Instrument every boundary contract against the trained snapshot."""
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
-    if snapshot["fingerprint"] != analysis.fingerprint():
+    if not isinstance(snapshot, dict) or snapshot.get("fingerprint") != analysis.fingerprint():
         raise FingerprintMismatch(
             "snapshot was trained against different code or labeling"
         )
@@ -313,6 +322,8 @@ def protect(bundle: Bundle, snapshot: dict) -> GuardedBundle:
         raise FingerprintMismatch(
             f"snapshot width {snapshot.get('width')!r} is not the bundle's {bundle.config.width}"
         )
+    if not isinstance(snapshot.get("contracts"), dict):
+        raise WorkflowError("snapshot: no contracts object")
     instrumented = {}
     for name in sorted(bundle.boundary):
         instrumented[name] = instrument_contract(
@@ -350,9 +361,38 @@ class AlarmRecord:
         }
 
     @classmethod
-    def from_json(cls, raw: dict) -> "AlarmRecord":
-        hexed = {k: int(raw[k], 16) for k in ("contract", "combined_id")}
-        return cls(**{**raw, **hexed})
+    def from_json(cls, raw: dict, mask: int) -> "AlarmRecord":
+        """The record ``to_json`` wrote, its words (the contract address, the
+        function and the ids) in [0, mask]. A field that is missing, unknown
+        or of the wrong type raises WorkflowError."""
+        if not isinstance(raw, dict):
+            raise WorkflowError(f"alarm record is not a JSON object: {raw!r}")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise WorkflowError(f"alarm record: unknown field {unknown[0]!r}")
+
+        def word(key: str, bound: int | None = mask) -> int:
+            return read_word(raw.get(key), f"alarm record {key}", WorkflowError, bound)
+
+        chain, blocks = raw.get("context_chain"), raw.get("path_blocks")
+        inner = raw.get("inner", False)
+        if not isinstance(chain, list) or not all(isinstance(c, str) for c in chain):
+            raise WorkflowError(f"alarm record context_chain: not a list of strings: {chain!r}")
+        if not isinstance(blocks, list):
+            raise WorkflowError(f"alarm record path_blocks: not a list: {blocks!r}")
+        if not isinstance(inner, bool):
+            raise WorkflowError(f"alarm record inner: not a bool: {inner!r}")
+        return cls(
+            tx_index=word("tx_index", None),
+            contract=word("contract"),
+            function=word("function"),
+            ctx_id=word("ctx_id"),
+            epp_id=word("epp_id"),
+            combined_id=word("combined_id"),
+            context_chain=chain,
+            path_blocks=[read_word(b, "alarm record path_blocks", WorkflowError) for b in blocks],
+            inner=inner,
+        )
 
 
 @dataclass
@@ -388,12 +428,20 @@ def deploy_guarded(guarded: GuardedBundle) -> DeployedWorld:
     for name, inst in guarded.instrumented.items():
         if inst.plan.preseed:
             _append_pairs(deployed, name, inst, inst.plan.preseed)
-    for record in guarded.bundle.setup:
-        tx = parse_tx(record, deployed, guarded.bundle)
+    _run_setup(deployed, guarded.bundle, "guarded")
+    return deployed
+
+
+def _run_setup(deployed: DeployedWorld, bundle: Bundle, world: str) -> None:
+    """Run the bundle's setup txs on ``deployed``; one that is not accepted
+    raises WorkflowError naming it and the ``world`` it ran on."""
+    for index, record in enumerate(bundle.setup):
+        tx = parse_tx(record, deployed, bundle)
         receipt = VM(deployed.world, TRACE_NONE).execute_transaction(tx)
         if receipt.status != STATUS_ACCEPTED:
-            raise WorkflowError(f"setup tx failed on guarded world: {receipt.status}")
-    return deployed
+            raise WorkflowError(
+                f"setup tx {index} ({record}) ended {receipt.status} on the {world} world"
+            )
 
 
 def _append_pairs(
@@ -419,9 +467,7 @@ def start_detection(guarded: GuardedBundle, mirror: bool = True) -> DetectionRun
     shadow = None
     if mirror:
         shadow = build_world(guarded.bundle)
-        for record in guarded.bundle.setup:
-            tx = parse_tx(record, shadow, guarded.bundle)
-            VM(shadow.world, TRACE_NONE).execute_transaction(tx)
+        _run_setup(shadow, guarded.bundle, "mirror")
     return DetectionRun(guarded, deployed, shadow)
 
 
@@ -580,6 +626,8 @@ def review_and_approve(run: DetectionRun, alarm_tx_index: int, admin: int) -> di
     gas = 0
     by_contract: dict[int, list[tuple[int, int]]] = {}
     for alarm in alarms:
+        if run.deployed.names.get(alarm.contract) not in run.guarded.instrumented:
+            raise WorkflowError(f"alarm names {alarm.contract:#x}, no protected contract")
         by_contract.setdefault(alarm.contract, []).append(
             (alarm.function, alarm.combined_id)
         )

@@ -3,6 +3,7 @@ fixture -> train -> protect -> run -> approve."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -335,4 +336,176 @@ def test_protect_rejects_a_pool_word_out_of_range(tmp_path, capsys, word, needle
     bad.write_text(json.dumps({"contracts": [{"program": program}]}))
     out = tmp_path / "g.json"
     _exit_2(capsys, ["protect", bad, tmp_path / "snap.json", "-o", out], "data_pool[0]", needle)
+    assert not out.exists()
+
+
+def _protect(tmp_path, capsys, name: str):
+    """fixture -> train -> protect; returns the guarded file's path."""
+    _main(capsys, "fixture", name, "-o", tmp_path)
+    bundle = tmp_path / f"{name}.bundle.json"
+    snap = tmp_path / "snap.json"
+    _main(capsys, "train", bundle, tmp_path / f"{name}.train.jsonl", "-o", snap)
+    _main(capsys, "protect", bundle, snap, "-o", tmp_path / "guarded.json")
+    return tmp_path / "guarded.json"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"origin": 1.7, "to": "vault", "fn": "deposit", "value": 0.9},
+        {"origin": True, "to": "vault", "fn": "deposit"},
+        {"origin": hex(1 << 64), "to": "vault", "fn": "deposit"},
+        {"origin": 1, "to": 256.0, "fn": "0x11"},
+        {"origin": 1, "to": "vault", "fn": hex(1 << 64)},
+        {"origin": 1, "to": "vault", "fn": "deposit", "calldata": [2.5]},
+        {"origin": 1, "to": "vault", "fn": "deposit", "gas_limit": 1e6},
+    ],
+    ids=[
+        "float-origin-and-value", "bool-origin", "above-mask-origin", "float-to",
+        "above-mask-fn", "float-calldata", "float-gas-limit",
+    ],
+)
+def test_run_rejects_a_transaction_field_that_is_not_a_word(tmp_path, capsys, record):
+    """Every word of a transaction record is read as a word of the bundle's
+    width: a float or a bool is no longer truncated to an int in silence."""
+    guarded = _protect(tmp_path, capsys, "reentrancy")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    _exit_2(capsys, ["run", guarded, bad], "transaction", "not a word")
+
+
+@pytest.mark.parametrize(
+    "account",
+    [{"address": 1.5, "balance": 5}, {"address": "0x1", "balance": True},
+     {"address": "0x1", "balance": -1}],
+    ids=["float-address", "bool-balance", "negative-balance"],
+)
+def test_bundle_account_words_are_read_as_words(tmp_path, capsys, account):
+    _main(capsys, "fixture", "visibility", "-o", tmp_path)
+    path = tmp_path / "visibility.bundle.json"
+    raw = json.loads(path.read_text())
+    raw["accounts"] = [account]
+    path.write_text(json.dumps(raw))
+    _exit_2(capsys, ["analyze", path], "bundle account", "not a word")
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda raw: {}, "trained against different code"),
+        (lambda raw: [raw], "trained against different code"),
+        (lambda raw: dict(raw, width=8), "snapshot width 8"),
+        (lambda raw: {k: v for k, v in raw.items() if k != "contracts"}, "no contracts"),
+        (lambda raw: dict(raw, contracts={"vault": []}), "snapshot vault: not a JSON object"),
+        (lambda raw: dict(raw, contracts={"vault": {"0": {}}}), "no list of safe keys"),
+        (lambda raw: dict(raw, contracts={"vault": {"0": {"safe": "0x1"}}}), "no list of safe"),
+        (lambda raw: dict(raw, contracts={"vault": {"x": {"safe": []}}}), "fnx id"),
+    ],
+    ids=[
+        "empty", "not-an-object", "width", "no-contracts", "contract-not-an-object",
+        "no-safe", "safe-not-a-list", "bad-function-id",
+    ],
+)
+def test_protect_rejects_a_malformed_snapshot(tmp_path, capsys, edit, needle):
+    """The snapshot's fingerprint, width, contracts and each entry's safe
+    keys are checked where protection reads them: a malformed one exits with
+    the validation code, never a KeyError, and nothing is written."""
+    _main(capsys, "fixture", "reentrancy", "-o", tmp_path)
+    bundle = tmp_path / "reentrancy.bundle.json"
+    snap = tmp_path / "snap.json"
+    _main(capsys, "train", bundle, tmp_path / "reentrancy.train.jsonl", "-o", snap)
+    snap.write_text(json.dumps(edit(json.loads(snap.read_text()))))
+    out = tmp_path / "guarded.json"
+    _exit_2(capsys, ["protect", bundle, snap, "-o", out], needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda raw: dict(raw, note="x"), "unknown field 'note'"),
+        (lambda raw: dict(raw, combined_id="0xzz"), "combined_id: not a word"),
+        (lambda raw: dict(raw, combined_id=hex(0x100)), "combined_id: '0x100' is not a word"),
+        (lambda raw: dict(raw, contract=-1), "contract: -1 is not a word"),
+        (lambda raw: {k: v for k, v in raw.items() if k != "function"}, "function: not a word"),
+        (lambda raw: dict(raw, inner="no"), "inner: not a bool"),
+        (lambda raw: dict(raw, context_chain=[1]), "context_chain: not a list of strings"),
+        (lambda raw: dict(raw, contract="0x1"), "no protected contract"),
+        (lambda raw: [raw], "alarm record is not a JSON object"),
+    ],
+    ids=[
+        "extra-key", "non-hex-combined", "above-mask-combined", "negative-contract",
+        "missing-function", "non-bool-inner", "non-string-chain", "unprotected-contract",
+        "not-an-object",
+    ],
+)
+def test_approve_rejects_a_malformed_alarm_record(tmp_path, capsys, edit, needle):
+    """Each field of an alarm-log line is read by name, its words as words of
+    the bundle's width (overflow runs at 8 bits): a malformed line exits with
+    the validation code and the world file is left as it was."""
+    index, _ = _walk(tmp_path, capsys, "overflow")
+    log = tmp_path / "alarms.jsonl"
+    lines = log.read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    log.write_text("\n".join(lines) + "\n")
+    world = tmp_path / "world.json"
+    before = world.read_text()
+    _exit_2(
+        capsys,
+        ["approve", tmp_path / "guarded.json", world, log, "--index", index, "--admin", "0xAD"],
+        needle,
+    )
+    assert world.read_text() == before
+
+
+_DOORS = {
+    # file -> (the command that reads it, file name, lines before the bad one)
+    "bundle": (["train", "{bundle}", "{train}", "-o", "{tmp}/s.json"], "{bundle}", 0),
+    "tx-stream": (["train", "{bundle}", "{train}", "-o", "{tmp}/s.json"], "{train}", 2),
+    "snapshot": (["protect", "{bundle}", "{snap}", "-o", "{tmp}/g.json"], "{snap}", 0),
+    "guarded": (["run", "{guarded}", "{detect}"], "{guarded}", 0),
+    "world": (["approve", "{guarded}", "{world}", "{alarms}", "--index", "{index}",
+               "--admin", "0xAD"], "{world}", 0),
+    "alarm-log": (["approve", "{guarded}", "{world}", "{alarms}", "--index", "{index}",
+                   "--admin", "0xAD"], "{alarms}", 1),
+    "disasm": (["disasm", "{tmp}/prog.json"], "{tmp}/prog.json", 0),
+    "config": (["--config", "{tmp}/c.json", "analyze", "{bundle}"], "{tmp}/c.json", 0),
+}
+
+
+@pytest.mark.parametrize("door", sorted(_DOORS))
+def test_unparseable_json_exits_2_naming_file_and_line(tmp_path, capsys, door):
+    """Every JSON file the CLI reads goes through one reader: text that does
+    not parse exits with the validation code and a one-line error naming the
+    file and line, not a JSONDecodeError traceback. In a JSON-lines file the
+    line is the bad record's own."""
+    index, _ = _walk(tmp_path, capsys, "overflow")
+    names = {
+        "tmp": tmp_path, "bundle": tmp_path / "overflow.bundle.json",
+        "train": tmp_path / "overflow.train.jsonl", "detect": tmp_path / "overflow.detect.jsonl",
+        "snap": tmp_path / "snap.json", "guarded": tmp_path / "guarded.json",
+        "world": tmp_path / "world.json", "alarms": tmp_path / "alarms.jsonl", "index": index,
+    }
+    argv, target, keep = _DOORS[door]
+    path = target.format(**names)
+    kept = Path(path).read_text().splitlines()[:keep] if Path(path).exists() else []
+    Path(path).write_text("\n".join(kept + ["{not json"]) + "\n")
+    world = Path(names["world"]).read_text()
+    code = cli.main([a.format(**names) for a in argv])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"{path}:{keep + 1}: not JSON" in err, err
+    assert Path(names["world"]).read_text() == world
+
+
+def test_a_json_file_that_cannot_be_read_exits_2(tmp_path, capsys):
+    """The same reader turns a missing file into the validation code."""
+    _main(capsys, "fixture", "visibility", "-o", tmp_path)
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "guarded.json"
+    _exit_2(
+        capsys, ["protect", tmp_path / "visibility.bundle.json", missing, "-o", out],
+        f"{missing}: cannot read",
+    )
     assert not out.exists()

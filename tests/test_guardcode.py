@@ -80,15 +80,15 @@ def _run_unary(items, x, width=64, pool=None, extra_fns=None, storage=None):
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
 def test_xor_macro_matches_python(width):
-    """Asm.xor is the native XOR opcode: x ^ y at every width for 3 gas, and
+    """The native XOR opcode gives x ^ y at every width for 3 gas, and
     a frame failure, charged before the pop, on a one-word stack."""
     rng = random.Random(width)
     for _ in range(20):
         x, y = rng.getrandbits(width), rng.getrandbits(width)
-        got, gas = _run_unary(Asm().push(y).xor().items, x, width)
+        got, gas = _run_unary(Asm().push(y).emit(Op.XOR).items, x, width)
         assert got == x ^ y
         assert gas == 6 * 3  # PUSH CALLDATALOAD PUSH XOR PUSH RETURN
-    receipt, _world, _addr = _execute(Asm().push(1).xor().emit(Op.STOP).items, [], width)
+    receipt, _world, _addr = _execute(Asm().push(1).emit(Op.XOR).emit(Op.STOP).items, [], width)
     assert receipt.status == "Reverted"
     assert receipt.gas_used == 2 * 3
     assert receipt.trace[-1].detail == {"reason": "stack underflow"}
@@ -388,7 +388,7 @@ def _transient(world, addr):
 
 def _miss_fn(config, fid=SLOW_FID, code_id=CODE_ID):
     """The shared miss routine as internal function ``fid``."""
-    miss = seq_miss(code_id, config.guard.mapping_tag, Layout(config.width), config)
+    miss = seq_miss(code_id, config)
     return FunctionDef(fid, "miss", Visibility.INTERNAL, flatten(miss.items, base=0))
 
 
@@ -450,7 +450,7 @@ def _run_exit(mode, flag, entries):
     a.push(0xA1).push(0xA2).push(2)
     a.extend(seq_external_epilogue(EXIT_FN, ACCEPT_FID, SLOW_FID, 1, lay))
     accept = Asm().emit(Op.POP).emit(Op.IRET)
-    fns = _slow_fn(seq_exit_routine(CODE_ID, lay, config)) + [
+    fns = _slow_fn(seq_exit_routine(CODE_ID, config)) + [
         FunctionDef(ACCEPT_FID, "accept", Visibility.INTERNAL, flatten(accept.items, base=0))
     ]
     return _execute(a.items, [], extra_fns=fns)
@@ -532,7 +532,7 @@ def test_inner_guard_revert_rolls_back_only_its_own_appends():
     inner = Asm().push(0x222).push(5).push(mapping_fn_seed(5, config)).emit(Op.ICALL, miss_fid)
     inner.push(0).push(5).emit(Op.ICALL, exit_fid)
     inner.push(0).emit(Op.RETURN)  # never reached
-    fns = _slow_fn(seq_exit_routine(CODE_ID, Layout(64), config)) + [
+    fns = _slow_fn(seq_exit_routine(CODE_ID, config)) + [
         _miss_fn(config, miss_fid),
         FunctionDef(inner_fid, "inner", Visibility.EXTERNAL, flatten(inner.items, base=0)),
     ]
@@ -579,7 +579,7 @@ def test_callee_entries_land_in_executing_account_buffer(op):
     prog = ContractProgram(
         "host",
         [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(host.items, base=0))]
-        + _slow_fn(seq_exit_routine(CODE_ID, Layout(64), config)),
+        + _slow_fn(seq_exit_routine(CODE_ID, config)),
         {0x7: 0},
         None,
     )

@@ -118,7 +118,6 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
     marker-return code or branches on a checker's answer, no guard function
     RETURNs, no checker probes storage, and only checkers reach the miss
     routine."""
-    lay = Layout(CONFIG.width)
     gm = CONFIG.guard.guard_marker & CONFIG.mask
     tag = CONFIG.guard.mapping_tag & CONFIG.mask
     poison = (CONFIG.slot_poison, CTX_SLOT)
@@ -131,8 +130,8 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
         bodies = [fn.body for fn in functions]
         shared = []
         for seq in (
-            seq_exit_routine(0, lay, CONFIG),
-            seq_miss(0, CONFIG.guard.mapping_tag, lay, CONFIG),
+            seq_exit_routine(0, CONFIG),
+            seq_miss(0, CONFIG),
         ):
             assert bodies.count(flatten(seq.items, base=0)) == 1
             shared.append(bodies.index(flatten(seq.items, base=0)))

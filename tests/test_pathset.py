@@ -231,7 +231,7 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     body += flatten(check.items, base=2)
     body += [Instruction(Op.PUSH, 1), Instruction(Op.RETURN)]
     chk = seq_checker(spec, 0, 2, 0, config)
-    miss = seq_miss(0, config.guard.mapping_tag, lay, config)
+    miss = seq_miss(0, config)
     prog = ContractProgram(
         "t",
         [

@@ -148,7 +148,7 @@ def test_alarm_record_round_trips_through_json(scenario):
     alarms = run_detection(guarded, scenario.attack, mirror=False).alarm_log
     assert alarms and any(a.inner for a in alarms) == (scenario is REENTRANCY)
     for a in alarms:
-        assert AlarmRecord.from_json(json.loads(json.dumps(a.to_json()))) == a
+        assert AlarmRecord.from_json(json.loads(json.dumps(a.to_json())), bundle.config.mask) == a
 
 
 def test_not_admin_rejected(visibility_setup):
@@ -619,3 +619,24 @@ def test_alarm_entry_naming_no_protected_function_is_labelled():
     assert forged.context_chain == ["<alarm entry names no protected function>"]
     assert (genuine.contract, genuine.function) == (p, 0)
     assert genuine.context_chain == ["entry -> p.fn0"] and genuine.path_blocks
+
+
+def test_mirror_setup_failure_is_raised(visibility_setup, monkeypatch):
+    """The mirror world replays the bundle's setup as the guarded world
+    does, and a setup tx that is not accepted there raises WorkflowError
+    naming it instead of leaving the mirror in a different state. The
+    guarded deploy is stubbed to skip setup, so only the mirror runs it."""
+    import dataclasses
+
+    from pathguard import workflow
+
+    scenario, bundle, snapshot = visibility_setup
+    starved = dict(scenario.training[0], gas_limit=1)
+    guarded = protect(dataclasses.replace(bundle, setup=[starved]), snapshot)
+    monkeypatch.setattr(
+        workflow, "deploy_guarded",
+        lambda g: workflow.build_world(g.bundle, g.programs()),
+    )
+    with pytest.raises(WorkflowError, match=r"setup tx 0 .* on the mirror world"):
+        start_detection(guarded)
+    assert start_detection(guarded, mirror=False).mirror is None
