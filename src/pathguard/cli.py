@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .asm import assemble, disassemble
 from .bundle import analyze_bundle
-from .config import Config, ConfigError, load_config, read_json, read_word
+from .config import Config, ConfigError, load_config, read_json, read_text, read_word
 from .epp import IndexSpaceOverflow
 from .oracle import TraceMismatch
 from .program import ContractProgram, SizeLimitExceeded, ValidationError
@@ -26,6 +26,7 @@ from .workflow import (
     GuardedBundle,
     TrainingTxFailed,
     WorkflowError,
+    json_field,
     load_txs,
     overhead_report,
 )
@@ -131,7 +132,7 @@ def _config(args) -> Config | None:
 
 def _cmd_asm(args) -> int:
     config = _config(args) or Config()
-    prog = assemble(Path(args.source).read_text(), config)
+    prog = assemble(read_text(args.source, ValidationError), config)
     Path(args.output).write_text(json.dumps(prog.to_json(), indent=2))
     print(f"{prog.name}: {len(prog.functions)} functions, {prog.byte_size} bytes")
     return EXIT_OK
@@ -196,22 +197,31 @@ def _cmd_protect(args) -> int:
 
 
 def _load_guarded(path: str, config: Config | None) -> GuardedBundle:
-    """Protect the saved originals again; each program must equal the saved one."""
+    """Protect the saved originals again; each program must equal the saved
+    one. A field that is missing or of the wrong type raises WorkflowError
+    naming the file and the field."""
     raw = read_json(path, WorkflowError)
+    where = f"{path}: guarded"
     bundle = Bundle.from_json(
         {
-            "contracts": [{"program": p} for p in raw["originals"].values()],
-            "boundary": raw["boundary"],
-            "deploy": raw["deploy"],
-            "accounts": raw.get("accounts", []),
-            "setup": raw.get("setup", []),
-            "config": raw.get("config", {}),
+            "contracts": [
+                {"program": p} for p in json_field(raw, "originals", dict, where).values()
+            ],
+            "boundary": json_field(raw, "boundary", list, where),
+            "deploy": json_field(raw, "deploy", list, where),
+            "accounts": json_field(raw, "accounts", list, where, []),
+            "setup": json_field(raw, "setup", list, where, []),
+            "config": json_field(raw, "config", dict, where, {}),
         },
         config,
+        where,
     )
-    guarded = workflow.protect(bundle, raw["snapshot"])
+    guarded = workflow.protect(bundle, json_field(raw, "snapshot", dict, where))
+    saved = json_field(raw, "contracts", dict, where)
     for name, inst in guarded.instrumented.items():
-        if raw["contracts"].get(name, {}).get("program") != inst.program.to_json():
+        entry = json_field(saved, name, dict, f"{where} contracts")
+        program = json_field(entry, "program", dict, f"{where} contracts[{name!r}]")
+        if program != inst.program.to_json():
             raise StaleGuardedProgram(
                 f"{path}: the saved program of {name} differs from the one this "
                 "build emits; protect the bundle again"
@@ -244,7 +254,7 @@ def _cmd_run(args) -> int:
 def _cmd_approve(args) -> int:
     guarded = _load_guarded(args.guarded, _config(args))
     mask = guarded.bundle.config.mask
-    deployed = _restore_world(read_json(args.world, WorkflowError), guarded)
+    deployed = _restore_world(read_json(args.world, WorkflowError), guarded, args.world)
     run = DetectionRun(guarded, deployed, None)
     for raw in read_json(args.alarm_log, WorkflowError, lines=True):
         run.alarm_log.append(workflow.AlarmRecord.from_json(raw, mask))
@@ -304,29 +314,36 @@ def _dump_world(deployed) -> dict:
     }
 
 
-def _restore_world(raw: dict, guarded: GuardedBundle) -> DeployedWorld:
-    """The guarded world ``_dump_world`` saved, with the guarded programs.
-    Every address, balance and storage word must be a word of the bundle's
-    width (WorkflowError otherwise)."""
+def _restore_world(raw: dict, guarded: GuardedBundle, path: str) -> DeployedWorld:
+    """The guarded world ``_dump_world`` saved to ``path``, with the guarded
+    programs. Every address, balance and storage word must be a word of the
+    bundle's width, and every field of the right type (WorkflowError naming
+    the file and the field otherwise)."""
     config = guarded.bundle.config
+    top = f"{path}: world"
 
     def word(value, where: str) -> int:
-        return read_word(value, f"world {where}", WorkflowError, config.mask)
+        return read_word(value, f"{top} {where}", WorkflowError, config.mask)
 
     world = WorldState(config)
     programs = guarded.programs()
-    world.next_address = word(raw["next_address"], "next_address")
-    for addr_hex, entry in raw["accounts"].items():
+    world.next_address = word(json_field(raw, "next_address", object, top), "next_address")
+    for addr_hex, entry in json_field(raw, "accounts", dict, top).items():
         where = f"account {addr_hex}"
+        at = f"{top} {where}"
+        code = json_field(entry, "code", str, at, None)
+        if code is not None and code not in programs:
+            raise WorkflowError(f"{at}: field 'code' names no contract: {code!r}")
         world.accounts[word(addr_hex, "account address")] = Account(
-            balance=word(entry["balance"], f"{where} balance"),
+            balance=word(json_field(entry, "balance", object, at), f"{where} balance"),
             storage={
                 word(k, f"{where} storage key"): word(v, f"{where} storage[{k}]")
-                for k, v in entry["storage"].items()
+                for k, v in json_field(entry, "storage", dict, at).items()
             },
-            code=programs.get(entry["code"]) if entry["code"] else None,
+            code=programs[code] if code else None,
         )
-    addresses = {n: word(a, f"address of {n}") for n, a in raw["addresses"].items()}
+    names = json_field(raw, "addresses", dict, top)
+    addresses = {n: word(a, f"address of {n}") for n, a in names.items()}
     return DeployedWorld(world, addresses, {a: n for n, a in addresses.items()})
 
 

@@ -185,15 +185,43 @@ def read_word(
     return word
 
 
+_REQUIRED = object()
+_KIND_NAMES = {dict: "JSON object", list: "list", str: "string", int: "integer"}
+
+
+def read_field(raw, key: str, kind: type, where: str, error: type[Exception], default=_REQUIRED):
+    """``raw[key]``, which must be a ``kind`` (an int is not a bool); a
+    missing or null key gives ``default`` when there is one. ``raw`` that is
+    not a JSON object, a missing key without a default or a value of another
+    type raises ``error``, the reading format's own error type, naming
+    ``where`` and ``key``."""
+    if not isinstance(raw, dict):
+        raise error(f"{where}: not a JSON object: {raw!r}")
+    value = raw.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in raw:
+        raise error(f"{where}: no {key!r} field")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise error(f"{where}: field {key!r} is not a {_KIND_NAMES[kind]}: {value!r}")
+    return value
+
+
+def read_text(path: str | Path, error: type[Exception] = ConfigError) -> str:
+    """The text of file ``path``; a file that cannot be read raises
+    ``error``, the reading format's own error type, naming the file."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read: {exc}") from None
+
+
 def read_json(path: str | Path, error: type[Exception] = ConfigError, lines: bool = False):
     """The JSON document in file ``path``, or with ``lines`` the list of its
     JSON-lines records (blank lines and ``#`` comments skipped). A file that
     cannot be read or does not parse raises ``error``, the reading format's
     own error type, naming the file and line."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: cannot read: {exc}") from None
+    text = read_text(path, error)
     if not lines:
         return _parse_json(text, path, None, error)
     return [

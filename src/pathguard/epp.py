@@ -1,17 +1,22 @@
-"""Acyclic path index labeling over a DAG-form CFG.
+"""Acyclic path index labeling over a DAG-form CFG, and where its
+increments run.
 
 NumPaths(v) counts ENTRY-to-EXIT paths from v; edge values make the sum of
 values along any complete path a unique index in [0, NumPaths(ENTRY)).
-Edge ordering puts the heaviest successor first so it gets value zero, a
-static stand-in for placing increments off the hot edge.
+Edge ordering (``minimize_nonzero``) fixes the values, and so the indices,
+and nothing else. Which edges carry code is decided by ``place_increments``:
+Ball & Larus (TOPLAS 1994) move the values onto the chords of a maximum
+spanning tree weighted by how often each edge runs, keeping every path's
+sum; with no weights it keeps the values where they are.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import dag
-from .cfg import ENTRY, EXIT, Cfg, Edge, SURROGATE_ENTRY, SURROGATE_EXIT
+from .cfg import ENTRY, EXIT, Cfg, Edge, SURROGATE_ENTRY, SURROGATE_EXIT, VIRTUAL_FALSE
 
 
 class IndexSpaceOverflow(Exception):
@@ -26,6 +31,7 @@ class EppLabeling:
     entry_val: int  # value on the real ENTRY edge
     reset_val: dict[int, int]  # loop header bid -> value of ENTRY->header
     exit_val: dict[int, int]  # backedge source bid -> value of src->EXIT
+    order: list[int]  # vertices in topological order, ENTRY first
 
     @property
     def total_paths(self) -> int:
@@ -39,7 +45,12 @@ class EppLabeling:
 
 
 def minimize_nonzero(cfg: Cfg, num_paths: dict[int, int], outs: list[Edge]) -> list[Edge]:
-    """One vertex's out-edges in value order: descending NumPaths(dst), ties by offset."""
+    """One vertex's out-edges in value order: descending NumPaths(dst), ties by offset.
+
+    The first edge gets value zero. This fixes the path indices only; the
+    edge it zeroes carries no code only while ``place_increments`` has no
+    training hits to weigh.
+    """
     return sorted(outs, key=lambda e: (-num_paths[e.dst], cfg.block_sort_key(e.dst), e.eid))
 
 
@@ -54,27 +65,16 @@ def label_epp(cfg: Cfg, width: int = 64) -> EppLabeling:
             raise ValueError(f"{cfg.fn_name}: vertex {v} cannot reach EXIT")
         return [e.eid for e in outs]
 
+    order = cfg.topo_order()
     num_paths, edge_val, edge_order = dag.number(
-        reversed(cfg.topo_order()), EXIT, ranked, dst.__getitem__
+        reversed(order), EXIT, ranked, dst.__getitem__
     )
     if num_paths[ENTRY] > 1 << (width - 1):
         raise IndexSpaceOverflow(
             f"{cfg.fn_name}: {num_paths[ENTRY]} paths exceed the index space"
         )
 
-    # reset_val covers every ENTRY successor; loop headers consult it when a
-    # backedge resets the path accumulator (the entry edge may be shared).
-    entry_val = 0
-    reset_val: dict[int, int] = {}
-    exit_val: dict[int, int] = {}
-    for e in cfg.edges:
-        if e.src == ENTRY:
-            reset_val[e.dst] = edge_val[e.eid]
-            if e.kind != SURROGATE_ENTRY:
-                entry_val = edge_val[e.eid]
-        if e.kind == SURROGATE_EXIT:
-            exit_val[e.src] = edge_val[e.eid]
-
+    entry_val, reset_val, exit_val = endpoint_values(cfg, edge_val)
     return EppLabeling(
         num_paths=num_paths,
         edge_val=edge_val,
@@ -82,7 +82,112 @@ def label_epp(cfg: Cfg, width: int = 64) -> EppLabeling:
         entry_val=entry_val,
         reset_val=reset_val,
         exit_val=exit_val,
+        order=order,
     )
+
+
+def endpoint_values(cfg: Cfg, values: dict[int, int]):
+    """(entry value, reset values, exit values) of per-edge ``values``.
+
+    The entry value is the real ENTRY edge's. Reset values cover every ENTRY
+    successor; loop headers consult them when a backedge resets the path
+    accumulator (the entry edge may be shared). Exit values are the
+    surrogate EXIT edges', by backedge source.
+    """
+    entry_val = 0
+    reset_val: dict[int, int] = {}
+    exit_val: dict[int, int] = {}
+    for e in cfg.edges:
+        if e.src == ENTRY:
+            reset_val[e.dst] = values[e.eid]
+            if e.kind != SURROGATE_ENTRY:
+                entry_val = values[e.eid]
+        if e.kind == SURROGATE_EXIT:
+            exit_val[e.src] = values[e.eid]
+    return entry_val, reset_val, exit_val
+
+
+def edge_hits(cfg: Cfg, lab: EppLabeling, path_hits: dict[int, int]) -> dict[int, int]:
+    """Hits on the paths through each edge; ``path_hits`` maps path indices
+    to hits. Edges no hit path takes are left out.
+
+    Decodes every index at once, vertex by vertex in topological order, as
+    ``dag.decode`` does one: values rise strictly along ``edge_order``, so
+    what is left of an index goes along the last edge whose value fits it.
+    """
+    dst = {e.eid: e.dst for e in cfg.edges}
+    val = lab.edge_val
+    hits: dict[int, int] = {}
+    # vertex -> what is left of each index that reached it -> hits
+    at: dict[int, dict[int, int]] = {ENTRY: {i: n for i, n in path_hits.items() if n}}
+    for v in lab.order:
+        here = at.pop(v, None)
+        if not here or v == EXIT:
+            continue
+        rests = sorted(here)
+        order = lab.edge_order[v]
+        cuts = [bisect_left(rests, val[eid]) for eid in order] + [len(rests)]
+        for eid, lo, hi in zip(order, cuts, cuts[1:]):
+            if lo < hi:
+                x = val[eid]
+                there = at.setdefault(dst[eid], {})
+                total = 0
+                for rest in rests[lo:hi]:
+                    n = here[rest]
+                    total += n
+                    there[rest - x] = there.get(rest - x, 0) + n
+                hits[eid] = total
+    return hits
+
+
+def place_increments(
+    cfg: Cfg, lab: EppLabeling, weight: dict[int, int], width: int
+) -> dict[int, int]:
+    """Per-edge increments whose sum along every ENTRY->EXIT path is that
+    path's index mod 2**width, zero on a maximum spanning tree by ``weight``.
+
+    Kruskal picks the tree over the undirected graph plus a closing edge
+    EXIT->ENTRY of value 0; the closing edge and every VIRTUAL_FALSE arm
+    (its sequence adds only on the other arm) are in the tree first. Ties
+    go to the first edge of each ``edge_order``: those edges carry value 0,
+    so with no weight the increments are the labeling's values. Potentials
+    phi, 0 at ENTRY and hence at EXIT, make each tree edge's increment
+    val + phi(src) - phi(dst) zero; a path's sum is its index plus
+    phi(ENTRY) - phi(EXIT).
+    """
+    mask = (1 << width) - 1
+    val = lab.edge_val
+    root = {v: v for v in lab.order}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    first = {order[0] for order in lab.edge_order.values()}
+    ranked = sorted(
+        cfg.edges,
+        key=lambda e: (
+            e.kind != VIRTUAL_FALSE, -weight.get(e.eid, 0), e.eid not in first, e.eid
+        ),
+    )
+    root[EXIT] = ENTRY
+    tree: dict[int, list[tuple[int, int]]] = {v: [] for v in root}
+    for e in ranked:
+        a, b = find(e.src), find(e.dst)
+        if a != b:
+            root[a] = b
+            tree[e.src].append((e.dst, val[e.eid]))
+            tree[e.dst].append((e.src, -val[e.eid]))
+    phi = {ENTRY: 0, EXIT: 0}
+    work = [ENTRY, EXIT]
+    while work:
+        v = work.pop()
+        for w, delta in tree[v]:
+            if w not in phi:
+                phi[w] = phi[v] + delta
+                work.append(w)
+    return {e.eid: (val[e.eid] + phi[e.src] - phi[e.dst]) & mask for e in cfg.edges}
 
 
 def path_to_index(lab: EppLabeling, path: list[Edge]) -> int:

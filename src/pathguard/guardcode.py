@@ -410,7 +410,7 @@ def seq_prologue(
     a.mstore_const(lay.mode, MODE_MARKER)
     a.mark(l_done)
     if entry_epp:
-        a.mstore_const(lay.epp_base, entry_epp)  # depth is 0 at external entry
+        a.epp_set(lay, entry_epp)  # an ICALL enters deeper than depth 0
     return a
 
 

@@ -10,10 +10,12 @@ re-fixed through an old-to-new offset map.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis
-from .cfg import VIRTUAL_TRUE
+from .ccp import split_index
+from .cfg import ENTRY, SURROGATE_ENTRY, VIRTUAL_TRUE, Edge
 from .config import Config, MAX_CODE_BYTES
 from .guardcode import (
     Asm,
@@ -26,6 +28,7 @@ from .guardcode import (
     orig_label,
     relocatable,
     resolve,
+    seq_gas,
     seq_arith_check,
     seq_backedge,
     seq_call_result,
@@ -43,6 +46,7 @@ from .guardcode import (
     seq_unprotected_call_pre,
     seq_unprotected_call_post,
 )
+from .epp import edge_hits, endpoint_values, place_increments
 from .isa import EXTERNAL_CALLS, Instruction, Op
 from .pathset import (
     ConstructionFailed,
@@ -176,10 +180,18 @@ def plan_strategies(
 class _Rewriter:
     """Single-contract rewrite pass."""
 
-    def __init__(self, name: str, analysis: BundleAnalysis, plan: SetPlan, config: Config):
+    def __init__(
+        self,
+        name: str,
+        analysis: BundleAnalysis,
+        increments: dict[int, dict[int, int]],
+        plan: SetPlan,
+        config: Config,
+    ):
         self.name = name
         self.analysis = analysis
         self.prog = analysis.programs[name]
+        self.increments = increments
         self.plan = plan
         self.config = config
         self.code_id = sorted(analysis.boundary).index(name)
@@ -329,6 +341,8 @@ class _Rewriter:
         lab = analysis.epp[(name, fn.id)]
         num_paths = lab.total_paths
         external = fn.visibility is Visibility.EXTERNAL
+        inc = self.increments[fn.id]
+        entry_val, reset_val, exit_val = endpoint_values(cfg, inc)
 
         before: dict[int, list[tuple[Asm, int]]] = {}
         after: dict[int, list[tuple[Asm, int]]] = {}
@@ -350,15 +364,14 @@ class _Rewriter:
                 cases="marker/direct/foreign/reentrant",
                 num_ccs=num_ccs,
             )
-            add(before, 0, seq_prologue(num_ccs, lab.entry_val, rows, self.config), pid)
+            add(before, 0, seq_prologue(num_ccs, entry_val, rows, self.config), pid)
         else:
-            pid = self.point(POINT_ENTRY, (fn.name, 0), entry_val=lab.entry_val)
-            add(before, 0, Asm().epp_set(lay, lab.entry_val), pid)
+            pid = self.point(POINT_ENTRY, (fn.name, 0), entry_val=entry_val)
+            add(before, 0, Asm().epp_set(lay, entry_val), pid)
 
-        # branch points on nonzero-value edges
-        backedge_jumps = {off for off, _tgt in cfg.backedges}
+        # branch points on edges with a nonzero increment
         for edge in cfg.edges:
-            val = lab.edge_val[edge.eid]
+            val = inc[edge.eid]
             tag = edge.origin[0] if edge.origin else ""
             if tag == "arith":
                 if edge.kind != VIRTUAL_TRUE:
@@ -380,14 +393,14 @@ class _Rewriter:
                 continue
             if val == 0 or edge.kind != "real":
                 continue
-            if tag == "fall" or tag == "callret":
+            if tag == "fall":
                 off = edge.origin[1]
                 pid = self.point(POINT_BRANCH, (fn.name, off), val=val)
                 add(after, off, Asm().epp_add(lay, val), pid)
-            elif tag == "jump":
+            elif tag == "callret" or tag == "jump":
+                # before the instruction: the add must reach the caller's
+                # register, and an ICALL's bookkeeping bumps the depth
                 off = edge.origin[1]
-                if off in backedge_jumps:
-                    continue
                 pid = self.point(POINT_BRANCH, (fn.name, off), val=val)
                 add(before, off, Asm().epp_add(lay, val), pid)
             elif tag == "branch":
@@ -397,9 +410,7 @@ class _Rewriter:
                         POINT_BRANCH, (fn.name, off), val=val, arm="taken"
                     )
                     label = Asm.fresh("tramp")
-                    stub = Asm().mark(label).epp_add(lay, val)
-                    stub.jump(orig_label(fn.body[off].imm))
-                    stubs.append((stub, pid))
+                    stubs.append((_trampoline(lay, label, val, fn.body[off].imm), pid))
                     replace[off] = (Asm().jumpi(label), None, pid)
                 else:
                     pid = self.point(
@@ -409,18 +420,18 @@ class _Rewriter:
 
         # backedges: close the path, reset, continue to the original target;
         # each backedge's source block ends at its jump
-        exit_vals = {cfg.blocks[bid].end - 1: val for bid, val in lab.exit_val.items()}
+        exit_vals = {cfg.blocks[bid].end - 1: val for bid, val in exit_val.items()}
         for jump_off, target_start in cfg.backedges:
-            exit_val = exit_vals.get(jump_off, 0)
-            reset = lab.reset_val[cfg.block_at(target_start)]
+            exit_inc = exit_vals.get(jump_off, 0)
+            reset = reset_val[cfg.block_at(target_start)]
             pid = self.point(
                 POINT_BACKEDGE,
                 (fn.name, jump_off),
-                exit_val=exit_val,
+                exit_val=exit_inc,
                 reset=reset,
                 target=target_start,
             )
-            seq = seq_backedge(chk_fid, num_paths, exit_val, reset, lay)
+            seq = seq_backedge(chk_fid, num_paths, exit_inc, reset, lay)
             instr = fn.body[jump_off]
             if instr.op is Op.JUMP or (instr.op is Op.JUMPI and instr.imm == target_start):
                 label = Asm.fresh("be")
@@ -439,7 +450,7 @@ class _Rewriter:
             if not edge.origin or edge.origin[0] != "term":
                 continue
             off = edge.origin[1]
-            val = lab.edge_val[edge.eid]
+            val = inc[edge.eid]
             op = fn.body[off].op
             if op is Op.REVERT:
                 continue  # reverting paths roll back; no check emitted
@@ -568,16 +579,74 @@ class _Rewriter:
         return body, owners
 
 
+def _trampoline(lay: Layout, label: str, val: int, target: int) -> Asm:
+    """Stub at ``label`` for a taken branch arm: add ``val``, go on to the
+    original ``target``."""
+    return Asm().mark(label).epp_add(lay, val).jump(orig_label(target))
+
+
+@functools.cache
+def _increment_gas(config: Config) -> tuple[int, int, int]:
+    """Gas per run of an increment's code: an add, a taken-arm trampoline,
+    and the wrapper's store of a nonzero external entry value."""
+    lay = Layout(config.width)
+    return (
+        seq_gas(Asm().epp_add(lay, 1).items, config),
+        seq_gas(_trampoline(lay, "tramp", 1, 0).items, config),
+        seq_gas(Asm().epp_set(lay, 1).items, config),
+    )
+
+
+def _increments(
+    analysis: BundleAnalysis, name: str, profile: dict[int, dict[int, int]], config: Config
+) -> dict[int, dict[int, int]]:
+    """Each function's increments (function id -> edge id -> increment): on
+    the chords of a spanning tree weighted by each edge's training hits
+    times the gas per run of the code that would carry a nonzero increment
+    there. Internal entries and loop-header resets ride on a store that runs
+    anyway, and reverting exits are never checked, so those cost nothing.
+    No hits give the labeling's values."""
+    add_gas, tramp_gas, store_gas = _increment_gas(config)
+
+    def edge_gas(fn: FunctionDef, edge: Edge) -> int:
+        if edge.src == ENTRY:
+            external = fn.visibility is Visibility.EXTERNAL
+            return store_gas if external and edge.kind != SURROGATE_ENTRY else 0
+        tag = edge.origin[0]
+        if tag == "term" and fn.body[edge.origin[1]].op is Op.REVERT:
+            return 0
+        return tramp_gas if tag == "branch" and edge.origin[2] else add_gas
+
+    placed = {}
+    for fn in analysis.programs[name].functions:
+        cfg, lab = analysis.cfgs[(name, fn.id)], analysis.epp[(name, fn.id)]
+        path_hits: dict[int, int] = {}
+        for key, n in profile.get(fn.id, {}).items():
+            index = split_index(key, lab.total_paths)[1]
+            path_hits[index] = path_hits.get(index, 0) + n
+        weight = {
+            eid: n * edge_gas(fn, cfg.edge(eid))
+            for eid, n in edge_hits(cfg, lab, path_hits).items()
+        }
+        placed[fn.id] = place_increments(cfg, lab, weight, config.width)
+    return placed
+
+
 def instrument_contract(
     name: str,
     analysis: BundleAnalysis,
-    safe_sets: dict[int, set[int]],
+    profile: dict[int, dict[int, int]],
     config: Config,
 ) -> InstrumentedContract:
-    """Plan and rewrite one contract; spills oversized sets to the mapping."""
-    plan = plan_strategies(analysis, name, safe_sets, config)
+    """Plan and rewrite one contract; spills oversized sets to the mapping.
+
+    ``profile`` maps each function id to its safe keys, each key to the
+    times training checked it.
+    """
+    plan = plan_strategies(analysis, name, profile, config)
+    increments = _increments(analysis, name, profile, config)
     while True:
-        result = _Rewriter(name, analysis, plan, config).rewrite()
+        result = _Rewriter(name, analysis, increments, plan, config).rewrite()
         validate_program(result.program, config)
         size = result.instrumented_size
         if size <= MAX_CODE_BYTES:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .config import MAX_CODE_BYTES, Config, read_word
+from .config import MAX_CODE_BYTES, Config, read_field, read_word
 from .isa import JUMPS, TERMINATORS, Instruction, Op, block_leaders
 
 HEADER_BYTES = 32
@@ -140,32 +140,75 @@ class ContractProgram:
         }
 
     @classmethod
-    def from_json(cls, raw: dict) -> "ContractProgram":
+    def from_json(cls, raw: dict, where: str = "program") -> "ContractProgram":
+        """The program ``to_json`` wrote. A field that is missing or of the
+        wrong type, an unknown op or visibility, or a selector or callsite
+        key that does not parse raises ValidationError naming ``where`` and
+        the field."""
+
+        def get(obj, key: str, kind: type, at: str, *default):
+            return read_field(obj, key, kind, at, ValidationError, *default)
+
+        name = get(raw, "name", str, where)
+        where = f"{where} {name}"
+        functions = []
+        for i, f in enumerate(get(raw, "functions", list, where)):
+            at = f"{where} functions[{i}]"
+            fid, fn_name = get(f, "id", int, at), get(f, "name", str, at)
+            visibility = get(f, "visibility", str, at)
+            try:
+                visibility = Visibility(visibility)
+            except ValueError:
+                raise ValidationError(f"{at}: unknown visibility {visibility!r}") from None
+            body = [
+                _instruction(item, f"{at} body[{off}]")
+                for off, item in enumerate(get(f, "body", list, at))
+            ]
+            functions.append(FunctionDef(fid, fn_name, visibility, body))
+        selector_table = {}
+        for key in get(raw, "selector_table", dict, where):
+            try:
+                selector = int(key, 16)
+            except ValueError:
+                raise ValidationError(f"{where}: selector_table key is not hex: {key!r}") from None
+            selector_table[selector] = get(
+                raw["selector_table"], key, int, f"{where} selector_table"
+            )
+        callsites = {}
+        for key in get(raw, "callsites", dict, where, {}):
+            parts = key.split(":")
+            if len(parts) != 2 or not all(part.isdigit() for part in parts):
+                raise ValidationError(f"{where}: callsites key is not 'fid:offset': {key!r}")
+            callsites[(int(parts[0]), int(parts[1]))] = CallsiteInfo.from_json(
+                get(raw["callsites"], key, dict, f"{where} callsites")
+            )
         prog = cls(
-            name=raw["name"],
-            functions=[
-                FunctionDef(
-                    id=f["id"],
-                    name=f["name"],
-                    visibility=Visibility(f["visibility"]),
-                    body=[Instruction(Op(op), imm) for op, imm in f["body"]],
-                )
-                for f in raw["functions"]
-            ],
-            selector_table={int(s, 16): fid for s, fid in raw["selector_table"].items()},
-            fallback_id=raw.get("fallback_id"),
+            name=name,
+            functions=functions,
+            selector_table=selector_table,
+            fallback_id=get(raw, "fallback_id", int, where, None),
             data_pool=[
-                read_word(w, f"{raw['name']}: data_pool[{i}]", ValidationError)
-                for i, w in enumerate(raw.get("data_pool", []))
+                read_word(w, f"{name}: data_pool[{i}]", ValidationError)
+                for i, w in enumerate(get(raw, "data_pool", list, where, []))
             ],
-            blob_bytes=raw.get("blob_bytes", 0),
-            callsites={
-                (int(key.split(":")[0]), int(key.split(":")[1])): CallsiteInfo.from_json(info)
-                for key, info in raw.get("callsites", {}).items()
-            },
+            blob_bytes=get(raw, "blob_bytes", int, where, 0),
+            callsites=callsites,
         )
-        prog._byte_size = raw.get("byte_size", 0)
+        prog._byte_size = get(raw, "byte_size", int, where, 0)
         return prog
+
+
+def _instruction(item, where: str) -> Instruction:
+    """One ``[op, imm]`` body entry of a serialized function."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise ValidationError(f"{where}: not an [op, immediate] pair: {item!r}")
+    op, imm = item
+    try:
+        # an unknown op or a misplaced immediate; validate_program checks
+        # the immediate's value
+        return Instruction(Op(op), imm)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def derive_selector(name: str, width: int) -> int:

@@ -18,7 +18,7 @@ from .asm import assemble
 from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context, split_index
-from .config import Config, config_from_json, config_to_json, read_json, read_word
+from .config import Config, config_from_json, config_to_json, read_field, read_json, read_word
 from .epp import index_to_path
 from .guardcode import admin_calldata
 from .instrument import EXIT_FN_NAME, InstrumentedContract, instrument_contract, plan_strategies
@@ -59,6 +59,11 @@ class NotAdmin(WorkflowError):
     pass
 
 
+def json_field(raw, key: str, kind: type, where: str, *default):
+    """``config.read_field`` raising WorkflowError."""
+    return read_field(raw, key, kind, where, WorkflowError, *default)
+
+
 @dataclass
 class Bundle:
     """Deployable set of contracts plus world-initialization script."""
@@ -72,31 +77,43 @@ class Bundle:
 
     @classmethod
     def load(cls, path: str | Path, config: Config | None = None) -> "Bundle":
-        return cls.from_json(read_json(path, WorkflowError), config)
+        return cls.from_json(read_json(path, WorkflowError), config, f"{path}: bundle")
 
     @classmethod
-    def from_json(cls, raw: dict, config: Config | None = None) -> "Bundle":
+    def from_json(
+        cls, raw: dict, config: Config | None = None, where: str = "bundle"
+    ) -> "Bundle":
+        """The bundle ``raw`` describes. A field that is missing or of the
+        wrong type, or a name that is no contract of the bundle, raises
+        WorkflowError naming ``where`` and the field."""
         if config is None:
-            config = config_from_json(raw.get("config", {}))
+            config = config_from_json(json_field(raw, "config", dict, where, {}))
         programs = {}
-        for entry in raw["contracts"]:
-            if "source" in entry:
+        for i, entry in enumerate(json_field(raw, "contracts", list, where)):
+            at = f"{where} contracts[{i}]"
+            if json_field(entry, "source", str, at, None) is not None:
                 prog = assemble(entry["source"], config)
             else:
-                prog = ContractProgram.from_json(entry["program"])
+                prog = ContractProgram.from_json(json_field(entry, "program", dict, at), at)
                 validate_program(prog, config)
             programs[prog.name] = prog
-        boundary = set(raw.get("boundary", list(programs)))
-        deploy_order = raw.get("deploy", list(programs))
+        names = {}
+        for key in ("boundary", "deploy"):
+            names[key] = json_field(raw, key, list, where, list(programs))
+            unknown = [n for n in names[key] if n not in programs]
+            if unknown:
+                raise WorkflowError(f"{where}: field {key!r} names no contract: {unknown[0]!r}")
 
-        def word(value, where: str) -> int:
-            return read_word(value, f"bundle account {where}", WorkflowError, config.mask)
+        def word(value, what: str) -> int:
+            return read_word(value, f"{where} account {what}", WorkflowError, config.mask)
 
-        accounts = {
-            word(acct.get("address"), "address"): word(acct.get("balance", 0), "balance")
-            for acct in raw.get("accounts", [])
-        }
-        return cls(programs, boundary, config, deploy_order, accounts, raw.get("setup", []))
+        accounts = {}
+        for i, acct in enumerate(json_field(raw, "accounts", list, where, [])):
+            at = f"{where} accounts[{i}]"
+            address = word(json_field(acct, "address", object, at), "address")
+            accounts[address] = word(json_field(acct, "balance", object, at, 0), "balance")
+        setup = json_field(raw, "setup", list, where, [])
+        return cls(programs, set(names["boundary"]), config, names["deploy"], accounts, setup)
 
 
 @dataclass
@@ -179,10 +196,10 @@ def load_txs(path: str | Path) -> list[dict]:
 
 
 def train(bundle: Bundle, tx_records: list[dict]) -> dict:
-    """Execute the corpus uninstrumented; union oracle pairs into a snapshot."""
+    """Execute the corpus uninstrumented; count oracle pairs into a snapshot."""
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
     deployed = build_world(bundle)
-    safe: dict[tuple[str, int], set[int]] = {}
+    safe: dict[tuple[str, int], dict[int, int]] = {}
     for index, record in enumerate(bundle.setup + tx_records):
         tx = parse_tx(record, deployed, bundle)
         receipt = VM(deployed.world, TRACE_FULL).execute_transaction(tx)
@@ -190,30 +207,33 @@ def train(bundle: Bundle, tx_records: list[dict]) -> dict:
             raise TrainingTxFailed(
                 f"training tx {index} ({record}) ended {receipt.status}"
             )
-        for addr, code, fid, combined in trace_oracle(
-            receipt.trace, analysis, receipt.status
-        ):
-            safe.setdefault((code, fid), set()).add(combined)
+        for _addr, code, fid, combined in trace_oracle(receipt.trace, analysis, receipt.status):
+            hits = safe.setdefault((code, fid), {})
+            hits[combined] = hits.get(combined, 0) + 1
     return make_snapshot(analysis, safe, bundle.config)
 
 
 def make_snapshot(
-    analysis: BundleAnalysis, safe: dict[tuple[str, int], set[int]], config: Config
+    analysis: BundleAnalysis, safe: dict[tuple[str, int], dict[int, int]], config: Config
 ) -> dict:
+    """The snapshot of ``safe``, which maps (contract, function id) to that
+    function's safe keys, each key to the times training checked it."""
     contracts: dict = {}
     for name in sorted(analysis.boundary):
-        safe_sets = {fid: keys for (code, fid), keys in safe.items() if code == name}
-        specs = plan_strategies(analysis, name, safe_sets, config).specs
-        contracts[name] = {
-            str(fn.id): {
+        profile = {fid: keys for (code, fid), keys in safe.items() if code == name}
+        specs = plan_strategies(analysis, name, profile, config).specs
+        contracts[name] = {}
+        for fn in analysis.programs[name].functions:
+            hits = profile.get(fn.id, {})
+            keys = sorted(hits)
+            contracts[name][str(fn.id)] = {
                 "name": fn.name,
                 "num_paths": analysis.num_paths(name, fn.id),
                 "num_ccs": analysis.num_ccs(name, fn.id),
-                "safe": [hex(k) for k in sorted(safe_sets.get(fn.id, ()))],
+                "safe": [hex(k) for k in keys],
+                "hits": [hits[k] for k in keys],
                 "strategy": specs[fn.id].strategy,
             }
-            for fn in analysis.programs[name].functions
-        }
     return {
         "fingerprint": analysis.fingerprint(),
         "width": config.width,
@@ -222,10 +242,12 @@ def make_snapshot(
     }
 
 
-def snapshot_safe_sets(snapshot: dict, name: str) -> dict[int, set[int]]:
+def snapshot_safe_sets(snapshot: dict, name: str) -> dict[int, dict[int, int]]:
     """Each function's safe keys in ``name``'s part of ``snapshot``, whose
-    width ``protect`` has checked. Each entry must hold a list of safe keys,
-    each a word of that width (WorkflowError otherwise)."""
+    width ``protect`` has checked, each key mapped to its training hits.
+    Each entry must hold a list of safe keys, each a word of that width, and
+    beside it a list as long of hits, each a non-negative int (WorkflowError
+    otherwise)."""
     mask = (1 << snapshot["width"]) - 1
     per_fn = snapshot["contracts"].get(name, {})
     if not isinstance(per_fn, dict):
@@ -233,12 +255,18 @@ def snapshot_safe_sets(snapshot: dict, name: str) -> dict[int, set[int]]:
     sets = {}
     for fid, entry in per_fn.items():
         where = f"snapshot {name}.fn{fid}"
-        safe = entry.get("safe") if isinstance(entry, dict) else None
-        if not isinstance(safe, list):
+        if not isinstance(entry, dict) or not isinstance(entry.get("safe"), list):
             raise WorkflowError(f"{where}: no list of safe keys")
-        sets[read_word(fid, f"{where} id", WorkflowError)] = {
-            read_word(h, f"{where} safe key", WorkflowError, mask) for h in safe
-        }
+        fid = read_word(fid, f"{where} id", WorkflowError)
+        keys = [read_word(h, f"{where} safe key", WorkflowError, mask) for h in entry["safe"]]
+        hits = entry.get("hits")
+        if not isinstance(hits, list) or len(hits) != len(keys):
+            raise WorkflowError(f"{where}: no list of hits as long as the safe keys")
+        profile = sets[fid] = {}
+        for key, n in zip(keys, hits):
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise WorkflowError(f"{where} hits: not a non-negative int: {n!r}")
+            profile[key] = profile.get(key, 0) + n
     return sets
 
 

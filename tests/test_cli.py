@@ -400,16 +400,40 @@ def test_bundle_account_words_are_read_as_words(tmp_path, capsys, account):
         (lambda raw: dict(raw, contracts={"vault": {"0": {}}}), "no list of safe keys"),
         (lambda raw: dict(raw, contracts={"vault": {"0": {"safe": "0x1"}}}), "no list of safe"),
         (lambda raw: dict(raw, contracts={"vault": {"x": {"safe": []}}}), "fnx id"),
+        (lambda raw: dict(raw, contracts={"vault": {"0": {"safe": []}}}), "fn0: no list of hits"),
+        (
+            lambda raw: dict(raw, contracts={"vault": {"0": {"safe": ["0x1"], "hits": {}}}}),
+            "fn0: no list of hits",
+        ),
+        (
+            lambda raw: dict(raw, contracts={"vault": {"0": {"safe": ["0x1"], "hits": []}}}),
+            "fn0: no list of hits as long as the safe keys",
+        ),
+        (
+            lambda raw: dict(raw, contracts={"vault": {"0": {"safe": ["0x1"], "hits": [-1]}}}),
+            "fn0 hits: not a non-negative int: -1",
+        ),
+        (
+            lambda raw: dict(raw, contracts={"vault": {"0": {"safe": ["0x1"], "hits": [True]}}}),
+            "fn0 hits: not a non-negative int: True",
+        ),
+        (
+            lambda raw: dict(raw, contracts={"vault": {"0": {"safe": ["0x1"], "hits": ["3"]}}}),
+            "fn0 hits: not a non-negative int: '3'",
+        ),
     ],
     ids=[
         "empty", "not-an-object", "width", "no-contracts", "contract-not-an-object",
-        "no-safe", "safe-not-a-list", "bad-function-id",
+        "no-safe", "safe-not-a-list", "bad-function-id", "no-hits", "hits-not-a-list",
+        "hits-short", "hits-negative", "hits-bool", "hits-string",
     ],
 )
 def test_protect_rejects_a_malformed_snapshot(tmp_path, capsys, edit, needle):
     """The snapshot's fingerprint, width, contracts and each entry's safe
-    keys are checked where protection reads them: a malformed one exits with
-    the validation code, never a KeyError, and nothing is written."""
+    keys and hits are checked where protection reads them: a malformed one
+    exits with the validation code, never a KeyError, and nothing is
+    written. Snapshots written before training counted hits have none and
+    are refused."""
     _main(capsys, "fixture", "reentrancy", "-o", tmp_path)
     bundle = tmp_path / "reentrancy.bundle.json"
     snap = tmp_path / "snap.json"
@@ -509,3 +533,104 @@ def test_a_json_file_that_cannot_be_read_exits_2(tmp_path, capsys):
         f"{missing}: cannot read",
     )
     assert not out.exists()
+
+
+def test_an_assembly_source_that_cannot_be_read_exits_2(tmp_path, capsys):
+    """``asm`` reads its source through the JSON reader's door: a missing
+    file is the validation code and one error line, not a traceback."""
+    missing = tmp_path / "missing.src"
+    out = tmp_path / "x.json"
+    code = cli.main(["asm", str(missing), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"{missing}: cannot read" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda raw: {}, "bundle: no 'contracts' field"),
+        (lambda raw: [], "bundle: not a JSON object"),
+        (lambda raw: dict(raw, contracts="x"), "bundle: field 'contracts' is not a list"),
+        (lambda raw: dict(raw, contracts=[{}]), "bundle contracts[0]: no 'program' field"),
+        (lambda raw: dict(raw, contracts=[7]), "bundle contracts[0]: not a JSON object"),
+        (
+            lambda raw: dict(raw, contracts=[{"program": {}}]),
+            "bundle contracts[0]: no 'name' field",
+        ),
+        (
+            lambda raw: dict(raw, contracts=[{"program": {"name": "p", "functions": [{}]}}]),
+            "bundle contracts[0] p functions[0]: no 'id' field",
+        ),
+        (lambda raw: dict(raw, deploy=["nobody"]), "field 'deploy' names no contract"),
+        (lambda raw: dict(raw, boundary="vault"), "bundle: field 'boundary' is not a list"),
+        (lambda raw: dict(raw, accounts=[5]), "bundle accounts[0]: not a JSON object"),
+        (lambda raw: dict(raw, accounts=[{}]), "bundle accounts[0]: no 'address' field"),
+        (lambda raw: dict(raw, setup={}), "bundle: field 'setup' is not a list"),
+    ],
+    ids=[
+        "empty", "not-an-object", "contracts-not-a-list", "empty-entry", "entry-not-an-object",
+        "empty-program", "empty-function", "unknown-deploy", "boundary-not-a-list",
+        "account-not-an-object", "account-without-address", "setup-not-a-list",
+    ],
+)
+def test_a_malformed_bundle_exits_2_naming_file_and_field(tmp_path, capsys, edit, needle):
+    """A bundle's structure is checked where it is read: a missing field or
+    one of the wrong type exits with the validation code and one error line
+    that names the file and the field, never a KeyError."""
+    _main(capsys, "fixture", "reentrancy", "-o", tmp_path)
+    path = tmp_path / "reentrancy.bundle.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code = cli.main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION, err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert needle in err, err
+
+
+@pytest.mark.parametrize(
+    "target, edit, needle",
+    [
+        ("world", lambda raw: {k: v for k, v in raw.items() if k != "next_address"},
+         "world: no 'next_address' field"),
+        ("world", lambda raw: dict(raw, accounts=[]), "world: field 'accounts' is not a JSON"),
+        ("world", lambda raw: dict(raw, addresses=None),
+         "world: field 'addresses' is not a JSON object: None"),
+        ("world", lambda raw: {**raw, "accounts": {"0x1": {"balance": 0}}},
+         "world account 0x1: no 'storage' field"),
+        ("world", lambda raw: {**raw, "accounts": {"0x1": {"balance": 0, "storage": {},
+                                                          "code": "ghost"}}},
+         "world account 0x1: field 'code' names no contract: 'ghost'"),
+        ("guarded", lambda raw: {k: v for k, v in raw.items() if k != "originals"},
+         "guarded: no 'originals' field"),
+        ("guarded", lambda raw: dict(raw, contracts={}), "guarded contracts: no 'token8' field"),
+        ("guarded", lambda raw: dict(raw, snapshot=[]), "guarded: field 'snapshot' is not a"),
+        ("guarded", lambda raw: dict(raw, originals={"x": {}}),
+         "guarded contracts[0]: no 'name' field"),
+    ],
+    ids=[
+        "world-without-next-address", "world-accounts-not-an-object", "world-null-addresses",
+        "world-account-without-storage", "world-unknown-code", "guarded-without-originals",
+        "guarded-without-contract", "guarded-snapshot-not-an-object", "guarded-empty-original",
+    ],
+)
+def test_a_malformed_world_or_guarded_file_exits_2(tmp_path, capsys, target, edit, needle):
+    """``approve`` checks the structure of the guarded file and the saved
+    world where it reads them: a missing field or one of the wrong type
+    exits with the validation code and one error line naming the file and
+    the field, and the world file is left as it was."""
+    index, _ = _walk(tmp_path, capsys, "overflow")
+    path = tmp_path / f"{target}.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    world = (tmp_path / "world.json").read_text()
+    code = cli.main([
+        "approve", str(tmp_path / "guarded.json"), str(tmp_path / "world.json"),
+        str(tmp_path / "alarms.jsonl"), "--index", str(index), "--admin", "0xAD",
+    ])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION, err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert needle in err, err
+    assert (tmp_path / "world.json").read_text() == world

@@ -5,14 +5,26 @@ import random
 import pytest
 
 from pathguard import dag
-from pathguard.cfg import ENTRY, EXIT, REAL, Cfg, acyclicize, build_cfg
+from pathguard.cfg import (
+    ENTRY,
+    EXIT,
+    REAL,
+    VIRTUAL_FALSE,
+    VIRTUAL_TRUE,
+    Cfg,
+    acyclicize,
+    build_cfg,
+    insert_virtual_branches,
+)
 from pathguard.epp import (
     IndexSpaceOverflow,
+    edge_hits,
     enumerate_paths,
     index_to_path,
     label_epp,
     minimize_nonzero,
     path_to_index,
+    place_increments,
 )
 
 
@@ -219,3 +231,88 @@ def test_decode_takes_the_first_of_tied_fitting_edges():
     assert dag.decode("a", "r", order, value, head, 0) == ["x"]
     with pytest.raises(ValueError, match="left at the root"):
         dag.decode("a", "r", order, value, head, 3)
+
+
+def _with_virtual_pairs(rng: random.Random, cfg: Cfg) -> Cfg:
+    """``cfg`` with some single out-edges to a block turned into a virtual
+    pair, the false arm first, as ``insert_virtual_branches`` makes them."""
+    succ = cfg.successors()
+    for v, outs in succ.items():
+        if v != ENTRY and len(outs) == 1 and outs[0].dst != EXIT and rng.random() < 0.5:
+            outs[0].kind, outs[0].origin = VIRTUAL_FALSE, ("arith", v, "ADD")
+            cfg.add_edge(v, outs[0].dst, VIRTUAL_TRUE, ("arith", v, "ADD"))
+    return cfg
+
+
+def _placement_graphs(loopy):
+    """Criterion 1's random DAGs, some with virtual pairs, and the loop and
+    call shapes of ``loopy`` and every fixture's functions."""
+    from pathguard.fixtures import ALL_SCENARIOS
+
+    rng = random.Random(23)
+    for _ in range(150):
+        yield _with_virtual_pairs(rng, random_dag(rng))
+    fns = [loopy.functions[0]]
+    fns += [fn for s in ALL_SCENARIOS for p in s.bundle().programs.values() for fn in p.functions]
+    for fn in fns:
+        yield insert_virtual_branches(acyclicize(build_cfg(fn)), fn)
+
+
+@pytest.mark.parametrize("width", [8, 64])
+def test_placement_keeps_every_path_index(loopy, width):
+    """Increments on the chords of any weighted spanning tree sum, along
+    every path, to its index mod 2**width; forced false arms carry 0, and
+    all-zero weights leave every labeling value where it is."""
+    rng = random.Random(width)
+    mask = (1 << width) - 1
+    pairs = loops = 0
+    for cfg in _placement_graphs(loopy):
+        lab = label_epp(cfg)
+        assert place_increments(cfg, lab, {}, width) == {
+            eid: val & mask for eid, val in lab.edge_val.items()
+        }
+        assert place_increments(cfg, lab, dict.fromkeys(lab.edge_val, 0), width) == {
+            eid: val & mask for eid, val in lab.edge_val.items()
+        }
+        paths = enumerate_paths(cfg)
+        for _ in range(3):
+            weight = {e.eid: rng.choice((0, rng.randrange(1 << 20))) for e in cfg.edges}
+            inc = place_increments(cfg, lab, weight, width)
+            assert all(inc[e.eid] == 0 for e in cfg.edges if e.kind == VIRTUAL_FALSE)
+            for path in paths:
+                assert sum(inc[e.eid] for e in path) & mask == path_to_index(lab, path) & mask
+        pairs += any(e.kind == VIRTUAL_FALSE for e in cfg.edges)
+        loops += bool(cfg.backedges)
+    assert pairs and loops
+
+
+def test_placement_takes_the_increment_off_a_hot_path():
+    """All weight on one path: its edges form the tree but one, so the
+    path carries a single nonzero increment, on its lightest edge."""
+    rng = random.Random(5)
+    for _ in range(100):
+        cfg = random_dag(rng)
+        lab = label_epp(cfg)
+        path = rng.choice(enumerate_paths(cfg))
+        weight = {e.eid: 1000 + i for i, e in enumerate(path)}
+        inc = place_increments(cfg, lab, weight, 64)
+        assert [inc[e.eid] for e in path[1:]] == [0] * (len(path) - 1)
+        assert inc[path[0].eid] == path_to_index(lab, path)
+
+
+def test_edge_hits_match_decoding_each_path():
+    """The all-at-once decode gives each edge the hits of the paths that
+    ``index_to_path`` puts through it."""
+    rng = random.Random(11)
+    for _ in range(200):
+        cfg = random_dag(rng)
+        lab = label_epp(cfg)
+        path_hits = {
+            i: rng.randrange(4) for i in rng.sample(range(lab.total_paths), min(6, lab.total_paths))
+        }
+        want: dict[int, int] = {}
+        for index, n in path_hits.items():
+            for e in index_to_path(cfg, lab, index):
+                if n:
+                    want[e.eid] = want.get(e.eid, 0) + n
+        assert edge_hits(cfg, lab, path_hits) == want

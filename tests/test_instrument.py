@@ -39,10 +39,15 @@ from pathguard.workflow import deploy_overhead_pct, protect, train
 CONFIG = Config()
 
 
+def _profile(safe_sets):
+    """Safe sets (by function) as a training profile: each key checked once."""
+    return {fn: dict.fromkeys(keys, 1) for fn, keys in safe_sets.items()}
+
+
 def _pair(prog, safe_sets, config=CONFIG, boundary=None):
     name = prog.name
     analysis = analyze_bundle({name: prog}, boundary or {name}, config)
-    inst = instrument_contract(name, analysis, safe_sets, config)
+    inst = instrument_contract(name, analysis, _profile(safe_sets), config)
     return analysis, inst
 
 
@@ -348,11 +353,11 @@ def test_spill_to_mapping_keeps_acceptance():
     from pathguard import instrument as instr_mod
 
     real_limit = instr_mod.MAX_CODE_BYTES
-    inst = instrument_contract("fat", analysis, {0: {0, 1}}, config)
+    inst = instrument_contract("fat", analysis, _profile({0: {0, 1}}), config)
     assert not inst.plan.preseed
     try:
         instr_mod.MAX_CODE_BYTES = inst.instrumented_size - 1
-        spilled = instrument_contract("fat", analysis, {0: {0, 1}}, config)
+        spilled = instrument_contract("fat", analysis, _profile({0: {0, 1}}), config)
     finally:
         instr_mod.MAX_CODE_BYTES = real_limit
     assert spilled.plan.preseed == [(0, 0), (0, 1)]
@@ -376,7 +381,7 @@ def test_size_limit_spill_failure():
     prog = assemble("contract big { fn f external selector=0x1 { %s } }" % body)
     analysis = analyze_bundle({"big": prog}, {"big"}, CONFIG)
     with pytest.raises(SizeLimitExceeded):
-        instrument_contract("big", analysis, {0: set()}, CONFIG)
+        instrument_contract("big", analysis, {0: {}}, CONFIG)
 
 
 def test_attack_transaction_guard_reverts(loopy):
@@ -455,7 +460,7 @@ def _guarded(sources, safe):
 
     bundle = Bundle.from_json({"contracts": [{"source": s} for s in sources]})
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
-    return protect(bundle, make_snapshot(analysis, safe, bundle.config))
+    return protect(bundle, make_snapshot(analysis, _profile(safe), bundle.config))
 
 
 def _pinned_bundles(monkeypatch):
@@ -498,7 +503,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "c4520f134d4077366d2b39ccb25654861a2d83f5a673b67edf0b76ecd000dc86"
+        "acbcd1f92534bc2015d5479d70fc8adda723ac9cce11dfe62e0c6f804739e0d2"
     )
 
 
@@ -733,7 +738,7 @@ def test_rotated_loop_fallthrough_backedge(n):
     r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1, [n]))
     oracle = trace_oracle(r1.trace, analysis, r1.status)
     assert r1.status == "Accepted" and len(oracle) == n + 1
-    inst = instrument_contract("rot", analysis, {0: {p[3] for p in oracle}}, CONFIG)
+    inst = instrument_contract("rot", analysis, _profile({0: {p[3] for p in oracle}}), CONFIG)
     points, acc = _point_gas(inst)
     w2 = WorldState(CONFIG)
     vm = VM(w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points)
@@ -743,3 +748,155 @@ def test_rotated_loop_fallthrough_backedge(n):
     assert r2.gas_used - r1.gas_used == sum(acc)
     backedge = sum(gas for pid, gas in enumerate(acc) if inst.points[pid].kind == "Backedge")
     assert (backedge > 0) == (n > 0)
+
+
+# A loop whose body branches at offset 8 on calldata word 1: its taken arm
+# goes to as many paths as the fall arm, so the labeling puts the arm's
+# value on the taken edge. The fall arm calls an internal function and
+# falls through to the loop's tail.
+HOT_SRC = """
+contract hot {
+  fn run external selector=0x1 {
+        PUSH 0
+        CALLDATALOAD      ; [n]
+  top:  JUMPDEST
+        DUP 1
+        ISZERO
+        JUMPI out
+        PUSH 1
+        CALLDATALOAD
+        JUMPI odd
+        ICALL side
+  next: JUMPDEST
+        PUSH 1
+        SUB
+        JUMP top
+  odd:  JUMPDEST
+        PUSH 7
+        POP
+        JUMP next
+  out:  JUMPDEST
+        POP
+        STOP
+  }
+  fn side internal {
+        IRET
+  }
+}
+"""
+
+
+def _checks_and_branch_gas(guarded, txs):
+    """Per tx of ``txs`` (calldata lists) on the original and on a fresh
+    deployment of ``guarded``: the oracle's pairs, the checked pairs, and
+    the gas of the guarded run's Branch points."""
+    from pathguard.workflow import build_world
+
+    bundle, analysis = guarded.bundle, guarded.analysis
+    inst = guarded.instrumented["hot"]
+    out = []
+    for calldata in txs:
+        original = build_world(bundle)
+        addr = original.addresses["hot"]
+        r1 = VM(original.world, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x1, calldata))
+        points, acc = _point_gas(inst)
+        world = build_world(bundle, guarded.programs())
+        r2 = VM(world.world, TRACE_CHECKS, guarded.checkers, gas_points=points).execute_transaction(
+            Transaction(1, addr, 0x1, calldata)
+        )
+        branch = sum(gas for pid, gas in enumerate(acc) if inst.points[pid].kind == "Branch")
+        out.append((trace_oracle(r1.trace, analysis, r1.status), checked_pairs_from_receipt(r2), branch))
+    return out
+
+
+def test_profiled_placement_takes_gas_off_a_hot_taken_arm():
+    """Trained on the taken arm, protect moves the arm's increment to the
+    chords that training ran least, here the return edge of the cold arm's
+    ICALL. Every checked pair still equals the oracle's on the original,
+    under the profiled placement and under the one from an empty snapshot,
+    and the hot stream pays less Branch gas."""
+    from pathguard.workflow import Bundle, make_snapshot
+
+    bundle = Bundle.from_json({"contracts": [{"source": HOT_SRC}]})
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    lab = analysis.epp[("hot", 0)]
+    cfg = analysis.cfgs[("hot", 0)]
+    taken = next(e for e in cfg.edges if e.origin == ("branch", 8, True))
+    assert lab.edge_val[taken.eid]  # the labeling puts a value on the hot arm
+    training = [{"to": "hot", "fn": "run", "calldata": [n, 1]} for n in (1, 2, 3, 4)]
+    training.append({"to": "hot", "fn": "run", "calldata": [1, 0]})
+    profiled = protect(bundle, train(bundle, training))
+    empty = protect(bundle, make_snapshot(analysis, {}, bundle.config))
+    txs = [[n, 1] for n in range(6)] + [[n, 0] for n in range(3)]
+    hot_gas = []
+    for guarded in (profiled, empty):
+        runs = _checks_and_branch_gas(guarded, txs)
+        for oracle, checked, _branch in runs:
+            assert checked == oracle and oracle
+        hot_gas.append(sum(branch for _o, _c, branch in runs[:6]))
+    assert hot_gas[0] < hot_gas[1]
+    listing = profiled.instrumented["hot"].plan_listing()
+    assert "Branch                   run@9  val=" in listing  # the ICALL's return edge
+    assert "run@8  arm=taken" not in listing
+    assert "run@8  arm=taken" in empty.instrumented["hot"].plan_listing()
+
+
+def test_empty_snapshot_output_pinned():
+    """With no training hits the placement leaves every increment on its
+    labeling edge: the guarded JSON of every fixture protected from an
+    empty snapshot hashes as it did before placement read hits. The
+    snapshot's (empty) hits lists, which that code did not write, are
+    stripped."""
+    from pathguard.workflow import make_snapshot
+
+    h = hashlib.sha256()
+    for scenario in ALL_SCENARIOS:
+        bundle = scenario.bundle()
+        analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+        raw = protect(bundle, make_snapshot(analysis, {}, bundle.config)).to_json()
+        for per_fn in raw["snapshot"]["contracts"].values():
+            for entry in per_fn.values():
+                assert entry.pop("hits") == []
+        h.update(json.dumps(raw, sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "58ebc509529ecae50a2ce19a4b1e9703442cc22764eb19120289542ae9fee324"
+    )
+
+
+def test_an_external_function_entered_by_icall_gets_its_entry_value():
+    """An ICALL enters an external function below depth 0, so the wrapper
+    stores a placed entry value into the register of the frame's depth:
+    the trained ICALL is accepted, and its checks equal the oracle's."""
+    from pathguard.workflow import Bundle, build_world
+
+    src = """
+    contract c {
+      fn a external selector=0x1 {
+        PUSH 0
+        CALLDATALOAD
+        JUMPI skip
+        ICALL b
+      skip: JUMPDEST
+        STOP
+      }
+      fn b external selector=0x2 {
+        PUSH 1
+        CALLDATALOAD
+        JUMPI x
+        IRET
+      x: JUMPDEST
+        IRET
+      }
+    }
+    """
+    bundle = Bundle.from_json({"contracts": [{"source": src}]})
+    guarded = protect(bundle, train(bundle, [{"to": "c", "fn": "a", "calldata": [0, 1]}]))
+    original = build_world(bundle)
+    addr = original.addresses["c"]
+    r1 = VM(original.world, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x1, [0, 1]))
+    world = build_world(bundle, guarded.programs()).world
+    r2 = VM(world, TRACE_CHECKS, guarded.checkers).execute_transaction(
+        Transaction(1, addr, 0x1, [0, 1])
+    )
+    assert (r2.status, r2.alarms) == ("Accepted", [])
+    assert checked_pairs_from_receipt(r2) == trace_oracle(r1.trace, guarded.analysis, r1.status)

@@ -719,7 +719,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "2395e22d2a1e73d2b97daae177aec6cc7171e842ce19ab2742e9d6e9a055b96d"
+        "0b2cd055f52d13c3b6733d63bb475a4691d0655a6f89f69c3f1b7156b30fc558"
     )
 
 

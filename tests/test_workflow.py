@@ -64,9 +64,16 @@ def test_fingerprint_mismatch_rejected(visibility_setup):
 
 
 def test_duplicate_training_adds_no_paths(visibility_setup):
+    """Training twice on the same stream finds the same safe keys; only
+    their hits grow, by what the stream (not the setup txs) checked."""
     scenario, bundle, snapshot = visibility_setup
     doubled = train(scenario.bundle(), scenario.training * 2)
-    assert doubled["contracts"] == snapshot["contracts"]
+    for name, per_fn in snapshot["contracts"].items():
+        for fid, entry in per_fn.items():
+            twice = doubled["contracts"][name][fid]
+            assert dict(twice, hits=entry["hits"]) == entry
+            assert len(entry["hits"]) == len(entry["safe"])
+            assert all(0 < n <= m <= 2 * n for n, m in zip(entry["hits"], twice["hits"]))
 
 
 def test_empty_corpus_trains_empty_sets():
@@ -362,7 +369,7 @@ def _mpht_snapshot(monkeypatch, error):
     bundle = VISIBILITY.bundle()
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
     name = sorted(analysis.boundary)[0]
-    return workflow.make_snapshot(analysis, {(name, 0): {0}}, bundle.config), name
+    return workflow.make_snapshot(analysis, {(name, 0): {0: 1}}, bundle.config), name
 
 
 def test_make_snapshot_falls_back_to_list_when_mpht_construction_fails(monkeypatch):
