@@ -45,11 +45,14 @@ class CallGraph:
     edges: list[CallEdge]
     warnings: list[str] = field(default_factory=list)
 
-    def out_edges(self, node: Node) -> list[CallEdge]:
-        return sorted((e for e in self.edges if e.caller == node), key=lambda e: e.ceid)
-
-    def in_edges(self, node: Node) -> list[CallEdge]:
-        return [e for e in self.edges if e.callee == node]
+    def successors(self) -> dict[Node, list[CallEdge]]:
+        """Out-edges of every node, S included, in ceid order (the order of
+        ``edges``), built in one pass. A snapshot: later edge changes do not
+        reach it."""
+        succ: dict[Node, list[CallEdge]] = {v: [] for v in (S, *self.nodes)}
+        for e in self.edges:
+            succ[e.caller].append(e)
+        return succ
 
     def edge(self, ceid: int) -> CallEdge:
         """The edge with id ``ceid``. Indexed on first use, so call it only
@@ -61,7 +64,8 @@ class CallGraph:
         return {e.ceid: e for e in self.edges}
 
     def topo_order(self) -> list[Node]:
-        return dag.topo_order([S, *self.nodes], self.out_edges, _callee, lambda n: n, "call graph")
+        succ = self.successors().__getitem__
+        return dag.topo_order([S, *self.nodes], succ, _callee, lambda n: n, "call graph")
 
     def to_json(self) -> dict:
         return {
@@ -155,7 +159,7 @@ def build_call_graph(
 
 def _cover_dead_functions(cg: CallGraph) -> None:
     """Give never-called functions an entry edge so labeling stays total."""
-    reachable = dag.reachable(S, cg.out_edges, _callee)
+    reachable = dag.reachable(S, cg.successors().__getitem__, _callee)
     next_id = len(cg.edges)
     for node in cg.nodes:
         if node not in reachable:
@@ -166,7 +170,7 @@ def _cover_dead_functions(cg: CallGraph) -> None:
 
 def acyclicize_callgraph(cg: CallGraph) -> CallGraph:
     """Replace every DFS backedge (callsite-id order) with a surrogate S => callee."""
-    backedges = dag.backedges(S, cg.out_edges, _callee)
+    backedges = dag.backedges(S, cg.successors().__getitem__, _callee)
     if not backedges:
         return cg
     removed = {e.ceid for e in backedges}

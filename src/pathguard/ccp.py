@@ -35,9 +35,12 @@ def label_ccp(cg: CallGraph, width: int = 64) -> CcLabeling:
     and surrogates come last by construction of the id space.
     """
     caller = {e.ceid: e.caller for e in cg.edges}
+    in_edges: dict[Node, list[int]] = {}
+    for e in cg.edges:  # in ceid order
+        in_edges.setdefault(e.callee, []).append(e.ceid)
     topo = cg.topo_order()
     num_ccs, call_val, in_order = dag.number(
-        topo, S, lambda node, _: sorted(e.ceid for e in cg.in_edges(node)), caller.__getitem__
+        topo, S, lambda node, _: in_edges.get(node, []), caller.__getitem__
     )
     for node in topo:
         if num_ccs[node] > 1 << (width - 1):
@@ -67,12 +70,13 @@ def id_to_context(cg: CallGraph, lab: CcLabeling, node: Node, ctx_id: int) -> li
 def enumerate_contexts(cg: CallGraph, node: Node) -> list[list[CallEdge]]:
     """All call-edge paths S -> node by exhaustive DFS; the test oracle."""
     out: list[list[CallEdge]] = []
+    succ = cg.successors()
 
     def walk(cur: Node, acc: list[CallEdge]) -> None:
         if cur == node:
             out.append(list(acc))
             return  # acyclic: no path revisits node
-        for e in cg.out_edges(cur):
+        for e in succ[cur]:
             acc.append(e)
             walk(e.callee, acc)
             acc.pop()

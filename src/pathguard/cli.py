@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Path-profiling anomaly guard for the contract VM",
     )
     parser.add_argument(
-        "--config", help="JSON config file (word_width, gas, lambda, admin, reserved)"
+        "--config", help="JSON config file; its keys: word_width, gas, lambda, admin"
     )
     sub = parser.add_subparsers(required=True)
 

@@ -1,4 +1,4 @@
-"""Runtime configuration: machine word width, gas schedule, guard constants."""
+"""Runtime configuration: machine word width, gas schedule, administrator, λ."""
 
 from __future__ import annotations
 
@@ -49,35 +49,19 @@ class GasSchedule:
 
 
 @dataclass(frozen=True)
-class GuardParams:
-    """Constants shared by the instrumenter, the trace oracle and the harness.
-
-    All word-sized values are taken modulo 2**width at use sites, so the
-    defaults stay valid for every supported width.
-    """
-
-    mpht_lambda: int = 4
-    alarm_buffer_cap: int = 8
-    # Calldata / return-data marker for calls between protected contracts.
-    call_marker: int = 0xC0DE_CA11_C0DE_CA11
-    # First word of guard-revert payloads.
-    guard_marker: int = 0xA1A7_A1A7_A1A7_A1A7
-    # XOR tag mixed into dynamic-mapping storage slots.
-    mapping_tag: int = 0x5AFE_5E75_5AFE_5E75
-    # Salt for the per-function slice of the mapping slot space.
-    mapping_salt: int = 0x00F5_EED0_00F5_EED0
-
-
-@dataclass(frozen=True)
 class Config:
+    """What a user may set; the guard's protocol words are fixed in its code."""
+
     width: int = 64
     gas: GasSchedule = field(default_factory=GasSchedule)
-    guard: GuardParams = field(default_factory=GuardParams)
     admin: int = 0xAD
+    mpht_lambda: int = 4
 
     def __post_init__(self) -> None:
         if self.width not in SUPPORTED_WIDTHS:
             raise ConfigError(f"word_width: unsupported width {self.width}")
+        if self.mpht_lambda < 1:
+            raise ConfigError(f"lambda: {self.mpht_lambda} keys per bucket; at least 1")
 
     @property
     def word_bytes(self) -> int:
@@ -87,47 +71,34 @@ class Config:
     def mask(self) -> int:
         return (1 << self.width) - 1
 
-    @property
-    def slot_poison(self) -> int:
-        """Ctx-slot value marking "anomaly seen in a reentrant frame"."""
-        return self.mask
+
+def load_config(path: str | Path | None) -> Config:
+    """The Config of an optional JSON file; no file gives the defaults."""
+    return config_from_json(read_json(path, ConfigError) if path is not None else {})
 
 
-def load_config(path: str | Path | None, **overrides) -> Config:
-    """Build a Config from an optional JSON file plus keyword overrides."""
-    raw = read_json(path, ConfigError) if path is not None else {}
-    return config_from_json(raw, **overrides)
-
-
-def config_from_json(raw: dict, **overrides) -> Config:
-    """Build a Config from a JSON config dict plus keyword overrides.
+def config_from_json(raw: dict) -> Config:
+    """Build a Config from a JSON config dict.
 
     Recognized JSON keys: ``word_width``, ``gas`` (schedule field overrides),
-    ``lambda``, ``admin``, ``reserved`` (guard constant overrides). Any other
-    key, a section that is not a JSON object, or a value that is not a word
-    (an integer or an integer string; not a float or a bool), raises
-    ``ConfigError`` naming its section and key.
+    ``lambda`` and ``admin``. Any other key, a section that is not a JSON
+    object, or a value that is not a word (an integer or an integer string;
+    not a float or a bool), raises ``ConfigError`` naming its section and key.
     """
     _require_object(raw, "config")
-    unknown = sorted(set(raw) - {"word_width", "gas", "lambda", "admin", "reserved"})
+    unknown = sorted(set(raw) - {"word_width", "gas", "lambda", "admin"})
     if unknown:
         raise ConfigError(f"config: unknown key {unknown[0]!r}")
-    width = read_word(raw.get("word_width", 64), "word_width")
-    gas_kwargs = _words(raw, "gas")
-    guard_kwargs = {"mpht_lambda": read_word(raw["lambda"], "lambda")} if "lambda" in raw else {}
-    guard_kwargs.update(_words(raw, "reserved"))
-    admin = read_word(raw["admin"], "admin") if "admin" in raw else Config.admin
-    width = overrides.pop("width", width)
-    admin = overrides.pop("admin", admin)
-    gas_kwargs.update(overrides.pop("gas", {}))
-    guard_kwargs.update(overrides.pop("guard", {}))
-    if overrides:
-        raise ConfigError(f"unknown config overrides: {sorted(overrides)}")
+    gas = raw.get("gas", {})
+    _require_object(gas, "gas")
+    unknown = sorted(set(gas) - {f.name for f in fields(GasSchedule)})
+    if unknown:
+        raise ConfigError(f"gas: unknown key {unknown[0]!r}")
     return Config(
-        width=width,
-        gas=_section(GasSchedule, "gas", gas_kwargs),
-        guard=_section(GuardParams, "reserved", guard_kwargs),
-        admin=admin,
+        width=read_word(raw.get("word_width", 64), "word_width"),
+        gas=GasSchedule(**{key: read_word(val, f"gas.{key}") for key, val in gas.items()}),
+        admin=read_word(raw.get("admin", Config.admin), "admin"),
+        mpht_lambda=read_word(raw.get("lambda", Config.mpht_lambda), "lambda"),
     )
 
 
@@ -136,29 +107,13 @@ def _require_object(value, where: str) -> None:
         raise ConfigError(f"{where}: not a JSON object: {value!r}")
 
 
-def _words(raw: dict, section: str) -> dict:
-    values = raw.get(section, {})
-    _require_object(values, section)
-    return {key: read_word(val, f"{section}.{key}") for key, val in values.items()}
-
-
-def _section(cls, section: str, kwargs: dict):
-    """``cls(**kwargs)``, rejecting a key that is not one of its fields."""
-    unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{section}: unknown key {unknown[0]!r}")
-    return cls(**kwargs)
-
-
 def config_to_json(config: Config) -> dict:
     """The JSON config dict that ``config_from_json`` reads back to ``config``."""
-    guard = asdict(config.guard)
     return {
         "word_width": config.width,
         "gas": asdict(config.gas),
-        "lambda": guard.pop("mpht_lambda"),
+        "lambda": config.mpht_lambda,
         "admin": config.admin,
-        "reserved": guard,
     }
 
 

@@ -21,6 +21,7 @@ from .pathset import (
     STRATEGY_LIST,
     STRATEGY_MAPPING,
     STRATEGY_MPHT,
+    MAPPING_TAG,
     ListSpec,
     MphtSpec,
     build_list,
@@ -34,6 +35,13 @@ from .pathset import (
     mpht_position,
 )
 from .vm import price_table
+
+# Protocol words, each masked to the word width where it is used. Calldata
+# and code are public, so none of them is a secret.
+CALL_MARKER = 0xC0DE_CA11_C0DE_CA11  # heads calls and returns between protected contracts
+GUARD_MARKER = 0xA1A7_A1A7_A1A7_A1A7  # heads a guard-revert payload
+SLOT_POISON = 0xFFFF_FFFF_FFFF_FFFF  # ctx slot: "anomaly seen in a reentrant frame"
+ALARM_BUFFER_CAP = 8  # alarm entries a contract keeps per transaction
 
 # Calldata prefix sent between protected contracts: [MARKER, ctx_base, site].
 MARKER_WORDS = 3
@@ -278,20 +286,20 @@ def seq_miss(code_id: int, config: Config) -> Asm:
     Accepts the pair when the dynamic mapping holds it
     (SLOAD(mapping_slot) == combined + 1). Otherwise it sets the flag and
     appends (code id, fid, combined) to the transient alarm buffer while it
-    holds fewer than ``alarm_buffer_cap`` entries.
+    holds fewer than ``ALARM_BUFFER_CAP`` entries.
     """
     lay = Layout(config.width)
     a = Asm()
     full = Asm.fresh("missfull")
     done = Asm.fresh("missdone")
     a.emit(Op.DUP, 3).emit(Op.XOR).push(mix_constant(config.width)).emit(Op.MUL)
-    a.push(config.guard.mapping_tag & config.mask).emit(Op.XOR)
+    a.push(MAPPING_TAG & config.mask).emit(Op.XOR)
     a.emit(Op.SLOAD)  # [c, fid, stored]
     a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)
     a.jumpi(done)  # in the mapping: accepted
     a.mstore_const(lay.flag, 1)
     a.push(ALARM_CNT_SLOT).emit(Op.TLOAD)  # [c, fid, count]
-    a.emit(Op.DUP, 1).push(config.guard.alarm_buffer_cap).emit(Op.LT).emit(Op.ISZERO)
+    a.emit(Op.DUP, 1).push(ALARM_BUFFER_CAP).emit(Op.LT).emit(Op.ISZERO)
     a.jumpi(full)  # buffer full: flagged only
     a.emit(Op.DUP, 1).push(1).emit(Op.ADD).push(ALARM_CNT_SLOT).emit(Op.TSTORE)
     a.push(3).emit(Op.MUL).push(ALARM_ENTRY_SLOT).emit(Op.ADD)  # [c, fid, base]
@@ -353,11 +361,14 @@ def seq_prologue(
     entry_epp: int,
     site_rows: list[tuple[int, int, bool]],
     config: Config,
+    icall_target: bool = False,
 ) -> Asm:
     """External-function wrapper entry: classify the caller, set ctx/mode.
 
     site_rows: (site gid, edge value, via_surrogate) for every call edge that
-    can reach this function with a marker.
+    can reach this function with a marker. An ``icall_target``, which some
+    ICALL enters too, skips the classification below depth 0, keeping the
+    ctx the caller's ICALL set, and always stores its entry value.
     """
     lay = Layout(config.width)
     a = Asm()
@@ -366,8 +377,11 @@ def seq_prologue(
     l_direct = Asm.fresh("direct")
     l_done = Asm.fresh("entry_done")
 
+    if icall_target:
+        a.mload(lay.depth)
+        a.jumpi(l_done)
     a.emit(Op.CALLDATASIZE).push(MARKER_WORDS).emit(Op.LT).emit(Op.ISZERO)
-    a.push(0).emit(Op.CALLDATALOAD).push(config.guard.call_marker & config.mask).emit(Op.EQ)
+    a.push(0).emit(Op.CALLDATALOAD).push(CALL_MARKER & config.mask).emit(Op.EQ)
     a.emit(Op.AND)
     a.jumpi(l_mark)
     # markerless: a set ctx slot means reentry through an unprotected call
@@ -409,7 +423,7 @@ def seq_prologue(
     a.mstore_const(lay.cdoff, MARKER_WORDS)
     a.mstore_const(lay.mode, MODE_MARKER)
     a.mark(l_done)
-    if entry_epp:
+    if entry_epp or icall_target:
         a.epp_set(lay, entry_epp)  # an ICALL enters deeper than depth 0
     return a
 
@@ -463,13 +477,13 @@ def seq_exit_routine(code_id: int, config: Config) -> Asm:
     a.emit(Op.POP)  # fid: only a guard revert reports it
     a.mload(lay.flag).emit(Op.ISZERO)
     a.jumpi(l_done)
-    a.push(config.slot_poison).push(CTX_SLOT).emit(Op.TSTORE)
+    a.push(SLOT_POISON & config.mask).push(CTX_SLOT).emit(Op.TSTORE)
     a.mark(l_done)
     a.emit(Op.IRET)
     a.mark(l_marker)
     # [vals..., n, fid] -> [vals..., flag, MARKER, n + 2]
     a.emit(Op.POP).mload(lay.flag).emit(Op.SWAP, 1)
-    a.push(config.guard.call_marker & config.mask).emit(Op.SWAP, 1)
+    a.push(CALL_MARKER & config.mask).emit(Op.SWAP, 1)
     return a.push(RET_PREFIX_WORDS).emit(Op.ADD).emit(Op.IRET)
 
 
@@ -484,7 +498,7 @@ def _guard_revert(code_id: int, config: Config) -> Asm:
     """
     lay = Layout(config.width)
     a = Asm()
-    guard_marker = config.guard.guard_marker & config.mask
+    guard_marker = GUARD_MARKER & config.mask
     loop = Asm.fresh("rev")
     done = Asm.fresh("revdone")
     have = Asm.fresh("have")
@@ -519,6 +533,26 @@ def _guard_revert(code_id: int, config: Config) -> Asm:
     a.mload(lay.tmp_y).push(4).emit(Op.MUL).push(2).emit(Op.ADD)
     a.emit(Op.REVERT)
     return a
+
+
+class RawAlarm(NamedTuple):
+    """One entry of a guard-revert payload: the anomalous pair."""
+
+    contract: int
+    code_id: int  # index into the sorted protection boundary
+    fn: int
+    combined: int
+
+
+def decode_guard_revert(data: list[int], width: int) -> list[RawAlarm] | None:
+    """The entries of revert data ``_guard_revert`` emits, or None when
+    ``data`` does not start with the guard marker. Entries past the data's
+    end are dropped. Any code can revert with the marker: only the caller
+    knows whether an exit routine reverted."""
+    if not data or data[0] != GUARD_MARKER & ((1 << width) - 1):
+        return None
+    end = min(2 + 4 * data[1], len(data) - 3) if len(data) > 1 else 0
+    return [RawAlarm(*data[base:base + 4]) for base in range(2, end, 4)]
 
 
 def seq_backedge(
@@ -594,7 +628,7 @@ def seq_protected_call_pre(op: Op, site_gid: int, config: Config) -> Asm:
         a.mstore(addr)
     a.push(site_gid)
     a.mload(lay.ctx)
-    a.push(config.guard.call_marker & config.mask)
+    a.push(CALL_MARKER & config.mask)
     a.mload(lay.tmp_n).push(MARKER_WORDS).emit(Op.ADD)
     for addr in reversed(head[:-1]):
         a.mload(addr)
@@ -617,7 +651,7 @@ def seq_protected_call_post(config: Config, shims: bool) -> Asm:
     a.jumpi(skip)
     a.emit(Op.RETURNDATASIZE).push(RET_PREFIX_WORDS).emit(Op.LT)
     a.jumpi(skip)
-    a.push(0).emit(Op.RETURNDATALOAD).push(config.guard.call_marker & config.mask)
+    a.push(0).emit(Op.RETURNDATALOAD).push(CALL_MARKER & config.mask)
     a.emit(Op.EQ).emit(Op.ISZERO)
     a.jumpi(skip)
     a.push(1).emit(Op.RETURNDATALOAD)
@@ -646,7 +680,8 @@ def seq_unprotected_call_post(config: Config, shims: bool) -> Asm:
     if shims:
         a.mstore_const(lay.retoff, 0)
     skip = Asm.fresh("nopoison")
-    a.push(CTX_SLOT).emit(Op.TLOAD).push(config.slot_poison).emit(Op.EQ).emit(Op.ISZERO)
+    a.push(CTX_SLOT).emit(Op.TLOAD).push(SLOT_POISON & config.mask)
+    a.emit(Op.EQ).emit(Op.ISZERO)
     a.jumpi(skip)
     a.mstore_const(lay.flag, 1)
     a.mark(skip)
@@ -793,7 +828,7 @@ def check_gas(strategy: str, n: int, config: Config) -> int:
     if strategy == STRATEGY_LIST:
         spec = build_list(range(n))
     elif strategy == STRATEGY_MPHT:
-        spec = build_mpht(range(max(1, n)), config.guard.mpht_lambda, width=config.width)
+        spec = build_mpht(range(max(1, n)), config.mpht_lambda, width=config.width)
     elif strategy == STRATEGY_MAPPING:
         spec = ListSpec([])
     else:

@@ -171,7 +171,7 @@ def plan_strategies(
             plan.specs[fid] = build_list(embedded)
             continue
         try:
-            plan.specs[fid] = build_mpht(embedded, config.guard.mpht_lambda, width=config.width)
+            plan.specs[fid] = build_mpht(embedded, config.mpht_lambda, width=config.width)
         except ConstructionFailed as exc:
             plan.demote(fid, embedded, f"mpht construction failed: {exc}")
     return plan
@@ -196,6 +196,7 @@ class _Rewriter:
         self.config = config
         self.code_id = sorted(analysis.boundary).index(name)
         self.lay = Layout(config.width)
+        self.icall_targets = _icall_targets(self.prog)
         self.points: list[InstrumentPoint] = []
         self.pool: list[int] = []
         # Return data, and the memory word that records its prefix, are per
@@ -364,7 +365,8 @@ class _Rewriter:
                 cases="marker/direct/foreign/reentrant",
                 num_ccs=num_ccs,
             )
-            add(before, 0, seq_prologue(num_ccs, entry_val, rows, self.config), pid)
+            inner = fn.id in self.icall_targets
+            add(before, 0, seq_prologue(num_ccs, entry_val, rows, self.config, inner), pid)
         else:
             pid = self.point(POINT_ENTRY, (fn.name, 0), entry_val=entry_val)
             add(before, 0, Asm().epp_set(lay, entry_val), pid)
@@ -579,6 +581,11 @@ class _Rewriter:
         return body, owners
 
 
+def _icall_targets(prog: ContractProgram) -> set[int]:
+    """Ids of the functions some ICALL of ``prog`` enters."""
+    return {i.imm for fn in prog.functions for i in fn.body if i.op is Op.ICALL}
+
+
 def _trampoline(lay: Layout, label: str, val: int, target: int) -> Asm:
     """Stub at ``label`` for a taken branch arm: add ``val``, go on to the
     original ``target``."""
@@ -603,15 +610,16 @@ def _increments(
     """Each function's increments (function id -> edge id -> increment): on
     the chords of a spanning tree weighted by each edge's training hits
     times the gas per run of the code that would carry a nonzero increment
-    there. Internal entries and loop-header resets ride on a store that runs
-    anyway, and reverting exits are never checked, so those cost nothing.
-    No hits give the labeling's values."""
+    there. Internal entries, entries of an ICALL target and loop-header
+    resets ride on a store that runs anyway, and reverting exits are never
+    checked, so those cost nothing. No hits give the labeling's values."""
     add_gas, tramp_gas, store_gas = _increment_gas(config)
+    icall_targets = _icall_targets(analysis.programs[name])
 
     def edge_gas(fn: FunctionDef, edge: Edge) -> int:
         if edge.src == ENTRY:
-            external = fn.visibility is Visibility.EXTERNAL
-            return store_gas if external and edge.kind != SURROGATE_ENTRY else 0
+            stores = fn.visibility is Visibility.INTERNAL or fn.id in icall_targets
+            return 0 if stores or edge.kind == SURROGATE_ENTRY else store_gas
         tag = edge.origin[0]
         if tag == "term" and fn.body[edge.origin[1]].op is Op.REVERT:
             return 0

@@ -37,7 +37,9 @@ LIST_MAX = 6
 MPHT_MAX_KEYS = 65521
 
 _MIX_MULT = 0xBF58476D1CE4E5B9
+# First seed of a table build, and how many seeds of its chain are tried.
 DEFAULT_SEED = 0x9E3779B97F4A7C15
+MPHT_SEED_TRIES = 16
 
 
 class ConstructionFailed(Exception):
@@ -80,9 +82,15 @@ def mapping_value(key: int, width: int) -> int:
     return (key + 1) & ((1 << width) - 1)
 
 
+# Dynamic-mapping slots: the salt picks each function's slice of the slot
+# space, and the tag is XORed into every slot. Both are masked to the word.
+MAPPING_SALT = 0x00F5_EED0_00F5_EED0
+MAPPING_TAG = 0x5AFE_5E75_5AFE_5E75
+
+
 def mapping_fn_seed(fid: int, config: Config) -> int:
     """Per-function term of a mapping slot: a compile-time constant."""
-    return mix((fid ^ config.guard.mapping_salt) & config.mask, config.width)
+    return mix((fid ^ MAPPING_SALT) & config.mask, config.width)
 
 
 def mapping_slot(fid: int, key: int, config: Config) -> int:
@@ -92,7 +100,7 @@ def mapping_slot(fid: int, key: int, config: Config) -> int:
     it is injective in the key, and the probe evaluates one multiply.
     """
     spread = (mapping_fn_seed(fid, config) ^ key) * mix_constant(config.width)
-    return (spread ^ config.guard.mapping_tag) & config.mask
+    return (spread ^ MAPPING_TAG) & config.mask
 
 
 def choose_strategy(n: int) -> str:
@@ -179,13 +187,7 @@ def table_size(n: int) -> int:
     return r
 
 
-def build_mpht(
-    keys,
-    lam: int | None = None,
-    seed: int = DEFAULT_SEED,
-    width: int = 64,
-    max_tries: int = 16,
-) -> MphtSpec:
+def build_mpht(keys, lam: int | None = None, width: int = 64) -> MphtSpec:
     """Perfect hash over the key set; deterministic for fixed inputs.
 
     Buckets are processed largest first. d0 runs over [0, r), because
@@ -204,14 +206,14 @@ def build_mpht(
     lam = lam or 4
     m = max(1, math.ceil(n / lam))
     r = table_size(n)
-    cur_seed = seed & ((1 << width) - 1)
-    for _attempt in range(max_tries):
+    cur_seed = DEFAULT_SEED & ((1 << width) - 1)
+    for _attempt in range(MPHT_SEED_TRIES):
         spec = _try_build(keys, r, m, cur_seed, width)
         if spec is not None:
             break
         cur_seed = mix(cur_seed, width)
     else:
-        raise ConstructionFailed(f"no seed found after {max_tries} tries (n={n})")
+        raise ConstructionFailed(f"no seed found after {MPHT_SEED_TRIES} tries (n={n})")
     if r > 1 << disp_bits(width):
         raise ConstructionFailed(
             f"{r} slots: displacements do not pack into a {width}-bit pool word"
@@ -288,7 +290,7 @@ def estimate_gas(strategy: str, n: int, config: Config = DEFAULT_CONFIG) -> GasE
         deploy = per_byte * (BLOB_ENTRY_BYTES * n + BLOB_HEADER_BYTES)
         check = guardcode.check_gas(STRATEGY_LIST, n, config)
     elif strategy == STRATEGY_MPHT:
-        m = max(1, math.ceil(n / config.guard.mpht_lambda))
+        m = max(1, math.ceil(n / config.mpht_lambda))
         deploy = per_byte * (BLOB_ENTRY_BYTES * (table_size(n) + m) + BLOB_HEADER_BYTES)
         check = guardcode.check_gas(STRATEGY_MPHT, n, config)
     elif strategy == STRATEGY_MAPPING:

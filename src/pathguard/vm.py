@@ -158,16 +158,6 @@ class TraceEvent:
         return self.detail.get(key, default) if self.detail else default
 
 
-@dataclass(slots=True)
-class RawAlarm:
-    """Unenriched alarm as emitted by guard code: the anomalous pair."""
-
-    contract: int
-    code_id: int  # index into the sorted protection boundary
-    fn: int
-    combined: int
-
-
 @dataclass
 class Account:
     balance: int = 0
@@ -201,7 +191,6 @@ def check_words(tx: Transaction, mask: int) -> None:
 
 STATUS_ACCEPTED = "Accepted"
 STATUS_REVERTED = "Reverted"
-STATUS_GUARD_REVERTED = "GuardReverted"
 STATUS_OUT_OF_GAS = "OutOfGas"
 
 
@@ -210,7 +199,6 @@ class Receipt:
     status: str
     gas_used: int
     trace: list[TraceEvent]
-    alarms: list[RawAlarm]
     return_data: list[int]
 
 
@@ -676,7 +664,7 @@ class VM:
         token = world.snapshot()
         if not world.transfer(tx.origin, tx.to, tx.value):
             world.rollback(token)
-            return Receipt(STATUS_REVERTED, 0, self.trace, [], [])
+            return Receipt(STATUS_REVERTED, 0, self.trace, [])
         try:
             success, data = self._run_frame(
                 code=acct.code,
@@ -690,17 +678,12 @@ class VM:
             )
         except _OutOfGas:
             world.rollback(token)
-            return Receipt(STATUS_OUT_OF_GAS, tx.gas_limit, self.trace, [], [])
+            return Receipt(STATUS_OUT_OF_GAS, tx.gas_limit, self.trace, [])
         if success:
             world.commit(token)
-            return Receipt(STATUS_ACCEPTED, self.gas_used, self.trace, [], data)
+            return Receipt(STATUS_ACCEPTED, self.gas_used, self.trace, data)
         world.rollback(token)
-        status = STATUS_REVERTED
-        alarms: list[RawAlarm] = []
-        if data and data[0] == (self.config.guard.guard_marker & self.config.mask):
-            status = STATUS_GUARD_REVERTED
-            alarms = _parse_guard_payload(data)
-        return Receipt(status, self.gas_used, self.trace, alarms, data)
+        return Receipt(STATUS_REVERTED, self.gas_used, self.trace, data)
 
     # -- internals --------------------------------------------------------------
 
@@ -901,15 +884,9 @@ class VM:
             self.gas_used = gas_used
             world.rollback(token)
             if self.trace_level >= TRACE_CHECKS:
-                detail: dict = {"reason": failure.reason}
-                if failure.data and failure.data[0] == (
-                    config.guard.guard_marker & mask
-                ):
-                    # named by its code, as PathChecked is: detection
-                    # trusts only the payload of a guard routine
-                    detail.update(
-                        guard=True, code=name, alarms=_parse_guard_payload(failure.data)
-                    )
+                # named by its code, as PathChecked is: detection decodes
+                # only the data of a guard routine's revert
+                detail = {"reason": failure.reason, "code": name, "data": failure.data}
                 self._emit("Revert", self_addr, ifid, pc, detail)
             return False, failure.data
 
@@ -985,20 +962,6 @@ class VM:
         if full:
             self._emit("ExternalCallReturn", caller_self, site[0], site[1], {"success": ok})
         return ok, data
-
-
-def _parse_guard_payload(data: list[int]) -> list[RawAlarm]:
-    """Decode [marker, count, (contract, code id, fn, combined) * count]."""
-    alarms = []
-    if len(data) >= 2:
-        count = data[1]
-        for i in range(count):
-            base = 2 + 4 * i
-            if base + 3 < len(data):
-                alarms.append(
-                    RawAlarm(data[base], data[base + 1], data[base + 2], data[base + 3])
-                )
-    return alarms
 
 
 def execute_transaction(

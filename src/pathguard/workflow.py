@@ -18,9 +18,11 @@ from .asm import assemble
 from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context, split_index
-from .config import Config, config_from_json, config_to_json, read_field, read_json, read_word
+from .config import (
+    Config, ConfigError, config_from_json, config_to_json, read_field, read_json, read_word
+)
 from .epp import index_to_path
-from .guardcode import admin_calldata
+from .guardcode import RawAlarm, admin_calldata, decode_guard_revert
 from .instrument import EXIT_FN_NAME, InstrumentedContract, instrument_contract, plan_strategies
 from .oracle import trace_oracle
 from .pathset import mapping_slot, mapping_value
@@ -32,7 +34,7 @@ from .program import ContractProgram, validate_program
 from .vm import (
     Receipt,
     STATUS_ACCEPTED,
-    STATUS_GUARD_REVERTED,
+    STATUS_REVERTED,
     Transaction,
     TRACE_CHECKS,
     TRACE_FULL,
@@ -41,6 +43,10 @@ from .vm import (
     WorldState,
     deploy,
 )
+
+
+# A tx an exit routine of instrumented code reverted; the VM reads Reverted.
+STATUS_GUARD_REVERTED = "GuardReverted"
 
 
 class WorkflowError(Exception):
@@ -87,7 +93,10 @@ class Bundle:
         wrong type, or a name that is no contract of the bundle, raises
         WorkflowError naming ``where`` and the field."""
         if config is None:
-            config = config_from_json(json_field(raw, "config", dict, where, {}))
+            try:
+                config = config_from_json(json_field(raw, "config", dict, where, {}))
+            except ConfigError as exc:
+                raise WorkflowError(f"{where}: {exc}") from None
         programs = {}
         for i, entry in enumerate(json_field(raw, "contracts", list, where)):
             at = f"{where} contracts[{i}]"
@@ -237,7 +246,6 @@ def make_snapshot(
     return {
         "fingerprint": analysis.fingerprint(),
         "width": config.width,
-        "lambda": config.guard.mpht_lambda,
         "contracts": contracts,
     }
 
@@ -352,11 +360,17 @@ def protect(bundle: Bundle, snapshot: dict) -> GuardedBundle:
         )
     if not isinstance(snapshot.get("contracts"), dict):
         raise WorkflowError("snapshot: no contracts object")
+    stray = sorted(set(snapshot["contracts"]) - bundle.boundary)
+    if stray:
+        raise WorkflowError(f"snapshot {stray[0]}: no protected contract of the bundle")
     instrumented = {}
     for name in sorted(bundle.boundary):
-        instrumented[name] = instrument_contract(
-            name, analysis, snapshot_safe_sets(snapshot, name), bundle.config
-        )
+        profile = snapshot_safe_sets(snapshot, name)
+        fids = {fn.id for fn in bundle.programs[name].functions}
+        stray = sorted(set(profile) - fids)
+        if stray:
+            raise WorkflowError(f"snapshot {name}.fn{stray[0]}: {name} has no such function")
+        instrumented[name] = instrument_contract(name, analysis, profile, bundle.config)
     return GuardedBundle(bundle, analysis, instrumented, snapshot)
 
 
@@ -515,42 +529,48 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
     vm = VM(run.deployed.world, TRACE_CHECKS, guarded.checkers, gas_points=points)
     receipt = vm.execute_transaction(tx)
 
-    alarms = _collect_alarms(run, index, receipt)
+    status, raws = guard_verdict(guarded, receipt)
+    inner = status != STATUS_GUARD_REVERTED
+    alarms = [_enrich_alarm(run, index, raw, inner) for raw in raws]
     gas_orig = None
-    if run.mirror is not None and receipt.status == STATUS_ACCEPTED and not alarms:
+    if run.mirror is not None and status == STATUS_ACCEPTED and not alarms:
         # alarmed-but-accepted txs had a protected region rolled back; they
         # are not behavior-equivalent, so the mirror skips them
         mirror_tx = parse_tx(record, run.mirror, guarded.bundle)
         mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(mirror_tx)
         gas_orig = mirror_receipt.gas_used
         _reconcile(run, index, receipt, points, gas_orig)
-    outcome = TxOutcome(index, receipt.status, receipt.gas_used, gas_orig, alarms, receipt)
+    outcome = TxOutcome(index, status, receipt.gas_used, gas_orig, alarms, receipt)
     run.outcomes.append(outcome)
     run.alarm_log.extend(alarms)
     return outcome
 
 
-def _collect_alarms(run: DetectionRun, index: int, receipt: Receipt) -> list[AlarmRecord]:
-    """Alarms of a guard-reverted tx's own revert, else of its inner guard
-    reverts. A payload counts only when the exit routine of instrumented
-    code reverted with it: any contract can revert with the guard marker."""
-    inner = receipt.status != STATUS_GUARD_REVERTED
+def guard_verdict(guarded: GuardedBundle, receipt: Receipt) -> tuple[str, list[RawAlarm]]:
+    """The status of a tx run at TRACE_CHECKS or above and its alarms. Only
+    the payload of an exit routine's revert counts: any contract can revert
+    with the guard marker. A tx such a revert ends is GuardReverted, with
+    that revert's alarms; any other tx has those of its inner guard
+    reverts."""
+    trace = receipt.trace
     # the frame that ends a transaction reports its Revert last
-    events = receipt.trace if inner else receipt.trace[-1:]
-    return [
-        _enrich_alarm(run, index, raw, inner)
-        for ev in events
-        if ev.kind == "Revert" and ev.get("guard") and _from_exit_routine(run.guarded, ev)
-        for raw in ev.get("alarms")
-    ]
+    if receipt.status == STATUS_REVERTED and trace:
+        alarms = _exit_routine_alarms(guarded, trace[-1])
+        if alarms is not None:
+            return STATUS_GUARD_REVERTED, alarms
+    inner = (_exit_routine_alarms(guarded, ev) for ev in trace if ev.kind == "Revert")
+    return receipt.status, [raw for alarms in inner if alarms for raw in alarms]
 
 
-def _from_exit_routine(guarded: GuardedBundle, ev) -> bool:
+def _exit_routine_alarms(guarded: GuardedBundle, ev) -> list[RawAlarm] | None:
+    """The alarms of Revert event ``ev`` if an exit routine raised it."""
     inst = guarded.instrumented.get(ev.get("code"))
-    return inst is not None and inst.program.functions[ev.fn].name == EXIT_FN_NAME
+    if ev.kind != "Revert" or inst is None or inst.program.functions[ev.fn].name != EXIT_FN_NAME:
+        return None
+    return decode_guard_revert(ev.get("data"), guarded.bundle.config.width)
 
 
-def _enrich_alarm(run: DetectionRun, index: int, raw, inner: bool) -> AlarmRecord:
+def _enrich_alarm(run: DetectionRun, index: int, raw: RawAlarm, inner: bool) -> AlarmRecord:
     analysis = run.guarded.analysis
     config = run.guarded.bundle.config
     contract, fid, combined = raw.contract, raw.fn, raw.combined

@@ -169,7 +169,7 @@ def test_analyze_prints_the_bundle_fingerprint(tmp_path, capsys, flags):
     "text, key",
     [
         ('{"gas": {"sload_cost": 50}}', "sload_cost"),
-        ('{"reserved": {"no_such_tag": 1}}', "no_such_tag"),
+        ('{"reserved": {"call_marker": 1}}', "unknown key 'reserved'"),
         ('{"word_width": 12}', "word_width"),
         ('{"word_width": ', "bad.json"),
     ],
@@ -389,6 +389,13 @@ def test_bundle_account_words_are_read_as_words(tmp_path, capsys, account):
     _exit_2(capsys, ["analyze", path], "bundle account", "not a word")
 
 
+def _add_entry(raw: dict, contract: str, fid: str) -> dict:
+    """``raw`` with a well-formed entry for ``contract``'s function ``fid``."""
+    contracts = {name: dict(per_fn) for name, per_fn in raw["contracts"].items()}
+    contracts.setdefault(contract, {})[fid] = {"safe": ["0x1"], "hits": [3]}
+    return dict(raw, contracts=contracts)
+
+
 @pytest.mark.parametrize(
     "edit, needle",
     [
@@ -421,11 +428,15 @@ def test_bundle_account_words_are_read_as_words(tmp_path, capsys, account):
             lambda raw: dict(raw, contracts={"vault": {"0": {"safe": ["0x1"], "hits": ["3"]}}}),
             "fn0 hits: not a non-negative int: '3'",
         ),
+        (lambda raw: _add_entry(raw, "vault", "99"), "snapshot vault.fn99: vault has no such"),
+        (lambda raw: _add_entry(raw, "vault", "-7"), "snapshot vault.fn-7: vault has no such"),
+        (lambda raw: _add_entry(raw, "nosuch", "0"), "snapshot nosuch: no protected contract"),
     ],
     ids=[
         "empty", "not-an-object", "width", "no-contracts", "contract-not-an-object",
         "no-safe", "safe-not-a-list", "bad-function-id", "no-hits", "hits-not-a-list",
-        "hits-short", "hits-negative", "hits-bool", "hits-string",
+        "hits-short", "hits-negative", "hits-bool", "hits-string", "no-such-function",
+        "negative-function-id", "no-such-contract",
     ],
 )
 def test_protect_rejects_a_malformed_snapshot(tmp_path, capsys, edit, needle):
@@ -433,7 +444,8 @@ def test_protect_rejects_a_malformed_snapshot(tmp_path, capsys, edit, needle):
     keys and hits are checked where protection reads them: a malformed one
     exits with the validation code, never a KeyError, and nothing is
     written. Snapshots written before training counted hits have none and
-    are refused."""
+    are refused, and so is a well-formed entry for a function or contract
+    that protection has no place for."""
     _main(capsys, "fixture", "reentrancy", "-o", tmp_path)
     bundle = tmp_path / "reentrancy.bundle.json"
     snap = tmp_path / "snap.json"
@@ -609,11 +621,15 @@ def test_a_malformed_bundle_exits_2_naming_file_and_field(tmp_path, capsys, edit
         ("guarded", lambda raw: dict(raw, snapshot=[]), "guarded: field 'snapshot' is not a"),
         ("guarded", lambda raw: dict(raw, originals={"x": {}}),
          "guarded contracts[0]: no 'name' field"),
+        # guarded files written while the guard's protocol words were config
+        ("guarded", lambda raw: {**raw, "config": {**raw["config"], "reserved": {}}},
+         "guarded: config: unknown key 'reserved'"),
     ],
     ids=[
         "world-without-next-address", "world-accounts-not-an-object", "world-null-addresses",
         "world-account-without-storage", "world-unknown-code", "guarded-without-originals",
         "guarded-without-contract", "guarded-snapshot-not-an-object", "guarded-empty-original",
+        "guarded-config-with-reserved",
     ],
 )
 def test_a_malformed_world_or_guarded_file_exits_2(tmp_path, capsys, target, edit, needle):

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pathguard.config import Config, GuardParams
+from pathguard.config import Config
 from pathguard.guardcode import (
+    ALARM_BUFFER_CAP,
+    CALL_MARKER,
+    GUARD_MARKER,
+    SLOT_POISON,
     MODE_BOUNDARY,
     MODE_MARKER,
     MODE_REENTRANT,
@@ -16,8 +20,10 @@ from pathguard.guardcode import (
     CTX_SLOT,
     Asm,
     Layout,
+    RawAlarm,
     check_gas,
     checker_pool,
+    decode_guard_revert,
     flatten,
     seq_arith_check,
     seq_checker,
@@ -91,7 +97,7 @@ def test_xor_macro_matches_python(width):
     receipt, _world, _addr = _execute(Asm().push(1).emit(Op.XOR).emit(Op.STOP).items, [], width)
     assert receipt.status == "Reverted"
     assert receipt.gas_used == 2 * 3
-    assert receipt.trace[-1].detail == {"reason": "stack underflow"}
+    assert receipt.trace[-1].detail == {"reason": "stack underflow", "code": "t", "data": []}
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
@@ -272,7 +278,7 @@ def _checker_cases(draw):
     keys = sorted(draw(st.lists(word, min_size=n, max_size=n, unique=True)))
     if table:
         try:
-            spec = build_mpht(keys, Config().guard.mpht_lambda, width=width)
+            spec = build_mpht(keys, Config().mpht_lambda, width=width)
         except ConstructionFailed:
             assume(False)
     else:
@@ -392,10 +398,10 @@ def _miss_fn(config, fid=SLOW_FID, code_id=CODE_ID):
     return FunctionDef(fid, "miss", Visibility.INTERNAL, flatten(miss.items, base=0))
 
 
-def _run_miss(prefill, combined, fid, seed, storage=None, cap=8):
+def _run_miss(prefill, combined, fid, seed, storage=None):
     """ICALL the shared miss routine over [combined, fid, seed] with the
     alarm buffer prefilled; returns (flag, transient map)."""
-    config = Config(guard=GuardParams(alarm_buffer_cap=cap))
+    config = Config()
     a = _with_alarms(prefill).push(SENTINEL)
     a.push(combined).push(fid).push(seed).emit(Op.ICALL, SLOW_FID)
     a.mload(Layout(64).flag).push(2).emit(Op.RETURN)
@@ -422,14 +428,15 @@ def test_mapping_probe_in_vm():
 
 def test_alarm_append_below_and_at_cap():
     """A miss outside the mapping appends (code id, fid, combined) to the
-    transient buffer while it holds fewer than ``alarm_buffer_cap`` entries;
-    at the cap it only sets the flag and writes nothing. Either way it
-    consumes [combined, fid, fn_seed]."""
-    cap = 2
-    held = [(CODE_ID, 4, 0x111)]
+    transient buffer while it holds fewer than ``ALARM_BUFFER_CAP`` (8)
+    entries; at the cap it only sets the flag and writes nothing. Either way
+    it consumes [combined, fid, fn_seed]."""
+    cap = ALARM_BUFFER_CAP
+    assert cap == 8
+    held = [(CODE_ID, 4, 0x111 + i) for i in range(cap - 1)]
     seed = mapping_fn_seed(6, Config())
     for prefill in (held, held + [(CODE_ID, 5, 0x222)]):
-        flag, slots = _run_miss(prefill, 0x333, 6, seed, cap=cap)
+        flag, slots = _run_miss(prefill, 0x333, 6, seed)
         assert flag == 1
         assert slots == _buffer_slots((prefill + [(CODE_ID, 6, 0x333)])[:cap])
 
@@ -482,9 +489,9 @@ def test_exit_returns_by_mode_and_flag(mode, flag, prefix, poisoned):
     entries = [(2, 8, 0x99), (1, 2, 0x10)]
     receipt, world, addr = _run_exit(mode, flag, entries)
     assert receipt.status == "Accepted", receipt
-    marker = [config.guard.call_marker & config.mask] if mode == MODE_MARKER else []
+    marker = [CALL_MARKER & config.mask] if mode == MODE_MARKER else []
     assert receipt.return_data == marker + prefix + [0xA2, 0xA1]
-    poison = {CTX_SLOT: config.slot_poison} if poisoned else {}
+    poison = {CTX_SLOT: SLOT_POISON & config.mask} if poisoned else {}
     assert _transient(world, addr) == {**_buffer_slots(entries), **poison}
     assert world.dump()[hex(addr)]["storage"] == {}
     assert len(_routine_calls(receipt)) == (mode != MODE_BOUNDARY)
@@ -494,15 +501,30 @@ def test_guard_revert_payload_lists_buffer_in_append_order():
     """A flagged boundary entry reverts with every buffered entry, in append
     order."""
     config = Config()
-    gm = config.guard.guard_marker & config.mask
+    gm = GUARD_MARKER & config.mask
     entries = [(1, 8, 0x99), (CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
     receipt, world, addr = _run_exit(MODE_BOUNDARY, 1, entries)
-    assert receipt.status == "GuardReverted"
+    assert receipt.status == "Reverted"
     assert receipt.return_data == [gm, 3] + [
         w for entry in entries for w in (addr, *entry)
     ]
-    assert [(r.code_id, r.fn, r.combined) for r in receipt.alarms] == entries
+    alarms = decode_guard_revert(receipt.return_data, config.width)
+    assert [(r.code_id, r.fn, r.combined) for r in alarms] == entries
     assert len(_routine_calls(receipt)) == 1
+
+
+def test_guard_revert_decoder_reads_only_the_entries_present():
+    """The one payload decoder reads whole entries only, never trusts the
+    count past the data (any code can revert with the marker and a huge
+    count), and reads data without the guard marker as no payload."""
+    gm = GUARD_MARKER & Config().mask
+    entry = [0x100, 1, 2, 3]
+    assert decode_guard_revert([gm, (1 << 64) - 1, *entry, 9, 9], 64) == [RawAlarm(*entry)]
+    assert decode_guard_revert([gm, 0, *entry], 64) == []
+    assert decode_guard_revert([gm], 64) == []
+    assert decode_guard_revert([], 64) is None
+    assert decode_guard_revert([gm ^ 1, 1, *entry], 64) is None
+    assert decode_guard_revert([GUARD_MARKER & 0xFF, 1, *entry], 8) == [RawAlarm(*entry)]
 
 
 def test_guard_revert_without_entries_reports_sentinel():
@@ -511,8 +533,8 @@ def test_guard_revert_without_entries_reports_sentinel():
     function."""
     config = Config()
     receipt, _, addr = _run_exit(MODE_BOUNDARY, 1, [])
-    assert receipt.status == "GuardReverted"
-    gm = config.guard.guard_marker & config.mask
+    assert receipt.status == "Reverted"
+    gm = GUARD_MARKER & config.mask
     assert receipt.return_data == [gm, 1, addr, CODE_ID, EXIT_FN, config.mask]
 
 
@@ -541,7 +563,8 @@ def test_inner_guard_revert_rolls_back_only_its_own_appends():
     assert receipt.return_data == [1, CODE_ID, 4, 0x111, 0, 0, 0, 0]  # ..., call failed
     assert _transient(world, addr) == _buffer_slots([(CODE_ID, 4, 0x111)])
     (revert,) = [ev for ev in receipt.trace if ev.kind == "Revert"]
-    assert [(a.code_id, a.fn, a.combined) for a in revert.get("alarms")] == [
+    alarms = decode_guard_revert(revert.get("data"), config.width)
+    assert [(a.code_id, a.fn, a.combined) for a in alarms] == [
         (CODE_ID, 4, 0x111),
         (CODE_ID, 5, 0x222),
     ]
@@ -586,8 +609,9 @@ def test_callee_entries_land_in_executing_account_buffer(op):
     validate_program(prog, config)
     addr = deploy(world, prog, 0xD0)
     receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, []))
-    assert receipt.status == "GuardReverted", receipt
+    assert receipt.status == "Reverted", receipt
     expected = (lib_id, lib_fid, 0x333) if op is Op.DELEGATECALL else (CODE_ID, 5, config.mask)
-    assert [(a.contract, a.code_id, a.fn, a.combined) for a in receipt.alarms] == [
+    alarms = decode_guard_revert(receipt.return_data, config.width)
+    assert [(a.contract, a.code_id, a.fn, a.combined) for a in alarms] == [
         (addr, *expected)
     ]

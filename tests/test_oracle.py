@@ -272,7 +272,7 @@ def test_analysis_indexes_match_edge_scan(make):
     # edge has the lowest callsite id among its in-edges, so its value is 0
     for name in analysis.boundary:
         for fn in programs[name].external_functions():
-            entry = [e for e in cg.in_edges((name, fn.id)) if e.kind == K_ENTRY]
+            entry = [e for e in cg.edges if e.callee == (name, fn.id) and e.kind == K_ENTRY]
             assert [ccp.call_val[e.ceid] for e in entry] == [0]
     for cfg in analysis.cfgs.values():
         for b in cfg.blocks.values():

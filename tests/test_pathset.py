@@ -146,7 +146,7 @@ def test_mpht_table_size_is_the_next_prime():
     and d1 into 16 bits each."""
     assert [table_size(n) for n in range(1, 13)] == [1, 2, 3, 5, 5, 7, 7, 11, 11, 11, 11, 13]
     for n in (6, 8, 12, 40):
-        spec = build_mpht(range(n), CONFIG.guard.mpht_lambda)
+        spec = build_mpht(range(n), CONFIG.mpht_lambda)
         deploy = spec.blob_bytes * CONFIG.gas.code_deposit_per_byte
         assert estimate_gas(STRATEGY_MPHT, n, CONFIG).deploy_gas == deploy
     assert table_size(MPHT_MAX_KEYS) == MPHT_MAX_KEYS < 1 << 16
@@ -221,7 +221,7 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     if strategy == STRATEGY_LIST:
         spec = build_list(range(1000, 1000 + n))
     elif strategy == STRATEGY_MPHT:
-        spec = build_mpht(range(1000, 1000 + n), config.guard.mpht_lambda)
+        spec = build_mpht(range(1000, 1000 + n), config.mpht_lambda)
     else:
         spec = ListSpec([])  # no embedded set
     body = [Instruction(Op.PUSH, 0), Instruction(Op.CALLDATALOAD)]

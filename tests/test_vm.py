@@ -23,7 +23,6 @@ from pathguard.program import (
 )
 from pathguard.vm import (
     STATUS_ACCEPTED,
-    STATUS_GUARD_REVERTED,
     STATUS_OUT_OF_GAS,
     STATUS_REVERTED,
     TRACE_CHECKS,
@@ -42,6 +41,7 @@ from pathguard.vm import (
 from pathguard.workflow import (
     build_world,
     deploy_guarded,
+    guard_verdict,
     parse_tx,
     protect,
     run_transaction,
@@ -628,8 +628,9 @@ def _offset_charges(points) -> list[tuple[str, int, int, int]]:
 
 
 def _vm_runs(charges=False, vm_cls=VM, plain_levels=(TRACE_FULL,)):
-    """Run the pinned corpus under ``vm_cls``; yield (scenario, protected,
-    receipt, world, charges) per tx.
+    """Run the pinned corpus under ``vm_cls``; yield (scenario, guarded,
+    receipt, world, charges) per tx, ``guarded`` the protected bundle of a
+    protected tx and None for an original one.
 
     Each fixture runs its training stream plus one 30-tx test sequence:
     uninstrumented at each of ``plain_levels``, and protected at
@@ -644,7 +645,7 @@ def _vm_runs(charges=False, vm_cls=VM, plain_levels=(TRACE_FULL,)):
             for record in bundle.setup + records:
                 tx = parse_tx(record, plain, bundle)
                 receipt = vm_cls(plain.world, level).execute_transaction(tx)
-                yield scenario.name, False, receipt, plain.world, None
+                yield scenario.name, None, receipt, plain.world, None
         guarded = protect(bundle, train(bundle, scenario.training))
         deployed = deploy_guarded(guarded)
         for record in records:
@@ -653,7 +654,7 @@ def _vm_runs(charges=False, vm_cls=VM, plain_levels=(TRACE_FULL,)):
             vm = vm_cls(deployed.world, TRACE_CHECKS, guarded.checkers, gas_points=points)
             receipt = vm.execute_transaction(tx)
             rows = _offset_charges(points) if charges else None
-            yield scenario.name, True, receipt, deployed.world, rows
+            yield scenario.name, guarded, receipt, deployed.world, rows
 
 
 def _vm_digest() -> str:
@@ -662,14 +663,14 @@ def _vm_digest() -> str:
     behaviour moves it."""
     h = hashlib.sha256()
     current = None
-    for name, _protected, receipt, _world, charges in _vm_runs(charges=True):
+    for name, _guarded, receipt, _world, charges in _vm_runs(charges=True):
         if name != current:
             current = name
             h.update(name.encode())
         if charges is not None:
             h.update(repr(charges).encode())
         h.update(
-            repr((receipt.status, receipt.gas_used, receipt.return_data, receipt.alarms)).encode()
+            repr((receipt.status, receipt.gas_used, receipt.return_data)).encode()
         )
         for ev in receipt.trace:
             h.update(repr((ev.kind, ev.contract, ev.fn, ev.offset, ev.detail)).encode())
@@ -680,23 +681,18 @@ def _vm_records():
     """Per-tx records of the ``_vm_runs`` corpus that do not depend on code
     layout: status, gas, return data, alarms, the PathChecked (contract, fn,
     combined) sequence and a digest of every account's storage after the
-    tx. Alarms are read as ``workflow._collect_alarms`` reads them: the
-    receipt's payload of a guard-reverted tx, else those of its inner guard
-    reverts. Two builds can be compared record by record when emitted code
-    changes."""
+    tx. A protected tx's status and alarms are read as detection reads
+    them (``workflow.guard_verdict``): the payload of an exit routine's
+    revert that ends the tx, else those of its inner guard reverts. Two
+    builds can be compared record by record when emitted code changes."""
     count: dict[tuple[str, bool], int] = {}
-    for name, protected, receipt, world, _charges in _vm_runs():
+    for name, guarded, receipt, world, _charges in _vm_runs():
+        protected = guarded is not None
         index = count[(name, protected)] = count.get((name, protected), -1) + 1
-        if receipt.status == STATUS_GUARD_REVERTED:
-            raw = receipt.alarms
-        else:
-            raw = [
-                a
-                for ev in receipt.trace
-                if ev.kind == "Revert" and ev.get("guard")
-                for a in ev.get("alarms", [])
-            ]
-        alarms = [dataclasses.astuple(a) for a in raw]
+        status, alarms = receipt.status, []
+        if protected:
+            status, raws = guard_verdict(guarded, receipt)
+            alarms = [tuple(raw) for raw in raws]
         storage = {
             hex(addr): sorted(acct.storage.items()) for addr, acct in world.accounts.items()
         }
@@ -704,7 +700,7 @@ def _vm_records():
             "scenario": name,
             "protected": protected,
             "index": index,
-            "status": receipt.status,
+            "status": status,
             "gas_used": receipt.gas_used,
             "return_data": receipt.return_data,
             "alarms": alarms,
@@ -719,7 +715,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "0b2cd055f52d13c3b6733d63bb475a4691d0655a6f89f69c3f1b7156b30fc558"
+        "43685f13c2f36359bf00a6d5e263306a7c68b4a49e9dd9c8320dd8047207af6c"
     )
 
 
@@ -728,8 +724,8 @@ def test_every_trace_event_has_a_reader():
     handles; a protected TRACE_CHECKS trace only the two detection reads."""
     full: set[str] = set()
     checks: set[str] = set()
-    for _name, protected, receipt, _world, _charges in _vm_runs():
-        (checks if protected else full).update(ev.kind for ev in receipt.trace)
+    for _name, guarded, receipt, _world, _charges in _vm_runs():
+        (full if guarded is None else checks).update(ev.kind for ev in receipt.trace)
     assert {"BlockEnter", "ExternalCallEnter", "ExternalCallReturn"} <= full
     assert [k for k in sorted(full) if not hasattr(TraceOracle, f"_on_{k}")] == []
     assert checks == {"PathChecked", "Revert"}
@@ -762,7 +758,7 @@ def test_stack_underflow_reason_and_charge(body, offset, gas_used):
     assert r.gas_used == gas_used
     revert = r.trace[-1]
     assert (revert.kind, revert.offset, revert.detail) == (
-        "Revert", offset, {"reason": "stack underflow"}
+        "Revert", offset, {"reason": "stack underflow", "code": "t", "data": []}
     )
 
 
@@ -780,7 +776,7 @@ def test_stack_overflow_at_limit(body, first, per_push):
     assert r.status == STATUS_REVERTED
     revert = r.trace[-1]
     assert (revert.kind, revert.offset, revert.detail) == (
-        "Revert", first + 1, {"reason": "stack overflow"}
+        "Revert", first + 1, {"reason": "stack overflow", "code": "t", "data": []}
     )
     # the stack holds exactly OPERAND_STACK_LIMIT words before the failing
     # push; the leading PUSH of the DUP variant supplies one of them
@@ -821,7 +817,8 @@ def test_fall_off_after_not_taken_final_jumpi():
         _ins(Op.POP), _ins(Op.PUSH, 0), _ins(Op.JUMPI, 0),
     ]
     assert _failure(_program(body)) == (
-        STATUS_REVERTED, 6 * 3 + 10, (0, 7, {"reason": "fell off function body"})
+        STATUS_REVERTED, 6 * 3 + 10,
+        (0, 7, {"reason": "fell off function body", "code": "t", "data": []}),
     )
 
 
@@ -831,14 +828,15 @@ def test_internal_call_depth_exceeded():
     entry = [_ins(Op.ICALL, 1), _ins(Op.STOP)]
     rec = [_ins(Op.PUSH, 1), _ins(Op.POP), _ins(Op.ICALL, 1), _ins(Op.IRET)]
     assert _failure(_program(entry, rec)) == (
-        STATUS_REVERTED, 3 + 64 * 9, (1, 2, {"reason": "internal call depth exceeded"})
+        STATUS_REVERTED, 3 + 64 * 9,
+        (1, 2, {"reason": "internal call depth exceeded", "code": "t", "data": []}),
     )
 
 
 def test_iret_outside_internal_call():
     body = [_ins(Op.PUSH, 1), _ins(Op.POP), _ins(Op.IRET)]
     assert _failure(_program(body)) == (
-        STATUS_REVERTED, 9, (0, 2, {"reason": "IRET outside internal call"})
+        STATUS_REVERTED, 9, (0, 2, {"reason": "IRET outside internal call", "code": "t", "data": []}),
     )
 
 
@@ -848,7 +846,7 @@ def test_iret_outside_internal_call():
 def test_zero_dup_and_swap_fail_mid_block(body):
     # depth 0 never names a stack word, whatever the stack holds
     assert _failure(_one_fn(body)) == (
-        STATUS_REVERTED, 9, (0, 2, {"reason": "stack underflow"})
+        STATUS_REVERTED, 9, (0, 2, {"reason": "stack underflow", "code": "t", "data": []})
     )
 
 
@@ -1055,7 +1053,7 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
             Transaction(_DIFF_ORIGIN, addr, 0x01, calldata, value, gas_limit)
         )
         runs.append((
-            (r.status, r.gas_used, r.return_data, r.alarms),
+            (r.status, r.gas_used, r.return_data),
             [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace],
             _offset_charges(points) if mirrored else None,
             world.dump(),
@@ -1196,10 +1194,10 @@ def test_dup_or_swap_past_the_stack_limit_underflows(op):
 def _corpus_observed(vm_cls):
     """Per tx of ``_vm_runs`` under ``vm_cls``, originals at TRACE_FULL and
     TRACE_NONE: receipt, trace, per-offset charges and the world's dump."""
-    for name, protected, r, world, charges in _vm_runs(True, vm_cls, (TRACE_FULL, TRACE_NONE)):
+    for name, guarded, r, world, charges in _vm_runs(True, vm_cls, (TRACE_FULL, TRACE_NONE)):
         trace = [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace]
-        receipt = (r.status, r.gas_used, r.return_data, r.alarms)
-        yield name, protected, receipt, trace, charges, world.dump()
+        receipt = (r.status, r.gas_used, r.return_data)
+        yield name, guarded is not None, receipt, trace, charges, world.dump()
 
 
 def test_block_engine_matches_reference_on_corpus():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pathguard.fixtures import DELEGATECALL, REENTRANCY, VISIBILITY, by_name
+from pathguard.guardcode import CALL_MARKER, GUARD_MARKER
 from pathguard.isa import Op
 from pathguard.program import ValidationError
 from pathguard.vm import VM, WorldState
@@ -224,10 +225,12 @@ def test_guarded_bundle_round_trips_to_json(visibility_setup):
 
 
 def test_config_round_trips_through_json():
-    from pathguard.config import config_from_json, config_to_json, load_config
+    from pathguard.config import Config, GasSchedule, config_from_json, config_to_json
 
-    config = load_config(None, width=8, admin=0xBE, gas={"sload": 50}, guard={"mpht_lambda": 5})
-    assert config_from_json(json.loads(json.dumps(config_to_json(config)))) == config
+    config = Config(width=8, gas=GasSchedule(sload=50), admin=0xBE, mpht_lambda=5)
+    raw = json.loads(json.dumps(config_to_json(config)))
+    assert sorted(raw) == ["admin", "gas", "lambda", "word_width"]
+    assert config_from_json(raw) == config
 
 
 @pytest.mark.parametrize(
@@ -237,21 +240,22 @@ def test_config_round_trips_through_json():
         ({"gas": {"sload_cost": 50}}, "gas: unknown key 'sload_cost'"),
         ({"gas": {"sload": "cheap"}}, "gas.sload: not a word"),
         ({"lambda": "x"}, "lambda: not a word"),
-        ({"reserved": {"no_such_tag": 1}}, "reserved: unknown key 'no_such_tag'"),
-        ({"reserved": {"call_marker": "0xzz"}}, "reserved.call_marker: not a word"),
+        ({"reserved": {"no_such_tag": 1}}, "config: unknown key 'reserved'"),
+        ({"reserved": {"call_marker": "0xzz"}}, "config: unknown key 'reserved'"),
         ({"admin": "ad"}, "admin: not a word"),
         ({"word_width": 12}, "word_width: unsupported width 12"),
         ([64], "config: not a JSON object"),
         ({"gas": 5}, "gas: not a JSON object"),
-        ({"reserved": [1]}, "reserved: not a JSON object"),
+        ({"reserved": [1]}, "config: unknown key 'reserved'"),
         ({"gas": {"sload": 2.5}}, "gas.sload: not a word"),
         ({"word_width": 64.0}, "word_width: not a word"),
-        ({"reserved": {"alarm_buffer_cap": True}}, "reserved.alarm_buffer_cap: not a word"),
-        ({"reserved": {"ctx_slot_offset": 1}}, "reserved: unknown key 'ctx_slot_offset'"),
+        ({"admin": True}, "admin: not a word"),
+        ({"reserved": {"ctx_slot_offset": 1}}, "config: unknown key 'reserved'"),
+        ({"lambda": 0}, "lambda: 0 keys per bucket"),
     ],
     ids=["top-key", "gas-key", "gas-word", "lambda-word", "reserved-key", "reserved-word",
          "admin-word", "width", "top-object", "gas-object", "reserved-object", "float-word",
-         "float-width", "bool-word", "removed-ctx-slot"],
+         "float-width", "bool-word", "removed-ctx-slot", "lambda-zero"],
 )
 def test_config_errors_name_section_and_key(raw, message):
     from pathguard.config import ConfigError, config_from_json
@@ -418,7 +422,7 @@ def test_reentry_through_unprotected_contract_alarms(forged):
     """The thief's reentry into the vault alarms and the vault keeps its
     funds, also when the thief prefixes its calldata with the call marker."""
     raw = json.loads(json.dumps(REENTRANCY.bundle_json))
-    marker = Bundle.from_json(raw).config.guard.call_marker
+    marker = CALL_MARKER
     if forged:
         raw["contracts"][1]["source"] = _thief_reentering_with([marker, 0, 0])
     bundle = Bundle.from_json(raw)
@@ -553,7 +557,7 @@ def test_forged_guard_payload_raises_no_alarm(code_id, fid):
     alarm entry is no guard revert: only the exit routine of instrumented
     code raises alarms. Caught by the protected caller, or ending the tx, the
     forged payload gives no alarm and no exception."""
-    marker = Bundle.from_json({"contracts": [{"source": FORGER_SRC}]}).config.guard.guard_marker
+    marker = GUARD_MARKER
     evil = _evil_src([marker, 1, 0x100, code_id, fid, 5])
     bundle = Bundle.from_json(
         {"contracts": [{"source": FORGER_SRC}, {"source": evil}], "boundary": ["p"]}
@@ -563,9 +567,9 @@ def test_forged_guard_payload_raises_no_alarm(code_id, fid):
     run = start_detection(guarded)
     caught = run_transaction(run, call)
     assert (caught.status, caught.alarms) == ("Accepted", [])
-    assert caught.receipt.trace[0].get("guard")  # the forged revert was seen
+    assert caught.receipt.trace[0].get("data")[0] == marker  # the forged revert was seen
     direct = run_transaction(run, {"origin": 1, "to": "evil", "fn": "f"})
-    assert direct.alarms == [] and not run.alarm_log
+    assert (direct.status, direct.alarms) == ("Reverted", []) and not run.alarm_log
     with pytest.raises(WorkflowError, match="no alarms recorded"):
         review_and_approve(run, caught.index, bundle.config.admin)
 

@@ -19,7 +19,6 @@ from pathguard.vm import (
     VM,
     _FrameFailure,
     _OutOfGas,
-    _parse_guard_payload,
 )
 
 _OPS = tuple(Op)
@@ -322,12 +321,6 @@ class ReferenceVM(VM):
             self.gas_used = gas_used
             world.rollback(token)
             if self.trace_level >= TRACE_CHECKS:
-                detail: dict = {"reason": failure.reason}
-                if failure.data and failure.data[0] == (
-                    config.guard.guard_marker & mask
-                ):
-                    detail["guard"] = True
-                    detail["code"] = name
-                    detail["alarms"] = _parse_guard_payload(failure.data)
+                detail = {"reason": failure.reason, "code": name, "data": failure.data}
                 self._emit("Revert", self_addr, ifid, pc, detail)
             return False, failure.data
