@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 SUPPORTED_WIDTHS = (8, 16, 32, 64)
@@ -67,8 +68,9 @@ class Config:
     def word_bytes(self) -> int:
         return self.width // 8
 
-    @property
+    @cached_property
     def mask(self) -> int:
+        """All ones at the word width; computed once per Config."""
         return (1 << self.width) - 1
 
 

@@ -59,16 +59,6 @@ class FunctionDef:
         """Basic-block leader offsets; the body is not changed after construction."""
         return frozenset(block_leaders(self.body))
 
-    # The VM's decoded blocks by start offset, for the one engine key they
-    # were decoded under; ``blocks`` starts a new cache when the key changes.
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blocks_key: object = field(default=None, init=False, repr=False, compare=False)
-
-    def blocks(self, key) -> dict:
-        if self._blocks_key is not key:
-            self._blocks_key, self._blocks = key, {}
-        return self._blocks
-
     def size_bytes(self, word_bytes: int) -> int:
         return sum(i.size(word_bytes) for i in self.body)
 
@@ -94,6 +84,17 @@ class ContractProgram:
 
     _byte_size: int = 0
 
+    # The VM's decoded units of these functions, for the one engine key they
+    # were decoded under; ``units`` asks ``decode`` for them when the key
+    # changes. The functions are not changed after construction.
+    _units: object = field(default=None, init=False, repr=False, compare=False)
+    _units_key: object = field(default=None, init=False, repr=False, compare=False)
+
+    def units(self, key, decode):
+        if self._units_key is not key:
+            self._units_key, self._units = key, decode(self, key)
+        return self._units
+
     def compute_byte_size(self, word_bytes: int) -> int:
         code = sum(f.size_bytes(word_bytes) for f in self.functions)
         self._byte_size = (
@@ -110,12 +111,22 @@ class ContractProgram:
     def external_functions(self) -> list[FunctionDef]:
         return [f for f in self.functions if f.visibility is Visibility.EXTERNAL]
 
+    @cached_property
+    def _selectors(self) -> dict[str, int | None]:
+        """Each function name's first selector, or None; built once, as the
+        selector table is not changed after construction."""
+        first: dict[int, int] = {}
+        for sel, fid in self.selector_table.items():
+            first.setdefault(fid, sel)
+        names: dict[str, int | None] = {}
+        for f in self.functions:
+            names.setdefault(f.name, first.get(f.id))
+        return names
+
     def selector_of(self, name: str) -> int | None:
-        fid = self.function_by_name(name).id
-        for sel, f in self.selector_table.items():
-            if f == fid:
-                return sel
-        return None
+        """The selector of function ``name``; None when it has none or no
+        function has that name."""
+        return self._selectors.get(name)
 
     def to_json(self) -> dict:
         return {
@@ -274,12 +285,16 @@ def validate_program(prog: ContractProgram, config: Config) -> None:
                 f"{prog.name}: data_pool[{i}] = {word!r} is not a word in [0, {mask:#x}]"
             )
     for sel, fid in prog.selector_table.items():
+        if not 0 <= fid < len(prog.functions):
+            raise ValidationError(f"{prog.name}: selector {sel:#x} maps to no function: {fid}")
         fn = prog.functions[fid]
         if fn.visibility is not Visibility.EXTERNAL:
             raise ValidationError(f"{prog.name}: selector maps to internal {fn.name!r}")
         if sel == 0:
             raise ValidationError(f"{prog.name}: selector 0 is reserved for the fallback")
     if prog.fallback_id is not None:
+        if not 0 <= prog.fallback_id < len(prog.functions):
+            raise ValidationError(f"{prog.name}: fallback is no function: {prog.fallback_id}")
         fb = prog.functions[prog.fallback_id]
         if fb.visibility is not Visibility.EXTERNAL:
             raise ValidationError(f"{prog.name}: fallback must be external")

@@ -7,6 +7,7 @@ frame failures and transaction failures restore the exact prior state.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import re
@@ -46,7 +47,7 @@ _RETURNDATASIZE = Op.RETURNDATASIZE.code
 _SSTORE, _TSTORE = Op.SSTORE.code, Op.TSTORE.code
 _ICALL, _IRET = Op.ICALL.code, Op.IRET.code
 _CALL, _DELEGATECALL = Op.CALL.code, Op.DELEGATECALL.code
-_STOP, _REVERT = Op.STOP.code, Op.REVERT.code
+_RETURN, _STOP, _REVERT = Op.RETURN.code, Op.STOP.code, Op.REVERT.code
 # Ends a block cut short by its entry check: charges the first op that
 # fails and raises its failure.
 _FAIL = len(_OPS)
@@ -78,12 +79,20 @@ _ENDS = frozenset(
         Op.SSTORE, Op.RETURN, Op.STOP, Op.REVERT,
     )
 )
-# Block-ending ops that ``_run_frame`` runs itself, after the block's compiled
-# part: they check runtime values, change frames or exit.
+# Block-ending ops that ``_run_frame`` runs itself, after a unit's compiled
+# part: they check runtime values, change frames or exit. A region runs an
+# ``ICALL`` and its matching ``IRET`` itself, and ends at any other tail.
 _TAILS = (_ENDS - {_JUMP, _JUMPI}) | {_FAIL}
-# Block-ending ops that check runtime values. Each adds its own charge to a
-# mirrored point once its check passes; every other op's charge is added
-# with its block's at entry.
+# Ops after which control never falls through to the next pc.
+_EXITS = frozenset((_RETURN, _STOP, _REVERT, _IRET))
+# A region stops before a block that would take its ops past this budget,
+# or nest more than this many JUMPIs: each indents its taken arm's source,
+# and CPython allows 100 levels.
+_REGION_OPS = 128
+_REGION_NEST = 32
+# Block-ending ops that check runtime values. As a tail, each adds its own
+# charge to a mirrored point once its check passes; every other op's charge
+# is added with its exit's totals.
 _SELF_CHARGED = frozenset(
     op.code for op in (Op.ICALL, Op.IRET, Op.CALL, Op.DELEGATECALL, Op.RETURN, Op.REVERT)
 )
@@ -121,14 +130,14 @@ _NULLARY = {
     _CALLVALUE: "X.value",
     _RETURNDATASIZE: "len(R)",
 }
-# Frame locals a compiled block may read, loaded from its ``_Frame`` once
+# Frame locals a compiled unit may read, loaded from its ``_Frame`` once
 # at the top when its source uses them.
 _LOCALS = {
     "W": "X.world", "A": "X.addr", "C": "X.calldata", "P": "X.pool", "R": "X.ret",
-    "F": "X.full",
+    "F": "X.full", "K": "X.checkers",
 }
 # the frame locals each op's source reads
-_READS = {_TSTORE: ("W", "A"), **{op: ("F",) for op in _CHECKED}}
+_READS = {_TSTORE: ("W", "A")}
 for _op, _template in {**_UNARY, **_NULLARY}.items():
     _READS[_op] = tuple(name for name in _LOCALS if re.search(rf"\b{name}\b", _template))
 del _op, _template
@@ -370,68 +379,55 @@ def price_table(gas: GasSchedule) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _engine_key(gas: GasSchedule, mask: int) -> tuple:
-    """What a decoded block depends on: the price table and the word mask.
+    """What a decoded unit depends on: the price table and the word mask.
 
-    One object per (schedule, mask), so that ``FunctionDef.blocks`` can tell
-    its cache is current by identity. The trace a block writes is not part
-    of it: compiled code reads it from its ``_Frame``, so the blocks that
-    setup transactions decode untraced serve detection too.
+    One object per (schedule, mask), so that ``ContractProgram.units`` can
+    tell its tables are current by identity. The trace a region writes is
+    not part of it: compiled code reads it from its ``_Frame``, so the
+    regions that setup transactions decode untraced serve detection too.
     """
     return price_table(gas), mask
 
 
 class _Frame:
-    """What a compiled block reads of its message frame besides the stack and
-    memory: ``fid`` follows internal calls and ``ret`` holds the last message
-    call's return data. The environment words are masked, and ``full`` asks
-    for ArithChecked events."""
+    """What compiled code reads of its message frame besides the stack and
+    memory: ``ret`` holds the last message call's return data, and
+    ``checkers`` the ids of the functions whose ``ICALL`` is a PathChecked
+    event (none below TRACE_CHECKS). The environment words are masked, and
+    ``full`` asks for ArithChecked events."""
 
     __slots__ = (
-        "world", "addr", "fid", "calldata", "pool", "ret", "trace",
+        "world", "addr", "code", "calldata", "pool", "ret", "trace", "checkers",
         "caller", "origin", "address", "value", "full",
     )
 
     def __init__(
-        self, vm: "VM", code: ContractProgram, addr, fid, calldata, caller, origin, value
+        self, vm: "VM", code: ContractProgram, addr, calldata, caller, origin, value, checkers
     ):
         mask = vm.config.mask
-        self.world, self.addr, self.fid, self.ret = vm.world, addr, fid, []
+        self.world, self.addr, self.code, self.ret = vm.world, addr, code.name, []
         self.calldata, self.pool = calldata, code.data_pool
-        self.trace = vm.trace
+        self.trace, self.checkers = vm.trace, checkers or frozenset()
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
         self.full = vm.trace_level >= TRACE_FULL
 
 
-def _block(
-    body: list, start: int, prices: tuple, mask: int, entry: tuple[int, int] | None = None
-) -> list:
-    """Decode the basic block at ``start``.
+def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple:
+    """The basic block at ``start``: ``(ops, end, fail)``.
 
-    A block ends after a jump, call, SSTORE, IRET or exit, or before a
-    JUMPDEST; validation makes every jump target one. Returns ``[gas, need,
-    room, run, tail, end, None, ()]``:
-
-    - ``gas``: the static gas of all its ops;
-    - ``need``, ``room``: the least and greatest stack height at which it
-      can be entered without a stack failure;
-    - ``run``: its straight-line ops compiled by ``_compile``, or None when
-      it has none;
-    - ``tail``: its last op as ``(op, imm, pc)`` when that op is one of
-      ``_TAILS``, which ``_run_frame`` runs after ``run``, else None;
-    - ``end``: the pc after the block.
-
-    The last two slots cache the block's ``_point_totals`` for one owner
-    table. Given ``entry``, a (stack height, gas left) at which the
-    block fails its entry check, decoding stops before the first op that
-    fails there and ends in a ``_FAIL`` tail for it: the ops before it run as
-    in any block, and ``_FAIL`` charges the op and raises where it would.
+    A block ends after one of ``_ENDS``, or before a JUMPDEST; validation
+    makes every jump target one. ``ops`` holds each op as ``(op, imm, pc,
+    price, reads, delta)``, a PUSH immediate masked, and ``end`` is the pc
+    after the block. Given ``entry``, a (stack height, gas left) at which the
+    block fails its entry check, the scan stops before the first op that
+    fails there, and ``fail`` is the ``_FAIL`` tail that charges that op and
+    raises its failure; else ``fail`` is None.
     """
     if start >= len(body):
         raise _FrameFailure("fell off function body")
-    gas = need = height = peak = 0
     ops: list[tuple] = []
-    tail = None
+    gas = height = 0
     pc, n = start, len(body)
     while pc < n:
         ins = body[pc]
@@ -455,168 +451,372 @@ def _block(
                 or (delta > 0 and words >= OPERAND_STACK_LIMIT)
             ):
                 reason = "stack underflow" if words < reads else "stack overflow"
-                tail = (_FAIL, (price, reason), pc)
-                break
-        gas += price
-        if reads - height > need:
-            need = reads - height
-        height += delta
-        if height > peak:
-            peak = height
-        if op in _TAILS:
-            tail = (op, imm, pc)
-        elif op != _JUMPDEST:
-            ops.append((op, imm, pc))
+                return ops, pc, (_FAIL, (price, reason), pc)
+            gas += price
+            height += delta
+        ops.append((op, imm, pc, price, reads, delta))
         pc += 1
         if op in _ENDS:
             break
-    # a block that needs more words than the stack can hold (DUP 0, SWAP 0,
-    # or an immediate past OPERAND_STACK_LIMIT) always fails its entry check
+    return ops, pc, None
+
+
+def _preds(body: list) -> dict[int, int]:
+    """How many control-flow edges of its function enter each block: from a
+    jump, a branch, a fall-through, or the return of an ``ICALL``."""
+    counts: dict[int, int] = {}
+    pc, n = 0, len(body)
+    while pc < n:
+        op = body[pc].op.code
+        end = pc + 1
+        while op not in _ENDS and end < n and body[end].op.code != _JUMPDEST:
+            op = body[end].op.code
+            end += 1
+        if op == _JUMP or op == _JUMPI:
+            target = body[end - 1].imm
+            counts[target] = counts.get(target, 0) + 1
+        if op not in _EXITS and op != _JUMP:
+            counts[end] = counts.get(end, 0) + 1
+        pc = end
+    return counts
+
+
+class _Node:
+    """One block of a region: the ops its compiled code runs, in function
+    ``fid``, and what follows them. Each of ``kids`` is a ``_Node`` or an
+    exit id; a block with two kids ends in a ``JUMPI``, taken arm first."""
+
+    __slots__ = ("fid", "ops", "kids")
+
+    def __init__(self, fid: int):
+        self.fid, self.ops, self.kids = fid, [], []
+
+
+def _unit(
+    functions: list, fid: int, start: int, prices: tuple, mask: int,
+    preds: dict | None = None, entry: tuple[int, int] | None = None,
+) -> tuple:
+    """Decode the region entered at ``start`` of function ``fid``.
+
+    A region is a tree of basic blocks. From each block it goes on through a
+    fall-through, a ``JUMP`` and both arms of a ``JUMPI`` into blocks with one
+    predecessor (``_preds``, cached per function id in ``preds``), and
+    through an ``ICALL`` into its callee, back to the caller at the matching
+    ``IRET``. It ends at any other tail (an ``IRET`` with no matching
+    ``ICALL`` among them), at a block already on its path (a back edge), at an
+    ``ICALL`` of a function already running in it, and where the next block
+    would spend more than ``_REGION_OPS`` ops in all or nest more than
+    ``_REGION_NEST`` branches. Without ``preds`` it is one block, whose
+    ``ICALL`` or ``IRET`` is a tail: the unit TRACE_FULL runs, and the
+    fallback of a region that fails its entry check. Given ``entry`` (see
+    ``_scan``), it is that block cut short before its first failing op.
+
+    Returns ``(gas, need, room, deep, run, exits)``: ``gas`` is the gas of its
+    costliest path; ``need`` and ``room`` the least and greatest stack height
+    at which no path fails; ``deep`` the most internal frames open at entry
+    at which none of its inlined ``ICALL``s fails; ``run`` its code, built by
+    ``_compile`` from ``_source`` (None when it has none), which returns an
+    exit id. Exit ``i`` is ``[gas, next pc, tail, frames, fid, segments,
+    None, ()]``: the gas of the path to it; the pc it leaves to; its last op
+    as ``(op, imm, pc)`` when ``_run_frame`` runs that op (one of
+    ``_TAILS``), else None; the internal frames ``(fid, return pc)`` that it
+    leaves open and the function it leaves in; and the ``(fid, start, end)``
+    op ranges whose charges it adds (all ops on its path but a
+    ``_SELF_CHARGED`` tail). The last two slots cache its ``_point_totals``
+    for one owner table.
+    """
+    single = preds is None
+    budget = _REGION_OPS
+    exits: list[list] = []
+    need = peak = depth = cost = 0
+    root = _Node(fid)
+    ops, end, fail = _scan(functions[fid].body, start, prices, mask, entry)
+    # per block: its node and scan, its function and start, then the gas,
+    # stack height, open frames and nested branches at its entry, the
+    # (frames, pc) of each block before it and their op ranges
+    queue = collections.deque(
+        [(root, ops, end, fail, fid, start, 0, 0, (), 0, frozenset(), ())]
+    )
+
+    def leave(gas, nxt, tail, frames, at, segs) -> int:
+        nonlocal cost
+        cost = max(cost, gas)
+        exits.append([gas, nxt, tail, frames, at, segs, None, ()])
+        return len(exits) - 1
+
+    def one_pred(at: int, pc: int) -> bool:
+        counts = preds.get(at)
+        if counts is None:
+            counts = preds[at] = _preds(functions[at].body)
+        return counts.get(pc) == 1
+
+    def go(gas, height, at, pc, frames, nest, path, segs, callee=False):
+        """The kid that goes on at ``pc`` of function ``at`` (a callee's entry
+        when ``callee``): a block of the region, or an exit to it."""
+        nonlocal budget
+        body = functions[at].body
+        if (
+            not single
+            and 0 <= pc < len(body)
+            and nest <= _REGION_NEST
+            and (callee or one_pred(at, pc))
+            and (frames, pc) not in path
+        ):
+            ops, end, _ = _scan(body, pc, prices, mask)
+            if len(ops) <= budget:
+                budget -= len(ops)
+                node = _Node(at)
+                queue.append((node, ops, end, None, at, pc, gas, height, frames, nest, path, segs))
+                return node
+        return leave(gas, pc, None, frames, at, segs)
+
+    while queue:
+        node, ops, end, fail, at, pc, gas, height, frames, nest, path, segs = queue.popleft()
+        path = path | {(frames, pc)}
+        for op, imm, opc, price, reads, delta in ops:
+            gas += price
+            need = max(need, reads - height)
+            height += delta
+            peak = max(peak, height)
+            if op not in _ENDS and op != _JUMPDEST:
+                node.ops.append((op, imm, opc))
+        segs += ((at, pc, end),)
+        kids = node.kids
+        if fail is not None:  # cut short before its failing op
+            kids.append(leave(gas, end, fail, frames, at, segs))
+            continue
+        op, imm, opc = ops[-1][:3]
+        if op not in _ENDS:  # a fall-through
+            kids.append(go(gas, height, at, end, frames, nest, path, segs))
+        elif op == _JUMP:
+            kids.append(go(gas, height, at, imm, frames, nest, path, segs))
+        elif op == _JUMPI:
+            node.ops.append((op, imm, opc))
+            kids.append(go(gas, height, at, imm, frames, nest + 1, path, segs))
+            kids.append(go(gas, height, at, end, frames, nest, path, segs))
+        elif op == _IRET and frames:
+            caller, back = frames[-1]
+            kids.append(go(gas, height, caller, back, frames[:-1], nest, path, segs))
+        elif (
+            op == _ICALL
+            and not single
+            and 0 <= imm < len(functions)
+            and imm != at
+            and all(caller != imm for caller, _back in frames)
+        ):
+            node.ops.append((op, imm, opc))
+            inner = frames + ((at, end),)
+            depth = max(depth, len(inner))
+            kids.append(go(gas, height, imm, 0, inner, nest, path, segs, callee=True))
+        else:
+            if op in _SELF_CHARGED:
+                segs = segs[:-1] + ((at, pc, end - 1),)
+            kids.append(leave(gas, end, (op, imm, opc), frames, at, segs))
     run = None
-    if ops and need <= OPERAND_STACK_LIMIT:
-        run = _compile(tuple(ops), pc, mask)
-    return [gas, need, OPERAND_STACK_LIMIT - peak, run, tail, pc, None, ()]
+    # a region that needs more words than the stack can hold (DUP 0, SWAP 0,
+    # or an immediate past OPERAND_STACK_LIMIT) always fails its entry check
+    if need <= OPERAND_STACK_LIMIT and (root.ops or root.kids != [0]):
+        run = _compile(_source(root, mask, single))
+    return cost, need, OPERAND_STACK_LIMIT - peak, INTERNAL_DEPTH_LIMIT - depth, run, exits
 
 
-def _source(ops: tuple, end: int, mask: int) -> str:
-    """Python source of ``run(S, M, X)``, the straight-line ``ops`` of a block.
+def _source(root: _Node, mask: int, events: bool) -> str:
+    """Python source of ``run(S, M, X)``, the region whose first block is
+    ``root``; ``run`` returns the id of the exit its path reaches.
 
     ``S`` is the operand stack, ``M`` the memory and ``X`` the ``_Frame``.
     Operands live in locals over a symbolic stack: ``e1``, ``e2``, ... are
-    the words the block found on top of ``S`` at entry, read where it used
-    them, ``v0``, ``v1``, ... each op's result, and an int a PUSHed word.
-    Reads and writes of memory, storage and the environment, and
-    ArithChecked events, run in op order at their own pc. ``S`` is written once at the
-    end with the block's net change, and ``run`` returns the next pc. Only
-    ints from ``ops`` and the arguments, each through ``operator.index``,
-    are rendered into the source; it names no other value.
+    the words the region found on top of ``S`` at entry, read where it used
+    them, ``v0``, ``v1``, ... each op's result, and an int a PUSHed word. A
+    ``JUMPI`` whose arms are not both exits is an ``if`` over its condition,
+    and each arm goes on with its own copy of the symbolic stack. Reads and
+    writes of memory, storage and the environment run in op order at their
+    own pc, as do the PathChecked event of an inlined checker ``ICALL`` and,
+    when ``events`` is set (one-block units, the only ones TRACE_FULL runs),
+    ArithChecked events. Each exit writes ``S`` once with its path's net
+    change. Only ints from the ops and the arguments, each through
+    ``operator.index``, are rendered into the source; it names no other
+    value.
     """
     index = operator.index
-    end, mask = index(end), index(mask)
+    mask = index(mask)
     lines: list[str] = []
-    stack: list = []
-    taken = 0  # entry words on the symbolic stack: e{taken} .. e1
     used: set[str] = set()  # entry words and frame locals the source reads
-    count = 0
-    nxt = str(end)
+    count = deepest = 0
 
-    def take(k: int) -> None:
-        nonlocal taken
-        while len(stack) < k:
-            taken += 1
-            stack.insert(0, f"e{taken}")
-
-    def pop() -> str:
-        word = stack.pop()
-        if isinstance(word, int):
-            return str(word)
-        used.add(word)
-        return word
-
-    def result(expr: str) -> None:
-        nonlocal count
-        lines.append(f"v{count} = {expr}")
-        stack.append(f"v{count}")
-        count += 1
-
-    for op, imm, pc in ops:
-        pc = index(pc)
-        used.update(_READS.get(op, ()))
-        if op == _PUSH:
-            stack.append(index(imm))
-        elif op == _POP:
-            take(1)
-            stack.pop()
-        elif op == _DUP:
-            k = index(imm)
-            take(k)
-            stack.append(stack[-k])
-        elif op == _SWAP:
-            k = index(imm) + 1
-            take(k)
-            stack[-1], stack[-k] = stack[-k], stack[-1]
-        elif op in _CHECKED:
-            take(2)
-            y, x = pop(), pop()
-            sign, test = _CHECKED[op]
-            lines.append(f"t = {x} {sign} {y}")
-            result(f"t & {mask}")
-            overflow = test.format(x=x, y=y, mask=mask)
-            detail = f'{{"op": "{_OPS[op].value}", "overflow": {overflow}}}'
-            lines += [
-                "if F:",
-                f'    X.trace.append(E("ArithChecked", X.addr, X.fid, {pc}, {detail}))',
-            ]
-        elif op in _BINARY:
-            take(2)
-            y, x = pop(), pop()
-            result(_BINARY[op].format(x=x, y=y))
-        elif op in _UNARY:
-            take(1)
-            result(_UNARY[op].format(i=pop(), mask=mask))
-        elif op in _NULLARY:
-            result(_NULLARY[op])
-        elif op == _MSTORE or op == _TSTORE:
-            take(2)
-            addr, word = pop(), pop()
-            if op == _TSTORE:
-                lines.append(f"W.tstore(A, {addr}, {word})")
-            else:
-                lines.append(f"M[{addr}] = {word}")
-        elif op == _JUMP:
-            nxt = str(index(imm))
-        elif op == _JUMPI:
-            take(1)
-            nxt = f"{index(imm)} if {pop()} else {end}"
+    def leave(stack: list, taken: int, pad: str, kids: list, cond: str | None = None) -> None:
+        # write back the words above the deepest entry word still in place
+        keep = 0
+        while keep < min(taken, len(stack)) and stack[keep] == f"e{taken - keep}":
+            keep += 1
+        drop = taken - keep
+        out = [str(w) if isinstance(w, int) else w for w in stack[keep:]]
+        used.update(w for w in out if w.startswith("e"))
+        if drop == len(out) == 1:
+            lines.append(f"{pad}S[-1] = {out[0]}")
+        elif drop and out:
+            lines.append(f"{pad}S[-{drop}:] = {', '.join(out)},")
+        elif drop:
+            lines.append(f"{pad}del S[-{drop}:]")
+        elif len(out) == 1:
+            lines.append(f"{pad}S.append({out[0]})")
+        elif out:
+            lines.append(f"{pad}S += {', '.join(out)},")
+        if cond is None:
+            lines.append(f"{pad}return {index(kids[0])}")
         else:
-            raise ValueError(f"{_OPS[op].value} is not a straight-line op")
+            lines.append(f"{pad}return {index(kids[0])} if {cond} else {index(kids[1])}")
 
-    # write back the words above the deepest entry word still in place
-    keep = 0
-    while keep < min(taken, len(stack)) and stack[keep] == f"e{taken - keep}":
-        keep += 1
-    drop = taken - keep
-    out = [str(w) if isinstance(w, int) else w for w in stack[keep:]]
-    used.update(w for w in out if w.startswith("e"))
-    if drop == len(out) == 1:
-        lines.append(f"S[-1] = {out[0]}")
-    elif drop and out:
-        lines.append(f"S[-{drop}:] = {', '.join(out)},")
-    elif drop:
-        lines.append(f"del S[-{drop}:]")
-    elif len(out) == 1:
-        lines.append(f"S.append({out[0]})")
-    elif out:
-        lines.append(f"S += {', '.join(out)},")
-    lines.append(f"return {nxt}")
+    def walk(node, stack: list, taken: int, pad: str) -> None:
+        """Render ``node`` and the blocks after it; recurses only into the
+        taken arm of a ``JUMPI``."""
 
-    head = [f"{name} = {load}" for name, load in _LOCALS.items() if name in used]
-    head += [f"e{k} = S[-{k}]" for k in range(1, taken + 1) if f"e{k}" in used]
-    return "def run(S, M, X):\n" + "".join(f"    {line}\n" for line in head + lines)
+        def take(k: int) -> None:
+            nonlocal taken, deepest
+            while len(stack) < k:
+                taken += 1
+                stack.insert(0, f"e{taken}")
+            deepest = max(deepest, taken)
+
+        def pop() -> str:
+            word = stack.pop()
+            if isinstance(word, int):
+                return str(word)
+            used.add(word)
+            return word
+
+        def result(expr: str) -> None:
+            nonlocal count
+            lines.append(f"{pad}v{count} = {expr}")
+            stack.append(f"v{count}")
+            count += 1
+
+        while not isinstance(node, int):
+            fid = index(node.fid)
+            cond = None
+            for op, imm, pc in node.ops:
+                pc = index(pc)
+                used.update(_READS.get(op, ()))
+                if op == _PUSH:
+                    stack.append(index(imm))
+                elif op == _POP:
+                    take(1)
+                    stack.pop()
+                elif op == _DUP:
+                    k = index(imm)
+                    take(k)
+                    stack.append(stack[-k])
+                elif op == _SWAP:
+                    k = index(imm) + 1
+                    take(k)
+                    stack[-1], stack[-k] = stack[-k], stack[-1]
+                elif op in _CHECKED:
+                    take(2)
+                    y, x = pop(), pop()
+                    sign, test = _CHECKED[op]
+                    if not events:
+                        result(f"({x} {sign} {y}) & {mask}")
+                        continue
+                    used.add("F")
+                    lines.append(f"{pad}t = {x} {sign} {y}")
+                    result(f"t & {mask}")
+                    overflow = test.format(x=x, y=y, mask=mask)
+                    detail = f'{{"op": "{_OPS[op].value}", "overflow": {overflow}}}'
+                    lines.extend([
+                        f"{pad}if F:",
+                        f'{pad}    X.trace.append(E("ArithChecked", X.addr, {fid}, {pc}, '
+                        f"{detail}))",
+                    ])
+                elif op in _BINARY:
+                    take(2)
+                    y, x = pop(), pop()
+                    result(_BINARY[op].format(x=x, y=y))
+                elif op in _UNARY:
+                    take(1)
+                    result(_UNARY[op].format(i=pop(), mask=mask))
+                elif op in _NULLARY:
+                    result(_NULLARY[op])
+                elif op == _MSTORE or op == _TSTORE:
+                    take(2)
+                    addr, word = pop(), pop()
+                    if op == _TSTORE:
+                        lines.append(f"{pad}W.tstore(A, {addr}, {word})")
+                    else:
+                        lines.append(f"{pad}M[{addr}] = {word}")
+                elif op == _ICALL:  # inlined; traced when its callee is a checker
+                    if stack:
+                        top = stack[-1]
+                        if isinstance(top, str):
+                            used.add(top)
+                    else:
+                        top = f"S[-{taken + 1}] if len(S) > {taken} else None"
+                    used.add("K")
+                    lines.extend([
+                        f"{pad}if {index(imm)} in K:",
+                        f'{pad}    X.trace.append(E("PathChecked", X.addr, {fid}, {pc}, '
+                        f'{{"combined": {top}, "code": X.code}}))',
+                    ])
+                elif op == _JUMPI:
+                    take(1)
+                    cond = pop()
+                else:
+                    raise ValueError(f"{_OPS[op].value} is not a straight-line op")
+            kids = node.kids
+            if cond is None:
+                node = kids[0]
+            elif all(isinstance(kid, int) for kid in kids):
+                leave(stack, taken, pad, kids, cond)
+                return
+            else:
+                lines.append(f"{pad}if {cond}:")
+                walk(kids[0], list(stack), taken, pad + "    ")
+                node = kids[1]
+        leave(stack, taken, pad, [node])
+
+    walk(root, [], 0, "    ")
+    head = [f"    {name} = {load}" for name, load in _LOCALS.items() if name in used]
+    head += [f"    e{k} = S[-{k}]" for k in range(1, deepest + 1) if f"e{k}" in used]
+    return "def run(S, M, X):\n" + "".join(f"{line}\n" for line in head + lines)
 
 
-@functools.lru_cache(maxsize=4096)
-def _compile(ops: tuple, end: int, mask: int):
-    """``run`` built from ``_source``, one per block content, shared by every
-    ``FunctionDef`` (and every VM) that runs that block."""
+@functools.lru_cache(maxsize=1024)
+def _compile(source: str):
+    """``run`` built from ``source``, one per source text, shared by every
+    program (and every VM) that runs that region."""
     namespace = {"E": TraceEvent, "__builtins__": {"len": len}}
-    exec(compile(_source(ops, end, mask), "<block>", "exec"), namespace)
+    exec(compile(source, "<region>", "exec"), namespace)
     return namespace["run"]
 
 
 def _point_totals(
-    body: list, start: int, end: int, prices: tuple, own: list[int]
+    functions: list, segs: tuple, prices: tuple, owners: list[list[int]]
 ) -> tuple[tuple[int, int], ...]:
-    """``(point, gas)`` sums, under one owner table, of the charges that the
-    block over ``body[start:end]`` adds at entry: those of all its ops but a
-    ``_SELF_CHARGED`` last one."""
+    """``(point, gas)`` sums, under the owner tables ``owners`` (one per
+    function), of the charges an exit adds: those of the ops in its
+    ``(fid, start, end)`` segments."""
     totals: dict[int, int] = {}
-    for pc in range(start, end):
-        pid = own[pc]
-        op = body[pc].op.code
-        if pid >= 0 and op not in _SELF_CHARGED:
-            totals[pid] = totals.get(pid, 0) + prices[op]
+    for fid, start, end in segs:
+        own, body = owners[fid], functions[fid].body
+        for pc in range(start, end):
+            pid = own[pc]
+            if pid >= 0:
+                totals[pid] = totals.get(pid, 0) + prices[body[pc].op.code]
     return tuple(totals.items())
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(content: tuple, key: tuple) -> tuple[list, dict]:
+    """Empty unit tables, ``(regions, one-block units)`` by start pc for each
+    function, and an empty ``_preds`` cache, for a program of this content
+    under this engine key. Every program of equal content shares them, so a
+    program protected again decodes and compiles nothing new."""
+    return [({}, {}) for _ in content], {}
+
+
+def _decoded(code: ContractProgram, key: tuple) -> tuple[list, dict]:
+    """The ``_tables`` of ``code``'s content."""
+    content = tuple(tuple((i.op.code, i.imm) for i in fn.body) for fn in code.functions)
+    return _tables(content, key)
 
 
 class VM:
@@ -708,21 +908,25 @@ class VM:
     ) -> tuple[bool, list[int]]:
         """Run one message-call frame; returns (success, return data).
 
-        Runs basic blocks, each decoded once and cached on its
-        ``FunctionDef`` (``_block``). At block entry it checks the gas left
-        and both stack bounds, charges the block's static gas and adds its
-        per-point totals when mirrored. Then the block's compiled
-        straight-line part runs (``_compile``); no op in it can fail. Only
-        the ops that check runtime values run here, as the block's tail: the
-        RETURN/REVERT word count, the CALL argument count, the SSTORE price,
-        the ICALL depth and IRET, and STOP. An ICALL of one of the code's
-        ``checkers`` is also where a PathChecked event is traced. Each of those ops ends its block
-        and adds its own charge to a mirrored point once its check passes. A
-        block that fails its entry check is decoded again for that entry:
-        its failure-free prefix runs as an ordinary block, then a ``_FAIL``
-        tail charges the first failing op and raises there. So gas, trace
-        and point totals match a machine that checked every op. The gas used
-        so far lives in the local ``gas_used``; it is written back to
+        Runs units: at TRACE_FULL one basic block each, else regions
+        (``_unit``), each decoded once per program content and engine key
+        (``_decoded``). At unit entry it checks the gas left against the
+        unit's costliest path, both stack bounds, and the internal frames
+        open against the unit's inlined calls. Then the unit's compiled code
+        runs; no op in it can fail, and it returns the exit its path took.
+        The loop charges that exit's gas, adds its per-point totals when
+        mirrored, opens the internal frames it leaves open, and runs its
+        tail: the ops that check runtime values (the RETURN/REVERT word
+        count, the CALL argument count, the SSTORE price, the ICALL depth
+        and IRET), and STOP. An ICALL of one of the code's ``checkers`` is
+        also where a PathChecked event is traced, inlined or not. Each tail
+        adds its own charge to a mirrored point once its check passes. A
+        region that fails its entry check falls back to its first block
+        alone; a block that fails it is decoded again for that entry: its
+        failure-free prefix runs as an ordinary block, then a ``_FAIL`` tail
+        charges the first failing op and raises there. So gas, trace and
+        point totals match a machine that checked every op. The gas used so
+        far lives in the local ``gas_used``; it is written back to
         ``self.gas_used`` before every exit from the frame and around every
         message call.
         """
@@ -731,7 +935,6 @@ class VM:
         mask = config.mask
         token = world.snapshot()
         gas = config.gas
-        key = self.key
         prices = self.prices
         gas_limit = self.gas_limit
         gas_used = self.gas_used
@@ -747,17 +950,20 @@ class VM:
 
         stack: list[int] = []
         memory: dict[int, int] = {}
-        frame = _Frame(self, code, self_addr, fid, calldata, caller, origin, value)
+        frame = _Frame(self, code, self_addr, calldata, caller, origin, value, checkers)
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
         fn = functions[ifid]
-        blocks = fn.blocks(key)
+        tables, preds = code.units(self.key, _decoded)
+        # one-block units at TRACE_FULL, whose BlockEnter, CallEnter and
+        # CallReturn events the trace oracle reads
+        level = 1 if full else 0
+        table = tables[ifid][level]
         istack: list[tuple[int, int]] = []
         pc = 0
 
-        # each charge is added at its offset in ``own``, the owner table of
-        # the function it ran in
+        # each charge is added at its offset in its function's owner table
         points = self.gas_points.get(name) if self.gas_points else None
         acc = own = owners = None
         if points is not None:
@@ -766,25 +972,47 @@ class VM:
         try:
             while True:
                 try:
-                    blk = blocks[pc]
+                    unit = table[pc]
                 except KeyError:
-                    blk = blocks[pc] = _block(fn.body, pc, prices, mask)
-                cost, need, room, run, tail, nxt, seen, totals = blk
+                    unit = table[pc] = _unit(
+                        functions, ifid, pc, prices, mask, None if full else preds
+                    )
+                cost, need, room, deep, run, exits = unit
                 height = len(stack)
-                if gas_used + cost > gas_limit or height < need or height > room:
-                    blk = _block(fn.body, pc, prices, mask, (height, gas_limit - gas_used))
-                    cost, need, room, run, tail, nxt, seen, totals = blk
-                gas_used += cost
-                if acc is not None:
-                    if seen is not own:
-                        totals = _point_totals(fn.body, pc, nxt, prices, own)
-                        blk[6], blk[7] = own, totals
-                    for pid, charge in totals:
-                        acc[pid] += charge
+                if (
+                    gas_used + cost > gas_limit
+                    or height < need
+                    or height > room
+                    or len(istack) > deep
+                ):
+                    blocks = tables[ifid][1]
+                    unit = blocks.get(pc)
+                    if unit is None:
+                        unit = blocks[pc] = _unit(functions, ifid, pc, prices, mask)
+                    cost, need, room, deep, run, exits = unit
+                    if gas_used + cost > gas_limit or height < need or height > room:
+                        entry = (height, gas_limit - gas_used)
+                        cost, need, room, deep, run, exits = _unit(
+                            functions, ifid, pc, prices, mask, entry=entry
+                        )
                 if full and pc in fn.leaders:
                     emit("BlockEnter", self_addr, ifid, pc, {"code": name})
-                if run is not None:
-                    nxt = run(stack, memory, frame)
+                out = exits[run(stack, memory, frame) if run is not None else 0]
+                cost, nxt, tail, frames, at, segs, seen, totals = out
+                gas_used += cost
+                if acc is not None:
+                    if seen is not owners:
+                        totals = _point_totals(functions, segs, prices, owners)
+                        out[6], out[7] = owners, totals
+                    for pid, charge in totals:
+                        acc[pid] += charge
+                if frames:
+                    istack += frames
+                    ifid = at
+                    fn = functions[ifid]
+                    table = tables[ifid][level]
+                    if acc is not None:
+                        own = owners[ifid]
                 if tail is not None:
                     op, imm, pc = tail
                     if op == _ICALL:
@@ -803,23 +1031,22 @@ class VM:
                                 acc[own[pc]] += prices[op]
                             own = owners[imm]
                         istack.append((ifid, pc + 1))
-                        ifid = frame.fid = imm
+                        ifid = imm
                         fn = functions[ifid]
-                        blocks = fn.blocks(key)
+                        table = tables[ifid][level]
                         nxt = 0
                     elif op == _IRET:
                         if not istack:
                             raise _FrameFailure("IRET outside internal call")
                         if full:
                             emit("CallReturn", self_addr, ifid, pc, None)
+                        if acc is not None and own[pc] >= 0:
+                            acc[own[pc]] += prices[op]
                         ifid, nxt = istack.pop()
-                        frame.fid = ifid
                         if acc is not None:
-                            if own[pc] >= 0:
-                                acc[own[pc]] += prices[op]
                             own = owners[ifid]
                         fn = functions[ifid]
-                        blocks = fn.blocks(key)
+                        table = tables[ifid][level]
                     elif op == _SSTORE:  # charged after its operands are read
                         slot = stack.pop()
                         val = stack.pop()

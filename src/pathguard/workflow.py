@@ -109,7 +109,7 @@ class Bundle:
         names = {}
         for key in ("boundary", "deploy"):
             names[key] = json_field(raw, key, list, where, list(programs))
-            unknown = [n for n in names[key] if n not in programs]
+            unknown = [n for n in names[key] if not isinstance(n, str) or n not in programs]
             if unknown:
                 raise WorkflowError(f"{where}: field {key!r} names no contract: {unknown[0]!r}")
 

@@ -1,15 +1,22 @@
 """CLI commands run in-process: asm, disasm, analyze, and the walkthrough
 fixture -> train -> protect -> run -> approve."""
 
+import copy
+import functools
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathguard import cli, workflow
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
+from pathguard.config import ConfigError, config_to_json
+from pathguard.program import ValidationError
 from pathguard.fixtures import ALL_SCENARIOS, PROXY_SRC
 
 
@@ -374,6 +381,13 @@ def test_run_rejects_a_transaction_field_that_is_not_a_word(tmp_path, capsys, re
     _exit_2(capsys, ["run", guarded, bad], "transaction", "not a word")
 
 
+def test_run_rejects_a_transaction_naming_no_function(tmp_path, capsys):
+    guarded = _protect(tmp_path, capsys, "reentrancy")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"origin": 1, "to": "vault", "fn": "no_such_fn"}) + "\n")
+    _exit_2(capsys, ["run", guarded, bad], "vault.no_such_fn has no selector")
+
+
 @pytest.mark.parametrize(
     "account",
     [{"address": 1.5, "balance": 5}, {"address": "0x1", "balance": True},
@@ -650,3 +664,151 @@ def test_a_malformed_world_or_guarded_file_exits_2(tmp_path, capsys, target, edi
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     assert needle in err, err
     assert (tmp_path / "world.json").read_text() == world
+
+
+# -- mutated files -------------------------------------------------------------
+# Each file the CLI reads, made valid by the walkthrough, then mutated at one
+# place: a field or element dropped, or given a value of another type or out
+# of range. Its loader either loads it or raises the file's typed error.
+
+_ODD = [
+    None, True, 1.5, "x", "0x", "-0x5", [], {}, -1, 0, 1 << 70, hex(1 << 70), "@nobody",
+]
+_TYPED = (workflow.WorkflowError, ValidationError, ConfigError)
+
+
+@functools.cache
+def _valid_files() -> dict:
+    """A valid bundle (programs in JSON form), snapshot, world dump and alarm
+    log of the reentrancy walkthrough, and the guarded bundle they belong to."""
+    scenario = next(s for s in ALL_SCENARIOS if s.name == "reentrancy")
+    bundle = scenario.bundle()
+    snapshot = workflow.train(bundle, scenario.training)
+    guarded = workflow.protect(bundle, snapshot)
+    records, _index = scenario.test_sequence(random.Random(1))
+    run = workflow.run_detection(guarded, records)
+    assert run.alarm_log
+    return {
+        "bundle": {
+            "contracts": [{"program": p.to_json()} for p in bundle.programs.values()],
+            "boundary": sorted(bundle.boundary),
+            "deploy": bundle.deploy_order,
+            "accounts": [{"address": hex(a), "balance": b} for a, b in bundle.accounts.items()],
+            "setup": bundle.setup,
+            "config": config_to_json(bundle.config),
+        },
+        "snapshot": snapshot,
+        "world": cli._dump_world(run.deployed),
+        "alarms": [a.to_json() for a in run.alarm_log],
+        "guarded": guarded,
+    }
+
+
+@st.composite
+def _mutated(draw, name: str):
+    """A copy of the valid ``name`` file with one place dropped or replaced;
+    each step goes one level deeper with probability 4/5."""
+    doc = copy.deepcopy(_valid_files()[name])
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (
+        parent is None or draw(st.integers(0, 4)) > 0
+    ):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from(_ODD))
+    return doc
+
+
+def _load_alarms(doc) -> None:
+    mask = _valid_files()["guarded"].bundle.config.mask
+    for raw in doc:
+        workflow.AlarmRecord.from_json(raw, mask)
+
+
+_LOADERS = {
+    "bundle": lambda doc: workflow.Bundle.from_json(doc),
+    "snapshot": lambda doc: workflow.protect(_valid_files()["guarded"].bundle, doc),
+    "world": lambda doc: cli._restore_world(doc, _valid_files()["guarded"], "world.json"),
+    "alarms": _load_alarms,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADERS))
+def test_a_valid_file_loads(name):
+    _LOADERS[name](_valid_files()[name])
+
+
+def _loads_or_raises_typed(name: str, doc) -> None:
+    try:
+        _LOADERS[name](doc)
+    except _TYPED:
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_mutated("bundle"))
+def test_a_mutated_bundle_loads_or_raises_a_typed_error(doc):
+    _loads_or_raises_typed("bundle", doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_mutated("snapshot"))
+def test_a_mutated_snapshot_loads_or_raises_a_typed_error(doc):
+    _loads_or_raises_typed("snapshot", doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_mutated("world"))
+def test_a_mutated_world_loads_or_raises_a_typed_error(doc):
+    _loads_or_raises_typed("world", doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_mutated("alarms"))
+def test_a_mutated_alarm_log_loads_or_raises_a_typed_error(doc):
+    _loads_or_raises_typed("alarms", doc)
+
+
+def _drop_last_function(doc: dict) -> None:
+    doc["contracts"][1]["program"]["functions"].pop()  # thief's fallback
+
+
+def _selector_past_the_functions(doc: dict) -> None:
+    table = doc["contracts"][0]["program"]["selector_table"]
+    table[next(iter(table))] = 1 << 70
+
+
+def _fallback_past_the_functions(doc: dict) -> None:
+    doc["contracts"][0]["program"]["fallback_id"] = 9
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        pytest.param(
+            lambda doc: doc["boundary"].__setitem__(0, {}), "names no contract: {}",
+            id="boundary-entry-not-a-name",
+        ),
+        pytest.param(
+            _drop_last_function, "thief: fallback is no function: 2",
+            id="fallback-to-a-dropped-function",
+        ),
+        pytest.param(
+            _selector_past_the_functions, f"maps to no function: {1 << 70}",
+            id="selector-past-the-functions",
+        ),
+        pytest.param(
+            _fallback_past_the_functions, "fallback is no function: 9",
+            id="fallback-past-the-functions",
+        ),
+    ],
+)
+def test_a_mutated_bundle_found_by_the_property_raises_a_typed_error(edit, needle):
+    """Mutations that once escaped as TypeError or IndexError."""
+    doc = copy.deepcopy(_valid_files()["bundle"])
+    edit(doc)
+    with pytest.raises(_TYPED, match=re.escape(needle)):
+        _LOADERS["bundle"](doc)

@@ -33,10 +33,15 @@ from pathguard.vm import (
     VM,
     VmError,
     WorldState,
+    _OPS,
+    _Node,
     _compile,
     _source,
+    _tables,
+    _unit,
     deploy,
     execute_transaction,
+    price_table,
 )
 from pathguard.workflow import (
     build_world,
@@ -970,8 +975,10 @@ def _diff_cases(draw):
     Function 0 is the external entry. It may open with a run of PUSHes that
     fills the stack, up to near OPERAND_STACK_LIMIT. Each function has a
     JUMPDEST, and every jump targets one. Fragments pair a PUSH with an op
-    that reads its word, as a literal or not, and a body may end in an exit
-    or run off its end.
+    that reads its word, as a literal or not. A diamond is a JUMPI whose two
+    straight arms rejoin. The last function is shaped like a checker: a
+    straight run, a JUMPI, and two arms that each IRET; a check site PUSHes
+    a word and ICALLs it. A body may end in an exit or run off its end.
     """
     width = draw(st.sampled_from([8, 64]))
     # cheap storage and calls, so that they complete under small gas limits
@@ -985,42 +992,99 @@ def _diff_cases(draw):
     tx_words = st.one_of(st.integers(0, 6), st.sampled_from([mask, 0x80, 1 << (width - 1)]))
     words = st.one_of(tx_words, st.just(mask + 2))
     nfns = draw(st.integers(1, 3))
+    checker = nfns  # the checker-shaped function's id
     plain = [op for op in Op if op not in (Op.JUMP, Op.JUMPI, Op.ICALL, Op.JUMPDEST)]
+    pair = st.tuples(st.just("pair"), words, st.sampled_from(_FUSED + _READ_PUSH))
+    # ops that neither jump nor end a block but SSTORE's pair
+    straight = st.lists(
+        st.one_of(
+            st.sampled_from([op for op in plain if op.code < Op.SSTORE.code]),
+            pair,
+        ),
+        max_size=4,
+    )
+    maybe_word = st.one_of(st.none(), words)
+    items = st.lists(
+        st.one_of(
+            st.sampled_from(plain),
+            st.sampled_from([Op.PUSH, Op.DUP, Op.SWAP]),
+            st.sampled_from([Op.JUMPDEST, Op.JUMP, Op.JUMPI, Op.ICALL]),
+            pair,
+            st.tuples(st.just("diamond"), maybe_word, straight, straight),
+            st.tuples(st.just("site"), words),
+        ),
+        min_size=1, max_size=20,
+    )
+
+    def expand(item) -> list:
+        """Body entries: an Op to complete, ("i", Instruction), ("jump", op,
+        label), ("dest", label) or ("call", fid)."""
+        if not isinstance(item, tuple):
+            return [item]
+        if item[0] == "pair":
+            return [("i", Instruction(Op.PUSH, item[1])), ("i", Instruction(item[2]))]
+        if item[0] == "site":
+            return [("i", Instruction(Op.PUSH, item[1])), ("call", checker)]
+        out = []
+        for entry in item:
+            if isinstance(entry, list):
+                out += [part for sub in entry for part in expand(sub)]
+        return out
+
+    def branch(cond, taken: list, other: list, rejoin: bool) -> list:
+        """A JUMPI over ``cond`` (a PUSHed word, or the stack's top) to
+        ``taken``, falling through to ``other``; with ``rejoin`` both arms
+        go on after it, else each ends in an IRET."""
+        head = [] if cond is None else [("i", Instruction(Op.PUSH, cond))]
+        a, b = object(), object()
+        fall = [part for sub in other for part in expand(sub)]
+        jump = [("jump", Op.JUMP, b)] if rejoin else [Op.IRET]
+        arm = [part for sub in taken for part in expand(sub)]
+        tail = [("dest", b)] if rejoin else [Op.IRET]
+        return head + [("jump", Op.JUMPI, a)] + fall + jump + [("dest", a)] + arm + tail
+
+    def is_dest(item) -> bool:
+        return item is Op.JUMPDEST or (isinstance(item, tuple) and item[0] == "dest")
+
     bodies = []
-    for fid in range(nfns):
-        items = draw(st.lists(
-            st.one_of(
-                st.sampled_from(plain),
-                st.sampled_from([Op.PUSH, Op.DUP, Op.SWAP]),
-                st.sampled_from([Op.JUMPDEST, Op.JUMP, Op.JUMPI, Op.ICALL]),
-                st.tuples(words, st.sampled_from(_FUSED)),
-                st.tuples(words, st.sampled_from(_READ_PUSH)),
-            ),
-            min_size=1, max_size=20,
-        ))
-        items += draw(st.sampled_from([[], [Op.STOP], [Op.RETURN], [Op.REVERT], [Op.IRET]]))
-        body = []
-        for item in items:
-            if isinstance(item, tuple):
-                body += [("i", Instruction(Op.PUSH, item[0])), ("i", Instruction(item[1]))]
-            else:
-                body.append(item)
-        if Op.JUMPDEST not in body:
+    for fid in range(nfns + 1):
+        if fid == checker:
+            run = [part for sub in draw(straight) for part in expand(sub)]
+            body = run + branch(draw(maybe_word), draw(straight), draw(straight), False)
+        else:
+            body = []
+            for item in draw(items):
+                if isinstance(item, tuple) and item[0] == "diamond":
+                    body += branch(item[1], item[2], item[3], True)
+                else:
+                    body += expand(item)
+            body += draw(st.sampled_from([[], [Op.STOP], [Op.RETURN], [Op.REVERT], [Op.IRET]]))
+        if not any(map(is_dest, body)):
             body.insert(draw(st.integers(0, len(body))), Op.JUMPDEST)
         if fid == 0:
             fill = draw(
                 st.sampled_from([0, 8, 32, OPERAND_STACK_LIMIT - 2, OPERAND_STACK_LIMIT])
             )
             body = [("i", Instruction(Op.PUSH, 1))] * fill + body
-        dests = [off for off, item in enumerate(body) if item is Op.JUMPDEST]
+        labels = {item[1]: off for off, item in enumerate(body)
+                  if isinstance(item, tuple) and item[0] == "dest"}
+        dests = [off for off, item in enumerate(body) if is_dest(item)]
         out = []
         for item in body:
             if isinstance(item, tuple):
-                out.append(item[1])
+                kind = item[0]
+                if kind == "i":
+                    out.append(item[1])
+                elif kind == "jump":
+                    out.append(Instruction(item[1], labels[item[2]]))
+                elif kind == "dest":
+                    out.append(Instruction(Op.JUMPDEST))
+                else:
+                    out.append(Instruction(Op.ICALL, item[1]))
             elif item in (Op.JUMP, Op.JUMPI):
                 out.append(Instruction(item, draw(st.sampled_from(dests))))
             elif item is Op.ICALL:
-                out.append(Instruction(item, draw(st.integers(0, nfns - 1))))
+                out.append(Instruction(item, draw(st.integers(0, checker))))
             elif item in (Op.DUP, Op.SWAP):
                 out.append(Instruction(item, draw(st.integers(0, 3))))
             elif item is Op.PUSH:
@@ -1036,7 +1100,7 @@ def _diff_cases(draw):
         ),
         min_size=1, max_size=3,
     ))
-    checkers = draw(st.frozensets(st.integers(0, nfns - 1)))
+    checkers = draw(st.frozensets(st.integers(0, checker)))
     return config, _program(*bodies), txs, checkers
 
 
@@ -1191,6 +1255,248 @@ def test_dup_or_swap_past_the_stack_limit_underflows(op):
     _assert_matches_reference(Config(), prog, [([], 0, 10_000)])
 
 
+def _region(prog: ContractProgram, fid: int = 0, pc: int = 0) -> tuple:
+    """The region decoded at ``pc`` of function ``fid`` under the default
+    schedule: (gas, need, room, deep, exits), each exit as (tail op or None,
+    next pc, internal frames it leaves open)."""
+    config = Config()
+    gas, need, room, deep, _run, exits = _unit(
+        prog.functions, fid, pc, price_table(config.gas), config.mask, {}
+    )
+    rows = [(tail and _OPS[tail[0]].value, nxt, frames) for _g, nxt, tail, frames, *_ in exits]
+    return gas, need, room, deep, rows
+
+
+def test_region_runs_both_arms_of_a_jumpi():
+    """A region goes through both arms of a JUMPI into their one-predecessor
+    blocks; each arm ends at its own RETURN exit."""
+    prog = _one_fn(
+        "PUSH 0 CALLDATALOAD JUMPI yes PUSH 7 PUSH 1 RETURN "
+        "yes: JUMPDEST PUSH 9 PUSH 1 RETURN"
+    )
+    gas, need, room, deep, exits = _region(prog)
+    assert exits == [("RETURN", 10, ()), ("RETURN", 6, ())]
+    # the costlier path is the taken arm's: 3 + 3 + 10 then 4 ops of 3
+    assert (gas, need, room, deep) == (28, 0, OPERAND_STACK_LIMIT - 2, 64)
+    for word, returned in ((0, [7]), (1, [9])):
+        w = _world()
+        addr = deploy(w, prog, 0xD0)
+        r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01, [word]))
+        assert (r.status, r.return_data) == (STATUS_ACCEPTED, returned)
+    _assert_matches_reference(Config(), prog, [([0], 0, 10_000), ([1], 0, 10_000)])
+
+
+def test_region_out_of_gas_in_its_second_block():
+    """Under a limit that pays for the first block but not the second, the
+    region fails its entry check, its first block runs alone, and the
+    second runs out of gas at the op the reference stops at."""
+    prog = _one_fn(
+        "PUSH 1 PUSH 2 ADD JUMP next next: JUMPDEST PUSH 3 MUL PUSH 0 MSTORE STOP"
+    )
+    assert _region(prog)[4] == [("STOP", 10, ())]
+    cost = 3 * 10
+    limits = range(1, cost + 1)
+    statuses = []
+    for limit in limits:
+        w = _world()
+        addr = deploy(w, prog, 0xD0)
+        r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=limit))
+        statuses.append((r.status, r.gas_used))
+    assert statuses == [(STATUS_OUT_OF_GAS, n) for n in range(1, cost)] + [
+        (STATUS_ACCEPTED, cost)
+    ]
+    _assert_matches_reference(Config(), prog, [([], 0, limit) for limit in limits])
+
+
+@pytest.mark.parametrize(
+    "body, reason, offset",
+    [
+        pytest.param(
+            "PUSH 1 JUMP next next: JUMPDEST POP POP STOP", "stack underflow", 4,
+            id="underflow",
+        ),
+        pytest.param(
+            "PUSH 1 " * (OPERAND_STACK_LIMIT - 2)
+            + "JUMP next next: JUMPDEST PUSH 1 PUSH 2 PUSH 3 STOP",
+            "stack overflow", OPERAND_STACK_LIMIT + 2, id="overflow",
+        ),
+    ],
+)
+def test_region_stack_failure_in_its_second_block(body, reason, offset):
+    """A stack failure partway through a region fails the region's entry
+    check; its blocks then run one at a time, and the second fails at the
+    reference's op with the reference's gas."""
+    prog = _one_fn(body)
+    assert len(_region(prog)[4]) == 1  # both blocks are one region
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01))
+    assert (r.status, r.trace[-1].offset, r.trace[-1].get("reason")) == (
+        STATUS_REVERTED, offset, reason
+    )
+    _assert_matches_reference(Config(), prog, [([], 0, 10_000)])
+
+
+DEEP_SRC = """
+contract t {
+  fn f external selector=0x01 { PUSH 0 CALLDATALOAD ICALL rec STOP }
+  fn rec internal {
+    DUP 1 ISZERO JUMPI base
+    PUSH 1 SUB ICALL rec IRET
+  base: JUMPDEST POP ICALL a IRET
+  }
+  fn a internal { ICALL b IRET }
+  fn b internal { IRET }
+}
+"""
+
+
+def test_region_internal_depth_limit_at_an_inlined_icall():
+    """``rec`` recurses n times, then calls ``a``, which calls ``b``; the
+    region at ``rec``'s entry inlines both. At n = 62 the 64th frame is
+    ``b``'s, so ``a``'s ICALL fails: the region's depth check sends its
+    blocks to run one at a time, and the ICALL fails as in the reference."""
+    prog = assemble(DEEP_SRC)
+    _gas, _need, _room, deep, exits = _region(prog, fid=1)
+    assert deep == 64 - 2
+    assert exits == [("ICALL", 6, ()), ("IRET", 11, ())]
+    outcomes = []
+    for n in (60, 61, 62):
+        w = _world()
+        addr = deploy(w, prog, 0xD0)
+        r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01, [n]))
+        outcomes.append((r.status, r.trace[-1].fn if r.trace else None))
+    assert outcomes == [(STATUS_ACCEPTED, None), (STATUS_ACCEPTED, None), (STATUS_REVERTED, 2)]
+    assert r.trace[-1].get("reason") == "internal call depth exceeded"
+    _assert_matches_reference(Config(), prog, [([n], 0, 100_000) for n in (60, 61, 62)])
+
+
+def test_region_leaf_inside_an_inlined_callee_returns_by_iret():
+    """A region that inlines ``g`` ends at the SSTORE inside it and leaves
+    ``g``'s frame open; the next region runs the rest of ``g``, whose IRET
+    then returns through that frame."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 { PUSH 5 ICALL g PUSH 1 RETURN }
+  fn g internal { PUSH 3 PUSH 0 SSTORE PUSH 2 ADD IRET }
+}
+""")
+    assert _region(prog)[4] == [("SSTORE", 3, ((0, 2),))]
+    assert _region(prog, fid=1, pc=3)[4] == [("IRET", 6, ())]
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01))
+    assert (r.status, r.return_data, w.sload(addr, 0)) == (STATUS_ACCEPTED, [7], 3)
+    _assert_matches_reference(Config(), prog, [([], 0, 100_000)])
+
+
+def test_region_ends_at_a_recursive_icall():
+    """``f``'s region inlines ``r``; ``r``'s own ICALL of ``r`` is a tail."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 { PUSH 3 ICALL r PUSH 1 RETURN }
+  fn r internal {
+    DUP 1 ISZERO JUMPI done
+    PUSH 1 SUB ICALL r IRET
+  done: JUMPDEST IRET
+  }
+}
+""")
+    assert _region(prog)[4] == [("ICALL", 6, ((0, 2),)), ("RETURN", 4, ())]
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01))
+    assert (r.status, r.return_data) == (STATUS_ACCEPTED, [0])
+    _assert_matches_reference(Config(), prog, [([], 0, 100_000)])
+
+
+def test_region_inlined_checker_calls_are_traced():
+    """Each inlined ICALL of a checker is one PathChecked event with the
+    reference's fields: its caller's id (``g`` for the call ``g`` makes), the
+    ICALL's offset there, the word on top of the stack (None on an empty
+    stack) and the code's name. An ICALL of another function raises none."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 {
+    ICALL chk PUSH 0 CALLDATALOAD ICALL chk ICALL g PUSH 8 ICALL other STOP
+  }
+  fn chk internal { PUSH 1 JUMPI hit IRET hit: JUMPDEST IRET }
+  fn g internal { PUSH 6 ICALL chk POP IRET }
+  fn other internal { POP IRET }
+}
+""")
+    exits = _region(prog)[4]
+    assert [tail for tail, _nxt, _frames in exits] == ["STOP"] * len(exits)
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    checkers = frozenset({1})
+    r = VM(w, TRACE_CHECKS, {"t": checkers}).execute_transaction(
+        Transaction(1, addr, 0x01, [42])
+    )
+    assert r.status == STATUS_ACCEPTED
+    assert [(e.kind, e.fn, e.offset, e.detail) for e in r.trace] == [
+        ("PathChecked", 0, 0, {"combined": None, "code": "t"}),
+        ("PathChecked", 0, 3, {"combined": 42, "code": "t"}),
+        ("PathChecked", 2, 1, {"combined": 6, "code": "t"}),
+    ]
+    _assert_matches_reference(Config(), prog, [([42], 0, 10_000)], checkers)
+
+
+def test_untraced_and_checked_runs_share_one_decode():
+    """Regions that a TRACE_NONE run decodes serve a TRACE_CHECKS run of the
+    same program, which decodes and compiles nothing more and still traces
+    its inlined checker call: the trace level is read from the frame."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 { PUSH 0 CALLDATALOAD ICALL chk STOP }
+  fn chk internal { POP IRET }
+}
+""")
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    tx = Transaction(1, addr, 0x01, [5])
+    VM(w, TRACE_NONE).execute_transaction(tx)
+    tables, _preds = prog.units(VM(w).key, None)
+    decoded = [len(regions) for regions, _blocks in tables]
+    compiled = _compile.cache_info().misses
+    r = VM(w, TRACE_CHECKS, {"t": frozenset({1})}).execute_transaction(tx)
+    assert [(e.kind, e.get("combined")) for e in r.trace] == [("PathChecked", 5)]
+    assert [len(regions) for regions, _blocks in tables] == decoded == [1, 0]
+    assert _compile.cache_info().misses == compiled
+
+
+def test_region_leaves_add_their_own_point_charges():
+    """The two arms of one region charge each executed op's gas to its
+    offset, in the function it ran in: the inlined ICALL to ``f``, ``g``'s
+    ops and IRET to ``g``; no op of the other arm is charged."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 {
+    PUSH 0 CALLDATALOAD JUMPI yes
+    PUSH 4 ICALL g STOP
+  yes: JUMPDEST PUSH 1 PUSH 0 MSTORE STOP
+  }
+  fn g internal { POP IRET }
+}
+""")
+    assert [tail for tail, _nxt, _frames in _region(prog)[4]] == ["STOP", "STOP"]
+    charged = []
+    for word in (0, 1):
+        w = _world()
+        addr = deploy(w, prog, 0xD0)
+        points = _offset_points(w)
+        VM(w, TRACE_CHECKS, gas_points=points).execute_transaction(
+            Transaction(1, addr, 0x01, [word])
+        )
+        charged.append([(fid, off, gas) for _code, fid, off, gas in _offset_charges(points)])
+    head = [(0, 0, 3), (0, 1, 3), (0, 2, 10)]
+    assert charged == [
+        head + [(0, 3, 3), (0, 4, 3), (0, 5, 3), (1, 0, 3), (1, 1, 3)],
+        head + [(0, 6, 3), (0, 7, 3), (0, 8, 3), (0, 9, 3), (0, 10, 3)],
+    ]
+    _assert_matches_reference(Config(), prog, [([0], 0, 10_000), ([1], 0, 10_000)])
+
+
 def _corpus_observed(vm_cls):
     """Per tx of ``_vm_runs`` under ``vm_cls``, originals at TRACE_FULL and
     TRACE_NONE: receipt, trace, per-offset charges and the world's dump."""
@@ -1240,8 +1546,11 @@ def test_non_int_immediates_never_reach_the_compiler(imm):
         validate_program(prog, Config())
     assert _compile.cache_info().misses == misses
     if not isinstance(imm, bool):
+        node = _Node(0)
+        node.ops.append((Op.PUSH.code, imm, 0))
+        node.kids.append(0)
         with pytest.raises(TypeError):
-            _source(((Op.PUSH.code, imm, 0),), 1, _MASK64)
+            _source(node, _MASK64, True)
 
 
 @pytest.mark.parametrize("word", [-1, 1 << 64, "5", 1.5, True])
@@ -1254,8 +1563,9 @@ def test_validation_refuses_a_pool_word_that_is_no_word(word):
 
 def test_protecting_again_compiles_no_new_block():
     """A second protect and detection of the same bundle builds new
-    ``FunctionDef``s, whose blocks all come from the compiled-block cache;
-    the receipts are the same either way, and the cache is bounded."""
+    programs, which find the first one's decoded regions by content: no
+    region is decoded or compiled again, the receipts are the same either
+    way, and both caches are bounded."""
     scenario = ALL_SCENARIOS[0]
     bundle = scenario.bundle()
     snapshot = train(bundle, scenario.training)
@@ -1268,13 +1578,16 @@ def test_protecting_again_compiles_no_new_block():
             for o in (run_transaction(run, rec) for rec in records)
         ]
 
+    _tables.cache_clear()
     _compile.cache_clear()
     first = detect()
-    info = _compile.cache_info()
-    assert info.misses > 0
+    info, tables = _compile.cache_info(), _tables.cache_info()
+    assert info.misses > 0 and tables.misses > 0
     assert detect() == first
     assert _compile.cache_info().misses == info.misses
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert _tables.cache_info().misses == tables.misses
+    for cache in (info, tables):
+        assert cache.maxsize is not None and cache.currsize <= cache.maxsize
 
 
 # Record fields compared by ``diff_records``, in column order; gas last.
