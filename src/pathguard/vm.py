@@ -79,10 +79,6 @@ _ENDS = frozenset(
         Op.SSTORE, Op.RETURN, Op.STOP, Op.REVERT,
     )
 )
-# Block-ending ops that ``_run_frame`` runs itself, after a unit's compiled
-# part: they check runtime values, change frames or exit. A region runs an
-# ``ICALL`` and its matching ``IRET`` itself, and ends at any other tail.
-_TAILS = (_ENDS - {_JUMP, _JUMPI}) | {_FAIL}
 # Ops after which control never falls through to the next pc.
 _EXITS = frozenset((_RETURN, _STOP, _REVERT, _IRET))
 # A region stops before a block that would take its ops past this budget,
@@ -109,8 +105,8 @@ _BINARY = {
     _OR: "{x} | {y}",
     _XOR: "{x} ^ {y}",
 }
-# wraparound is profiled: (operator, overflow test; t is the exact result)
-_CHECKED = {_ADD: ("+", "t > {mask}"), _SUB: ("-", "{x} < {y}"), _MUL: ("*", "t > {mask}")}
+# wraparound is profiled: ArithChecked says whether the exact result leaves [0, mask]
+_CHECKED = {_ADD: "+", _SUB: "-", _MUL: "*"}
 _UNARY = {
     _ISZERO: "0 if {i} else 1",
     _NOT: "{i} ^ {mask}",
@@ -394,7 +390,8 @@ class _Frame:
     memory: ``ret`` holds the last message call's return data, and
     ``checkers`` the ids of the functions whose ``ICALL`` is a PathChecked
     event (none below TRACE_CHECKS). The environment words are masked, and
-    ``full`` asks for ArithChecked events."""
+    ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked and
+    the TRACE_FULL events of internal calls, blocks and checked ops."""
 
     __slots__ = (
         "world", "addr", "code", "calldata", "pool", "ret", "trace", "checkers",
@@ -411,6 +408,23 @@ class _Frame:
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
         self.full = vm.trace_level >= TRACE_FULL
+
+    def path_checked(self, fid: int, pc: int, combined: int | None) -> None:
+        detail = {"combined": combined, "code": self.code}
+        self.trace.append(TraceEvent("PathChecked", self.addr, fid, pc, detail))
+
+    def call_enter(self, fid: int, pc: int, callee: int) -> None:
+        self.trace.append(TraceEvent("CallEnter", self.addr, fid, pc, {"callee": callee}))
+
+    def call_return(self, fid: int, pc: int) -> None:
+        self.trace.append(TraceEvent("CallReturn", self.addr, fid, pc, None))
+
+    def block_enter(self, fid: int, pc: int) -> None:
+        self.trace.append(TraceEvent("BlockEnter", self.addr, fid, pc, {"code": self.code}))
+
+    def arith_checked(self, fid: int, pc: int, op: str, overflow: bool) -> None:
+        detail = {"op": op, "overflow": overflow}
+        self.trace.append(TraceEvent("ArithChecked", self.addr, fid, pc, detail))
 
 
 def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple:
@@ -484,17 +498,19 @@ def _preds(body: list) -> dict[int, int]:
 class _Node:
     """One block of a region: the ops its compiled code runs, in function
     ``fid``, and what follows them. Each of ``kids`` is a ``_Node`` or an
-    exit id; a block with two kids ends in a ``JUMPI``, taken arm first."""
+    exit id; a block with two kids ends in a ``JUMPI``, taken arm first.
+    ``enter`` is the block's start pc when it is a leader of its function,
+    where TRACE_FULL traces a BlockEnter event, else None."""
 
-    __slots__ = ("fid", "ops", "kids")
+    __slots__ = ("fid", "enter", "ops", "kids")
 
-    def __init__(self, fid: int):
-        self.fid, self.ops, self.kids = fid, [], []
+    def __init__(self, fid: int, enter: int | None):
+        self.fid, self.enter, self.ops, self.kids = fid, enter, [], []
 
 
 def _unit(
     functions: list, fid: int, start: int, prices: tuple, mask: int,
-    preds: dict | None = None, entry: tuple[int, int] | None = None,
+    preds: dict, entry: tuple[int, int] | None = None,
 ) -> tuple:
     """Decode the region entered at ``start`` of function ``fid``.
 
@@ -506,30 +522,31 @@ def _unit(
     ``ICALL`` among them), at a block already on its path (a back edge), at an
     ``ICALL`` of a function already running in it, and where the next block
     would spend more than ``_REGION_OPS`` ops in all or nest more than
-    ``_REGION_NEST`` branches. Without ``preds`` it is one block, whose
-    ``ICALL`` or ``IRET`` is a tail: the unit TRACE_FULL runs, and the
-    fallback of a region that fails its entry check. Given ``entry`` (see
-    ``_scan``), it is that block cut short before its first failing op.
+    ``_REGION_NEST`` branches. Given ``entry`` (see ``_scan``), the state at
+    which the region fails its entry check, it is its first block alone,
+    whose ``ICALL`` or ``IRET`` is a tail, cut short before its first op
+    that fails there.
 
     Returns ``(gas, need, room, deep, run, exits)``: ``gas`` is the gas of its
     costliest path; ``need`` and ``room`` the least and greatest stack height
     at which no path fails; ``deep`` the most internal frames open at entry
     at which none of its inlined ``ICALL``s fails; ``run`` its code, built by
-    ``_compile`` from ``_source`` (None when it has none), which returns an
-    exit id. Exit ``i`` is ``[gas, next pc, tail, frames, fid, segments,
-    None, ()]``: the gas of the path to it; the pc it leaves to; its last op
-    as ``(op, imm, pc)`` when ``_run_frame`` runs that op (one of
-    ``_TAILS``), else None; the internal frames ``(fid, return pc)`` that it
-    leaves open and the function it leaves in; and the ``(fid, start, end)``
-    op ranges whose charges it adds (all ops on its path but a
-    ``_SELF_CHARGED`` tail). The last two slots cache its ``_point_totals``
-    for one owner table.
+    ``_compile`` from ``_source`` (None when no stack can pass its entry
+    check), which returns an exit id. Exit ``i`` is ``[gas, next pc, tail,
+    frames, fid, segments, None, ()]``: the gas of the path to it; the pc it
+    leaves to; its last op as ``(op, imm, pc)`` when ``_run_frame`` runs that
+    op (a tail: any block-ending op but a ``JUMP``, a ``JUMPI`` or an inlined
+    ``ICALL`` or ``IRET``, or ``_FAIL``), else None; the internal frames
+    ``(fid, return pc)`` that it leaves open and the function it leaves in;
+    and the ``(fid, start, end)`` op ranges whose charges it adds (all ops on
+    its path but a ``_SELF_CHARGED`` tail). The last two slots cache its
+    ``_point_totals`` for one owner table.
     """
-    single = preds is None
+    single = entry is not None
     budget = _REGION_OPS
     exits: list[list] = []
     need = peak = depth = cost = 0
-    root = _Node(fid)
+    root = _Node(fid, start if start in functions[fid].leaders else None)
     ops, end, fail = _scan(functions[fid].body, start, prices, mask, entry)
     # per block: its node and scan, its function and start, then the gas,
     # stack height, open frames and nested branches at its entry, the
@@ -565,7 +582,7 @@ def _unit(
             ops, end, _ = _scan(body, pc, prices, mask)
             if len(ops) <= budget:
                 budget -= len(ops)
-                node = _Node(at)
+                node = _Node(at, pc if pc in functions[at].leaders else None)
                 queue.append((node, ops, end, None, at, pc, gas, height, frames, nest, path, segs))
                 return node
         return leave(gas, pc, None, frames, at, segs)
@@ -595,6 +612,7 @@ def _unit(
             kids.append(go(gas, height, at, imm, frames, nest + 1, path, segs))
             kids.append(go(gas, height, at, end, frames, nest, path, segs))
         elif op == _IRET and frames:
+            node.ops.append((op, imm, opc))
             caller, back = frames[-1]
             kids.append(go(gas, height, caller, back, frames[:-1], nest, path, segs))
         elif (
@@ -615,12 +633,12 @@ def _unit(
     run = None
     # a region that needs more words than the stack can hold (DUP 0, SWAP 0,
     # or an immediate past OPERAND_STACK_LIMIT) always fails its entry check
-    if need <= OPERAND_STACK_LIMIT and (root.ops or root.kids != [0]):
-        run = _compile(_source(root, mask, single))
+    if need <= OPERAND_STACK_LIMIT:
+        run = _compile(_source(root, mask))
     return cost, need, OPERAND_STACK_LIMIT - peak, INTERNAL_DEPTH_LIMIT - depth, run, exits
 
 
-def _source(root: _Node, mask: int, events: bool) -> str:
+def _source(root: _Node, mask: int) -> str:
     """Python source of ``run(S, M, X)``, the region whose first block is
     ``root``; ``run`` returns the id of the exit its path reaches.
 
@@ -631,20 +649,32 @@ def _source(root: _Node, mask: int, events: bool) -> str:
     ``JUMPI`` whose arms are not both exits is an ``if`` over its condition,
     and each arm goes on with its own copy of the symbolic stack. Reads and
     writes of memory, storage and the environment run in op order at their
-    own pc, as do the PathChecked event of an inlined checker ``ICALL`` and,
-    when ``events`` is set (one-block units, the only ones TRACE_FULL runs),
-    ArithChecked events. Each exit writes ``S`` once with its path's net
-    change. Only ints from the ops and the arguments, each through
-    ``operator.index``, are rendered into the source; it names no other
-    value.
+    own pc, as does the PathChecked event of an inlined checker ``ICALL``.
+    The TRACE_FULL events (BlockEnter at a block with an ``enter`` pc,
+    CallEnter and CallReturn at an inlined ``ICALL`` and ``IRET``,
+    ArithChecked at a checked op) keep their order among all events, each
+    run of them traced under one test of the frame's ``full`` flag before
+    the next PathChecked, branch or exit. Each exit writes ``S`` once with
+    its path's net change. Only ints from the ops and the arguments, each
+    through ``operator.index``, are rendered into the source; it names no
+    other value.
     """
     index = operator.index
     mask = index(mask)
     lines: list[str] = []
     used: set[str] = set()  # entry words and frame locals the source reads
     count = deepest = 0
+    pending: list[str] = []  # TRACE_FULL events not yet under a test of F
+
+    def flush(pad: str) -> None:
+        if pending:
+            used.add("F")
+            lines.append(f"{pad}if F:")
+            lines.extend(f"{pad}    {event}" for event in pending)
+            pending.clear()
 
     def leave(stack: list, taken: int, pad: str, kids: list, cond: str | None = None) -> None:
+        flush(pad)
         # write back the words above the deepest entry word still in place
         keep = 0
         while keep < min(taken, len(stack)) and stack[keep] == f"e{taken - keep}":
@@ -694,6 +724,8 @@ def _source(root: _Node, mask: int, events: bool) -> str:
         while not isinstance(node, int):
             fid = index(node.fid)
             cond = None
+            if node.enter is not None:
+                pending.append(f"X.block_enter({fid}, {index(node.enter)})")
             for op, imm, pc in node.ops:
                 pc = index(pc)
                 used.update(_READS.get(op, ()))
@@ -713,20 +745,10 @@ def _source(root: _Node, mask: int, events: bool) -> str:
                 elif op in _CHECKED:
                     take(2)
                     y, x = pop(), pop()
-                    sign, test = _CHECKED[op]
-                    if not events:
-                        result(f"({x} {sign} {y}) & {mask}")
-                        continue
-                    used.add("F")
-                    lines.append(f"{pad}t = {x} {sign} {y}")
-                    result(f"t & {mask}")
-                    overflow = test.format(x=x, y=y, mask=mask)
-                    detail = f'{{"op": "{_OPS[op].value}", "overflow": {overflow}}}'
-                    lines.extend([
-                        f"{pad}if F:",
-                        f'{pad}    X.trace.append(E("ArithChecked", X.addr, {fid}, {pc}, '
-                        f"{detail}))",
-                    ])
+                    sign = _CHECKED[op]
+                    result(f"({x} {sign} {y}) & {mask}")
+                    overflow = f"not 0 <= {x} {sign} {y} <= {mask}"
+                    pending.append(f'X.arith_checked({fid}, {pc}, "{_OPS[op].value}", {overflow})')
                 elif op in _BINARY:
                     take(2)
                     y, x = pop(), pop()
@@ -751,11 +773,11 @@ def _source(root: _Node, mask: int, events: bool) -> str:
                     else:
                         top = f"S[-{taken + 1}] if len(S) > {taken} else None"
                     used.add("K")
-                    lines.extend([
-                        f"{pad}if {index(imm)} in K:",
-                        f'{pad}    X.trace.append(E("PathChecked", X.addr, {fid}, {pc}, '
-                        f'{{"combined": {top}, "code": X.code}}))',
-                    ])
+                    flush(pad)
+                    lines.append(f"{pad}if {index(imm)} in K: X.path_checked({fid}, {pc}, {top})")
+                    pending.append(f"X.call_enter({fid}, {pc}, {index(imm)})")
+                elif op == _IRET:  # inlined
+                    pending.append(f"X.call_return({fid}, {pc})")
                 elif op == _JUMPI:
                     take(1)
                     cond = pop()
@@ -768,6 +790,7 @@ def _source(root: _Node, mask: int, events: bool) -> str:
                 leave(stack, taken, pad, kids, cond)
                 return
             else:
+                flush(pad)
                 lines.append(f"{pad}if {cond}:")
                 walk(kids[0], list(stack), taken, pad + "    ")
                 node = kids[1]
@@ -783,7 +806,7 @@ def _source(root: _Node, mask: int, events: bool) -> str:
 def _compile(source: str):
     """``run`` built from ``source``, one per source text, shared by every
     program (and every VM) that runs that region."""
-    namespace = {"E": TraceEvent, "__builtins__": {"len": len}}
+    namespace = {"__builtins__": {"len": len}}
     exec(compile(source, "<region>", "exec"), namespace)
     return namespace["run"]
 
@@ -806,11 +829,11 @@ def _point_totals(
 
 @functools.lru_cache(maxsize=64)
 def _tables(content: tuple, key: tuple) -> tuple[list, dict]:
-    """Empty unit tables, ``(regions, one-block units)`` by start pc for each
-    function, and an empty ``_preds`` cache, for a program of this content
-    under this engine key. Every program of equal content shares them, so a
-    program protected again decodes and compiles nothing new."""
-    return [({}, {}) for _ in content], {}
+    """Empty region tables, one dict by start pc for each function, and an
+    empty ``_preds`` cache, for a program of this content under this engine
+    key. Every program of equal content shares them, so a program protected
+    again decodes and compiles nothing new."""
+    return [{} for _ in content], {}
 
 
 def _decoded(code: ContractProgram, key: tuple) -> tuple[list, dict]:
@@ -908,27 +931,26 @@ class VM:
     ) -> tuple[bool, list[int]]:
         """Run one message-call frame; returns (success, return data).
 
-        Runs units: at TRACE_FULL one basic block each, else regions
-        (``_unit``), each decoded once per program content and engine key
-        (``_decoded``). At unit entry it checks the gas left against the
-        unit's costliest path, both stack bounds, and the internal frames
-        open against the unit's inlined calls. Then the unit's compiled code
-        runs; no op in it can fail, and it returns the exit its path took.
-        The loop charges that exit's gas, adds its per-point totals when
-        mirrored, opens the internal frames it leaves open, and runs its
-        tail: the ops that check runtime values (the RETURN/REVERT word
-        count, the CALL argument count, the SSTORE price, the ICALL depth
-        and IRET), and STOP. An ICALL of one of the code's ``checkers`` is
-        also where a PathChecked event is traced, inlined or not. Each tail
-        adds its own charge to a mirrored point once its check passes. A
-        region that fails its entry check falls back to its first block
-        alone; a block that fails it is decoded again for that entry: its
-        failure-free prefix runs as an ordinary block, then a ``_FAIL`` tail
-        charges the first failing op and raises there. So gas, trace and
-        point totals match a machine that checked every op. The gas used so
-        far lives in the local ``gas_used``; it is written back to
-        ``self.gas_used`` before every exit from the frame and around every
-        message call.
+        Runs regions (``_unit``), each decoded once per program content and
+        engine key (``_decoded``) and run alike at every trace level: its
+        compiled code reads from the frame which events to trace. At region
+        entry it checks the gas left against the region's costliest path,
+        both stack bounds, and the internal frames open against the
+        region's inlined calls. Then the region's compiled code runs; no op
+        in it can fail, and it returns the exit its path took. The loop
+        charges that exit's gas, adds its per-point totals when mirrored,
+        opens the internal frames it leaves open, and runs its tail: the ops
+        that check runtime values (the RETURN/REVERT word count, the CALL
+        argument count, the SSTORE price, the ICALL depth and IRET), and
+        STOP. A tail ICALL or IRET traces its own events, as an inlined one
+        does. Each tail adds its own charge to a mirrored point once its
+        check passes. A region that fails its entry check is decoded again
+        for that entry, uncached: its first block alone, cut short before
+        the first op that fails there, whose ``_FAIL`` tail charges that op
+        and raises. So gas, trace and point totals match a machine that
+        checked every op. The gas used so far lives in the local
+        ``gas_used``; it is written back to ``self.gas_used`` before every
+        exit from the frame and around every message call.
         """
         world = self.world
         config = self.config
@@ -938,8 +960,6 @@ class VM:
         prices = self.prices
         gas_limit = self.gas_limit
         gas_used = self.gas_used
-        full = self.trace_level >= TRACE_FULL
-        emit = self._emit
         name = code.name
         functions = code.functions
         checkers = (
@@ -954,12 +974,8 @@ class VM:
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
-        fn = functions[ifid]
         tables, preds = code.units(self.key, _decoded)
-        # one-block units at TRACE_FULL, whose BlockEnter, CallEnter and
-        # CallReturn events the trace oracle reads
-        level = 1 if full else 0
-        table = tables[ifid][level]
+        table = tables[ifid]
         istack: list[tuple[int, int]] = []
         pc = 0
 
@@ -974,9 +990,7 @@ class VM:
                 try:
                     unit = table[pc]
                 except KeyError:
-                    unit = table[pc] = _unit(
-                        functions, ifid, pc, prices, mask, None if full else preds
-                    )
+                    unit = table[pc] = _unit(functions, ifid, pc, prices, mask, preds)
                 cost, need, room, deep, run, exits = unit
                 height = len(stack)
                 if (
@@ -985,19 +999,11 @@ class VM:
                     or height > room
                     or len(istack) > deep
                 ):
-                    blocks = tables[ifid][1]
-                    unit = blocks.get(pc)
-                    if unit is None:
-                        unit = blocks[pc] = _unit(functions, ifid, pc, prices, mask)
-                    cost, need, room, deep, run, exits = unit
-                    if gas_used + cost > gas_limit or height < need or height > room:
-                        entry = (height, gas_limit - gas_used)
-                        cost, need, room, deep, run, exits = _unit(
-                            functions, ifid, pc, prices, mask, entry=entry
-                        )
-                if full and pc in fn.leaders:
-                    emit("BlockEnter", self_addr, ifid, pc, {"code": name})
-                out = exits[run(stack, memory, frame) if run is not None else 0]
+                    entry = (height, gas_limit - gas_used)
+                    cost, need, room, deep, run, exits = _unit(
+                        functions, ifid, pc, prices, mask, preds, entry
+                    )
+                out = exits[run(stack, memory, frame)]
                 cost, nxt, tail, frames, at, segs, seen, totals = out
                 gas_used += cost
                 if acc is not None:
@@ -1009,8 +1015,7 @@ class VM:
                 if frames:
                     istack += frames
                     ifid = at
-                    fn = functions[ifid]
-                    table = tables[ifid][level]
+                    table = tables[ifid]
                     if acc is not None:
                         own = owners[ifid]
                 if tail is not None:
@@ -1019,34 +1024,28 @@ class VM:
                         if len(istack) >= INTERNAL_DEPTH_LIMIT:
                             raise _FrameFailure("internal call depth exceeded")
                         if checkers is not None and imm in checkers:
-                            combined = stack[-1] if stack else None
-                            emit(
-                                "PathChecked", self_addr, ifid, pc,
-                                {"combined": combined, "code": name},
-                            )
-                        if full:
-                            emit("CallEnter", self_addr, ifid, pc, {"callee": imm})
+                            frame.path_checked(ifid, pc, stack[-1] if stack else None)
+                        if frame.full:
+                            frame.call_enter(ifid, pc, imm)
                         if acc is not None:
                             if own[pc] >= 0:
                                 acc[own[pc]] += prices[op]
                             own = owners[imm]
                         istack.append((ifid, pc + 1))
                         ifid = imm
-                        fn = functions[ifid]
-                        table = tables[ifid][level]
+                        table = tables[ifid]
                         nxt = 0
                     elif op == _IRET:
                         if not istack:
                             raise _FrameFailure("IRET outside internal call")
-                        if full:
-                            emit("CallReturn", self_addr, ifid, pc, None)
+                        if frame.full:
+                            frame.call_return(ifid, pc)
                         if acc is not None and own[pc] >= 0:
                             acc[own[pc]] += prices[op]
                         ifid, nxt = istack.pop()
                         if acc is not None:
                             own = owners[ifid]
-                        fn = functions[ifid]
-                        table = tables[ifid][level]
+                        table = tables[ifid]
                     elif op == _SSTORE:  # charged after its operands are read
                         slot = stack.pop()
                         val = stack.pop()

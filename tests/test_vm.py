@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathguard.vm as vm_module
 from pathguard.asm import assemble
 from pathguard.config import OPERAND_STACK_LIMIT, Config, GasSchedule
 from pathguard.fixtures import ALL_SCENARIOS
@@ -1371,6 +1372,102 @@ def test_region_internal_depth_limit_at_an_inlined_icall():
     _assert_matches_reference(Config(), prog, [([n], 0, 100_000) for n in (60, 61, 62)])
 
 
+def test_deep_recursion_failing_the_depth_check_runs_uncached_blocks(monkeypatch):
+    """At n = 62 ``rec``'s regions fail their depth check near the bottom of
+    the recursion. Each such entry decodes its first block again, uncached:
+    a second run decodes as many, the region tables keep the same entries,
+    and every level matches the reference."""
+    prog = assemble(DEEP_SRC)
+    fallbacks = []
+
+    def unit(functions, fid, pc, prices, mask, preds, entry=None):
+        if entry is not None:
+            fallbacks.append((fid, pc))
+        return _unit(functions, fid, pc, prices, mask, preds, entry)
+
+    monkeypatch.setattr(vm_module, "_unit", unit)
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    tx = Transaction(1, addr, 0x01, [62], gas_limit=100_000)
+    runs = []
+    for _ in range(2):
+        fallbacks.clear()
+        vm = VM(w, TRACE_FULL)
+        r = vm.execute_transaction(tx)
+        assert r.trace[-1].get("reason") == "internal call depth exceeded"
+        tables, _preds = prog.units(vm.key, None)
+        runs.append((list(fallbacks), [sorted(regions) for regions in tables]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(1, 0), (1, 7), (2, 0)]
+    _assert_matches_reference(Config(), prog, [([62], 0, 100_000)])
+
+
+_INLINED_CALL_SRC = """
+contract t {
+  fn f external selector=0x01 { PUSH 42 ICALL chk PUSH 1 PUSH 2 ADD POP STOP }
+  fn chk internal { POP IRET }
+}
+"""
+
+
+def _full_trace(prog, checkers=frozenset(), gas_limit=10_000) -> list[tuple]:
+    """(kind, fn, offset) of each event of one TRACE_FULL run of ``prog``."""
+    w = _world()
+    addr = deploy(w, prog, 0xD0)
+    r = VM(w, TRACE_FULL, {prog.name: checkers}).execute_transaction(
+        Transaction(1, addr, 0x01, gas_limit=gas_limit)
+    )
+    return [(e.kind, e.fn, e.offset) for e in r.trace]
+
+
+def test_full_trace_of_an_inlined_checker_call():
+    """At TRACE_FULL the region runs ``chk`` inlined, and its checker ICALL
+    traces PathChecked, then CallEnter, then ``chk``'s BlockEnter."""
+    prog = assemble(_INLINED_CALL_SRC)
+    assert _region(prog)[4] == [("STOP", 7, ())]
+    assert _full_trace(prog, frozenset({1}))[:4] == [
+        ("BlockEnter", 0, 0), ("PathChecked", 0, 1), ("CallEnter", 0, 1), ("BlockEnter", 1, 0),
+    ]
+    _assert_matches_reference(Config(), prog, [([], 0, 10_000)], frozenset({1}))
+
+
+def test_full_trace_of_an_inlined_iret():
+    """The inlined IRET traces CallReturn, then the BlockEnter of the
+    caller's block after the ICALL."""
+    prog = assemble(_INLINED_CALL_SRC)
+    assert _full_trace(prog)[2:] == [
+        ("BlockEnter", 1, 0), ("CallReturn", 1, 1), ("BlockEnter", 0, 2), ("ArithChecked", 0, 4),
+    ]
+    _assert_matches_reference(Config(), prog, [([], 0, 10_000)])
+
+
+def test_region_rooted_after_an_sstore_traces_no_block_enter():
+    """The op after an SSTORE tail is no leader: the region rooted there
+    traces no BlockEnter for its root."""
+    prog = _one_fn("PUSH 1 PUSH 0 SSTORE PUSH 2 PUSH 1 SSTORE STOP")
+    assert 3 not in prog.functions[0].leaders
+    assert _region(prog, pc=3)[4] == [("SSTORE", 6, ())]
+    assert _full_trace(prog) == [("BlockEnter", 0, 0)]
+    _assert_matches_reference(Config(), prog, [([], 0, 100_000)])
+
+
+@pytest.mark.parametrize(
+    "body, gas_limit, trace",
+    [
+        ("PUSH 1 PUSH 2 ADD POP POP STOP", 2, [("BlockEnter", 0, 0)]),
+        ("PUSH 1 JUMP next next: JUMPDEST PUSH 2 STOP", 6,
+         [("BlockEnter", 0, 0), ("BlockEnter", 0, 2)]),
+    ],
+    ids=["entry-block", "jump-target"],
+)
+def test_gas_below_a_leader_blocks_first_op_traces_its_block_enter(body, gas_limit, trace):
+    """The block cut short before its first op has no ops, and still traces
+    the BlockEnter the reference traces before running out of gas."""
+    prog = _one_fn(body)
+    assert _full_trace(prog, gas_limit=gas_limit) == trace
+    _assert_matches_reference(Config(), prog, [([], 0, gas_limit)])
+
+
 def test_region_leaf_inside_an_inlined_callee_returns_by_iret():
     """A region that inlines ``g`` ends at the SSTORE inside it and leaves
     ``g``'s frame open; the next region runs the rest of ``g``, whose IRET
@@ -1443,9 +1540,10 @@ contract t {
 
 
 def test_untraced_and_checked_runs_share_one_decode():
-    """Regions that a TRACE_NONE run decodes serve a TRACE_CHECKS run of the
-    same program, which decodes and compiles nothing more and still traces
-    its inlined checker call: the trace level is read from the frame."""
+    """Regions that a TRACE_NONE run decodes serve TRACE_CHECKS and TRACE_FULL
+    runs of the same program, which decode and compile nothing more and
+    still trace their inlined call's events: the trace level is read from
+    the frame."""
     prog = assemble("""
 contract t {
   fn f external selector=0x01 { PUSH 0 CALLDATALOAD ICALL chk STOP }
@@ -1457,11 +1555,17 @@ contract t {
     tx = Transaction(1, addr, 0x01, [5])
     VM(w, TRACE_NONE).execute_transaction(tx)
     tables, _preds = prog.units(VM(w).key, None)
-    decoded = [len(regions) for regions, _blocks in tables]
+    decoded = [len(regions) for regions in tables]
     compiled = _compile.cache_info().misses
-    r = VM(w, TRACE_CHECKS, {"t": frozenset({1})}).execute_transaction(tx)
+    checkers = {"t": frozenset({1})}
+    r = VM(w, TRACE_CHECKS, checkers).execute_transaction(tx)
     assert [(e.kind, e.get("combined")) for e in r.trace] == [("PathChecked", 5)]
-    assert [len(regions) for regions, _blocks in tables] == decoded == [1, 0]
+    r = VM(w, TRACE_FULL, checkers).execute_transaction(tx)
+    assert [(e.kind, e.fn, e.offset) for e in r.trace] == [
+        ("BlockEnter", 0, 0), ("PathChecked", 0, 2), ("CallEnter", 0, 2),
+        ("BlockEnter", 1, 0), ("CallReturn", 1, 1), ("BlockEnter", 0, 3),
+    ]
+    assert [len(regions) for regions in tables] == decoded == [1, 0]
     assert _compile.cache_info().misses == compiled
 
 
@@ -1546,11 +1650,11 @@ def test_non_int_immediates_never_reach_the_compiler(imm):
         validate_program(prog, Config())
     assert _compile.cache_info().misses == misses
     if not isinstance(imm, bool):
-        node = _Node(0)
+        node = _Node(0, None)
         node.ops.append((Op.PUSH.code, imm, 0))
         node.kids.append(0)
         with pytest.raises(TypeError):
-            _source(node, _MASK64, True)
+            _source(node, _MASK64)
 
 
 @pytest.mark.parametrize("word", [-1, 1 << 64, "5", 1.5, True])
@@ -1562,21 +1666,29 @@ def test_validation_refuses_a_pool_word_that_is_no_word(word):
 
 
 def test_protecting_again_compiles_no_new_block():
-    """A second protect and detection of the same bundle builds new
-    programs, which find the first one's decoded regions by content: no
-    region is decoded or compiled again, the receipts are the same either
-    way, and both caches are bounded."""
+    """A second training, protect and detection of the same bundle builds
+    new programs, which find the first one's decoded regions by content: no
+    region is decoded or compiled again, the snapshot and receipts are the
+    same either way, every program keeps one region table per function, and
+    both caches are bounded."""
     scenario = ALL_SCENARIOS[0]
-    bundle = scenario.bundle()
-    snapshot = train(bundle, scenario.training)
     records = scenario.test_sequence(random.Random(0), 30)[0]
 
     def detect():
+        bundle = scenario.bundle()
+        snapshot = train(bundle, scenario.training)
         run = start_detection(protect(bundle, snapshot))
-        return [
+        outcomes = [
             (o.status, o.gas_instr, o.gas_orig, o.receipt.return_data, o.receipt.trace)
             for o in (run_transaction(run, rec) for rec in records)
         ]
+        key = VM(run.deployed.world).key
+        for acct in run.deployed.world.accounts.values():
+            if acct.code is not None:
+                regions, _preds = acct.code.units(key, vm_module._decoded)
+                assert len(regions) == len(acct.code.functions)
+                assert all(type(table) is dict for table in regions)
+        return snapshot, outcomes
 
     _tables.cache_clear()
     _compile.cache_clear()
