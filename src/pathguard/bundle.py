@@ -37,6 +37,8 @@ class BundleAnalysis:
     site_gid: dict[Site, int] = field(default_factory=dict)
     # (site, callee node) -> (call edge value, via surrogate), every sited edge
     site_val: dict[tuple[Site, Node], tuple[int, bool]] = field(default_factory=dict)
+    # callee node -> its marker rows, see ``marker_rows``
+    rows: dict[Node, dict[int, tuple[int, bool]]] = field(default_factory=dict)
 
     def num_paths(self, contract: str, fid: int) -> int:
         return self.epp[(contract, fid)].total_paths
@@ -46,6 +48,11 @@ class BundleAnalysis:
 
     def index_space(self, contract: str, fid: int) -> int:
         return self.num_paths(contract, fid) * self.num_ccs(contract, fid)
+
+    def marker_rows(self, contract: str, fid: int) -> dict[int, tuple[int, bool]]:
+        """Site gid -> (call edge value, via surrogate) for every call edge
+        that can enter this function with a marker: the prologue's rows."""
+        return self.rows.get((contract, fid), {})
 
     def site_protected(self, contract: str, fid: int, off: int) -> bool:
         """Whether the external call at this site targets a protected contract."""
@@ -99,6 +106,9 @@ def analyze_bundle(
         }
     )
     ba.site_gid = {site: gid for gid, site in enumerate(sites)}
+    for (site, callee), edge in ba.site_val.items():
+        if site in ba.site_gid:
+            ba.rows.setdefault(callee, {})[ba.site_gid[site]] = edge
     # combined index space must leave sign headroom in a machine word
     for (name, fid), lab in ba.epp.items():
         space = lab.total_paths * ba.ccp.num_ccs[(name, fid)]

@@ -84,11 +84,3 @@ def enumerate_contexts(cg: CallGraph, node: Node) -> list[list[CallEdge]]:
     walk(S, [])
     return out
 
-
-def combined_index(ctx_id: int, epp_id: int, num_paths: int) -> int:
-    """Single integer identifying a context-tagged acyclic path."""
-    return ctx_id * num_paths + epp_id
-
-
-def split_index(combined: int, num_paths: int) -> tuple[int, int]:
-    return divmod(combined, num_paths)

@@ -1,10 +1,15 @@
 """Generated guard runtime: reserved layout, wire protocol, instruction sequences.
 
-Everything the instrumented code computes at runtime (context bands, slot
-encoding, hashes, membership) is defined here exactly once, as both a Python
-function (used by the trace oracle and the harness) and an emitted
-instruction sequence (used by the rewriter). A cross-validation test runs
-the emitted sequences in the VM against the Python versions.
+Everything the instrumented code computes at runtime is defined here
+exactly once, as both a Python function (used by the trace oracle and the
+alarm decoder) and an emitted instruction sequence (used by the rewriter),
+each next to the other: the combined word (``combined_word``,
+``seq_check_fragment``), the context bands of an external entry
+(``entry_ctx``, ``seq_prologue``), the context across an internal call
+(``icall_ctx``/``iret_ctx``, ``seq_icall_pre``/``seq_icall_post``) and the
+ctx slot (``slot_encode``, ``seq_unprotected_call_pre``). Hashes and
+membership mirror ``pathset``. Cross-validation tests run the emitted
+sequences in the VM against the Python versions.
 
 Sequences are ``Asm`` item lists. Only this module reads items: ``resolve``
 turns one into an instruction at layout and ``seq_gas`` prices them.
@@ -41,6 +46,9 @@ from .vm import price_table
 CALL_MARKER = 0xC0DE_CA11_C0DE_CA11  # heads calls and returns between protected contracts
 GUARD_MARKER = 0xA1A7_A1A7_A1A7_A1A7  # heads a guard-revert payload
 SLOT_POISON = 0xFFFF_FFFF_FFFF_FFFF  # ctx slot: "anomaly seen in a reentrant frame"
+# Combined word of a guard-revert entry whose flag came from a protected
+# callee reached by CALL: the callee's own entries stayed in its account.
+CALLEE_ALARM = 0xFFFF_FFFF_FFFF_FFFF
 ALARM_BUFFER_CAP = 8  # alarm entries a contract keeps per transaction
 
 # Calldata prefix sent between protected contracts: [MARKER, ctx_base, site].
@@ -89,41 +97,6 @@ class Layout:
         self.ctxsave_base = self.epp_base - INTERNAL_DEPTH_LIMIT
         self.reserved_low = self.ctxsave_base
         self.reserved_range = (self.reserved_low, top)
-
-
-# -- protocol arithmetic (python side, mirrored by emitted code) --------------
-
-
-def slot_encode(ctx: int, width: int) -> int:
-    """Ctx-slot content while an unprotected call is in flight (nonzero)."""
-    return (ctx + 1) & ((1 << width) - 1)
-
-
-def slot_decode(stored: int, width: int) -> int:
-    return (stored - 1) & ((1 << width) - 1)
-
-
-def band_foreign(num_ccs: int) -> int:
-    """Entry context: markerless call from some contract. (A call from the
-    origin has context 0, the value of the function's first in-edge.)"""
-    return num_ccs
-
-
-def band_reentrant(outer_ctx: int, num_ccs: int, width: int) -> int:
-    """Entry context: self-reentry through an unprotected contract.
-
-    Shifting by 2*NumCCs keeps every reentry depth disjoint from the trained
-    range [0, N) and the foreign band [N, 2N); this disjointness is what
-    makes reentrant flows distinguishable from trained ones.
-    """
-    return (outer_ctx + 2 * num_ccs) & ((1 << width) - 1)
-
-
-def marker_ctx(base: int, edge_val: int, surrogate: bool, width: int) -> int:
-    """Callee-side context on a marker entry through a known call edge."""
-    if surrogate:
-        return edge_val & ((1 << width) - 1)
-    return (base + edge_val) & ((1 << width) - 1)
 
 
 # -- sequence assembler --------------------------------------------------------
@@ -346,26 +319,92 @@ class SlowPaths(NamedTuple):
     miss: int
 
 
+def combined_word(ctx: int, num_paths: int, epp: int, width: int) -> int:
+    """The word a path check hands to the checker: one integer for the
+    (context, acyclic path) pair, ctx * NumPaths + epp in the word."""
+    return (ctx * num_paths + epp) & ((1 << width) - 1)
+
+
+def split_index(combined: int, num_paths: int) -> tuple[int, int]:
+    """(ctx, epp) of a combined word that did not wrap."""
+    return divmod(combined, num_paths)
+
+
 def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
-    """Compute combined and hand it to the function's checker. The VM
-    traces the checker call, with combined on top of the stack, as the
-    check's PathChecked event."""
+    """Compute combined (``combined_word``) and hand it to the function's
+    checker. The VM traces the checker call, with combined on top of the
+    stack, as the check's PathChecked event."""
     a = Asm()
     a.mload(lay.ctx).push(num_paths).emit(Op.MUL)
     a.epp_addr(lay).emit(Op.MLOAD).emit(Op.ADD)  # [combined]
     return a.emit(Op.ICALL, chk_fid)
 
 
+# Context bands of an external entry, for a function with N = NumCCs
+# contexts. A call from the origin takes 0, the value of the function's
+# first in-edge; a markerless call from some contract takes N. A self-reentry
+# through an unprotected contract adds 2N to the outer frame's ctx, so every
+# reentry depth stays disjoint from the trained range [0, N) and the foreign
+# band [N, 2N): that disjointness is what tells reentrant flows from trained
+# ones.
+
+
+def band_foreign(num_ccs: int, width: int) -> int:
+    """Entry context of a markerless call from some contract."""
+    return num_ccs & ((1 << width) - 1)
+
+
+def reentry_offset(num_ccs: int, width: int) -> int:
+    """What a reentrant entry adds to the ctx-slot word: the slot's decoding
+    (-1, see ``slot_encode``) and the 2N band shift, folded."""
+    return (2 * num_ccs - 1) & ((1 << width) - 1)
+
+
+def entry_ctx(
+    num_ccs: int,
+    rows: dict[int, tuple[int, bool]],
+    width: int,
+    marker: tuple[int, int] | None,
+    slot: int,
+    direct: bool,
+) -> int:
+    """The ctx ``seq_prologue`` sets on an external entry at depth 0.
+
+    ``marker`` is the (ctx base, site gid) a marker prefix carries, or None;
+    ``slot`` is the ctx slot's content and ``direct`` whether CALLER is
+    ORIGIN. A marker entry takes ``icall_ctx`` of the base through the
+    site's row, or the base alone when no row names the site.
+    """
+    if marker is not None:
+        base, gid = marker
+        row = rows.get(gid)
+        return base if row is None else icall_ctx(base, *row, width)
+    if slot:
+        return (slot + reentry_offset(num_ccs, width)) & ((1 << width) - 1)
+    if direct:
+        return 0
+    return band_foreign(num_ccs, width)
+
+
+def band_split(ctx: int, num_ccs: int) -> tuple[int, bool, int]:
+    """Inverse of the entry bands: (reentry depth, entered from an
+    unprotected contract, context id within [0, N))."""
+    depth, rest = divmod(ctx, 2 * num_ccs)
+    foreign, base = divmod(rest, num_ccs)
+    return depth, bool(foreign), base
+
+
 def seq_prologue(
     num_ccs: int,
     entry_epp: int,
-    site_rows: list[tuple[int, int, bool]],
+    rows: dict[int, tuple[int, bool]],
     config: Config,
     icall_target: bool = False,
 ) -> Asm:
-    """External-function wrapper entry: classify the caller, set ctx/mode.
+    """External-function wrapper entry: classify the caller, set ctx/mode
+    (``entry_ctx``).
 
-    site_rows: (site gid, edge value, via_surrogate) for every call edge that
+    rows: site gid -> (edge value, via_surrogate) for every call edge that
     can reach this function with a marker. An ``icall_target``, which some
     ICALL enters too, skips the classification below depth 0, keeping the
     ctx the caller's ICALL set, and always stores its entry value.
@@ -391,13 +430,12 @@ def seq_prologue(
     a.emit(Op.POP)
     a.emit(Op.CALLER).emit(Op.ORIGIN).emit(Op.EQ)
     a.jumpi(l_direct)
-    a.mstore_const(lay.ctx, band_foreign(num_ccs) & config.mask)
+    a.mstore_const(lay.ctx, band_foreign(num_ccs, config.width))
     a.jump(l_done)
     a.mark(l_direct)  # direct band: ctx stays 0
     a.jump(l_done)
     a.mark(l_reentrant)
-    # ctx = (slot - 1) + 2 * NumCCs, in one addition
-    a.push((2 * num_ccs - 1) & config.mask).emit(Op.ADD)
+    a.push(reentry_offset(num_ccs, config.width)).emit(Op.ADD)
     a.mstore(lay.ctx)
     a.mstore_const(lay.mode, MODE_REENTRANT)
     a.jump(l_done)
@@ -405,7 +443,7 @@ def seq_prologue(
     # marker entry: ctx = base + val(site -> this fn); surrogate rows replace
     a.push(2).emit(Op.CALLDATALOAD)  # [site]
     l_sum = Asm.fresh("sum")
-    for gid, val, via_surrogate in site_rows:
+    for gid, (val, via_surrogate) in sorted(rows.items()):
         nxt = Asm.fresh("nxt")
         a.emit(Op.DUP, 1).push(gid).emit(Op.EQ).emit(Op.ISZERO)
         a.jumpi(nxt)
@@ -493,8 +531,8 @@ def _guard_revert(code_id: int, config: Config) -> Asm:
     Reverts with [GUARD_MARKER, count, (addr, code id, fid, combined) * count]
     from the transient alarm buffer, in append order. A flag with an empty
     buffer means a protected callee reached by CALL flagged and its entries
-    stayed in its own account's buffer; that is reported as the all-ones
-    sentinel pair of fid.
+    stayed in its own account's buffer; that is reported as the pair of fid
+    with the ``CALLEE_ALARM`` word.
     """
     lay = Layout(config.width)
     a = Asm()
@@ -506,7 +544,7 @@ def _guard_revert(code_id: int, config: Config) -> Asm:
     a.emit(Op.DUP, 1)
     a.jumpi(have)
     a.emit(Op.POP)
-    a.push(config.mask).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
+    a.push(CALLEE_ALARM & config.mask).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
     a.push(1)
     a.push(guard_marker)
     a.push(6)
@@ -662,9 +700,14 @@ def seq_protected_call_post(config: Config, shims: bool) -> Asm:
     return a
 
 
+def slot_encode(ctx: int, width: int) -> int:
+    """Ctx-slot content while an unprotected call is in flight (nonzero)."""
+    return (ctx + 1) & ((1 << width) - 1)
+
+
 def seq_unprotected_call_pre(lay: Layout) -> Asm:
-    """Keep ctx (encoded, nonzero) in the ctx slot across a call leaving the
-    boundary, saving the slot's previous content."""
+    """Keep ctx, encoded (``slot_encode``), in the ctx slot across a call
+    leaving the boundary, saving the slot's previous content."""
     a = Asm()
     a.push(CTX_SLOT).emit(Op.TLOAD).mstore(lay.tmp_slot)
     a.mload(lay.ctx).push(1).emit(Op.ADD)
@@ -689,9 +732,22 @@ def seq_unprotected_call_post(config: Config, shims: bool) -> Asm:
     return a
 
 
+def icall_ctx(ctx: int, val: int, surrogate: bool, width: int) -> int:
+    """The callee's ctx through a call edge of value ``val``: the running
+    sum, or ``val`` alone through a surrogate."""
+    return (val if surrogate else ctx + val) & ((1 << width) - 1)
+
+
+def iret_ctx(ctx: int, saved: int, val: int, surrogate: bool, width: int) -> int:
+    """The caller's ctx back from that call: the sum's delta undone, or the
+    ``saved`` ctx the surrogate replaced."""
+    return saved if surrogate else (ctx - val) & ((1 << width) - 1)
+
+
 def seq_icall_pre(val: int, surrogate: bool, config: Config) -> Asm:
-    """Context and depth bookkeeping before an internal call: ctx += val
-    on a call edge, or saved and replaced by val through a surrogate."""
+    """Context and depth bookkeeping before an internal call (``icall_ctx``):
+    ctx += val on a call edge, or saved and replaced by val through a
+    surrogate."""
     lay = Layout(config.width)
     a = Asm()
     if surrogate:
@@ -705,7 +761,7 @@ def seq_icall_pre(val: int, surrogate: bool, config: Config) -> Asm:
 
 
 def seq_icall_post(val: int, surrogate: bool, config: Config) -> Asm:
-    """Undo ``seq_icall_pre`` after the call returns."""
+    """Undo ``seq_icall_pre`` after the call returns (``iret_ctx``)."""
     lay = Layout(config.width)
     a = Asm()
     a.mload(lay.depth).push(1).emit(Op.SUB).mstore(lay.depth)

@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis
-from .ccp import split_index
 from .cfg import ENTRY, SURROGATE_ENTRY, VIRTUAL_TRUE, Edge
 from .config import Config, MAX_CODE_BYTES
 from .guardcode import (
@@ -45,6 +44,7 @@ from .guardcode import (
     seq_protected_call_post,
     seq_unprotected_call_pre,
     seq_unprotected_call_post,
+    split_index,
 )
 from .epp import edge_hits, endpoint_values, place_increments
 from .isa import EXTERNAL_CALLS, Instruction, Op
@@ -358,7 +358,7 @@ class _Rewriter:
         # entry
         if external:
             num_ccs = analysis.num_ccs(name, fn.id)
-            rows = self._site_rows(fn.id)
+            rows = analysis.marker_rows(name, fn.id)
             pid = self.point(
                 POINT_WRAPPER,
                 (fn.name, 0),
@@ -504,15 +504,6 @@ class _Rewriter:
         return self._lay_out(fn, before, after, replace, stubs)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _site_rows(self, fid: int):
-        """(site gid, edge val, via_surrogate) rows for marker entries."""
-        site_gid = self.analysis.site_gid
-        return sorted(
-            (site_gid[site], val, surrogate)
-            for (site, callee), (val, surrogate) in self.analysis.site_val.items()
-            if callee == (self.name, fid) and site in site_gid
-        )
 
     def _plan_icall(self, fn, off, before, after, add) -> None:
         site = (self.name, fn.id, off)

@@ -3,11 +3,15 @@ labeled graphs and emits the sequence of (contract, function, combined index)
 pairs that instrumented code would check.
 
 This is the independent reference implementation for the profiling
-equivalence tests and the source of truth during training. It mirrors the
-wrapper's entry classification (marker, direct, foreign, reentrant), the
-transient ctx slot around unprotected calls (empty at the start of every
-transaction), and the path decomposition at backedges; membership outcomes
-are irrelevant here, only the checked pairs.
+equivalence tests and the source of truth during training. It forms each
+word the way the guard does, through ``guardcode``'s Python mirrors: the
+entry classification (marker, direct, foreign, reentrant), the context
+across internal calls, the transient ctx slot around unprotected calls
+(empty at the start of every transaction) and the combined word. What it
+tracks itself is what the trace shows: frames, path decomposition at
+backedges, and which frames run with the origin as CALLER. It sees no
+calldata, so it takes a marker to come only from a protected call site.
+Membership outcomes are irrelevant here, only the checked pairs.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis
 from .cfg import Cfg, EXIT, Edge, VIRTUAL_FALSE, VIRTUAL_TRUE
-from .guardcode import (
-    band_foreign,
-    band_reentrant,
-    marker_ctx,
-    slot_decode,
-    slot_encode,
-)
+from .guardcode import combined_word, entry_ctx, icall_ctx, iret_ctx, slot_encode
 from .isa import Op
 from .vm import Receipt, STATUS_ACCEPTED, TraceEvent
 
@@ -39,18 +37,19 @@ class _IFrame:
     cfg: Cfg
     succ: dict[int, list[Edge]]
     lab: object
-    vertex: int | None = None
-    epp: int = 0
+    vertex: int | None
+    epp: int
+    caller_ctx: int  # the calling function's ctx, for a surrogate's return
 
 
 @dataclass
 class _Frame:
     self_addr: int
     code: str | None  # None marks an unprotected frame
+    direct: bool  # CALLER is ORIGIN
     ctx: int = 0
     aborted: bool = False
     istack: list[_IFrame] = field(default_factory=list)
-    ctx_saves: list[int] = field(default_factory=list)
     slot_saves: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -94,11 +93,26 @@ class TraceOracle:
         cfg = self.analysis.cfgs[key]
         lab = self.analysis.epp[key]
         succ = self.analysis.succ[key]
-        frame.istack.append(_IFrame(fid, cfg, succ, lab, None, lab.entry_val))
+        frame.istack.append(_IFrame(fid, cfg, succ, lab, None, lab.entry_val, frame.ctx))
+
+    def _enter_frame(
+        self, self_addr: int, code: str, fid: int, direct: bool, marker: tuple[int, int] | None
+    ) -> None:
+        """Push a protected frame entered at external function ``fid``."""
+        frame = _Frame(self_addr, code, direct)
+        frame.ctx = entry_ctx(
+            self.analysis.num_ccs(code, fid),
+            self.analysis.marker_rows(code, fid),
+            self.config.width,
+            marker,
+            self.slots.get(self_addr, 0),
+            direct,
+        )
+        self.frames.append(frame)
+        self._enter_function(frame, fid)
 
     def _emit(self, frame: _Frame, iframe: _IFrame, epp: int) -> None:
-        num_paths = iframe.lab.total_paths
-        combined = (frame.ctx * num_paths + epp) & self.config.mask
+        combined = combined_word(frame.ctx, iframe.lab.total_paths, epp, self.config.width)
         self.out.append((frame.self_addr, frame.code, iframe.fid, combined))
 
     @staticmethod
@@ -127,11 +141,11 @@ class TraceOracle:
     def _on_BlockEnter(self, ev: TraceEvent) -> None:
         code = ev.get("code")
         if not self.frames:
-            # transaction entry: markerless, slot empty, caller is the origin
-            frame = _Frame(ev.contract, code if self._protected(code) else None)
-            self.frames.append(frame)
-            if frame.code:
-                self._enter_function(frame, ev.fn)  # direct band: ctx 0
+            # transaction entry: markerless, and the caller is the origin
+            if self._protected(code):
+                self._enter_frame(ev.contract, code, ev.fn, True, None)
+            else:
+                self.frames.append(_Frame(ev.contract, None, True))
         frame = self.frames[-1]
         if not frame.code or frame.aborted:
             return
@@ -188,12 +202,8 @@ class TraceOracle:
         callee = ev.get("callee")
         site = (frame.code, ev.fn, ev.offset)
         val, surrogate = self.analysis.site_val[(site, (frame.code, callee))]
-        if surrogate:
-            frame.ctx_saves.append(frame.ctx)
-            frame.ctx = val & self.config.mask
-        else:
-            frame.ctx = (frame.ctx + val) & self.config.mask
         self._enter_function(frame, callee)
+        frame.ctx = icall_ctx(frame.ctx, val, surrogate, self.config.width)
 
     def _on_CallReturn(self, ev: TraceEvent) -> None:
         frame = self._active()
@@ -208,10 +218,7 @@ class TraceOracle:
         caller = frame.istack[-1]
         site = (frame.code, caller.fid, caller.cfg.blocks[caller.vertex].end - 1)
         val, surrogate = self.analysis.site_val[(site, (frame.code, iframe.fid))]
-        if surrogate:
-            frame.ctx = frame.ctx_saves.pop()
-        else:
-            frame.ctx = (frame.ctx - val) & self.config.mask
+        frame.ctx = iret_ctx(frame.ctx, iframe.caller_ctx, val, surrogate, self.config.width)
 
     def _on_ExternalCallEnter(self, ev: TraceEvent) -> None:
         caller = self.frames[-1] if self.frames else None
@@ -229,29 +236,15 @@ class TraceOracle:
             caller.slot_saves.append((caller.self_addr, prev))
             self.slots[caller.self_addr] = slot_encode(caller.ctx, self.config.width)
 
+        # a DELEGATECALL frame runs with its delegating frame's caller
+        direct = kind == "delegatecall" and caller.direct
         if fid is None or not self._protected(code):
-            self.frames.append(_Frame(self_addr, None))
+            self.frames.append(_Frame(self_addr, None, direct))
             return
-        frame = _Frame(self_addr, code)
-        num_ccs = self.analysis.num_ccs(code, fid)
+        marker = None
         if protected_site and not caller.aborted:
-            edge = self.analysis.site_val.get((site, (code, fid)))
-            if edge is not None:
-                val, surrogate = edge
-                frame.ctx = marker_ctx(caller.ctx, val, surrogate, self.config.width)
-            else:
-                frame.ctx = caller.ctx  # unknown pairing: base alone
-        else:
-            stored = self.slots.get(self_addr, 0)
-            if stored:
-                frame.ctx = band_reentrant(
-                    slot_decode(stored, self.config.width), num_ccs, self.config.width
-                )
-            else:
-                # nested frames are entered by a contract, never the origin
-                frame.ctx = band_foreign(num_ccs) & self.config.mask
-        self.frames.append(frame)
-        self._enter_function(frame, fid)
+            marker = (caller.ctx, self.analysis.site_gid[site])
+        self._enter_frame(self_addr, code, fid, direct, marker)
 
     def _on_ExternalCallReturn(self, ev: TraceEvent) -> None:
         success = ev.get("success")

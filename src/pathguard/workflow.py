@@ -17,12 +17,19 @@ from pathlib import Path
 from .asm import assemble
 from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
-from .ccp import id_to_context, split_index
+from .ccp import id_to_context
 from .config import (
     Config, ConfigError, config_from_json, config_to_json, read_field, read_json, read_word
 )
 from .epp import index_to_path
-from .guardcode import RawAlarm, admin_calldata, decode_guard_revert
+from .guardcode import (
+    CALLEE_ALARM,
+    RawAlarm,
+    admin_calldata,
+    band_split,
+    decode_guard_revert,
+    split_index,
+)
 from .instrument import EXIT_FN_NAME, InstrumentedContract, instrument_contract, plan_strategies
 from .oracle import trace_oracle
 from .pathset import mapping_slot, mapping_value
@@ -579,9 +586,9 @@ def _enrich_alarm(run: DetectionRun, index: int, raw: RawAlarm, inner: bool) -> 
         # unprotected code reached by DELEGATECALL runs in the account and
         # can write its alarm buffer
         label = "<alarm entry names no protected function>"
-    elif combined == config.mask:
-        # sentinel: the flag came from a protected callee reached by CALL,
-        # whose alarm entries stayed in its own account's buffer
+    elif combined == CALLEE_ALARM & config.mask:
+        # the flag came from a protected callee reached by CALL, whose alarm
+        # entries stayed in its own account's buffer
         label = "<protected callee reached by CALL raised the anomaly>"
     else:
         label = None
@@ -589,16 +596,11 @@ def _enrich_alarm(run: DetectionRun, index: int, raw: RawAlarm, inner: bool) -> 
         return AlarmRecord(index, contract, fid, 0, 0, combined, [label], [], inner)
     code = boundary[raw.code_id]
     num_paths = analysis.num_paths(code, fid)
-    num_ccs = analysis.num_ccs(code, fid)
     ctx_id, epp_id = split_index(combined, num_paths)
-    chain: list[str] = []
-    base = ctx_id
-    while base >= 2 * num_ccs:
-        chain.append("<reentry via unprotected call>")
-        base -= 2 * num_ccs
-    if base >= num_ccs:
+    reentries, foreign, base = band_split(ctx_id, analysis.num_ccs(code, fid))
+    chain = ["<reentry via unprotected call>"] * reentries
+    if foreign:
         chain.append("<entered from unprotected contract>")
-        base -= num_ccs
     try:
         for edge in id_to_context(analysis.callgraph, analysis.ccp, (code, fid), base):
             if edge.kind == K_SURROGATE:

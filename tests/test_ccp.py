@@ -17,13 +17,12 @@ from pathguard.callgraph import (
     build_call_graph,
 )
 from pathguard.ccp import (
-    combined_index,
     context_to_id,
     enumerate_contexts,
     id_to_context,
     label_ccp,
-    split_index,
 )
+from pathguard.guardcode import combined_word, split_index
 
 
 def _graph(figcg):
@@ -195,9 +194,12 @@ def test_mutual_recursion_yields_dag():
 
 
 def test_combined_index_arithmetic():
-    assert combined_index(3, 4, 5) == 19
-    assert combined_index(0, 7, 5) == 7
+    """The one definition of the combined word and its inverse: ctx *
+    NumPaths + epp, wrapping at the width as the emitted MUL and ADD do."""
+    assert combined_word(3, 5, 4, 64) == 19
+    assert combined_word(0, 5, 7, 64) == 7
     assert split_index(19, 5) == (3, 4)
+    assert combined_word(0x11, 0x10, 0x3, 8) == 0x13
 
 
 def random_callgraph(rng: random.Random, max_fns: int = 8) -> CallGraph:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pathguard.config import Config
+from pathguard.config import INTERNAL_DEPTH_LIMIT, Config
 from pathguard.guardcode import (
     ALARM_BUFFER_CAP,
     CALL_MARKER,
+    CALLEE_ALARM,
+    MARKER_WORDS,
     GUARD_MARKER,
     SLOT_POISON,
     MODE_BOUNDARY,
@@ -21,15 +23,26 @@ from pathguard.guardcode import (
     Asm,
     Layout,
     RawAlarm,
+    band_split,
     check_gas,
     checker_pool,
+    combined_word,
     decode_guard_revert,
+    entry_ctx,
     flatten,
+    icall_ctx,
+    iret_ctx,
     seq_arith_check,
+    seq_check_fragment,
     seq_checker,
     seq_exit_routine,
     seq_external_epilogue,
+    seq_icall_post,
+    seq_icall_pre,
     seq_miss,
+    seq_prologue,
+    seq_unprotected_call_pre,
+    slot_encode,
 )
 from pathguard.isa import Op
 from pathguard.pathset import (
@@ -265,14 +278,22 @@ def _probe_checker(spec, key, width, fid, pool_base):
     return tuple(slots.get(s, 0) for s in (STUB_COMBINED, STUB_FID, STUB_SEED, STUB_RAN)), acc[0]
 
 
+WIDTHS = st.sampled_from([8, 16, 32, 64])
+
+
+def _word(width):
+    """A word of ``width`` bits, leaning to the ends, where sums wrap."""
+    mask = (1 << width) - 1
+    return st.one_of(st.integers(0, mask), st.integers(mask - 3, mask), st.integers(0, 3))
+
+
 @st.composite
 def _checker_cases(draw):
     """A width, a key set that builds (a list of 1-5 keys or a table of
     6-12), probes, a fid and a pool offset. Keys and probes lean to the
     ends of the word, where key+1 wraps."""
-    width = draw(st.sampled_from([8, 16, 32, 64]))
-    mask = (1 << width) - 1
-    word = st.one_of(st.integers(0, mask), st.integers(mask - 3, mask), st.integers(0, 3))
+    width = draw(WIDTHS)
+    word = _word(width)
     table = draw(st.booleans())
     n = draw(st.integers(6, 12) if table else st.integers(1, 5))
     keys = sorted(draw(st.lists(word, min_size=n, max_size=n, unique=True)))
@@ -535,7 +556,7 @@ def test_guard_revert_without_entries_reports_sentinel():
     receipt, _, addr = _run_exit(MODE_BOUNDARY, 1, [])
     assert receipt.status == "Reverted"
     gm = GUARD_MARKER & config.mask
-    assert receipt.return_data == [gm, 1, addr, CODE_ID, EXIT_FN, config.mask]
+    assert receipt.return_data == [gm, 1, addr, CODE_ID, EXIT_FN, CALLEE_ALARM & config.mask]
 
 
 def test_inner_guard_revert_rolls_back_only_its_own_appends():
@@ -610,8 +631,172 @@ def test_callee_entries_land_in_executing_account_buffer(op):
     addr = deploy(world, prog, 0xD0)
     receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, []))
     assert receipt.status == "Reverted", receipt
-    expected = (lib_id, lib_fid, 0x333) if op is Op.DELEGATECALL else (CODE_ID, 5, config.mask)
+    sentinel = (CODE_ID, 5, CALLEE_ALARM & config.mask)
+    expected = (lib_id, lib_fid, 0x333) if op is Op.DELEGATECALL else sentinel
     alarms = decode_guard_revert(receipt.return_data, config.width)
     assert [(a.contract, a.code_id, a.fn, a.combined) for a in alarms] == [
         (addr, *expected)
     ]
+
+
+# -- context words: each Python mirror against its emitted sequence ---------------
+
+def _returned(items, width, extra_fns=None, selectors=None, calldata=()):
+    """Run ``items`` as the probe function; the return data of the tx."""
+    receipt, _world, _addr = _execute(
+        items, list(calldata), width, extra_fns=extra_fns, selectors=selectors
+    )
+    assert receipt.status == "Accepted", receipt
+    return receipt.return_data
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=WIDTHS)
+def test_combined_word_matches_check_fragment(data, width):
+    """seq_check_fragment hands the checker ``combined_word`` of the frame's
+    ctx and path register, wrapping at the width."""
+    lay = Layout(width)
+    ctx, epp = data.draw(_word(width)), data.draw(_word(width))
+    num_paths = data.draw(st.integers(1, (1 << width) - 1))
+    a = Asm().mstore_const(lay.ctx, ctx).epp_set(lay, epp)
+    a.extend(seq_check_fragment(CHK_FID, lay, num_paths)).emit(Op.STOP)
+    returns = Asm().push(1).emit(Op.RETURN)  # the checker returns its operand
+    chk = FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, flatten(returns.items, base=0))
+    assert _returned(a.items, width, [chk]) == [combined_word(ctx, num_paths, epp, width)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=WIDTHS, surrogate=st.booleans())
+def test_icall_mirrors_match_icall_sequences(data, width, surrogate):
+    """seq_icall_pre sets ``icall_ctx`` and one more depth; seq_icall_post,
+    from any ctx the call left, sets ``iret_ctx`` and the depth back."""
+    config = Config(width=width)
+    lay = Layout(width)
+    ctx, val, left = (data.draw(_word(width)) for _ in range(3))
+    depth = data.draw(st.integers(0, INTERNAL_DEPTH_LIMIT - 1))
+    a = Asm().mstore_const(lay.ctx, ctx).mstore_const(lay.depth, depth)
+    a.extend(seq_icall_pre(val, surrogate, config))
+    a.mload(lay.ctx).mload(lay.depth)
+    a.mstore_const(lay.ctx, left)  # what the callee's frame left in ctx
+    a.extend(seq_icall_post(val, surrogate, config))
+    a.mload(lay.ctx).mload(lay.depth).push(4).emit(Op.RETURN)
+    assert _returned(a.items, width) == [
+        depth,
+        iret_ctx(left, ctx, val, surrogate, width),
+        depth + 1,
+        icall_ctx(ctx, val, surrogate, width),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), width=WIDTHS)
+def test_slot_encode_matches_unprotected_call_pre(data, width):
+    """seq_unprotected_call_pre stores ``slot_encode`` of ctx in the ctx
+    slot and keeps the slot's previous word."""
+    lay = Layout(width)
+    ctx, prev = data.draw(_word(width)), data.draw(_word(width))
+    a = Asm().push(prev).push(CTX_SLOT).emit(Op.TSTORE).mstore_const(lay.ctx, ctx)
+    a.extend(seq_unprotected_call_pre(lay))
+    a.mload(lay.tmp_slot).push(CTX_SLOT).emit(Op.TLOAD).push(2).emit(Op.RETURN)
+    assert _returned(a.items, width) == [slot_encode(ctx, width), prev]
+
+
+ENTRY_FID, ENTRY_SELECTOR = 1, 0x8  # the function whose prologue is under test
+
+# How the probe reaches the entry function, and with what calldata:
+# (op, marker row, slot set). A CALL makes CALLER the probe's own address;
+# a DELEGATECALL keeps the tx's CALLER, the origin; an ICALL enters below
+# depth 0. The marker row is None for a markerless entry, "short" for a
+# marker word without the full prefix, else the kind of row the site gid
+# names.
+ENTRY_CASES = {
+    "direct": (Op.DELEGATECALL, None, False),
+    "foreign": (Op.CALL, None, False),
+    "reentrant": (Op.CALL, None, True),
+    "reentrant-direct": (Op.DELEGATECALL, None, True),
+    "short-marker": (Op.CALL, "short", False),
+    "marker-row": (Op.CALL, "row", False),
+    "marker-surrogate-row": (Op.CALL, "surrogate", True),
+    "marker-unknown-site": (Op.DELEGATECALL, "unknown", False),
+    "icall-below-depth-0": (Op.ICALL, "row", True),
+}
+
+
+@pytest.mark.parametrize("kind", list(ENTRY_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), width=WIDTHS)
+def test_entry_ctx_matches_prologue(kind, data, width):
+    """seq_prologue sets ``entry_ctx`` for each entry kind: direct, foreign,
+    reentrant (the slot beats the CALLER test) and marker (the prefix beats
+    the slot), through a known row, a surrogate row or an unknown site. It
+    sets the mode and the calldata offset to match and the path register
+    to the entry value. An ICALL target entered below depth 0 keeps the ctx
+    the ICALL set, whatever the calldata and the slot."""
+    op, row_kind, slot_set = ENTRY_CASES[kind]
+    config = Config(width=width)
+    lay = Layout(width)
+    mask = config.mask
+    num_ccs = data.draw(st.integers(1, 1 << (width - 1)))
+    gids = st.integers(0, min(mask, 40))
+    rows = data.draw(st.dictionaries(gids, st.tuples(_word(width), st.booleans()), max_size=4))
+    entry_epp = data.draw(_word(width))
+    icall_target = op is Op.ICALL or data.draw(st.booleans())
+    slot = data.draw(st.integers(1, mask)) if slot_set else 0
+    base, gid = data.draw(_word(width)), data.draw(gids)
+    if row_kind in ("row", "surrogate"):
+        rows[gid] = (data.draw(_word(width)), row_kind == "surrogate")
+    elif row_kind == "unknown":
+        rows.pop(gid, None)
+    marker = CALL_MARKER & mask
+    calldata = {None: [], "short": [marker, base]}.get(row_kind, [marker, base, gid])
+    calldata = calldata + data.draw(st.lists(_word(width), max_size=2))
+
+    entry = seq_prologue(num_ccs, entry_epp, rows, config, icall_target)
+    entry.epp_addr(lay).emit(Op.MLOAD)
+    entry.mload(lay.cdoff).mload(lay.mode).mload(lay.ctx).push(4).emit(Op.RETURN)
+    fns = [FunctionDef(ENTRY_FID, "entry", Visibility.EXTERNAL, flatten(entry.items, base=0))]
+    a = Asm()
+    if slot:
+        a.push(slot).push(CTX_SLOT).emit(Op.TSTORE)
+    if op is Op.ICALL:
+        outer, val = data.draw(_word(width)), data.draw(_word(width))
+        surrogate = data.draw(st.booleans())
+        a.mstore_const(lay.ctx, outer).extend(seq_icall_pre(val, surrogate, config))
+        a.emit(Op.ICALL, ENTRY_FID).emit(Op.STOP)  # the entry's RETURN ends the tx
+        want = [icall_ctx(outer, val, surrogate, width), MODE_BOUNDARY, 0, entry_epp]
+    else:
+        for word in reversed(calldata):
+            a.push(word)
+        a.push(len(calldata)).push(ENTRY_SELECTOR)
+        if op is Op.CALL:
+            a.push(0)  # value
+        a.emit(Op.ADDRESS).emit(op)
+        for i in reversed(range(4)):
+            a.push(i).emit(Op.RETURNDATALOAD)
+        a.push(4).emit(Op.RETURN)
+        marked = len(calldata) >= MARKER_WORDS and calldata[0] == marker
+        prefix = (calldata[1], calldata[2]) if marked else None
+        ctx = entry_ctx(num_ccs, rows, width, prefix, slot, op is Op.DELEGATECALL)
+        mode = MODE_MARKER if prefix else MODE_REENTRANT if slot else MODE_BOUNDARY
+        want = [ctx, mode, MARKER_WORDS if prefix else 0, entry_epp]
+    # the tx's own calldata only reaches the prologue through the ICALL
+    assert _returned(a.items, width, fns, {ENTRY_SELECTOR: ENTRY_FID}, calldata) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=WIDTHS, direct=st.booleans())
+def test_band_split_inverts_the_entry_bands(data, width, direct):
+    """band_split reads back what entry_ctx banded: a markerless entry from
+    the origin is context 0, one from a contract the foreign band's 0, and
+    a reentry one level deeper than the outer frame whose ctx the slot
+    carries, with the outer frame's band and context."""
+    num_ccs = data.draw(st.integers(1, 1 << (width - 4)))
+    depth = data.draw(st.integers(0, 3))
+    foreign, base = data.draw(st.booleans()), data.draw(st.integers(0, num_ccs - 1))
+    outer = (depth * 2 + foreign) * num_ccs + base
+    assert band_split(outer, num_ccs) == (depth, foreign, base)
+    assert band_split(entry_ctx(num_ccs, {}, width, None, 0, direct), num_ccs) == (
+        0, not direct, 0
+    )
+    reentry = entry_ctx(num_ccs, {}, width, None, slot_encode(outer, width), direct)
+    assert band_split(reentry, num_ccs) == (depth + 1, foreign, base)

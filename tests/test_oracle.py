@@ -324,7 +324,7 @@ def test_reverting_exit_emits_no_check():
 
 def test_oracle_pairs_decode_to_real_paths(loopy):
     """Every emitted index lies inside the function's combined index space."""
-    from pathguard.ccp import split_index
+    from pathguard.guardcode import split_index
     from pathguard.epp import index_to_path
 
     analysis = analyze_bundle({"loopy": loopy}, {"loopy"}, CONFIG)

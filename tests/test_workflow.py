@@ -5,11 +5,18 @@ import random
 
 import pytest
 
-from pathguard.fixtures import DELEGATECALL, REENTRANCY, VISIBILITY, by_name
-from pathguard.guardcode import CALL_MARKER, GUARD_MARKER
+from pathguard.fixtures import (
+    DELEGATECALL,
+    DETECTION_SCENARIOS,
+    REENTRANCY,
+    VISIBILITY,
+    by_name,
+)
+from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER
 from pathguard.isa import Op
+from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
 from pathguard.program import ValidationError
-from pathguard.vm import VM, WorldState
+from pathguard.vm import TRACE_FULL, TRACE_NONE, VM, WorldState
 from pathguard.workflow import (
     AlarmRecord,
     Bundle,
@@ -17,8 +24,10 @@ from pathguard.workflow import (
     NotAdmin,
     TrainingTxFailed,
     WorkflowError,
+    build_world,
     false_alarm_simulation,
     overhead_report,
+    parse_tx,
     protect,
     review_and_approve,
     run_detection,
@@ -436,6 +445,51 @@ def test_reentry_through_unprotected_contract_alarms(forged):
     assert world.accounts[vault].balance >= before
 
 
+# ROADMAP item 1: the prologue enters marker mode for any calldata that
+# starts with the marker, so the forged entry is never classified
+_FORGED_MARKER_BYPASS = {"delegatecall", "overflow", "unchecked_send", "visibility"}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(
+            s,
+            id=s.name,
+            marks=[
+                pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="a direct tx with a forged marker prefix enters marker mode, "
+                    "which never guard-reverts (ROADMAP item 1)",
+                )
+            ] if s.name in _FORGED_MARKER_BYPASS else [],
+        )
+        for s in DETECTION_SCENARIOS
+    ],
+)
+def test_forged_marker_prefix_gains_a_direct_attack_nothing(scenario):
+    """From the same trained, protected start, the scenario's last attack tx
+    sent with [CALL_MARKER, 0, 0] in front of its calldata alarms whenever
+    the plain attack does, and leaves the world as the plain attack does."""
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    *lead, last = scenario.attack
+    prefix = [CALL_MARKER & bundle.config.mask, 0, 0]
+    forged = dict(last, calldata=prefix + list(last.get("calldata", [])))
+    ends = []
+    for record in (last, forged):
+        run = start_detection(guarded, mirror=False)
+        for earlier in lead:
+            run_transaction(run, earlier)
+        outcome = run_transaction(run, record)
+        ends.append((bool(outcome.alarms), run.deployed.world.dump()))
+    (plain_alarmed, plain_world), (forged_alarmed, forged_world) = ends
+    assert plain_alarmed
+    assert forged_alarmed
+    assert forged_world == plain_world
+
+
 @pytest.mark.parametrize(
     "scenario, chain_mark",
     [
@@ -457,7 +511,34 @@ def test_same_account_frame_alarm_reaches_boundary_payload(scenario, chain_mark)
     (alarm,) = outcome.alarms
     assert alarm.contract == run.deployed.addresses[boundary]
     assert chain_mark in (alarm.context_chain[0], alarm.context_chain[-1])
-    assert alarm.combined_id != bundle.config.mask
+    assert alarm.combined_id != CALLEE_ALARM & bundle.config.mask
+
+
+def test_top_level_delegatecall_frame_takes_the_direct_band():
+    """A frame reached by DELEGATECALL from the transaction's entry frame
+    runs with the origin as CALLER, so its prologue takes the direct band,
+    and so does the oracle. With only the library protected, detection
+    checks the pairs training recorded: no alarm, and the proxy's storage
+    matches the unguarded world's."""
+    raw = json.loads(json.dumps(DELEGATECALL.bundle_json))
+    raw["boundary"] = ["dlib"]
+    bundle = Bundle.from_json(raw)
+    work = [
+        {"origin": o, "to": "proxy", "fn": "fallback", "calldata": [0x32]} for o in (1, 2, 3)
+    ]
+    guarded = protect(bundle, train(bundle, work))
+    run = start_detection(guarded, mirror=False)
+    plain = build_world(bundle)
+    for record in bundle.setup:
+        VM(plain.world, TRACE_NONE).execute_transaction(parse_tx(record, plain, bundle))
+    for record in work:
+        ref = VM(plain.world, TRACE_FULL).execute_transaction(parse_tx(record, plain, bundle))
+        outcome = run_transaction(run, record)
+        expected = trace_oracle(ref.trace, guarded.analysis, ref.status)
+        assert checked_pairs_from_receipt(outcome.receipt) == expected
+        assert (outcome.status, outcome.alarms) == ("Accepted", [])
+    proxy = hex(plain.addresses["proxy"])
+    assert run.deployed.world.dump()[proxy]["storage"] == plain.world.dump()[proxy]["storage"]
 
 
 TWO_HOP_JSON = {
@@ -523,7 +604,7 @@ def test_call_reached_callee_miss_reports_labelled_sentinel():
     (alarm,) = outcomes[1].alarms
     assert alarm.contract == run.deployed.addresses["front"]
     assert alarm.function == 1  # go
-    assert alarm.combined_id == bundle.config.mask
+    assert alarm.combined_id == CALLEE_ALARM & bundle.config.mask
     assert alarm.context_chain == ["<protected callee reached by CALL raised the anomaly>"]
 
 
