@@ -14,13 +14,25 @@ from .callgraph import (
     build_call_graph,
 )
 from .ccp import CcLabeling, label_ccp
-from .cfg import Cfg, Edge, acyclicize, build_cfg, insert_virtual_branches
+from .cfg import (
+    ENTRY,
+    EXIT,
+    REAL,
+    VIRTUAL_FALSE,
+    VIRTUAL_TRUE,
+    Cfg,
+    acyclicize,
+    build_cfg,
+    insert_virtual_branches,
+)
 from .config import Config, DEFAULT_CONFIG
 from .epp import EppLabeling, IndexSpaceOverflow, label_epp
 from .isa import EXTERNAL_CALLS
 from .program import ContractProgram
 
 Site = tuple[str, int, int]  # (contract, function id, offset)
+# a vertex's steps: lookup key -> (edge value, dst or terminator offset)
+Steps = dict[object, tuple[int, int]]
 
 
 @dataclass
@@ -29,8 +41,6 @@ class BundleAnalysis:
     boundary: set[str]
     config: Config
     cfgs: dict[tuple[str, int], Cfg] = field(default_factory=dict)
-    # out-edges per vertex of each finished CFG, for per-step trace replay
-    succ: dict[tuple[str, int], dict[int, list[Edge]]] = field(default_factory=dict)
     epp: dict[tuple[str, int], EppLabeling] = field(default_factory=dict)
     callgraph: CallGraph | None = None
     ccp: CcLabeling | None = None
@@ -39,6 +49,20 @@ class BundleAnalysis:
     site_val: dict[tuple[Site, Node], tuple[int, bool]] = field(default_factory=dict)
     # callee node -> its marker rows, see ``marker_rows``
     rows: dict[Node, dict[int, tuple[int, bool]]] = field(default_factory=dict)
+    # (contract, function id) -> its step table, built on first use
+    _steps: dict[tuple[str, int], dict[int, Steps]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def steps(self, contract: str, fid: int) -> dict[int, Steps]:
+        """The function's step table (``step_table``), the trace oracle's
+        successor index; built on first use, so that only trace replay pays
+        for it."""
+        key = (contract, fid)
+        table = self._steps.get(key)
+        if table is None:
+            table = self._steps[key] = step_table(self.cfgs[key], self.epp[key].edge_val)
+        return table
 
     def num_paths(self, contract: str, fid: int) -> int:
         return self.epp[(contract, fid)].total_paths
@@ -73,6 +97,37 @@ class BundleAnalysis:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def step_table(cfg: Cfg, edge_val: dict[int, int]) -> dict[int, Steps]:
+    """Every step out of every vertex of a finished CFG, keyed by what a
+    trace shows of it, so that the trace oracle takes each by one lookup:
+
+    - a block start offset: the real edge into the nonempty block there;
+    - ``("arith" | "callret", offset, virtual kind)``: the virtual edge of
+      that checked op or external call outcome;
+    - ``"term"``: the vertex's terminator edge, if any (a block ends in one
+      op, so it has at most one); its value is paired with the terminator's
+      offset.
+
+    Each other key maps to the edge's value and destination. Where several
+    edges share a key, the first in eid order wins, as in a scan of the
+    vertex's out-edges. Built in one pass over the edges.
+    """
+    steps: dict[int, Steps] = {v: {} for v in (ENTRY, *cfg.blocks)}
+    for e in cfg.edges:
+        kind, origin = e.kind, e.origin
+        if kind == REAL:
+            if e.dst != EXIT:
+                dst = cfg.blocks[e.dst]
+                if not dst.empty:
+                    steps[e.src].setdefault(dst.start, (edge_val[e.eid], e.dst))
+        elif kind == VIRTUAL_FALSE or kind == VIRTUAL_TRUE:
+            key = (origin[0], origin[1], kind)
+            steps[e.src].setdefault(key, (edge_val[e.eid], e.dst))
+        if origin and origin[0] == "term":
+            steps[e.src]["term"] = (edge_val[e.eid], origin[1])
+    return steps
+
+
 def analyze_bundle(
     programs: dict[str, ContractProgram],
     boundary: set[str] | None = None,
@@ -88,7 +143,6 @@ def analyze_bundle(
         for fn in prog.functions:
             cfg = insert_virtual_branches(acyclicize(build_cfg(fn)), fn)
             ba.cfgs[(name, fn.id)] = cfg
-            ba.succ[(name, fn.id)] = cfg.successors()
             ba.epp[(name, fn.id)] = label_epp(cfg, config.width)
     cg = acyclicize_callgraph(build_call_graph(programs, boundary))
     ba.callgraph = cg

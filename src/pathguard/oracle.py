@@ -12,14 +12,22 @@ tracks itself is what the trace shows: frames, path decomposition at
 backedges, and which frames run with the origin as CALLER. It sees no
 calldata, so it takes a marker to come only from a protected call site.
 Membership outcomes are irrelevant here, only the checked pairs.
+
+Each step along a path edge is one lookup in the function's step table
+(``bundle.step_table``): a BlockEnter by its offset, an ArithChecked or an
+ExternalCallReturn by its op's offset and outcome, and a path's end by the
+vertex's one terminator edge. A BlockEnter that misses the table is a
+recorded backedge (the path ends and a new one starts at the loop header)
+or the confirmation of a vertex entered through a virtual edge; anything
+else raises TraceMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundle import BundleAnalysis
-from .cfg import Cfg, EXIT, Edge, VIRTUAL_FALSE, VIRTUAL_TRUE
+from .bundle import BundleAnalysis, Steps
+from .cfg import Cfg, VIRTUAL_FALSE, VIRTUAL_TRUE
 from .guardcode import combined_word, entry_ctx, icall_ctx, iret_ctx, slot_encode
 from .isa import Op
 from .vm import Receipt, STATUS_ACCEPTED, TraceEvent
@@ -31,18 +39,23 @@ class TraceMismatch(AssertionError):
     """The trace does not fit the labeled graphs (malformed or stale)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _IFrame:
+    """One internal function activation: the path walked so far is
+    ``vertex`` (None before the first block) and the sum ``epp`` of its
+    edge values. A step out of ``vertex`` is ``steps[vertex]``'s entry for
+    what the trace shows next, see ``bundle.step_table``."""
+
     fid: int
     cfg: Cfg
-    succ: dict[int, list[Edge]]
+    steps: dict[int, Steps]
     lab: object
     vertex: int | None
     epp: int
     caller_ctx: int  # the calling function's ctx, for a surrogate's return
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     self_addr: int
     code: str | None  # None marks an unprotected frame
@@ -70,10 +83,11 @@ class TraceOracle:
         self.out: list[Pair] = []
         self.frames: list[_Frame] = []
         self.slots: dict[int, int] = {}
+        handlers = self._HANDLERS
         for ev in trace:
-            handler = getattr(self, f"_on_{ev.kind}", None)
+            handler = handlers.get(ev.kind)
             if handler:
-                handler(ev)
+                handler(self, ev)
         # transaction-entry frame returns when the trace ends
         if self.frames:
             frame = self.frames.pop()
@@ -92,8 +106,8 @@ class TraceOracle:
         key = (frame.code, fid)
         cfg = self.analysis.cfgs[key]
         lab = self.analysis.epp[key]
-        succ = self.analysis.succ[key]
-        frame.istack.append(_IFrame(fid, cfg, succ, lab, None, lab.entry_val, frame.ctx))
+        steps = self.analysis.steps(frame.code, fid)
+        frame.istack.append(_IFrame(fid, cfg, steps, lab, None, lab.entry_val, frame.ctx))
 
     def _enter_frame(
         self, self_addr: int, code: str, fid: int, direct: bool, marker: tuple[int, int] | None
@@ -116,32 +130,31 @@ class TraceOracle:
         self.out.append((frame.self_addr, frame.code, iframe.fid, combined))
 
     @staticmethod
-    def _term_edge(iframe: _IFrame, where: str) -> Edge:
-        """The one terminator edge leaving the function's current vertex."""
-        term = [
-            e for e in iframe.succ[iframe.vertex] if e.origin and e.origin[0] == "term"
-        ]
-        if len(term) != 1:
+    def _term_step(iframe: _IFrame, where: str) -> tuple[int, int]:
+        """(edge value, offset) of the one terminator edge leaving the
+        function's current vertex."""
+        term = iframe.steps[iframe.vertex].get("term")
+        if term is None:
             raise TraceMismatch(f"{iframe.cfg.fn_name}: {where}")
-        return term[0]
+        return term
 
     def _emit_exit(self, frame: _Frame) -> None:
         """Close the final pending path of the frame's active function."""
         iframe = frame.top if frame.istack else None
         if iframe is None or iframe.vertex is None:
             return
-        term = self._term_edge(iframe, "frame ended away from a terminator")
+        val, off = self._term_step(iframe, "frame ended away from a terminator")
         prog = self.analysis.programs[frame.code]
-        if prog.functions[iframe.fid].body[term.origin[1]].op is Op.REVERT:
+        if prog.functions[iframe.fid].body[off].op is Op.REVERT:
             return  # reverting exits emit no check
-        self._emit(frame, iframe, iframe.epp + iframe.lab.edge_val[term.eid])
+        self._emit(frame, iframe, iframe.epp + val)
 
     # -- event handlers ---------------------------------------------------------
 
     def _on_BlockEnter(self, ev: TraceEvent) -> None:
-        code = ev.get("code")
         if not self.frames:
             # transaction entry: markerless, and the caller is the origin
+            code = ev.get("code")
             if self._protected(code):
                 self._enter_frame(ev.contract, code, ev.fn, True, None)
             else:
@@ -157,14 +170,12 @@ class TraceOracle:
                 raise TraceMismatch("function did not start at offset 0")
             iframe.vertex = iframe.cfg.block_at(0)
             return
+        step = iframe.steps[iframe.vertex].get(ev.offset)
+        if step is not None:
+            val, iframe.vertex = step
+            iframe.epp += val
+            return
         cfg, lab = iframe.cfg, iframe.lab
-        for e in iframe.succ[iframe.vertex]:
-            if e.kind == "real" and e.dst != EXIT:
-                dst = cfg.blocks[e.dst]
-                if not dst.empty and dst.start == ev.offset:
-                    iframe.epp += lab.edge_val[e.eid]
-                    iframe.vertex = e.dst
-                    return
         # not a DAG edge: must be a recorded backedge
         src_block = cfg.blocks[iframe.vertex]
         if (src_block.end - 1, ev.offset) in cfg.backedges:
@@ -188,12 +199,11 @@ class TraceOracle:
             return
         iframe = frame.top
         want = VIRTUAL_TRUE if ev.get("overflow") else VIRTUAL_FALSE
-        for e in iframe.succ[iframe.vertex]:
-            if e.kind == want and e.origin[0] == "arith" and e.origin[1] == ev.offset:
-                iframe.epp += iframe.lab.edge_val[e.eid]
-                iframe.vertex = e.dst
-                return
-        raise TraceMismatch(f"no virtual arith edge at offset {ev.offset}")
+        step = iframe.steps[iframe.vertex].get(("arith", ev.offset, want))
+        if step is None:
+            raise TraceMismatch(f"no virtual arith edge at offset {ev.offset}")
+        val, iframe.vertex = step
+        iframe.epp += val
 
     def _on_CallEnter(self, ev: TraceEvent) -> None:
         frame = self._active()
@@ -211,8 +221,8 @@ class TraceOracle:
             return
         iframe = frame.istack.pop()
         # the IRET's terminator edge closes the callee's last path
-        term = self._term_edge(iframe, "CallReturn away from IRET")
-        self._emit(frame, iframe, iframe.epp + iframe.lab.edge_val[term.eid])
+        val, _off = self._term_step(iframe, "CallReturn away from IRET")
+        self._emit(frame, iframe, iframe.epp + val)
         # undo the context delta; the call site is the caller's current
         # vertex terminator (an ICALL instruction)
         caller = frame.istack[-1]
@@ -261,12 +271,11 @@ class TraceOracle:
         # virtual branch on the success flag
         iframe = caller.top
         want = VIRTUAL_FALSE if success else VIRTUAL_TRUE
-        for e in iframe.succ[iframe.vertex]:
-            if e.kind == want and e.origin[0] == "callret" and e.origin[1] == ev.offset:
-                iframe.epp += iframe.lab.edge_val[e.eid]
-                iframe.vertex = e.dst
-                return
-        raise TraceMismatch(f"no virtual callret edge at offset {ev.offset}")
+        step = iframe.steps[iframe.vertex].get(("callret", ev.offset, want))
+        if step is None:
+            raise TraceMismatch(f"no virtual callret edge at offset {ev.offset}")
+        val, iframe.vertex = step
+        iframe.epp += val
 
     def _on_Revert(self, ev: TraceEvent) -> None:
         if self.frames:
@@ -282,6 +291,16 @@ class TraceOracle:
         if not frame.code or frame.aborted or not frame.istack:
             return None
         return frame
+
+    _HANDLERS = {
+        "BlockEnter": _on_BlockEnter,
+        "ArithChecked": _on_ArithChecked,
+        "CallEnter": _on_CallEnter,
+        "CallReturn": _on_CallReturn,
+        "ExternalCallEnter": _on_ExternalCallEnter,
+        "ExternalCallReturn": _on_ExternalCallReturn,
+        "Revert": _on_Revert,
+    }
 
 
 def trace_oracle(

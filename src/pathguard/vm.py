@@ -153,6 +153,10 @@ class StaleSnapshotError(AssertionError):
 
 @dataclass(slots=True)
 class TraceEvent:
+    """One traced event. Its ``detail`` may be shared with other events (all
+    BlockEnter events of one frame share theirs), so readers must not
+    mutate it."""
+
     kind: str
     contract: int
     fn: int
@@ -391,11 +395,12 @@ class _Frame:
     ``checkers`` the ids of the functions whose ``ICALL`` is a PathChecked
     event (none below TRACE_CHECKS). The environment words are masked, and
     ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked and
-    the TRACE_FULL events of internal calls, blocks and checked ops."""
+    the TRACE_FULL events of internal calls, blocks and checked ops; every
+    BlockEnter of the frame shares the one detail ``entered``."""
 
     __slots__ = (
         "world", "addr", "code", "calldata", "pool", "ret", "trace", "checkers",
-        "caller", "origin", "address", "value", "full",
+        "caller", "origin", "address", "value", "full", "entered",
     )
 
     def __init__(
@@ -408,6 +413,7 @@ class _Frame:
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
         self.full = vm.trace_level >= TRACE_FULL
+        self.entered = {"code": code.name} if self.full else None
 
     def path_checked(self, fid: int, pc: int, combined: int | None) -> None:
         detail = {"combined": combined, "code": self.code}
@@ -420,7 +426,7 @@ class _Frame:
         self.trace.append(TraceEvent("CallReturn", self.addr, fid, pc, None))
 
     def block_enter(self, fid: int, pc: int) -> None:
-        self.trace.append(TraceEvent("BlockEnter", self.addr, fid, pc, {"code": self.code}))
+        self.trace.append(TraceEvent("BlockEnter", self.addr, fid, pc, self.entered))
 
     def arith_checked(self, fid: int, pc: int, op: str, overflow: bool) -> None:
         detail = {"op": op, "overflow": overflow}

@@ -516,6 +516,12 @@ def start_detection(guarded: GuardedBundle, mirror: bool = True) -> DetectionRun
     shadow = None
     if mirror:
         shadow = build_world(guarded.bundle)
+        # each stream record is parsed once, against the guarded world
+        if shadow.addresses != deployed.addresses:
+            raise WorkflowError(
+                f"mirror addresses {shadow.addresses} differ from the guarded "
+                f"world's {deployed.addresses}"
+            )
         _run_setup(shadow, guarded.bundle, "mirror")
     return DetectionRun(guarded, deployed, shadow)
 
@@ -543,8 +549,7 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
     if run.mirror is not None and status == STATUS_ACCEPTED and not alarms:
         # alarmed-but-accepted txs had a protected region rolled back; they
         # are not behavior-equivalent, so the mirror skips them
-        mirror_tx = parse_tx(record, run.mirror, guarded.bundle)
-        mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(mirror_tx)
+        mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(tx)
         gas_orig = mirror_receipt.gas_used
         _reconcile(run, index, receipt, points, gas_orig)
     outcome = TxOutcome(index, status, receipt.gas_used, gas_orig, alarms, receipt)

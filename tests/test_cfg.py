@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
@@ -21,6 +23,8 @@ from pathguard.cfg import (
     insert_virtual_branches,
 )
 from pathguard.fixtures import ALL_SCENARIOS
+
+from oracle_reference import scan_table
 
 
 def _names(cfg):
@@ -246,13 +250,69 @@ def test_nested_loops_each_cycle_has_exactly_one_backedge():
         assert len(set(cycle) & backedges) == 1
 
 
+def _assert_steps_match_scan(ba):
+    """Every function's step table, the trace oracle's successor index,
+    equals the first match of the out-edge scans in tests/oracle_reference.py
+    for every vertex, at every offset of the body and one past its end."""
+    for (name, fid), cfg in ba.cfgs.items():
+        offsets = range(len(ba.programs[name].functions[fid].body) + 1)
+        assert ba.steps(name, fid) == scan_table(cfg, ba.epp[(name, fid)], offsets)
+
+
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
 def test_bundle_successor_index_matches_edge_scan(scenario):
-    """The per-vertex successor lists the oracle reads equal a scan of the
-    finished graph's edges, in the same order."""
     bundle = scenario.bundle()
-    ba = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
-    assert ba.succ.keys() == ba.cfgs.keys()
-    for key, cfg in ba.cfgs.items():
-        scan = {v: [e for e in cfg.edges if e.src == v] for v in cfg.vertices()}
-        assert ba.succ[key] == scan
+    _assert_steps_match_scan(analyze_bundle(bundle.programs, bundle.boundary, bundle.config))
+
+
+_PEER_SRC = """
+contract p {
+  fn g external selector=0x2 {
+    STOP
+  }
+}
+"""
+
+
+@st.composite
+def _generated_bundles(draw):
+    """Contract ``t`` with one to three functions, ``f0`` external and the
+    rest internal, each a run of labelled segments. A segment holds PUSHes,
+    checked arithmetic, CALLs and DELEGATECALLs into contract ``p``, ICALLs,
+    JUMPIs and JUMPs to any label (so loops too) and terminators. ``p`` is
+    protected or not."""
+    nfns = draw(st.integers(1, 3))
+    ops = st.sampled_from(
+        ["PUSH 1", "ADD", "SUB", "MUL", "CALL target=p fn=g",
+         "DELEGATECALL target=p fn=g", "ICALL", "JUMPI", "JUMP", "exit"]
+    )
+    lines = ["contract t {"]
+    for fid in range(nfns):
+        exits = ["STOP", "RETURN", "REVERT"] if fid == 0 else ["IRET"]
+        segments = draw(st.lists(st.lists(ops, max_size=6), min_size=1, max_size=4))
+        head = "external selector=0x1" if fid == 0 else "internal"
+        lines.append(f"  fn f{fid} {head} {{")
+        for i, segment in enumerate(segments):
+            lines.append(f"  l{i}: JUMPDEST")
+            for op in segment:
+                if op == "ICALL":
+                    if nfns == 1:
+                        continue
+                    op = f"ICALL f{draw(st.integers(1, nfns - 1))}"
+                elif op in ("JUMPI", "JUMP"):
+                    op = f"{op} l{draw(st.integers(0, len(segments) - 1))}"
+                elif op == "exit":
+                    op = draw(st.sampled_from(exits))
+                lines.append(f"    {op}")
+        lines.append(f"    {draw(st.sampled_from(exits))}")
+        lines.append("  }")
+    lines.append("}")
+    programs = {"t": assemble("\n".join(lines)), "p": assemble(_PEER_SRC)}
+    return programs, draw(st.sampled_from([{"t"}, {"t", "p"}]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_generated_bundles())
+def test_step_table_matches_edge_scan_on_generated_bodies(case):
+    programs, boundary = case
+    _assert_steps_match_scan(analyze_bundle(programs, boundary))

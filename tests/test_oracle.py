@@ -1,5 +1,6 @@
 """Trace oracle: the canonical loop walkthrough and oracle/instrumented equality."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from pathguard.ccp import label_ccp
 from pathguard.config import Config
 from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.instrument import instrument_contract
-from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
+from pathguard.oracle import TraceMismatch, checked_pairs_from_receipt, trace_oracle
 from pathguard.vm import (
     TRACE_CHECKS,
     TRACE_FULL,
@@ -20,6 +21,7 @@ from pathguard.vm import (
     WorldState,
     deploy,
 )
+from pathguard.workflow import build_world, parse_tx
 
 CONFIG = Config()
 
@@ -334,3 +336,74 @@ def test_oracle_pairs_decode_to_real_paths(loopy):
         ctx, epp = split_index(combined, lab.total_paths)
         assert ctx < analysis.num_ccs(code, fid)
         index_to_path(analysis.cfgs[(code, fid)], lab, epp)  # must not raise
+
+
+def _fixture_trace(name: str, index: int):
+    """The analysis and TRACE_FULL trace of the scenario's ``index``-th
+    setup-then-training tx, run in order on a fresh world."""
+    scenario = next(s for s in ALL_SCENARIOS if s.name == name)
+    bundle = scenario.bundle()
+    deployed = build_world(bundle)
+    for record in (bundle.setup + scenario.training)[: index + 1]:
+        receipt = VM(deployed.world, TRACE_FULL).execute_transaction(
+            parse_tx(record, deployed, bundle)
+        )
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    return analysis, receipt
+
+
+def _corrupt(of_kind: str, nth: int, **changes):
+    """Replace the ``nth`` event of kind ``of_kind`` by a copy with
+    ``changes``, or drop it when there are none."""
+
+    def apply(trace):
+        hits = [i for i, ev in enumerate(trace) if ev.kind == of_kind]
+        i = hits[nth]
+        new = [dataclasses.replace(trace[i], **changes)] if changes else []
+        return trace[:i] + new + trace[i + 1:]
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "name, index, corrupt, message",
+    [
+        pytest.param(
+            "logic_error", 0, _corrupt("BlockEnter", 1, fn=1),
+            "unexpected BlockEnter in fn 1", id="block-in-wrong-fn",
+        ),
+        pytest.param(
+            "logic_error", 0, _corrupt("BlockEnter", 0, offset=1),
+            "function did not start at offset 0", id="first-block-not-at-0",
+        ),
+        pytest.param(
+            "logic_error", 0, _corrupt("BlockEnter", 1, offset=999),
+            r"grant: no edge from block \d+ to offset 999", id="no-edge-to-offset",
+        ),
+        pytest.param(
+            "overflow", 0, _corrupt("ArithChecked", 0, offset=999),
+            "no virtual arith edge at offset 999", id="no-arith-edge",
+        ),
+        pytest.param(
+            "unchecked_send", 2, _corrupt("ExternalCallReturn", 0, offset=999),
+            "no virtual callret edge at offset 999", id="no-callret-edge",
+        ),
+        pytest.param(
+            # the caller's BlockEnter before its ICALL read as the return
+            "visibility", 1, _corrupt("BlockEnter", 1, kind="CallReturn"),
+            "governed: CallReturn away from IRET", id="callreturn-away-from-iret",
+        ),
+        pytest.param(
+            "unchecked_send", 2, _corrupt("ExternalCallReturn", 0),
+            "unbalanced call frames at end of trace", id="unbalanced-frames",
+        ),
+    ],
+)
+def test_corrupted_fixture_trace_raises_trace_mismatch(name, index, corrupt, message):
+    """A fixture trace replays cleanly; with one event corrupted, the
+    oracle raises TraceMismatch naming what does not fit."""
+    analysis, receipt = _fixture_trace(name, index)
+    assert receipt.status == "Accepted"
+    assert trace_oracle(receipt.trace, analysis, receipt.status)
+    with pytest.raises(TraceMismatch, match=message):
+        trace_oracle(corrupt(receipt.trace), analysis, receipt.status)

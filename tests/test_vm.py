@@ -733,7 +733,7 @@ def test_every_trace_event_has_a_reader():
     for _name, guarded, receipt, _world, _charges in _vm_runs():
         (full if guarded is None else checks).update(ev.kind for ev in receipt.trace)
     assert {"BlockEnter", "ExternalCallEnter", "ExternalCallReturn"} <= full
-    assert [k for k in sorted(full) if not hasattr(TraceOracle, f"_on_{k}")] == []
+    assert [k for k in sorted(full) if k not in TraceOracle._HANDLERS] == []
     assert checks == {"PathChecked", "Revert"}
 
 

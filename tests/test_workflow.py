@@ -168,6 +168,27 @@ def test_alarm_record_round_trips_through_json(scenario):
         assert AlarmRecord.from_json(json.loads(json.dumps(a.to_json())), bundle.config.mask) == a
 
 
+def test_mirror_must_share_the_guarded_world_addresses(visibility_setup, monkeypatch):
+    """A stream record is parsed once, against the guarded world, and its
+    transaction also runs on the mirror; so a mirror whose contracts sit at
+    other addresses is refused before any transaction runs."""
+    from pathguard import workflow
+
+    _scenario, bundle, snapshot = visibility_setup
+    guarded = protect(bundle, snapshot)
+    deploy_guarded = workflow.deploy_guarded
+
+    def shifted(g):
+        deployed = deploy_guarded(g)
+        deployed.addresses = {n: a + 1 for n, a in deployed.addresses.items()}
+        return deployed
+
+    monkeypatch.setattr(workflow, "deploy_guarded", shifted)
+    with pytest.raises(WorkflowError, match="mirror addresses"):
+        start_detection(guarded)
+    start_detection(guarded, mirror=False)
+
+
 def test_not_admin_rejected(visibility_setup):
     scenario, bundle, snapshot = visibility_setup
     guarded = protect(bundle, snapshot)
