@@ -73,8 +73,10 @@ ALARM_ENTRY_SLOT = 2  # word w of entry j sits at ALARM_ENTRY_SLOT + 3j + w
 
 
 class Layout:
-    """Reserved memory words, the top 14 + 2 * INTERNAL_DEPTH_LIMIT (142)
-    words of the address space."""
+    """Reserved memory words, the top 8 + 2 * INTERNAL_DEPTH_LIMIT (136)
+    words of the address space: seven fixed words, then the path
+    accumulators and the saved contexts. Guard sequences keep every other
+    working word on the operand stack."""
 
     def __init__(self, width: int):
         top = 1 << width
@@ -85,15 +87,9 @@ class Layout:
         self.mode = top - 4
         self.depth = top - 5
         self.retoff = top - 6  # return-data prefix words of the frame's last external call
-        self.tmp_n = top - 7
-        self.tmp_sel = top - 8
-        self.tmp_val = top - 9
-        self.tmp_addr = top - 10
-        self.tmp_slot = top - 11
-        self.tmp_x = top - 12
-        self.tmp_y = top - 13
+        self.tmp_slot = top - 7  # the ctx slot's word from before an unprotected call
         # path accumulators, one per internal depth 0 .. INTERNAL_DEPTH_LIMIT
-        self.epp_base = self.tmp_y - 1 - INTERNAL_DEPTH_LIMIT
+        self.epp_base = self.tmp_slot - 1 - INTERNAL_DEPTH_LIMIT
         self.ctxsave_base = self.epp_base - INTERNAL_DEPTH_LIMIT
         self.reserved_low = self.ctxsave_base
         self.reserved_range = (self.reserved_low, top)
@@ -256,10 +252,12 @@ def seq_checker(
 def seq_miss(code_id: int, config: Config) -> Asm:
     """Shared miss routine: consumes [combined, fid, fn_seed], IRETs [].
 
-    Accepts the pair when the dynamic mapping holds it
-    (SLOAD(mapping_slot) == combined + 1). Otherwise it sets the flag and
-    appends (code id, fid, combined) to the transient alarm buffer while it
-    holds fewer than ``ALARM_BUFFER_CAP`` entries.
+    Accepts the pair when the dynamic mapping holds it: SLOAD(mapping_slot)
+    is nonzero and equals combined + 1. An empty slot reads 0, which is
+    combined + 1 for the all-ones word, so that word always alarms; approval
+    cannot record it either (``mapping_value`` is 0). Otherwise the routine
+    sets the flag and appends (code id, fid, combined) to the transient
+    alarm buffer while it holds fewer than ``ALARM_BUFFER_CAP`` entries.
     """
     lay = Layout(config.width)
     a = Asm()
@@ -268,7 +266,8 @@ def seq_miss(code_id: int, config: Config) -> Asm:
     a.emit(Op.DUP, 3).emit(Op.XOR).push(mix_constant(config.width)).emit(Op.MUL)
     a.push(MAPPING_TAG & config.mask).emit(Op.XOR)
     a.emit(Op.SLOAD)  # [c, fid, stored]
-    a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)
+    a.emit(Op.DUP, 1).emit(Op.DUP, 4).push(1).emit(Op.ADD).emit(Op.EQ)
+    a.emit(Op.MUL)  # stored if stored == c + 1, else 0
     a.jumpi(done)  # in the mapping: accepted
     a.mstore_const(lay.flag, 1)
     a.push(ALARM_CNT_SLOT).emit(Op.TLOAD)  # [c, fid, count]
@@ -533,42 +532,45 @@ def _guard_revert(code_id: int, config: Config) -> Asm:
     buffer means a protected callee reached by CALL flagged and its entries
     stayed in its own account's buffer; that is reported as the pair of fid
     with the ``CALLEE_ALARM`` word.
+
+    The loop pushes the entries last first. Its one working word, q = 3 *
+    (entries left), stays on top: entry j = q / 3 - 1 holds word w at
+    ALARM_ENTRY_SLOT + 3j + w = q + ALARM_ENTRY_SLOT - 3 + w.
     """
-    lay = Layout(config.width)
     a = Asm()
     guard_marker = GUARD_MARKER & config.mask
     loop = Asm.fresh("rev")
-    done = Asm.fresh("revdone")
-    have = Asm.fresh("have")
-    a.push(ALARM_CNT_SLOT).emit(Op.TLOAD)  # [fid, count]
+
+    def entry_word(w: int, depth: int) -> None:
+        """Push word w of the entry below q, q being ``depth`` deep."""
+        a.emit(Op.DUP, depth)
+        off = ALARM_ENTRY_SLOT - 3 + w
+        if off:
+            a.push(abs(off)).emit(Op.ADD if off > 0 else Op.SUB)
+        a.emit(Op.TLOAD)
+
+    a.push(ALARM_CNT_SLOT).emit(Op.TLOAD).push(3).emit(Op.MUL)  # [fid, q]
     a.emit(Op.DUP, 1)
-    a.jumpi(have)
+    a.jumpi(loop)
     a.emit(Op.POP)
     a.push(CALLEE_ALARM & config.mask).emit(Op.SWAP, 1).push(code_id).emit(Op.ADDRESS)
     a.push(1)
     a.push(guard_marker)
     a.push(6)
     a.emit(Op.REVERT)
-    a.mark(have)
-    a.emit(Op.SWAP, 1).emit(Op.POP)  # [count]
-    a.emit(Op.DUP, 1).mstore(lay.tmp_y)  # count, for the payload head
-    a.mstore(lay.tmp_x)  # entries left to push, last first
-    a.mark(loop)
-    a.mload(lay.tmp_x).emit(Op.ISZERO)
-    a.jumpi(done)
-    a.mload(lay.tmp_x).push(1).emit(Op.SUB)
-    a.emit(Op.DUP, 1).mstore(lay.tmp_x)
-    a.push(3).emit(Op.MUL).push(ALARM_ENTRY_SLOT).emit(Op.ADD)  # [entry base]
-    a.emit(Op.DUP, 1).push(2).emit(Op.ADD).emit(Op.TLOAD)  # [base, combined]
-    a.emit(Op.SWAP, 1)  # [combined, base]
-    a.emit(Op.DUP, 1).push(1).emit(Op.ADD).emit(Op.TLOAD)  # [combined, base, fid]
-    a.emit(Op.SWAP, 1).emit(Op.TLOAD)  # [combined, fid, code id]
-    a.emit(Op.ADDRESS)  # [combined, fid, code id, addr]
-    a.jump(loop)
-    a.mark(done)
-    a.mload(lay.tmp_y)
+    a.mark(loop)  # [fid, entries after j..., q]
+    entry_word(1, 1)  # [q, fid]
+    entry_word(0, 2)  # [q, fid, code id]
+    a.emit(Op.ADDRESS)
+    entry_word(2, 4)  # [q, fid, code id, addr, combined]
+    a.emit(Op.SWAP, 4)  # [combined, fid, code id, addr, q]
+    a.push(3).emit(Op.SUB)
+    a.emit(Op.DUP, 1)
+    a.jumpi(loop)
+    a.emit(Op.POP)  # [fid, entries...]
+    a.push(ALARM_CNT_SLOT).emit(Op.TLOAD)
     a.push(guard_marker)
-    a.mload(lay.tmp_y).push(4).emit(Op.MUL).push(2).emit(Op.ADD)
+    a.emit(Op.DUP, 2).push(4).emit(Op.MUL).push(2).emit(Op.ADD)
     a.emit(Op.REVERT)
     return a
 
@@ -653,23 +655,23 @@ def seq_protected_call_pre(op: Op, site_gid: int, config: Config) -> Asm:
 
     Runs immediately before ``op`` with the stack at [args..., nargs,
     selector, addr] for DELEGATECALL and [args..., nargs, selector, value,
-    addr] for CALL; stashes the head words, injects the prefix, and restores
-    the head with nargs + 3.
+    addr] for CALL, and leaves [args..., site, ctx, MARKER, nargs + 3, ...]
+    with the head words as they were. Each pushed word reaches its place by
+    one SWAP.
     """
     lay = Layout(config.width)
-    if op is Op.CALL:
-        head = [lay.tmp_addr, lay.tmp_val, lay.tmp_sel, lay.tmp_n]
-    else:
-        head = [lay.tmp_addr, lay.tmp_sel, lay.tmp_n]
+    marker = CALL_MARKER & config.mask
     a = Asm()
-    for addr in head:
-        a.mstore(addr)
-    a.push(site_gid)
-    a.mload(lay.ctx)
-    a.push(CALL_MARKER & config.mask)
-    a.mload(lay.tmp_n).push(MARKER_WORDS).emit(Op.ADD)
-    for addr in reversed(head[:-1]):
-        a.mload(addr)
+    if op is Op.CALL:  # [n, sel, val, addr]
+        a.mload(lay.ctx).emit(Op.SWAP, 3)  # [n, ctx, val, addr, sel]
+        a.push(marker).emit(Op.SWAP, 3)  # [n, ctx, MARKER, addr, sel, val]
+        a.push(site_gid).emit(Op.SWAP, 6)  # [site, ctx, MARKER, addr, sel, val, n]
+        a.push(MARKER_WORDS).emit(Op.ADD).emit(Op.SWAP, 3)
+    else:  # [n, sel, addr]
+        a.push(site_gid).emit(Op.SWAP, 3)  # [site, sel, addr, n]
+        a.push(MARKER_WORDS).emit(Op.ADD)
+        a.mload(lay.ctx).emit(Op.SWAP, 3)  # [site, ctx, addr, n + 3, sel]
+        a.push(marker).emit(Op.SWAP, 3)
     return a
 
 
@@ -777,9 +779,8 @@ def seq_admin_body(config: Config) -> Asm:
     """Administration entry: append (slot, value) pairs, caller-gated.
 
     Calldata: [n, slot1, value1, ..., slotN, valueN], built by
-    ``admin_calldata``.
+    ``admin_calldata``. The loop keeps [pairs left, cursor] on the stack.
     """
-    lay = Layout(config.width)
     a = Asm()
     ok = Asm.fresh("adm_ok")
     loop = Asm.fresh("adm_loop")
@@ -788,16 +789,15 @@ def seq_admin_body(config: Config) -> Asm:
     a.jumpi(ok)
     a.push(0).emit(Op.REVERT)
     a.mark(ok)
-    a.push(0).emit(Op.CALLDATALOAD).mstore(lay.tmp_x)  # remaining
-    a.mstore_const(lay.tmp_y, 1)  # cursor
+    a.push(0).emit(Op.CALLDATALOAD).push(1)  # [left, cursor]
     a.mark(loop)
-    a.mload(lay.tmp_x).emit(Op.ISZERO)
+    a.emit(Op.DUP, 2).emit(Op.ISZERO)
     a.jumpi(done)
-    a.mload(lay.tmp_y).push(1).emit(Op.ADD).emit(Op.CALLDATALOAD)  # value
-    a.mload(lay.tmp_y).emit(Op.CALLDATALOAD)  # slot
+    a.emit(Op.DUP, 1).push(1).emit(Op.ADD).emit(Op.CALLDATALOAD)  # value
+    a.emit(Op.DUP, 2).emit(Op.CALLDATALOAD)  # slot
     a.emit(Op.SSTORE)
-    a.mload(lay.tmp_y).push(2).emit(Op.ADD).mstore(lay.tmp_y)
-    a.mload(lay.tmp_x).push(1).emit(Op.SUB).mstore(lay.tmp_x)
+    a.push(2).emit(Op.ADD)
+    a.emit(Op.SWAP, 1).push(1).emit(Op.SUB).emit(Op.SWAP, 1)
     a.jump(loop)
     a.mark(done)
     a.emit(Op.STOP)

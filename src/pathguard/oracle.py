@@ -133,7 +133,7 @@ class TraceOracle:
     def _term_step(iframe: _IFrame, where: str) -> tuple[int, int]:
         """(edge value, offset) of the one terminator edge leaving the
         function's current vertex."""
-        term = iframe.steps[iframe.vertex].get("term")
+        term = None if iframe.vertex is None else iframe.steps[iframe.vertex].get("term")
         if term is None:
             raise TraceMismatch(f"{iframe.cfg.fn_name}: {where}")
         return term
@@ -266,6 +266,10 @@ class TraceOracle:
             return
         # restore the ctx slot if this was an unprotected-site call
         if not self.analysis.site_protected(caller.code, ev.fn, ev.offset):
+            if not caller.slot_saves:
+                raise TraceMismatch(
+                    f"return at offset {ev.offset} with no unprotected call in flight"
+                )
             addr, prev = caller.slot_saves.pop()
             self.slots[addr] = prev
         # virtual branch on the success flag

@@ -39,6 +39,7 @@ from .pathset import mapping_slot, mapping_value
 from .pathset import build_mpht
 from .program import ContractProgram, validate_program
 from .vm import (
+    Account,
     Receipt,
     STATUS_ACCEPTED,
     STATUS_REVERTED,
@@ -546,16 +547,29 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
     inner = status != STATUS_GUARD_REVERTED
     alarms = [_enrich_alarm(run, index, raw, inner) for raw in raws]
     gas_orig = None
-    if run.mirror is not None and status == STATUS_ACCEPTED and not alarms:
-        # alarmed-but-accepted txs had a protected region rolled back; they
-        # are not behavior-equivalent, so the mirror skips them
-        mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(tx)
-        gas_orig = mirror_receipt.gas_used
-        _reconcile(run, index, receipt, points, gas_orig)
+    if run.mirror is not None and status == STATUS_ACCEPTED:
+        if alarms:
+            # a protected region was rolled back: not behavior-equivalent,
+            # so the mirror does not run it but takes the state it committed
+            _sync_mirror(run)
+        else:
+            mirror_receipt = VM(run.mirror.world, TRACE_NONE).execute_transaction(tx)
+            gas_orig = mirror_receipt.gas_used
+            _reconcile(run, index, receipt, points, gas_orig)
     outcome = TxOutcome(index, status, receipt.gas_used, gas_orig, alarms, receipt)
     run.outcomes.append(outcome)
     run.alarm_log.extend(alarms)
     return outcome
+
+
+def _sync_mirror(run: DetectionRun) -> None:
+    """Copy every account's balance and storage from the guarded world into
+    the mirror, which keeps its original programs."""
+    mirror = run.mirror.world
+    for addr, acct in run.deployed.world.accounts.items():
+        mine = mirror.accounts.get(addr)
+        code = mine.code if mine else None
+        mirror.accounts[addr] = Account(acct.balance, dict(acct.storage), code)
 
 
 def guard_verdict(guarded: GuardedBundle, receipt: Receipt) -> tuple[str, list[RawAlarm]]:

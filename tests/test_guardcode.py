@@ -23,6 +23,8 @@ from pathguard.guardcode import (
     Asm,
     Layout,
     RawAlarm,
+    _guard_revert,
+    admin_calldata,
     band_split,
     check_gas,
     checker_pool,
@@ -32,6 +34,7 @@ from pathguard.guardcode import (
     flatten,
     icall_ctx,
     iret_ctx,
+    seq_admin_body,
     seq_arith_check,
     seq_check_fragment,
     seq_checker,
@@ -41,6 +44,7 @@ from pathguard.guardcode import (
     seq_icall_pre,
     seq_miss,
     seq_prologue,
+    seq_protected_call_pre,
     seq_unprotected_call_pre,
     slot_encode,
 )
@@ -65,12 +69,13 @@ from pathguard.vm import Transaction, VM, WorldState, deploy
 
 def _execute(
     items, calldata, width=64, pool=None, extra_fns=None, storage=None, selectors=None,
-    points=None,
+    points=None, origin=1, balance=0,
 ):
-    """Run one tx into a probe function made of ``items``; ``extra_fns`` take
-    function ids 1, 2, ... and ``selectors`` maps selectors to the external
-    ones; ``points`` are the VM's gas points of the contract. Returns the
-    receipt, the world and the address."""
+    """Run one tx from ``origin`` into a probe function made of ``items``;
+    ``extra_fns`` take function ids 1, 2, ... and ``selectors`` maps
+    selectors to the external ones; ``points`` are the VM's gas points of
+    the contract, which holds ``balance``. Returns the receipt, the world
+    and the address."""
     config = Config(width=width)
     fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(items, base=0))]
     if extra_fns:
@@ -81,9 +86,11 @@ def _execute(
     addr = deploy(world, prog, 0xD0)
     for slot, val in (storage or {}).items():
         world.sstore(addr, slot, val)
+    if balance:
+        world.set_balance(addr, balance)
     world.commit(0)
     vm = VM(world, gas_points=points and {"t": points})
-    receipt = vm.execute_transaction(Transaction(1, addr, 0x7, calldata))
+    receipt = vm.execute_transaction(Transaction(origin, addr, 0x7, calldata))
     return receipt, world, addr
 
 
@@ -207,17 +214,11 @@ def test_mpht_checker_constant_gas_across_sizes():
     assert len(set(gases)) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="seq_miss accepts a pair when SLOAD(slot) == combined + 1; for combined "
-    "= 2**width - 1 the sum wraps to 0, the value of an absent slot, so the all-ones "
-    "word passes an empty mapping without an alarm",
-)
 def test_all_ones_combined_alarms_on_an_empty_mapping():
-    """Known defect (README, "Known limitations"): combined = 2**width - 1,
-    never approved, goes through an empty list's checker into the miss
-    routine and must alarm at every width."""
+    """combined = 2**width - 1, never approved, goes through an empty list's
+    checker into the miss routine and alarms at every width: its key + 1
+    wraps to 0, the word of an empty slot, and the routine accepts only a
+    nonzero stored word."""
     accepted = [
         width
         for width in (8, 16, 32, 64)
@@ -466,14 +467,14 @@ EXIT_FN = 5  # the external function whose exit the stub closes
 ACCEPT_FID = 2  # a checker that accepts every pair
 
 
-def _run_exit(mode, flag, entries):
+def _run_exit(mode, flag, entries, width=64):
     """Close a frame entered in ``mode`` with ``flag`` through an external
     exit stub over the values [0xA1, 0xA2] (n = 2), the transient alarm
     buffer holding ``entries``; the stub reaches the exit routine as
     function SLOW_FID. Returns (receipt, world, addr); the VM traces at
     TRACE_FULL, so the trace shows every ICALL."""
-    config = Config()
-    lay = Layout(64)
+    config = Config(width=width)
+    lay = Layout(width)
     a = _with_alarms(entries).mstore_const(lay.mode, mode).mstore_const(lay.flag, flag)
     a.push(0xA1).push(0xA2).push(2)
     a.extend(seq_external_epilogue(EXIT_FN, ACCEPT_FID, SLOW_FID, 1, lay))
@@ -481,7 +482,7 @@ def _run_exit(mode, flag, entries):
     fns = _slow_fn(seq_exit_routine(CODE_ID, config)) + [
         FunctionDef(ACCEPT_FID, "accept", Visibility.INTERNAL, flatten(accept.items, base=0))
     ]
-    return _execute(a.items, [], extra_fns=fns)
+    return _execute(a.items, [], width, extra_fns=fns)
 
 
 def _routine_calls(receipt):
@@ -637,6 +638,138 @@ def test_callee_entries_land_in_executing_account_buffer(op):
     assert [(a.contract, a.code_id, a.fn, a.combined) for a in alarms] == [
         (addr, *expected)
     ]
+
+
+# -- sequences that keep their working words on the stack -----------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), width=WIDTHS)
+def test_guard_revert_payload_decodes_to_the_buffer(data, width):
+    """A flagged boundary exit reverts with the whole alarm buffer, 0 to
+    ``ALARM_BUFFER_CAP`` entries, and the payload decodes to it in append
+    order; an empty buffer reports the sentinel pair of the exiting
+    function."""
+    config = Config(width=width)
+    word = _word(width)
+    entries = data.draw(st.lists(st.tuples(word, word, word), max_size=ALARM_BUFFER_CAP))
+    receipt, _world, addr = _run_exit(MODE_BOUNDARY, 1, entries, width)
+    assert receipt.status == "Reverted", receipt
+    reported = entries or [(CODE_ID, EXIT_FN, CALLEE_ALARM & config.mask)]
+    assert receipt.return_data == [GUARD_MARKER & config.mask, len(reported)] + [
+        w for entry in reported for w in (addr, *entry)
+    ]
+    alarms = decode_guard_revert(receipt.return_data, width)
+    assert alarms == [RawAlarm(addr, *entry) for entry in reported]
+
+
+RECORDER_FID, RECORDER_SELECTOR = 1, 0x9  # the protected call's callee
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=WIDTHS, op=st.sampled_from([Op.CALL, Op.DELEGATECALL]))
+def test_protected_call_prefix_reaches_the_callee(data, width, op):
+    """Through seq_protected_call_pre, the callee is reached by the call's
+    own selector and value and reads [MARKER, ctx, site, *args] as its
+    calldata; the stack below the call is untouched."""
+    config = Config(width=width)
+    lay = Layout(width)
+    word = _word(width)
+    args = data.draw(st.lists(word, max_size=4))
+    ctx, site = data.draw(word), data.draw(st.integers(0, min(config.mask, 200)))
+    value = data.draw(st.integers(0, 50)) if op is Op.CALL else 0
+    seen = len(args) + MARKER_WORDS  # calldata words the recorder returns
+    recorder = Asm()
+    for i in reversed(range(seen)):
+        recorder.push(i).emit(Op.CALLDATALOAD)
+    recorder.emit(Op.CALLVALUE).emit(Op.CALLDATASIZE).push(seen + 2).emit(Op.RETURN)
+    a = Asm().mstore_const(lay.ctx, ctx).push(SENTINEL & config.mask)
+    for arg in reversed(args):
+        a.push(arg)
+    a.push(len(args)).push(RECORDER_SELECTOR)
+    if op is Op.CALL:
+        a.push(value)
+    a.emit(Op.ADDRESS).extend(seq_protected_call_pre(op, site, config)).emit(op)
+    for i in reversed(range(seen + 2)):
+        a.push(i).emit(Op.RETURNDATALOAD)
+    a.push(seen + 4).emit(Op.RETURN)
+    fns = [FunctionDef(RECORDER_FID, "rec", Visibility.EXTERNAL, flatten(recorder.items, 0))]
+    receipt, _world, _addr = _execute(
+        a.items, [], width, extra_fns=fns, selectors={RECORDER_SELECTOR: RECORDER_FID},
+        balance=value,
+    )
+    assert receipt.status == "Accepted", receipt
+    assert receipt.return_data == [
+        seen, value, CALL_MARKER & config.mask, ctx, site, *args, 1, SENTINEL & config.mask
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), width=WIDTHS)
+def test_admin_body_stores_exactly_the_admin_pairs(data, width):
+    """The administration entry stores each (slot, value) of
+    ``admin_calldata``, a later pair winning a shared slot, and nothing
+    else; any caller but the admin reverts and stores nothing."""
+    config = Config(width=width)
+    word = _word(width)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 40), word), max_size=5))
+    want = {}
+    for fid, key in pairs:
+        want[mapping_slot(fid, key, config)] = mapping_value(key, width)
+    items = seq_admin_body(config).items
+    calldata = admin_calldata(pairs, config)
+    for origin in (config.admin, data.draw(word.filter(lambda w: w != config.admin))):
+        receipt, world, addr = _execute(items, calldata, width, origin=origin)
+        storage = world.accounts[addr].storage
+        if origin == config.admin:
+            assert receipt.status == "Accepted", receipt
+            assert storage == {slot: v for slot, v in want.items() if v}
+        else:
+            assert receipt.status == "Reverted", receipt
+            assert storage == {}
+
+
+def _memory_ops(items: list[tuple]) -> list[tuple[Op, int | None]]:
+    """(MLOAD | MSTORE, the constant address pushed just before it, or None)."""
+    ops = []
+    for pos, item in enumerate(items):
+        if item[0] == "i" and item[1].op in (Op.MLOAD, Op.MSTORE):
+            prev = items[pos - 1][1] if pos else None
+            addr = prev.imm if prev is not None and prev.op is Op.PUSH else None
+            ops.append((item[1].op, addr))
+    return ops
+
+
+@pytest.mark.parametrize("width", [8, 64])
+def test_call_prefix_admin_and_guard_revert_keep_no_scratch_memory(width):
+    """The protected-call prefix, the administration loop and the guard
+    revert keep their working words on the stack: the prefix reads the ctx
+    word and nothing else of memory; the other two touch no memory."""
+    config = Config(width=width)
+    lay = Layout(width)
+    for op in (Op.CALL, Op.DELEGATECALL):
+        assert _memory_ops(seq_protected_call_pre(op, 3, config).items) == [
+            (Op.MLOAD, lay.ctx)
+        ]
+    assert _memory_ops(seq_admin_body(config).items) == []
+    assert _memory_ops(_guard_revert(CODE_ID, config).items) == []
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_layout_reserves_seven_words_and_two_depth_arrays(width):
+    """The guard reserves 8 + 2 * INTERNAL_DEPTH_LIMIT (136) words at the top
+    of memory: seven fixed words, the path accumulators of depths 0 to
+    INTERNAL_DEPTH_LIMIT and the saved contexts of depths 0 to
+    INTERNAL_DEPTH_LIMIT - 1, none shared."""
+    lay = Layout(width)
+    top = 1 << width
+    fixed = [lay.ctx, lay.flag, lay.cdoff, lay.mode, lay.depth, lay.retoff, lay.tmp_slot]
+    epp = [lay.epp_base + d for d in range(INTERNAL_DEPTH_LIMIT + 1)]
+    ctxsave = [lay.ctxsave_base + d for d in range(INTERNAL_DEPTH_LIMIT)]
+    words = fixed + epp + ctxsave
+    assert len(set(words)) == len(words) == 8 + 2 * INTERNAL_DEPTH_LIMIT == 136
+    assert lay.reserved_range == (min(words), top) == (top - 136, top)
+    assert max(words) == top - 1
 
 
 # -- context words: each Python mirror against its emitted sequence ---------------

@@ -508,7 +508,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "b561c0e91b0233fb9c107a97cc5238003b2602ced4477bb6bf16c92e52561ffa"
+        "b3b96fa79ba13867b61ac9d480dde495a6b6d48ef18722663527735a2f8b810f"
     )
 
 
@@ -864,7 +864,7 @@ def test_empty_snapshot_output_pinned():
                 assert entry.pop("hits") == []
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "e6acd48e250c6c6b39026e30595cba0b84b0efec42acc493c81468ff46e09ce6"
+        "502d7fe9cd5943e1c19eba2ce3017da5f53e232f75e5e698661d10b103b40935"
     )
 
 

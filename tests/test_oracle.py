@@ -397,6 +397,18 @@ def _corrupt(of_kind: str, nth: int, **changes):
             "unchecked_send", 2, _corrupt("ExternalCallReturn", 0),
             "unbalanced call frames at end of trace", id="unbalanced-frames",
         ),
+        pytest.param(
+            # the return to the proxy's protected site read as one from an
+            # unprotected site, which left no ctx slot word to restore
+            "delegatecall", 1, _corrupt("ExternalCallReturn", 0, offset=999),
+            "return at offset 999 with no unprotected call in flight",
+            id="callret-without-unprotected-call",
+        ),
+        pytest.param(
+            # a CallReturn before the callee entered its first block
+            "visibility", 1, _corrupt("BlockEnter", 2, kind="CallReturn"),
+            "CallReturn away from IRET", id="callreturn-before-first-block",
+        ),
     ],
 )
 def test_corrupted_fixture_trace_raises_trace_mismatch(name, index, corrupt, message):

@@ -306,5 +306,5 @@ def test_estimate_gas_pinned():
                     row = str(exc)
                 h.update(repr((width, strategy, n, row)).encode())
     assert h.hexdigest() == (
-        "fee775982a7f62b13f1f669064b96dea5faee5ac21afd5d1c0bed00404752a37"
+        "1ecacbc4990d7359e3b6e9f68ef9e0f06aab6296f8829a4d1f37471243f2bc9c"
     )

@@ -721,7 +721,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "43685f13c2f36359bf00a6d5e263306a7c68b4a49e9dd9c8320dd8047207af6c"
+        "04fbe89d6effff4a3f08a3ebfe0ba1d36fca83a30a56e28cc246d9b16ab726d8"
     )
 
 

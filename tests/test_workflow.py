@@ -9,12 +9,14 @@ from pathguard.fixtures import (
     DELEGATECALL,
     DETECTION_SCENARIOS,
     REENTRANCY,
+    TX_ORIGIN,
     VISIBILITY,
     by_name,
 )
-from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER
+from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER, Layout
 from pathguard.isa import Op
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
+from pathguard.pathset import mapping_slot
 from pathguard.program import ValidationError
 from pathguard.vm import TRACE_FULL, TRACE_NONE, VM, WorldState
 from pathguard.workflow import (
@@ -187,6 +189,41 @@ def test_mirror_must_share_the_guarded_world_addresses(visibility_setup, monkeyp
     with pytest.raises(WorkflowError, match="mirror addresses"):
         start_detection(guarded)
     start_detection(guarded, mirror=False)
+
+
+def _state_outside_mappings(world: WorldState, skip: dict[int, set[int]]) -> dict:
+    """Every account's balance and its storage but the ``skip`` slots."""
+    return {
+        addr: (acct.balance, {k: v for k, v in acct.storage.items() if k not in skip.get(addr, ())})
+        for addr, acct in world.accounts.items()
+    }
+
+
+@pytest.mark.parametrize("scenario", [REENTRANCY, TX_ORIGIN], ids=lambda s: s.name)
+def test_mirror_keeps_step_with_the_guarded_world(scenario):
+    """An attack that alarms inside a region but is Accepted commits on the
+    guarded world, so the mirror takes its state over: after every tx of a
+    test sequence, both worlds hold the same balances and the same storage
+    outside the guard's mapping slots."""
+    bundle = scenario.bundle()
+    guarded = protect(bundle, train(bundle, scenario.training))
+    records, _alarm_index = scenario.test_sequence(random.Random(1), 100)
+    run = start_detection(guarded)
+    config = bundle.config
+    skip = {
+        run.deployed.addresses[name]: {
+            mapping_slot(fid, key, config) for fid, key in inst.plan.preseed
+        }
+        for name, inst in guarded.instrumented.items()
+    }
+    alarmed_accepted = 0
+    for index, record in enumerate(records):
+        outcome = run_transaction(run, record)
+        alarmed_accepted += outcome.status == "Accepted" and bool(outcome.alarms)
+        assert _state_outside_mappings(run.mirror.world, skip) == _state_outside_mappings(
+            run.deployed.world, skip
+        ), index
+    assert alarmed_accepted  # the sequence holds a tx the mirror used to skip
 
 
 def test_not_admin_rejected(visibility_setup):
@@ -509,6 +546,60 @@ def test_forged_marker_prefix_gains_a_direct_attack_nothing(scenario):
     assert plain_alarmed
     assert forged_alarmed
     assert forged_world == plain_world
+
+
+BOX_SRC = """
+contract box {
+  fn put external selector=0x31 {
+    PUSH 1
+    CALLDATALOAD
+    PUSH 2
+    CALLDATALOAD
+    MSTORE
+    PUSH 0
+    CALLDATALOAD
+    JUMPI keep
+    STOP
+  keep: JUMPDEST
+    PUSH 1
+    PUSH 0
+    SSTORE
+    STOP
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "guard_word",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="original code can store to any computed memory address, guard "
+                "words included; only literal pushes are refused (ROADMAP item 11)",
+            ),
+        ),
+    ],
+    ids=["plain-address", "mode-word"],
+)
+def test_original_code_cannot_reach_guard_memory(guard_word):
+    """``box.put`` stores calldata[1] at the memory address calldata[2] and
+    writes storage only when calldata[0] is set, a path training never took.
+    Taking that path guard-reverts and keeps storage empty, also when the
+    stored word lands on the guard's mode word: setting it to marker mode
+    must not turn the guard revert into a marker return."""
+    bundle = Bundle.from_json({"contracts": [{"source": BOX_SRC}]})
+    put = {"origin": 1, "to": "box", "fn": "put"}
+    guarded = protect(bundle, train(bundle, [dict(put, calldata=[0, 7, 5])]))
+    run = start_detection(guarded, mirror=False)
+    address = Layout(bundle.config.width).mode if guard_word else 5
+    outcome = run_transaction(run, dict(put, calldata=[1, 1, address]))
+    assert (outcome.status, len(outcome.alarms)) == ("GuardReverted", 1)
+    assert run.deployed.world.accounts[run.deployed.addresses["box"]].storage == {}
 
 
 @pytest.mark.parametrize(
