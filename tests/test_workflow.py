@@ -223,7 +223,7 @@ def test_mirror_keeps_step_with_the_guarded_world(scenario):
         assert _state_outside_mappings(run.mirror.world, skip) == _state_outside_mappings(
             run.deployed.world, skip
         ), index
-    assert alarmed_accepted  # the sequence holds a tx the mirror used to skip
+    assert alarmed_accepted  # the sequence holds a tx the mirror does not run
 
 
 def test_not_admin_rejected(visibility_setup):
