@@ -75,7 +75,7 @@ class BundleAnalysis:
 
     def marker_rows(self, contract: str, fid: int) -> dict[int, tuple[int, bool]]:
         """Site gid -> (call edge value, via surrogate) for every call edge
-        that can enter this function with a marker: the prologue's rows."""
+        that can enter this function with a marker: ``guardcode.seq_entry``'s rows."""
         return self.rows.get((contract, fid), {})
 
     def site_protected(self, contract: str, fid: int, off: int) -> bool:

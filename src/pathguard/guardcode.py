@@ -5,7 +5,8 @@ exactly once, as both a Python function (used by the trace oracle and the
 alarm decoder) and an emitted instruction sequence (used by the rewriter),
 each next to the other: the combined word (``combined_word``,
 ``seq_check_fragment``), the context bands of an external entry
-(``entry_ctx``, ``seq_prologue``), the context across an internal call
+(``entry_ctx``; the contract's ``seq_enter_routine``, which each external
+function's ``seq_entry`` calls), the context across an internal call
 (``icall_ctx``/``iret_ctx``, ``seq_icall_pre``/``seq_icall_post``) and the
 ctx slot (``slot_encode``, ``seq_unprotected_call_pre``). Hashes and
 membership mirror ``pathset``. Cross-validation tests run the emitted
@@ -311,11 +312,13 @@ def checker_pool(spec: ListSpec | MphtSpec, width: int) -> list[int]:
 
 
 class SlowPaths(NamedTuple):
-    """Function ids of a contract's shared slow paths, reached only on an
-    exit that is not a clean boundary exit, or on a check miss."""
+    """Function ids of a contract's shared routines: the slow paths, reached
+    only on an exit that is not a clean boundary exit or on a check miss,
+    and the caller classification of every external entry."""
 
     exit: int
     miss: int
+    enter: int
 
 
 def combined_word(ctx: int, num_paths: int, epp: int, width: int) -> int:
@@ -348,17 +351,6 @@ def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
 # ones.
 
 
-def band_foreign(num_ccs: int, width: int) -> int:
-    """Entry context of a markerless call from some contract."""
-    return num_ccs & ((1 << width) - 1)
-
-
-def reentry_offset(num_ccs: int, width: int) -> int:
-    """What a reentrant entry adds to the ctx-slot word: the slot's decoding
-    (-1, see ``slot_encode``) and the 2N band shift, folded."""
-    return (2 * num_ccs - 1) & ((1 << width) - 1)
-
-
 def entry_ctx(
     num_ccs: int,
     rows: dict[int, tuple[int, bool]],
@@ -367,22 +359,22 @@ def entry_ctx(
     slot: int,
     direct: bool,
 ) -> int:
-    """The ctx ``seq_prologue`` sets on an external entry at depth 0.
+    """The ctx an external entry at depth 0 takes: ``seq_enter_routine``'s,
+    through the function's rows in ``seq_entry``.
 
     ``marker`` is the (ctx base, site gid) a marker prefix carries, or None;
     ``slot`` is the ctx slot's content and ``direct`` whether CALLER is
     ORIGIN. A marker entry takes ``icall_ctx`` of the base through the
-    site's row, or the base alone when no row names the site.
+    site's row, or the base alone when no row names the site. A reentrant
+    one decodes the slot (-1, see ``slot_encode``) and shifts it by 2N.
     """
     if marker is not None:
         base, gid = marker
         row = rows.get(gid)
         return base if row is None else icall_ctx(base, *row, width)
     if slot:
-        return (slot + reentry_offset(num_ccs, width)) & ((1 << width) - 1)
-    if direct:
-        return 0
-    return band_foreign(num_ccs, width)
+        return (slot + 2 * num_ccs - 1) & ((1 << width) - 1)
+    return 0 if direct else num_ccs & ((1 << width) - 1)
 
 
 def band_split(ctx: int, num_ccs: int) -> tuple[int, bool, int]:
@@ -393,76 +385,78 @@ def band_split(ctx: int, num_ccs: int) -> tuple[int, bool, int]:
     return depth, bool(foreign), base
 
 
-def seq_prologue(
-    num_ccs: int,
-    entry_epp: int,
-    rows: dict[int, tuple[int, bool]],
-    config: Config,
-    icall_target: bool = False,
-) -> Asm:
-    """External-function wrapper entry: classify the caller, set ctx/mode
-    (``entry_ctx``).
-
-    rows: site gid -> (edge value, via_surrogate) for every call edge that
-    can reach this function with a marker. An ``icall_target``, which some
-    ICALL enters too, skips the classification below depth 0, keeping the
-    ctx the caller's ICALL set, and always stores its entry value.
+def seq_enter_routine(config: Config) -> Asm:
+    """Shared entry routine: consumes [N], IRETs []; sets ctx, mode and cdoff
+    (``entry_ctx``) for a function with N = NumCCs contexts. A marker entry
+    takes ctx = base, which the calling ``seq_entry`` fixes through the
+    function's rows; a set ctx slot means reentry through an unprotected
+    call; the rest take the band N * (CALLER != ORIGIN) without a branch.
     """
     lay = Layout(config.width)
     a = Asm()
-    l_mark = Asm.fresh("mark")
-    l_reentrant = Asm.fresh("reentrant")
-    l_direct = Asm.fresh("direct")
-    l_done = Asm.fresh("entry_done")
-
-    if icall_target:
-        a.mload(lay.depth)
-        a.jumpi(l_done)
+    l_mark, l_reentrant = Asm.fresh("mark"), Asm.fresh("reentrant")
     a.emit(Op.CALLDATASIZE).push(MARKER_WORDS).emit(Op.LT).emit(Op.ISZERO)
     a.push(0).emit(Op.CALLDATALOAD).push(CALL_MARKER & config.mask).emit(Op.EQ)
-    a.emit(Op.AND)
-    a.jumpi(l_mark)
-    # markerless: a set ctx slot means reentry through an unprotected call
-    a.push(CTX_SLOT).emit(Op.TLOAD)
-    a.emit(Op.DUP, 1)
+    a.emit(Op.AND).jumpi(l_mark)
+    a.push(CTX_SLOT).emit(Op.TLOAD).emit(Op.DUP, 1)  # [N, slot, slot]
     a.jumpi(l_reentrant)
-    a.emit(Op.POP)
-    a.emit(Op.CALLER).emit(Op.ORIGIN).emit(Op.EQ)
-    a.jumpi(l_direct)
-    a.mstore_const(lay.ctx, band_foreign(num_ccs, config.width))
-    a.jump(l_done)
-    a.mark(l_direct)  # direct band: ctx stays 0
-    a.jump(l_done)
-    a.mark(l_reentrant)
-    a.push(reentry_offset(num_ccs, config.width)).emit(Op.ADD)
-    a.mstore(lay.ctx)
-    a.mstore_const(lay.mode, MODE_REENTRANT)
-    a.jump(l_done)
+    a.emit(Op.POP).emit(Op.CALLER).emit(Op.ORIGIN).emit(Op.EQ).emit(Op.ISZERO)
+    a.emit(Op.MUL).mstore(lay.ctx).emit(Op.IRET)
+    a.mark(l_reentrant)  # slot + 2N - 1
+    a.emit(Op.DUP, 2).emit(Op.ADD).emit(Op.ADD).push(1).emit(Op.SUB).mstore(lay.ctx)
+    a.mstore_const(lay.mode, MODE_REENTRANT).emit(Op.IRET)
     a.mark(l_mark)
-    # marker entry: ctx = base + val(site -> this fn); surrogate rows replace
-    a.push(2).emit(Op.CALLDATALOAD)  # [site]
-    l_sum = Asm.fresh("sum")
-    for gid, (val, via_surrogate) in sorted(rows.items()):
-        nxt = Asm.fresh("nxt")
-        a.emit(Op.DUP, 1).push(gid).emit(Op.EQ).emit(Op.ISZERO)
-        a.jumpi(nxt)
-        a.emit(Op.POP)
-        if via_surrogate:
-            a.push(val & config.mask)
-        else:
-            a.push(1).emit(Op.CALLDATALOAD).push(val & config.mask).emit(Op.ADD)
-        a.jump(l_sum)
-        a.mark(nxt)
-    a.emit(Op.POP)
-    a.push(1).emit(Op.CALLDATALOAD)  # unknown site: base alone
-    a.mark(l_sum)
-    a.mstore(lay.ctx)
+    a.emit(Op.POP).push(1).emit(Op.CALLDATALOAD).mstore(lay.ctx)
     a.mstore_const(lay.cdoff, MARKER_WORDS)
-    a.mstore_const(lay.mode, MODE_MARKER)
-    a.mark(l_done)
+    return a.mstore_const(lay.mode, MODE_MARKER).emit(Op.IRET)
+
+
+def seq_entry(
+    num_ccs: int, entry_epp: int, rows: dict[int, tuple[int, bool]], enter_fid: int,
+    config: Config, icall_target: bool = False,
+) -> Asm:
+    """External-function wrapper entry: ICALL the shared entry routine, fix a
+    marker entry's ctx through the function's rows (``entry_ctx``), store
+    the entry value.
+
+    rows: site gid -> (edge value, via_surrogate) for every call edge that
+    can reach this function with a marker. An ``icall_target``, which some
+    ICALL enters too, skips all but the store below depth 0, keeping the ctx
+    the caller's ICALL set, and always stores its entry value.
+    """
+    lay = Layout(config.width)
+    a = Asm()
+    l_done = Asm.fresh("entry_done")
+    if icall_target:
+        a.mload(lay.depth).jumpi(l_done)
+    a.push(num_ccs & config.mask).emit(Op.ICALL, enter_fid)
+    if rows:
+        a.mload(lay.mode).push(MODE_MARKER).emit(Op.XOR).jumpi(l_done)
+        a.push(2).emit(Op.CALLDATALOAD)  # [site]
+        l_sum = Asm.fresh("sum")
+        *head, last = sorted(rows.items())
+        for gid, row in head:
+            nxt = Asm.fresh("nxt")
+            a.emit(Op.DUP, 1).push(gid).emit(Op.XOR).jumpi(nxt).emit(Op.POP)
+            _row_ctx(a, row, lay, config).jump(l_sum).mark(nxt)
+        a.push(last[0]).emit(Op.XOR).jumpi(l_done)  # an unknown site keeps base
+        _row_ctx(a, last[1], lay, config)
+        if head:
+            a.mark(l_sum)
+        a.mstore(lay.ctx)
+    if rows or icall_target:
+        a.mark(l_done)
     if entry_epp or icall_target:
         a.epp_set(lay, entry_epp)  # an ICALL enters deeper than depth 0
     return a
+
+
+def _row_ctx(a: Asm, row: tuple[int, bool], lay: Layout, config: Config) -> Asm:
+    """Push a marker entry's ctx through ``row`` (``icall_ctx``): its value,
+    plus the base the entry routine left in ctx unless it is a surrogate's."""
+    val, via_surrogate = row
+    a.push(val & config.mask)
+    return a if via_surrogate else a.mload(lay.ctx).emit(Op.ADD)
 
 
 def seq_external_epilogue(

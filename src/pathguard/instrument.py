@@ -34,12 +34,13 @@ from .guardcode import (
     seq_check_fragment,
     seq_checker,
     seq_admin_body,
+    seq_enter_routine,
+    seq_entry,
     seq_exit_routine,
     seq_external_epilogue,
     seq_icall_post,
     seq_icall_pre,
     seq_miss,
-    seq_prologue,
     seq_protected_call_pre,
     seq_protected_call_post,
     seq_unprotected_call_pre,
@@ -223,7 +224,7 @@ class _Rewriter:
         count = len(prog.functions)
         checker_fid = {fn.id: count + i for i, fn in enumerate(prog.functions)}
         admin_fid = 2 * count
-        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2)
+        self.slow = SlowPaths(admin_fid + 1, admin_fid + 2, admin_fid + 3)
 
         new_functions: list[FunctionDef] = []
         owners: list[list[int]] = []
@@ -265,13 +266,14 @@ class _Rewriter:
             )
         )
 
-        # one copy per contract of each slow path, in SlowPaths order
+        # one copy per contract of each shared routine, in SlowPaths order
         shared = {
-            EXIT_FN_NAME: seq_exit_routine(self.code_id, config),
-            "__guard_miss": seq_miss(self.code_id, config),
+            EXIT_FN_NAME: (POINT_CHECK, seq_exit_routine(self.code_id, config)),
+            "__guard_miss": (POINT_CHECK, seq_miss(self.code_id, config)),
+            "__guard_enter": (POINT_WRAPPER, seq_enter_routine(config)),
         }
-        for fid, (name, seq) in zip(self.slow, shared.items()):
-            pid = self.point(POINT_CHECK, (name, "shared"))
+        for fid, (name, (kind, seq)) in zip(self.slow, shared.items()):
+            pid = self.point(kind, (name, "shared"))
             new_functions.append(
                 self._guard_function(fid, name, Visibility.INTERNAL, seq, pid, owners)
             )
@@ -359,14 +361,10 @@ class _Rewriter:
         if external:
             num_ccs = analysis.num_ccs(name, fn.id)
             rows = analysis.marker_rows(name, fn.id)
-            pid = self.point(
-                POINT_WRAPPER,
-                (fn.name, 0),
-                cases="marker/direct/foreign/reentrant",
-                num_ccs=num_ccs,
-            )
+            pid = self.point(POINT_WRAPPER, (fn.name, 0), num_ccs=num_ccs, rows=len(rows))
             inner = fn.id in self.icall_targets
-            add(before, 0, seq_prologue(num_ccs, entry_val, rows, self.config, inner), pid)
+            seq = seq_entry(num_ccs, entry_val, rows, self.slow.enter, self.config, inner)
+            add(before, 0, seq, pid)
         else:
             pid = self.point(POINT_ENTRY, (fn.name, 0), entry_val=entry_val)
             add(before, 0, Asm().epp_set(lay, entry_val), pid)

@@ -99,9 +99,6 @@ class TraceOracle:
 
     # -- frame plumbing -------------------------------------------------------
 
-    def _protected(self, code: str | None) -> bool:
-        return code in self.boundary
-
     def _enter_function(self, frame: _Frame, fid: int) -> None:
         key = (frame.code, fid)
         cfg = self.analysis.cfgs[key]
@@ -138,9 +135,26 @@ class TraceOracle:
             raise TraceMismatch(f"{iframe.cfg.fn_name}: {where}")
         return term
 
+    @staticmethod
+    def _virtual_step(iframe: _IFrame, kind: str, offset: int, want: str) -> None:
+        """Take the virtual ``kind`` edge of the op at ``offset`` out of the
+        function's current vertex."""
+        step = iframe.steps.get(iframe.vertex, {}).get((kind, offset, want))
+        if step is None:
+            raise TraceMismatch(f"no virtual {kind} edge at offset {offset}")
+        val, iframe.vertex = step
+        iframe.epp += val
+
+    def _site_val(self, site: tuple[str, int, int], callee: int | None) -> tuple[int, bool]:
+        """(call edge value, via surrogate) of the ICALL at ``site``."""
+        edge = self.analysis.site_val.get((site, (site[0], callee)))
+        if edge is None:
+            raise TraceMismatch(f"no call edge from {site} to fn {callee}")
+        return edge
+
     def _emit_exit(self, frame: _Frame) -> None:
         """Close the final pending path of the frame's active function."""
-        iframe = frame.top if frame.istack else None
+        iframe = frame.top
         if iframe is None or iframe.vertex is None:
             return
         val, off = self._term_step(iframe, "frame ended away from a terminator")
@@ -155,7 +169,7 @@ class TraceOracle:
         if not self.frames:
             # transaction entry: markerless, and the caller is the origin
             code = ev.get("code")
-            if self._protected(code):
+            if code in self.boundary:
                 self._enter_frame(ev.contract, code, ev.fn, True, None)
             else:
                 self.frames.append(_Frame(ev.contract, None, True))
@@ -197,21 +211,15 @@ class TraceOracle:
         frame = self._active()
         if frame is None:
             return
-        iframe = frame.top
         want = VIRTUAL_TRUE if ev.get("overflow") else VIRTUAL_FALSE
-        step = iframe.steps[iframe.vertex].get(("arith", ev.offset, want))
-        if step is None:
-            raise TraceMismatch(f"no virtual arith edge at offset {ev.offset}")
-        val, iframe.vertex = step
-        iframe.epp += val
+        self._virtual_step(frame.top, "arith", ev.offset, want)
 
     def _on_CallEnter(self, ev: TraceEvent) -> None:
         frame = self._active()
         if frame is None:
             return
         callee = ev.get("callee")
-        site = (frame.code, ev.fn, ev.offset)
-        val, surrogate = self.analysis.site_val[(site, (frame.code, callee))]
+        val, surrogate = self._site_val((frame.code, ev.fn, ev.offset), callee)
         self._enter_function(frame, callee)
         frame.ctx = icall_ctx(frame.ctx, val, surrogate, self.config.width)
 
@@ -225,30 +233,34 @@ class TraceOracle:
         self._emit(frame, iframe, iframe.epp + val)
         # undo the context delta; the call site is the caller's current
         # vertex terminator (an ICALL instruction)
-        caller = frame.istack[-1]
+        caller = frame.top
+        if caller is None or caller.vertex is None:
+            raise TraceMismatch(f"CallReturn from fn {iframe.fid} with no calling function")
         site = (frame.code, caller.fid, caller.cfg.blocks[caller.vertex].end - 1)
-        val, surrogate = self.analysis.site_val[(site, (frame.code, iframe.fid))]
+        val, surrogate = self._site_val(site, iframe.fid)
         frame.ctx = iret_ctx(frame.ctx, iframe.caller_ctx, val, surrogate, self.config.width)
 
     def _on_ExternalCallEnter(self, ev: TraceEvent) -> None:
-        caller = self.frames[-1] if self.frames else None
+        if not self.frames:
+            raise TraceMismatch(f"external call at offset {ev.offset} with no calling frame")
+        caller = self.frames[-1]
         code = ev.get("code")
         kind = ev.get("kind")
         fid = ev.get("fn")
         target = ev.get("target")
         self_addr = caller.self_addr if kind == "delegatecall" else target
-        site = (caller.code, ev.fn, ev.offset) if caller and caller.code else None
+        site = (caller.code, ev.fn, ev.offset) if caller.code else None
         protected_site = site is not None and self.analysis.site_protected(*site)
 
         # caller side: keep ctx in the ctx slot across calls leaving the boundary
-        if caller and caller.code and not caller.aborted and not protected_site:
+        if caller.code and not caller.aborted and not protected_site:
             prev = self.slots.get(caller.self_addr, 0)
             caller.slot_saves.append((caller.self_addr, prev))
             self.slots[caller.self_addr] = slot_encode(caller.ctx, self.config.width)
 
         # a DELEGATECALL frame runs with its delegating frame's caller
         direct = kind == "delegatecall" and caller.direct
-        if fid is None or not self._protected(code):
+        if fid is None or code not in self.boundary:
             self.frames.append(_Frame(self_addr, None, direct))
             return
         marker = None
@@ -273,13 +285,8 @@ class TraceOracle:
             addr, prev = caller.slot_saves.pop()
             self.slots[addr] = prev
         # virtual branch on the success flag
-        iframe = caller.top
         want = VIRTUAL_FALSE if success else VIRTUAL_TRUE
-        step = iframe.steps[iframe.vertex].get(("callret", ev.offset, want))
-        if step is None:
-            raise TraceMismatch(f"no virtual callret edge at offset {ev.offset}")
-        val, iframe.vertex = step
-        iframe.epp += val
+        self._virtual_step(caller.top, "callret", ev.offset, want)
 
     def _on_Revert(self, ev: TraceEvent) -> None:
         if self.frames:

@@ -38,12 +38,13 @@ from pathguard.guardcode import (
     seq_arith_check,
     seq_check_fragment,
     seq_checker,
+    seq_enter_routine,
+    seq_entry,
     seq_exit_routine,
     seq_external_epilogue,
     seq_icall_post,
     seq_icall_pre,
     seq_miss,
-    seq_prologue,
     seq_protected_call_pre,
     seq_unprotected_call_pre,
     slot_encode,
@@ -834,7 +835,8 @@ def test_slot_encode_matches_unprotected_call_pre(data, width):
     assert _returned(a.items, width) == [slot_encode(ctx, width), prev]
 
 
-ENTRY_FID, ENTRY_SELECTOR = 1, 0x8  # the function whose prologue is under test
+ENTRY_FID, ENTRY_SELECTOR = 1, 0x8  # the function whose entry is under test
+ENTER_FID = 2  # the shared entry routine it calls
 
 # How the probe reaches the entry function, and with what calldata:
 # (op, marker row, slot set). A CALL makes CALLER the probe's own address;
@@ -859,12 +861,13 @@ ENTRY_CASES = {
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), width=WIDTHS)
 def test_entry_ctx_matches_prologue(kind, data, width):
-    """seq_prologue sets ``entry_ctx`` for each entry kind: direct, foreign,
-    reentrant (the slot beats the CALLER test) and marker (the prefix beats
-    the slot), through a known row, a surrogate row or an unknown site. It
-    sets the mode and the calldata offset to match and the path register
-    to the entry value. An ICALL target entered below depth 0 keeps the ctx
-    the ICALL set, whatever the calldata and the slot."""
+    """seq_entry, calling seq_enter_routine, sets ``entry_ctx`` for each
+    entry kind: direct, foreign, reentrant (the slot beats the CALLER test)
+    and marker (the prefix beats the slot), through a known row, a
+    surrogate row or an unknown site. It sets the mode and the calldata
+    offset to match and the path register to the entry value, and leaves
+    the stack as it found it. An ICALL target entered below depth 0 keeps
+    the ctx the ICALL set, whatever the calldata and the slot."""
     op, row_kind, slot_set = ENTRY_CASES[kind]
     config = Config(width=width)
     lay = Layout(width)
@@ -884,10 +887,18 @@ def test_entry_ctx_matches_prologue(kind, data, width):
     calldata = {None: [], "short": [marker, base]}.get(row_kind, [marker, base, gid])
     calldata = calldata + data.draw(st.lists(_word(width), max_size=2))
 
-    entry = seq_prologue(num_ccs, entry_epp, rows, config, icall_target)
+    below = data.draw(_word(width))  # the word under the entry's stack
+    entry = Asm().push(below)
+    entry.extend(seq_entry(num_ccs, entry_epp, rows, ENTER_FID, config, icall_target))
     entry.epp_addr(lay).emit(Op.MLOAD)
-    entry.mload(lay.cdoff).mload(lay.mode).mload(lay.ctx).push(4).emit(Op.RETURN)
-    fns = [FunctionDef(ENTRY_FID, "entry", Visibility.EXTERNAL, flatten(entry.items, base=0))]
+    entry.mload(lay.cdoff).mload(lay.mode).mload(lay.ctx).push(5).emit(Op.RETURN)
+    fns = [
+        FunctionDef(ENTRY_FID, "entry", Visibility.EXTERNAL, flatten(entry.items, base=0)),
+        FunctionDef(
+            ENTER_FID, "enter", Visibility.INTERNAL,
+            flatten(seq_enter_routine(config).items, base=0),
+        ),
+    ]
     a = Asm()
     if slot:
         a.push(slot).push(CTX_SLOT).emit(Op.TSTORE)
@@ -896,7 +907,7 @@ def test_entry_ctx_matches_prologue(kind, data, width):
         surrogate = data.draw(st.booleans())
         a.mstore_const(lay.ctx, outer).extend(seq_icall_pre(val, surrogate, config))
         a.emit(Op.ICALL, ENTRY_FID).emit(Op.STOP)  # the entry's RETURN ends the tx
-        want = [icall_ctx(outer, val, surrogate, width), MODE_BOUNDARY, 0, entry_epp]
+        want = [icall_ctx(outer, val, surrogate, width), MODE_BOUNDARY, 0, entry_epp, below]
     else:
         for word in reversed(calldata):
             a.push(word)
@@ -904,15 +915,15 @@ def test_entry_ctx_matches_prologue(kind, data, width):
         if op is Op.CALL:
             a.push(0)  # value
         a.emit(Op.ADDRESS).emit(op)
-        for i in reversed(range(4)):
+        for i in reversed(range(5)):
             a.push(i).emit(Op.RETURNDATALOAD)
-        a.push(4).emit(Op.RETURN)
+        a.push(5).emit(Op.RETURN)
         marked = len(calldata) >= MARKER_WORDS and calldata[0] == marker
         prefix = (calldata[1], calldata[2]) if marked else None
         ctx = entry_ctx(num_ccs, rows, width, prefix, slot, op is Op.DELEGATECALL)
         mode = MODE_MARKER if prefix else MODE_REENTRANT if slot else MODE_BOUNDARY
-        want = [ctx, mode, MARKER_WORDS if prefix else 0, entry_epp]
-    # the tx's own calldata only reaches the prologue through the ICALL
+        want = [ctx, mode, MARKER_WORDS if prefix else 0, entry_epp, below]
+    # the tx's own calldata only reaches the entry through the ICALL
     assert _returned(a.items, width, fns, {ENTRY_SELECTOR: ENTRY_FID}, calldata) == want
 
 

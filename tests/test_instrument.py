@@ -20,6 +20,7 @@ from pathguard.guardcode import (
     admin_calldata,
     decode_guard_revert,
     flatten,
+    seq_enter_routine,
     seq_exit_routine,
     seq_miss,
 )
@@ -30,7 +31,7 @@ from pathguard.instrument import (
 )
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
 from pathguard.pathset import MAPPING_TAG
-from pathguard.program import SizeLimitExceeded
+from pathguard.program import SizeLimitExceeded, Visibility
 from pathguard.vm import (
     TRACE_CHECKS,
     TRACE_FULL,
@@ -122,12 +123,14 @@ def test_size_accounting_reconciles(loopy, diamond, figcg):
 
 def test_slow_paths_emitted_once_per_contract(figcg, loopy):
     """The exit routine (ctx-slot poison, guard revert and the marker
-    return) and the miss routine (mapping probe plus alarm append) each live
-    in one shared function, and only these two touch the transient alarm
-    buffer. No exit or backedge stub carries append, poison, payload or
-    marker-return code or branches on a checker's answer, no guard function
-    RETURNs, no checker probes storage, and only checkers reach the miss
-    routine."""
+    return), the miss routine (mapping probe plus alarm append) and the
+    entry routine (caller classification) each live in one shared function,
+    and only the first two touch the transient alarm buffer. Only the entry
+    routine reads CALLER, ORIGIN, CALLDATASIZE or the ctx slot (the admin
+    entry's caller gate aside), and every external function ICALLs it. No
+    exit or backedge stub carries append, poison, payload or marker-return
+    code or branches on a checker's answer, no guard function RETURNs, no
+    checker probes storage, and only checkers reach the miss routine."""
     gm = GUARD_MARKER & CONFIG.mask
     tag = MAPPING_TAG & CONFIG.mask
     poison = (SLOT_POISON & CONFIG.mask, CTX_SLOT)
@@ -135,22 +138,35 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
     for prog in (figcg, loopy):  # two externals and an internal; backedges
         analysis, inst = _pair(prog, {0: {0, 1, 2}})
         functions = inst.program.functions
-        # the originals, one checker each, the admin entry, two routines
-        assert len(functions) == 2 * len(prog.functions) + 3
+        # the originals, one checker each, the admin entry, three routines
+        assert len(functions) == 2 * len(prog.functions) + 4
         bodies = [fn.body for fn in functions]
         shared = []
         for seq in (
             seq_exit_routine(0, CONFIG),
             seq_miss(0, CONFIG),
+            seq_enter_routine(CONFIG),
         ):
             assert bodies.count(flatten(seq.items, base=0)) == 1
             shared.append(bodies.index(flatten(seq.items, base=0)))
-        exit_fid, miss_fid = shared
+        exit_fid, miss_fid, enter_fid = shared
         checkers = {fn.id for fn in functions if fn.name.startswith("__chk_")}
         for fn in functions:
             calls = {i.imm for i in fn.body if i.op is Op.ICALL}
             if miss_fid in calls:
                 assert fn.id in checkers, fn.name
+            if fn.id < len(prog.functions):
+                assert (enter_fid in calls) == (fn.visibility is Visibility.EXTERNAL), fn.name
+            classifies = [
+                i for i in fn.body if i.op in (Op.CALLER, Op.ORIGIN, Op.CALLDATASIZE)
+            ] + [
+                a for a, b in zip(fn.body, fn.body[1:])
+                if a.op is Op.PUSH and a.imm == CTX_SLOT and b.op is Op.TLOAD
+            ]
+            if fn.id == enter_fid:
+                assert len(classifies) == 4
+            elif fn.name != "__guard_admin":
+                assert classifies == [], fn.name
             for i, nxt in zip(fn.body, fn.body[1:]):
                 if i.op is Op.ICALL and i.imm in checkers:
                     assert nxt.op is not Op.JUMPI, fn.name
@@ -185,9 +201,10 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
             assert tag not in pushed, fn.name
             if fn.id in checkers:
                 assert all(i.op is not Op.SLOAD for i in fn.body), fn.name
-        sites = [p.site for p in inst.points if p.kind == "PathSetCheck"]
-        assert [name for name, where in sites if where == "shared"] == [
-            functions[fid].name for fid in shared
+        sites = [(p.kind, p.site) for p in inst.points if p.site[1] == "shared"]
+        assert sites == [
+            (kind, (functions[fid].name, "shared"))
+            for kind, fid in zip(("PathSetCheck", "PathSetCheck", "ContractWrapper"), shared)
         ]
         point_bytes = sum(p.code_bytes + p.blob_bytes for p in inst.points)
         assert inst.instrumented_size - inst.original_size == point_bytes
@@ -508,7 +525,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "b3b96fa79ba13867b61ac9d480dde495a6b6d48ef18722663527735a2f8b810f"
+        "19047ce5356722396dadc175d5b730bc4739b5dfd25117689c314ce7970be153"
     )
 
 
@@ -864,7 +881,7 @@ def test_empty_snapshot_output_pinned():
                 assert entry.pop("hits") == []
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "502d7fe9cd5943e1c19eba2ce3017da5f53e232f75e5e698661d10b103b40935"
+        "4bfb908f9016421dade0b262f468f92b261941be549e628e2a1bd05c70077604"
     )
 
 

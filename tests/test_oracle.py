@@ -12,7 +12,7 @@ from pathguard.ccp import label_ccp
 from pathguard.config import Config
 from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.instrument import instrument_contract
-from pathguard.oracle import TraceMismatch, checked_pairs_from_receipt, trace_oracle
+from pathguard.oracle import TraceMismatch, TraceOracle, checked_pairs_from_receipt, trace_oracle
 from pathguard.vm import (
     TRACE_CHECKS,
     TRACE_FULL,
@@ -419,3 +419,35 @@ def test_corrupted_fixture_trace_raises_trace_mismatch(name, index, corrupt, mes
     assert trace_oracle(receipt.trace, analysis, receipt.status)
     with pytest.raises(TraceMismatch, match=message):
         trace_oracle(corrupt(receipt.trace), analysis, receipt.status)
+
+
+def _fixture_traces(scenario, count: int):
+    """The analysis and the TRACE_FULL traces of the scenario's first
+    ``count`` setup-then-training txs, run in order on a fresh world."""
+    bundle = scenario.bundle()
+    deployed = build_world(bundle)
+    vm = VM(deployed.world, TRACE_FULL)
+    receipts = [
+        vm.execute_transaction(parse_tx(record, deployed, bundle))
+        for record in (bundle.setup + scenario.training)[:count]
+    ]
+    return analyze_bundle(bundle.programs, bundle.boundary, bundle.config), receipts
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
+def test_every_single_event_corruption_raises_only_trace_mismatch(scenario):
+    """Each event of a fixture trace dropped, re-kinded to every other kind
+    the oracle reads, or moved to offset 999: the oracle returns pairs or
+    raises TraceMismatch, never a lookup or attribute error."""
+    kinds = list(TraceOracle._HANDLERS)
+    analysis, receipts = _fixture_traces(scenario, 4)
+    for receipt in receipts:
+        trace = receipt.trace
+        for i, ev in enumerate(trace):
+            variants = [[], [dataclasses.replace(ev, offset=999)]]
+            variants += [[dataclasses.replace(ev, kind=k)] for k in kinds if k != ev.kind]
+            for new in variants:
+                try:
+                    trace_oracle(trace[:i] + new + trace[i + 1:], analysis, receipt.status)
+                except TraceMismatch:
+                    pass

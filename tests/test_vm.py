@@ -721,7 +721,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "04fbe89d6effff4a3f08a3ebfe0ba1d36fca83a30a56e28cc246d9b16ab726d8"
+        "d2d5cea356c6510df6a248e992a4e3af5aab3b09f8a9cd867e28a9eb482c0765"
     )
 
 

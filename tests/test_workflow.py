@@ -478,7 +478,7 @@ def _thief_reentering_with(calldata: list[int]) -> str:
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=AssertionError,
-                reason="the prologue trusts any caller whose calldata starts with "
+                reason="the entry routine trusts any caller whose calldata starts with "
                 "the call marker, so a forged marker entry is never reentrant",
             ),
         ),
@@ -503,7 +503,7 @@ def test_reentry_through_unprotected_contract_alarms(forged):
     assert world.accounts[vault].balance >= before
 
 
-# ROADMAP item 1: the prologue enters marker mode for any calldata that
+# ROADMAP item 1: the entry routine enters marker mode for any calldata that
 # starts with the marker, so the forged entry is never classified
 _FORGED_MARKER_BYPASS = {"delegatecall", "overflow", "unchecked_send", "visibility"}
 
@@ -628,7 +628,7 @@ def test_same_account_frame_alarm_reaches_boundary_payload(scenario, chain_mark)
 
 def test_top_level_delegatecall_frame_takes_the_direct_band():
     """A frame reached by DELEGATECALL from the transaction's entry frame
-    runs with the origin as CALLER, so its prologue takes the direct band,
+    runs with the origin as CALLER, so its entry routine takes the direct band,
     and so does the oracle. With only the library protected, detection
     checks the pairs training recorded: no alarm, and the proxy's storage
     matches the unguarded world's."""
