@@ -338,18 +338,24 @@ def test_oracle_pairs_decode_to_real_paths(loopy):
         index_to_path(analysis.cfgs[(code, fid)], lab, epp)  # must not raise
 
 
-def _fixture_trace(name: str, index: int):
-    """The analysis and TRACE_FULL trace of the scenario's ``index``-th
-    setup-then-training tx, run in order on a fresh world."""
-    scenario = next(s for s in ALL_SCENARIOS if s.name == name)
+def _fixture_traces(scenario, count: int):
+    """The analysis and the TRACE_FULL receipts of the scenario's first
+    ``count`` setup-then-training txs, run in order on a fresh world."""
     bundle = scenario.bundle()
     deployed = build_world(bundle)
-    for record in (bundle.setup + scenario.training)[: index + 1]:
-        receipt = VM(deployed.world, TRACE_FULL).execute_transaction(
-            parse_tx(record, deployed, bundle)
-        )
-    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
-    return analysis, receipt
+    receipts = [
+        VM(deployed.world, TRACE_FULL).execute_transaction(parse_tx(record, deployed, bundle))
+        for record in (bundle.setup + scenario.training)[:count]
+    ]
+    return analyze_bundle(bundle.programs, bundle.boundary, bundle.config), receipts
+
+
+def _fixture_trace(name: str, index: int):
+    """The analysis and TRACE_FULL receipt of the scenario's ``index``-th
+    setup-then-training tx, run in order on a fresh world."""
+    scenario = next(s for s in ALL_SCENARIOS if s.name == name)
+    analysis, receipts = _fixture_traces(scenario, index + 1)
+    return analysis, receipts[-1]
 
 
 def _corrupt(of_kind: str, nth: int, **changes):
@@ -419,19 +425,6 @@ def test_corrupted_fixture_trace_raises_trace_mismatch(name, index, corrupt, mes
     assert trace_oracle(receipt.trace, analysis, receipt.status)
     with pytest.raises(TraceMismatch, match=message):
         trace_oracle(corrupt(receipt.trace), analysis, receipt.status)
-
-
-def _fixture_traces(scenario, count: int):
-    """The analysis and the TRACE_FULL traces of the scenario's first
-    ``count`` setup-then-training txs, run in order on a fresh world."""
-    bundle = scenario.bundle()
-    deployed = build_world(bundle)
-    vm = VM(deployed.world, TRACE_FULL)
-    receipts = [
-        vm.execute_transaction(parse_tx(record, deployed, bundle))
-        for record in (bundle.setup + scenario.training)[:count]
-    ]
-    return analyze_bundle(bundle.programs, bundle.boundary, bundle.config), receipts
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
