@@ -39,6 +39,9 @@ Steps = dict[object, tuple[int, int]]
 class BundleAnalysis:
     programs: dict[str, ContractProgram]
     boundary: set[str]
+    # code id -> protected contract: the boundary, sorted; guard code and
+    # the alarms it raises name a contract by its code id
+    code_names: tuple[str, ...]
     config: Config
     cfgs: dict[tuple[str, int], Cfg] = field(default_factory=dict)
     epp: dict[tuple[str, int], EppLabeling] = field(default_factory=dict)
@@ -85,7 +88,7 @@ class BundleAnalysis:
 
     def fingerprint(self) -> str:
         data = {
-            "boundary": sorted(self.boundary),
+            "boundary": list(self.code_names),
             "width": self.config.width,
             "epp": {
                 f"{c}:{f}": lab.fingerprint_data() for (c, f), lab in sorted(self.epp.items())
@@ -135,7 +138,7 @@ def analyze_bundle(
 ) -> BundleAnalysis:
     """Run the full analysis pipeline over every protected contract."""
     boundary = set(boundary) if boundary is not None else set(programs)
-    ba = BundleAnalysis(programs=programs, boundary=boundary, config=config)
+    ba = BundleAnalysis(programs, boundary, tuple(sorted(boundary)), config)
     for name in programs:
         if name not in boundary:
             continue

@@ -12,7 +12,6 @@ sum; with no weights it keeps the values where they are.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import dag
@@ -105,39 +104,6 @@ def endpoint_values(cfg: Cfg, values: dict[int, int]):
         if e.kind == SURROGATE_EXIT:
             exit_val[e.src] = values[e.eid]
     return entry_val, reset_val, exit_val
-
-
-def edge_hits(cfg: Cfg, lab: EppLabeling, path_hits: dict[int, int]) -> dict[int, int]:
-    """Hits on the paths through each edge; ``path_hits`` maps path indices
-    to hits. Edges no hit path takes are left out.
-
-    Decodes every index at once, vertex by vertex in topological order, as
-    ``dag.decode`` does one: values rise strictly along ``edge_order``, so
-    what is left of an index goes along the last edge whose value fits it.
-    """
-    dst = {e.eid: e.dst for e in cfg.edges}
-    val = lab.edge_val
-    hits: dict[int, int] = {}
-    # vertex -> what is left of each index that reached it -> hits
-    at: dict[int, dict[int, int]] = {ENTRY: {i: n for i, n in path_hits.items() if n}}
-    for v in lab.order:
-        here = at.pop(v, None)
-        if not here or v == EXIT:
-            continue
-        rests = sorted(here)
-        order = lab.edge_order[v]
-        cuts = [bisect_left(rests, val[eid]) for eid in order] + [len(rests)]
-        for eid, lo, hi in zip(order, cuts, cuts[1:]):
-            if lo < hi:
-                x = val[eid]
-                there = at.setdefault(dst[eid], {})
-                total = 0
-                for rest in rests[lo:hi]:
-                    n = here[rest]
-                    total += n
-                    there[rest - x] = there.get(rest - x, 0) + n
-                hits[eid] = total
-    return hits
 
 
 def place_increments(

@@ -47,7 +47,7 @@ from .guardcode import (
     seq_unprotected_call_post,
     split_index,
 )
-from .epp import edge_hits, endpoint_values, place_increments
+from .epp import endpoint_values, index_to_path, place_increments
 from .isa import EXTERNAL_CALLS, Instruction, Op
 from .pathset import (
     ConstructionFailed,
@@ -153,7 +153,7 @@ class InstrumentedContract:
 
 
 def plan_strategies(
-    analysis: BundleAnalysis, name: str, safe_sets: dict[int, set[int]], config: Config
+    analysis: BundleAnalysis, name: str, safe_sets: dict[int, set[int]]
 ) -> SetPlan:
     """Pick the embedded set per function of ``name`` and split out-of-band keys.
 
@@ -162,6 +162,7 @@ def plan_strategies(
     to the dynamic mapping preseed, and so do the keys of a table that
     cannot be built.
     """
+    config = analysis.config
     plan = SetPlan({}, [], {})
     for fn in analysis.programs[name].functions:
         fid, keys = fn.id, safe_sets.get(fn.id, ())
@@ -187,16 +188,15 @@ class _Rewriter:
         analysis: BundleAnalysis,
         increments: dict[int, dict[int, int]],
         plan: SetPlan,
-        config: Config,
     ):
         self.name = name
         self.analysis = analysis
         self.prog = analysis.programs[name]
         self.increments = increments
         self.plan = plan
-        self.config = config
-        self.code_id = sorted(analysis.boundary).index(name)
-        self.lay = Layout(config.width)
+        self.config = analysis.config
+        self.code_id = analysis.code_names.index(name)
+        self.lay = Layout(self.config.width)
         self.icall_targets = _icall_targets(self.prog)
         self.points: list[InstrumentPoint] = []
         self.pool: list[int] = []
@@ -594,7 +594,7 @@ def _increment_gas(config: Config) -> tuple[int, int, int]:
 
 
 def _increments(
-    analysis: BundleAnalysis, name: str, profile: dict[int, dict[int, int]], config: Config
+    analysis: BundleAnalysis, name: str, profile: dict[int, dict[int, int]]
 ) -> dict[int, dict[int, int]]:
     """Each function's increments (function id -> edge id -> increment): on
     the chords of a spanning tree weighted by each edge's training hits
@@ -602,6 +602,7 @@ def _increments(
     there. Internal entries, entries of an ICALL target and loop-header
     resets ride on a store that runs anyway, and reverting exits are never
     checked, so those cost nothing. No hits give the labeling's values."""
+    config = analysis.config
     add_gas, tramp_gas, store_gas = _increment_gas(config)
     icall_targets = _icall_targets(analysis.programs[name])
 
@@ -621,10 +622,11 @@ def _increments(
         for key, n in profile.get(fn.id, {}).items():
             index = split_index(key, lab.total_paths)[1]
             path_hits[index] = path_hits.get(index, 0) + n
-        weight = {
-            eid: n * edge_gas(fn, cfg.edge(eid))
-            for eid, n in edge_hits(cfg, lab, path_hits).items()
-        }
+        hits: dict[int, int] = {}
+        for index, n in path_hits.items():
+            for edge in index_to_path(cfg, lab, index):
+                hits[edge.eid] = hits.get(edge.eid, 0) + n
+        weight = {eid: n * edge_gas(fn, cfg.edge(eid)) for eid, n in hits.items()}
         placed[fn.id] = place_increments(cfg, lab, weight, config.width)
     return placed
 
@@ -633,18 +635,17 @@ def instrument_contract(
     name: str,
     analysis: BundleAnalysis,
     profile: dict[int, dict[int, int]],
-    config: Config,
 ) -> InstrumentedContract:
     """Plan and rewrite one contract; spills oversized sets to the mapping.
 
     ``profile`` maps each function id to its safe keys, each key to the
     times training checked it.
     """
-    plan = plan_strategies(analysis, name, profile, config)
-    increments = _increments(analysis, name, profile, config)
+    plan = plan_strategies(analysis, name, profile)
+    increments = _increments(analysis, name, profile)
     while True:
-        result = _Rewriter(name, analysis, increments, plan, config).rewrite()
-        validate_program(result.program, config)
+        result = _Rewriter(name, analysis, increments, plan).rewrite()
+        validate_program(result.program, analysis.config)
         size = result.instrumented_size
         if size <= MAX_CODE_BYTES:
             return result

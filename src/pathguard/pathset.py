@@ -154,16 +154,6 @@ class MphtSpec:
             "slots": [None if s is None else hex(s) for s in self.slots],
         }
 
-    @classmethod
-    def from_json(cls, raw: dict) -> "MphtSpec":
-        return cls(
-            seed=int(raw["seed"], 16),
-            n=raw["n"],
-            m=raw["m"],
-            displacements=[tuple(d) for d in raw["displacements"]],
-            slots=[None if s is None else int(s, 16) for s in raw["slots"]],
-        )
-
 
 def build_list(keys) -> ListSpec:
     entries = sorted(set(keys))
@@ -187,7 +177,7 @@ def table_size(n: int) -> int:
     return r
 
 
-def build_mpht(keys, lam: int | None = None, width: int = 64) -> MphtSpec:
+def build_mpht(keys, lam: int = Config.mpht_lambda, width: int = 64) -> MphtSpec:
     """Perfect hash over the key set; deterministic for fixed inputs.
 
     Buckets are processed largest first. d0 runs over [0, r), because
@@ -203,7 +193,6 @@ def build_mpht(keys, lam: int | None = None, width: int = 64) -> MphtSpec:
         raise ConstructionFailed("empty key set")
     if n > MPHT_MAX_KEYS:
         raise ConstructionFailed(f"{n} keys exceed the {MPHT_MAX_KEYS} slot limit")
-    lam = lam or 4
     m = max(1, math.ceil(n / lam))
     r = table_size(n)
     cur_seed = DEFAULT_SEED & ((1 << width) - 1)

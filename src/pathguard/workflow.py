@@ -98,8 +98,9 @@ class Bundle:
         cls, raw: dict, config: Config | None = None, where: str = "bundle"
     ) -> "Bundle":
         """The bundle ``raw`` describes. A field that is missing or of the
-        wrong type, or a name that is no contract of the bundle, raises
-        WorkflowError naming ``where`` and the field."""
+        wrong type, a name that is no contract of the bundle, or a contract
+        name, deployed or protected name or account address that a field
+        lists twice, raises WorkflowError naming ``where`` and the field."""
         if config is None:
             try:
                 config = config_from_json(json_field(raw, "config", dict, where, {}))
@@ -113,6 +114,8 @@ class Bundle:
             else:
                 prog = ContractProgram.from_json(json_field(entry, "program", dict, at), at)
                 validate_program(prog, config)
+            if prog.name in programs:
+                raise WorkflowError(f"{where}: field 'contracts' names {prog.name!r} twice")
             programs[prog.name] = prog
         names = {}
         for key in ("boundary", "deploy"):
@@ -120,6 +123,9 @@ class Bundle:
             unknown = [n for n in names[key] if not isinstance(n, str) or n not in programs]
             if unknown:
                 raise WorkflowError(f"{where}: field {key!r} names no contract: {unknown[0]!r}")
+            twice = [n for i, n in enumerate(names[key]) if n in names[key][:i]]
+            if twice:
+                raise WorkflowError(f"{where}: field {key!r} names {twice[0]!r} twice")
 
         def word(value, what: str) -> int:
             return read_word(value, f"{where} account {what}", WorkflowError, config.mask)
@@ -128,6 +134,8 @@ class Bundle:
         for i, acct in enumerate(json_field(raw, "accounts", list, where, [])):
             at = f"{where} accounts[{i}]"
             address = word(json_field(acct, "address", object, at), "address")
+            if address in accounts:
+                raise WorkflowError(f"{where}: field 'accounts' lists address {address:#x} twice")
             accounts[address] = word(json_field(acct, "balance", object, at, 0), "balance")
         setup = json_field(raw, "setup", list, where, [])
         return cls(programs, set(names["boundary"]), config, names["deploy"], accounts, setup)
@@ -227,18 +235,25 @@ def train(bundle: Bundle, tx_records: list[dict]) -> dict:
         for _addr, code, fid, combined in trace_oracle(receipt.trace, analysis, receipt.status):
             hits = safe.setdefault((code, fid), {})
             hits[combined] = hits.get(combined, 0) + 1
-    return make_snapshot(analysis, safe, bundle.config)
+    return make_snapshot(analysis, safe)
 
 
 def make_snapshot(
-    analysis: BundleAnalysis, safe: dict[tuple[str, int], dict[int, int]], config: Config
+    analysis: BundleAnalysis,
+    safe: dict[tuple[str, int], dict[int, int]],
+    config: Config | None = None,
 ) -> dict:
     """The snapshot of ``safe``, which maps (contract, function id) to that
-    function's safe keys, each key to the times training checked it."""
+    function's safe keys, each key to the times training checked it.
+
+    The snapshot is made under ``analysis.config``; a ``config`` that is
+    given must be that config (WorkflowError otherwise)."""
+    if config is not None and config != analysis.config:
+        raise WorkflowError("make_snapshot: config is not the analysis's config")
     contracts: dict = {}
-    for name in sorted(analysis.boundary):
+    for name in analysis.code_names:
         profile = {fid: keys for (code, fid), keys in safe.items() if code == name}
-        specs = plan_strategies(analysis, name, profile, config).specs
+        specs = plan_strategies(analysis, name, profile).specs
         contracts[name] = {}
         for fn in analysis.programs[name].functions:
             hits = profile.get(fn.id, {})
@@ -253,7 +268,7 @@ def make_snapshot(
             }
     return {
         "fingerprint": analysis.fingerprint(),
-        "width": config.width,
+        "width": analysis.config.width,
         "contracts": contracts,
     }
 
@@ -372,13 +387,13 @@ def protect(bundle: Bundle, snapshot: dict) -> GuardedBundle:
     if stray:
         raise WorkflowError(f"snapshot {stray[0]}: no protected contract of the bundle")
     instrumented = {}
-    for name in sorted(bundle.boundary):
+    for name in analysis.code_names:
         profile = snapshot_safe_sets(snapshot, name)
         fids = {fn.id for fn in bundle.programs[name].functions}
         stray = sorted(set(profile) - fids)
         if stray:
             raise WorkflowError(f"snapshot {name}.fn{stray[0]}: {name} has no such function")
-        instrumented[name] = instrument_contract(name, analysis, profile, bundle.config)
+        instrumented[name] = instrument_contract(name, analysis, profile)
     return GuardedBundle(bundle, analysis, instrumented, snapshot)
 
 
@@ -598,14 +613,13 @@ def _exit_routine_alarms(guarded: GuardedBundle, ev) -> list[RawAlarm] | None:
 
 def _enrich_alarm(run: DetectionRun, index: int, raw: RawAlarm, inner: bool) -> AlarmRecord:
     analysis = run.guarded.analysis
-    config = run.guarded.bundle.config
     contract, fid, combined = raw.contract, raw.fn, raw.combined
-    boundary = sorted(analysis.boundary)
-    if raw.code_id >= len(boundary) or (boundary[raw.code_id], fid) not in analysis.cfgs:
+    names = analysis.code_names
+    if raw.code_id >= len(names) or (names[raw.code_id], fid) not in analysis.cfgs:
         # unprotected code reached by DELEGATECALL runs in the account and
         # can write its alarm buffer
         label = "<alarm entry names no protected function>"
-    elif combined == CALLEE_ALARM & config.mask:
+    elif combined == CALLEE_ALARM & analysis.config.mask:
         # the flag came from a protected callee reached by CALL, whose alarm
         # entries stayed in its own account's buffer
         label = "<protected callee reached by CALL raised the anomaly>"
@@ -613,7 +627,7 @@ def _enrich_alarm(run: DetectionRun, index: int, raw: RawAlarm, inner: bool) -> 
         label = None
     if label:
         return AlarmRecord(index, contract, fid, 0, 0, combined, [label], [], inner)
-    code = boundary[raw.code_id]
+    code = names[raw.code_id]
     num_paths = analysis.num_paths(code, fid)
     ctx_id, epp_id = split_index(combined, num_paths)
     reentries, foreign, base = band_split(ctx_id, analysis.num_ccs(code, fid))
@@ -817,7 +831,7 @@ def false_alarm_simulation(bundle: Bundle, tx_records: list[dict]) -> dict:
     stream = list(bundle.setup) + list(tx_records)
     bundle = dc_replace(bundle, setup=[])
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
-    snapshot = make_snapshot(analysis, {}, bundle.config)
+    snapshot = make_snapshot(analysis, {})
     guarded = protect(bundle, snapshot)
     run = start_detection(guarded, mirror=False)
     alarm_txs = 0

@@ -18,7 +18,6 @@ from pathguard.cfg import (
 )
 from pathguard.epp import (
     IndexSpaceOverflow,
-    edge_hits,
     enumerate_paths,
     index_to_path,
     label_epp,
@@ -298,21 +297,3 @@ def test_placement_takes_the_increment_off_a_hot_path():
         inc = place_increments(cfg, lab, weight, 64)
         assert [inc[e.eid] for e in path[1:]] == [0] * (len(path) - 1)
         assert inc[path[0].eid] == path_to_index(lab, path)
-
-
-def test_edge_hits_match_decoding_each_path():
-    """The all-at-once decode gives each edge the hits of the paths that
-    ``index_to_path`` puts through it."""
-    rng = random.Random(11)
-    for _ in range(200):
-        cfg = random_dag(rng)
-        lab = label_epp(cfg)
-        path_hits = {
-            i: rng.randrange(4) for i in rng.sample(range(lab.total_paths), min(6, lab.total_paths))
-        }
-        want: dict[int, int] = {}
-        for index, n in path_hits.items():
-            for e in index_to_path(cfg, lab, index):
-                if n:
-                    want[e.eid] = want.get(e.eid, 0) + n
-        assert edge_hits(cfg, lab, path_hits) == want

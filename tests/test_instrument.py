@@ -53,7 +53,7 @@ def _profile(safe_sets):
 def _pair(prog, safe_sets, config=CONFIG, boundary=None):
     name = prog.name
     analysis = analyze_bundle({name: prog}, boundary or {name}, config)
-    inst = instrument_contract(name, analysis, _profile(safe_sets), config)
+    inst = instrument_contract(name, analysis, _profile(safe_sets))
     return analysis, inst
 
 
@@ -375,11 +375,11 @@ def test_spill_to_mapping_keeps_acceptance():
     from pathguard import instrument as instr_mod
 
     real_limit = instr_mod.MAX_CODE_BYTES
-    inst = instrument_contract("fat", analysis, _profile({0: {0, 1}}), config)
+    inst = instrument_contract("fat", analysis, _profile({0: {0, 1}}))
     assert not inst.plan.preseed
     try:
         instr_mod.MAX_CODE_BYTES = inst.instrumented_size - 1
-        spilled = instrument_contract("fat", analysis, _profile({0: {0, 1}}), config)
+        spilled = instrument_contract("fat", analysis, _profile({0: {0, 1}}))
     finally:
         instr_mod.MAX_CODE_BYTES = real_limit
     assert spilled.plan.preseed == [(0, 0), (0, 1)]
@@ -403,7 +403,7 @@ def test_size_limit_spill_failure():
     prog = assemble("contract big { fn f external selector=0x1 { %s } }" % body)
     analysis = analyze_bundle({"big": prog}, {"big"}, CONFIG)
     with pytest.raises(SizeLimitExceeded):
-        instrument_contract("big", analysis, {0: {}}, CONFIG)
+        instrument_contract("big", analysis, {0: {}})
 
 
 def test_attack_transaction_guard_reverts(loopy):
@@ -760,7 +760,7 @@ def test_rotated_loop_fallthrough_backedge(n):
     r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1, [n]))
     oracle = trace_oracle(r1.trace, analysis, r1.status)
     assert r1.status == "Accepted" and len(oracle) == n + 1
-    inst = instrument_contract("rot", analysis, _profile({0: {p[3] for p in oracle}}), CONFIG)
+    inst = instrument_contract("rot", analysis, _profile({0: {p[3] for p in oracle}}))
     points, acc = _point_gas(inst)
     w2 = WorldState(CONFIG)
     vm = VM(w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points)

@@ -35,7 +35,7 @@ def _original_run(prog, tx, config=CONFIG):
 
 def _instrumented_run(analysis, name, safe_sets, tx, config=CONFIG):
     profile = {fid: dict.fromkeys(keys, 1) for fid, keys in safe_sets.items()}
-    inst = instrument_contract(name, analysis, profile, config)
+    inst = instrument_contract(name, analysis, profile)
     world = WorldState(config)
     addr = deploy(world, inst.program, 0xD0)
     tx.to = addr
@@ -160,8 +160,8 @@ def test_cross_contract_marker_protocol_matches():
     oracle = trace_oracle(original.trace, analysis, original.status)
 
     world2 = WorldState(CONFIG)
-    inst_a = instrument_contract("alpha", analysis, {0: {}}, CONFIG)
-    inst_b = instrument_contract("beta", analysis, {0: {}}, CONFIG)
+    inst_a = instrument_contract("alpha", analysis, {0: {}})
+    inst_b = instrument_contract("beta", analysis, {0: {}})
     addr_a2 = deploy(world2, inst_a.program, 0xD0)
     addr_b2 = deploy(world2, inst_b.program, 0xD0)
     vm = VM(world2, TRACE_CHECKS, {"alpha": inst_a.checkers, "beta": inst_b.checkers})
@@ -234,7 +234,7 @@ def test_cross_contract_recursion_matches(depth):
     original = run(programs, TRACE_FULL)
     assert original.status == "Accepted"
     oracle = trace_oracle(original.trace, analysis, original.status)
-    insts = {name: instrument_contract(name, analysis, {0: {}}, CONFIG) for name in programs}
+    insts = {name: instrument_contract(name, analysis, {0: {}}) for name in programs}
     instrumented = run(
         {name: inst.program for name, inst in insts.items()},
         TRACE_CHECKS,

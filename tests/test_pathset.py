@@ -183,14 +183,6 @@ def test_mpht_full_space_exhaustive_2_16():
         assert mpht_lookup(spec, k) == (k in keys)
 
 
-def test_mpht_json_round_trip():
-    from pathguard.pathset import MphtSpec
-
-    spec = build_mpht([5, 17, 99, 1234])
-    again = MphtSpec.from_json(spec.to_json())
-    assert again == spec
-
-
 def test_mapping_slot_stability_and_value():
     slot = mapping_slot(3, 12345, CONFIG)
     assert slot == mapping_slot(3, 12345, CONFIG)

@@ -1,10 +1,13 @@
 """Train / protect / detect / review driver behavior."""
 
 import json
+import math
 import random
 
 import pytest
 
+from pathguard.bundle import analyze_bundle
+from pathguard.config import Config
 from pathguard.fixtures import (
     DELEGATECALL,
     DETECTION_SCENARIOS,
@@ -16,7 +19,7 @@ from pathguard.fixtures import (
 from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER, Layout
 from pathguard.isa import Op
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
-from pathguard.pathset import mapping_slot
+from pathguard.pathset import MphtSpec, build_mpht, mapping_slot
 from pathguard.program import ValidationError
 from pathguard.vm import TRACE_FULL, TRACE_NONE, VM, WorldState
 from pathguard.workflow import (
@@ -28,6 +31,7 @@ from pathguard.workflow import (
     WorkflowError,
     build_world,
     false_alarm_simulation,
+    make_snapshot,
     overhead_report,
     parse_tx,
     protect,
@@ -390,6 +394,78 @@ contract mask {
 """
 
 
+@pytest.mark.parametrize(
+    "field, patch",
+    [
+        ("contracts", {"contracts": [{"source": XOR_SRC}, {"source": XOR_SRC}]}),
+        ("deploy", {"deploy": ["mask", "mask"]}),
+        ("boundary", {"boundary": ["mask", "mask"]}),
+        ("accounts", {"accounts": [{"address": 1, "balance": 5}, {"address": "0x1"}]}),
+    ],
+    ids=["contracts", "deploy", "boundary", "accounts"],
+)
+def test_bundle_refuses_a_name_or_address_listed_twice(field, patch):
+    """A bundle that lists a contract, a deployed or protected name or an
+    account address twice is refused, not read as its last entry."""
+    raw = dict({"contracts": [{"source": XOR_SRC}]}, **patch)
+    with pytest.raises(WorkflowError, match=f"field '{field}' .* twice"):
+        Bundle.from_json(raw)
+
+
+# Three sequential if-thens: eight paths through ``f``.
+BRANCHY_SRC = """
+contract branchy {
+  fn f external selector=0x01 {
+        PUSH 0
+        CALLDATALOAD
+        JUMPI a
+        PUSH 1
+        POP
+  a:    JUMPDEST
+        PUSH 1
+        CALLDATALOAD
+        JUMPI b
+        PUSH 2
+        POP
+  b:    JUMPDEST
+        PUSH 2
+        CALLDATALOAD
+        JUMPI c
+        PUSH 3
+        POP
+  c:    JUMPDEST
+        STOP
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "config", [{"lambda": 2}, {"lambda": 4}, {"word_width": 16}], ids=["lambda2", "lambda4", "w16"]
+)
+def test_protect_builds_tables_with_the_bundles_lambda_and_width(config):
+    """An embedded table has ceil(n / lambda) buckets for the bundle's
+    lambda and is built at the bundle's width, not at the defaults."""
+    bundle = Bundle.from_json({"contracts": [{"source": BRANCHY_SRC}], "config": config})
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    assert analysis.num_paths("branchy", 0) >= 8
+    keys = range(8)
+    snapshot = make_snapshot(analysis, {("branchy", 0): dict.fromkeys(keys, 1)})
+    spec = protect(bundle, snapshot).instrumented["branchy"].plan.specs[0]
+    lam, width = bundle.config.mpht_lambda, bundle.config.width
+    assert isinstance(spec, MphtSpec) and spec.m == math.ceil(8 / lam)
+    assert spec.seed < 1 << width
+    assert spec == build_mpht(keys, lam, width=width)
+
+
+def test_make_snapshot_refuses_a_config_not_the_analysis():
+    bundle = Bundle.from_json({"contracts": [{"source": XOR_SRC}]})
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    with pytest.raises(WorkflowError, match="not the analysis's config"):
+        make_snapshot(analysis, {}, Config(width=16))
+    assert make_snapshot(analysis, {}, bundle.config) == make_snapshot(analysis, {})
+
+
 def test_contract_using_xor_is_protected_and_reconciles():
     """XOR is an ordinary ALU op: a contract that uses it is analyzed,
     trained, rewritten and run with exact gas reconciliation, and an
@@ -439,7 +515,7 @@ def _mpht_snapshot(monkeypatch, error):
     monkeypatch.setattr(instrument, "build_mpht", failing_build)
     bundle = VISIBILITY.bundle()
     analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
-    name = sorted(analysis.boundary)[0]
+    name = analysis.code_names[0]
     return workflow.make_snapshot(analysis, {(name, 0): {0: 1}}, bundle.config), name
 
 
