@@ -1,4 +1,5 @@
-"""Whole-bundle analysis: per-function graphs, labelings, callsite ids, fingerprints."""
+"""Whole-bundle analysis: per-function graphs, labelings, the call-edge
+tables of protected call sites, fingerprints."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .cfg import (
 )
 from .config import Config, DEFAULT_CONFIG
 from .epp import EppLabeling, IndexSpaceOverflow, label_epp
+from .guardcode import SiteTable
 from .isa import EXTERNAL_CALLS
 from .program import ContractProgram
 
@@ -47,11 +49,11 @@ class BundleAnalysis:
     epp: dict[tuple[str, int], EppLabeling] = field(default_factory=dict)
     callgraph: CallGraph | None = None
     ccp: CcLabeling | None = None
-    site_gid: dict[Site, int] = field(default_factory=dict)
     # (site, callee node) -> (call edge value, via surrogate), every sited edge
     site_val: dict[tuple[Site, Node], tuple[int, bool]] = field(default_factory=dict)
-    # callee node -> its marker rows, see ``marker_rows``
-    rows: dict[Node, dict[int, tuple[int, bool]]] = field(default_factory=dict)
+    # protected external call site -> its call edges by selector (built in
+    # ``analyze_bundle``); a call site is protected when it has one
+    site_tables: dict[Site, SiteTable] = field(default_factory=dict)
     # (contract, function id) -> its step table, built on first use
     _steps: dict[tuple[str, int], dict[int, Steps]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -76,16 +78,6 @@ class BundleAnalysis:
     def index_space(self, contract: str, fid: int) -> int:
         return self.num_paths(contract, fid) * self.num_ccs(contract, fid)
 
-    def marker_rows(self, contract: str, fid: int) -> dict[int, tuple[int, bool]]:
-        """Site gid -> (call edge value, via surrogate) for every call edge
-        that can enter this function with a marker: ``guardcode.seq_entry``'s rows."""
-        return self.rows.get((contract, fid), {})
-
-    def site_protected(self, contract: str, fid: int, off: int) -> bool:
-        """Whether the external call at this site targets a protected contract."""
-        info = self.programs[contract].callsites.get((fid, off))
-        return info is not None and info.target in self.boundary
-
     def fingerprint(self) -> str:
         data = {
             "boundary": list(self.code_names),
@@ -94,7 +86,7 @@ class BundleAnalysis:
                 f"{c}:{f}": lab.fingerprint_data() for (c, f), lab in sorted(self.epp.items())
             },
             "ccp": self.ccp.fingerprint_data(),
-            "sites": {f"{s[0]}:{s[1]}:{s[2]}": g for s, g in sorted(self.site_gid.items())},
+            "sites": repr(sorted(self.site_tables.items())),
         }
         blob = json.dumps(data, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -150,22 +142,26 @@ def analyze_bundle(
     cg = acyclicize_callgraph(build_call_graph(programs, boundary))
     ba.callgraph = cg
     ba.ccp = label_ccp(cg, config.width)
+    reached: dict[Site, dict[int, tuple[int, bool]]] = {}  # callee fid -> edge
     for e in cg.edges:
         if e.site:
-            ba.site_val[(e.site, e.callee)] = (ba.ccp.call_val[e.ceid], e.kind == K_SURROGATE)
-    # dense callsite ids for annotated protected external callsites
-    sites = sorted(
-        {
-            e.site
-            for e in cg.edges
-            if e.site
-            and programs[e.site[0]].functions[e.site[1]].body[e.site[2]].op in EXTERNAL_CALLS
+            edge = (ba.ccp.call_val[e.ceid], e.kind == K_SURROGATE)
+            ba.site_val[(e.site, e.callee)] = edge
+            name, fid, off = e.site
+            if programs[name].functions[fid].body[off].op in EXTERNAL_CALLS:
+                reached.setdefault(e.site, {})[e.callee[1]] = edge
+    for (name, fid, off), rows in reached.items():
+        # a selector outside the cases runs the fallback: the default is the
+        # fallback's row when the site reaches it, else its last callee's; a
+        # case is a selector whose callee's row differs from the default
+        target = programs[programs[name].callsites[(fid, off)].target]
+        default = rows.get(target.fallback_id) or rows[max(rows)]
+        cases = {
+            sel: rows[callee]
+            for sel, callee in sorted(target.selector_table.items())
+            if rows.get(callee, default) != default
         }
-    )
-    ba.site_gid = {site: gid for gid, site in enumerate(sites)}
-    for (site, callee), edge in ba.site_val.items():
-        if site in ba.site_gid:
-            ba.rows.setdefault(callee, {})[ba.site_gid[site]] = edge
+        ba.site_tables[(name, fid, off)] = SiteTable(default, cases)
     # combined index space must leave sign headroom in a machine word
     for (name, fid), lab in ba.epp.items():
         space = lab.total_paths * ba.ccp.num_ccs[(name, fid)]

@@ -7,7 +7,9 @@ each next to the other: the combined word (``combined_word``,
 ``seq_check_fragment``), the context bands of an external entry
 (``entry_ctx``; the contract's ``seq_enter_routine``, which each external
 function's ``seq_entry`` calls), the context across an internal call
-(``icall_ctx``/``iret_ctx``, ``seq_icall_pre``/``seq_icall_post``) and the
+(``icall_ctx``/``iret_ctx``, ``seq_icall_pre``/``seq_icall_post``), the
+context a protected call sends, its call edge applied at the call site as
+an internal call does (``marker_ctx``, ``seq_protected_call_pre``) and the
 ctx slot (``slot_encode``, ``seq_unprotected_call_pre``). Hashes and
 membership mirror ``pathset``. Cross-validation tests run the emitted
 sequences in the VM against the Python versions.
@@ -52,8 +54,8 @@ SLOT_POISON = 0xFFFF_FFFF_FFFF_FFFF  # ctx slot: "anomaly seen in a reentrant fr
 CALLEE_ALARM = 0xFFFF_FFFF_FFFF_FFFF
 ALARM_BUFFER_CAP = 8  # alarm entries a contract keeps per transaction
 
-# Calldata prefix sent between protected contracts: [MARKER, ctx_base, site].
-MARKER_WORDS = 3
+# Calldata prefix sent between protected contracts: [MARKER, callee's ctx].
+MARKER_WORDS = 2
 # Return-data prefix sent back to protected callers: [MARKER, flag].
 RET_PREFIX_WORDS = 2
 
@@ -352,26 +354,18 @@ def seq_check_fragment(chk_fid: int, lay: Layout, num_paths: int) -> Asm:
 
 
 def entry_ctx(
-    num_ccs: int,
-    rows: dict[int, tuple[int, bool]],
-    width: int,
-    marker: tuple[int, int] | None,
-    slot: int,
-    direct: bool,
+    num_ccs: int, width: int, marker: int | None, slot: int, direct: bool
 ) -> int:
-    """The ctx an external entry at depth 0 takes: ``seq_enter_routine``'s,
-    through the function's rows in ``seq_entry``.
+    """The ctx an external entry at depth 0 takes: ``seq_enter_routine``'s.
 
-    ``marker`` is the (ctx base, site gid) a marker prefix carries, or None;
-    ``slot`` is the ctx slot's content and ``direct`` whether CALLER is
-    ORIGIN. A marker entry takes ``icall_ctx`` of the base through the
-    site's row, or the base alone when no row names the site. A reentrant
-    one decodes the slot (-1, see ``slot_encode``) and shifts it by 2N.
+    ``marker`` is the ctx word a marker prefix carries, or None; ``slot`` is
+    the ctx slot's content and ``direct`` whether CALLER is ORIGIN. A marker
+    entry takes the word as it arrives: the caller already applied the call
+    edge (``marker_ctx``). A reentrant one decodes the slot (-1, see
+    ``slot_encode``) and shifts it by 2N.
     """
     if marker is not None:
-        base, gid = marker
-        row = rows.get(gid)
-        return base if row is None else icall_ctx(base, *row, width)
+        return marker
     if slot:
         return (slot + 2 * num_ccs - 1) & ((1 << width) - 1)
     return 0 if direct else num_ccs & ((1 << width) - 1)
@@ -388,9 +382,9 @@ def band_split(ctx: int, num_ccs: int) -> tuple[int, bool, int]:
 def seq_enter_routine(config: Config) -> Asm:
     """Shared entry routine: consumes [N], IRETs []; sets ctx, mode and cdoff
     (``entry_ctx``) for a function with N = NumCCs contexts. A marker entry
-    takes ctx = base, which the calling ``seq_entry`` fixes through the
-    function's rows; a set ctx slot means reentry through an unprotected
-    call; the rest take the band N * (CALLER != ORIGIN) without a branch.
+    takes the prefix's ctx word as it arrives; a set ctx slot means reentry
+    through an unprotected call; the rest take the band N * (CALLER !=
+    ORIGIN) without a branch.
     """
     lay = Layout(config.width)
     a = Asm()
@@ -412,17 +406,14 @@ def seq_enter_routine(config: Config) -> Asm:
 
 
 def seq_entry(
-    num_ccs: int, entry_epp: int, rows: dict[int, tuple[int, bool]], enter_fid: int,
-    config: Config, icall_target: bool = False,
+    num_ccs: int, entry_epp: int, enter_fid: int, config: Config, icall_target: bool = False
 ) -> Asm:
-    """External-function wrapper entry: ICALL the shared entry routine, fix a
-    marker entry's ctx through the function's rows (``entry_ctx``), store
-    the entry value.
+    """External-function wrapper entry: ICALL the shared entry routine, then
+    store the entry value.
 
-    rows: site gid -> (edge value, via_surrogate) for every call edge that
-    can reach this function with a marker. An ``icall_target``, which some
-    ICALL enters too, skips all but the store below depth 0, keeping the ctx
-    the caller's ICALL set, and always stores its entry value.
+    An ``icall_target``, which some ICALL enters too, skips the routine
+    below depth 0, keeping the ctx the caller's ICALL set, and always stores
+    its entry value.
     """
     lay = Layout(config.width)
     a = Asm()
@@ -430,33 +421,11 @@ def seq_entry(
     if icall_target:
         a.mload(lay.depth).jumpi(l_done)
     a.push(num_ccs & config.mask).emit(Op.ICALL, enter_fid)
-    if rows:
-        a.mload(lay.mode).push(MODE_MARKER).emit(Op.XOR).jumpi(l_done)
-        a.push(2).emit(Op.CALLDATALOAD)  # [site]
-        l_sum = Asm.fresh("sum")
-        *head, last = sorted(rows.items())
-        for gid, row in head:
-            nxt = Asm.fresh("nxt")
-            a.emit(Op.DUP, 1).push(gid).emit(Op.XOR).jumpi(nxt).emit(Op.POP)
-            _row_ctx(a, row, lay, config).jump(l_sum).mark(nxt)
-        a.push(last[0]).emit(Op.XOR).jumpi(l_done)  # an unknown site keeps base
-        _row_ctx(a, last[1], lay, config)
-        if head:
-            a.mark(l_sum)
-        a.mstore(lay.ctx)
-    if rows or icall_target:
+    if icall_target:
         a.mark(l_done)
     if entry_epp or icall_target:
         a.epp_set(lay, entry_epp)  # an ICALL enters deeper than depth 0
     return a
-
-
-def _row_ctx(a: Asm, row: tuple[int, bool], lay: Layout, config: Config) -> Asm:
-    """Push a marker entry's ctx through ``row`` (``icall_ctx``): its value,
-    plus the base the entry routine left in ctx unless it is a surrogate's."""
-    val, via_surrogate = row
-    a.push(val & config.mask)
-    return a if via_surrogate else a.mload(lay.ctx).emit(Op.ADD)
 
 
 def seq_external_epilogue(
@@ -644,29 +613,62 @@ def seq_call_result(vt_val: int, lay: Layout) -> Asm:
     return a
 
 
-def seq_protected_call_pre(op: Op, site_gid: int, config: Config) -> Asm:
-    """Rebuild the arg block with the [MARKER, ctx, site] calldata prefix.
+class SiteTable(NamedTuple):
+    """The call edges of a protected call site, by the call's selector word:
+    ``cases`` maps a selector to its callee's (edge value, via surrogate)
+    where that row differs from ``default``, the row every other selector
+    takes."""
+
+    default: tuple[int, bool]
+    cases: dict[int, tuple[int, bool]]
+
+
+def marker_ctx(ctx: int, selector: int, table: SiteTable, width: int) -> int:
+    """The ctx a protected call sends its callee (``seq_protected_call_pre``):
+    ``icall_ctx`` through the row that the call's selector word picks."""
+    return icall_ctx(ctx, *table.cases.get(selector, table.default), width)
+
+
+def seq_protected_call_pre(op: Op, table: SiteTable, config: Config) -> Asm:
+    """Rebuild the arg block with the [MARKER, ctx] calldata prefix.
 
     Runs immediately before ``op`` with the stack at [args..., nargs,
     selector, addr] for DELEGATECALL and [args..., nargs, selector, value,
-    addr] for CALL, and leaves [args..., site, ctx, MARKER, nargs + 3, ...]
-    with the head words as they were. Each pushed word reaches its place by
-    one SWAP.
+    addr] for CALL, and leaves [args..., ctx, MARKER, nargs + 2, ...] with
+    the head words as they were; ctx is ``marker_ctx`` of the frame's ctx
+    and the selector word, computed with the selector on top.
     """
     lay = Layout(config.width)
     marker = CALL_MARKER & config.mask
-    a = Asm()
-    if op is Op.CALL:  # [n, sel, val, addr]
-        a.mload(lay.ctx).emit(Op.SWAP, 3)  # [n, ctx, val, addr, sel]
-        a.push(marker).emit(Op.SWAP, 3)  # [n, ctx, MARKER, addr, sel, val]
-        a.push(site_gid).emit(Op.SWAP, 6)  # [site, ctx, MARKER, addr, sel, val, n]
-        a.push(MARKER_WORDS).emit(Op.ADD).emit(Op.SWAP, 3)
-    else:  # [n, sel, addr]
-        a.push(site_gid).emit(Op.SWAP, 3)  # [site, sel, addr, n]
-        a.push(MARKER_WORDS).emit(Op.ADD)
-        a.mload(lay.ctx).emit(Op.SWAP, 3)  # [site, ctx, addr, n + 3, sel]
-        a.push(marker).emit(Op.SWAP, 3)
-    return a
+    a = Asm().emit(Op.SWAP, 2)
+    if op is Op.CALL:  # [n, addr, val, sel]
+        _site_ctx(a, table, lay, config).emit(Op.SWAP, 4)  # [ctx, addr, val, sel, n]
+        a.push(MARKER_WORDS).emit(Op.ADD).emit(Op.SWAP, 2)  # [ctx, addr, n + 2, sel, val]
+        return a.push(marker).emit(Op.SWAP, 4)
+    # [addr, sel, n]
+    a.push(MARKER_WORDS).emit(Op.ADD).push(marker).emit(Op.SWAP, 2)  # [addr, MARKER, n + 2, sel]
+    return _site_ctx(a, table, lay, config).emit(Op.SWAP, 4)
+
+
+def _site_ctx(a: Asm, table: SiteTable, lay: Layout, config: Config) -> Asm:
+    """Push ``marker_ctx`` of the frame's ctx, the selector word on top."""
+
+    def arm(row: tuple[int, bool]) -> Asm:  # icall_ctx through the edge ``row``
+        val, surrogate = row[0] & config.mask, row[1]
+        if surrogate:
+            return a.push(val)
+        a.mload(lay.ctx)
+        return a.push(val).emit(Op.ADD) if val else a
+
+    cases = [(Asm.fresh("case"), row) for row in table.cases.values()]
+    for sel, (label, _row) in zip(table.cases, cases):
+        a.emit(Op.DUP, 1).push(sel).emit(Op.EQ).jumpi(label)
+    done = Asm.fresh("site_done")
+    arm(table.default)
+    for label, row in cases:
+        a.jump(done).mark(label)
+        arm(row)
+    return a.mark(done) if cases else a
 
 
 def seq_protected_call_post(config: Config, shims: bool) -> Asm:

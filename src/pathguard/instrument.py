@@ -204,9 +204,9 @@ class _Rewriter:
         # external frame, shared by its internal calls: the contract reads
         # return data behind a shim once any of its calls can be prefixed.
         reads = {Op.RETURNDATALOAD, Op.RETURNDATASIZE}
-        self.shims = any(
-            analysis.site_protected(name, fid, off) for fid, off in self.prog.callsites
-        ) and any(i.op in reads for fn in self.prog.functions for i in fn.body)
+        self.shims = any(site[0] == name for site in analysis.site_tables) and any(
+            i.op in reads for fn in self.prog.functions for i in fn.body
+        )
 
     def point(self, kind: str, site: tuple, **payload) -> int:
         self.points.append(InstrumentPoint(kind, site, payload))
@@ -360,10 +360,9 @@ class _Rewriter:
         # entry
         if external:
             num_ccs = analysis.num_ccs(name, fn.id)
-            rows = analysis.marker_rows(name, fn.id)
-            pid = self.point(POINT_WRAPPER, (fn.name, 0), num_ccs=num_ccs, rows=len(rows))
+            pid = self.point(POINT_WRAPPER, (fn.name, 0), num_ccs=num_ccs)
             inner = fn.id in self.icall_targets
-            seq = seq_entry(num_ccs, entry_val, rows, self.slow.enter, self.config, inner)
+            seq = seq_entry(num_ccs, entry_val, self.slow.enter, self.config, inner)
             add(before, 0, seq, pid)
         else:
             pid = self.point(POINT_ENTRY, (fn.name, 0), entry_val=entry_val)
@@ -517,10 +516,12 @@ class _Rewriter:
 
     def _plan_external_call(self, fn, off, before, after, add) -> None:
         config = self.config
-        if self.analysis.site_protected(self.name, fn.id, off):
-            gid = self.analysis.site_gid[(self.name, fn.id, off)]
-            pid = self.point(POINT_EXT_PROT, (fn.name, off), site_gid=gid)
-            add(before, off, seq_protected_call_pre(fn.body[off].op, gid, config), pid)
+        table = self.analysis.site_tables.get((self.name, fn.id, off))
+        if table:
+            pid = self.point(
+                POINT_EXT_PROT, (fn.name, off), default=table.default, cases=len(table.cases)
+            )
+            add(before, off, seq_protected_call_pre(fn.body[off].op, table, config), pid)
             add(after, off, seq_protected_call_post(config, self.shims), pid)
         else:
             pid = self.point(POINT_EXT_UNPROT, (fn.name, off), slot=hex(CTX_SLOT))

@@ -6,7 +6,8 @@ This is the independent reference implementation for the profiling
 equivalence tests and the source of truth during training. It forms each
 word the way the guard does, through ``guardcode``'s Python mirrors: the
 entry classification (marker, direct, foreign, reentrant), the context
-across internal calls, the transient ctx slot around unprotected calls
+across internal calls and the one a protected call sends (by the call's
+selector), the transient ctx slot around unprotected calls
 (empty at the start of every transaction) and the combined word. What it
 tracks itself is what the trace shows: frames, path decomposition at
 backedges, and which frames run with the origin as CALLER. It sees no
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .bundle import BundleAnalysis, Steps
 from .cfg import Cfg, VIRTUAL_FALSE, VIRTUAL_TRUE
-from .guardcode import combined_word, entry_ctx, icall_ctx, iret_ctx, slot_encode
+from .guardcode import combined_word, entry_ctx, icall_ctx, iret_ctx, marker_ctx, slot_encode
 from .isa import Op
 from .vm import Receipt, STATUS_ACCEPTED, TraceEvent
 
@@ -107,13 +108,12 @@ class TraceOracle:
         frame.istack.append(_IFrame(fid, cfg, steps, lab, None, lab.entry_val, frame.ctx))
 
     def _enter_frame(
-        self, self_addr: int, code: str, fid: int, direct: bool, marker: tuple[int, int] | None
+        self, self_addr: int, code: str, fid: int, direct: bool, marker: int | None
     ) -> None:
         """Push a protected frame entered at external function ``fid``."""
         frame = _Frame(self_addr, code, direct)
         frame.ctx = entry_ctx(
             self.analysis.num_ccs(code, fid),
-            self.analysis.marker_rows(code, fid),
             self.config.width,
             marker,
             self.slots.get(self_addr, 0),
@@ -249,11 +249,10 @@ class TraceOracle:
         fid = ev.get("fn")
         target = ev.get("target")
         self_addr = caller.self_addr if kind == "delegatecall" else target
-        site = (caller.code, ev.fn, ev.offset) if caller.code else None
-        protected_site = site is not None and self.analysis.site_protected(*site)
+        table = self.analysis.site_tables.get((caller.code, ev.fn, ev.offset))
 
         # caller side: keep ctx in the ctx slot across calls leaving the boundary
-        if caller.code and not caller.aborted and not protected_site:
+        if caller.code and not caller.aborted and not table:
             prev = self.slots.get(caller.self_addr, 0)
             caller.slot_saves.append((caller.self_addr, prev))
             self.slots[caller.self_addr] = slot_encode(caller.ctx, self.config.width)
@@ -264,8 +263,9 @@ class TraceOracle:
             self.frames.append(_Frame(self_addr, None, direct))
             return
         marker = None
-        if protected_site and not caller.aborted:
-            marker = (caller.ctx, self.analysis.site_gid[site])
+        if table and not caller.aborted:
+            selector = ev.get("selector") or 0  # the VM reports selector 0 as None
+            marker = marker_ctx(caller.ctx, selector, table, self.config.width)
         self._enter_frame(self_addr, code, fid, direct, marker)
 
     def _on_ExternalCallReturn(self, ev: TraceEvent) -> None:
@@ -277,7 +277,7 @@ class TraceOracle:
         if caller is None or not caller.code or caller.aborted:
             return
         # restore the ctx slot if this was an unprotected-site call
-        if not self.analysis.site_protected(caller.code, ev.fn, ev.offset):
+        if (caller.code, ev.fn, ev.offset) not in self.analysis.site_tables:
             if not caller.slot_saves:
                 raise TraceMismatch(
                     f"return at offset {ev.offset} with no unprotected call in flight"

@@ -179,7 +179,9 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
     ``to`` may be a contract name or address; ``fn`` a function name,
     "fallback", or a hex selector; calldata words may use "@Name" to refer
     to deployed contract addresses. Every other word must be a word of the
-    bundle's width (WorkflowError otherwise).
+    bundle's width (WorkflowError otherwise). The origin must not be a
+    deployed contract's address: the guard would take a call from that
+    contract as direct (CALLER is ORIGIN), the trace oracle as foreign.
     """
     if not isinstance(record, dict):
         raise WorkflowError(f"transaction record is not a JSON object: {record!r}")
@@ -199,8 +201,14 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
     else:
         selector = read_word(fn, "transaction fn", WorkflowError, mask)
     calldata = [deployed.resolve(w) for w in record.get("calldata", [])]
+    origin = read_word(record.get("origin", 1), "transaction origin", WorkflowError, mask)
+    if origin in deployed.names:
+        raise WorkflowError(
+            f"transaction {record}: origin {origin:#x} is the address of "
+            f"contract {deployed.names[origin]!r}"
+        )
     return Transaction(
-        origin=read_word(record.get("origin", 1), "transaction origin", WorkflowError, mask),
+        origin=origin,
         to=to,
         selector=selector,
         calldata=calldata,

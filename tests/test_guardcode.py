@@ -23,6 +23,7 @@ from pathguard.guardcode import (
     Asm,
     Layout,
     RawAlarm,
+    SiteTable,
     _guard_revert,
     admin_calldata,
     band_split,
@@ -34,6 +35,7 @@ from pathguard.guardcode import (
     flatten,
     icall_ctx,
     iret_ctx,
+    marker_ctx,
     seq_admin_body,
     seq_arith_check,
     seq_check_fragment,
@@ -68,20 +70,25 @@ from pathguard.program import ContractProgram, FunctionDef, Visibility, validate
 from pathguard.vm import Transaction, VM, WorldState, deploy
 
 
+PROBE_SELECTOR = 0x7
+
+
 def _execute(
     items, calldata, width=64, pool=None, extra_fns=None, storage=None, selectors=None,
-    points=None, origin=1, balance=0,
+    points=None, origin=1, balance=0, fallback=None,
 ):
-    """Run one tx from ``origin`` into a probe function made of ``items``;
-    ``extra_fns`` take function ids 1, 2, ... and ``selectors`` maps
-    selectors to the external ones; ``points`` are the VM's gas points of
-    the contract, which holds ``balance``. Returns the receipt, the world
-    and the address."""
+    """Run one tx from ``origin`` into a probe function made of ``items``,
+    selector ``PROBE_SELECTOR``; ``extra_fns`` take function ids 1, 2, ...
+    and ``selectors`` maps selectors to the external ones, ``fallback``
+    being one of them or None; ``points`` are the VM's gas points of the
+    contract, which holds ``balance``. Returns the receipt, the world and
+    the address."""
     config = Config(width=width)
     fns = [FunctionDef(0, "probe", Visibility.EXTERNAL, flatten(items, base=0))]
     if extra_fns:
         fns += extra_fns
-    prog = ContractProgram("t", fns, {0x7: 0, **(selectors or {})}, None, data_pool=pool or [])
+    table = {PROBE_SELECTOR: 0, **(selectors or {})}
+    prog = ContractProgram("t", fns, table, fallback, data_pool=pool or [])
     validate_program(prog, config)
     world = WorldState(config)
     addr = deploy(world, prog, 0xD0)
@@ -91,7 +98,7 @@ def _execute(
         world.set_balance(addr, balance)
     world.commit(0)
     vm = VM(world, gas_points=points and {"t": points})
-    receipt = vm.execute_transaction(Transaction(origin, addr, 0x7, calldata))
+    receipt = vm.execute_transaction(Transaction(origin, addr, PROBE_SELECTOR, calldata))
     return receipt, world, addr
 
 
@@ -664,20 +671,29 @@ def test_guard_revert_payload_decodes_to_the_buffer(data, width):
     assert alarms == [RawAlarm(addr, *entry) for entry in reported]
 
 
-RECORDER_FID, RECORDER_SELECTOR = 1, 0x9  # the protected call's callee
+RECORDER_FID = 1  # the protected call's callee, also the fallback
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), width=WIDTHS, op=st.sampled_from([Op.CALL, Op.DELEGATECALL]))
 def test_protected_call_prefix_reaches_the_callee(data, width, op):
     """Through seq_protected_call_pre, the callee is reached by the call's
-    own selector and value and reads [MARKER, ctx, site, *args] as its
-    calldata; the stack below the call is untouched."""
+    own selector and value and reads [MARKER, ctx, *args] as its calldata,
+    ctx being ``marker_ctx`` of the caller's ctx through the site table's
+    row for that selector: a case's, or the default's for 0 and for a
+    selector with no case. The table has 0-3 cases, surrogate rows among
+    them. The stack below the call is untouched."""
     config = Config(width=width)
     lay = Layout(width)
     word = _word(width)
+    row = st.tuples(word, st.booleans())
+    sels = st.integers(1, min(config.mask, 200)).filter(lambda s: s != PROBE_SELECTOR)
+    table = SiteTable(data.draw(row), data.draw(st.dictionaries(sels, row, max_size=3)))
+    selector = data.draw(
+        st.sampled_from([*table.cases, 0]) | sels.filter(lambda s: s not in table.cases)
+    )
     args = data.draw(st.lists(word, max_size=4))
-    ctx, site = data.draw(word), data.draw(st.integers(0, min(config.mask, 200)))
+    ctx = data.draw(word)
     value = data.draw(st.integers(0, 50)) if op is Op.CALL else 0
     seen = len(args) + MARKER_WORDS  # calldata words the recorder returns
     recorder = Asm()
@@ -687,21 +703,22 @@ def test_protected_call_prefix_reaches_the_callee(data, width, op):
     a = Asm().mstore_const(lay.ctx, ctx).push(SENTINEL & config.mask)
     for arg in reversed(args):
         a.push(arg)
-    a.push(len(args)).push(RECORDER_SELECTOR)
+    a.push(len(args)).push(selector)
     if op is Op.CALL:
         a.push(value)
-    a.emit(Op.ADDRESS).extend(seq_protected_call_pre(op, site, config)).emit(op)
+    a.emit(Op.ADDRESS).extend(seq_protected_call_pre(op, table, config)).emit(op)
     for i in reversed(range(seen + 2)):
         a.push(i).emit(Op.RETURNDATALOAD)
     a.push(seen + 4).emit(Op.RETURN)
     fns = [FunctionDef(RECORDER_FID, "rec", Visibility.EXTERNAL, flatten(recorder.items, 0))]
     receipt, _world, _addr = _execute(
-        a.items, [], width, extra_fns=fns, selectors={RECORDER_SELECTOR: RECORDER_FID},
-        balance=value,
+        a.items, [], width, extra_fns=fns, selectors=dict.fromkeys(table.cases, RECORDER_FID),
+        balance=value, fallback=RECORDER_FID,
     )
     assert receipt.status == "Accepted", receipt
+    sent = marker_ctx(ctx, selector, table, width)
     assert receipt.return_data == [
-        seen, value, CALL_MARKER & config.mask, ctx, site, *args, 1, SENTINEL & config.mask
+        seen, value, CALL_MARKER & config.mask, sent, *args, 1, SENTINEL & config.mask
     ]
 
 
@@ -745,13 +762,21 @@ def _memory_ops(items: list[tuple]) -> list[tuple[Op, int | None]]:
 def test_call_prefix_admin_and_guard_revert_keep_no_scratch_memory(width):
     """The protected-call prefix, the administration loop and the guard
     revert keep their working words on the stack: the prefix reads the ctx
-    word and nothing else of memory; the other two touch no memory."""
+    word in each arm of its table that adds to it, and nothing else of
+    memory; the other two touch no memory."""
     config = Config(width=width)
     lay = Layout(width)
-    for op in (Op.CALL, Op.DELEGATECALL):
-        assert _memory_ops(seq_protected_call_pre(op, 3, config).items) == [
-            (Op.MLOAD, lay.ctx)
-        ]
+    tables = [
+        SiteTable((3, False), {}),
+        SiteTable((3, True), {}),
+        SiteTable((3, True), {0x9: (2, True)}),
+        SiteTable((3, False), {0x9: (0, False), 0xA: (2, True)}),
+    ]
+    for table in tables:
+        adds = sum(not surrogate for _val, surrogate in (table.default, *table.cases.values()))
+        for op in (Op.CALL, Op.DELEGATECALL):
+            items = seq_protected_call_pre(op, table, config).items
+            assert _memory_ops(items) == [(Op.MLOAD, lay.ctx)] * adds
     assert _memory_ops(seq_admin_body(config).items) == []
     assert _memory_ops(_guard_revert(CODE_ID, config).items) == []
 
@@ -839,21 +864,18 @@ ENTRY_FID, ENTRY_SELECTOR = 1, 0x8  # the function whose entry is under test
 ENTER_FID = 2  # the shared entry routine it calls
 
 # How the probe reaches the entry function, and with what calldata:
-# (op, marker row, slot set). A CALL makes CALLER the probe's own address;
-# a DELEGATECALL keeps the tx's CALLER, the origin; an ICALL enters below
-# depth 0. The marker row is None for a markerless entry, "short" for a
-# marker word without the full prefix, else the kind of row the site gid
-# names.
+# (op, prefix, slot set). A CALL makes CALLER the probe's own address; a
+# DELEGATECALL keeps the tx's CALLER, the origin; an ICALL enters below
+# depth 0. The prefix is None for a markerless entry, "short" for a marker
+# word without the full prefix and "marker" for [MARKER, ctx].
 ENTRY_CASES = {
     "direct": (Op.DELEGATECALL, None, False),
     "foreign": (Op.CALL, None, False),
     "reentrant": (Op.CALL, None, True),
     "reentrant-direct": (Op.DELEGATECALL, None, True),
     "short-marker": (Op.CALL, "short", False),
-    "marker-row": (Op.CALL, "row", False),
-    "marker-surrogate-row": (Op.CALL, "surrogate", True),
-    "marker-unknown-site": (Op.DELEGATECALL, "unknown", False),
-    "icall-below-depth-0": (Op.ICALL, "row", True),
+    "marker": (Op.CALL, "marker", True),
+    "icall-below-depth-0": (Op.ICALL, "marker", True),
 }
 
 
@@ -863,33 +885,27 @@ ENTRY_CASES = {
 def test_entry_ctx_matches_prologue(kind, data, width):
     """seq_entry, calling seq_enter_routine, sets ``entry_ctx`` for each
     entry kind: direct, foreign, reentrant (the slot beats the CALLER test)
-    and marker (the prefix beats the slot), through a known row, a
-    surrogate row or an unknown site. It sets the mode and the calldata
-    offset to match and the path register to the entry value, and leaves
-    the stack as it found it. An ICALL target entered below depth 0 keeps
-    the ctx the ICALL set, whatever the calldata and the slot."""
-    op, row_kind, slot_set = ENTRY_CASES[kind]
+    and marker (the prefix beats the slot; the ctx word is taken as it
+    arrives). It sets the mode and the calldata offset to match and the
+    path register to the entry value, and leaves the stack as it found it.
+    An ICALL target entered below depth 0 keeps the ctx the ICALL set,
+    whatever the calldata and the slot."""
+    op, prefix_kind, slot_set = ENTRY_CASES[kind]
     config = Config(width=width)
     lay = Layout(width)
     mask = config.mask
     num_ccs = data.draw(st.integers(1, 1 << (width - 1)))
-    gids = st.integers(0, min(mask, 40))
-    rows = data.draw(st.dictionaries(gids, st.tuples(_word(width), st.booleans()), max_size=4))
     entry_epp = data.draw(_word(width))
     icall_target = op is Op.ICALL or data.draw(st.booleans())
     slot = data.draw(st.integers(1, mask)) if slot_set else 0
-    base, gid = data.draw(_word(width)), data.draw(gids)
-    if row_kind in ("row", "surrogate"):
-        rows[gid] = (data.draw(_word(width)), row_kind == "surrogate")
-    elif row_kind == "unknown":
-        rows.pop(gid, None)
     marker = CALL_MARKER & mask
-    calldata = {None: [], "short": [marker, base]}.get(row_kind, [marker, base, gid])
+    sent = data.draw(_word(width))  # the ctx word of a full prefix
+    calldata = {None: [], "short": [marker], "marker": [marker, sent]}[prefix_kind]
     calldata = calldata + data.draw(st.lists(_word(width), max_size=2))
 
     below = data.draw(_word(width))  # the word under the entry's stack
     entry = Asm().push(below)
-    entry.extend(seq_entry(num_ccs, entry_epp, rows, ENTER_FID, config, icall_target))
+    entry.extend(seq_entry(num_ccs, entry_epp, ENTER_FID, config, icall_target))
     entry.epp_addr(lay).emit(Op.MLOAD)
     entry.mload(lay.cdoff).mload(lay.mode).mload(lay.ctx).push(5).emit(Op.RETURN)
     fns = [
@@ -919,10 +935,10 @@ def test_entry_ctx_matches_prologue(kind, data, width):
             a.push(i).emit(Op.RETURNDATALOAD)
         a.push(5).emit(Op.RETURN)
         marked = len(calldata) >= MARKER_WORDS and calldata[0] == marker
-        prefix = (calldata[1], calldata[2]) if marked else None
-        ctx = entry_ctx(num_ccs, rows, width, prefix, slot, op is Op.DELEGATECALL)
-        mode = MODE_MARKER if prefix else MODE_REENTRANT if slot else MODE_BOUNDARY
-        want = [ctx, mode, MARKER_WORDS if prefix else 0, entry_epp, below]
+        prefix = calldata[1] if marked else None
+        ctx = entry_ctx(num_ccs, width, prefix, slot, op is Op.DELEGATECALL)
+        mode = MODE_MARKER if marked else MODE_REENTRANT if slot else MODE_BOUNDARY
+        want = [ctx, mode, MARKER_WORDS if marked else 0, entry_epp, below]
     # the tx's own calldata only reaches the entry through the ICALL
     assert _returned(a.items, width, fns, {ENTRY_SELECTOR: ENTRY_FID}, calldata) == want
 
@@ -939,8 +955,8 @@ def test_band_split_inverts_the_entry_bands(data, width, direct):
     foreign, base = data.draw(st.booleans()), data.draw(st.integers(0, num_ccs - 1))
     outer = (depth * 2 + foreign) * num_ccs + base
     assert band_split(outer, num_ccs) == (depth, foreign, base)
-    assert band_split(entry_ctx(num_ccs, {}, width, None, 0, direct), num_ccs) == (
+    assert band_split(entry_ctx(num_ccs, width, None, 0, direct), num_ccs) == (
         0, not direct, 0
     )
-    reentry = entry_ctx(num_ccs, {}, width, None, slot_encode(outer, width), direct)
+    reentry = entry_ctx(num_ccs, width, None, slot_encode(outer, width), direct)
     assert band_split(reentry, num_ccs) == (depth + 1, foreign, base)

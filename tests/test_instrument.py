@@ -1,8 +1,11 @@
 """Rewriting: observational equivalence, size accounting, plan content, spill."""
 
 import hashlib
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +43,7 @@ from pathguard.vm import (
     WorldState,
     deploy,
 )
-from pathguard.workflow import deploy_overhead_pct, protect, train
+from pathguard.workflow import Bundle, deploy_overhead_pct, protect, train
 
 CONFIG = Config()
 
@@ -208,6 +211,49 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
         ]
         point_bytes = sum(p.code_bytes + p.blob_bytes for p in inst.points)
         assert inst.instrumented_size - inst.original_size == point_bytes
+
+
+def _wide_pair() -> Bundle:
+    """The generated pair the wide workloads run (``perfbench/widegen.py``,
+    shape seed 0)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "widegen.py"
+    spec = importlib.util.spec_from_file_location("widegen", path)
+    widegen = sys.modules["widegen"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widegen)  # its dataclass looks itself up there
+    return Bundle.from_json(widegen.bundle_json(widegen.make_shape(0), "0"))
+
+
+def test_external_entries_hold_only_the_routine_call_and_the_entry_store():
+    """In every guarded fixture and the wide pair, an external function's
+    entry is PUSH N; ICALL __guard_enter, with only an ICALL target's depth
+    test around it and the entry-value store after it. A protected call
+    applies its call edge at the call site, so no entry reads the mode word
+    or the calldata."""
+    depth_test = [Op.PUSH, Op.MLOAD, Op.JUMPI]
+    store = [Op.PUSH, Op.PUSH, Op.MLOAD, Op.PUSH, Op.ADD, Op.MSTORE]  # Asm.epp_set
+    for bundle in [s.bundle() for s in ALL_SCENARIOS] + [_wide_pair()]:
+        analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+        lay = Layout(bundle.config.width)
+        for name in sorted(bundle.boundary):
+            inst = instrument_contract(name, analysis, {})
+            functions = inst.program.functions
+            enter = next(fn.id for fn in functions if fn.name == "__guard_enter")
+            inner = {i.imm for fn in functions[:enter] for i in fn.body if i.op is Op.ICALL}
+            for fn in analysis.programs[name].external_functions():
+                pid = next(
+                    k for k, p in enumerate(inst.points)
+                    if p.site == (fn.name, 0) and "num_ccs" in p.payload
+                )
+                entry = [i for i, o in zip(functions[fn.id].body, inst.owners[fn.id]) if o == pid]
+                call = [Op.PUSH, Op.ICALL]
+                if fn.id in inner:
+                    assert [i.op for i in entry] == depth_test + call + [Op.JUMPDEST] + store
+                else:
+                    assert [i.op for i in entry] in (call, call + store), (name, fn.name)
+                at = 3 if fn.id in inner else 0
+                num_ccs = analysis.num_ccs(name, fn.id) & bundle.config.mask
+                assert entry[at].imm == num_ccs and entry[at + 1].imm == enter
+                assert all(i.imm != lay.mode for i in entry if i.op is Op.PUSH)
 
 
 def test_flagged_marker_exit_reconciles():
@@ -497,7 +543,7 @@ def _pinned_bundles(monkeypatch):
         yield protect(bundle, train(bundle, scenario.training))
     call = _guarded((FRONT_SRC, BACK_SRC), {})
     assert any(
-        p.kind == "ExternalCallProtected" and p.payload.get("site_gid") is not None
+        p.kind == "ExternalCallProtected" and "cases" in p.payload
         for p in call.instrumented["front"].points
     )
     assert any(i.op is Op.CALL for i in call.instrumented["front"].program.functions[0].body)
@@ -525,7 +571,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "19047ce5356722396dadc175d5b730bc4739b5dfd25117689c314ce7970be153"
+        "5f1174cc056a425910e7f2954d27f4b1d55964e2bc0bf96653d5d16fb0cda93d"
     )
 
 
@@ -881,7 +927,7 @@ def test_empty_snapshot_output_pinned():
                 assert entry.pop("hits") == []
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "4bfb908f9016421dade0b262f468f92b261941be549e628e2a1bd05c70077604"
+        "1082a3fc92d64edc28caad47d133fbdb338c5072dc07e735034726618078f006"
     )
 
 
@@ -932,6 +978,67 @@ def _checks_against_oracle(guarded, record):
     r2 = vm.execute_transaction(parse_tx(record, deployed, bundle))
     oracle = trace_oracle(r1.trace, guarded.analysis, r1.status)
     return guard_verdict(guarded, r2)[0], checked_pairs_from_receipt(r2), oracle
+
+
+# lib.g is entered by ICALL from lib.f, and lib is listed before user, so
+# that in-edge ranks first: g's edge from user.go's call site differs from
+# f's and the fallback's. The call has no fn=, so its selector word, taken
+# from calldata, picks the callee. The fallback is not lib's last function,
+# so the default row is the fallback's by rule, not by position.
+CASED_LIB_SRC = """
+contract lib {
+  fn fallback external {
+    STOP
+  }
+  fn f external selector=0x51 {
+    ICALL g
+    STOP
+  }
+  fn g external selector=0x52 {
+    PUSH 1
+    PUSH 0
+    SSTORE
+    STOP
+  }
+}
+"""
+
+CASED_USER_SRC = """
+contract user {
+  fn go external selector=0x61 {
+    PUSH 0
+    PUSH 0
+    CALLDATALOAD
+    PUSH 0
+    PUSH 1
+    CALLDATALOAD
+    CALL target=lib
+    POP
+    STOP
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("selector", [0x51, 0x52, 0, 0x5F], ids=["f", "g", "zero", "lacking"])
+def test_site_table_case_sends_each_callee_its_call_edge(selector):
+    """A dynamic protected call site whose callees' call edges differ has a
+    case for the odd one out (g) and the fallback's row as its default.
+    Through each selector, selector 0 into the fallback and a selector lib
+    lacks, the checked pairs equal the trace oracle's, and the guard accepts
+    the tx exactly when training saw every pair the oracle gives it."""
+    bundle = Bundle.from_json(
+        {"contracts": [{"source": CASED_LIB_SRC}, {"source": CASED_USER_SRC}]}
+    )
+    trained = [{"to": "user", "fn": "go", "calldata": [sel, "@lib"]} for sel in (0x51, 0x52)]
+    guarded = protect(bundle, train(bundle, trained))
+    (table,) = guarded.analysis.site_tables.values()
+    assert table.default == (1, False) and table.cases == {0x52: (3, False)}
+    seen = {pair for record in trained for pair in _checks_against_oracle(guarded, record)[2]}
+    record = {"to": "user", "fn": "go", "calldata": [selector, "@lib"]}
+    status, checked, oracle = _checks_against_oracle(guarded, record)
+    assert checked == oracle
+    assert (status == "Accepted") == (set(oracle) <= seen) == (selector in (0x51, 0x52))
 
 
 ICALL_ENTRY_SRC = """

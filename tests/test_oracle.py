@@ -213,16 +213,15 @@ def _pingpong():
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_cross_contract_recursion_matches(depth):
-    """The call cycle alpha -> beta -> alpha is cut by a surrogate, so the
-    inner alpha frames enter through a via-surrogate marker row."""
+    """The call cycle alpha -> beta -> alpha is cut by a surrogate, so beta's
+    call applies a via-surrogate call edge: the inner alpha frames enter
+    with that edge's value alone."""
     programs = _pingpong()
     analysis = analyze_bundle(programs, set(programs), CONFIG)
-    rows = [
-        surrogate
-        for (site, _callee), (_val, surrogate) in analysis.site_val.items()
-        if site in analysis.site_gid
+    tables = sorted(analysis.site_tables.items())
+    assert [(site[0], t.default[1], t.cases) for site, t in tables] == [
+        ("alpha", False, {}), ("beta", True, {})
     ]
-    assert sorted(rows) == [False, True]
 
     def run(progs, trace_mode, checkers=None):
         world = WorldState(CONFIG)

@@ -721,7 +721,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "d2d5cea356c6510df6a248e992a4e3af5aab3b09f8a9cd867e28a9eb482c0765"
+        "ff84eeb1877c38cc9297d9f84bf7103a4a1391568e7f66d7b3bca5be0779360e"
     )
 
 

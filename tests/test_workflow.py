@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from pathguard.fixtures import (
     VISIBILITY,
     by_name,
 )
-from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER, Layout
+from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER, MARKER_WORDS, Layout
 from pathguard.isa import Op
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
 from pathguard.pathset import MphtSpec, build_mpht, mapping_slot
@@ -567,7 +568,9 @@ def test_reentry_through_unprotected_contract_alarms(forged):
     raw = json.loads(json.dumps(REENTRANCY.bundle_json))
     marker = CALL_MARKER
     if forged:
-        raw["contracts"][1]["source"] = _thief_reentering_with([marker, 0, 0])
+        raw["contracts"][1]["source"] = _thief_reentering_with(
+            [marker] + [0] * (MARKER_WORDS - 1)
+        )
     bundle = Bundle.from_json(raw)
     guarded = protect(bundle, train(bundle, REENTRANCY.training))
     run = start_detection(guarded, mirror=False)
@@ -604,12 +607,13 @@ _FORGED_MARKER_BYPASS = {"delegatecall", "overflow", "unchecked_send", "visibili
 )
 def test_forged_marker_prefix_gains_a_direct_attack_nothing(scenario):
     """From the same trained, protected start, the scenario's last attack tx
-    sent with [CALL_MARKER, 0, 0] in front of its calldata alarms whenever
-    the plain attack does, and leaves the world as the plain attack does."""
+    sent with the protocol's own prefix, [CALL_MARKER, 0], in front of its
+    calldata alarms whenever the plain attack does, and leaves the world as
+    the plain attack does."""
     bundle = scenario.bundle()
     guarded = protect(bundle, train(bundle, scenario.training))
     *lead, last = scenario.attack
-    prefix = [CALL_MARKER & bundle.config.mask, 0, 0]
+    prefix = [CALL_MARKER & bundle.config.mask] + [0] * (MARKER_WORDS - 1)
     forged = dict(last, calldata=prefix + list(last.get("calldata", [])))
     ends = []
     for record in (last, forged):
@@ -899,6 +903,32 @@ def test_alarm_entry_naming_no_protected_function_is_labelled():
     assert forged.context_chain == ["<alarm entry names no protected function>"]
     assert (genuine.contract, genuine.function) == (p, 0)
     assert genuine.context_chain == ["entry -> p.fn0"] and genuine.path_blocks
+
+
+@pytest.mark.parametrize("stage", ["setup", "training", "stream"])
+def test_tx_whose_origin_is_a_contract_address_is_refused(stage):
+    """A setup, training or stream record sent from a deployed contract's
+    address raises WorkflowError naming the record and the contract: the
+    guard would take a call from that contract as direct, since CALLER is
+    ORIGIN, and the trace oracle as foreign."""
+    import dataclasses
+
+    bundle = REENTRANCY.bundle()
+    thief = build_world(bundle).addresses["thief"]
+    record = dict(REENTRANCY.training[0], origin=hex(thief))
+    refused = pytest.raises(
+        WorkflowError,
+        match=rf"^transaction {re.escape(str(record))}: origin {hex(thief)} is the "
+        "address of contract 'thief'$",
+    )
+    if stage == "stream":
+        run = start_detection(protect(bundle, train(bundle, REENTRANCY.training)), mirror=False)
+        with refused:
+            run_transaction(run, record)
+        return
+    setup = [record] if stage == "setup" else []
+    with refused:
+        train(dataclasses.replace(bundle, setup=setup), [] if setup else [record])
 
 
 def test_mirror_setup_failure_is_raised(visibility_setup, monkeypatch):
