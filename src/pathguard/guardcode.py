@@ -26,14 +26,9 @@ from typing import NamedTuple
 from .config import Config, INTERNAL_DEPTH_LIMIT
 from .isa import Instruction, Op
 from .pathset import (
-    STRATEGY_LIST,
-    STRATEGY_MAPPING,
-    STRATEGY_MPHT,
     MAPPING_TAG,
     ListSpec,
     MphtSpec,
-    build_list,
-    build_mpht,
     disp_bits,
     mapping_fn_seed,
     mapping_slot,
@@ -59,11 +54,6 @@ MARKER_WORDS = 2
 # Return-data prefix sent back to protected callers: [MARKER, flag].
 RET_PREFIX_WORDS = 2
 
-# Wrapper entry modes (reserved MODE word; memory zero-init means boundary).
-MODE_BOUNDARY = 0
-MODE_MARKER = 1
-MODE_REENTRANT = 2
-
 # Transient slots (EIP-1153). Transient storage belongs to the guard alone
 # and is empty at the start of every transaction, so the ctx slot reads 0
 # while no unprotected call is in flight. The alarm buffer is one per
@@ -78,16 +68,19 @@ ALARM_ENTRY_SLOT = 2  # word w of entry j sits at ALARM_ENTRY_SLOT + 3j + w
 class Layout:
     """Reserved memory words, the top 8 + 2 * INTERNAL_DEPTH_LIMIT (136)
     words of the address space: seven fixed words, then the path
-    accumulators and the saved contexts. Guard sequences keep every other
-    working word on the operand stack."""
+    accumulators and the saved contexts. The entry routine writes cdoff,
+    the one record of a marker entry, and the reentry bit, the one record
+    of a reentrant entry; a frame's memory starts zeroed, so both read 0
+    in any other frame. Guard sequences keep every other working word on
+    the operand stack."""
 
     def __init__(self, width: int):
         top = 1 << width
         self.width = width
         self.ctx = top - 1
         self.flag = top - 2
-        self.cdoff = top - 3
-        self.mode = top - 4
+        self.cdoff = top - 3  # calldata prefix words: MARKER_WORDS on a marker entry, else 0
+        self.reentrant = top - 4  # 1 on a reentrant entry, else 0
         self.depth = top - 5
         self.retoff = top - 6  # return-data prefix words of the frame's last external call
         self.tmp_slot = top - 7  # the ctx slot's word from before an unprotected call
@@ -315,8 +308,8 @@ def checker_pool(spec: ListSpec | MphtSpec, width: int) -> list[int]:
 
 class SlowPaths(NamedTuple):
     """Function ids of a contract's shared routines: the slow paths, reached
-    only on an exit that is not a clean boundary exit or on a check miss,
-    and the caller classification of every external entry."""
+    only on a marker exit, a flagged exit or a check miss, and the caller
+    classification of every external entry."""
 
     exit: int
     miss: int
@@ -380,11 +373,12 @@ def band_split(ctx: int, num_ccs: int) -> tuple[int, bool, int]:
 
 
 def seq_enter_routine(config: Config) -> Asm:
-    """Shared entry routine: consumes [N], IRETs []; sets ctx, mode and cdoff
-    (``entry_ctx``) for a function with N = NumCCs contexts. A marker entry
-    takes the prefix's ctx word as it arrives; a set ctx slot means reentry
-    through an unprotected call; the rest take the band N * (CALLER !=
-    ORIGIN) without a branch.
+    """Shared entry routine: consumes [N], IRETs []; sets ctx (``entry_ctx``)
+    for a function with N = NumCCs contexts. A marker entry takes the
+    prefix's ctx word as it arrives and sets cdoff, its one record; a set
+    ctx slot means reentry through an unprotected call and sets the
+    reentry bit; the rest take the band N * (CALLER != ORIGIN) without a
+    branch.
     """
     lay = Layout(config.width)
     a = Asm()
@@ -398,11 +392,10 @@ def seq_enter_routine(config: Config) -> Asm:
     a.emit(Op.MUL).mstore(lay.ctx).emit(Op.IRET)
     a.mark(l_reentrant)  # slot + 2N - 1
     a.emit(Op.DUP, 2).emit(Op.ADD).emit(Op.ADD).push(1).emit(Op.SUB).mstore(lay.ctx)
-    a.mstore_const(lay.mode, MODE_REENTRANT).emit(Op.IRET)
+    a.mstore_const(lay.reentrant, 1).emit(Op.IRET)
     a.mark(l_mark)
     a.emit(Op.POP).push(1).emit(Op.CALLDATALOAD).mstore(lay.ctx)
-    a.mstore_const(lay.cdoff, MARKER_WORDS)
-    return a.mstore_const(lay.mode, MODE_MARKER).emit(Op.IRET)
+    return a.mstore_const(lay.cdoff, MARKER_WORDS).emit(Op.IRET)
 
 
 def seq_entry(
@@ -435,15 +428,15 @@ def seq_external_epilogue(
 
     Expects the stack shaped for RETURN ([values..., n]); exit sites jump
     here (STOP sites push 0 first). Runs the path-set check, then tests
-    flag | mode once: a clean boundary frame returns as it is. Any other
-    frame pushes fid and ICALLs the contract's shared exit routine, which
-    guard-reverts or prepares the return; the stub's last RETURN then
-    returns what the routine left.
+    flag | cdoff once: a clean frame not entered by marker returns as it
+    is. A marker frame or a flagged one pushes fid and ICALLs the
+    contract's shared exit routine, which guard-reverts or prepares the
+    return; the stub's last RETURN then returns what the routine left.
     """
     a = Asm()
     a.extend(seq_check_fragment(chk_fid, lay, num_paths))
     l_slow = Asm.fresh("xslow")
-    a.mload(lay.flag).mload(lay.mode).emit(Op.OR)
+    a.mload(lay.flag).mload(lay.cdoff).emit(Op.OR)
     a.jumpi(l_slow)
     a.emit(Op.RETURN)
     a.mark(l_slow)
@@ -454,31 +447,28 @@ def seq_exit_routine(code_id: int, config: Config) -> Asm:
     """Shared exit routine: consumes [vals..., n, fid], IRETs the stack the
     stub's RETURN returns.
 
-    Reached by every exit but a clean boundary one. A boundary entry is
-    flagged and guard-reverts (``_guard_revert``). Marker and reentrant
-    entries leave their alarm entries in the transient buffer, where a frame
-    of the same account reads them: a marker entry returns its values under
-    the [MARKER, flag] prefix, and a flagged reentrant one poisons the ctx
-    slot so the outer frame of the same contract reverts the whole
-    transaction. The marker test comes first: marker exits are the
+    Reached by every marker exit and every flagged one: a frame with cdoff
+    0 comes here only flagged. Marker and reentrant entries leave their
+    alarm entries in the transient buffer, where a frame of the same
+    account reads them: a marker entry (cdoff set) returns its values under
+    the [MARKER, flag] prefix, and a reentrant one (the reentry bit set)
+    poisons the ctx slot so the outer frame of the same contract reverts
+    the whole transaction. Any other entry guard-reverts
+    (``_guard_revert``). The marker test comes first: marker exits are the
     routine's common case.
     """
     lay = Layout(config.width)
     a = Asm()
     l_marker = Asm.fresh("xmark")
     l_reentrant = Asm.fresh("xreent")
-    l_done = Asm.fresh("xdone")
-    a.mload(lay.mode).push(MODE_MARKER).emit(Op.EQ)
+    a.mload(lay.cdoff)
     a.jumpi(l_marker)
-    a.mload(lay.mode)  # MODE_BOUNDARY is 0
+    a.mload(lay.reentrant)
     a.jumpi(l_reentrant)
     a.extend(_guard_revert(code_id, config))
     a.mark(l_reentrant)
     a.emit(Op.POP)  # fid: only a guard revert reports it
-    a.mload(lay.flag).emit(Op.ISZERO)
-    a.jumpi(l_done)
     a.push(SLOT_POISON & config.mask).push(CTX_SLOT).emit(Op.TSTORE)
-    a.mark(l_done)
     a.emit(Op.IRET)
     a.mark(l_marker)
     # [vals..., n, fid] -> [vals..., flag, MARKER, n + 2]
@@ -869,22 +859,14 @@ def _taken_path(items: list[tuple], branch: int) -> list[tuple]:
     return items[: branch + 1] + items[label_offsets(items)[items[branch][1]]:]
 
 
-def check_gas(strategy: str, n: int, config: Config) -> int:
-    """Analytic per-check gas of the generated membership code.
+def check_gas(spec: ListSpec | MphtSpec, config: Config) -> int:
+    """Analytic per-check gas of the checker of an embedded set.
 
-    With an embedded set this is the most a member pays: a hit on the last
+    With a nonempty set this is the most a member pays: a hit on the last
     branch (a list's last entry, the table's one probe), then the found arm.
-    With none (the mapping, an empty list) every check is the checker's
-    call into the shared miss routine plus that routine's accept path.
+    With none (the mapping's empty list) every check is the checker's call
+    into the shared miss routine plus that routine's accept path.
     """
-    if strategy == STRATEGY_LIST:
-        spec = build_list(range(n))
-    elif strategy == STRATEGY_MPHT:
-        spec = build_mpht(range(max(1, n)), config.mpht_lambda, width=config.width)
-    elif strategy == STRATEGY_MAPPING:
-        spec = ListSpec([])
-    else:
-        raise ValueError(strategy)
     items = seq_checker(spec, 0, 0, 0, config).items
     branches = [pos for pos, item in enumerate(items) if item[0] == "jumpi"]
     if branches:

@@ -200,6 +200,7 @@ class _Rewriter:
         self.icall_targets = _icall_targets(self.prog)
         self.points: list[InstrumentPoint] = []
         self.pool: list[int] = []
+        self.callsites: dict = {}  # the annotations at their calls' new offsets
         # Return data, and the memory word that records its prefix, are per
         # external frame, shared by its internal calls: the contract reads
         # return data behind a shim once any of its calls can be prefixed.
@@ -287,7 +288,7 @@ class _Rewriter:
             fallback_id=prog.fallback_id,
             data_pool=self.pool,
             blob_bytes=sum(p.blob_bytes for p in self.points),
-            callsites=dict(prog.callsites),
+            callsites=self.callsites,
         )
         size = new_prog.compute_byte_size(config.word_bytes)
         return InstrumentedContract(
@@ -532,7 +533,8 @@ class _Rewriter:
         """Lay out plan items into the new body; fix all jump targets.
 
         Original offsets become labels ``orig_label(off)``, so original jumps
-        and stub exits resolve like any guard jump. Entries carry separate
+        and stub exits resolve like any guard jump, and each call-site
+        annotation moves to its call's new offset. Entries carry separate
         gas and byte attribution: stand-ins for replaced originals cost no
         extra gas but their bytes (net of the removed instruction) belong to
         their point.
@@ -557,6 +559,9 @@ class _Rewriter:
         for seq, pid in stubs:
             entries += [(item, pid, pid) for item in seq.items]
         labels.update(label_offsets([item for item, _gpid, _bpid in entries]))
+        for (fid, off), info in self.prog.callsites.items():
+            if fid == fn.id:
+                self.callsites[(fid, labels[orig_label(off)])] = info
 
         body: list[Instruction] = []
         owners: list[int] = []

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .config import Config, DEFAULT_CONFIG
-from .program import BLOB_ENTRY_BYTES, BLOB_HEADER_BYTES
 
 STRATEGY_LIST = "List"
 STRATEGY_MPHT = "Mpht"
@@ -35,6 +34,10 @@ LIST_MAX = 6
 # Largest prime below 2**16: d0 and d1 stay below the table size and pack
 # into 16 bits each.
 MPHT_MAX_KEYS = 65521
+
+# Every embedded path-set blob is a 14-byte header plus 8 bytes per pool word.
+BLOB_HEADER_BYTES = 14
+BLOB_ENTRY_BYTES = 8
 
 _MIX_MULT = 0xBF58476D1CE4E5B9
 # First seed of a table build, and how many seeds of its chain are tried.
@@ -120,7 +123,7 @@ class ListSpec:
 
     @property
     def blob_bytes(self) -> int:
-        return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * len(self.keys)
+        return blob_size(len(self.keys))
 
 
 @dataclass
@@ -143,7 +146,7 @@ class MphtSpec:
     @property
     def blob_bytes(self) -> int:
         # one pool word per displacement pair plus one per slot
-        return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * (self.m + self.size)
+        return blob_size(self.m + self.size)
 
     def to_json(self) -> dict:
         return {
@@ -153,6 +156,11 @@ class MphtSpec:
             "displacements": [list(d) for d in self.displacements],
             "slots": [None if s is None else hex(s) for s in self.slots],
         }
+
+
+def blob_size(pool_words: int) -> int:
+    """Deployed bytes of a blob of ``pool_words`` constant-pool words."""
+    return BLOB_HEADER_BYTES + BLOB_ENTRY_BYTES * pool_words
 
 
 def build_list(keys) -> ListSpec:
@@ -271,20 +279,20 @@ class GasEstimate:
 
 
 def estimate_gas(strategy: str, n: int, config: Config = DEFAULT_CONFIG) -> GasEstimate:
-    """Analytic deploy/check gas for a path set of size n under a strategy."""
-    from . import guardcode  # codegen owns the exact check sequences
+    """Analytic deploy/check gas for a path set of size n under a strategy:
+    the blob and the checker of the set built over the keys 0 .. n-1 (a
+    table over one key at least). The mapping embeds an empty list and
+    deploys one new storage slot per key."""
+    from .guardcode import check_gas  # codegen owns the exact check sequences
 
-    per_byte = config.gas.code_deposit_per_byte
     if strategy == STRATEGY_LIST:
-        deploy = per_byte * (BLOB_ENTRY_BYTES * n + BLOB_HEADER_BYTES)
-        check = guardcode.check_gas(STRATEGY_LIST, n, config)
+        spec = build_list(range(n))
     elif strategy == STRATEGY_MPHT:
-        m = max(1, math.ceil(n / config.mpht_lambda))
-        deploy = per_byte * (BLOB_ENTRY_BYTES * (table_size(n) + m) + BLOB_HEADER_BYTES)
-        check = guardcode.check_gas(STRATEGY_MPHT, n, config)
+        spec = build_mpht(range(max(1, n)), config.mpht_lambda, width=config.width)
     elif strategy == STRATEGY_MAPPING:
-        deploy = config.gas.sstore_set * n
-        check = guardcode.check_gas(STRATEGY_MAPPING, n, config)
+        check = check_gas(build_list([]), config)
+        return GasEstimate(deploy_gas=config.gas.sstore_set * n, per_check_gas=check)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return GasEstimate(deploy_gas=deploy, per_check_gas=check)
+    deploy = config.gas.code_deposit_per_byte * spec.blob_bytes
+    return GasEstimate(deploy_gas=deploy, per_check_gas=check_gas(spec, config))

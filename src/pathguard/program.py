@@ -8,13 +8,10 @@ from enum import Enum
 from functools import cached_property
 
 from .config import MAX_CODE_BYTES, Config, read_field, read_word
-from .isa import JUMPS, TERMINATORS, Instruction, Op, block_leaders
+from .isa import EXTERNAL_CALLS, JUMPS, TERMINATORS, Instruction, Op, block_leaders
 
 HEADER_BYTES = 32
 FUNCTION_ENTRY_BYTES = 8
-# Every embedded path-set blob is a 14-byte header plus 8 bytes per entry.
-BLOB_HEADER_BYTES = 14
-BLOB_ENTRY_BYTES = 8
 
 
 class Visibility(str, Enum):
@@ -43,8 +40,13 @@ class CallsiteInfo:
         return {"target": self.target, "fn": self.callee_fn}
 
     @classmethod
-    def from_json(cls, raw: dict) -> "CallsiteInfo":
-        return cls(target=raw.get("target"), callee_fn=raw.get("fn"))
+    def from_json(cls, raw: dict, where: str) -> "CallsiteInfo":
+        """A ``target`` or ``fn`` that is neither null nor a string raises
+        ValidationError naming ``where`` and the field."""
+        return cls(
+            target=read_field(raw, "target", str, where, ValidationError, None),
+            callee_fn=read_field(raw, "fn", str, where, ValidationError, None),
+        )
 
 
 @dataclass
@@ -190,8 +192,9 @@ class ContractProgram:
             parts = key.split(":")
             if len(parts) != 2 or not all(part.isdigit() for part in parts):
                 raise ValidationError(f"{where}: callsites key is not 'fid:offset': {key!r}")
+            at = f"{where} callsites"
             callsites[(int(parts[0]), int(parts[1]))] = CallsiteInfo.from_json(
-                get(raw["callsites"], key, dict, f"{where} callsites")
+                get(raw["callsites"], key, dict, at), f"{at}[{key}]"
             )
         prog = cls(
             name=name,
@@ -298,6 +301,12 @@ def validate_program(prog: ContractProgram, config: Config) -> None:
         fb = prog.functions[prog.fallback_id]
         if fb.visibility is not Visibility.EXTERNAL:
             raise ValidationError(f"{prog.name}: fallback must be external")
+    for fid, off in prog.callsites:
+        fn = prog.functions[fid] if 0 <= fid < len(prog.functions) else None
+        if fn is None or not 0 <= off < len(fn.body) or fn.body[off].op not in EXTERNAL_CALLS:
+            raise ValidationError(
+                f"{prog.name}: callsite {fid}:{off} annotates no CALL or DELEGATECALL"
+            )
     prog.compute_byte_size(config.word_bytes)
 
 

@@ -332,8 +332,9 @@ class WorldState:
         return other
 
 
-def deploy(world: WorldState, program: ContractProgram, deployer: int) -> int:
-    """Create a contract account; charges code-deposit gas per byte."""
+def deploy(world: WorldState, program: ContractProgram) -> int:
+    """Create a contract account at ``world.next_address``; charges
+    code-deposit gas per byte."""
     size = program.compute_byte_size(world.config.word_bytes)
     if size > MAX_CODE_BYTES:
         raise SizeLimitExceeded(program.name, size)

@@ -37,7 +37,7 @@ from .pathset import mapping_slot, mapping_value
 # Not called here; stays importable because perfbench/spans.py wraps
 # workflow.build_mpht as well as instrument.build_mpht.
 from .pathset import build_mpht
-from .program import ContractProgram, validate_program
+from .program import ContractProgram, Visibility, validate_program
 from .vm import (
     Account,
     Receipt,
@@ -98,9 +98,10 @@ class Bundle:
         cls, raw: dict, config: Config | None = None, where: str = "bundle"
     ) -> "Bundle":
         """The bundle ``raw`` describes. A field that is missing or of the
-        wrong type, a name that is no contract of the bundle, or a contract
+        wrong type, a name that is no contract of the bundle, a contract
         name, deployed or protected name or account address that a field
-        lists twice, raises WorkflowError naming ``where`` and the field."""
+        lists twice, or a call-site annotation that ``_check_callsites``
+        refuses, raises WorkflowError naming ``where`` and the field."""
         if config is None:
             try:
                 config = config_from_json(json_field(raw, "config", dict, where, {}))
@@ -117,6 +118,8 @@ class Bundle:
             if prog.name in programs:
                 raise WorkflowError(f"{where}: field 'contracts' names {prog.name!r} twice")
             programs[prog.name] = prog
+        for prog in programs.values():
+            _check_callsites(prog, programs, where)
         names = {}
         for key in ("boundary", "deploy"):
             names[key] = json_field(raw, key, list, where, list(programs))
@@ -139,6 +142,30 @@ class Bundle:
             accounts[address] = word(json_field(acct, "balance", object, at, 0), "balance")
         setup = json_field(raw, "setup", list, where, [])
         return cls(programs, set(names["boundary"]), config, names["deploy"], accounts, setup)
+
+
+def _check_callsites(
+    prog: ContractProgram, programs: dict[str, ContractProgram], where: str
+) -> None:
+    """Refuse an annotated call whose ``target`` is no contract of the
+    bundle, or whose ``fn`` names no external function of its target: the
+    call graph would fail on it, treat it as unprotected in silence or give
+    it an edge no selector reaches."""
+    for (fid, off), info in sorted(prog.callsites.items()):
+        if info.target is None:
+            continue
+        at = f"{where}: {prog.name}.{prog.functions[fid].name}@{off}"
+        target = programs.get(info.target)
+        if target is None:
+            raise WorkflowError(f"{at}: field 'target' names no contract: {info.target!r}")
+        if info.callee_fn is None:
+            continue
+        callee = next((f for f in target.functions if f.name == info.callee_fn), None)
+        if callee is None or callee.visibility is not Visibility.EXTERNAL:
+            what = "no function" if callee is None else "an internal function"
+            raise WorkflowError(
+                f"{at}: field 'fn' names {what} of {info.target}: {info.callee_fn!r}"
+            )
 
 
 @dataclass
@@ -166,7 +193,7 @@ def build_world(
     world = WorldState(bundle.config)
     addresses: dict[str, int] = {}
     for name in bundle.deploy_order:
-        addresses[name] = deploy(world, progs[name], 0xD0)
+        addresses[name] = deploy(world, progs[name])
     for addr, balance in bundle.accounts.items():
         world.set_balance(addr, balance)
     world.commit(0)

@@ -130,13 +130,13 @@ def test_criterion_2_paper_anchored_constants(figcg):
     assert MAX_CODE_BYTES == 24576
     world = WorldState(config)
     prog = assemble("contract t { fn f external { STOP } }")
-    deploy(world, prog, 0xD0)
+    deploy(world, prog)
     assert world.deploy_log[-1][1] == prog.byte_size * 200
     big = assemble(
         "contract b { fn f external { %s STOP } }" % ("PUSH 0 POP " * 2500)
     )
     with pytest.raises(SizeLimitExceeded):
-        deploy(world, big, 0xD0)
+        deploy(world, big)
     print("\n[criterion 2] PASS - NumCCs=4, 1600n+2800, boundary 6, 20000/5000, "
           "200/byte, 24576 limit")
 

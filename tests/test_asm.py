@@ -4,7 +4,12 @@ import pytest
 
 from pathguard.asm import AsmError, assemble, disassemble
 from pathguard.config import Config
-from pathguard.program import ValidationError, derive_selector
+from pathguard.program import (
+    ContractProgram,
+    ValidationError,
+    derive_selector,
+    validate_program,
+)
 
 
 def test_minimal_contract_byte_size():
@@ -57,23 +62,46 @@ def test_round_trip_fixtures(loopy, diamond, figcg):
         assert again.to_json() == prog.to_json()
 
 
+ANNOTATED_SRC = """
+contract a { fn f external {
+  PUSH 0
+  PUSH 0x22
+  PUSH 0
+  PUSH 0x101
+  CALL target=b fn=g
+  POP
+  STOP
+} }
+"""
+
+
 def test_round_trip_annotations():
-    src = """
-    contract a { fn f external {
-      PUSH 0
-      PUSH 0x22
-      PUSH 0
-      PUSH 0x101
-      CALL target=b fn=g
-      POP
-      STOP
-    } }
-    """
-    prog = assemble(src)
+    prog = assemble(ANNOTATED_SRC)
     again = assemble(disassemble(prog))
     assert again.to_json() == prog.to_json()
     assert again.callsites[(0, 4)].target == "b"
     assert again.callsites[(0, 4)].callee_fn == "g"
+
+
+@pytest.mark.parametrize(
+    "key, info, needle",
+    [
+        ("0:4", {"target": 7}, r"callsites\[0:4\]: field 'target' is not a string: 7"),
+        ("0:4", {"target": "b", "fn": ["g"]}, r"callsites\[0:4\]: field 'fn' is not a string"),
+        ("0:3", {"target": "b"}, "callsite 0:3 annotates no CALL or DELEGATECALL"),
+        ("0:9", {"target": "b"}, "callsite 0:9 annotates no CALL or DELEGATECALL"),
+        ("1:4", {"target": "b"}, "callsite 1:4 annotates no CALL or DELEGATECALL"),
+    ],
+    ids=["target-not-a-string", "fn-not-a-string", "not-a-call", "past-the-body", "no-function"],
+)
+def test_serialized_callsites_must_annotate_a_call(key, info, needle):
+    """A serialized program's call-site annotation holds a string or null
+    ``target`` and ``fn``, and its key names a CALL or DELEGATECALL of the
+    program."""
+    raw = assemble(ANNOTATED_SRC).to_json()
+    raw["callsites"] = {key: info}
+    with pytest.raises(ValidationError, match=needle):
+        validate_program(ContractProgram.from_json(raw), Config())
 
 
 def test_fallback_only_contract():

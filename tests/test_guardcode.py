@@ -14,9 +14,6 @@ from pathguard.guardcode import (
     MARKER_WORDS,
     GUARD_MARKER,
     SLOT_POISON,
-    MODE_BOUNDARY,
-    MODE_MARKER,
-    MODE_REENTRANT,
     ALARM_CNT_SLOT,
     ALARM_ENTRY_SLOT,
     CTX_SLOT,
@@ -91,7 +88,7 @@ def _execute(
     prog = ContractProgram("t", fns, table, fallback, data_pool=pool or [])
     validate_program(prog, config)
     world = WorldState(config)
-    addr = deploy(world, prog, 0xD0)
+    addr = deploy(world, prog)
     for slot, val in (storage or {}).items():
         world.sstore(addr, slot, val)
     if balance:
@@ -331,7 +328,7 @@ def test_checker_hits_members_and_hands_misses_the_original_word(case):
         missed, gas = _probe_checker(spec, key, width, fid, pool_base)
         assert missed is None, (key, missed)
         steps = spec.n - rank if strategy == STRATEGY_LIST else 0
-        assert gas == check_gas(strategy, spec.n, config) - 22 * steps
+        assert gas == check_gas(spec, config) - 22 * steps
     for key in probes + [0, config.mask - 1, config.mask]:
         if key in spec.keys:
             continue
@@ -475,15 +472,20 @@ EXIT_FN = 5  # the external function whose exit the stub closes
 ACCEPT_FID = 2  # a checker that accepts every pair
 
 
-def _run_exit(mode, flag, entries, width=64):
-    """Close a frame entered in ``mode`` with ``flag`` through an external
-    exit stub over the values [0xA1, 0xA2] (n = 2), the transient alarm
-    buffer holding ``entries``; the stub reaches the exit routine as
-    function SLOW_FID. Returns (receipt, world, addr); the VM traces at
-    TRACE_FULL, so the trace shows every ICALL."""
+def _run_exit(kind, flag, entries, width=64):
+    """Close a frame entered as ``kind`` ("boundary", "marker" or
+    "reentrant", each setting the entry routine's word for it) with ``flag``
+    through an external exit stub over the values [0xA1, 0xA2] (n = 2), the
+    transient alarm buffer holding ``entries``; the stub reaches the exit
+    routine as function SLOW_FID. Returns (receipt, world, addr); the VM
+    traces at TRACE_FULL, so the trace shows every ICALL."""
     config = Config(width=width)
     lay = Layout(width)
-    a = _with_alarms(entries).mstore_const(lay.mode, mode).mstore_const(lay.flag, flag)
+    a = _with_alarms(entries).mstore_const(lay.flag, flag)
+    if kind == "marker":
+        a.mstore_const(lay.cdoff, MARKER_WORDS)
+    elif kind == "reentrant":
+        a.mstore_const(lay.reentrant, 1)
     a.push(0xA1).push(0xA2).push(2)
     a.extend(seq_external_epilogue(EXIT_FN, ACCEPT_FID, SLOW_FID, 1, lay))
     accept = Asm().emit(Op.POP).emit(Op.IRET)
@@ -498,33 +500,29 @@ def _routine_calls(receipt):
 
 
 @pytest.mark.parametrize(
-    "mode,flag,prefix,poisoned",
-    [
-        (MODE_BOUNDARY, 0, [], False),
-        (MODE_MARKER, 0, [0], False),
-        (MODE_MARKER, 1, [1], False),
-        (MODE_REENTRANT, 0, [], False),
-        (MODE_REENTRANT, 1, [], True),
-    ],
+    "kind,flag",
+    [("boundary", 0), ("marker", 0), ("marker", 1), ("reentrant", 0), ("reentrant", 1)],
     ids=["boundary", "marker", "marker-flagged", "reentrant", "reentrant-flagged"],
 )
-def test_exit_returns_by_mode_and_flag(mode, flag, prefix, poisoned):
+def test_exit_returns_by_mode_and_flag(kind, flag):
     """Every exit that does not guard-revert returns the frame's values: a
     marker entry under [MARKER, flag], any other entry as they are. Only a
     flagged reentrant entry poisons the ctx slot, so the outer frame of the
     same contract reverts the whole transaction. The alarm buffer stays as
-    the misses left it, for a frame of the same account. Only a clean
-    boundary exit returns from the stub without calling the exit routine."""
+    the misses left it, for a frame of the same account. Only a marker exit
+    or a flagged one calls the exit routine: a clean boundary or reentrant
+    exit returns from the stub."""
     config = Config()
     entries = [(2, 8, 0x99), (1, 2, 0x10)]
-    receipt, world, addr = _run_exit(mode, flag, entries)
+    receipt, world, addr = _run_exit(kind, flag, entries)
     assert receipt.status == "Accepted", receipt
-    marker = [CALL_MARKER & config.mask] if mode == MODE_MARKER else []
-    assert receipt.return_data == marker + prefix + [0xA2, 0xA1]
+    marker = [CALL_MARKER & config.mask, flag] if kind == "marker" else []
+    assert receipt.return_data == marker + [0xA2, 0xA1]
+    poisoned = kind == "reentrant" and flag
     poison = {CTX_SLOT: SLOT_POISON & config.mask} if poisoned else {}
     assert _transient(world, addr) == {**_buffer_slots(entries), **poison}
     assert world.dump()[hex(addr)]["storage"] == {}
-    assert len(_routine_calls(receipt)) == (mode != MODE_BOUNDARY)
+    assert len(_routine_calls(receipt)) == (kind == "marker" or flag == 1)
 
 
 def test_guard_revert_payload_lists_buffer_in_append_order():
@@ -533,7 +531,7 @@ def test_guard_revert_payload_lists_buffer_in_append_order():
     config = Config()
     gm = GUARD_MARKER & config.mask
     entries = [(1, 8, 0x99), (CODE_ID, 2, 0x10), (CODE_ID, 7, 0x20)]
-    receipt, world, addr = _run_exit(MODE_BOUNDARY, 1, entries)
+    receipt, world, addr = _run_exit("boundary", 1, entries)
     assert receipt.status == "Reverted"
     assert receipt.return_data == [gm, 3] + [
         w for entry in entries for w in (addr, *entry)
@@ -562,7 +560,7 @@ def test_guard_revert_without_entries_reports_sentinel():
     flagged) reverts with the all-ones sentinel pair of the flagged
     function."""
     config = Config()
-    receipt, _, addr = _run_exit(MODE_BOUNDARY, 1, [])
+    receipt, _, addr = _run_exit("boundary", 1, [])
     assert receipt.status == "Reverted"
     gm = GUARD_MARKER & config.mask
     assert receipt.return_data == [gm, 1, addr, CODE_ID, EXIT_FN, CALLEE_ALARM & config.mask]
@@ -622,7 +620,7 @@ def test_callee_entries_land_in_executing_account_buffer(op):
         None,
     )
     validate_program(lib, config)
-    lib_addr = deploy(world, lib, 0xD0)
+    lib_addr = deploy(world, lib)
     host = Asm().push(0).push(0x9)
     if op is Op.CALL:
         host.push(0)  # value
@@ -637,7 +635,7 @@ def test_callee_entries_land_in_executing_account_buffer(op):
         None,
     )
     validate_program(prog, config)
-    addr = deploy(world, prog, 0xD0)
+    addr = deploy(world, prog)
     receipt = VM(world).execute_transaction(Transaction(1, addr, 0x7, []))
     assert receipt.status == "Reverted", receipt
     sentinel = (CODE_ID, 5, CALLEE_ALARM & config.mask)
@@ -661,7 +659,7 @@ def test_guard_revert_payload_decodes_to_the_buffer(data, width):
     config = Config(width=width)
     word = _word(width)
     entries = data.draw(st.lists(st.tuples(word, word, word), max_size=ALARM_BUFFER_CAP))
-    receipt, _world, addr = _run_exit(MODE_BOUNDARY, 1, entries, width)
+    receipt, _world, addr = _run_exit("boundary", 1, entries, width)
     assert receipt.status == "Reverted", receipt
     reported = entries or [(CODE_ID, EXIT_FN, CALLEE_ALARM & config.mask)]
     assert receipt.return_data == [GUARD_MARKER & config.mask, len(reported)] + [
@@ -789,7 +787,7 @@ def test_layout_reserves_seven_words_and_two_depth_arrays(width):
     INTERNAL_DEPTH_LIMIT - 1, none shared."""
     lay = Layout(width)
     top = 1 << width
-    fixed = [lay.ctx, lay.flag, lay.cdoff, lay.mode, lay.depth, lay.retoff, lay.tmp_slot]
+    fixed = [lay.ctx, lay.flag, lay.cdoff, lay.reentrant, lay.depth, lay.retoff, lay.tmp_slot]
     epp = [lay.epp_base + d for d in range(INTERNAL_DEPTH_LIMIT + 1)]
     ctxsave = [lay.ctxsave_base + d for d in range(INTERNAL_DEPTH_LIMIT)]
     words = fixed + epp + ctxsave
@@ -886,8 +884,9 @@ def test_entry_ctx_matches_prologue(kind, data, width):
     """seq_entry, calling seq_enter_routine, sets ``entry_ctx`` for each
     entry kind: direct, foreign, reentrant (the slot beats the CALLER test)
     and marker (the prefix beats the slot; the ctx word is taken as it
-    arrives). It sets the mode and the calldata offset to match and the
-    path register to the entry value, and leaves the stack as it found it.
+    arrives). It sets the calldata offset of a marker entry and the reentry
+    bit of a reentrant one, and the path register to the entry value, and
+    leaves the stack as it found it.
     An ICALL target entered below depth 0 keeps the ctx the ICALL set,
     whatever the calldata and the slot."""
     op, prefix_kind, slot_set = ENTRY_CASES[kind]
@@ -907,7 +906,7 @@ def test_entry_ctx_matches_prologue(kind, data, width):
     entry = Asm().push(below)
     entry.extend(seq_entry(num_ccs, entry_epp, ENTER_FID, config, icall_target))
     entry.epp_addr(lay).emit(Op.MLOAD)
-    entry.mload(lay.cdoff).mload(lay.mode).mload(lay.ctx).push(5).emit(Op.RETURN)
+    entry.mload(lay.reentrant).mload(lay.cdoff).mload(lay.ctx).push(5).emit(Op.RETURN)
     fns = [
         FunctionDef(ENTRY_FID, "entry", Visibility.EXTERNAL, flatten(entry.items, base=0)),
         FunctionDef(
@@ -923,7 +922,7 @@ def test_entry_ctx_matches_prologue(kind, data, width):
         surrogate = data.draw(st.booleans())
         a.mstore_const(lay.ctx, outer).extend(seq_icall_pre(val, surrogate, config))
         a.emit(Op.ICALL, ENTRY_FID).emit(Op.STOP)  # the entry's RETURN ends the tx
-        want = [icall_ctx(outer, val, surrogate, width), MODE_BOUNDARY, 0, entry_epp, below]
+        want = [icall_ctx(outer, val, surrogate, width), 0, 0, entry_epp, below]
     else:
         for word in reversed(calldata):
             a.push(word)
@@ -937,8 +936,8 @@ def test_entry_ctx_matches_prologue(kind, data, width):
         marked = len(calldata) >= MARKER_WORDS and calldata[0] == marker
         prefix = calldata[1] if marked else None
         ctx = entry_ctx(num_ccs, width, prefix, slot, op is Op.DELEGATECALL)
-        mode = MODE_MARKER if marked else MODE_REENTRANT if slot else MODE_BOUNDARY
-        want = [ctx, mode, MARKER_WORDS if marked else 0, entry_epp, below]
+        reentrant = int(not marked and bool(slot))
+        want = [ctx, MARKER_WORDS if marked else 0, reentrant, entry_epp, below]
     # the tx's own calldata only reaches the entry through the ICALL
     assert _returned(a.items, width, fns, {ENTRY_SELECTOR: ENTRY_FID}, calldata) == want
 

@@ -12,7 +12,7 @@ import pytest
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
-from pathguard.fixtures import ALL_SCENARIOS
+from pathguard.fixtures import ALL_SCENARIOS, by_name
 from pathguard.guardcode import (
     ALARM_CNT_SLOT,
     CALL_MARKER,
@@ -62,10 +62,10 @@ def _pair(prog, safe_sets, config=CONFIG, boundary=None):
 
 def _run_both(prog, inst, tx_args, config=CONFIG):
     w1 = WorldState(config)
-    a1 = deploy(w1, prog, 0xD0)
+    a1 = deploy(w1, prog)
     r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(to=a1, **tx_args))
     w2 = WorldState(config)
-    a2 = deploy(w2, inst.program, 0xD0)
+    a2 = deploy(w2, inst.program)
     vm = VM(w2, TRACE_CHECKS, {inst.name: inst.checkers})
     r2 = vm.execute_transaction(Transaction(to=a2, **tx_args))
     return (w1, a1, r1), (w2, a2, r2)
@@ -102,10 +102,10 @@ def test_gas_delta_equals_injected_attribution(loopy):
     analysis, inst = _pair(loopy, {0: {0, 1, 2, 3, 4}})
     points, acc = _point_gas(inst)
     w1 = WorldState(CONFIG)
-    a1 = deploy(w1, loopy, 0xD0)
+    a1 = deploy(w1, loopy)
     r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, a1, 0x10, [8]))
     w2 = WorldState(CONFIG)
-    a2 = deploy(w2, inst.program, 0xD0)
+    a2 = deploy(w2, inst.program)
     r2 = VM(
         w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points
     ).execute_transaction(Transaction(1, a2, 0x10, [8]))
@@ -213,6 +213,45 @@ def test_slow_paths_emitted_once_per_contract(figcg, loopy):
         assert inst.instrumented_size - inst.original_size == point_bytes
 
 
+def test_reentry_bit_is_stored_only_by_the_entry_routines_reentrant_arm():
+    """In every guarded fixture and the wide pair, the one store to the
+    reentry bit is ``PUSH 1`` in the arm of ``__guard_enter`` that the set
+    ctx slot jumps to, ended by that arm's IRET. A marker entry is recorded
+    by the calldata offset alone, and no function compares a fixed guard
+    word with a constant: the exit stub and the exit routine test the words
+    for zero."""
+    for bundle in [s.bundle() for s in ALL_SCENARIOS] + [_wide_pair()]:
+        analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+        lay = Layout(bundle.config.width)
+        fixed = {
+            lay.ctx, lay.flag, lay.cdoff, lay.reentrant, lay.depth, lay.retoff, lay.tmp_slot
+        }
+        for name in sorted(bundle.boundary):
+            for fn in instrument_contract(name, analysis, {}).program.functions:
+                body = fn.body
+                for a, b, c, d in zip(body, body[1:], body[2:], body[3:]):
+                    if d.op is Op.EQ and [a.op, b.op, c.op] == [Op.PUSH, Op.MLOAD, Op.PUSH]:
+                        assert a.imm not in fixed, (name, fn.name)
+                    if d.op is Op.EQ and [a.op, b.op, c.op] == [Op.PUSH, Op.PUSH, Op.MLOAD]:
+                        assert b.imm not in fixed, (name, fn.name)
+                stores = [
+                    k for k in range(1, len(body))
+                    if body[k].op is Op.MSTORE and body[k - 1].imm == lay.reentrant
+                ]
+                if fn.name != "__guard_enter":
+                    assert stores == [], (name, fn.name)
+                    continue
+                tload = next(
+                    k for k, (a, b) in enumerate(zip(body, body[1:]))
+                    if a.op is Op.PUSH and a.imm == CTX_SLOT and b.op is Op.TLOAD
+                )
+                arm = next(i.imm for i in body[tload:] if i.op is Op.JUMPI)
+                end = next(k for k in range(arm, len(body)) if body[k].op is Op.IRET)
+                (store,) = stores
+                assert arm < store < end, name
+                assert (body[store - 2].op, body[store - 2].imm) == (Op.PUSH, 1), name
+
+
 def _wide_pair() -> Bundle:
     """The generated pair the wide workloads run (``perfbench/widegen.py``,
     shape seed 0)."""
@@ -223,12 +262,34 @@ def _wide_pair() -> Bundle:
     return Bundle.from_json(widegen.bundle_json(widegen.make_shape(0), "0"))
 
 
+def test_guarded_programs_keep_each_call_annotation_at_its_call():
+    """The rewriter moves every call-site annotation to its call's new
+    offset: in the guarded delegatecall proxy and the wide pair's caller,
+    each annotation names the CALL or DELEGATECALL it annotated before, in
+    the same order."""
+
+    def calls(prog):
+        return [
+            (fid, prog.functions[fid].body[off].op, info)
+            for (fid, off), info in sorted(prog.callsites.items())
+        ]
+
+    for bundle in (by_name("delegatecall").bundle(), _wide_pair()):
+        analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+        annotated = [name for name in sorted(bundle.boundary) if bundle.programs[name].callsites]
+        assert len(annotated) == 1  # the proxy's DELEGATECALL, the front's CALL
+        for name in sorted(bundle.boundary):
+            guarded = instrument_contract(name, analysis, {}).program
+            assert calls(guarded) == calls(bundle.programs[name]), name
+
+
 def test_external_entries_hold_only_the_routine_call_and_the_entry_store():
     """In every guarded fixture and the wide pair, an external function's
     entry is PUSH N; ICALL __guard_enter, with only an ICALL target's depth
     test around it and the entry-value store after it. A protected call
-    applies its call edge at the call site, so no entry reads the mode word
-    or the calldata."""
+    applies its call edge at the call site, so no entry reads the entry
+    routine's words (the calldata offset, the reentry bit) or the
+    calldata."""
     depth_test = [Op.PUSH, Op.MLOAD, Op.JUMPI]
     store = [Op.PUSH, Op.PUSH, Op.MLOAD, Op.PUSH, Op.ADD, Op.MSTORE]  # Asm.epp_set
     for bundle in [s.bundle() for s in ALL_SCENARIOS] + [_wide_pair()]:
@@ -253,7 +314,8 @@ def test_external_entries_hold_only_the_routine_call_and_the_entry_store():
                 at = 3 if fn.id in inner else 0
                 num_ccs = analysis.num_ccs(name, fn.id) & bundle.config.mask
                 assert entry[at].imm == num_ccs and entry[at + 1].imm == enter
-                assert all(i.imm != lay.mode for i in entry if i.op is Op.PUSH)
+                entry_words = (lay.cdoff, lay.reentrant)
+                assert all(i.imm not in entry_words for i in entry if i.op is Op.PUSH)
 
 
 def test_flagged_marker_exit_reconciles():
@@ -265,13 +327,13 @@ def test_flagged_marker_exit_reconciles():
     analysis, inst = _pair(prog, {0: set()})  # untrained: the exit check misses
     points, acc = _point_gas(inst)
     w1 = WorldState(CONFIG)
-    r1 = VM(w1).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1))
+    r1 = VM(w1).execute_transaction(Transaction(1, deploy(w1, prog), 0x1))
     w2 = WorldState(CONFIG)
     marker = CALL_MARKER & CONFIG.mask
     r2 = VM(
         w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points
     ).execute_transaction(
-        Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [marker, 0, 0])
+        Transaction(1, deploy(w2, inst.program), 0x1, [marker, 0, 0])
     )
     assert (r2.status, r2.return_data) == ("Accepted", [marker, 1])
     assert r2.gas_used - r1.gas_used == sum(acc)
@@ -432,7 +494,7 @@ def test_spill_to_mapping_keeps_acceptance():
     assert spilled.instrumented_size < inst.instrumented_size
     # the spilled bundle still accepts both trained paths via the mapping
     world = WorldState(config)
-    addr = deploy(world, spilled.program, 0xD0)
+    addr = deploy(world, spilled.program)
     from pathguard.vm import execute_transaction
 
     admin_tx = Transaction(
@@ -456,7 +518,7 @@ def test_attack_transaction_guard_reverts(loopy):
     """Anything outside the trained set rolls the transaction back."""
     analysis, inst = _pair(loopy, {0: {0, 2}})  # train only two paths
     w = WorldState(CONFIG)
-    addr = deploy(w, inst.program, 0xD0)
+    addr = deploy(w, inst.program)
     before = w.dump()
     vm = VM(w, TRACE_CHECKS, {inst.name: inst.checkers})
     receipt = vm.execute_transaction(Transaction(1, addr, 0x10, [8]))
@@ -535,7 +597,7 @@ def _pinned_bundles(monkeypatch):
     """Guarded bundles covering every emitted shape: the seven fixtures, a
     protected CALL site, an Mpht checker and a forced spill to the mapping."""
     from pathguard import instrument as instr_mod
-    from pathguard.fixtures import ALL_SCENARIOS
+    from pathguard.fixtures import ALL_SCENARIOS, by_name
     from pathguard.workflow import protect, train
 
     for scenario in ALL_SCENARIOS:
@@ -571,7 +633,7 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "5f1174cc056a425910e7f2954d27f4b1d55964e2bc0bf96653d5d16fb0cda93d"
+        "686194526fefb930c287f08b337b1a44c982188a70820ba0d5ebd11ad85d1284"
     )
 
 
@@ -803,14 +865,14 @@ def test_rotated_loop_fallthrough_backedge(n):
     body = prog.functions[0].body
     assert [body[off].op for off, _ in analysis.cfgs[("rot", 0)].backedges] == [Op.SUB]
     w1 = WorldState(CONFIG)
-    r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, deploy(w1, prog, 0xD0), 0x1, [n]))
+    r1 = VM(w1, TRACE_FULL).execute_transaction(Transaction(1, deploy(w1, prog), 0x1, [n]))
     oracle = trace_oracle(r1.trace, analysis, r1.status)
     assert r1.status == "Accepted" and len(oracle) == n + 1
     inst = instrument_contract("rot", analysis, _profile({0: {p[3] for p in oracle}}))
     points, acc = _point_gas(inst)
     w2 = WorldState(CONFIG)
     vm = VM(w2, TRACE_CHECKS, {inst.name: inst.checkers}, gas_points=points)
-    r2 = vm.execute_transaction(Transaction(1, deploy(w2, inst.program, 0xD0), 0x1, [n]))
+    r2 = vm.execute_transaction(Transaction(1, deploy(w2, inst.program), 0x1, [n]))
     assert r2.status == "Accepted"
     assert checked_pairs_from_receipt(r2) == oracle
     assert r2.gas_used - r1.gas_used == sum(acc)
@@ -927,7 +989,7 @@ def test_empty_snapshot_output_pinned():
                 assert entry.pop("hits") == []
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "1082a3fc92d64edc28caad47d133fbdb338c5072dc07e735034726618078f006"
+        "751dfda14a0598a32dd4f2b2e81fdcbf923f7eff59c59a3f9835dd34bd12e83b"
     )
 
 

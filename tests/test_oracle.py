@@ -28,7 +28,7 @@ CONFIG = Config()
 
 def _original_run(prog, tx, config=CONFIG):
     world = WorldState(config)
-    addr = deploy(world, prog, 0xD0)
+    addr = deploy(world, prog)
     tx.to = addr
     return VM(world, TRACE_FULL).execute_transaction(tx)
 
@@ -37,7 +37,7 @@ def _instrumented_run(analysis, name, safe_sets, tx, config=CONFIG):
     profile = {fid: dict.fromkeys(keys, 1) for fid, keys in safe_sets.items()}
     inst = instrument_contract(name, analysis, profile)
     world = WorldState(config)
-    addr = deploy(world, inst.program, 0xD0)
+    addr = deploy(world, inst.program)
     tx.to = addr
     vm = VM(world, TRACE_CHECKS, {name: inst.checkers})
     return vm.execute_transaction(tx)
@@ -150,8 +150,8 @@ def test_cross_contract_marker_protocol_matches():
     analysis = analyze_bundle(programs, {"alpha", "beta"}, CONFIG)
 
     world = WorldState(CONFIG)
-    addr_a = deploy(world, a, 0xD0)
-    addr_b = deploy(world, b, 0xD0)
+    addr_a = deploy(world, a)
+    addr_b = deploy(world, b)
     original = VM(world, TRACE_FULL).execute_transaction(
         Transaction(1, addr_a, 0x77, [addr_b])
     )
@@ -162,8 +162,8 @@ def test_cross_contract_marker_protocol_matches():
     world2 = WorldState(CONFIG)
     inst_a = instrument_contract("alpha", analysis, {0: {}})
     inst_b = instrument_contract("beta", analysis, {0: {}})
-    addr_a2 = deploy(world2, inst_a.program, 0xD0)
-    addr_b2 = deploy(world2, inst_b.program, 0xD0)
+    addr_a2 = deploy(world2, inst_a.program)
+    addr_b2 = deploy(world2, inst_b.program)
     vm = VM(world2, TRACE_CHECKS, {"alpha": inst_a.checkers, "beta": inst_b.checkers})
     instrumented = vm.execute_transaction(Transaction(1, addr_a2, 0x77, [addr_b2]))
     assert checked_pairs_from_receipt(instrumented) == oracle
@@ -225,8 +225,8 @@ def test_cross_contract_recursion_matches(depth):
 
     def run(progs, trace_mode, checkers=None):
         world = WorldState(CONFIG)
-        addr_a = deploy(world, progs["alpha"], 0xD0)
-        addr_b = deploy(world, progs["beta"], 0xD0)
+        addr_a = deploy(world, progs["alpha"])
+        addr_b = deploy(world, progs["beta"])
         vm = VM(world, trace_mode, checkers)
         return vm.execute_transaction(Transaction(1, addr_a, 0x77, [depth, addr_b]))
 

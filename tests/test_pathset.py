@@ -237,7 +237,7 @@ def _measured_check_gas(strategy, n, config=CONFIG):
     )
     validate_program(prog, config)
     world = WorldState(config)
-    addr = deploy(world, prog, 0xD0)
+    addr = deploy(world, prog)
     world.sstore(addr, mapping_slot(0, member, config), mapping_value(member, config.width))
     world.commit(0)
     # one gas point: every offset of the checker and the miss routine

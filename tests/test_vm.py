@@ -96,7 +96,7 @@ def _world(width=64):
 
 def test_fresh_store_costs_sstore_set():
     w = _world()
-    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC))
     r = execute_transaction(w, Transaction(1, addr, 0x01, [5, 7]))
     assert r.status == STATUS_ACCEPTED
     assert w.sload(addr, 5) == 7
@@ -106,7 +106,7 @@ def test_fresh_store_costs_sstore_set():
 
 def test_update_costs_sstore_update():
     w = _world()
-    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC))
     execute_transaction(w, Transaction(1, addr, 0x01, [5, 7]))
     r = execute_transaction(w, Transaction(1, addr, 0x01, [5, 9]))
     assert r.gas_used == 3 * 5 + 5000
@@ -114,7 +114,7 @@ def test_update_costs_sstore_update():
 
 def test_revert_restores_storage():
     w = _world()
-    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC))
     before = w.dump()
     r = execute_transaction(w, Transaction(1, addr, 0x02))
     assert r.status == STATUS_REVERTED
@@ -123,7 +123,7 @@ def test_revert_restores_storage():
 
 def test_width8_add_wraps_with_overflow_event():
     w = _world(width=8)
-    addr = deploy(w, assemble(STORE_SRC, Config(width=8)), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC, Config(width=8)))
     r = execute_transaction(w, Transaction(1, addr, 0x03, [200, 100]))
     assert r.status == STATUS_ACCEPTED
     assert r.return_data == [44]
@@ -151,7 +151,7 @@ def test_modular_arithmetic_property(a, b, width, op):
     }} }}
     """
     w = _world(width)
-    addr = deploy(w, assemble(src, Config(width=width)), 0xD0)
+    addr = deploy(w, assemble(src, Config(width=width)))
     r = execute_transaction(w, Transaction(1, addr, 0x01))
     exact = {"ADD": a + b, "SUB": a - b, "MUL": a * b}[op]
     assert r.return_data == [exact % mod]
@@ -163,7 +163,7 @@ def test_modular_arithmetic_property(a, b, width, op):
 def test_deployment_gas_200_per_byte():
     w = _world()
     prog = assemble(STORE_SRC)
-    deploy(w, prog, 0xD0)
+    deploy(w, prog)
     addr, gas = w.deploy_log[-1]
     assert gas == prog.byte_size * 200
 
@@ -174,19 +174,19 @@ def test_size_limit_rejected():
     big = assemble("contract big { fn f external { %s } }" % body)
     assert big.byte_size > 24576
     with pytest.raises(SizeLimitExceeded):
-        deploy(w, big, 0xD0)
+        deploy(w, big)
 
 
 def test_unknown_selector_without_fallback():
     w = _world()
-    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC))
     with pytest.raises(UnknownSelectorError):
         execute_transaction(w, Transaction(1, addr, 0x77))
 
 
 def test_out_of_gas_rolls_back_and_charges_limit():
     w = _world()
-    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC))
     before = w.dump()
     r = execute_transaction(w, Transaction(1, addr, 0x01, [5, 7], gas_limit=100))
     assert r.status == STATUS_OUT_OF_GAS
@@ -197,7 +197,7 @@ def test_out_of_gas_rolls_back_and_charges_limit():
 def test_determinism_identical_receipts():
     w1, w2 = _world(), _world()
     for w in (w1, w2):
-        deploy(w, assemble(STORE_SRC), 0xD0)
+        deploy(w, assemble(STORE_SRC))
     tx = Transaction(1, 0x100, 0x01, [3, 4])
     r1 = execute_transaction(w1, tx)
     r2 = execute_transaction(w2, tx)
@@ -220,7 +220,7 @@ def test_gas_additivity_against_charge_log():
     cfg = Config(gas=gas)
     w = WorldState(cfg)
     prog = assemble(STORE_SRC, cfg)
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     price = {
         Op.JUMPI: gas.jumpi,
         Op.MLOAD: gas.memory_op,
@@ -270,7 +270,7 @@ contract snap {
 
 def test_snapshot_rollback_three_stores():
     w = _world()
-    addr = deploy(w, assemble(SNAPSHOT_SRC), 0xD0)
+    addr = deploy(w, assemble(SNAPSHOT_SRC))
     token = w.snapshot()
     w.sstore(addr, 10, 1)
     w.sstore(addr, 11, 2)
@@ -320,8 +320,8 @@ contract inner {
 
 def test_nested_frame_revert_keeps_outer_writes():
     w = _world()
-    outer = deploy(w, assemble(CALLS_SRC), 0xD0)
-    inner = deploy(w, assemble(INNER_SRC), 0xD0)
+    outer = deploy(w, assemble(CALLS_SRC))
+    inner = deploy(w, assemble(INNER_SRC))
     r = execute_transaction(w, Transaction(1, outer, 0x0a, [inner]))
     assert r.status == STATUS_ACCEPTED
     assert w.sload(outer, 1) == 9  # outer write kept
@@ -345,7 +345,7 @@ def test_call_to_eoa_transfers_value():
     }
     """
     w = _world()
-    addr = deploy(w, assemble(src), 0xD0)
+    addr = deploy(w, assemble(src))
     w.set_balance(addr, 100)
     w.commit(0)
     r = execute_transaction(w, Transaction(1, addr, 0x0c))
@@ -383,8 +383,8 @@ contract host {
 def test_delegatecall_writes_caller_storage():
     """Library code runs against the calling contract's storage and caller."""
     w = _world()
-    host = deploy(w, assemble(DELEGATE_HOST_SRC), 0xD0)
-    lib = deploy(w, assemble(DELEGATE_LIB_SRC), 0xD0)
+    host = deploy(w, assemble(DELEGATE_HOST_SRC))
+    lib = deploy(w, assemble(DELEGATE_LIB_SRC))
     r = execute_transaction(w, Transaction(0x77, host, 0x40, [lib]))
     assert r.status == STATUS_ACCEPTED
     # CALLER inside the delegated frame is the host's caller (the origin)
@@ -490,7 +490,7 @@ def test_transient_value_gone_in_next_tx():
     """A transient write is readable for the rest of its tx and the world
     keeps it until the next tx, which starts with empty transient storage."""
     w = _world()
-    addr = deploy(w, assemble(TSTASH_SRC), 0xD0)
+    addr = deploy(w, assemble(TSTASH_SRC))
     assert execute_transaction(w, Transaction(1, addr, 0x61, [5, 9])).status == STATUS_ACCEPTED
     assert w.tload(addr, 5) == 9
     r = execute_transaction(w, Transaction(1, addr, 0x62, [5]))
@@ -500,7 +500,7 @@ def test_transient_value_gone_in_next_tx():
 
 def test_transient_write_rolled_back_by_tx_revert():
     w = _world()
-    addr = deploy(w, assemble(TSTASH_SRC), 0xD0)
+    addr = deploy(w, assemble(TSTASH_SRC))
     r = execute_transaction(w, Transaction(1, addr, 0x63))
     assert r.status == STATUS_REVERTED
     assert w.tload(addr, 5) == 0
@@ -518,8 +518,8 @@ def test_transient_write_rolled_back_by_tx_revert():
 )
 def test_transient_storage_follows_executing_account(host_sel, lib_sel, host_sees, lib_keeps):
     w = _world()
-    host = deploy(w, assemble(TRANSIENT_HOST_SRC), 0xD0)
-    lib = deploy(w, assemble(TRANSIENT_LIB_SRC), 0xD0)
+    host = deploy(w, assemble(TRANSIENT_HOST_SRC))
+    lib = deploy(w, assemble(TRANSIENT_LIB_SRC))
     r = execute_transaction(w, Transaction(1, host, host_sel, [lib, lib_sel]))
     assert (r.status, r.return_data) == (STATUS_ACCEPTED, [host_sees])
     assert (w.tload(host, 1), w.tload(lib, 1)) == (host_sees, lib_keeps)
@@ -533,7 +533,7 @@ def test_transient_ops_charge_their_schedule_fields():
     for gas in (GasSchedule(), GasSchedule(tload=7, tstore=11)):
         config = Config(gas=gas)
         w = WorldState(config)
-        addr = deploy(w, assemble(TSTASH_SRC, config), 0xD0)
+        addr = deploy(w, assemble(TSTASH_SRC, config))
         # PUSH, CALLDATALOAD, PUSH, CALLDATALOAD, TSTORE, STOP
         put = execute_transaction(w, Transaction(1, addr, 0x61, [5, 9]))
         assert put.gas_used == 5 * gas.base_op + gas.tstore
@@ -546,7 +546,7 @@ def test_transient_ops_charge_their_schedule_fields():
 
 def test_transient_storage_not_in_dump_or_clone():
     w = _world()
-    addr = deploy(w, assemble(TSTASH_SRC), 0xD0)
+    addr = deploy(w, assemble(TSTASH_SRC))
     execute_transaction(w, Transaction(1, addr, 0x61, [5, 9]))
     assert w.tload(addr, 5) == 9
     assert w.dump()[hex(addr)]["storage"] == {}
@@ -561,7 +561,7 @@ def test_empty_calldata_no_selector_runs_fallback():
     }
     """
     w = _world()
-    addr = deploy(w, assemble(src), 0xD0)
+    addr = deploy(w, assemble(src))
     r = execute_transaction(w, Transaction(1, addr, None))
     assert r.status == STATUS_ACCEPTED
     assert w.sload(addr, 1) == 7
@@ -575,7 +575,7 @@ def test_unmatched_selector_falls_back():
     }
     """
     w = _world()
-    addr = deploy(w, assemble(src), 0xD0)
+    addr = deploy(w, assemble(src))
     r = execute_transaction(w, Transaction(1, addr, 0x1234))
     assert r.status == STATUS_ACCEPTED
     assert w.sload(addr, 1) == 7
@@ -598,7 +598,7 @@ def test_call_depth_limit_fails_not_aborts():
     }
     """
     w = _world()
-    addr = deploy(w, assemble(src), 0xD0)
+    addr = deploy(w, assemble(src))
     r = execute_transaction(w, Transaction(1, addr, 0x50, gas_limit=10_000_000))
     assert r.status == STATUS_ACCEPTED
     enters = [e for e in r.trace if e.kind == "ExternalCallEnter"]
@@ -721,7 +721,7 @@ def _vm_records():
 
 def test_observable_behaviour_pinned_on_corpus():
     assert _vm_digest() == (
-        "ff84eeb1877c38cc9297d9f84bf7103a4a1391568e7f66d7b3bca5be0779360e"
+        "95a57257763059168d1a3b02045ba402e6e81e5cb5e9edd1727eb2d6c0a89d30"
     )
 
 
@@ -757,7 +757,7 @@ def _one_fn(body: str):
 )
 def test_stack_underflow_reason_and_charge(body, offset, gas_used):
     w = _world()
-    addr = deploy(w, _one_fn(body), 0xD0)
+    addr = deploy(w, _one_fn(body))
     r = execute_transaction(w, Transaction(1, addr, 0x01))
     assert r.status == STATUS_REVERTED
     # the failing instruction is charged before its operands are popped
@@ -777,7 +777,7 @@ def test_stack_underflow_reason_and_charge(body, offset, gas_used):
 )
 def test_stack_overflow_at_limit(body, first, per_push):
     w = _world()
-    addr = deploy(w, _one_fn(body), 0xD0)
+    addr = deploy(w, _one_fn(body))
     r = execute_transaction(w, Transaction(1, addr, 0x01))
     assert r.status == STATUS_REVERTED
     revert = r.trace[-1]
@@ -805,7 +805,7 @@ def _program(*bodies: list[Instruction]) -> ContractProgram:
 def _failure(prog: ContractProgram, width=64) -> tuple[str, int, tuple]:
     """(status, gas used, (fn, offset, detail) of the last trace event)."""
     w = _world(width)
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = execute_transaction(w, Transaction(1, addr, 0x01))
     last = r.trace[-1]
     assert last.kind == "Revert"
@@ -887,7 +887,7 @@ def test_out_of_gas_at_every_limit_keeps_the_trace_prefix():
 
     def run(limit):
         w = WorldState(config)
-        addr = deploy(w, prog, 0xD0)
+        addr = deploy(w, prog)
         r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=limit))
         return r, [(e.kind, e.fn, e.offset, e.detail) for e in r.trace]
 
@@ -906,12 +906,12 @@ def test_out_of_gas_at_every_limit_keeps_the_trace_prefix():
 
 def test_gas_limit_equal_to_cost_is_enough():
     w = _world()
-    addr = deploy(w, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w, assemble(STORE_SRC))
     cost = 3 * 5 + 20000
     r = execute_transaction(w, Transaction(1, addr, 0x01, [5, 7], gas_limit=cost))
     assert (r.status, r.gas_used) == (STATUS_ACCEPTED, cost)
     w2 = _world()
-    addr = deploy(w2, assemble(STORE_SRC), 0xD0)
+    addr = deploy(w2, assemble(STORE_SRC))
     r = execute_transaction(w2, Transaction(1, addr, 0x01, [5, 7], gas_limit=cost - 1))
     assert (r.status, r.gas_used) == (STATUS_OUT_OF_GAS, cost - 1)
     assert w2.sload(addr, 5) == 0
@@ -919,8 +919,8 @@ def test_gas_limit_equal_to_cost_is_enough():
 
 def test_failed_inner_call_gas_counts_toward_outer():
     w = _world()
-    outer = deploy(w, assemble(CALLS_SRC), 0xD0)
-    inner = deploy(w, assemble(INNER_SRC), 0xD0)
+    outer = deploy(w, assemble(CALLS_SRC))
+    inner = deploy(w, assemble(INNER_SRC))
     r = execute_transaction(w, Transaction(1, outer, 0x0a, [inner]))
     assert r.status == STATUS_ACCEPTED
     # outer: 2 PUSH, SSTORE set, 4 PUSH, CALLDATALOAD, CALL, PUSH, MSTORE, STOP
@@ -945,8 +945,8 @@ contract lib {
 
 def test_failed_inner_delegatecall_gas_counts_toward_outer():
     w = _world()
-    host = deploy(w, assemble(DELEGATE_HOST_SRC), 0xD0)
-    lib = deploy(w, assemble(FAILING_LIB_SRC), 0xD0)
+    host = deploy(w, assemble(DELEGATE_HOST_SRC))
+    lib = deploy(w, assemble(FAILING_LIB_SRC))
     r = execute_transaction(w, Transaction(0x77, host, 0x40, [lib]))
     assert r.status == STATUS_ACCEPTED
     assert w.sload(host, 0) == 0
@@ -1108,7 +1108,7 @@ def _diff_cases(draw):
 def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
     world = WorldState(config)
     world.set_balance(_DIFF_ORIGIN, 100)
-    addr = deploy(world, prog, 0xD0)
+    addr = deploy(world, prog)
     runs = []
     for i, (calldata, value, gas_limit) in enumerate(txs):
         # a new owner table per tx, numbered apart from the last one's
@@ -1177,7 +1177,7 @@ def test_compiled_block_matches_reference(body, calldata, returned):
     code returns these words and matches the reference at every level."""
     prog = _one_fn(body)
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, calldata))
     assert (r.status, r.return_data) == (STATUS_ACCEPTED, returned)
     _assert_matches_reference(Config(), prog, [(calldata, 0, 10_000)])
@@ -1201,7 +1201,7 @@ contract t {
     traced = {}
     for level in (TRACE_NONE, TRACE_CHECKS, TRACE_FULL):
         w = _world()
-        addr = deploy(w, prog, 0xD0)
+        addr = deploy(w, prog)
         r = VM(w, level, {"t": checkers}).execute_transaction(Transaction(1, addr, 0x01, [43]))
         assert r.status == STATUS_ACCEPTED
         traced[level] = [
@@ -1233,7 +1233,7 @@ def test_block_failing_its_entry_check_runs_its_prefix(gas_limit, status, trace)
     """The ops before the one that fails run, with their events."""
     prog = _one_fn("PUSH 1 PUSH 2 ADD POP POP STOP")
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=gas_limit))
     assert (r.status, [(e.kind, e.offset) for e in r.trace]) == (status, trace)
     _assert_matches_reference(Config(), prog, [([], 0, gas_limit)])
@@ -1247,7 +1247,7 @@ def test_dup_or_swap_past_the_stack_limit_underflows(op):
     prog = _one_fn(f"PUSH 1 PUSH 2 {op} {1 << 40} STOP")
     validate_program(prog, Config())
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01))
     assert r.status == STATUS_REVERTED
     assert [(e.kind, e.offset, e.get("reason")) for e in r.trace] == [
@@ -1281,7 +1281,7 @@ def test_region_runs_both_arms_of_a_jumpi():
     assert (gas, need, room, deep) == (28, 0, OPERAND_STACK_LIMIT - 2, 64)
     for word, returned in ((0, [7]), (1, [9])):
         w = _world()
-        addr = deploy(w, prog, 0xD0)
+        addr = deploy(w, prog)
         r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01, [word]))
         assert (r.status, r.return_data) == (STATUS_ACCEPTED, returned)
     _assert_matches_reference(Config(), prog, [([0], 0, 10_000), ([1], 0, 10_000)])
@@ -1300,7 +1300,7 @@ def test_region_out_of_gas_in_its_second_block():
     statuses = []
     for limit in limits:
         w = _world()
-        addr = deploy(w, prog, 0xD0)
+        addr = deploy(w, prog)
         r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=limit))
         statuses.append((r.status, r.gas_used))
     assert statuses == [(STATUS_OUT_OF_GAS, n) for n in range(1, cost)] + [
@@ -1330,7 +1330,7 @@ def test_region_stack_failure_in_its_second_block(body, reason, offset):
     prog = _one_fn(body)
     assert len(_region(prog)[4]) == 1  # both blocks are one region
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01))
     assert (r.status, r.trace[-1].offset, r.trace[-1].get("reason")) == (
         STATUS_REVERTED, offset, reason
@@ -1364,7 +1364,7 @@ def test_region_internal_depth_limit_at_an_inlined_icall():
     outcomes = []
     for n in (60, 61, 62):
         w = _world()
-        addr = deploy(w, prog, 0xD0)
+        addr = deploy(w, prog)
         r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01, [n]))
         outcomes.append((r.status, r.trace[-1].fn if r.trace else None))
     assert outcomes == [(STATUS_ACCEPTED, None), (STATUS_ACCEPTED, None), (STATUS_REVERTED, 2)]
@@ -1387,7 +1387,7 @@ def test_deep_recursion_failing_the_depth_check_runs_uncached_blocks(monkeypatch
 
     monkeypatch.setattr(vm_module, "_unit", unit)
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     tx = Transaction(1, addr, 0x01, [62], gas_limit=100_000)
     runs = []
     for _ in range(2):
@@ -1413,7 +1413,7 @@ contract t {
 def _full_trace(prog, checkers=frozenset(), gas_limit=10_000) -> list[tuple]:
     """(kind, fn, offset) of each event of one TRACE_FULL run of ``prog``."""
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_FULL, {prog.name: checkers}).execute_transaction(
         Transaction(1, addr, 0x01, gas_limit=gas_limit)
     )
@@ -1481,7 +1481,7 @@ contract t {
     assert _region(prog)[4] == [("SSTORE", 3, ((0, 2),))]
     assert _region(prog, fid=1, pc=3)[4] == [("IRET", 6, ())]
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01))
     assert (r.status, r.return_data, w.sload(addr, 0)) == (STATUS_ACCEPTED, [7], 3)
     _assert_matches_reference(Config(), prog, [([], 0, 100_000)])
@@ -1501,7 +1501,7 @@ contract t {
 """)
     assert _region(prog)[4] == [("ICALL", 6, ((0, 2),)), ("RETURN", 4, ())]
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01))
     assert (r.status, r.return_data) == (STATUS_ACCEPTED, [0])
     _assert_matches_reference(Config(), prog, [([], 0, 100_000)])
@@ -1525,7 +1525,7 @@ contract t {
     exits = _region(prog)[4]
     assert [tail for tail, _nxt, _frames in exits] == ["STOP"] * len(exits)
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     checkers = frozenset({1})
     r = VM(w, TRACE_CHECKS, {"t": checkers}).execute_transaction(
         Transaction(1, addr, 0x01, [42])
@@ -1551,7 +1551,7 @@ contract t {
 }
 """)
     w = _world()
-    addr = deploy(w, prog, 0xD0)
+    addr = deploy(w, prog)
     tx = Transaction(1, addr, 0x01, [5])
     VM(w, TRACE_NONE).execute_transaction(tx)
     tables, _preds = prog.units(VM(w).key, None)
@@ -1587,7 +1587,7 @@ contract t {
     charged = []
     for word in (0, 1):
         w = _world()
-        addr = deploy(w, prog, 0xD0)
+        addr = deploy(w, prog)
         points = _offset_points(w)
         VM(w, TRACE_CHECKS, gas_points=points).execute_transaction(
             Transaction(1, addr, 0x01, [word])
@@ -1624,7 +1624,7 @@ def test_block_engine_matches_reference_on_corpus():
 def _word_world():
     w = _world()
     w.set_balance(5, 10)
-    return w, deploy(w, _one_fn("PUSH 0 CALLDATALOAD CODELOAD PUSH 1 RETURN"), 0xD0)
+    return w, deploy(w, _one_fn("PUSH 0 CALLDATALOAD CODELOAD PUSH 1 RETURN"))
 
 
 @pytest.mark.parametrize(

@@ -413,6 +413,33 @@ def test_bundle_refuses_a_name_or_address_listed_twice(field, patch):
         Bundle.from_json(raw)
 
 
+@pytest.mark.parametrize(
+    "annotation, needle",
+    [
+        ("target=ghost fn=f", "field 'target' names no contract: 'ghost'"),
+        ("target=callee fn=h", "field 'fn' names no function of callee: 'h'"),
+        ("target=callee fn=g", "field 'fn' names an internal function of callee: 'g'"),
+    ],
+    ids=["unknown-target", "unknown-fn", "internal-fn"],
+)
+def test_bundle_refuses_a_call_annotation_that_names_nothing_callable(annotation, needle):
+    """A call annotation is checked when the bundle loads: a target that is
+    no contract of the bundle (once treated as unprotected in silence), a
+    function its target lacks (once a KeyError in the call graph) or an
+    internal one (once a call edge no selector reaches) is refused, naming
+    the contract, the function, the call's offset and the field."""
+    caller = (
+        "contract caller { fn go external selector=0x1 "
+        f"{{ PUSH 0 PUSH 0x1 PUSH 0 PUSH 0x81 CALL {annotation} POP STOP }} }}"
+    )
+    callee = "contract callee { fn f external selector=0x1 { STOP } fn g internal { IRET } }"
+    raw = {"contracts": [{"source": caller}, {"source": callee}]}
+    with pytest.raises(WorkflowError, match=f"bundle: caller.go@4: {needle}"):
+        Bundle.from_json(raw)
+    raw["contracts"][0]["source"] = caller.replace(annotation, "target=callee fn=f")
+    assert sorted(Bundle.from_json(raw).programs) == ["callee", "caller"]
+
+
 # Three sequential if-thens: eight paths through ``f``.
 BRANCHY_SRC = """
 contract branchy {
@@ -664,19 +691,20 @@ contract box {
             ),
         ),
     ],
-    ids=["plain-address", "mode-word"],
+    ids=["plain-address", "cdoff-word"],
 )
 def test_original_code_cannot_reach_guard_memory(guard_word):
     """``box.put`` stores calldata[1] at the memory address calldata[2] and
     writes storage only when calldata[0] is set, a path training never took.
     Taking that path guard-reverts and keeps storage empty, also when the
-    stored word lands on the guard's mode word: setting it to marker mode
-    must not turn the guard revert into a marker return."""
+    stored word lands on the guard's calldata-offset word: setting it, the
+    one record of a marker entry, must not turn the guard revert into a
+    marker return."""
     bundle = Bundle.from_json({"contracts": [{"source": BOX_SRC}]})
     put = {"origin": 1, "to": "box", "fn": "put"}
     guarded = protect(bundle, train(bundle, [dict(put, calldata=[0, 7, 5])]))
     run = start_detection(guarded, mirror=False)
-    address = Layout(bundle.config.width).mode if guard_word else 5
+    address = Layout(bundle.config.width).cdoff if guard_word else 5
     outcome = run_transaction(run, dict(put, calldata=[1, 1, address]))
     assert (outcome.status, len(outcome.alarms)) == ("GuardReverted", 1)
     assert run.deployed.world.accounts[run.deployed.addresses["box"]].storage == {}
