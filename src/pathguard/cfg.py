@@ -46,7 +46,8 @@ class Edge:
     dst: int
     kind: str = REAL
     # Provenance tag driving the oracle and the instrumenter:
-    #   ("fall", off) ("jump", off) ("branch", off, taken) ("term", off)
+    #   ("fall", off) ("jump", off) ("branch", off, taken) ("term", off);
+    #   a JUMPI whose target is its own fall-through has one ("jump", off)
     #   ("callret", off) ("arith", off, opname) ("backedge", (w_bid, v_bid))
     #   ("surrogate", ((w, v), ...))
     origin: tuple = ()
@@ -181,6 +182,10 @@ def build_cfg(fn: FunctionDef) -> Cfg:
         last = body[last_off]
         op = last.op
         if op is Op.JUMP:
+            cfg.add_edge(blk.bid, by_start[last.imm].bid, REAL, ("jump", last_off))
+        elif op is Op.JUMPI and last.imm == blk.end:
+            # both arms reach the next block: one edge, priced and rewritten
+            # as a jump, so that its increment runs before the JUMPI on both
             cfg.add_edge(blk.bid, by_start[last.imm].bid, REAL, ("jump", last_off))
         elif op is Op.JUMPI:
             fall = by_start[blk.end]

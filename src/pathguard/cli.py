@@ -193,6 +193,12 @@ def _cmd_protect(args) -> int:
         )
         for fn, why in info["demoted"].items():
             print(f"  {name}.{fn}: safe paths moved to the dynamic mapping ({why})")
+        for fn, d in info["direct"].items():
+            print(
+                f"  {name}.{fn}: Direct r={d['r']}, {d['bytes']} bytes and {d['gas']} gas "
+                f"per check (the table it replaced: {d['table_bytes']} bytes, "
+                f"{d['table_gas']} gas)"
+            )
     return EXIT_OK
 
 

@@ -27,8 +27,9 @@ from .config import Config, INTERNAL_DEPTH_LIMIT
 from .isa import Instruction, Op
 from .pathset import (
     MAPPING_TAG,
+    DirectSpec,
     ListSpec,
-    MphtSpec,
+    Spec,
     disp_bits,
     mapping_fn_seed,
     mapping_slot,
@@ -37,6 +38,7 @@ from .pathset import (
     mix_constant,
     mpht_position,
 )
+from .program import FUNCTION_ENTRY_BYTES
 from .vm import price_table
 
 # Protocol words, each masked to the word width where it is used. Calldata
@@ -184,9 +186,7 @@ class Asm:
 # -- membership checker --------------------------------------------------------
 
 
-def seq_checker(
-    spec: ListSpec | MphtSpec, fid: int, miss_fid: int, pool_base: int, config: Config
-) -> Asm:
+def seq_checker(spec: Spec, fid: int, miss_fid: int, pool_base: int, config: Config) -> Asm:
     """Body of function ``fid``'s checker: consumes [combined], IRETs [].
 
     Embedded structure only: a hit returns at once, so trained paths pay no
@@ -198,7 +198,10 @@ def seq_checker(
     A list compares combined+1 with its entries in key order and returns
     at the first match, so a hit on entry i costs i entry steps. A table
     probes one slot: bucket g % m gives the packed displacements, and the
-    slot (f1 + d0*f2 + d1) % r holds key+1 (pathset.mpht_position).
+    slot (f1 + d0*f2 + d1) % r holds key+1 (pathset.mpht_position). A
+    direct table tests combined < r and reads pool word base + combined;
+    both must hold, so a word past the table, which may wrap onto another
+    function's pool, never hits.
     """
     width = config.width
     a = Asm()
@@ -213,6 +216,12 @@ def seq_checker(
             a.emit(Op.DUP, 1).push(pool_base + i).emit(Op.CODELOAD).emit(Op.EQ)
             a.jumpi(found)
         a.push(1).emit(Op.SUB)  # [combined]
+    elif isinstance(spec, DirectSpec):
+        a.emit(Op.DUP, 1).push(spec.r).emit(Op.LT)  # [c, c < r]
+        a.emit(Op.DUP, 2).push(pool_base).emit(Op.ADD).emit(Op.CODELOAD)
+        a.emit(Op.DUP, 3).push(1).emit(Op.ADD).emit(Op.EQ)  # [c, c < r, word == c+1]
+        a.emit(Op.AND)
+        a.jumpi(found)
     else:  # MphtSpec
         t = field_bits(width)
         tmask = (1 << t) - 1
@@ -282,9 +291,9 @@ def seq_miss(code_id: int, config: Config) -> Asm:
     return a.emit(Op.IRET)
 
 
-def checker_pool(spec: ListSpec | MphtSpec, width: int) -> list[int]:
+def checker_pool(spec: Spec, width: int) -> list[int]:
     """Constant-pool words backing a checker: entries stored as key+1, an
-    empty table slot as 0.
+    empty table slot or a direct table's unsafe id as 0.
 
     key+1 wraps to 0 at combined = 2**width - 1, which then probes for 0,
     as the checker's own ADD does. An empty slot that this combined lands on
@@ -294,6 +303,11 @@ def checker_pool(spec: ListSpec | MphtSpec, width: int) -> list[int]:
     mask = (1 << width) - 1
     if isinstance(spec, ListSpec):
         return [(k + 1) & mask for k in spec.keys]
+    if isinstance(spec, DirectSpec):
+        words = [0] * spec.r
+        for k in spec.keys:
+            words[k] = k + 1
+        return words
     s = disp_bits(width)
     packed = [(d0 << s) | d1 for d0, d1 in spec.displacements]
     slots = [0 if k is None else (k + 1) & mask for k in spec.slots]
@@ -859,18 +873,26 @@ def _taken_path(items: list[tuple], branch: int) -> list[tuple]:
     return items[: branch + 1] + items[label_offsets(items)[items[branch][1]]:]
 
 
-def check_gas(spec: ListSpec | MphtSpec, config: Config) -> int:
+def check_gas(spec: Spec, config: Config) -> int:
     """Analytic per-check gas of the checker of an embedded set.
 
     With a nonempty set this is the most a member pays: a hit on the last
-    branch (a list's last entry, the table's one probe), then the found arm.
+    branch (a list's last entry, a table's one probe), then the found arm.
     With none (the mapping's empty list) every check is the checker's call
     into the shared miss routine plus that routine's accept path.
     """
+    return checker_cost(spec, config)[1]
+
+
+def checker_cost(spec: Spec, config: Config) -> tuple[int, int]:
+    """Deployed bytes and ``check_gas`` of an embedded set. The bytes are
+    its checker function's, with the function-table entry, and its blob's."""
     items = seq_checker(spec, 0, 0, 0, config).items
+    code = sum(i.size(config.word_bytes) for i in flatten(items, base=0))
+    deployed = code + FUNCTION_ENTRY_BYTES + spec.blob_bytes
     branches = [pos for pos, item in enumerate(items) if item[0] == "jumpi"]
     if branches:
-        return seq_gas(_taken_path(items, branches[-1]), config)
+        return deployed, seq_gas(_taken_path(items, branches[-1]), config)
     miss = seq_miss(0, config).items
     accept = next(pos for pos, item in enumerate(miss) if item[0] == "jumpi")
-    return seq_gas(items + _taken_path(miss, accept), config)
+    return deployed, seq_gas(items + _taken_path(miss, accept), config)

@@ -21,6 +21,7 @@ from .guardcode import (
     CTX_SLOT,
     Layout,
     SlowPaths,
+    checker_cost,
     checker_pool,
     flatten,
     label_offsets,
@@ -51,9 +52,10 @@ from .epp import endpoint_values, index_to_path, place_increments
 from .isa import EXTERNAL_CALLS, Instruction, Op
 from .pathset import (
     ConstructionFailed,
+    DirectSpec,
     ListSpec,
-    MphtSpec,
     STRATEGY_MPHT,
+    Spec,
     build_list,
     build_mpht,
     choose_strategy,
@@ -122,15 +124,19 @@ class SetPlan:
     """Where each function's safe pairs live: its embedded set, else the
     dynamic mapping, seeded at deployment."""
 
-    specs: dict[int, ListSpec | MphtSpec]
+    specs: dict[int, Spec]
     preseed: list[tuple[int, int]]  # (fid, key) pairs seeded in the mapping
     demoted: dict[int, str]  # fid -> why its embedded keys went to the mapping
+    # fid of a direct set -> its deployed bytes and check gas ("bytes", "gas")
+    # and those of the table it replaced ("table_bytes", "table_gas")
+    replaced: dict[int, dict[str, int]] = field(default_factory=dict)
 
     def demote(self, fid: int, keys, reason: str) -> None:
         """Move ``keys`` of ``fid`` to the preseed and leave it no embedded set."""
         self.preseed += [(fid, k) for k in keys]
         self.specs[fid] = ListSpec([])
         self.demoted[fid] = reason
+        self.replaced.pop(fid, None)
 
 
 @dataclass
@@ -161,10 +167,22 @@ def plan_strategies(
     embedded index space (reentrant-band contexts observed in training) go
     to the dynamic mapping preseed, and so do the keys of a table that
     cannot be built.
+
+    A table that builds becomes a direct table over the function's index
+    space when that deploys no more bytes and ``check_gas`` prices its
+    check lower: the direct check is one bounds test and one read, the
+    table's a hash and two reads. A list stays a list, since a hit on its
+    first entry costs less than the direct check. The index space is below
+    2**(width - 1) (``analyze_bundle``), so it fits the bounds test's PUSH.
+
+    Checkers address their pool words, laid out in function order, with
+    word arithmetic, so a set whose words would lie past the top address
+    (word 255 at width 8) goes to the mapping.
     """
     config = analysis.config
+    functions = analysis.programs[name].functions
     plan = SetPlan({}, [], {})
-    for fn in analysis.programs[name].functions:
+    for fn in functions:
         fid, keys = fn.id, safe_sets.get(fn.id, ())
         space = analysis.index_space(name, fid)
         embedded = sorted(k for k in keys if k < space)
@@ -173,9 +191,31 @@ def plan_strategies(
             plan.specs[fid] = build_list(embedded)
             continue
         try:
-            plan.specs[fid] = build_mpht(embedded, config.mpht_lambda, width=config.width)
+            table = plan.specs[fid] = build_mpht(
+                embedded, config.mpht_lambda, width=config.width
+            )
         except ConstructionFailed as exc:
             plan.demote(fid, embedded, f"mpht construction failed: {exc}")
+            continue
+        direct = DirectSpec(embedded, space)
+        table_bytes, table_gas = checker_cost(table, config)
+        direct_bytes, direct_gas = checker_cost(direct, config)
+        if direct_bytes <= table_bytes and direct_gas < table_gas:
+            plan.specs[fid] = direct
+            plan.replaced[fid] = {
+                "bytes": direct_bytes, "gas": direct_gas,
+                "table_bytes": table_bytes, "table_gas": table_gas,
+            }
+    base = 0
+    for fn in functions:
+        words = plan.specs[fn.id].pool_words
+        if base + words > config.mask + 1:
+            plan.demote(
+                fn.id, plan.specs[fn.id].keys,
+                f"pool words {base}..{base + words - 1} lie past the top address {config.mask}",
+            )
+        else:
+            base += words
     return plan
 
 
@@ -241,9 +281,11 @@ class _Rewriter:
             spec = self.plan.specs[fn.id]
             base = len(self.pool)
             self.pool.extend(checker_pool(spec, config.width))
-            why = {"demoted": self.plan.demoted[fn.id]} if fn.id in self.plan.demoted else {}
+            extra = {"demoted": self.plan.demoted[fn.id]} if fn.id in self.plan.demoted else {}
+            if isinstance(spec, DirectSpec):
+                extra = {"r": spec.r, **self.plan.replaced[fn.id]}
             pid = self.point(
-                POINT_CHECK, (fn.name, "checker"), strategy=spec.strategy, entries=spec.n, **why
+                POINT_CHECK, (fn.name, "checker"), strategy=spec.strategy, entries=spec.n, **extra
             )
             self.points[pid].blob_bytes = spec.blob_bytes
             seq = seq_checker(spec, fn.id, self.slow.miss, base, config)

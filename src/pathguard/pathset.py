@@ -1,4 +1,13 @@
-"""Safe path set storage: embedded list, perfect hash table, mapping.
+"""Safe path set storage: embedded list, perfect hash table, direct-address
+table, mapping.
+
+A function's safe combined words are ids in its index space [0, R), R =
+NumPaths x NumCCs. Few keys sit in a sorted list; more in a perfect hash
+table; and a table whose whole id space is small enough becomes a
+direct-address table (Cormen et al., Introduction to Algorithms, 11.1):
+pool word c holds c + 1 for a safe c and 0 otherwise, so a check is one
+bounds test and one read. ``instrument.plan_strategies`` makes that choice
+by deployed bytes and check gas.
 
 All hashing is a width-parameterized multiply-shift hash (Dietzfelbinger et
 al. 1997): one odd multiply, then one xorshift that folds the well-mixed
@@ -23,6 +32,7 @@ from .config import Config, DEFAULT_CONFIG
 
 STRATEGY_LIST = "List"
 STRATEGY_MPHT = "Mpht"
+STRATEGY_DIRECT = "Direct"
 STRATEGY_MAPPING = "Mapping"
 
 # Strategy boundary: an embedded list wins below six entries, where it
@@ -122,8 +132,12 @@ class ListSpec:
         return len(self.keys)
 
     @property
+    def pool_words(self) -> int:
+        return len(self.keys)
+
+    @property
     def blob_bytes(self) -> int:
-        return blob_size(len(self.keys))
+        return blob_size(self.pool_words)
 
 
 @dataclass
@@ -144,9 +158,13 @@ class MphtSpec:
         return sorted(k for k in self.slots if k is not None)
 
     @property
+    def pool_words(self) -> int:
+        # one per displacement pair plus one per slot
+        return self.m + self.size
+
+    @property
     def blob_bytes(self) -> int:
-        # one pool word per displacement pair plus one per slot
-        return blob_size(self.m + self.size)
+        return blob_size(self.pool_words)
 
     def to_json(self) -> dict:
         return {
@@ -156,6 +174,32 @@ class MphtSpec:
             "displacements": [list(d) for d in self.displacements],
             "slots": [None if s is None else hex(s) for s in self.slots],
         }
+
+
+@dataclass
+class DirectSpec:
+    """A direct-address table over the id space [0, r): one pool word per
+    id, c + 1 for a safe c and 0 otherwise."""
+
+    strategy: ClassVar[str] = STRATEGY_DIRECT
+    keys: list[int]  # sorted, each below r
+    r: int
+
+    @property
+    def n(self) -> int:
+        return len(self.keys)
+
+    @property
+    def pool_words(self) -> int:
+        return self.r
+
+    @property
+    def blob_bytes(self) -> int:
+        return blob_size(self.pool_words)
+
+
+# An embedded set of any kind.
+Spec = ListSpec | MphtSpec | DirectSpec
 
 
 def blob_size(pool_words: int) -> int:

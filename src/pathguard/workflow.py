@@ -374,6 +374,12 @@ class GuardedBundle:
                 "mapping_preseed": len(inst.plan.preseed),
                 # function name -> why its embedded set went to the mapping
                 "demoted": {functions[f].name: why for f, why in inst.plan.demoted.items()},
+                # function name -> its direct set's id space, bytes and check
+                # gas, and those of the table it replaced
+                "direct": {
+                    functions[f].name: {"r": inst.plan.specs[f].r, **cost}
+                    for f, cost in inst.plan.replaced.items()
+                },
             }
         return per_contract
 

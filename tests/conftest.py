@@ -76,6 +76,17 @@ contract figcg {
 """
 
 
+def branches_fn(name: str, selector: int, branches: int) -> str:
+    """An external function of ``branches`` two-way branches in sequence,
+    each with a real op on its fall-through, so 2**branches paths; calldata
+    word i picks the arm of branch i. Wrap it in ``contract <name> { ... }``."""
+    arms = "".join(
+        f"    PUSH {i}\n    CALLDATALOAD\n    JUMPI j{i}\n    PUSH {i}\n    POP\n  j{i}: JUMPDEST\n"
+        for i in range(branches)
+    )
+    return f"  fn {name} external selector={selector:#x} {{\n{arms}    STOP\n  }}\n"
+
+
 @pytest.fixture
 def loopy():
     return assemble(LOOPY_SRC)

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import branches_fn
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +245,33 @@ def test_protect_prints_why_a_set_moved_to_the_mapping(tmp_path, capsys, monkeyp
     assert demoted and {c for c, _fn in demoted} == set(guarded["contracts"])
     out = _main(capsys, "run", tmp_path / "guarded.json", training)
     assert "alarms: 0 on 0 txs" in out
+
+
+def test_protect_names_a_direct_set_and_the_table_it_replaced(tmp_path, capsys):
+    """A function of eight paths trained on all of them gets a direct set:
+    the snapshot, the plan listing and ``protect``'s output name it, with
+    its id space and the bytes and check gas of the table it replaced."""
+    bundle, training = tmp_path / "d.bundle.json", tmp_path / "d.train.jsonl"
+    source = f"contract d {{\n{branches_fn('f', 1, 3)}}}"
+    bundle.write_text(json.dumps({"contracts": [{"source": source}]}))
+    arms = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    training.write_text("".join(
+        json.dumps({"origin": 1, "to": "d", "fn": "f", "calldata": arm}) + "\n" for arm in arms
+    ))
+    _main(capsys, "train", bundle, training, "-o", tmp_path / "snap.json")
+    snapshot = json.loads((tmp_path / "snap.json").read_text())
+    assert snapshot["contracts"]["d"]["0"]["strategy"] == "Direct"
+    out = _main(capsys, "protect", bundle, tmp_path / "snap.json", "-o", tmp_path / "guarded.json")
+    assert out.splitlines()[1:] == [
+        "  d.f: Direct r=8, 186 bytes and 55 gas per check "
+        "(the table it replaced: 406 bytes, 163 gas)"
+    ]
+    plan = json.loads((tmp_path / "guarded.json").read_text())["contracts"]["d"]["plan"]
+    assert (
+        "f@checker  bytes=186 entries=8 gas=55 r=8 strategy=Direct table_bytes=406 table_gas=163"
+        in plan
+    )
+    assert "alarms: 0 on 0 txs" in _main(capsys, "run", tmp_path / "guarded.json", training)
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,7 @@ from pathguard.pathset import (
     STRATEGY_LIST,
     STRATEGY_MPHT,
     ConstructionFailed,
+    DirectSpec,
     build_list,
     build_mpht,
     list_lookup,
@@ -260,10 +261,12 @@ def _recording_miss():
     return a.emit(Op.IRET)
 
 
-def _probe_checker(spec, key, width, fid, pool_base):
+def _probe_checker(spec, key, width, fid, pool_base, pool=None):
     """One check of ``key`` by a checker whose pool sits at ``pool_base``,
-    missing into the recording stub. Returns (the miss stub's transient
-    words or None on a hit, the checker's own gas)."""
+    missing into the recording stub. ``pool`` is the contract's whole pool,
+    by default filler words, then the checker's at ``pool_base``. Returns
+    (the miss stub's transient words or None on a hit, the checker's own
+    gas)."""
     config = Config(width=width)
     sentinel = 0x5A  # below the checker's operand: it must survive the call
     probe = Asm().push(sentinel).push(key).emit(Op.ICALL, CHK_FID).push(1).emit(Op.RETURN)
@@ -272,7 +275,8 @@ def _probe_checker(spec, key, width, fid, pool_base):
         FunctionDef(CHK_FID, "chk", Visibility.INTERNAL, chk),
         FunctionDef(MISS_FID, "miss", Visibility.INTERNAL, flatten(_recording_miss().items, 0)),
     ]
-    pool = [w & config.mask for w in range(7, 7 + pool_base)] + checker_pool(spec, width)
+    if pool is None:
+        pool = [w & config.mask for w in range(7, 7 + pool_base)] + checker_pool(spec, width)
     # one gas point: every offset of the checker
     owners = [[-1] * len(probe.items), [0] * len(chk), [-1] * len(fns[1].body)]
     acc = [0]
@@ -334,6 +338,41 @@ def test_checker_hits_members_and_hands_misses_the_original_word(case):
             continue
         missed, _gas = _probe_checker(spec, key, width, fid, pool_base)
         assert missed == (key, fid, mapping_fn_seed(fid, config), 1), key
+
+
+@st.composite
+def _direct_cases(draw):
+    """A width, a direct table over [0, r) with 1 to r safe ids, probes, a
+    fid and a pool base."""
+    width = draw(WIDTHS)
+    r = draw(st.integers(1, 64))
+    keys = sorted(draw(st.sets(st.integers(0, r - 1), min_size=1)))
+    probes = draw(st.lists(_word(width), min_size=1, max_size=3))
+    return width, DirectSpec(keys, r), probes, draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_direct_cases())
+def test_direct_checker_matches_membership(case):
+    """A direct checker hits exactly its safe ids, each at check_gas, and
+    hands every other word to the miss routine unchanged. Every pool word
+    outside the table holds c + 1 for the c whose base + c lands on it, so
+    r, the all-ones word and 2**width - base, where base + c wraps to word
+    0, hit without the bounds test."""
+    width, spec, probes, fid, base = case
+    config = Config(width=width)
+    extra = 4  # neighbour words past the table
+    pool = [(i - base + 1) & config.mask for i in range(base + spec.r + extra)]
+    pool[base : base + spec.r] = checker_pool(spec, width)
+    edges = [spec.r - 1, spec.r, spec.r + extra - 1, config.mask]
+    if base:
+        edges.append((1 << width) - base)
+    for key in sorted(set(spec.keys + probes + edges)):
+        missed, gas = _probe_checker(spec, key, width, fid, base, pool)
+        if key in spec.keys:
+            assert (missed, gas) == (None, check_gas(spec, config)), key
+        else:
+            assert missed == (key, fid, mapping_fn_seed(fid, config), 1), key
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import branches_fn
 
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
@@ -21,6 +22,7 @@ from pathguard.guardcode import (
     SLOT_POISON,
     Layout,
     admin_calldata,
+    checker_cost,
     decode_guard_revert,
     flatten,
     seq_enter_routine,
@@ -33,7 +35,7 @@ from pathguard.instrument import (
     instrument_contract,
 )
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
-from pathguard.pathset import MAPPING_TAG
+from pathguard.pathset import MAPPING_TAG, DirectSpec, build_mpht
 from pathguard.program import SizeLimitExceeded, Visibility
 from pathguard.vm import (
     TRACE_CHECKS,
@@ -532,15 +534,21 @@ contract front {
   fn go external selector=0x1 {
     PUSH 0
     CALLDATALOAD
-    JUMPI a         ; both arms meet at a: two paths per branch
+    JUMPI a         ; a real op on the fall-through: two paths per branch
+    PUSH 0
+    POP
   a: JUMPDEST
     PUSH 1
     CALLDATALOAD
     JUMPI b
+    PUSH 1
+    POP
   b: JUMPDEST
     PUSH 2
     CALLDATALOAD
     JUMPI c
+    PUSH 2
+    POP
   c: JUMPDEST
     PUSH 7
     PUSH 1
@@ -573,6 +581,9 @@ contract back {
 }
 """
 
+# 64 paths: a table over six of them deploys fewer bytes than a direct one
+MANY_PATHS_SRC = f"contract many {{\n{branches_fn('f', 1, 6)}}}\n"
+
 FAT_SRC = """
 contract fat { fn f external selector=0x1 {
   PUSH 0
@@ -595,7 +606,8 @@ def _guarded(sources, safe):
 
 def _pinned_bundles(monkeypatch):
     """Guarded bundles covering every emitted shape: the seven fixtures, a
-    protected CALL site, an Mpht checker and a forced spill to the mapping."""
+    protected CALL site, a direct checker, an Mpht checker and a forced
+    spill to the mapping."""
     from pathguard import instrument as instr_mod
     from pathguard.fixtures import ALL_SCENARIOS, by_name
     from pathguard.workflow import protect, train
@@ -610,8 +622,11 @@ def _pinned_bundles(monkeypatch):
     )
     assert any(i.op is Op.CALL for i in call.instrumented["front"].program.functions[0].body)
     yield call
-    mpht = _guarded((FRONT_SRC, BACK_SRC), {("front", 0): set(range(6))})
-    assert any(p.payload.get("strategy") == "Mpht" for p in mpht.instrumented["front"].points)
+    direct = _guarded((FRONT_SRC, BACK_SRC), {("front", 0): set(range(6))})
+    assert any(p.payload.get("strategy") == "Direct" for p in direct.instrumented["front"].points)
+    yield direct
+    mpht = _guarded((MANY_PATHS_SRC,), {("many", 0): set(range(6))})
+    assert any(p.payload.get("strategy") == "Mpht" for p in mpht.instrumented["many"].points)
     yield mpht
     fat = _guarded((FAT_SRC,), {("fat", 0): {0, 1}})
     monkeypatch.setattr(instr_mod, "MAX_CODE_BYTES", fat.instrumented["fat"].instrumented_size - 1)
@@ -633,8 +648,46 @@ def test_guarded_output_pinned(monkeypatch):
                 entry.pop("mpht", None)
         h.update(json.dumps(raw, sort_keys=True).encode())
     assert h.hexdigest() == (
-        "686194526fefb930c287f08b337b1a44c982188a70820ba0d5ebd11ad85d1284"
+        "9edba79043dd37e03243b25d84f81023319e369e6e9d3a1280c7659131f5e190"
     )
+
+
+@pytest.mark.parametrize(
+    "sources,name,keys,strategy",
+    [
+        ((FRONT_SRC, BACK_SRC), "front", range(6), "Direct"),  # 8 paths x 2 contexts
+        ((MANY_PATHS_SRC,), "many", range(6), "Mpht"),  # 64 paths x 1 context
+        ((FRONT_SRC, BACK_SRC), "front", range(5), "List"),
+    ],
+)
+def test_a_table_goes_direct_only_when_that_deploys_no_more_bytes(sources, name, keys, strategy):
+    """A table becomes a direct set when the direct form deploys no more
+    bytes and checks for less gas; a list stays a list. A direct checker
+    point carries the figures the choice compared, and its own are the
+    bytes it deploys and the gas a member pays."""
+    guarded = _guarded(sources, {(name, 0): set(keys)})
+    inst = guarded.instrumented[name]
+    spec = inst.plan.specs[0]
+    assert spec.strategy == guarded.snapshot["contracts"][name]["0"]["strategy"] == strategy
+    point = next(p for p in inst.points if p.site == (inst.program.functions[0].name, "checker"))
+    if strategy == "List":
+        assert set(point.payload) == {"strategy", "entries"}
+        return
+    table = build_mpht(keys, CONFIG.mpht_lambda, width=CONFIG.width)
+    entry = guarded.snapshot["contracts"][name]["0"]
+    direct = DirectSpec(sorted(keys), entry["num_paths"] * entry["num_ccs"])
+    cost, table_cost = checker_cost(direct, CONFIG), checker_cost(table, CONFIG)
+    assert (cost[0] <= table_cost[0]) == (strategy == "Direct")
+    assert cost[1] < table_cost[1]
+    if strategy == "Direct":
+        assert spec == direct
+        assert point.payload == {
+            "strategy": "Direct", "entries": 6, "r": 16, "bytes": cost[0], "gas": cost[1],
+            "table_bytes": table_cost[0], "table_gas": table_cost[1],
+        }
+        assert point.code_bytes + point.blob_bytes == cost[0]
+        report = guarded.deployment_report()[name]
+        assert report["direct"] == {"go": {"r": 16, **inst.plan.replaced[0]}}
 
 
 @pytest.mark.parametrize("cause", ["construction", "size"])

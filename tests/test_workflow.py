@@ -1,11 +1,13 @@
 """Train / protect / detect / review driver behavior."""
 
+import itertools
 import json
 import math
 import random
 import re
 
 import pytest
+from conftest import branches_fn
 
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
@@ -440,32 +442,8 @@ def test_bundle_refuses_a_call_annotation_that_names_nothing_callable(annotation
     assert sorted(Bundle.from_json(raw).programs) == ["callee", "caller"]
 
 
-# Three sequential if-thens: eight paths through ``f``.
-BRANCHY_SRC = """
-contract branchy {
-  fn f external selector=0x01 {
-        PUSH 0
-        CALLDATALOAD
-        JUMPI a
-        PUSH 1
-        POP
-  a:    JUMPDEST
-        PUSH 1
-        CALLDATALOAD
-        JUMPI b
-        PUSH 2
-        POP
-  b:    JUMPDEST
-        PUSH 2
-        CALLDATALOAD
-        JUMPI c
-        PUSH 3
-        POP
-  c:    JUMPDEST
-        STOP
-  }
-}
-"""
+# 64 paths: a table over eight of them deploys fewer bytes than a direct one
+BRANCHY_SRC = f"contract branchy {{\n{branches_fn('f', 1, 6)}}}\n"
 
 
 @pytest.mark.parametrize(
@@ -484,6 +462,99 @@ def test_protect_builds_tables_with_the_bundles_lambda_and_width(config):
     assert isinstance(spec, MphtSpec) and spec.m == math.ceil(8 / lam)
     assert spec.seed < 1 << width
     assert spec == build_mpht(keys, lam, width=width)
+
+
+@pytest.mark.parametrize(
+    "lists,t_branches,demoted",
+    [
+        (62, 6, {62: "248..260"}),
+        (63, 3, {63: "252..259"}),
+        (70, 3, {**dict.fromkeys(range(64, 70), "256..259"), 70: "256..263"}),
+    ],
+    ids=["table-wraps", "direct-wraps", "list-immediate"],
+)
+def test_width8_pool_words_past_the_top_address_go_to_the_mapping(lists, t_branches, demoted):
+    """At width 8 a checker addresses its pool words with 8-bit PUSHes and
+    ADDs. ``lists`` two-branch functions trained on their 4 paths fill 4
+    words each; ``t`` trained on 8 paths is a table over 64 paths or a
+    direct table over 8. A set whose words would pass word 255 goes to the
+    mapping, so protect succeeds and no trained tx alarms."""
+    src = "contract many {\n" + "".join(branches_fn(f"f{i}", i + 1, 2) for i in range(lists))
+    src += branches_fn("t", lists + 1, t_branches) + "}\n"
+    bundle = Bundle.from_json({"contracts": [{"source": src}], "config": {"word_width": 8}})
+
+    def txs(fn, branches, n):
+        arms = itertools.islice(itertools.product((0, 1), repeat=branches), n)
+        return [{"origin": 1, "to": "many", "fn": fn, "calldata": list(a)} for a in arms]
+
+    trained = [tx for i in range(lists) for tx in txs(f"f{i}", 2, 4)] + txs("t", t_branches, 8)
+    guarded = protect(bundle, train(bundle, trained))
+    inst = guarded.instrumented["many"]
+    assert len(inst.program.data_pool) <= 256
+    assert inst.plan.demoted == {
+        fid: f"pool words {words} lie past the top address 255" for fid, words in demoted.items()
+    }
+    run = run_detection(guarded, trained)
+    assert {(o.status, len(o.alarms)) for o in run.outcomes} == {("Accepted", 0)}
+
+
+# ``JUMPI a`` and ``JUMPI z`` target their own fall-through: both arms of
+# each reach the same block.
+SAME_TARGET_SRC = """
+contract same {
+  fn probe external selector=0x1 {
+    PUSH 0
+    CALLDATALOAD
+    JUMPI a
+  a: JUMPDEST
+    STOP
+  }
+  fn f external selector=0x2 {
+    PUSH 0
+    CALLDATALOAD
+    JUMPI x
+    JUMP y
+  x: JUMPDEST
+    PUSH 1
+    POP
+    JUMP z
+  y: JUMPDEST
+    PUSH 1
+    CALLDATALOAD
+    JUMPI z
+  z: JUMPDEST
+    STOP
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("width", [8, 64])
+def test_jumpi_to_its_own_fall_through_trains_and_detects_alike(width):
+    """A JUMPI whose target is its fall-through is one path edge, and its
+    increment runs on both arms. ``probe`` trained on both arms has one
+    safe path, and both are accepted. In ``f`` the path through ``y`` is
+    trained less than the one through ``x``, so the increment lands on
+    ``JUMPI z``; an arm of it that training never took is accepted, and an
+    untrained path still alarms."""
+    config = {"word_width": width}
+    bundle = Bundle.from_json({"contracts": [{"source": SAME_TARGET_SRC}], "config": config})
+
+    def tx(fn, *calldata):
+        return {"origin": 1, "to": "same", "fn": fn, "calldata": list(calldata)}
+
+    probe = [tx("probe", 0), tx("probe", 1)]
+    snapshot = train(bundle, probe + [tx("f", 1, 0)] * 3 + [tx("f", 0, 0)])
+    assert [len(fn["safe"]) for fn in snapshot["contracts"]["same"].values()] == [1, 2]
+    guarded = protect(bundle, snapshot)
+    points = guarded.instrumented["same"].points
+    assert [p.payload for p in points if p.kind == "Branch"] == [{"val": (1 << width) - 1}]
+    assert [p.site for p in points if p.kind == "Branch"] == [("f", 11)]  # JUMPI z
+    run = run_detection(guarded, probe + [tx("f", a, b) for a in (0, 1) for b in (0, 1)])
+    assert [(o.status, len(o.alarms)) for o in run.outcomes] == [("Accepted", 0)] * 6
+    guarded = protect(bundle, train(bundle, [tx("f", 1, 0)]))
+    run = run_detection(guarded, [tx("f", 0, 0), tx("f", 0, 1)])
+    assert [(o.status, len(o.alarms)) for o in run.outcomes] == [("GuardReverted", 1)] * 2
 
 
 def test_make_snapshot_refuses_a_config_not_the_analysis():
