@@ -175,14 +175,15 @@ def plan_strategies(
     first entry costs less than the direct check. The index space is below
     2**(width - 1) (``analyze_bundle``), so it fits the bounds test's PUSH.
 
-    Checkers address their pool words, laid out in function order, with
-    word arithmetic, so a set whose words would lie past the top address
-    (word 255 at width 8) goes to the mapping.
+    Checkers address their pool words, laid out in function order after
+    the original program's own pool, with word arithmetic, so a set whose
+    words would lie past the top address (word 255 at width 8) goes to the
+    mapping.
     """
     config = analysis.config
-    functions = analysis.programs[name].functions
+    prog = analysis.programs[name]
     plan = SetPlan({}, [], {})
-    for fn in functions:
+    for fn in prog.functions:
         fid, keys = fn.id, safe_sets.get(fn.id, ())
         space = analysis.index_space(name, fid)
         embedded = sorted(k for k in keys if k < space)
@@ -206,8 +207,8 @@ def plan_strategies(
                 "bytes": direct_bytes, "gas": direct_gas,
                 "table_bytes": table_bytes, "table_gas": table_gas,
             }
-    base = 0
-    for fn in functions:
+    base = len(prog.data_pool)
+    for fn in prog.functions:
         words = plan.specs[fn.id].pool_words
         if base + words > config.mask + 1:
             plan.demote(
@@ -239,7 +240,8 @@ class _Rewriter:
         self.lay = Layout(self.config.width)
         self.icall_targets = _icall_targets(self.prog)
         self.points: list[InstrumentPoint] = []
-        self.pool: list[int] = []
+        # the original's words keep their addresses; checker words follow
+        self.pool: list[int] = list(self.prog.data_pool)
         self.callsites: dict = {}  # the annotations at their calls' new offsets
         # Return data, and the memory word that records its prefix, are per
         # external frame, shared by its internal calls: the contract reads
@@ -329,7 +331,7 @@ class _Rewriter:
             selector_table=selector_table,
             fallback_id=prog.fallback_id,
             data_pool=self.pool,
-            blob_bytes=sum(p.blob_bytes for p in self.points),
+            blob_bytes=prog.blob_bytes + sum(p.blob_bytes for p in self.points),
             callsites=self.callsites,
         )
         size = new_prog.compute_byte_size(config.word_bytes)

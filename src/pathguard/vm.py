@@ -79,8 +79,6 @@ _ENDS = frozenset(
         Op.SSTORE, Op.RETURN, Op.STOP, Op.REVERT,
     )
 )
-# Ops after which control never falls through to the next pc.
-_EXITS = frozenset((_RETURN, _STOP, _REVERT, _IRET))
 # A region stops before a block that would take its ops past this budget,
 # or nest more than this many JUMPIs: each indents its taken arm's source,
 # and CPython allows 100 levels.
@@ -482,26 +480,6 @@ def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple
     return ops, pc, None
 
 
-def _preds(body: list) -> dict[int, int]:
-    """How many control-flow edges of its function enter each block: from a
-    jump, a branch, a fall-through, or the return of an ``ICALL``."""
-    counts: dict[int, int] = {}
-    pc, n = 0, len(body)
-    while pc < n:
-        op = body[pc].op.code
-        end = pc + 1
-        while op not in _ENDS and end < n and body[end].op.code != _JUMPDEST:
-            op = body[end].op.code
-            end += 1
-        if op == _JUMP or op == _JUMPI:
-            target = body[end - 1].imm
-            counts[target] = counts.get(target, 0) + 1
-        if op not in _EXITS and op != _JUMP:
-            counts[end] = counts.get(end, 0) + 1
-        pc = end
-    return counts
-
-
 class _Node:
     """One block of a region: the ops its compiled code runs, in function
     ``fid``, and what follows them. Each of ``kids`` is a ``_Node`` or an
@@ -517,19 +495,23 @@ class _Node:
 
 def _unit(
     functions: list, fid: int, start: int, prices: tuple, mask: int,
-    preds: dict, entry: tuple[int, int] | None = None,
+    entry: tuple[int, int] | None = None,
 ) -> tuple:
     """Decode the region entered at ``start`` of function ``fid``.
 
     A region is a tree of basic blocks. From each block it goes on through a
-    fall-through, a ``JUMP`` and both arms of a ``JUMPI`` into blocks with one
-    predecessor (``_preds``, cached per function id in ``preds``), and
-    through an ``ICALL`` into its callee, back to the caller at the matching
-    ``IRET``. It ends at any other tail (an ``IRET`` with no matching
-    ``ICALL`` among them), at a block already on its path (a back edge), at an
-    ``ICALL`` of a function already running in it, and where the next block
-    would spend more than ``_REGION_OPS`` ops in all or nest more than
-    ``_REGION_NEST`` branches. Given ``entry`` (see ``_scan``), the state at
+    fall-through, a ``JUMP`` and both arms of a ``JUMPI`` into the next
+    block, however many predecessors that block has, and through an
+    ``ICALL`` into its callee, back to the caller at the matching ``IRET``.
+    So a block that both arms of a ``JUMPI`` reach (a join) is decoded once
+    per arm, and each copy, with the blocks after it, is a subtree of its
+    own, with its own exits. It ends at any other tail (an ``IRET`` with no
+    matching ``ICALL`` among them), at a block already on its path (a back
+    edge), at an ``ICALL`` of a function already running in it, and where
+    the next block would take the ops of all its blocks, copies included,
+    past ``_REGION_OPS`` or nest more than ``_REGION_NEST`` branches. Blocks
+    are decoded breadth first, so the budget cuts every arm at about the
+    same depth. Given ``entry`` (see ``_scan``), the state at
     which the region fails its entry check, it is its first block alone,
     whose ``ICALL`` or ``IRET`` is a tail, cut short before its first op
     that fails there.
@@ -568,22 +550,15 @@ def _unit(
         exits.append([gas, nxt, tail, frames, at, segs, None, ()])
         return len(exits) - 1
 
-    def one_pred(at: int, pc: int) -> bool:
-        counts = preds.get(at)
-        if counts is None:
-            counts = preds[at] = _preds(functions[at].body)
-        return counts.get(pc) == 1
-
-    def go(gas, height, at, pc, frames, nest, path, segs, callee=False):
-        """The kid that goes on at ``pc`` of function ``at`` (a callee's entry
-        when ``callee``): a block of the region, or an exit to it."""
+    def go(gas, height, at, pc, frames, nest, path, segs):
+        """The kid that goes on at ``pc`` of function ``at``: a block of the
+        region, or an exit to it."""
         nonlocal budget
         body = functions[at].body
         if (
             not single
             and 0 <= pc < len(body)
             and nest <= _REGION_NEST
-            and (callee or one_pred(at, pc))
             and (frames, pc) not in path
         ):
             ops, end, _ = _scan(body, pc, prices, mask)
@@ -632,7 +607,7 @@ def _unit(
             node.ops.append((op, imm, opc))
             inner = frames + ((at, end),)
             depth = max(depth, len(inner))
-            kids.append(go(gas, height, imm, 0, inner, nest, path, segs, callee=True))
+            kids.append(go(gas, height, imm, 0, inner, nest, path, segs))
         else:
             if op in _SELF_CHARGED:
                 segs = segs[:-1] + ((at, pc, end - 1),)
@@ -835,15 +810,15 @@ def _point_totals(
 
 
 @functools.lru_cache(maxsize=64)
-def _tables(content: tuple, key: tuple) -> tuple[list, dict]:
-    """Empty region tables, one dict by start pc for each function, and an
-    empty ``_preds`` cache, for a program of this content under this engine
-    key. Every program of equal content shares them, so a program protected
-    again decodes and compiles nothing new."""
-    return [{} for _ in content], {}
+def _tables(content: tuple, key: tuple) -> list[dict]:
+    """Empty region tables, one dict by start pc for each function, for a
+    program of this content under this engine key. Every program of equal
+    content shares them, so a program protected again decodes and compiles
+    nothing new."""
+    return [{} for _ in content]
 
 
-def _decoded(code: ContractProgram, key: tuple) -> tuple[list, dict]:
+def _decoded(code: ContractProgram, key: tuple) -> list[dict]:
     """The ``_tables`` of ``code``'s content."""
     content = tuple(tuple((i.op.code, i.imm) for i in fn.body) for fn in code.functions)
     return _tables(content, key)
@@ -954,7 +929,11 @@ class VM:
         check passes. A region that fails its entry check is decoded again
         for that entry, uncached: its first block alone, cut short before
         the first op that fails there, whose ``_FAIL`` tail charges that op
-        and raises. So gas, trace and point totals match a machine that
+        and raises. Since a region runs on through joins, its costliest path
+        and its stack bounds cover every arm of every branch in it, so the
+        check can also fail where the arms the frame takes would fit; the
+        first block then runs alone as well, and the next region is entered
+        after it. So gas, trace and point totals match a machine that
         checked every op. The gas used so far lives in the local
         ``gas_used``; it is written back to ``self.gas_used`` before every
         exit from the frame and around every message call.
@@ -981,7 +960,7 @@ class VM:
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
-        tables, preds = code.units(self.key, _decoded)
+        tables = code.units(self.key, _decoded)
         table = tables[ifid]
         istack: list[tuple[int, int]] = []
         pc = 0
@@ -997,7 +976,7 @@ class VM:
                 try:
                     unit = table[pc]
                 except KeyError:
-                    unit = table[pc] = _unit(functions, ifid, pc, prices, mask, preds)
+                    unit = table[pc] = _unit(functions, ifid, pc, prices, mask)
                 cost, need, room, deep, run, exits = unit
                 height = len(stack)
                 if (
@@ -1008,7 +987,7 @@ class VM:
                 ):
                     entry = (height, gas_limit - gas_used)
                     cost, need, room, deep, run, exits = _unit(
-                        functions, ifid, pc, prices, mask, preds, entry
+                        functions, ifid, pc, prices, mask, entry
                     )
                 out = exits[run(stack, memory, frame)]
                 cost, nxt, tail, frames, at, segs, seen, totals = out

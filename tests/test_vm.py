@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -977,9 +978,11 @@ def _diff_cases(draw):
     fills the stack, up to near OPERAND_STACK_LIMIT. Each function has a
     JUMPDEST, and every jump targets one. Fragments pair a PUSH with an op
     that reads its word, as a literal or not. A diamond is a JUMPI whose two
-    straight arms rejoin. The last function is shaped like a checker: a
-    straight run, a JUMPI, and two arms that each IRET; a check site PUSHes
-    a word and ICALLs it. A body may end in an exit or run off its end.
+    straight arms rejoin; a chain is 6 to 10 diamonds in sequence, whose
+    joins a region copies into each arm until its op budget ends it. The
+    last function is shaped like a checker: a straight run, a JUMPI, and
+    two arms that each IRET; a check site PUSHes a word and ICALLs it. A
+    body may end in an exit or run off its end.
     """
     width = draw(st.sampled_from([8, 64]))
     # cheap storage and calls, so that they complete under small gas limits
@@ -1005,13 +1008,15 @@ def _diff_cases(draw):
         max_size=4,
     )
     maybe_word = st.one_of(st.none(), words)
+    diamond = st.tuples(st.just("diamond"), maybe_word, straight, straight)
     items = st.lists(
         st.one_of(
             st.sampled_from(plain),
             st.sampled_from([Op.PUSH, Op.DUP, Op.SWAP]),
             st.sampled_from([Op.JUMPDEST, Op.JUMP, Op.JUMPI, Op.ICALL]),
             pair,
-            st.tuples(st.just("diamond"), maybe_word, straight, straight),
+            diamond,
+            st.tuples(st.just("chain"), st.lists(diamond, min_size=6, max_size=10)),
             st.tuples(st.just("site"), words),
         ),
         min_size=1, max_size=20,
@@ -1055,10 +1060,12 @@ def _diff_cases(draw):
         else:
             body = []
             for item in draw(items):
-                if isinstance(item, tuple) and item[0] == "diamond":
-                    body += branch(item[1], item[2], item[3], True)
-                else:
-                    body += expand(item)
+                chain = item[1] if isinstance(item, tuple) and item[0] == "chain" else [item]
+                for part in chain:
+                    if isinstance(part, tuple) and part[0] == "diamond":
+                        body += branch(part[1], part[2], part[3], True)
+                    else:
+                        body += expand(part)
             body += draw(st.sampled_from([[], [Op.STOP], [Op.RETURN], [Op.REVERT], [Op.IRET]]))
         if not any(map(is_dest, body)):
             body.insert(draw(st.integers(0, len(body))), Op.JUMPDEST)
@@ -1262,15 +1269,15 @@ def _region(prog: ContractProgram, fid: int = 0, pc: int = 0) -> tuple:
     next pc, internal frames it leaves open)."""
     config = Config()
     gas, need, room, deep, _run, exits = _unit(
-        prog.functions, fid, pc, price_table(config.gas), config.mask, {}
+        prog.functions, fid, pc, price_table(config.gas), config.mask
     )
     rows = [(tail and _OPS[tail[0]].value, nxt, frames) for _g, nxt, tail, frames, *_ in exits]
     return gas, need, room, deep, rows
 
 
 def test_region_runs_both_arms_of_a_jumpi():
-    """A region goes through both arms of a JUMPI into their one-predecessor
-    blocks; each arm ends at its own RETURN exit."""
+    """A region goes through both arms of a JUMPI into the blocks each arm
+    reaches; each arm ends at its own RETURN exit."""
     prog = _one_fn(
         "PUSH 0 CALLDATALOAD JUMPI yes PUSH 7 PUSH 1 RETURN "
         "yes: JUMPDEST PUSH 9 PUSH 1 RETURN"
@@ -1284,6 +1291,126 @@ def test_region_runs_both_arms_of_a_jumpi():
         addr = deploy(w, prog)
         r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01, [word]))
         assert (r.status, r.return_data) == (STATUS_ACCEPTED, returned)
+    _assert_matches_reference(Config(), prog, [([0], 0, 10_000), ([1], 0, 10_000)])
+
+
+def _record_fallbacks(monkeypatch) -> list:
+    """A list that gets the (fid, pc) of each region entry that fails its
+    entry check, and so is decoded again, in every later VM run."""
+    fallbacks = []
+
+    def unit(functions, fid, pc, prices, mask, entry=None):
+        if entry is not None:
+            fallbacks.append((fid, pc))
+        return _unit(functions, fid, pc, prices, mask, entry)
+
+    monkeypatch.setattr(vm_module, "_unit", unit)
+    return fallbacks
+
+
+def _diamonds(n: int) -> ContractProgram:
+    """``n`` diamonds in sequence, then a RETURN of the ``n`` words they
+    pushed, the last first: calldata word i takes diamond i's arm that
+    pushes 2i + 1 when nonzero, else the one that pushes 2i. Each diamond
+    after the first starts at the join of the one before it."""
+    arms = "".join(
+        f"PUSH {i} CALLDATALOAD JUMPI t{i} PUSH {2 * i} JUMP j{i} "
+        f"t{i}: JUMPDEST PUSH {2 * i + 1} j{i}: JUMPDEST "
+        for i in range(n)
+    )
+    return _one_fn(arms + f"PUSH {n} RETURN")
+
+
+def test_region_runs_through_joins():
+    """Three diamonds in sequence are one region: each arm carries its own
+    copy of the blocks after its join, so the region has one RETURN exit
+    per path, 8 in all, and no exit at a join."""
+    prog = _diamonds(3)
+    exits = _region(prog)[4]
+    end = len(prog.functions[0].body)
+    assert exits == [("RETURN", end, ())] * 8
+    inputs = [list(bits) for bits in itertools.product((0, 1), repeat=3)]
+    for bits in inputs:
+        w = _world()
+        addr = deploy(w, prog)
+        r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01, bits))
+        returned = [2 * i + bit for i, bit in reversed(list(enumerate(bits)))]
+        assert (r.status, r.return_data) == (STATUS_ACCEPTED, returned)
+    _assert_matches_reference(Config(), prog, [(bits, 0, 10_000) for bits in inputs])
+
+
+def test_region_through_joins_ends_at_its_op_budget():
+    """Four diamonds duplicated into every arm would take 164 ops, past
+    ``_REGION_OPS``: the region ends 12 of its 16 paths at the budget, at
+    the last join, where the next region goes on; the 4 copies of that
+    join's block that fit end at its RETURN. Every input runs as in the
+    reference."""
+    prog = _diamonds(4)
+    body = prog.functions[0].body
+    exits = _region(prog)[4]
+    tails = [tail for tail, _nxt, _frames in exits]
+    assert (tails.count(None), tails.count("RETURN"), len(tails)) == (12, 4, 16)
+    assert {nxt for tail, nxt, _ in exits if tail is None} == {len(body) - 3}
+    assert body[-3].op is Op.JUMPDEST
+    inputs = [list(bits) for bits in itertools.product((0, 1), repeat=4)]
+    _assert_matches_reference(Config(), prog, [(bits, 0, 10_000) for bits in inputs])
+
+
+def test_region_through_a_join_checks_its_costliest_path(monkeypatch):
+    """The region's entry check prices the costly arm with the join's copy
+    after it, so under a limit that pays for the cheap path alone the check
+    fails and the first block runs alone; the cheap arm's region then
+    completes. At every limit up to the costly path's gas, both inputs end
+    with the reference's status, gas and trace."""
+    prog = _one_fn(
+        "PUSH 0 CALLDATALOAD JUMPI costly PUSH 7 JUMP join "
+        "costly: JUMPDEST " + "PUSH 1 POP " * 10 + "PUSH 9 "
+        "join: JUMPDEST PUSH 1 RETURN"
+    )
+    cheap, costly = 31, 91
+    assert _region(prog)[0] == costly
+    fallbacks = _record_fallbacks(monkeypatch)
+    limits = range(1, costly + 1)
+    for word, full in ((0, cheap), (1, costly)):
+        statuses = []
+        for limit in limits:
+            w = _world()
+            addr = deploy(w, prog)
+            tx = Transaction(1, addr, 0x01, [word], gas_limit=limit)
+            r = VM(w, TRACE_NONE).execute_transaction(tx)
+            statuses.append((r.status, r.gas_used))
+        assert statuses == [(STATUS_OUT_OF_GAS, n) for n in range(1, full)] + [
+            (STATUS_ACCEPTED, full)
+        ] * (costly + 1 - full)
+        _assert_matches_reference(Config(), prog, [([word], 0, limit) for limit in limits])
+    w = _world()
+    addr = deploy(w, prog)
+    fallbacks.clear()
+    r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01, [0], gas_limit=cheap))
+    assert (r.status, fallbacks) == (STATUS_ACCEPTED, [(0, 0)])
+
+
+def test_region_through_a_join_checks_its_highest_arm():
+    """Entered near ``OPERAND_STACK_LIMIT``, the region at ``l`` has room
+    for the arm that pushes nothing but not for the one that pushes two
+    words before the join's copy pushes two more. Its entry check fails,
+    its blocks run one at a time: the low arm returns and the high arm
+    overflows in its copy of the join, as in the reference."""
+    fill = OPERAND_STACK_LIMIT - 2
+    prog = _one_fn(
+        "PUSH 1 " * fill + "JUMP l l: JUMPDEST PUSH 0 CALLDATALOAD JUMPI high JUMP join "
+        "high: JUMPDEST PUSH 1 PUSH 1 join: JUMPDEST PUSH 1 PUSH 1 STOP"
+    )
+    _gas, _need, room, _deep, exits = _region(prog, pc=fill + 1)
+    assert exits == [("STOP", fill + 13, ())] * 2
+    assert room == OPERAND_STACK_LIMIT - 4 < fill
+    outcomes = []
+    for word in (0, 1):
+        w = _world()
+        addr = deploy(w, prog)
+        r = VM(w, TRACE_CHECKS).execute_transaction(Transaction(1, addr, 0x01, [word]))
+        outcomes.append((r.status, [(e.get("reason"), e.offset) for e in r.trace]))
+    assert outcomes == [(STATUS_ACCEPTED, []), (STATUS_REVERTED, [("stack overflow", fill + 10)])]
     _assert_matches_reference(Config(), prog, [([0], 0, 10_000), ([1], 0, 10_000)])
 
 
@@ -1378,14 +1505,7 @@ def test_deep_recursion_failing_the_depth_check_runs_uncached_blocks(monkeypatch
     a second run decodes as many, the region tables keep the same entries,
     and every level matches the reference."""
     prog = assemble(DEEP_SRC)
-    fallbacks = []
-
-    def unit(functions, fid, pc, prices, mask, preds, entry=None):
-        if entry is not None:
-            fallbacks.append((fid, pc))
-        return _unit(functions, fid, pc, prices, mask, preds, entry)
-
-    monkeypatch.setattr(vm_module, "_unit", unit)
+    fallbacks = _record_fallbacks(monkeypatch)
     w = _world()
     addr = deploy(w, prog)
     tx = Transaction(1, addr, 0x01, [62], gas_limit=100_000)
@@ -1395,7 +1515,7 @@ def test_deep_recursion_failing_the_depth_check_runs_uncached_blocks(monkeypatch
         vm = VM(w, TRACE_FULL)
         r = vm.execute_transaction(tx)
         assert r.trace[-1].get("reason") == "internal call depth exceeded"
-        tables, _preds = prog.units(vm.key, None)
+        tables = prog.units(vm.key, None)
         runs.append((list(fallbacks), [sorted(regions) for regions in tables]))
     assert runs[0] == runs[1]
     assert runs[0][0] == [(1, 0), (1, 7), (2, 0)]
@@ -1554,7 +1674,7 @@ contract t {
     addr = deploy(w, prog)
     tx = Transaction(1, addr, 0x01, [5])
     VM(w, TRACE_NONE).execute_transaction(tx)
-    tables, _preds = prog.units(VM(w).key, None)
+    tables = prog.units(VM(w).key, None)
     decoded = [len(regions) for regions in tables]
     compiled = _compile.cache_info().misses
     checkers = {"t": frozenset({1})}
@@ -1685,7 +1805,7 @@ def test_protecting_again_compiles_no_new_block():
         key = VM(run.deployed.world).key
         for acct in run.deployed.world.accounts.values():
             if acct.code is not None:
-                regions, _preds = acct.code.units(key, vm_module._decoded)
+                regions = acct.code.units(key, vm_module._decoded)
                 assert len(regions) == len(acct.code.functions)
                 assert all(type(table) is dict for table in regions)
         return snapshot, outcomes

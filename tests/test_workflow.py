@@ -9,6 +9,7 @@ import re
 import pytest
 from conftest import branches_fn
 
+from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
 from pathguard.fixtures import (
@@ -496,6 +497,44 @@ def test_width8_pool_words_past_the_top_address_go_to_the_mapping(lists, t_branc
     }
     run = run_detection(guarded, trained)
     assert {(o.status, len(o.alarms)) for o in run.outcomes} == {("Accepted", 0)}
+
+
+@pytest.mark.parametrize(
+    "width, pool_words, demoted",
+    [(64, 1, {}), (8, 1, {}), (8, 253, {0: "pool words 253..256 lie past the top address 255"})],
+    ids=["w64", "w8", "w8-full-pool"],
+)
+def test_guarded_program_keeps_the_originals_constant_pool(width, pool_words, demoted):
+    """The guarded pool holds the original's words at their own addresses,
+    then the checkers' words, so the original's ``CODELOAD 0`` reads 42
+    guarded as unguarded. At width 8 a pool of 253 words pushes the list's
+    4 words past word 255: that set goes to the mapping, and no trained tx
+    alarms. The original's pool bytes count on both sides of the size
+    reconciliation."""
+    src = branches_fn("f", 1, 2).replace("STOP", "PUSH 0 CODELOAD PUSH 1 RETURN")
+    raw = assemble(f"contract pooled {{\n{src}}}\n", Config(width=width)).to_json()
+    raw["data_pool"] = [42] + [7] * (pool_words - 1)
+    raw["blob_bytes"] = pool_words * width // 8
+    bundle = Bundle.from_json(
+        {"contracts": [{"program": raw}], "config": {"word_width": width}}
+    )
+    trained = [
+        {"origin": 1, "to": "pooled", "fn": "f", "calldata": list(arms)}
+        for arms in itertools.product((0, 1), repeat=2)
+    ]
+    guarded = protect(bundle, train(bundle, trained))
+    inst = guarded.instrumented["pooled"]
+    assert inst.program.data_pool[:pool_words] == raw["data_pool"]
+    assert inst.plan.demoted == demoted
+    original = build_world(bundle)
+    tx = parse_tx(trained[0], original, bundle)
+    assert VM(original.world, TRACE_NONE).execute_transaction(tx).return_data == [42]
+    run = run_detection(guarded, trained)
+    assert {(o.status, len(o.alarms), tuple(o.receipt.return_data)) for o in run.outcomes} == {
+        ("Accepted", 0, (42,))
+    }
+    report = overhead_report(run)["contracts"]["pooled"]
+    assert report["point_bytes_total"] == inst.instrumented_size - inst.original_size
 
 
 # ``JUMPI a`` and ``JUMPI z`` target their own fall-through: both arms of
