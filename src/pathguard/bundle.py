@@ -58,6 +58,12 @@ class BundleAnalysis:
     _steps: dict[tuple[str, int], dict[int, Steps]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # the trace oracle's memo: (contract, function id, start vertex, steps,
+    # overflow bits) of a Region event -> the walk's effect, affine in the
+    # frame's ctx and the path sum (``oracle.TraceOracle._walk``)
+    region_effects: dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def steps(self, contract: str, fid: int) -> dict[int, Steps]:
         """The function's step table (``step_table``), the trace oracle's

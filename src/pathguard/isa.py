@@ -94,11 +94,6 @@ class Instruction:
     def size(self, word_bytes: int) -> int:
         return 1 + (word_bytes if self.imm is not None else 0)
 
-    def __repr__(self) -> str:  # compact, used in plan listings
-        if self.imm is None:
-            return self.op.value
-        return f"{self.op.value} {self.imm}"
-
 
 def block_leaders(body: list[Instruction]) -> list[int]:
     """Offsets where basic blocks begin, in ascending order.

@@ -14,13 +14,30 @@ backedges, and which frames run with the origin as CALLER. It sees no
 calldata, so it takes a marker to come only from a protected call site.
 Membership outcomes are irrelevant here, only the checked pairs.
 
-Each step along a path edge is one lookup in the function's step table
-(``bundle.step_table``): a BlockEnter by its offset, an ArithChecked or an
-ExternalCallReturn by its op's offset and outcome, and a path's end by the
-vertex's one terminator edge. A BlockEnter that misses the table is a
-recorded backedge (the path ends and a new one starts at the loop header)
-or the confirmation of a vertex entered through a virtual edge; anything
-else raises TraceMismatch.
+At TRACE_FULL the VM traces a compiled region's control flow as Region
+events (``vm._source``), each the static steps of one stretch of a path:
+block starts, inlined ICALLs and IRETs, and checked ops with their overflow
+bits. One walker, ``TraceOracle._walk``, takes each step along a path edge
+by one lookup in the function's step table (``bundle.step_table``): a block
+start by its offset, a checked op by its offset and overflow bit, and a
+path's end by the vertex's one terminator edge. A block start that misses
+the table is a recorded backedge (the path ends and a new one starts at the
+loop header) or the confirmation of a vertex entered through a virtual
+edge; anything else raises TraceMismatch. A tail ICALL or IRET (CallEnter,
+CallReturn) is walked as a one-step Region event, and an ExternalCallReturn
+takes its virtual edge by the same lookup.
+
+The walk of a Region event is memoized on the ``BundleAnalysis``
+(``region_effects``), keyed by (contract, function, start vertex, steps,
+overflow bits). Its effect is stored affine in the frame's ctx ``c`` and
+the path sum ``e`` at the event's start: each checked word as ``(a_c * c +
+a_e * e + k) & mask``, the end vertex and path sum, the internal frames
+left open and the final ctx. That holds because ``icall_ctx``,
+``iret_ctx`` and ``combined_word`` are linear mod 2**width but for a
+constant. An event that returns below the function it started in (a
+CallReturn, or the rest of a region after a PathChecked flush at
+TRACE_FULL with checkers) reads frames that the key does not name: it runs
+the same walker over the frame's real state, unmemoized.
 """
 
 from __future__ import annotations
@@ -31,13 +48,32 @@ from .bundle import BundleAnalysis, Steps
 from .cfg import Cfg, VIRTUAL_FALSE, VIRTUAL_TRUE
 from .guardcode import combined_word, entry_ctx, icall_ctx, iret_ctx, marker_ctx, slot_encode
 from .isa import Op
-from .vm import Receipt, STATUS_ACCEPTED, TraceEvent
+from .vm import (
+    STATUS_ACCEPTED,
+    STEP_ADD,
+    STEP_BLOCK,
+    STEP_ICALL,
+    STEP_IRET,
+    STEP_MUL,
+    STEP_SUB,
+    Receipt,
+    TraceEvent,
+    region_step,
+    step_fields,
+)
 
 Pair = tuple[int, str, int, int]  # (self address, code name, function id, combined)
+
+_CHECKED_KINDS = frozenset({STEP_ADD, STEP_SUB, STEP_MUL})
 
 
 class TraceMismatch(AssertionError):
     """The trace does not fit the labeled graphs (malformed or stale)."""
+
+
+class _Unmemoizable(Exception):
+    """A walk popped the function its event started in: its effect reads
+    frames that the memo does not key."""
 
 
 @dataclass(slots=True)
@@ -71,11 +107,43 @@ class _Frame:
         return self.istack[-1] if self.istack else None
 
 
+def _term_step(steps: dict[int, Steps], vertex: int | None, name: str, where: str):
+    """(edge value, offset) of the one terminator edge leaving ``vertex``."""
+    term = None if vertex is None else steps[vertex].get("term")
+    if term is None:
+        raise TraceMismatch(f"{name}: {where}")
+    return term
+
+
+def _affine_word(fid: int, lab, ctx: tuple, ae: int, k: int, width: int) -> tuple:
+    """The emit of a path whose sum is ``ae * e + k`` under the ctx pair
+    ``ctx``: ``combined_word`` of each coefficient, ``e``'s passing
+    through."""
+    paths = lab.total_paths
+    return fid, combined_word(ctx[0], paths, 0, width), ae, combined_word(ctx[1], paths, k, width)
+
+
+def _virtual_step(steps: dict[int, Steps], vertex, kind: str, offset: int, want: str):
+    """(edge value, dst) of the virtual ``kind`` edge of the op at
+    ``offset`` out of ``vertex``."""
+    step = steps.get(vertex, {}).get((kind, offset, want))
+    if step is None:
+        raise TraceMismatch(f"no virtual {kind} edge at offset {offset}")
+    return step
+
+
 class TraceOracle:
-    def __init__(self, analysis: BundleAnalysis):
+    """Replays one transaction's trace. A Region event's walk is memoized
+    on the analysis (``BundleAnalysis.region_effects``) unless ``memo`` is
+    False; then each event walks the frame's real state, the reference
+    that the memo is tested against."""
+
+    def __init__(self, analysis: BundleAnalysis, memo: bool = True):
         self.analysis = analysis
         self.config = analysis.config
+        self.mask = analysis.config.mask
         self.boundary = analysis.boundary
+        self.memo = analysis.region_effects if memo else None
 
     # -- public ------------------------------------------------------------
 
@@ -100,13 +168,6 @@ class TraceOracle:
 
     # -- frame plumbing -------------------------------------------------------
 
-    def _enter_function(self, frame: _Frame, fid: int) -> None:
-        key = (frame.code, fid)
-        cfg = self.analysis.cfgs[key]
-        lab = self.analysis.epp[key]
-        steps = self.analysis.steps(frame.code, fid)
-        frame.istack.append(_IFrame(fid, cfg, steps, lab, None, lab.entry_val, frame.ctx))
-
     def _enter_frame(
         self, self_addr: int, code: str, fid: int, direct: bool, marker: int | None
     ) -> None:
@@ -120,30 +181,11 @@ class TraceOracle:
             direct,
         )
         self.frames.append(frame)
-        self._enter_function(frame, fid)
-
-    def _emit(self, frame: _Frame, iframe: _IFrame, epp: int) -> None:
-        combined = combined_word(frame.ctx, iframe.lab.total_paths, epp, self.config.width)
-        self.out.append((frame.self_addr, frame.code, iframe.fid, combined))
-
-    @staticmethod
-    def _term_step(iframe: _IFrame, where: str) -> tuple[int, int]:
-        """(edge value, offset) of the one terminator edge leaving the
-        function's current vertex."""
-        term = None if iframe.vertex is None else iframe.steps[iframe.vertex].get("term")
-        if term is None:
-            raise TraceMismatch(f"{iframe.cfg.fn_name}: {where}")
-        return term
-
-    @staticmethod
-    def _virtual_step(iframe: _IFrame, kind: str, offset: int, want: str) -> None:
-        """Take the virtual ``kind`` edge of the op at ``offset`` out of the
-        function's current vertex."""
-        step = iframe.steps.get(iframe.vertex, {}).get((kind, offset, want))
-        if step is None:
-            raise TraceMismatch(f"no virtual {kind} edge at offset {offset}")
-        val, iframe.vertex = step
-        iframe.epp += val
+        lab = self.analysis.epp[(code, fid)]
+        frame.istack.append(_IFrame(
+            fid, self.analysis.cfgs[(code, fid)], self.analysis.steps(code, fid), lab, None,
+            lab.entry_val, frame.ctx,
+        ))
 
     def _site_val(self, site: tuple[str, int, int], callee: int | None) -> tuple[int, bool]:
         """(call edge value, via surrogate) of the ICALL at ``site``."""
@@ -157,15 +199,142 @@ class TraceOracle:
         iframe = frame.top
         if iframe is None or iframe.vertex is None:
             return
-        val, off = self._term_step(iframe, "frame ended away from a terminator")
+        where = "frame ended away from a terminator"
+        val, off = _term_step(iframe.steps, iframe.vertex, iframe.cfg.fn_name, where)
         prog = self.analysis.programs[frame.code]
         if prog.functions[iframe.fid].body[off].op is Op.REVERT:
             return  # reverting exits emit no check
-        self._emit(frame, iframe, iframe.epp + val)
+        epp = iframe.epp + val
+        combined = combined_word(frame.ctx, iframe.lab.total_paths, epp, self.config.width)
+        self.out.append((frame.self_addr, frame.code, iframe.fid, combined))
+
+    # -- steps ---------------------------------------------------------------
+
+    def _walked(self, frame: _Frame, steps: tuple, bits: tuple, key: tuple | None) -> tuple:
+        """``(base, effect)`` of ``region_step`` ints that the memo does not
+        hold: the effect of their walk over the frames from ``base`` up.
+        The walk runs from a symbolic state, the frame's ctx ``c`` and the
+        active function's path sum ``e``, and is memoized under ``key``. A
+        walk that pops the function it started in reads frames the key
+        does not name, so it walks the frame's real state instead, as does
+        every walk without a key or without the memo."""
+        istack = frame.istack
+        if key is not None and self.memo is not None:
+            start = istack[-1]
+            walked = [[start.fid, start.cfg, start.steps, start.lab, start.vertex, (1, 0), None]]
+            try:
+                effect = self._walk(frame.code, walked, (1, 0), steps, bits, 1)
+            except _Unmemoizable:
+                pass
+            else:
+                self.memo[key] = effect
+                return len(istack) - 1, effect
+        walked = [
+            [f.fid, f.cfg, f.steps, f.lab, f.vertex, (0, f.epp), (0, f.caller_ctx)] for f in istack
+        ]
+        effect = self._walk(frame.code, walked, (0, frame.ctx), steps, bits, 0)
+        del istack[1:]  # the walk's frames above the bottom replace them
+        return 0, effect
+
+    def _walk(self, code: str, frames: list, ctx: tuple, steps, bits: tuple, floor: int):
+        """The effect of ``steps`` (``region_step`` ints) and ``bits`` on
+        the internal frames ``frames``, each ``[fid, cfg, steps, lab,
+        vertex, path sum, caller ctx]``: the oracle's one step walker.
+
+        Each value is a pair of coefficients: a path sum ``(a, k)`` stands
+        for ``a * e + k`` and a ctx ``(a, k)`` for ``(a * c + k) & mask``.
+        ``icall_ctx``, ``iret_ctx`` and ``combined_word`` are linear mod
+        2**width but for their constant, so each is applied to the two
+        coefficients apart, the constant going with ``k``. Returns
+        ``(emits, vertex, a, k, pushed, ctx a, ctx k)``: each emit ``(fid,
+        a_c, a_e, k)`` is the combined word ``(a_c * c + a_e * e + k) &
+        mask``; then the bottom frame's end vertex and path sum, the frames
+        above it as ``(fid, cfg, steps, lab, vertex, path sum, caller ctx
+        a, caller ctx k)`` (their path sums never read ``e``), and the
+        final ctx. A pop of the bottom ``floor`` frames raises
+        ``_Unmemoizable``.
+        """
+        width = self.config.width
+        emits = []
+        bit = iter(bits)
+        for kind, pc, callee in map(step_fields, steps):
+            top = frames[-1]
+            fid, cfg, table, lab, vertex, (ae, k), _caller = top
+            if kind == STEP_BLOCK:
+                if vertex is None:
+                    if pc != 0:
+                        raise TraceMismatch("function did not start at offset 0")
+                    top[4] = cfg.block_at(0)
+                    continue
+                step = table[vertex].get(pc)
+                if step is not None:
+                    val, top[4] = step
+                    top[5] = (ae, k + val)
+                    continue
+                # not a DAG edge: must be a recorded backedge
+                src_block = cfg.blocks[vertex]
+                if (src_block.end - 1, pc) in cfg.backedges:
+                    exit_val = lab.exit_val.get(vertex, 0)
+                    emits.append(_affine_word(fid, lab, ctx, ae, k + exit_val, width))
+                    target = cfg.block_at(pc)
+                    top[4], top[5] = target, (0, lab.reset_val[target])
+                    continue
+                if not src_block.empty and src_block.start == pc:
+                    # confirmation of a vertex already entered through a
+                    # virtual edge (external call return); DAGs have no self edges
+                    continue
+                raise TraceMismatch(f"{cfg.fn_name}: no edge from block {vertex} to offset {pc}")
+            elif kind in _CHECKED_KINDS:
+                overflow = next(bit, None)
+                if overflow is None:
+                    raise TraceMismatch(f"fewer overflow bits than checked ops at offset {pc}")
+                want = VIRTUAL_TRUE if overflow else VIRTUAL_FALSE
+                val, top[4] = _virtual_step(table, vertex, "arith", pc, want)
+                top[5] = (ae, k + val)
+            elif kind == STEP_ICALL:
+                val, surrogate = self._site_val((code, fid, pc), callee)
+                lab = self.analysis.epp[(code, callee)]
+                frames.append([
+                    callee, self.analysis.cfgs[(code, callee)], self.analysis.steps(code, callee),
+                    lab, None, (0, lab.entry_val), ctx,
+                ])
+                ctx = (
+                    icall_ctx(ctx[0], 0, surrogate, width),
+                    icall_ctx(ctx[1], val, surrogate, width),
+                )
+            elif kind == STEP_IRET:
+                if len(frames) == floor:
+                    raise _Unmemoizable
+                frames.pop()
+                # the IRET's terminator edge closes the callee's last path
+                val, _off = _term_step(table, vertex, cfg.fn_name, "CallReturn away from IRET")
+                emits.append(_affine_word(fid, lab, ctx, ae, k + val, width))
+                # undo the context delta; the call site is the caller's
+                # current vertex terminator (an ICALL instruction)
+                caller = frames[-1] if frames else None
+                if caller is None or caller[4] is None:
+                    raise TraceMismatch(f"CallReturn from fn {fid} with no calling function")
+                site = (code, caller[0], caller[1].blocks[caller[4]].end - 1)
+                val, surrogate = self._site_val(site, fid)
+                saved = top[6]
+                ctx = (
+                    iret_ctx(ctx[0], saved[0], 0, surrogate, width),
+                    iret_ctx(ctx[1], saved[1], val, surrogate, width),
+                )
+            else:
+                raise TraceMismatch(f"unknown step kind {kind} at offset {pc}")
+        if next(bit, None) is not None:
+            raise TraceMismatch("more overflow bits than checked ops")
+        bottom = frames[0]
+        pushed = tuple(
+            (fid, cfg, table, lab, vertex, epp[1], *caller)
+            for fid, cfg, table, lab, vertex, epp, caller in frames[1:]
+        )
+        return (tuple(emits), bottom[4], *bottom[5], pushed, *ctx)
 
     # -- event handlers ---------------------------------------------------------
 
-    def _on_BlockEnter(self, ev: TraceEvent) -> None:
+    def _on_Region(self, ev: TraceEvent) -> None:
         if not self.frames:
             # transaction entry: markerless, and the caller is the origin
             code = ev.get("code")
@@ -176,69 +345,52 @@ class TraceOracle:
         frame = self.frames[-1]
         if not frame.code or frame.aborted:
             return
-        iframe = frame.top
-        if iframe is None or iframe.fid != ev.fn:
+        istack = frame.istack
+        if not istack or istack[-1].fid != ev.fn:
             raise TraceMismatch(f"unexpected BlockEnter in fn {ev.fn}")
-        if iframe.vertex is None:
-            if ev.offset != 0:
-                raise TraceMismatch("function did not start at offset 0")
-            iframe.vertex = iframe.cfg.block_at(0)
-            return
-        step = iframe.steps[iframe.vertex].get(ev.offset)
-        if step is not None:
-            val, iframe.vertex = step
-            iframe.epp += val
-            return
-        cfg, lab = iframe.cfg, iframe.lab
-        # not a DAG edge: must be a recorded backedge
-        src_block = cfg.blocks[iframe.vertex]
-        if (src_block.end - 1, ev.offset) in cfg.backedges:
-            exit_val = lab.exit_val.get(iframe.vertex, 0)
-            self._emit(self.frames[-1], iframe, iframe.epp + exit_val)
-            target = cfg.block_at(ev.offset)
-            iframe.epp = lab.reset_val[target]
-            iframe.vertex = target
-            return
-        if not src_block.empty and src_block.start == ev.offset:
-            # confirmation of a vertex already entered through a virtual
-            # edge (external call return); DAGs have no self edges
-            return
-        raise TraceMismatch(
-            f"{cfg.fn_name}: no edge from block {iframe.vertex} to offset {ev.offset}"
-        )
+        try:
+            steps, bits = ev.detail["steps"], ev.detail["bits"]
+        except (KeyError, TypeError):
+            raise TraceMismatch(f"{ev.kind} event at offset {ev.offset} carries no steps") from None
+        self._replay(frame, steps, bits, (frame.code, ev.fn, istack[-1].vertex, steps, bits))
 
-    def _on_ArithChecked(self, ev: TraceEvent) -> None:
-        frame = self._active()
-        if frame is None:
-            return
-        want = VIRTUAL_TRUE if ev.get("overflow") else VIRTUAL_FALSE
-        self._virtual_step(frame.top, "arith", ev.offset, want)
+    def _replay(self, frame: _Frame, steps: tuple, bits: tuple, key: tuple | None) -> None:
+        """Apply the effect of ``steps`` and ``bits``, memoized under
+        ``key`` (see ``_walked``), to the frame's internal frames."""
+        istack = frame.istack
+        memo = self.memo if key is not None else None
+        effect = memo.get(key) if memo is not None else None
+        if effect is None:
+            base, effect = self._walked(frame, steps, bits, key)
+        else:
+            base = len(istack) - 1
+        emits, vertex, ae, k, pushed, ca, ck = effect
+        bottom = istack[base]
+        c, e, mask = frame.ctx, bottom.epp, self.mask
+        if emits:
+            out, addr, code = self.out, frame.self_addr, frame.code
+            for fid, emit_c, emit_e, emit_k in emits:
+                out.append((addr, code, fid, (emit_c * c + emit_e * e + emit_k) & mask))
+        bottom.vertex, bottom.epp = vertex, ae * e + k
+        for fid, cfg, table, lab, v, epp, caller_a, caller_k in pushed:
+            istack.append(_IFrame(fid, cfg, table, lab, v, epp, (caller_a * c + caller_k) & mask))
+        frame.ctx = (ca * c + ck) & mask
 
     def _on_CallEnter(self, ev: TraceEvent) -> None:
-        frame = self._active()
-        if frame is None:
-            return
-        callee = ev.get("callee")
-        val, surrogate = self._site_val((frame.code, ev.fn, ev.offset), callee)
-        self._enter_function(frame, callee)
-        frame.ctx = icall_ctx(frame.ctx, val, surrogate, self.config.width)
+        self._tail_step(ev, STEP_ICALL, ev.get("callee"))
 
     def _on_CallReturn(self, ev: TraceEvent) -> None:
+        self._tail_step(ev, STEP_IRET, 0)
+
+    def _tail_step(self, ev: TraceEvent, kind: int, callee) -> None:
+        """Walk a tail ICALL or IRET as the one step of the active function
+        it is, over the frame's real state."""
         frame = self._active()
         if frame is None:
             return
-        iframe = frame.istack.pop()
-        # the IRET's terminator edge closes the callee's last path
-        val, _off = self._term_step(iframe, "CallReturn away from IRET")
-        self._emit(frame, iframe, iframe.epp + val)
-        # undo the context delta; the call site is the caller's current
-        # vertex terminator (an ICALL instruction)
-        caller = frame.top
-        if caller is None or caller.vertex is None:
-            raise TraceMismatch(f"CallReturn from fn {iframe.fid} with no calling function")
-        site = (frame.code, caller.fid, caller.cfg.blocks[caller.vertex].end - 1)
-        val, surrogate = self._site_val(site, iframe.fid)
-        frame.ctx = iret_ctx(frame.ctx, iframe.caller_ctx, val, surrogate, self.config.width)
+        if not isinstance(callee, int):
+            raise TraceMismatch(f"{ev.kind} at offset {ev.offset} names no callee")
+        self._replay(frame, (region_step(kind, ev.offset, callee),), (), None)
 
     def _on_ExternalCallEnter(self, ev: TraceEvent) -> None:
         if not self.frames:
@@ -285,8 +437,10 @@ class TraceOracle:
             addr, prev = caller.slot_saves.pop()
             self.slots[addr] = prev
         # virtual branch on the success flag
+        iframe = caller.top
         want = VIRTUAL_FALSE if success else VIRTUAL_TRUE
-        self._virtual_step(caller.top, "callret", ev.offset, want)
+        val, iframe.vertex = _virtual_step(iframe.steps, iframe.vertex, "callret", ev.offset, want)
+        iframe.epp += val
 
     def _on_Revert(self, ev: TraceEvent) -> None:
         if self.frames:
@@ -304,8 +458,7 @@ class TraceOracle:
         return frame
 
     _HANDLERS = {
-        "BlockEnter": _on_BlockEnter,
-        "ArithChecked": _on_ArithChecked,
+        "Region": _on_Region,
         "CallEnter": _on_CallEnter,
         "CallReturn": _on_CallReturn,
         "ExternalCallEnter": _on_ExternalCallEnter,

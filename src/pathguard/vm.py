@@ -30,6 +30,26 @@ TRACE_NONE = 0
 TRACE_CHECKS = 1  # PathChecked (one per checker call), Revert
 TRACE_FULL = 2
 
+# Kinds of the static steps a Region event carries (``region_step``): a block
+# that starts at a leader, an inlined ICALL and IRET, and a checked op, which
+# also takes the event's next overflow bit.
+STEP_BLOCK, STEP_ICALL, STEP_IRET, STEP_ADD, STEP_SUB, STEP_MUL = range(6)
+# every pc of deployable code fits in this many bits
+_PC_BITS = MAX_CODE_BYTES.bit_length()
+_PC_MASK = (1 << _PC_BITS) - 1
+
+
+def region_step(kind: int, pc: int, callee: int = 0) -> int:
+    """One step as one int: ``kind`` in the low three bits, then ``pc``,
+    then an ICALL's ``callee``."""
+    return kind | pc << 3 | callee << (3 + _PC_BITS)
+
+
+def step_fields(step: int) -> tuple[int, int, int]:
+    """``(kind, pc, callee)`` of a ``region_step``."""
+    return step & 7, step >> 3 & _PC_MASK, step >> (3 + _PC_BITS)
+
+
 # Dispatch codes (``Op.code``).
 _OPS = tuple(Op)
 _PUSH, _POP, _DUP, _SWAP = Op.PUSH.code, Op.POP.code, Op.DUP.code, Op.SWAP.code
@@ -103,8 +123,10 @@ _BINARY = {
     _OR: "{x} | {y}",
     _XOR: "{x} ^ {y}",
 }
-# wraparound is profiled: ArithChecked says whether the exact result leaves [0, mask]
+# wraparound is profiled: a Region event's overflow bit says whether the
+# exact result leaves [0, mask]
 _CHECKED = {_ADD: "+", _SUB: "-", _MUL: "*"}
+_CHECKED_STEP = {_ADD: STEP_ADD, _SUB: STEP_SUB, _MUL: STEP_MUL}
 _UNARY = {
     _ISZERO: "0 if {i} else 1",
     _NOT: "{i} ^ {mask}",
@@ -151,9 +173,13 @@ class StaleSnapshotError(AssertionError):
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One traced event. Its ``detail`` may be shared with other events (all
-    BlockEnter events of one frame share theirs), so readers must not
-    mutate it."""
+    """One traced event; readers must not mutate its ``detail``.
+
+    At TRACE_FULL a region's control flow is one ``Region`` event per
+    flush (see ``_source``): ``fn`` is the function its first step runs in
+    and ``offset`` that step's pc; its detail holds the frame's ``code``,
+    ``steps``, a constant tuple of ``region_step`` ints in trace order, and
+    ``bits``, the overflow bits of its checked ops in the same order."""
 
     kind: str
     contract: int
@@ -393,13 +419,14 @@ class _Frame:
     memory: ``ret`` holds the last message call's return data, and
     ``checkers`` the ids of the functions whose ``ICALL`` is a PathChecked
     event (none below TRACE_CHECKS). The environment words are masked, and
-    ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked and
-    the TRACE_FULL events of internal calls, blocks and checked ops; every
-    BlockEnter of the frame shares the one detail ``entered``."""
+    ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked,
+    the CallEnter and CallReturn of a tail ``ICALL`` and ``IRET``, and the
+    Region events of compiled code; ``cut`` is where a Region flushed
+    before a PathChecked left its path's steps, see ``region``."""
 
     __slots__ = (
         "world", "addr", "code", "calldata", "pool", "ret", "trace", "checkers",
-        "caller", "origin", "address", "value", "full", "entered",
+        "caller", "origin", "address", "value", "full", "cut",
     )
 
     def __init__(
@@ -412,7 +439,7 @@ class _Frame:
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
         self.full = vm.trace_level >= TRACE_FULL
-        self.entered = {"code": code.name} if self.full else None
+        self.cut = None
 
     def path_checked(self, fid: int, pc: int, combined: int | None) -> None:
         detail = {"combined": combined, "code": self.code}
@@ -424,12 +451,18 @@ class _Frame:
     def call_return(self, fid: int, pc: int) -> None:
         self.trace.append(TraceEvent("CallReturn", self.addr, fid, pc, None))
 
-    def block_enter(self, fid: int, pc: int) -> None:
-        self.trace.append(TraceEvent("BlockEnter", self.addr, fid, pc, self.entered))
-
-    def arith_checked(self, fid: int, pc: int, op: str, overflow: bool) -> None:
-        detail = {"op": op, "overflow": overflow}
-        self.trace.append(TraceEvent("ArithChecked", self.addr, fid, pc, detail))
+    def region(self, fid: int, steps: tuple, bits: tuple) -> None:
+        """Trace the Region event of a path's ``steps`` and ``bits``, which
+        start in function ``fid``; when a flush before a PathChecked on the
+        same path left ``cut``, (its function, step and bit index), only
+        the steps and bits after it."""
+        cut = self.cut
+        if cut is not None:
+            self.cut = None
+            fid, i, j = cut
+            steps, bits = steps[i:], bits[j:]
+        detail = {"code": self.code, "steps": steps, "bits": bits}
+        self.trace.append(TraceEvent("Region", self.addr, fid, steps[0] >> 3 & _PC_MASK, detail))
 
 
 def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple:
@@ -485,7 +518,8 @@ class _Node:
     ``fid``, and what follows them. Each of ``kids`` is a ``_Node`` or an
     exit id; a block with two kids ends in a ``JUMPI``, taken arm first.
     ``enter`` is the block's start pc when it is a leader of its function,
-    where TRACE_FULL traces a BlockEnter event, else None."""
+    a ``STEP_BLOCK`` of the Region events that TRACE_FULL traces, else
+    None."""
 
     __slots__ = ("fid", "enter", "ops", "kids")
 
@@ -632,31 +666,35 @@ def _source(root: _Node, mask: int) -> str:
     and each arm goes on with its own copy of the symbolic stack. Reads and
     writes of memory, storage and the environment run in op order at their
     own pc, as does the PathChecked event of an inlined checker ``ICALL``.
-    The TRACE_FULL events (BlockEnter at a block with an ``enter`` pc,
-    CallEnter and CallReturn at an inlined ``ICALL`` and ``IRET``,
-    ArithChecked at a checked op) keep their order among all events, each
-    run of them traced under one test of the frame's ``full`` flag before
-    the next PathChecked, branch or exit. Each exit writes ``S`` once with
-    its path's net change. Only ints from the ops and the arguments, each
-    through ``operator.index``, are rendered into the source; it names no
-    other value.
+    The TRACE_FULL control flow of a path is its static steps
+    (``region_step``: a block with an ``enter`` pc, an inlined ``ICALL``
+    and ``IRET``, a checked op), carried like the symbolic stack into both
+    arms of each ``JUMPI`` and traced as one Region event, under one test
+    of the frame's ``full`` flag, at the path's exit: a constant tuple of
+    the steps and a tuple of the checked ops' overflow tests. The operands
+    of those tests are single-assignment locals, so a test deferred to the
+    exit still reads them. An inlined checker ``ICALL`` whose PathChecked
+    is traced flushes the steps before it first, and leaves the frame's
+    ``cut`` for the exit (``_Frame.region``), so that events keep their
+    order. Each exit writes ``S`` once with its path's net change. Only
+    ints from the ops and the arguments, each through ``operator.index``,
+    are rendered into the source; it names no other value.
     """
     index = operator.index
     mask = index(mask)
     lines: list[str] = []
     used: set[str] = set()  # entry words and frame locals the source reads
     count = deepest = 0
-    pending: list[str] = []  # TRACE_FULL events not yet under a test of F
 
-    def flush(pad: str) -> None:
-        if pending:
-            used.add("F")
-            lines.append(f"{pad}if F:")
-            lines.extend(f"{pad}    {event}" for event in pending)
-            pending.clear()
+    def region(steps: list[int], bits: list[str]) -> str:
+        """The call that traces ``steps`` and ``bits`` of a path from the root."""
+        used.add("F")
+        tests = "".join(f"{bit}, " for bit in bits)
+        return f"X.region({index(root.fid)}, ({', '.join(map(str, steps))},), ({tests}))"
 
-    def leave(stack: list, taken: int, pad: str, kids: list, cond: str | None = None) -> None:
-        flush(pad)
+    def leave(stack: list, taken: int, pad: str, kids: list, trail, cond=None) -> None:
+        if trail[0]:
+            lines.append(f"{pad}if F: {region(*trail)}")
         # write back the words above the deepest entry word still in place
         keep = 0
         while keep < min(taken, len(stack)) and stack[keep] == f"e{taken - keep}":
@@ -679,9 +717,11 @@ def _source(root: _Node, mask: int) -> str:
         else:
             lines.append(f"{pad}return {index(kids[0])} if {cond} else {index(kids[1])}")
 
-    def walk(node, stack: list, taken: int, pad: str) -> None:
+    def walk(node, stack: list, taken: int, pad: str, trail: tuple) -> None:
         """Render ``node`` and the blocks after it; recurses only into the
-        taken arm of a ``JUMPI``."""
+        taken arm of a ``JUMPI``. ``trail`` is the path's (steps, overflow
+        tests) so far."""
+        steps, bits = list(trail[0]), list(trail[1])
 
         def take(k: int) -> None:
             nonlocal taken, deepest
@@ -707,7 +747,7 @@ def _source(root: _Node, mask: int) -> str:
             fid = index(node.fid)
             cond = None
             if node.enter is not None:
-                pending.append(f"X.block_enter({fid}, {index(node.enter)})")
+                steps.append(region_step(STEP_BLOCK, index(node.enter)))
             for op, imm, pc in node.ops:
                 pc = index(pc)
                 used.update(_READS.get(op, ()))
@@ -729,8 +769,8 @@ def _source(root: _Node, mask: int) -> str:
                     y, x = pop(), pop()
                     sign = _CHECKED[op]
                     result(f"({x} {sign} {y}) & {mask}")
-                    overflow = f"not 0 <= {x} {sign} {y} <= {mask}"
-                    pending.append(f'X.arith_checked({fid}, {pc}, "{_OPS[op].value}", {overflow})')
+                    steps.append(region_step(_CHECKED_STEP[op], pc))
+                    bits.append(f"not 0 <= {x} {sign} {y} <= {mask}")
                 elif op in _BINARY:
                     take(2)
                     y, x = pop(), pop()
@@ -755,11 +795,18 @@ def _source(root: _Node, mask: int) -> str:
                     else:
                         top = f"S[-{taken + 1}] if len(S) > {taken} else None"
                     used.add("K")
-                    flush(pad)
-                    lines.append(f"{pad}if {index(imm)} in K: X.path_checked({fid}, {pc}, {top})")
-                    pending.append(f"X.call_enter({fid}, {pc}, {index(imm)})")
+                    check = f"X.path_checked({fid}, {pc}, {top})"
+                    if steps:
+                        lines.append(f"{pad}if {index(imm)} in K:")
+                        lines.append(f"{pad}    if F:")
+                        lines.append(f"{pad}        {region(steps, bits)}")
+                        lines.append(f"{pad}        X.cut = {fid}, {len(steps)}, {len(bits)}")
+                        lines.append(f"{pad}    {check}")
+                    else:
+                        lines.append(f"{pad}if {index(imm)} in K: {check}")
+                    steps.append(region_step(STEP_ICALL, pc, index(imm)))
                 elif op == _IRET:  # inlined
-                    pending.append(f"X.call_return({fid}, {pc})")
+                    steps.append(region_step(STEP_IRET, pc))
                 elif op == _JUMPI:
                     take(1)
                     cond = pop()
@@ -769,16 +816,15 @@ def _source(root: _Node, mask: int) -> str:
             if cond is None:
                 node = kids[0]
             elif all(isinstance(kid, int) for kid in kids):
-                leave(stack, taken, pad, kids, cond)
+                leave(stack, taken, pad, kids, (steps, bits), cond)
                 return
             else:
-                flush(pad)
                 lines.append(f"{pad}if {cond}:")
-                walk(kids[0], list(stack), taken, pad + "    ")
+                walk(kids[0], list(stack), taken, pad + "    ", (steps, bits))
                 node = kids[1]
-        leave(stack, taken, pad, [node])
+        leave(stack, taken, pad, [node], (steps, bits))
 
-    walk(root, [], 0, "    ")
+    walk(root, [], 0, "    ", ((), ()))
     head = [f"    {name} = {load}" for name, load in _LOCALS.items() if name in used]
     head += [f"    e{k} = S[-{k}]" for k in range(1, deepest + 1) if f"e{k}" in used]
     return "def run(S, M, X):\n" + "".join(f"{line}\n" for line in head + lines)
@@ -924,17 +970,18 @@ class VM:
         opens the internal frames it leaves open, and runs its tail: the ops
         that check runtime values (the RETURN/REVERT word count, the CALL
         argument count, the SSTORE price, the ICALL depth and IRET), and
-        STOP. A tail ICALL or IRET traces its own events, as an inlined one
-        does. Each tail adds its own charge to a mirrored point once its
-        check passes. A region that fails its entry check is decoded again
-        for that entry, uncached: its first block alone, cut short before
-        the first op that fails there, whose ``_FAIL`` tail charges that op
-        and raises. Since a region runs on through joins, its costliest path
-        and its stack bounds cover every arm of every branch in it, so the
-        check can also fail where the arms the frame takes would fit; the
-        first block then runs alone as well, and the next region is entered
-        after it. So gas, trace and point totals match a machine that
-        checked every op. The gas used so far lives in the local
+        STOP. A tail ICALL or IRET traces its own PathChecked and CallEnter
+        or CallReturn events, where an inlined one is a step of its
+        region's Region event. Each tail adds its own charge to a mirrored
+        point once its check passes. A region that fails its entry check
+        is decoded again for that entry, uncached: its first block alone,
+        cut short before the first op that fails there, whose ``_FAIL``
+        tail charges that op and raises. Since a region runs on through
+        joins, its costliest path and its stack bounds cover every arm of
+        every branch in it, so the check can also fail where the arms the
+        frame takes would fit; the first block then runs alone as well, and
+        the next region is entered after it. So gas, trace and point totals
+        match a machine that checked every op. The gas used so far lives in the local
         ``gas_used``; it is written back to ``self.gas_used`` before every
         exit from the frame and around every message call.
         """

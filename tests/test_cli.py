@@ -307,6 +307,46 @@ def test_train_rejects_a_transaction_word_out_of_range(tmp_path, capsys):
     assert err.startswith("error:") and "not a word" in err
 
 
+def test_train_on_a_reverting_transaction_exits_4(tmp_path, capsys):
+    """A training tx that does not end Accepted is a training failure:
+    exit 4, a ``training failure:`` line naming the tx, and no snapshot."""
+    bundle = tmp_path / "r.bundle.json"
+    source = (
+        "contract r { fn ok external selector=0x1 { STOP }"
+        " fn no external selector=0x2 { PUSH 0 REVERT } }"
+    )
+    bundle.write_text(json.dumps({"contracts": [{"source": source}]}))
+    stream = tmp_path / "r.train.jsonl"
+    stream.write_text("".join(
+        json.dumps({"origin": 1, "to": "r", "fn": fn}) + "\n" for fn in ("ok", "no")
+    ))
+    snapshot = tmp_path / "snap.json"
+    code = cli.main(["train", str(bundle), str(stream), "-o", str(snapshot)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_TRAINING, err
+    assert err.startswith("training failure:") and "training tx 1" in err and "Reverted" in err
+    assert not snapshot.exists()
+
+
+def test_protect_past_the_size_limit_exits_3(tmp_path, capsys):
+    """A contract that fits the size limit unguarded but not guarded: protect
+    exits 3 with a ``size limit:`` line and writes no guarded file."""
+    body = "PUSH 1 POP " * 2350 + "STOP"
+    bundle = tmp_path / "big.bundle.json"
+    bundle.write_text(json.dumps(
+        {"contracts": [{"source": "contract big { fn f external selector=0x1 { %s } }" % body}]}
+    ))
+    stream = tmp_path / "big.train.jsonl"
+    stream.write_text(json.dumps({"origin": 1, "to": "big", "fn": "f"}) + "\n")
+    _main(capsys, "train", bundle, stream, "-o", tmp_path / "snap.json")
+    guarded = tmp_path / "guarded.json"
+    code = cli.main(["protect", str(bundle), str(tmp_path / "snap.json"), "-o", str(guarded)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SIZE, err
+    assert err.startswith("size limit:") and "big" in err
+    assert not guarded.exists()
+
+
 def _exit_2(capsys, argv, *needles) -> None:
     code = cli.main([str(a) for a in argv])
     err = capsys.readouterr().err

@@ -66,6 +66,7 @@ from pathguard.pathset import (
 )
 from pathguard.program import ContractProgram, FunctionDef, Visibility, validate_program
 from pathguard.vm import Transaction, VM, WorldState, deploy
+from trace_steps import per_block
 
 
 PROBE_SELECTOR = 0x7
@@ -535,7 +536,8 @@ def _run_exit(kind, flag, entries, width=64):
 
 
 def _routine_calls(receipt):
-    return [ev for ev in receipt.trace if ev.kind == "CallEnter" and ev.get("callee") == SLOW_FID]
+    trace = per_block(receipt.trace)
+    return [ev for ev in trace if ev.kind == "CallEnter" and ev.get("callee") == SLOW_FID]
 
 
 @pytest.mark.parametrize(

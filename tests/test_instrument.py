@@ -254,13 +254,18 @@ def test_reentry_bit_is_stored_only_by_the_entry_routines_reentrant_arm():
                 assert (body[store - 2].op, body[store - 2].imm) == (Op.PUSH, 1), name
 
 
-def _wide_pair() -> Bundle:
-    """The generated pair the wide workloads run (``perfbench/widegen.py``,
-    shape seed 0)."""
+def _widegen():
+    """``perfbench/widegen.py``, the generator of the wide workloads' pair."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "widegen.py"
     spec = importlib.util.spec_from_file_location("widegen", path)
     widegen = sys.modules["widegen"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(widegen)  # its dataclass looks itself up there
+    return widegen
+
+
+def _wide_pair() -> Bundle:
+    """The generated pair the wide workloads run (shape seed 0)."""
+    widegen = _widegen()
     return Bundle.from_json(widegen.bundle_json(widegen.make_shape(0), "0"))
 
 

@@ -4,24 +4,36 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.callgraph import K_ENTRY, K_SURROGATE, acyclicize_callgraph
 from pathguard.ccp import label_ccp
 from pathguard.config import Config
+from pathguard.epp import IndexSpaceOverflow
 from pathguard.fixtures import ALL_SCENARIOS
 from pathguard.instrument import instrument_contract
 from pathguard.oracle import TraceMismatch, TraceOracle, checked_pairs_from_receipt, trace_oracle
 from pathguard.vm import (
+    STEP_ADD,
+    STEP_BLOCK,
+    STEP_ICALL,
+    STEP_IRET,
+    STEP_MUL,
+    STEP_SUB,
     TRACE_CHECKS,
     TRACE_FULL,
     Transaction,
     VM,
     WorldState,
     deploy,
+    region_step,
+    step_fields,
 )
-from pathguard.workflow import build_world, parse_tx
+from pathguard.workflow import Bundle, build_world, parse_tx
+from test_instrument import _widegen
+from test_vm import _DIFF_ORIGIN, _diff_cases
 
 CONFIG = Config()
 
@@ -357,15 +369,71 @@ def _fixture_trace(name: str, index: int):
     return analysis, receipts[-1]
 
 
+# the step kinds of a Region event, by the per-block event each stands for
+_STEP_KINDS = {
+    "BlockEnter": (STEP_BLOCK,),
+    "ArithChecked": (STEP_ADD, STEP_SUB, STEP_MUL),
+    "CallEnter": (STEP_ICALL,),
+    "CallReturn": (STEP_IRET,),
+}
+_CHECKED = _STEP_KINDS["ArithChecked"]
+
+
+def _edit_step(ev, j: int, kind=None, offset=None, fn=None) -> list:
+    """The Region event ``ev`` with its ``j``-th step moved to pc
+    ``offset``, or given a new ``kind`` (a checked op's overflow bit kept,
+    dropped or added as False to match), or dropped when neither is given;
+    with ``fn``, the events that split it there, the step and those after
+    it in function ``fn``."""
+    steps, bits = list(ev.get("steps")), list(ev.get("bits"))
+    old, pc, callee = step_fields(steps[j])
+    b = sum(1 for step in steps[:j] if step_fields(step)[0] in _CHECKED)
+    if offset is not None:
+        steps[j] = region_step(old, offset, callee)
+    elif fn is None:
+        bit = bits.pop(b) if old in _CHECKED else False
+        if kind is None:
+            del steps[j]
+        else:
+            steps[j] = region_step(kind, pc, callee)
+            if kind in _CHECKED:
+                bits.insert(b, bit)
+
+    def region(fid, steps, bits):
+        if not steps:
+            return []
+        detail = dict(ev.detail, steps=tuple(steps), bits=tuple(bits))
+        return [dataclasses.replace(ev, fn=fid, offset=step_fields(steps[0])[1], detail=detail)]
+
+    if fn is None:
+        return region(ev.fn, steps, bits)
+    return region(ev.fn, steps[:j], bits[:b]) + region(fn, steps[j:], bits[b:])
+
+
 def _corrupt(of_kind: str, nth: int, **changes):
     """Replace the ``nth`` event of kind ``of_kind`` by a copy with
-    ``changes``, or drop it when there are none."""
+    ``changes``, or drop it when there are none. A per-block kind names the
+    ``nth`` such step of the trace's Region events, which ``_edit_step``
+    changes: ``kind`` re-kinds it (to another per-block kind), ``offset``
+    moves it and ``fn`` puts it and the steps after it in that function."""
 
     def apply(trace):
-        hits = [i for i, ev in enumerate(trace) if ev.kind == of_kind]
-        i = hits[nth]
-        new = [dataclasses.replace(trace[i], **changes)] if changes else []
-        return trace[:i] + new + trace[i + 1:]
+        if of_kind not in _STEP_KINDS:
+            i = [i for i, ev in enumerate(trace) if ev.kind == of_kind][nth]
+            new = [dataclasses.replace(trace[i], **changes)] if changes else []
+            return trace[:i] + new + trace[i + 1:]
+        hits = [
+            (i, j)
+            for i, ev in enumerate(trace)
+            if ev.kind == "Region"
+            for j, step in enumerate(ev.get("steps"))
+            if step_fields(step)[0] in _STEP_KINDS[of_kind]
+        ]
+        i, j = hits[nth]
+        edit = dict(changes)
+        if "kind" in edit:
+            edit["kind"] = _STEP_KINDS[edit["kind"]][0]
+        return trace[:i] + _edit_step(trace[i], j, **edit) + trace[i + 1:]
 
     return apply
 
@@ -429,8 +497,10 @@ def test_corrupted_fixture_trace_raises_trace_mismatch(name, index, corrupt, mes
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
 def test_every_single_event_corruption_raises_only_trace_mismatch(scenario):
     """Each event of a fixture trace dropped, re-kinded to every other kind
-    the oracle reads, or moved to offset 999: the oracle returns pairs or
-    raises TraceMismatch, never a lookup or attribute error."""
+    the oracle reads, or moved to offset 999; each step of each Region
+    event dropped, moved to offset 999 or re-kinded to every other step
+    kind; and each of its overflow bits flipped: the oracle returns pairs
+    or raises TraceMismatch, never a lookup or attribute error."""
     kinds = list(TraceOracle._HANDLERS)
     analysis, receipts = _fixture_traces(scenario, 4)
     for receipt in receipts:
@@ -438,8 +508,130 @@ def test_every_single_event_corruption_raises_only_trace_mismatch(scenario):
         for i, ev in enumerate(trace):
             variants = [[], [dataclasses.replace(ev, offset=999)]]
             variants += [[dataclasses.replace(ev, kind=k)] for k in kinds if k != ev.kind]
+            if ev.kind == "Region":
+                steps, bits = ev.get("steps"), ev.get("bits")
+                for j, step in enumerate(steps):
+                    variants += [_edit_step(ev, j), _edit_step(ev, j, offset=999)]
+                    variants += [
+                        _edit_step(ev, j, kind=kind)
+                        for kinds_of in _STEP_KINDS.values()
+                        for kind in kinds_of
+                        if kind != step_fields(step)[0]
+                    ]
+                for b in range(len(bits)):
+                    flipped = bits[:b] + (not bits[b],) + bits[b + 1:]
+                    variants.append([dataclasses.replace(ev, detail=dict(ev.detail, bits=flipped))])
             for new in variants:
                 try:
                     trace_oracle(trace[:i] + new + trace[i + 1:], analysis, receipt.status)
                 except TraceMismatch:
                     pass
+
+
+def _outcome(oracle: TraceOracle, trace, status):
+    """The oracle's pairs for ``trace``, or the message it raised."""
+    try:
+        return oracle.pairs(trace, status)
+    except TraceMismatch as mismatch:
+        return str(mismatch)
+
+
+def _assert_memo_matches_cold_walks(make_analysis, runs, monkeypatch) -> int:
+    """Replay each of ``runs``, (trace, status) pairs in run order, through
+    one warm analysis, whose memo the runs before it filled, and through a
+    fresh one, memo on and memo off (each event walked over its real
+    state): all three give the same pairs, or raise the same mismatch.
+    Returns how many memo keys the warm replays met in more than one
+    (ctx, path sum) state."""
+    states: dict[tuple, set] = {}
+    region = TraceOracle._HANDLERS["Region"]
+
+    def record(oracle, ev):
+        frame = oracle.frames[-1] if oracle.frames else None
+        if frame and frame.code and frame.istack and oracle.memo is warm.region_effects:
+            top = frame.istack[-1]
+            key = (frame.code, ev.fn, top.vertex, ev.get("steps"), ev.get("bits"))
+            states.setdefault(key, set()).add((frame.ctx, top.epp))
+        region(oracle, ev)
+
+    monkeypatch.setitem(TraceOracle._HANDLERS, "Region", record)
+    warm = make_analysis()
+    for trace, status in runs:
+        fresh = make_analysis()
+        cold = _outcome(TraceOracle(fresh, memo=False), trace, status)
+        assert _outcome(TraceOracle(fresh), trace, status) == cold
+        assert _outcome(TraceOracle(warm), trace, status) == cold
+    return sum(len(seen) > 1 for seen in states.values())
+
+
+def _wide_runs(seed: int):
+    """The wide pair (``perfbench/widegen.py``, shape seed 0) and the
+    TRACE_FULL runs of its setup and of the bench's training stream at
+    ``seed``."""
+    widegen = _widegen()
+    shape = widegen.make_shape(0)
+    bundle = Bundle.from_json(widegen.bundle_json(shape, "0"))
+    records = widegen.training_stream(random.Random(seed * 1009), shape, "0")
+    deployed = build_world(bundle)
+    runs = []
+    for record in bundle.setup + records:
+        receipt = VM(deployed.world, TRACE_FULL).execute_transaction(
+            parse_tx(record, deployed, bundle)
+        )
+        runs.append((receipt.trace, receipt.status))
+    return bundle, runs
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        *(pytest.param(s, id=s.name) for s in ALL_SCENARIOS),
+        pytest.param(1, id="wide-seed-1"),
+        pytest.param(2, id="wide-seed-2"),
+    ],
+)
+def test_memo_applied_in_another_state_matches_a_cold_walk(source, monkeypatch):
+    """A Region event's memoized effect, built in one (ctx, path sum)
+    state, gives the pairs of a cold walk in every state it is applied in,
+    over the fixtures' setup and training traces and the wide pair's at
+    bench seeds 1 and 2."""
+    if isinstance(source, int):
+        bundle, runs = _wide_runs(source)
+    else:
+        bundle = source.bundle()
+        _analysis, receipts = _fixture_traces(source, len(bundle.setup + source.training))
+        runs = [(r.trace, r.status) for r in receipts]
+
+    def make():
+        return analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+
+    reused = _assert_memo_matches_cold_walks(make, runs, monkeypatch)
+    # the wide pair's loop and protected call enter one region in many states
+    assert reused > 0 or not isinstance(source, int)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_diff_cases())
+def test_memo_matches_a_cold_walk_on_generated_programs(case):
+    """The same on ``test_vm``'s generated programs, run at TRACE_FULL with
+    their drawn checkers, so that a PathChecked flush can split a region's
+    steps and a Region event can return below the function it starts in.
+    A program that the analysis refuses is skipped."""
+    config, prog, txs, checkers = case
+    try:
+        analyze_bundle({prog.name: prog}, {prog.name}, config)
+    except (KeyError, IndexSpaceOverflow):  # e.g. a jump to no block, or too many paths
+        assume(False)
+    world = WorldState(config)
+    world.set_balance(_DIFF_ORIGIN, 100)
+    addr = deploy(world, prog)
+    runs = []
+    for calldata, value, gas_limit in txs:
+        receipt = VM(world, TRACE_FULL, {prog.name: checkers}).execute_transaction(
+            Transaction(_DIFF_ORIGIN, addr, 0x01, calldata, value, gas_limit)
+        )
+        runs.append((receipt.trace, receipt.status))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_memo_matches_cold_walks(
+            lambda: analyze_bundle({prog.name: prog}, {prog.name}, config), runs, monkeypatch
+        )

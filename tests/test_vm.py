@@ -55,6 +55,7 @@ from pathguard.workflow import (
     start_detection,
     train,
 )
+from trace_steps import per_block
 from vm_reference import ReferenceVM
 
 STORE_SRC = """
@@ -128,7 +129,7 @@ def test_width8_add_wraps_with_overflow_event():
     r = execute_transaction(w, Transaction(1, addr, 0x03, [200, 100]))
     assert r.status == STATUS_ACCEPTED
     assert r.return_data == [44]
-    checked = [e for e in r.trace if e.kind == "ArithChecked"]
+    checked = [e for e in per_block(r.trace) if e.kind == "ArithChecked"]
     assert checked and checked[0].get("overflow") is True
 
 
@@ -156,7 +157,7 @@ def test_modular_arithmetic_property(a, b, width, op):
     r = execute_transaction(w, Transaction(1, addr, 0x01))
     exact = {"ADD": a + b, "SUB": a - b, "MUL": a * b}[op]
     assert r.return_data == [exact % mod]
-    event = next(e for e in r.trace if e.kind == "ArithChecked")
+    event = next(e for e in per_block(r.trace) if e.kind == "ArithChecked")
     expected_flag = exact >= mod if op != "SUB" else a < b
     assert event.get("overflow") == expected_flag
 
@@ -679,7 +680,7 @@ def _vm_digest() -> str:
         h.update(
             repr((receipt.status, receipt.gas_used, receipt.return_data)).encode()
         )
-        for ev in receipt.trace:
+        for ev in per_block(receipt.trace):
             h.update(repr((ev.kind, ev.contract, ev.fn, ev.offset, ev.detail)).encode())
     return h.hexdigest()
 
@@ -733,7 +734,7 @@ def test_every_trace_event_has_a_reader():
     checks: set[str] = set()
     for _name, guarded, receipt, _world, _charges in _vm_runs():
         (full if guarded is None else checks).update(ev.kind for ev in receipt.trace)
-    assert {"BlockEnter", "ExternalCallEnter", "ExternalCallReturn"} <= full
+    assert {"Region", "ExternalCallEnter", "ExternalCallReturn"} <= full
     assert [k for k in sorted(full) if k not in TraceOracle._HANDLERS] == []
     assert checks == {"PathChecked", "Revert"}
 
@@ -890,7 +891,7 @@ def test_out_of_gas_at_every_limit_keeps_the_trace_prefix():
         w = WorldState(config)
         addr = deploy(w, prog)
         r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=limit))
-        return r, [(e.kind, e.fn, e.offset, e.detail) for e in r.trace]
+        return r, [(e.kind, e.fn, e.offset, e.detail) for e in per_block(r.trace)]
 
     done, full = run(cost)
     assert (done.status, done.gas_used) == (STATUS_ACCEPTED, cost)
@@ -1126,7 +1127,7 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
         )
         runs.append((
             (r.status, r.gas_used, r.return_data),
-            [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace],
+            [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in per_block(r.trace)],
             _offset_charges(points) if mirrored else None,
             world.dump(),
             world.transient,
@@ -1213,7 +1214,7 @@ contract t {
         assert r.status == STATUS_ACCEPTED
         traced[level] = [
             (e.kind, e.fn, e.offset, e.get("combined"), e.get("code"))
-            for e in r.trace
+            for e in per_block(r.trace)
             if e.kind in ("PathChecked", "CallEnter")
         ]
     assert traced[TRACE_NONE] == []
@@ -1242,7 +1243,7 @@ def test_block_failing_its_entry_check_runs_its_prefix(gas_limit, status, trace)
     w = _world()
     addr = deploy(w, prog)
     r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, gas_limit=gas_limit))
-    assert (r.status, [(e.kind, e.offset) for e in r.trace]) == (status, trace)
+    assert (r.status, [(e.kind, e.offset) for e in per_block(r.trace)]) == (status, trace)
     _assert_matches_reference(Config(), prog, [([], 0, gas_limit)])
 
 
@@ -1537,7 +1538,7 @@ def _full_trace(prog, checkers=frozenset(), gas_limit=10_000) -> list[tuple]:
     r = VM(w, TRACE_FULL, {prog.name: checkers}).execute_transaction(
         Transaction(1, addr, 0x01, gas_limit=gas_limit)
     )
-    return [(e.kind, e.fn, e.offset) for e in r.trace]
+    return [(e.kind, e.fn, e.offset) for e in per_block(r.trace)]
 
 
 def test_full_trace_of_an_inlined_checker_call():
@@ -1681,7 +1682,7 @@ contract t {
     r = VM(w, TRACE_CHECKS, checkers).execute_transaction(tx)
     assert [(e.kind, e.get("combined")) for e in r.trace] == [("PathChecked", 5)]
     r = VM(w, TRACE_FULL, checkers).execute_transaction(tx)
-    assert [(e.kind, e.fn, e.offset) for e in r.trace] == [
+    assert [(e.kind, e.fn, e.offset) for e in per_block(r.trace)] == [
         ("BlockEnter", 0, 0), ("PathChecked", 0, 2), ("CallEnter", 0, 2),
         ("BlockEnter", 1, 0), ("CallReturn", 1, 1), ("BlockEnter", 0, 3),
     ]
@@ -1725,7 +1726,7 @@ def _corpus_observed(vm_cls):
     """Per tx of ``_vm_runs`` under ``vm_cls``, originals at TRACE_FULL and
     TRACE_NONE: receipt, trace, per-offset charges and the world's dump."""
     for name, guarded, r, world, charges in _vm_runs(True, vm_cls, (TRACE_FULL, TRACE_NONE)):
-        trace = [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace]
+        trace = [(e.kind, e.contract, e.fn, e.offset, e.detail) for e in per_block(r.trace)]
         receipt = (r.status, r.gas_used, r.return_data)
         yield name, guarded is not None, receipt, trace, charges, world.dump()
 
