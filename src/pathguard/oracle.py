@@ -14,18 +14,17 @@ backedges, and which frames run with the origin as CALLER. It sees no
 calldata, so it takes a marker to come only from a protected call site.
 Membership outcomes are irrelevant here, only the checked pairs.
 
-At TRACE_FULL the VM traces a compiled region's control flow as Region
-events (``vm._source``), each the static steps of one stretch of a path:
-block starts, inlined ICALLs and IRETs, and checked ops with their overflow
-bits. One walker, ``TraceOracle._walk``, takes each step along a path edge
-by one lookup in the function's step table (``bundle.step_table``): a block
-start by its offset, a checked op by its offset and overflow bit, and a
-path's end by the vertex's one terminator edge. A block start that misses
-the table is a recorded backedge (the path ends and a new one starts at the
-loop header) or the confirmation of a vertex entered through a virtual
-edge; anything else raises TraceMismatch. A tail ICALL or IRET (CallEnter,
-CallReturn) is walked as a one-step Region event, and an ExternalCallReturn
-takes its virtual edge by the same lookup.
+At TRACE_FULL the VM traces control flow as Region events alone
+(``vm._source``): each the static steps of one region path (block starts,
+inlined ICALLs and IRETs, and checked ops with their overflow bits), or the
+one step of a tail ICALL or IRET. One walker, ``TraceOracle._walk``, takes
+each step along a path edge by one lookup in the function's step table
+(``bundle.step_table``): a block start by its offset, a checked op by its
+offset and overflow bit, and a path's end by the vertex's one terminator
+edge. A block start that misses the table is a recorded backedge (the path
+ends and a new one starts at the loop header) or the confirmation of a
+vertex entered through a virtual edge; anything else raises TraceMismatch.
+An ExternalCallReturn takes its virtual edge by the same lookup.
 
 The walk of a Region event is memoized on the ``BundleAnalysis``
 (``region_effects``), keyed by (contract, function, start vertex, steps,
@@ -34,10 +33,10 @@ the path sum ``e`` at the event's start: each checked word as ``(a_c * c +
 a_e * e + k) & mask``, the end vertex and path sum, the internal frames
 left open and the final ctx. That holds because ``icall_ctx``,
 ``iret_ctx`` and ``combined_word`` are linear mod 2**width but for a
-constant. An event that returns below the function it started in (a
-CallReturn, or the rest of a region after a PathChecked flush at
-TRACE_FULL with checkers) reads frames that the key does not name: it runs
-the same walker over the frame's real state, unmemoized.
+constant. A region's IRETs return only from its own ICALLs, so the one
+event that returns below the function it starts in is a tail IRET's: it
+reads frames that the key does not name, and runs the same walker over the
+frame's real state, unmemoized.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .vm import (
     STEP_SUB,
     Receipt,
     TraceEvent,
-    region_step,
     step_fields,
 )
 
@@ -69,11 +67,6 @@ _CHECKED_KINDS = frozenset({STEP_ADD, STEP_SUB, STEP_MUL})
 
 class TraceMismatch(AssertionError):
     """The trace does not fit the labeled graphs (malformed or stale)."""
-
-
-class _Unmemoizable(Exception):
-    """A walk popped the function its event started in: its effect reads
-    frames that the memo does not key."""
 
 
 @dataclass(slots=True)
@@ -134,9 +127,9 @@ def _virtual_step(steps: dict[int, Steps], vertex, kind: str, offset: int, want:
 
 class TraceOracle:
     """Replays one transaction's trace. A Region event's walk is memoized
-    on the analysis (``BundleAnalysis.region_effects``) unless ``memo`` is
-    False; then each event walks the frame's real state, the reference
-    that the memo is tested against."""
+    on the analysis (``BundleAnalysis.region_effects``), but for a tail
+    IRET's, unless ``memo`` is False; then each event walks the frame's
+    real state, the reference that the memo is tested against."""
 
     def __init__(self, analysis: BundleAnalysis, memo: bool = True):
         self.analysis = analysis
@@ -210,33 +203,29 @@ class TraceOracle:
 
     # -- steps ---------------------------------------------------------------
 
-    def _walked(self, frame: _Frame, steps: tuple, bits: tuple, key: tuple | None) -> tuple:
+    def _walked(self, frame: _Frame, steps: tuple, bits: tuple, key: tuple) -> tuple:
         """``(base, effect)`` of ``region_step`` ints that the memo does not
         hold: the effect of their walk over the frames from ``base`` up.
-        The walk runs from a symbolic state, the frame's ctx ``c`` and the
-        active function's path sum ``e``, and is memoized under ``key``. A
-        walk that pops the function it started in reads frames the key
-        does not name, so it walks the frame's real state instead, as does
-        every walk without a key or without the memo."""
+        With the memo, the walk runs from a symbolic state, the frame's ctx
+        ``c`` and the active function's path sum ``e``, and is memoized
+        under ``key``; without it, or for a tail IRET, which returns below
+        its function to frames that no key names, it walks the frame's real
+        state."""
         istack = frame.istack
-        if key is not None and self.memo is not None:
+        tail_return = steps and step_fields(steps[0])[0] == STEP_IRET
+        if self.memo is not None and not tail_return:
             start = istack[-1]
             walked = [[start.fid, start.cfg, start.steps, start.lab, start.vertex, (1, 0), None]]
-            try:
-                effect = self._walk(frame.code, walked, (1, 0), steps, bits, 1)
-            except _Unmemoizable:
-                pass
-            else:
-                self.memo[key] = effect
-                return len(istack) - 1, effect
+            effect = self.memo[key] = self._walk(frame.code, walked, (1, 0), steps, bits)
+            return len(istack) - 1, effect
         walked = [
             [f.fid, f.cfg, f.steps, f.lab, f.vertex, (0, f.epp), (0, f.caller_ctx)] for f in istack
         ]
-        effect = self._walk(frame.code, walked, (0, frame.ctx), steps, bits, 0)
+        effect = self._walk(frame.code, walked, (0, frame.ctx), steps, bits)
         del istack[1:]  # the walk's frames above the bottom replace them
         return 0, effect
 
-    def _walk(self, code: str, frames: list, ctx: tuple, steps, bits: tuple, floor: int):
+    def _walk(self, code: str, frames: list, ctx: tuple, steps, bits: tuple):
         """The effect of ``steps`` (``region_step`` ints) and ``bits`` on
         the internal frames ``frames``, each ``[fid, cfg, steps, lab,
         vertex, path sum, caller ctx]``: the oracle's one step walker.
@@ -251,8 +240,7 @@ class TraceOracle:
         mask``; then the bottom frame's end vertex and path sum, the frames
         above it as ``(fid, cfg, steps, lab, vertex, path sum, caller ctx
         a, caller ctx k)`` (their path sums never read ``e``), and the
-        final ctx. A pop of the bottom ``floor`` frames raises
-        ``_Unmemoizable``.
+        final ctx. A pop of the last frame raises TraceMismatch.
         """
         width = self.config.width
         emits = []
@@ -303,8 +291,6 @@ class TraceOracle:
                     icall_ctx(ctx[1], val, surrogate, width),
                 )
             elif kind == STEP_IRET:
-                if len(frames) == floor:
-                    raise _Unmemoizable
                 frames.pop()
                 # the IRET's terminator edge closes the callee's last path
                 val, _off = _term_step(table, vertex, cfg.fn_name, "CallReturn away from IRET")
@@ -347,19 +333,13 @@ class TraceOracle:
             return
         istack = frame.istack
         if not istack or istack[-1].fid != ev.fn:
-            raise TraceMismatch(f"unexpected BlockEnter in fn {ev.fn}")
+            raise TraceMismatch(f"unexpected Region event in fn {ev.fn}")
         try:
             steps, bits = ev.detail["steps"], ev.detail["bits"]
         except (KeyError, TypeError):
             raise TraceMismatch(f"{ev.kind} event at offset {ev.offset} carries no steps") from None
-        self._replay(frame, steps, bits, (frame.code, ev.fn, istack[-1].vertex, steps, bits))
-
-    def _replay(self, frame: _Frame, steps: tuple, bits: tuple, key: tuple | None) -> None:
-        """Apply the effect of ``steps`` and ``bits``, memoized under
-        ``key`` (see ``_walked``), to the frame's internal frames."""
-        istack = frame.istack
-        memo = self.memo if key is not None else None
-        effect = memo.get(key) if memo is not None else None
+        key = (frame.code, ev.fn, istack[-1].vertex, steps, bits)
+        effect = self.memo.get(key) if self.memo is not None else None
         if effect is None:
             base, effect = self._walked(frame, steps, bits, key)
         else:
@@ -375,22 +355,6 @@ class TraceOracle:
         for fid, cfg, table, lab, v, epp, caller_a, caller_k in pushed:
             istack.append(_IFrame(fid, cfg, table, lab, v, epp, (caller_a * c + caller_k) & mask))
         frame.ctx = (ca * c + ck) & mask
-
-    def _on_CallEnter(self, ev: TraceEvent) -> None:
-        self._tail_step(ev, STEP_ICALL, ev.get("callee"))
-
-    def _on_CallReturn(self, ev: TraceEvent) -> None:
-        self._tail_step(ev, STEP_IRET, 0)
-
-    def _tail_step(self, ev: TraceEvent, kind: int, callee) -> None:
-        """Walk a tail ICALL or IRET as the one step of the active function
-        it is, over the frame's real state."""
-        frame = self._active()
-        if frame is None:
-            return
-        if not isinstance(callee, int):
-            raise TraceMismatch(f"{ev.kind} at offset {ev.offset} names no callee")
-        self._replay(frame, (region_step(kind, ev.offset, callee),), (), None)
 
     def _on_ExternalCallEnter(self, ev: TraceEvent) -> None:
         if not self.frames:
@@ -447,20 +411,8 @@ class TraceOracle:
             self.frames[-1].aborted = True
             self.frames[-1].istack.clear()
 
-    # -- misc ------------------------------------------------------------------
-
-    def _active(self) -> _Frame | None:
-        if not self.frames:
-            return None
-        frame = self.frames[-1]
-        if not frame.code or frame.aborted or not frame.istack:
-            return None
-        return frame
-
     _HANDLERS = {
         "Region": _on_Region,
-        "CallEnter": _on_CallEnter,
-        "CallReturn": _on_CallReturn,
         "ExternalCallEnter": _on_ExternalCallEnter,
         "ExternalCallReturn": _on_ExternalCallReturn,
         "Revert": _on_Revert,

@@ -175,8 +175,9 @@ class StaleSnapshotError(AssertionError):
 class TraceEvent:
     """One traced event; readers must not mutate its ``detail``.
 
-    At TRACE_FULL a region's control flow is one ``Region`` event per
-    flush (see ``_source``): ``fn`` is the function its first step runs in
+    At TRACE_FULL control flow is traced as ``Region`` events alone: one
+    per region path (see ``_source``), and one of a single step per tail
+    ``ICALL`` or ``IRET``. ``fn`` is the function its first step runs in
     and ``offset`` that step's pc; its detail holds the frame's ``code``,
     ``steps``, a constant tuple of ``region_step`` ints in trace order, and
     ``bits``, the overflow bits of its checked ops in the same order."""
@@ -214,9 +215,13 @@ class Transaction:
 
 def check_words(tx: Transaction, mask: int) -> None:
     """Raise VmError unless ``tx``'s value and every calldata word is an int
-    in [0, mask]: the VM reads them as words, unmasked."""
+    in [0, mask], and their count is at most mask: the VM reads them, and
+    CALLDATASIZE, as words, unmasked."""
     if type(tx.value) is not int or not 0 <= tx.value <= mask:
         raise VmError(f"transaction value {tx.value!r} is not a word in [0, {mask:#x}]")
+    if len(tx.calldata) > mask:
+        count = len(tx.calldata)
+        raise VmError(f"{count} calldata words: CALLDATASIZE fits no word above {mask:#x}")
     for word in tx.calldata:
         if type(word) is not int or not 0 <= word <= mask:
             raise VmError(f"calldata word {word!r} is not a word in [0, {mask:#x}]")
@@ -418,15 +423,14 @@ class _Frame:
     """What compiled code reads of its message frame besides the stack and
     memory: ``ret`` holds the last message call's return data, and
     ``checkers`` the ids of the functions whose ``ICALL`` is a PathChecked
-    event (none below TRACE_CHECKS). The environment words are masked, and
-    ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked,
-    the CallEnter and CallReturn of a tail ``ICALL`` and ``IRET``, and the
-    Region events of compiled code; ``cut`` is where a Region flushed
-    before a PathChecked left its path's steps, see ``region``."""
+    event (only at TRACE_CHECKS). The environment words are masked, and
+    ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked
+    and Region events: those of compiled code and the one-step event of a
+    tail ``ICALL`` or ``IRET``."""
 
     __slots__ = (
         "world", "addr", "code", "calldata", "pool", "ret", "trace", "checkers",
-        "caller", "origin", "address", "value", "full", "cut",
+        "caller", "origin", "address", "value", "full",
     )
 
     def __init__(
@@ -439,28 +443,14 @@ class _Frame:
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
         self.full = vm.trace_level >= TRACE_FULL
-        self.cut = None
 
     def path_checked(self, fid: int, pc: int, combined: int | None) -> None:
         detail = {"combined": combined, "code": self.code}
         self.trace.append(TraceEvent("PathChecked", self.addr, fid, pc, detail))
 
-    def call_enter(self, fid: int, pc: int, callee: int) -> None:
-        self.trace.append(TraceEvent("CallEnter", self.addr, fid, pc, {"callee": callee}))
-
-    def call_return(self, fid: int, pc: int) -> None:
-        self.trace.append(TraceEvent("CallReturn", self.addr, fid, pc, None))
-
     def region(self, fid: int, steps: tuple, bits: tuple) -> None:
-        """Trace the Region event of a path's ``steps`` and ``bits``, which
-        start in function ``fid``; when a flush before a PathChecked on the
-        same path left ``cut``, (its function, step and bit index), only
-        the steps and bits after it."""
-        cut = self.cut
-        if cut is not None:
-            self.cut = None
-            fid, i, j = cut
-            steps, bits = steps[i:], bits[j:]
+        """Trace the Region event of ``steps`` and ``bits``, which start in
+        function ``fid``."""
         detail = {"code": self.code, "steps": steps, "bits": bits}
         self.trace.append(TraceEvent("Region", self.addr, fid, steps[0] >> 3 & _PC_MASK, detail))
 
@@ -665,18 +655,16 @@ def _source(root: _Node, mask: int) -> str:
     ``JUMPI`` whose arms are not both exits is an ``if`` over its condition,
     and each arm goes on with its own copy of the symbolic stack. Reads and
     writes of memory, storage and the environment run in op order at their
-    own pc, as does the PathChecked event of an inlined checker ``ICALL``.
-    The TRACE_FULL control flow of a path is its static steps
-    (``region_step``: a block with an ``enter`` pc, an inlined ``ICALL``
-    and ``IRET``, a checked op), carried like the symbolic stack into both
-    arms of each ``JUMPI`` and traced as one Region event, under one test
-    of the frame's ``full`` flag, at the path's exit: a constant tuple of
-    the steps and a tuple of the checked ops' overflow tests. The operands
-    of those tests are single-assignment locals, so a test deferred to the
-    exit still reads them. An inlined checker ``ICALL`` whose PathChecked
-    is traced flushes the steps before it first, and leaves the frame's
-    ``cut`` for the exit (``_Frame.region``), so that events keep their
-    order. Each exit writes ``S`` once with its path's net change. Only
+    own pc, as does the PathChecked event of an inlined checker ``ICALL``
+    (traced at TRACE_CHECKS only). The TRACE_FULL control flow of a path is
+    its static steps (``region_step``: a block with an ``enter`` pc, an
+    inlined ``ICALL`` and ``IRET``, a checked op), carried like the
+    symbolic stack into both arms of each ``JUMPI`` and traced as one
+    Region event, under one test of the frame's ``full`` flag, at the
+    path's exit: a constant tuple of the steps and a tuple of the checked
+    ops' overflow tests. The operands of those tests are single-assignment
+    locals, so a test deferred to the exit still reads them. Each exit
+    writes ``S`` once with its path's net change. Only
     ints from the ops and the arguments, each through ``operator.index``,
     are rendered into the source; it names no other value.
     """
@@ -795,15 +783,7 @@ def _source(root: _Node, mask: int) -> str:
                     else:
                         top = f"S[-{taken + 1}] if len(S) > {taken} else None"
                     used.add("K")
-                    check = f"X.path_checked({fid}, {pc}, {top})"
-                    if steps:
-                        lines.append(f"{pad}if {index(imm)} in K:")
-                        lines.append(f"{pad}    if F:")
-                        lines.append(f"{pad}        {region(steps, bits)}")
-                        lines.append(f"{pad}        X.cut = {fid}, {len(steps)}, {len(bits)}")
-                        lines.append(f"{pad}    {check}")
-                    else:
-                        lines.append(f"{pad}if {index(imm)} in K: {check}")
+                    lines.append(f"{pad}if {index(imm)} in K: X.path_checked({fid}, {pc}, {top})")
                     steps.append(region_step(STEP_ICALL, pc, index(imm)))
                 elif op == _IRET:  # inlined
                     steps.append(region_step(STEP_IRET, pc))
@@ -884,8 +864,11 @@ class VM:
         self.config = world.config
         self.trace_level = trace_level
         # checkers maps a code name to its checker function ids: at
-        # TRACE_CHECKS and above, each ICALL of one is a PathChecked event
-        # that carries the word on top of the stack as ``combined``
+        # TRACE_CHECKS, each ICALL of one is a PathChecked event that
+        # carries the word on top of the stack as ``combined``. TRACE_FULL
+        # traces uninstrumented runs for the trace oracle, so it takes none.
+        if trace_level >= TRACE_FULL and checkers and any(checkers.values()):
+            raise VmError("TRACE_FULL traces no checkers: trace them at TRACE_CHECKS")
         self.checkers = checkers
         # gas_points maps a code name to (owners, acc): owners[fid][offset] is
         # the point that owns the offset, or -1, and each charge at an owned
@@ -970,10 +953,10 @@ class VM:
         opens the internal frames it leaves open, and runs its tail: the ops
         that check runtime values (the RETURN/REVERT word count, the CALL
         argument count, the SSTORE price, the ICALL depth and IRET), and
-        STOP. A tail ICALL or IRET traces its own PathChecked and CallEnter
-        or CallReturn events, where an inlined one is a step of its
-        region's Region event. Each tail adds its own charge to a mirrored
-        point once its check passes. A region that fails its entry check
+        STOP. A tail ICALL traces its own PathChecked, and a tail ICALL or
+        IRET its own one-step Region event, where an inlined one is a step
+        of its region's Region event. Each tail adds its own charge to a
+        mirrored point once its check passes. A region that fails its entry check
         is decoded again for that entry, uncached: its first block alone,
         cut short before the first op that fails there, whose ``_FAIL``
         tail charges that op and raises. Since a region runs on through
@@ -1059,7 +1042,7 @@ class VM:
                         if checkers is not None and imm in checkers:
                             frame.path_checked(ifid, pc, stack[-1] if stack else None)
                         if frame.full:
-                            frame.call_enter(ifid, pc, imm)
+                            frame.region(ifid, (region_step(STEP_ICALL, pc, imm),), ())
                         if acc is not None:
                             if own[pc] >= 0:
                                 acc[own[pc]] += prices[op]
@@ -1072,7 +1055,7 @@ class VM:
                         if not istack:
                             raise _FrameFailure("IRET outside internal call")
                         if frame.full:
-                            frame.call_return(ifid, pc)
+                            frame.region(ifid, (region_step(STEP_IRET, pc),), ())
                         if acc is not None and own[pc] >= 0:
                             acc[own[pc]] += prices[op]
                         ifid, nxt = istack.pop()

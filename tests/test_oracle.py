@@ -443,7 +443,7 @@ def _corrupt(of_kind: str, nth: int, **changes):
     [
         pytest.param(
             "logic_error", 0, _corrupt("BlockEnter", 1, fn=1),
-            "unexpected BlockEnter in fn 1", id="block-in-wrong-fn",
+            "unexpected Region event in fn 1", id="block-in-wrong-fn",
         ),
         pytest.param(
             "logic_error", 0, _corrupt("BlockEnter", 0, offset=1),
@@ -613,11 +613,10 @@ def test_memo_applied_in_another_state_matches_a_cold_walk(source, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(case=_diff_cases())
 def test_memo_matches_a_cold_walk_on_generated_programs(case):
-    """The same on ``test_vm``'s generated programs, run at TRACE_FULL with
-    their drawn checkers, so that a PathChecked flush can split a region's
-    steps and a Region event can return below the function it starts in.
-    A program that the analysis refuses is skipped."""
-    config, prog, txs, checkers = case
+    """The same on ``test_vm``'s generated programs, run at TRACE_FULL,
+    whose tail IRETs return below the function their event starts in. A
+    program that the analysis refuses is skipped."""
+    config, prog, txs, _checkers = case
     try:
         analyze_bundle({prog.name: prog}, {prog.name}, config)
     except (KeyError, IndexSpaceOverflow):  # e.g. a jump to no block, or too many paths
@@ -627,7 +626,7 @@ def test_memo_matches_a_cold_walk_on_generated_programs(case):
     addr = deploy(world, prog)
     runs = []
     for calldata, value, gas_limit in txs:
-        receipt = VM(world, TRACE_FULL, {prog.name: checkers}).execute_transaction(
+        receipt = VM(world, TRACE_FULL).execute_transaction(
             Transaction(_DIFF_ORIGIN, addr, 0x01, calldata, value, gas_limit)
         )
         runs.append((receipt.trace, receipt.status))

@@ -27,6 +27,7 @@ from pathguard.vm import (
     STATUS_ACCEPTED,
     STATUS_OUT_OF_GAS,
     STATUS_REVERTED,
+    STEP_IRET,
     TRACE_CHECKS,
     TRACE_FULL,
     TRACE_NONE,
@@ -44,6 +45,7 @@ from pathguard.vm import (
     deploy,
     execute_transaction,
     price_table,
+    step_fields,
 )
 from pathguard.workflow import (
     build_world,
@@ -354,6 +356,51 @@ def test_call_to_eoa_transfers_value():
     assert r.status == STATUS_ACCEPTED
     assert w.balance_of(0x999) == 40
     assert w.balance_of(addr) == 60
+
+
+def test_value_above_the_origin_balance_reverts_before_any_op():
+    """A tx whose value exceeds its origin's balance runs no op: it reverts
+    with no gas and no trace, and the world is unchanged."""
+    w = _world()
+    addr = deploy(w, _one_fn("PUSH 1 PUSH 0 SSTORE STOP"))
+    w.set_balance(1, 4)
+    w.commit(0)
+    before = w.dump()
+    r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, value=5))
+    assert (r.status, r.gas_used, r.trace, r.return_data) == (STATUS_REVERTED, 0, [], [])
+    assert w.dump() == before
+
+
+@pytest.mark.parametrize("end, kept", [("STOP", True), ("PUSH 0 REVERT", False)])
+def test_reverted_tx_removes_the_account_its_call_created(end, kept):
+    """A value CALL to a fresh address creates its account; a REVERT after
+    it rolls the creation back, and no account is left behind."""
+    w = _world()
+    addr = deploy(w, _one_fn(f"PUSH 0 PUSH 0 PUSH 1 PUSH 0x999 CALL POP {end}"))
+    w.set_balance(1, 10)
+    w.commit(0)
+    before = w.dump()
+    r = VM(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, value=1))
+    assert (r.status == STATUS_ACCEPTED) == kept
+    assert (0x999 in w.accounts) == kept
+    if not kept:
+        assert w.dump() == before
+
+
+@pytest.mark.parametrize("vm_cls", [VM, ReferenceVM], ids=["block-engine", "reference"])
+def test_calldata_count_must_fit_a_word(vm_cls):
+    """At width 8 CALLDATASIZE of 256 words would be no word: both VMs
+    refuse the tx, and read 255 words as 255, with no overflow on a checked
+    SUB of it."""
+    prog = _one_fn("CALLDATASIZE PUSH 0 SUB PUSH 1 RETURN")
+    w = _world(width=8)
+    addr = deploy(w, prog)
+    with pytest.raises(VmError, match="256 calldata words"):
+        vm_cls(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, [0] * 256))
+    r = vm_cls(w, TRACE_FULL).execute_transaction(Transaction(1, addr, 0x01, [0] * 255))
+    assert (r.status, r.return_data) == (STATUS_ACCEPTED, [255])
+    checked = [e.get("overflow") for e in per_block(r.trace) if e.kind == "ArithChecked"]
+    assert checked == [False]
 
 
 DELEGATE_LIB_SRC = """
@@ -729,13 +776,21 @@ def test_observable_behaviour_pinned_on_corpus():
 
 def test_every_trace_event_has_a_reader():
     """An uninstrumented TRACE_FULL trace holds only events the trace oracle
-    handles; a protected TRACE_CHECKS trace only the two detection reads."""
+    handles, its control flow as Region events alone: a tail IRET is a
+    one-step Region event, no CallReturn. A protected TRACE_CHECKS trace
+    holds only the two detection reads."""
     full: set[str] = set()
     checks: set[str] = set()
+    first_steps = set()
     for _name, guarded, receipt, _world, _charges in _vm_runs():
         (full if guarded is None else checks).update(ev.kind for ev in receipt.trace)
+        first_steps.update(
+            step_fields(ev.get("steps")[0])[0] for ev in receipt.trace if ev.kind == "Region"
+        )
     assert {"Region", "ExternalCallEnter", "ExternalCallReturn"} <= full
+    assert not {"CallEnter", "CallReturn"} & full
     assert [k for k in sorted(full) if k not in TraceOracle._HANDLERS] == []
+    assert STEP_IRET in first_steps
     assert checks == {"PathChecked", "Revert"}
 
 
@@ -1121,7 +1176,9 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
     for i, (calldata, value, gas_limit) in enumerate(txs):
         # a new owner table per tx, numbered apart from the last one's
         points = _offset_points(world, first=i) if mirrored else None
-        vm = vm_cls(world, level, {prog.name: checkers}, gas_points=points)
+        # TRACE_FULL takes no checkers, and TRACE_NONE traces none
+        traced = {prog.name: checkers} if level == TRACE_CHECKS else None
+        vm = vm_cls(world, level, traced, gas_points=points)
         r = vm.execute_transaction(
             Transaction(_DIFF_ORIGIN, addr, 0x01, calldata, value, gas_limit)
         )
@@ -1140,7 +1197,8 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
 def test_block_engine_matches_per_instruction_reference(case):
     """Receipts, traces, per-offset charges and world state equal those of the
     per-instruction loop in tests/vm_reference.py, at TRACE_FULL, at
-    TRACE_CHECKS with every offset its own gas point, and at TRACE_NONE."""
+    TRACE_CHECKS with every offset its own gas point and the drawn
+    checkers, and at TRACE_NONE."""
     _assert_matches_reference(*case)
 
 
@@ -1192,10 +1250,11 @@ def test_compiled_block_matches_reference(body, calldata, returned):
 
 
 def test_checker_calls_are_traced_at_checks_and_full():
-    """Each ICALL of a function named as a checker is one PathChecked event,
-    at the ICALL's offset in its caller, carrying the top word and ahead of
-    CallEnter. Other ICALLs and memory stores raise none, nor does
-    TRACE_NONE; the reference VM traces the same events."""
+    """At TRACE_CHECKS each ICALL of a function named as a checker is one
+    PathChecked event, at the ICALL's offset in its caller, carrying the top
+    word. Other ICALLs and memory stores raise none, nor does TRACE_NONE.
+    TRACE_FULL refuses checkers, and traces every ICALL as a step, checker
+    or not. The reference VM traces the same events."""
     prog = assemble("""
 contract t {
   fn f external selector=0x01 {
@@ -1210,7 +1269,13 @@ contract t {
     for level in (TRACE_NONE, TRACE_CHECKS, TRACE_FULL):
         w = _world()
         addr = deploy(w, prog)
-        r = VM(w, level, {"t": checkers}).execute_transaction(Transaction(1, addr, 0x01, [43]))
+        if level == TRACE_FULL:
+            with pytest.raises(VmError, match="TRACE_FULL traces no checkers"):
+                VM(w, level, {"t": checkers})
+            vm = VM(w, level)
+        else:
+            vm = VM(w, level, {"t": checkers})
+        r = vm.execute_transaction(Transaction(1, addr, 0x01, [43]))
         assert r.status == STATUS_ACCEPTED
         traced[level] = [
             (e.kind, e.fn, e.offset, e.get("combined"), e.get("code"))
@@ -1222,8 +1287,7 @@ contract t {
         ("PathChecked", 0, 1, 42, "t"), ("PathChecked", 0, 4, 43, "t")
     ]
     assert traced[TRACE_FULL] == [
-        ("PathChecked", 0, 1, 42, "t"), ("CallEnter", 0, 1, None, None),
-        ("PathChecked", 0, 4, 43, "t"), ("CallEnter", 0, 4, None, None),
+        ("CallEnter", 0, 1, None, None), ("CallEnter", 0, 4, None, None),
         ("CallEnter", 0, 9, None, None),
     ]
     _assert_matches_reference(Config(), prog, [([43], 0, 10_000)], checkers)
@@ -1531,23 +1595,24 @@ contract t {
 """
 
 
-def _full_trace(prog, checkers=frozenset(), gas_limit=10_000) -> list[tuple]:
+def _full_trace(prog, gas_limit=10_000) -> list[tuple]:
     """(kind, fn, offset) of each event of one TRACE_FULL run of ``prog``."""
     w = _world()
     addr = deploy(w, prog)
-    r = VM(w, TRACE_FULL, {prog.name: checkers}).execute_transaction(
+    r = VM(w, TRACE_FULL).execute_transaction(
         Transaction(1, addr, 0x01, gas_limit=gas_limit)
     )
     return [(e.kind, e.fn, e.offset) for e in per_block(r.trace)]
 
 
 def test_full_trace_of_an_inlined_checker_call():
-    """At TRACE_FULL the region runs ``chk`` inlined, and its checker ICALL
-    traces PathChecked, then CallEnter, then ``chk``'s BlockEnter."""
+    """At TRACE_FULL the region runs ``chk`` inlined, and its ICALL traces
+    CallEnter, then ``chk``'s BlockEnter; the PathChecked of a checker
+    ICALL is traced at TRACE_CHECKS only."""
     prog = assemble(_INLINED_CALL_SRC)
     assert _region(prog)[4] == [("STOP", 7, ())]
-    assert _full_trace(prog, frozenset({1}))[:4] == [
-        ("BlockEnter", 0, 0), ("PathChecked", 0, 1), ("CallEnter", 0, 1), ("BlockEnter", 1, 0),
+    assert _full_trace(prog)[:3] == [
+        ("BlockEnter", 0, 0), ("CallEnter", 0, 1), ("BlockEnter", 1, 0),
     ]
     _assert_matches_reference(Config(), prog, [([], 0, 10_000)], frozenset({1}))
 
@@ -1663,7 +1728,8 @@ contract t {
 def test_untraced_and_checked_runs_share_one_decode():
     """Regions that a TRACE_NONE run decodes serve TRACE_CHECKS and TRACE_FULL
     runs of the same program, which decode and compile nothing more and
-    still trace their inlined call's events: the trace level is read from
+    still trace their inlined call's events (its PathChecked at
+    TRACE_CHECKS, its steps at TRACE_FULL): the trace level is read from
     the frame."""
     prog = assemble("""
 contract t {
@@ -1681,9 +1747,9 @@ contract t {
     checkers = {"t": frozenset({1})}
     r = VM(w, TRACE_CHECKS, checkers).execute_transaction(tx)
     assert [(e.kind, e.get("combined")) for e in r.trace] == [("PathChecked", 5)]
-    r = VM(w, TRACE_FULL, checkers).execute_transaction(tx)
+    r = VM(w, TRACE_FULL).execute_transaction(tx)
     assert [(e.kind, e.fn, e.offset) for e in per_block(r.trace)] == [
-        ("BlockEnter", 0, 0), ("PathChecked", 0, 2), ("CallEnter", 0, 2),
+        ("BlockEnter", 0, 0), ("CallEnter", 0, 2),
         ("BlockEnter", 1, 0), ("CallReturn", 1, 1), ("BlockEnter", 0, 3),
     ]
     assert [len(regions) for regions in tables] == decoded == [1, 0]

@@ -1,7 +1,8 @@
 """Per-block view of a trace, for tests that compare or list trace events.
 
-The VM traces a region's control flow as one ``Region`` event per flush,
-whose steps the trace oracle walks. ``per_block`` expands each into the
+At TRACE_FULL the VM traces control flow as ``Region`` events alone: one
+per region path, and one of a single step per tail ICALL or IRET, whose
+steps the trace oracle walks. ``per_block`` expands each into the
 events the per-instruction reference (``tests/vm_reference.py``) traces for
 those steps, so traces compare with the reference and with listings, and the
 corpus digest reads the events it always read.
@@ -28,9 +29,9 @@ def per_block(trace: list[TraceEvent]) -> list[TraceEvent]:
     ArithChecked, CallEnter and CallReturn events.
 
     A step's function is the event's ``fn``, then each ICALL's callee, and
-    the caller again after each IRET; an IRET may return below the
-    function its event started in, so the functions each message frame runs
-    are tracked across events.
+    the caller again after each IRET; a tail IRET's one-step event returns
+    below the function it started in, so the functions each message frame
+    runs are tracked across events.
     """
     out: list[TraceEvent] = []
     frames: list[list[int]] = []  # per message frame, its internal call stack
@@ -41,10 +42,6 @@ def per_block(trace: list[TraceEvent]) -> list[TraceEvent]:
             frames.append([ev.get("fn")])
         elif ev.kind == "ExternalCallReturn":
             frames.pop()
-        elif ev.kind == "CallEnter":
-            frames[-1].append(ev.get("callee"))
-        elif ev.kind == "CallReturn":
-            frames[-1].pop()
         if ev.kind != "Region":
             out.append(ev)
             continue
