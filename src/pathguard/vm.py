@@ -150,7 +150,7 @@ _NULLARY = {
 # at the top when its source uses them.
 _LOCALS = {
     "W": "X.world", "A": "X.addr", "C": "X.calldata", "P": "X.pool", "R": "X.ret",
-    "F": "X.full", "K": "X.checkers",
+    "F": "X.full", "B": "X.bits", "K": "X.checkers",
 }
 # the frame locals each op's source reads
 _READS = {_TSTORE: ("W", "A")}
@@ -176,11 +176,12 @@ class TraceEvent:
     """One traced event; readers must not mutate its ``detail``.
 
     At TRACE_FULL control flow is traced as ``Region`` events alone: one
-    per region path (see ``_source``), and one of a single step per tail
-    ``ICALL`` or ``IRET``. ``fn`` is the function its first step runs in
-    and ``offset`` that step's pc; its detail holds the frame's ``code``,
-    ``steps``, a constant tuple of ``region_step`` ints in trace order, and
-    ``bits``, the overflow bits of its checked ops in the same order."""
+    per region path with steps, and one of a single step per tail ``ICALL``
+    or ``IRET``. ``fn`` is the function its first step runs in and
+    ``offset`` that step's pc; its detail holds the frame's ``code``,
+    ``steps``, its exit's tuple of ``region_step`` ints in trace order (see
+    ``_unit``), and ``bits``, the overflow bits of its checked ops in the
+    same order, recorded by the compiled code."""
 
     kind: str
     contract: int
@@ -412,9 +413,11 @@ def _engine_key(gas: GasSchedule, mask: int) -> tuple:
     """What a decoded unit depends on: the price table and the word mask.
 
     One object per (schedule, mask), so that ``ContractProgram.units`` can
-    tell its tables are current by identity. The trace a region writes is
-    not part of it: compiled code reads it from its ``_Frame``, so the
-    regions that setup transactions decode untraced serve detection too.
+    tell its tables are current by identity. The trace level is not part
+    of it: a region path's steps sit in its exit table, and compiled code
+    reads from its ``_Frame`` whether to record overflow bits, so the
+    regions that setup transactions decode untraced serve training and
+    detection too.
     """
     return price_table(gas), mask
 
@@ -423,14 +426,15 @@ class _Frame:
     """What compiled code reads of its message frame besides the stack and
     memory: ``ret`` holds the last message call's return data, and
     ``checkers`` the ids of the functions whose ``ICALL`` is a PathChecked
-    event (only at TRACE_CHECKS). The environment words are masked, and
-    ``full`` asks for the TRACE_FULL events. Its methods trace PathChecked
-    and Region events: those of compiled code and the one-step event of a
-    tail ``ICALL`` or ``IRET``."""
+    event (only at TRACE_CHECKS). The environment words are masked.
+    ``full`` asks for the TRACE_FULL events; then ``bits`` gets the overflow
+    bit of each checked op a region path runs, until ``_run_frame`` traces
+    them with the path's steps. Its methods trace PathChecked and Region
+    events."""
 
     __slots__ = (
         "world", "addr", "code", "calldata", "pool", "ret", "trace", "checkers",
-        "caller", "origin", "address", "value", "full",
+        "caller", "origin", "address", "value", "full", "bits",
     )
 
     def __init__(
@@ -442,7 +446,7 @@ class _Frame:
         self.trace, self.checkers = vm.trace, checkers or frozenset()
         self.caller, self.origin = caller & mask, origin & mask
         self.address, self.value = addr & mask, value & mask
-        self.full = vm.trace_level >= TRACE_FULL
+        self.full, self.bits = vm.trace_level >= TRACE_FULL, []
 
     def path_checked(self, fid: int, pc: int, combined: int | None) -> None:
         detail = {"combined": combined, "code": self.code}
@@ -506,15 +510,12 @@ def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple
 class _Node:
     """One block of a region: the ops its compiled code runs, in function
     ``fid``, and what follows them. Each of ``kids`` is a ``_Node`` or an
-    exit id; a block with two kids ends in a ``JUMPI``, taken arm first.
-    ``enter`` is the block's start pc when it is a leader of its function,
-    a ``STEP_BLOCK`` of the Region events that TRACE_FULL traces, else
-    None."""
+    exit id; a block with two kids ends in a ``JUMPI``, taken arm first."""
 
-    __slots__ = ("fid", "enter", "ops", "kids")
+    __slots__ = ("fid", "ops", "kids")
 
-    def __init__(self, fid: int, enter: int | None):
-        self.fid, self.enter, self.ops, self.kids = fid, enter, [], []
+    def __init__(self, fid: int):
+        self.fid, self.ops, self.kids = fid, [], []
 
 
 def _unit(
@@ -546,35 +547,36 @@ def _unit(
     at which none of its inlined ``ICALL``s fails; ``run`` its code, built by
     ``_compile`` from ``_source`` (None when no stack can pass its entry
     check), which returns an exit id. Exit ``i`` is ``[gas, next pc, tail,
-    frames, fid, segments, None, ()]``: the gas of the path to it; the pc it
-    leaves to; its last op as ``(op, imm, pc)`` when ``_run_frame`` runs that
-    op (a tail: any block-ending op but a ``JUMP``, a ``JUMPI`` or an inlined
-    ``ICALL`` or ``IRET``, or ``_FAIL``), else None; the internal frames
-    ``(fid, return pc)`` that it leaves open and the function it leaves in;
-    and the ``(fid, start, end)`` op ranges whose charges it adds (all ops on
-    its path but a ``_SELF_CHARGED`` tail). The last two slots cache its
-    ``_point_totals`` for one owner table.
+    frames, fid, segments, steps, None, ()]``: the gas of the path to it; the
+    pc it leaves to; its last op as ``(op, imm, pc)`` when ``_run_frame``
+    runs that op (a tail: any block-ending op but a ``JUMP``, a ``JUMPI`` or
+    an inlined ``ICALL`` or ``IRET``, or ``_FAIL``), else None; the internal
+    frames ``(fid, return pc)`` that it leaves open and the function it
+    leaves in; the ``(fid, start, end)`` op ranges whose charges it adds
+    (all ops on its path but a ``_SELF_CHARGED`` tail); and its path's
+    Region steps, ``region_step`` ints in trace order. The last two slots
+    cache its ``_point_totals`` for one owner table.
     """
     single = entry is not None
     budget = _REGION_OPS
     exits: list[list] = []
     need = peak = depth = cost = 0
-    root = _Node(fid, start if start in functions[fid].leaders else None)
+    root = _Node(fid)
     ops, end, fail = _scan(functions[fid].body, start, prices, mask, entry)
     # per block: its node and scan, its function and start, then the gas,
     # stack height, open frames and nested branches at its entry, the
-    # (frames, pc) of each block before it and their op ranges
+    # (frames, pc) of each block before it, their op ranges and their steps
     queue = collections.deque(
-        [(root, ops, end, fail, fid, start, 0, 0, (), 0, frozenset(), ())]
+        [(root, ops, end, fail, fid, start, 0, 0, (), 0, frozenset(), (), ())]
     )
 
-    def leave(gas, nxt, tail, frames, at, segs) -> int:
+    def leave(gas, nxt, tail, frames, at, segs, steps) -> int:
         nonlocal cost
         cost = max(cost, gas)
-        exits.append([gas, nxt, tail, frames, at, segs, None, ()])
+        exits.append([gas, nxt, tail, frames, at, segs, steps, None, ()])
         return len(exits) - 1
 
-    def go(gas, height, at, pc, frames, nest, path, segs):
+    def go(gas, height, at, pc, frames, nest, path, segs, steps):
         """The kid that goes on at ``pc`` of function ``at``: a block of the
         region, or an exit to it."""
         nonlocal budget
@@ -588,14 +590,20 @@ def _unit(
             ops, end, _ = _scan(body, pc, prices, mask)
             if len(ops) <= budget:
                 budget -= len(ops)
-                node = _Node(at, pc if pc in functions[at].leaders else None)
-                queue.append((node, ops, end, None, at, pc, gas, height, frames, nest, path, segs))
+                node = _Node(at)
+                queue.append(
+                    (node, ops, end, None, at, pc, gas, height, frames, nest, path, segs, steps)
+                )
                 return node
-        return leave(gas, pc, None, frames, at, segs)
+        return leave(gas, pc, None, frames, at, segs, steps)
 
     while queue:
-        node, ops, end, fail, at, pc, gas, height, frames, nest, path, segs = queue.popleft()
+        node, ops, end, fail, at, pc, gas, height, frames, nest, path, segs, steps = (
+            queue.popleft()
+        )
         path = path | {(frames, pc)}
+        # a block after an SSTORE tail starts at no leader, and is no step
+        steps += (region_step(STEP_BLOCK, pc),) if pc in functions[at].leaders else ()
         for op, imm, opc, price, reads, delta in ops:
             gas += price
             need = max(need, reads - height)
@@ -603,24 +611,27 @@ def _unit(
             peak = max(peak, height)
             if op not in _ENDS and op != _JUMPDEST:
                 node.ops.append((op, imm, opc))
+                if op in _CHECKED_STEP:
+                    steps += (region_step(_CHECKED_STEP[op], opc),)
         segs += ((at, pc, end),)
         kids = node.kids
         if fail is not None:  # cut short before its failing op
-            kids.append(leave(gas, end, fail, frames, at, segs))
+            kids.append(leave(gas, end, fail, frames, at, segs, steps))
             continue
         op, imm, opc = ops[-1][:3]
         if op not in _ENDS:  # a fall-through
-            kids.append(go(gas, height, at, end, frames, nest, path, segs))
+            kids.append(go(gas, height, at, end, frames, nest, path, segs, steps))
         elif op == _JUMP:
-            kids.append(go(gas, height, at, imm, frames, nest, path, segs))
+            kids.append(go(gas, height, at, imm, frames, nest, path, segs, steps))
         elif op == _JUMPI:
             node.ops.append((op, imm, opc))
-            kids.append(go(gas, height, at, imm, frames, nest + 1, path, segs))
-            kids.append(go(gas, height, at, end, frames, nest, path, segs))
+            kids.append(go(gas, height, at, imm, frames, nest + 1, path, segs, steps))
+            kids.append(go(gas, height, at, end, frames, nest, path, segs, steps))
         elif op == _IRET and frames:
             node.ops.append((op, imm, opc))
+            steps += (region_step(STEP_IRET, opc),)
             caller, back = frames[-1]
-            kids.append(go(gas, height, caller, back, frames[:-1], nest, path, segs))
+            kids.append(go(gas, height, caller, back, frames[:-1], nest, path, segs, steps))
         elif (
             op == _ICALL
             and not single
@@ -629,13 +640,14 @@ def _unit(
             and all(caller != imm for caller, _back in frames)
         ):
             node.ops.append((op, imm, opc))
+            steps += (region_step(STEP_ICALL, opc, imm),)
             inner = frames + ((at, end),)
             depth = max(depth, len(inner))
-            kids.append(go(gas, height, imm, 0, inner, nest, path, segs))
+            kids.append(go(gas, height, imm, 0, inner, nest, path, segs, steps))
         else:
             if op in _SELF_CHARGED:
                 segs = segs[:-1] + ((at, pc, end - 1),)
-            kids.append(leave(gas, end, (op, imm, opc), frames, at, segs))
+            kids.append(leave(gas, end, (op, imm, opc), frames, at, segs, steps))
     run = None
     # a region that needs more words than the stack can hold (DUP 0, SWAP 0,
     # or an immediate past OPERAND_STACK_LIMIT) always fails its entry check
@@ -656,17 +668,14 @@ def _source(root: _Node, mask: int) -> str:
     and each arm goes on with its own copy of the symbolic stack. Reads and
     writes of memory, storage and the environment run in op order at their
     own pc, as does the PathChecked event of an inlined checker ``ICALL``
-    (traced at TRACE_CHECKS only). The TRACE_FULL control flow of a path is
-    its static steps (``region_step``: a block with an ``enter`` pc, an
-    inlined ``ICALL`` and ``IRET``, a checked op), carried like the
-    symbolic stack into both arms of each ``JUMPI`` and traced as one
-    Region event, under one test of the frame's ``full`` flag, at the
-    path's exit: a constant tuple of the steps and a tuple of the checked
-    ops' overflow tests. The operands of those tests are single-assignment
-    locals, so a test deferred to the exit still reads them. Each exit
-    writes ``S`` once with its path's net change. Only
-    ints from the ops and the arguments, each through ``operator.index``,
-    are rendered into the source; it names no other value.
+    (traced at TRACE_CHECKS only). Of the TRACE_FULL trace, a region's
+    code renders only what it alone knows: before each checked op's
+    result, under a test of the frame's ``full`` flag, it appends the op's
+    overflow bit to the frame's ``bits``. A path's static steps sit in its
+    exit record (see ``_unit``). Each exit writes ``S`` once with its
+    path's net change. Only ints from the ops and the arguments, each
+    through ``operator.index``, are rendered into the source; it names no
+    other value.
     """
     index = operator.index
     mask = index(mask)
@@ -674,15 +683,7 @@ def _source(root: _Node, mask: int) -> str:
     used: set[str] = set()  # entry words and frame locals the source reads
     count = deepest = 0
 
-    def region(steps: list[int], bits: list[str]) -> str:
-        """The call that traces ``steps`` and ``bits`` of a path from the root."""
-        used.add("F")
-        tests = "".join(f"{bit}, " for bit in bits)
-        return f"X.region({index(root.fid)}, ({', '.join(map(str, steps))},), ({tests}))"
-
-    def leave(stack: list, taken: int, pad: str, kids: list, trail, cond=None) -> None:
-        if trail[0]:
-            lines.append(f"{pad}if F: {region(*trail)}")
+    def leave(stack: list, taken: int, pad: str, kids: list, cond=None) -> None:
         # write back the words above the deepest entry word still in place
         keep = 0
         while keep < min(taken, len(stack)) and stack[keep] == f"e{taken - keep}":
@@ -705,11 +706,9 @@ def _source(root: _Node, mask: int) -> str:
         else:
             lines.append(f"{pad}return {index(kids[0])} if {cond} else {index(kids[1])}")
 
-    def walk(node, stack: list, taken: int, pad: str, trail: tuple) -> None:
+    def walk(node, stack: list, taken: int, pad: str) -> None:
         """Render ``node`` and the blocks after it; recurses only into the
-        taken arm of a ``JUMPI``. ``trail`` is the path's (steps, overflow
-        tests) so far."""
-        steps, bits = list(trail[0]), list(trail[1])
+        taken arm of a ``JUMPI``."""
 
         def take(k: int) -> None:
             nonlocal taken, deepest
@@ -734,8 +733,6 @@ def _source(root: _Node, mask: int) -> str:
         while not isinstance(node, int):
             fid = index(node.fid)
             cond = None
-            if node.enter is not None:
-                steps.append(region_step(STEP_BLOCK, index(node.enter)))
             for op, imm, pc in node.ops:
                 pc = index(pc)
                 used.update(_READS.get(op, ()))
@@ -756,9 +753,9 @@ def _source(root: _Node, mask: int) -> str:
                     take(2)
                     y, x = pop(), pop()
                     sign = _CHECKED[op]
+                    used.update(("F", "B"))
+                    lines.append(f"{pad}if F: B.append(not 0 <= {x} {sign} {y} <= {mask})")
                     result(f"({x} {sign} {y}) & {mask}")
-                    steps.append(region_step(_CHECKED_STEP[op], pc))
-                    bits.append(f"not 0 <= {x} {sign} {y} <= {mask}")
                 elif op in _BINARY:
                     take(2)
                     y, x = pop(), pop()
@@ -784,27 +781,24 @@ def _source(root: _Node, mask: int) -> str:
                         top = f"S[-{taken + 1}] if len(S) > {taken} else None"
                     used.add("K")
                     lines.append(f"{pad}if {index(imm)} in K: X.path_checked({fid}, {pc}, {top})")
-                    steps.append(region_step(STEP_ICALL, pc, index(imm)))
-                elif op == _IRET:  # inlined
-                    steps.append(region_step(STEP_IRET, pc))
                 elif op == _JUMPI:
                     take(1)
                     cond = pop()
-                else:
+                elif op != _IRET:  # an inlined IRET runs nothing
                     raise ValueError(f"{_OPS[op].value} is not a straight-line op")
             kids = node.kids
             if cond is None:
                 node = kids[0]
             elif all(isinstance(kid, int) for kid in kids):
-                leave(stack, taken, pad, kids, (steps, bits), cond)
+                leave(stack, taken, pad, kids, cond)
                 return
             else:
                 lines.append(f"{pad}if {cond}:")
-                walk(kids[0], list(stack), taken, pad + "    ", (steps, bits))
+                walk(kids[0], list(stack), taken, pad + "    ")
                 node = kids[1]
-        leave(stack, taken, pad, [node], (steps, bits))
+        leave(stack, taken, pad, [node])
 
-    walk(root, [], 0, "    ", ((), ()))
+    walk(root, [], 0, "    ")
     head = [f"    {name} = {load}" for name, load in _LOCALS.items() if name in used]
     head += [f"    e{k} = S[-{k}]" for k in range(1, deepest + 1) if f"e{k}" in used]
     return "def run(S, M, X):\n" + "".join(f"{line}\n" for line in head + lines)
@@ -866,9 +860,10 @@ class VM:
         # checkers maps a code name to its checker function ids: at
         # TRACE_CHECKS, each ICALL of one is a PathChecked event that
         # carries the word on top of the stack as ``combined``. TRACE_FULL
-        # traces uninstrumented runs for the trace oracle, so it takes none.
-        if trace_level >= TRACE_FULL and checkers and any(checkers.values()):
-            raise VmError("TRACE_FULL traces no checkers: trace them at TRACE_CHECKS")
+        # traces uninstrumented runs for the trace oracle and TRACE_NONE
+        # traces nothing, so they take none.
+        if trace_level != TRACE_CHECKS and checkers and any(checkers.values()):
+            raise VmError("checkers are traced at TRACE_CHECKS only")
         self.checkers = checkers
         # gas_points maps a code name to (owners, acc): owners[fid][offset] is
         # the point that owns the offset, or -1, and each charge at an owned
@@ -953,9 +948,12 @@ class VM:
         opens the internal frames it leaves open, and runs its tail: the ops
         that check runtime values (the RETURN/REVERT word count, the CALL
         argument count, the SSTORE price, the ICALL depth and IRET), and
-        STOP. A tail ICALL traces its own PathChecked, and a tail ICALL or
-        IRET its own one-step Region event, where an inlined one is a step
-        of its region's Region event. Each tail adds its own charge to a
+        STOP. At TRACE_FULL, first, an exit with steps traces them as its
+        path's Region event, in the function the region was entered in,
+        with the overflow bits its code recorded in the frame. A tail ICALL
+        traces its own PathChecked, and a tail ICALL or IRET its own
+        one-step Region event, where an inlined one is a step of its
+        region's Region event. Each tail adds its own charge to a
         mirrored point once its check passes. A region that fails its entry check
         is decoded again for that entry, uncached: its first block alone,
         cut short before the first op that fails there, whose ``_FAIL``
@@ -978,15 +976,12 @@ class VM:
         gas_used = self.gas_used
         name = code.name
         functions = code.functions
-        checkers = (
-            self.checkers.get(name)
-            if self.checkers and self.trace_level >= TRACE_CHECKS
-            else None
-        )
+        checkers = self.checkers.get(name) if self.checkers else None
 
         stack: list[int] = []
         memory: dict[int, int] = {}
         frame = _Frame(self, code, self_addr, calldata, caller, origin, value, checkers)
+        full, bits = frame.full, frame.bits
         # Internal call frames: (function id, return pc). The operand stack
         # and memory are shared across internal frames.
         ifid = fid
@@ -1020,12 +1015,15 @@ class VM:
                         functions, ifid, pc, prices, mask, entry
                     )
                 out = exits[run(stack, memory, frame)]
-                cost, nxt, tail, frames, at, segs, seen, totals = out
+                cost, nxt, tail, frames, at, segs, steps, seen, totals = out
+                if full and steps:
+                    frame.region(ifid, steps, tuple(bits))
+                    bits.clear()
                 gas_used += cost
                 if acc is not None:
                     if seen is not owners:
                         totals = _point_totals(functions, segs, prices, owners)
-                        out[6], out[7] = owners, totals
+                        out[7], out[8] = owners, totals
                     for pid, charge in totals:
                         acc[pid] += charge
                 if frames:
@@ -1041,7 +1039,7 @@ class VM:
                             raise _FrameFailure("internal call depth exceeded")
                         if checkers is not None and imm in checkers:
                             frame.path_checked(ifid, pc, stack[-1] if stack else None)
-                        if frame.full:
+                        if full:
                             frame.region(ifid, (region_step(STEP_ICALL, pc, imm),), ())
                         if acc is not None:
                             if own[pc] >= 0:
@@ -1054,7 +1052,7 @@ class VM:
                     elif op == _IRET:
                         if not istack:
                             raise _FrameFailure("IRET outside internal call")
-                        if frame.full:
+                        if full:
                             frame.region(ifid, (region_step(STEP_IRET, pc),), ())
                         if acc is not None and own[pc] >= 0:
                             acc[own[pc]] += prices[op]

@@ -1,5 +1,7 @@
 """Assembler/disassembler: round trips, validation errors, sizes."""
 
+import copy
+
 import pytest
 
 from pathguard.asm import AsmError, assemble, disassemble
@@ -10,6 +12,7 @@ from pathguard.program import (
     derive_selector,
     validate_program,
 )
+from pathguard.workflow import Bundle
 
 
 def test_minimal_contract_byte_size():
@@ -122,3 +125,63 @@ def test_derived_selectors_deterministic_and_nonzero():
 def test_body_must_terminate():
     with pytest.raises(ValidationError, match="terminator"):
         assemble("contract t { fn f external { PUSH 1 POP } }")
+
+
+_SERIALIZED = assemble(
+    "contract p { fn f external selector=0x1 { PUSH 1 JUMPI end end: JUMPDEST STOP }"
+    " fn g internal { IRET } }"
+).to_json()
+
+
+def _set(path: tuple, value):
+    """An edit of the serialized program that sets the field at ``path``."""
+
+    def edit(raw: dict) -> None:
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (_set(("functions", 1, "visibility"), "public"),
+         "bundle contracts[0] p functions[1]: unknown visibility 'public'"),
+        (_set(("selector_table",), {"zz": 0}),
+         "bundle contracts[0] p: selector_table key is not hex: 'zz'"),
+        (_set(("callsites",), {"0-1": {}}),
+         "bundle contracts[0] p: callsites key is not 'fid:offset': '0-1'"),
+        (_set(("functions", 0, "body", 0), ["PUSH"]),
+         "bundle contracts[0] p functions[0] body[0]: not an [op, immediate] pair: ['PUSH']"),
+        (_set(("functions", 0, "body", 0), ["FOO", None]),
+         "bundle contracts[0] p functions[0] body[0]: 'FOO' is not a valid Op"),
+        (_set(("functions", 0, "body", 3), ["STOP", 5]),
+         "bundle contracts[0] p functions[0] body[3]: STOP: immediate mismatch"),
+        (_set(("functions", 1, "id"), 0), "p.g: function id out of order"),
+        (_set(("functions", 1, "name"), "f"), "p: duplicate function 'f'"),
+        (_set(("functions", 1, "body"), []), "p.g: empty body"),
+        (_set(("functions", 0, "body", 1), ["JUMPI", 99]), "p.f@1: invalid jump target 99"),
+        (_set(("selector_table",), {"0x2": 1}), "p: selector maps to internal 'g'"),
+        (_set(("selector_table",), {"0x0": 0}), "p: selector 0 is reserved for the fallback"),
+        (_set(("fallback_id",), 1), "p: fallback must be external"),
+    ],
+    ids=[
+        "unknown-visibility", "selector-key-not-hex", "callsite-key-not-fid-offset",
+        "body-entry-not-a-pair", "unknown-op", "misplaced-immediate", "id-out-of-order",
+        "duplicate-function", "empty-body", "jump-target-past-the-body",
+        "selector-to-internal", "selector-zero", "internal-fallback",
+    ],
+)
+def test_a_serialized_program_is_refused_naming_its_field(edit, needle):
+    """Each ValidationError of the program loader and of ``validate_program``,
+    reached through a bundle's ``program`` entry: the message names the
+    field, the function or the offset at fault."""
+    Bundle.from_json({"contracts": [{"program": copy.deepcopy(_SERIALIZED)}]})
+    raw = copy.deepcopy(_SERIALIZED)
+    edit(raw)
+    with pytest.raises(ValidationError) as info:
+        Bundle.from_json({"contracts": [{"program": raw}]})
+    assert type(info.value) is ValidationError
+    assert str(info.value) == needle

@@ -347,6 +347,31 @@ def test_protect_past_the_size_limit_exits_3(tmp_path, capsys):
     assert not guarded.exists()
 
 
+def test_train_past_the_combined_index_space_exits_2(tmp_path, capsys):
+    """At width 8 a combined index must fit 7 bits. ``h`` is four diamonds
+    in sequence (16 paths) and ``f`` calls it from 9 sites (9 calling
+    contexts), so h's combined index space is 144: train exits 2 naming
+    the function and the bound, and writes no snapshot."""
+    diamonds = "".join(
+        f"PUSH {i} CALLDATALOAD JUMPI t{i} JUMP j{i} t{i}: JUMPDEST j{i}: JUMPDEST "
+        for i in range(4)
+    )
+    source = (
+        "contract c { fn f external selector=0x1 { " + "ICALL h " * 9 + "STOP }"
+        " fn h internal { " + diamonds + "IRET } }"
+    )
+    bundle = tmp_path / "c.bundle.json"
+    bundle.write_text(json.dumps({"config": {"word_width": 8}, "contracts": [{"source": source}]}))
+    stream = tmp_path / "c.train.jsonl"
+    stream.write_text(json.dumps({"origin": 1, "to": "c", "fn": "f"}) + "\n")
+    snapshot = tmp_path / "snap.json"
+    code = cli.main(["train", str(bundle), str(stream), "-o", str(snapshot)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION, err
+    assert err == "error: c.fn1: combined index space 144 exceeds 2**7\n"
+    assert not snapshot.exists()
+
+
 def _exit_2(capsys, argv, *needles) -> None:
     code = cli.main([str(a) for a in argv])
     err = capsys.readouterr().err

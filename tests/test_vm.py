@@ -27,6 +27,8 @@ from pathguard.vm import (
     STATUS_ACCEPTED,
     STATUS_OUT_OF_GAS,
     STATUS_REVERTED,
+    STEP_ADD,
+    STEP_BLOCK,
     STEP_IRET,
     TRACE_CHECKS,
     TRACE_FULL,
@@ -45,6 +47,7 @@ from pathguard.vm import (
     deploy,
     execute_transaction,
     price_table,
+    region_step,
     step_fields,
 )
 from pathguard.workflow import (
@@ -1176,7 +1179,7 @@ def _diff_run(vm_cls, config, prog, txs, level, mirrored, checkers):
     for i, (calldata, value, gas_limit) in enumerate(txs):
         # a new owner table per tx, numbered apart from the last one's
         points = _offset_points(world, first=i) if mirrored else None
-        # TRACE_FULL takes no checkers, and TRACE_NONE traces none
+        # only TRACE_CHECKS takes checkers
         traced = {prog.name: checkers} if level == TRACE_CHECKS else None
         vm = vm_cls(world, level, traced, gas_points=points)
         r = vm.execute_transaction(
@@ -1252,9 +1255,10 @@ def test_compiled_block_matches_reference(body, calldata, returned):
 def test_checker_calls_are_traced_at_checks_and_full():
     """At TRACE_CHECKS each ICALL of a function named as a checker is one
     PathChecked event, at the ICALL's offset in its caller, carrying the top
-    word. Other ICALLs and memory stores raise none, nor does TRACE_NONE.
-    TRACE_FULL refuses checkers, and traces every ICALL as a step, checker
-    or not. The reference VM traces the same events."""
+    word. Other ICALLs and memory stores raise none. TRACE_NONE and
+    TRACE_FULL refuse checkers; TRACE_NONE traces nothing, and TRACE_FULL
+    traces every ICALL as a step, checker or not. The reference VM traces
+    the same events."""
     prog = assemble("""
 contract t {
   fn f external selector=0x01 {
@@ -1269,12 +1273,12 @@ contract t {
     for level in (TRACE_NONE, TRACE_CHECKS, TRACE_FULL):
         w = _world()
         addr = deploy(w, prog)
-        if level == TRACE_FULL:
-            with pytest.raises(VmError, match="TRACE_FULL traces no checkers"):
+        if level == TRACE_CHECKS:
+            vm = VM(w, level, {"t": checkers})
+        else:
+            with pytest.raises(VmError, match="checkers are traced at TRACE_CHECKS only"):
                 VM(w, level, {"t": checkers})
             vm = VM(w, level)
-        else:
-            vm = VM(w, level, {"t": checkers})
         r = vm.execute_transaction(Transaction(1, addr, 0x01, [43]))
         assert r.status == STATUS_ACCEPTED
         traced[level] = [
@@ -1756,6 +1760,44 @@ contract t {
     assert _compile.cache_info().misses == compiled
 
 
+def test_functions_with_one_body_share_one_compiled_region(monkeypatch):
+    """Two external functions with the same body decode to regions of one
+    source, compiled once: a path's steps sit in its exit record, so the
+    source names no step, no Region call and no function, and renders one
+    overflow-bit line for its one checked op. Their Region events differ
+    only in ``fn``."""
+    prog = assemble("""
+contract t {
+  fn f external selector=0x01 { PUSH 0 CALLDATALOAD PUSH 1 ADD PUSH 1 RETURN }
+  fn g external selector=0x02 { PUSH 0 CALLDATALOAD PUSH 1 ADD PUSH 1 RETURN }
+}
+""")
+    sources = []
+
+    def source(root, mask):
+        sources.append(_source(root, mask))
+        return sources[-1]
+
+    monkeypatch.setattr(vm_module, "_source", source)
+    _tables.cache_clear()
+    _compile.cache_clear()
+    w = _world()
+    addr = deploy(w, prog)
+    events = []
+    for selector in (0x01, 0x02):
+        tx = Transaction(1, addr, selector, [_MASK64])
+        r = VM(w, TRACE_FULL).execute_transaction(tx)
+        assert (r.status, r.return_data) == (STATUS_ACCEPTED, [0])
+        events.append([(e.kind, e.contract, e.fn, e.offset, e.detail) for e in r.trace])
+    assert _compile.cache_info().misses == 1
+    assert len(sources) == 2 and sources[0] == sources[1]
+    assert "region" not in sources[0] and sources[0].count("B.append(") == 1
+    steps = (region_step(STEP_BLOCK, 0), region_step(STEP_ADD, 3))
+    detail = {"code": "t", "steps": steps, "bits": (True,)}
+    assert events == [[("Region", addr, 0, 0, detail)], [("Region", addr, 1, 0, detail)]]
+    _assert_matches_reference(Config(), prog, [([_MASK64], 0, 10_000)])
+
+
 def test_region_leaves_add_their_own_point_charges():
     """The two arms of one region charge each executed op's gas to its
     offset, in the function it ran in: the inlined ICALL to ``f``, ``g``'s
@@ -1837,7 +1879,7 @@ def test_non_int_immediates_never_reach_the_compiler(imm):
         validate_program(prog, Config())
     assert _compile.cache_info().misses == misses
     if not isinstance(imm, bool):
-        node = _Node(0, None)
+        node = _Node(0)
         node.ops.append((Op.PUSH.code, imm, 0))
         node.kids.append(0)
         with pytest.raises(TypeError):

@@ -68,9 +68,7 @@ class ReferenceVM(VM):
         full = self.trace_level >= TRACE_FULL
         emit = self._emit
         name = code.name
-        checkers = set()
-        if self.checkers and self.trace_level >= TRACE_CHECKS:
-            checkers = self.checkers.get(name, checkers)
+        checkers = self.checkers.get(name, set()) if self.checkers else set()
         pool = code.data_pool
 
         stack: list[int] = []
