@@ -64,6 +64,13 @@ class BundleAnalysis:
     region_effects: dict[tuple, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # detection's alarm memo: (code id, function id, combined) of an alarm
+    # entry -> its (ctx id, epp id, context chain, block path), as tuples
+    # (``workflow._enrich_alarm``); one entry per distinct alarmed pair,
+    # whatever contract address the entry names
+    alarm_decodes: dict[tuple[int, int, int], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def steps(self, contract: str, fid: int) -> dict[int, Steps]:
         """The function's step table (``step_table``), the trace oracle's

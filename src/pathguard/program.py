@@ -288,6 +288,11 @@ def validate_program(prog: ContractProgram, config: Config) -> None:
                 f"{prog.name}: data_pool[{i}] = {word!r} is not a word in [0, {mask:#x}]"
             )
     for sel, fid in prog.selector_table.items():
+        # a selector is a word: a CALL sends the one on its stack
+        if not 0 <= sel <= mask:
+            raise ValidationError(
+                f"{prog.name}: selector_table key {sel:#x} is not a word in [1, {mask:#x}]"
+            )
         if not 0 <= fid < len(prog.functions):
             raise ValidationError(f"{prog.name}: selector {sel:#x} maps to no function: {fid}")
         fn = prog.functions[fid]

@@ -253,6 +253,9 @@ class WorldState:
 
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.config = config
+        # the key of the decoded units every VM on this world runs
+        # (``_engine_key``), made once here and not per VM
+        self.engine_key = _engine_key(config.gas, config.mask)
         self.accounts: dict[int, Account] = {}
         self.transient: dict[int, dict[int, int]] = {}
         # contract addresses must fit a machine word
@@ -854,6 +857,11 @@ class VM:
         checkers: dict[str, frozenset[int]] | None = None,
         gas_points: dict[str, tuple[list[list[int]], list[int]]] | None = None,
     ):
+        """A machine on ``world`` at ``trace_level``. It runs the units
+        decoded under the world's engine key (``WorldState.engine_key``),
+        made once per world: a VM is made per transaction, and hashing the
+        gas schedule again for ``_engine_key``'s cache would cost more than
+        the rest of this."""
         self.world = world
         self.config = world.config
         self.trace_level = trace_level
@@ -870,7 +878,7 @@ class VM:
         # offset is added into acc[point]. Call sites are charged call_base;
         # callees report their own gas.
         self.gas_points = gas_points
-        self.key = _engine_key(self.config.gas, self.config.mask)
+        self.key = world.engine_key
         self.prices = self.key[0]
 
     # -- public entry ---------------------------------------------------------

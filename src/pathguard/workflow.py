@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 from .asm import assemble
@@ -226,9 +227,13 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
         if selector is None:
             raise WorkflowError(f"{name}.{fn} has no selector")
     else:
-        selector = read_word(fn, "transaction fn", WorkflowError, mask)
-    calldata = [deployed.resolve(w) for w in record.get("calldata", [])]
-    origin = read_word(record.get("origin", 1), "transaction origin", WorkflowError, mask)
+        selector = _tx_word(fn, "fn", mask)
+    # an int already in range is its own word: only the rest are resolved
+    calldata = [
+        w if type(w) is int and 0 <= w <= mask else deployed.resolve(w)
+        for w in record.get("calldata", [])
+    ]
+    origin = _tx_word(record.get("origin", 1), "origin", mask)
     if origin in deployed.names:
         raise WorkflowError(
             f"transaction {record}: origin {origin:#x} is the address of "
@@ -239,12 +244,18 @@ def parse_tx(record: dict, deployed: DeployedWorld, bundle: Bundle) -> Transacti
         to=to,
         selector=selector,
         calldata=calldata,
-        value=read_word(record.get("value", 0), "transaction value", WorkflowError, mask),
+        value=_tx_word(record.get("value", 0), "value", mask),
         # a gas budget, not a machine word
-        gas_limit=read_word(
-            record.get("gas_limit", 10_000_000), "transaction gas_limit", WorkflowError
-        ),
+        gas_limit=_tx_word(record.get("gas_limit", 10_000_000), "gas_limit", None),
     )
+
+
+def _tx_word(value, what: str, bound: int | None) -> int:
+    """``read_word`` of transaction field ``what``; an int already in
+    [0, bound] is its own word, and is not read again."""
+    if type(value) is int and 0 <= value and (bound is None or value <= bound):
+        return value
+    return read_word(value, f"transaction {what}", WorkflowError, bound)
 
 
 def load_txs(path: str | Path) -> list[dict]:
@@ -513,16 +524,50 @@ class TxOutcome:
 
 @dataclass
 class DetectionRun:
+    """A detection stream's worlds (the guarded one and, for overhead
+    accounting, its uninstrumented mirror), outcomes and alarms.
+
+    ``point_sums`` maps each instrumented contract to the guard gas and the
+    hits of each of its points (indexed as ``InstrumentedContract.points``),
+    summed over the reconciled txs; a hit is one point that charged gas in
+    one tx. ``_reconcile`` adds each tx's charges to them point by point;
+    ``point_gas`` and ``point_hits`` fold them by (code name, point kind)
+    when read. ``recon_failures`` lists the mirrored txs whose gas did not
+    balance."""
+
     guarded: GuardedBundle
     deployed: DeployedWorld
     mirror: DeployedWorld | None
     outcomes: list[TxOutcome] = field(default_factory=list)
     alarm_log: list[AlarmRecord] = field(default_factory=list)
-    # guard gas and hits per (code name, point kind), summed over reconciled
-    # txs; a hit is one point that charged gas in one tx
-    point_gas: dict[tuple[str, str], int] = field(default_factory=dict)
-    point_hits: dict[tuple[str, str], int] = field(default_factory=dict)
     recon_failures: list[int] = field(default_factory=list)
+    point_sums: dict[str, tuple[list[int], list[int]]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.point_sums = {
+            name: ([0] * len(inst.points), [0] * len(inst.points))
+            for name, inst in self.guarded.instrumented.items()
+        }
+
+    @property
+    def point_gas(self) -> dict[tuple[str, str], int]:
+        """Guard gas per (code name, point kind), over reconciled txs."""
+        return self._by_kind(0)
+
+    @property
+    def point_hits(self) -> dict[tuple[str, str], int]:
+        """Hits per (code name, point kind), over reconciled txs."""
+        return self._by_kind(1)
+
+    def _by_kind(self, which: int) -> dict[tuple[str, str], int]:
+        folded: dict[tuple[str, str], int] = {}
+        for name, sums in self.point_sums.items():
+            points = self.guarded.instrumented[name].points
+            for pid, amount in enumerate(sums[which]):
+                if amount:
+                    key = (name, points[pid].kind)
+                    folded[key] = folded.get(key, 0) + amount
+        return folded
 
     def next_index(self) -> int:
         return len(self.outcomes)
@@ -601,7 +646,7 @@ def run_transaction(run: DetectionRun, record: dict) -> TxOutcome:
 
     status, raws = guard_verdict(guarded, receipt)
     inner = status != STATUS_GUARD_REVERTED
-    alarms = [_enrich_alarm(run, index, raw, inner) for raw in raws]
+    alarms = [_enrich_alarm(guarded.analysis, index, raw, inner) for raw in raws]
     gas_orig = None
     if run.mirror is not None and status == STATUS_ACCEPTED:
         if alarms:
@@ -652,67 +697,77 @@ def _exit_routine_alarms(guarded: GuardedBundle, ev) -> list[RawAlarm] | None:
     return decode_guard_revert(ev.get("data"), guarded.bundle.config.width)
 
 
-def _enrich_alarm(run: DetectionRun, index: int, raw: RawAlarm, inner: bool) -> AlarmRecord:
-    analysis = run.guarded.analysis
-    contract, fid, combined = raw.contract, raw.fn, raw.combined
+def _enrich_alarm(
+    analysis: BundleAnalysis, index: int, raw: RawAlarm, inner: bool
+) -> AlarmRecord:
+    """The record of alarm entry ``raw`` of tx ``index``. The decode of an
+    entry is a pure function of its (code id, function id, combined), so
+    each distinct entry is decoded once per analysis and kept in
+    ``analysis.alarm_decodes``; every record gets lists of its own."""
+    key = (raw.code_id, raw.fn, raw.combined)
+    decoded = analysis.alarm_decodes.get(key)
+    if decoded is None:
+        decoded = analysis.alarm_decodes[key] = _decode_alarm(analysis, *key)
+    ctx_id, epp_id, chain, blocks = decoded
+    return AlarmRecord(
+        index, raw.contract, raw.fn, ctx_id, epp_id, raw.combined, list(chain), list(blocks), inner
+    )
+
+
+def _decode_alarm(analysis: BundleAnalysis, code_id: int, fid: int, combined: int) -> tuple:
+    """(ctx id, epp id, context chain, block path) of an alarm entry, the
+    chain and the path as tuples. The context id within the function's
+    band and the epp id are in range by construction (``band_split``,
+    ``split_index``), and CCP and Ball-Larus numberings decode every id in
+    range, so neither decode can fail."""
     names = analysis.code_names
-    if raw.code_id >= len(names) or (names[raw.code_id], fid) not in analysis.cfgs:
+    if code_id >= len(names) or (names[code_id], fid) not in analysis.cfgs:
         # unprotected code reached by DELEGATECALL runs in the account and
         # can write its alarm buffer
-        label = "<alarm entry names no protected function>"
-    elif combined == CALLEE_ALARM & analysis.config.mask:
+        return 0, 0, ("<alarm entry names no protected function>",), ()
+    if combined == CALLEE_ALARM & analysis.config.mask:
         # the flag came from a protected callee reached by CALL, whose alarm
         # entries stayed in its own account's buffer
-        label = "<protected callee reached by CALL raised the anomaly>"
-    else:
-        label = None
-    if label:
-        return AlarmRecord(index, contract, fid, 0, 0, combined, [label], [], inner)
-    code = names[raw.code_id]
-    num_paths = analysis.num_paths(code, fid)
-    ctx_id, epp_id = split_index(combined, num_paths)
+        return 0, 0, ("<protected callee reached by CALL raised the anomaly>",), ()
+    code = names[code_id]
+    ctx_id, epp_id = split_index(combined, analysis.num_paths(code, fid))
     reentries, foreign, base = band_split(ctx_id, analysis.num_ccs(code, fid))
     chain = ["<reentry via unprotected call>"] * reentries
     if foreign:
         chain.append("<entered from unprotected contract>")
-    try:
-        for edge in id_to_context(analysis.callgraph, analysis.ccp, (code, fid), base):
-            if edge.kind == K_SURROGATE:
-                chain.append(f"<recursion surrogate -> {edge.callee[0]}.fn{edge.callee[1]}>")
-            elif edge.caller == S:
-                chain.append(f"entry -> {edge.callee[0]}.fn{edge.callee[1]}")
-            else:
-                chain.append(
-                    f"{edge.caller[0]}.fn{edge.caller[1]}@{edge.site[2]}"
-                    f" -> {edge.callee[0]}.fn{edge.callee[1]}"
-                )
-    except ValueError:
-        chain.append(f"<undecodable context {base}>")
-    try:
-        cfg = analysis.cfgs[(code, fid)]
-        lab = analysis.epp[(code, fid)]
-        path = index_to_path(cfg, lab, epp_id)
-        blocks = [
-            cfg.blocks[e.dst].start
-            for e in path
-            if e.dst in cfg.blocks and not cfg.blocks[e.dst].empty
-        ]
-    except ValueError:
-        blocks = []
-    return AlarmRecord(index, contract, fid, ctx_id, epp_id, combined, chain, blocks, inner)
+    for edge in id_to_context(analysis.callgraph, analysis.ccp, (code, fid), base):
+        if edge.kind == K_SURROGATE:
+            chain.append(f"<recursion surrogate -> {edge.callee[0]}.fn{edge.callee[1]}>")
+        elif edge.caller == S:
+            chain.append(f"entry -> {edge.callee[0]}.fn{edge.callee[1]}")
+        else:
+            chain.append(
+                f"{edge.caller[0]}.fn{edge.caller[1]}@{edge.site[2]}"
+                f" -> {edge.callee[0]}.fn{edge.callee[1]}"
+            )
+    cfg = analysis.cfgs[(code, fid)]
+    blocks = tuple(
+        cfg.blocks[e.dst].start
+        for e in index_to_path(cfg, analysis.epp[(code, fid)], epp_id)
+        if e.dst in cfg.blocks and not cfg.blocks[e.dst].empty
+    )
+    return ctx_id, epp_id, tuple(chain), blocks
 
 
 def _reconcile(run, index, receipt, points, gas_orig) -> None:
-    """gas delta must equal the sum of the guard points' charges."""
+    """Balance one mirrored tx: its gas over the mirror's must equal the sum
+    of its guard points' charges, else its index joins
+    ``run.recon_failures``. Each charge is added to the run's per-point
+    sums (``DetectionRun.point_sums``): the scan for the points hit runs
+    in C (``compress``), and the work per tx in Python is one step per
+    point hit."""
     injected_gas = 0
     for name, (_owners, acc) in points.items():
-        kinds = run.guarded.instrumented[name].points
-        for pid, amount in enumerate(acc):
-            if amount:
-                injected_gas += amount
-                key = (name, kinds[pid].kind)
-                run.point_gas[key] = run.point_gas.get(key, 0) + amount
-                run.point_hits[key] = run.point_hits.get(key, 0) + 1
+        gas, hits = run.point_sums[name]
+        for pid in compress(range(len(acc)), acc):
+            gas[pid] += acc[pid]
+            hits[pid] += 1
+        injected_gas += sum(acc)
     if receipt.gas_used - gas_orig != injected_gas:
         run.recon_failures.append(index)
 

@@ -185,3 +185,22 @@ def test_a_serialized_program_is_refused_naming_its_field(edit, needle):
         Bundle.from_json({"contracts": [{"program": raw}]})
     assert type(info.value) is ValidationError
     assert str(info.value) == needle
+
+
+@pytest.mark.parametrize("width", [64, 8])
+@pytest.mark.parametrize("key", ["-0x5", "0x400000000000000000", "0x100"])
+def test_a_selector_table_key_must_be_a_word(width, key):
+    """A selector is a word, as a CALL sends it: a serialized key below 0 or
+    above the bundle's mask is refused naming the key, where a key in range
+    loads. (``0x100`` is a word at width 64 only.)"""
+    config = Config(width=width)
+    raw = copy.deepcopy(_SERIALIZED)
+    raw["selector_table"] = {key: 0}
+    mask = config.mask
+    if 0 <= int(key, 16) <= mask:
+        bundle = Bundle.from_json({"contracts": [{"program": raw}]}, config)
+        assert bundle.programs["p"].selector_table == {int(key, 16): 0}
+        return
+    with pytest.raises(ValidationError) as info:
+        Bundle.from_json({"contracts": [{"program": raw}]}, config)
+    assert str(info.value) == f"p: selector_table key {key} is not a word in [1, {mask:#x}]"

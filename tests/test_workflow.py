@@ -1,18 +1,23 @@
 """Train / protect / detect / review driver behavior."""
 
+import dataclasses
 import itertools
 import json
 import math
 import random
 import re
+import types
 
 import pytest
 from conftest import branches_fn
+from test_instrument import _widegen
+from test_oracle import RECURSIVE_SRC
 
 from pathguard.asm import assemble
 from pathguard.bundle import analyze_bundle
 from pathguard.config import Config
 from pathguard.fixtures import (
+    ALL_SCENARIOS,
     DELEGATECALL,
     DETECTION_SCENARIOS,
     REENTRANCY,
@@ -20,7 +25,9 @@ from pathguard.fixtures import (
     VISIBILITY,
     by_name,
 )
-from pathguard.guardcode import CALL_MARKER, CALLEE_ALARM, GUARD_MARKER, MARKER_WORDS, Layout
+from pathguard.guardcode import (
+    CALL_MARKER, CALLEE_ALARM, GUARD_MARKER, MARKER_WORDS, Layout, RawAlarm, band_split,
+)
 from pathguard.isa import Op
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
 from pathguard.pathset import MphtSpec, build_mpht, mapping_slot
@@ -33,6 +40,7 @@ from pathguard.workflow import (
     NotAdmin,
     TrainingTxFailed,
     WorkflowError,
+    _enrich_alarm,
     build_world,
     false_alarm_simulation,
     make_snapshot,
@@ -1088,3 +1096,161 @@ def test_mirror_setup_failure_is_raised(visibility_setup, monkeypatch):
     with pytest.raises(WorkflowError, match=r"setup tx 0 .* on the mirror world"):
         start_detection(guarded)
     assert start_detection(guarded, mirror=False).mirror is None
+
+
+# -- detection bookkeeping: the alarm memo and the per-point sums -----------------
+
+
+def _wide_case(seed: int, length: int) -> tuple[Bundle, list[dict], list[dict]]:
+    """The wide workloads' pair with its training stream and a detection
+    stream of ``length``, drawn as ``perfbench`` draws them at ``seed``."""
+    widegen = _widegen()
+    shape = widegen.make_shape(0)
+    rng = random.Random(seed * 1009)
+    bundle = Bundle.from_json(widegen.bundle_json(shape, "0"))
+    training = widegen.training_stream(rng, shape, "0")
+    return bundle, training, widegen.detect_stream(rng, shape, "0", length)
+
+
+def _cold_review(bundle: Bundle, stream: list[dict]):
+    """A mirrored cold start with every alarm reviewed live: empty safe
+    sets, and each alarmed tx approved and replayed until it is accepted or
+    a round approves nothing new."""
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    run = start_detection(protect(bundle, make_snapshot(analysis, {})))
+    for record in stream:
+        outcome = run_transaction(run, record)
+        while outcome.alarms:
+            if not review_and_approve(run, outcome.index, bundle.config.admin)["approved"]:
+                break
+            outcome = run_transaction(run, record)
+    return run
+
+
+def _raw(run, record: AlarmRecord) -> RawAlarm:
+    """The alarm entry ``record`` was decoded from."""
+    code_id = run.guarded.analysis.code_names.index(run.deployed.names[record.contract])
+    return RawAlarm(record.contract, code_id, record.function, record.combined_id)
+
+
+def test_alarm_through_a_recursion_surrogate_is_labelled():
+    """An untrained recursion depth alarms in a context that reaches the
+    recursive function through its surrogate call edge, and the record's
+    chain names the surrogate. The same tx sent again is decoded from the
+    memo alone, into equal records."""
+    bundle = Bundle.from_json({"contracts": [{"source": RECURSIVE_SRC}]})
+    calls = [{"origin": 1, "to": "rec", "fn": "run", "calldata": [d]} for d in (0, 2, 2)]
+    guarded = protect(bundle, train(bundle, calls[:1]))
+    memo = guarded.analysis.alarm_decodes
+    run = start_detection(guarded)
+    cold = run_transaction(run, calls[1])
+    decoded = dict(memo)
+    warm = run_transaction(run, calls[2])
+    assert memo == decoded and len(memo) == len({(a.function, a.combined_id) for a in cold.alarms})
+    assert cold.status == warm.status == "GuardReverted"
+    assert ["<recursion surrogate -> rec.fn1>"] in [a.context_chain for a in cold.alarms]
+    assert [dataclasses.replace(a, tx_index=0) for a in cold.alarms] == [
+        dataclasses.replace(a, tx_index=0) for a in warm.alarms
+    ]
+
+
+def test_every_alarm_word_decodes():
+    """Every combined word of each function's trained, foreign and first
+    reentry bands decodes: the context id within a band and the epp id are
+    in range by construction, so neither decode has a failure arm. Each
+    record splits the word, and its chain and path end in the function."""
+    bundle = Bundle.from_json({"contracts": [{"source": RECURSIVE_SRC}]})
+    analysis = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    for fid in (0, 1):
+        paths, ccs = analysis.num_paths("rec", fid), analysis.num_ccs("rec", fid)
+        for combined in range(4 * ccs * paths):
+            record = _enrich_alarm(analysis, 0, RawAlarm(0x100, 0, fid, combined), False)
+            ctx_id, epp_id = divmod(combined, paths)
+            reentries, foreign, _base = band_split(ctx_id, ccs)
+            assert (record.ctx_id, record.epp_id) == (ctx_id, epp_id)
+            chain = record.context_chain
+            assert chain[:reentries] == ["<reentry via unprotected call>"] * reentries
+            assert (chain[reentries] == "<entered from unprotected contract>") == foreign
+            assert chain[-1].rstrip(">").endswith(f"rec.fn{fid}")
+            assert record.path_blocks[0] == 0
+    assert len(analysis.alarm_decodes) == 4 * sum(
+        analysis.index_space("rec", fid) for fid in (0, 1)
+    )
+
+
+def test_alarm_memo_is_a_pure_memo():
+    """Over a cold-review pass with live reviews, every alarm record equals
+    a fresh decode of its entry with the memo cleared, and a record's lists
+    are its own: mutating one leaves every other record, and the memo's
+    next decode of its entry, unchanged."""
+    bundle, _training, stream = _wide_case(1, 200)
+    run = _cold_review(bundle, stream)
+    log, memo = run.alarm_log, run.guarded.analysis.alarm_decodes
+    keys = [(r.function, r.combined_id) for r in log]
+    assert len(memo) == len(set(keys)) < len(log)
+    fresh = analyze_bundle(bundle.programs, bundle.boundary, bundle.config)
+    for record in log:
+        fresh.alarm_decodes.clear()
+        again = _enrich_alarm(fresh, record.tx_index, _raw(run, record), record.inner)
+        assert again.to_json() == record.to_json()
+    before = [json.dumps(r.to_json()) for r in log]
+    mutated = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+    log[mutated].context_chain.append("<mutated>")
+    log[mutated].path_blocks.append(-1)
+    after = [json.dumps(r.to_json()) for r in log]
+    assert after[mutated] != before[mutated]
+    assert after[:mutated] + after[mutated + 1:] == before[:mutated] + before[mutated + 1:]
+    record = log[mutated]
+    again = _enrich_alarm(run.guarded.analysis, record.tx_index, _raw(run, record), record.inner)
+    assert json.dumps(again.to_json()) == before[mutated]
+
+
+def _detected_run(case: str):
+    """A mirrored detection run: a fixture's test sequence, or the wide or
+    cold-review workload at a seed."""
+    if case.startswith(("wide", "cold-review")):
+        workload, seed = case.rsplit("-", 1)
+        length = 300 if workload == "wide" else 200
+        bundle, training, stream = _wide_case(int(seed), length)
+        if workload == "cold-review":
+            return _cold_review(bundle, stream)
+        return run_detection(protect(bundle, train(bundle, training)), stream)
+    scenario = by_name(case)
+    bundle = scenario.bundle()
+    records, _alarm_index = scenario.test_sequence(random.Random(99), 40)
+    return run_detection(protect(bundle, train(bundle, scenario.training)), records)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [s.name for s in ALL_SCENARIOS] + ["wide-1", "wide-2", "cold-review-1", "cold-review-2"],
+)
+def test_point_sums_fold_to_the_per_tx_fold(case, monkeypatch):
+    """The run's per-point sums, folded by (code name, point kind), equal a
+    fold of each reconciled tx's charges by (code name, point kind), as
+    detection kept them before it summed per point; so does the whole
+    overhead report built from either."""
+    from pathguard import workflow
+
+    gas, hits = {}, {}
+    reconcile = workflow._reconcile
+
+    def both(run, index, receipt, points, gas_orig):
+        reconcile(run, index, receipt, points, gas_orig)
+        for name, (_owners, acc) in points.items():
+            kinds = run.guarded.instrumented[name].points
+            for pid, amount in enumerate(acc):
+                if amount:
+                    key = (name, kinds[pid].kind)
+                    gas[key] = gas.get(key, 0) + amount
+                    hits[key] = hits.get(key, 0) + 1
+
+    monkeypatch.setattr(workflow, "_reconcile", both)
+    run = _detected_run(case)
+    assert gas and not run.recon_failures
+    assert run.point_gas == gas and run.point_hits == hits
+    reference = types.SimpleNamespace(
+        guarded=run.guarded, outcomes=run.outcomes, alarm_log=run.alarm_log,
+        recon_failures=run.recon_failures, point_gas=gas, point_hits=hits,
+    )
+    assert json.dumps(overhead_report(run)) == json.dumps(overhead_report(reference))
