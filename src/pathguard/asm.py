@@ -101,9 +101,10 @@ def assemble(source: str, config: Config = DEFAULT_CONFIG) -> ContractProgram:
     if not raw_fns:
         raise AsmError(st.line, "contract has no functions")
 
-    fn_ids = {f["name"]: i for i, f in enumerate(raw_fns)}
-    if len(fn_ids) != len(raw_fns):
-        raise AsmError(0, "duplicate function name")
+    fn_ids: dict[str, int] = {}
+    for fid, raw in enumerate(raw_fns):
+        if fn_ids.setdefault(raw["name"], fid) != fid:
+            raise AsmError(raw["line"], f"duplicate function name {raw['name']!r}")
 
     selector_table: dict[int, int] = {}
     fallback_id = None
@@ -112,10 +113,9 @@ def assemble(source: str, config: Config = DEFAULT_CONFIG) -> ContractProgram:
         body: list[Instruction] = []
         labels = raw["labels"]
         for off, (line, op, operand, annot) in enumerate(raw["instrs"]):
+            # _parse_fn reads an operand exactly for the ops that take one
             imm = None
             if op in IMMEDIATE_OPS:
-                if operand is None:
-                    raise AsmError(line, f"{op.value} needs an operand")
                 if op in JUMPS and operand in labels:
                     imm = labels[operand]
                 elif op is Op.ICALL and operand in fn_ids:
@@ -128,13 +128,11 @@ def assemble(source: str, config: Config = DEFAULT_CONFIG) -> ContractProgram:
                     raise AsmError(line, f"undefined label {operand!r}")
                 else:
                     raise AsmError(line, f"bad operand {operand!r} for {op.value}")
-            elif operand is not None:
-                raise AsmError(line, f"{op.value} takes no operand")
             body.append(Instruction(op, imm))
             if annot and op in EXTERNAL_CALLS:
                 callsites[(fid, off)] = annot
             elif annot:
-                raise AsmError(line, f"annotations only allowed on CALL/DELEGATECALL")
+                raise AsmError(line, "annotations only allowed on CALL/DELEGATECALL")
         fn = FunctionDef(
             id=fid,
             name=raw["name"],
@@ -172,14 +170,15 @@ def _parse_fn(st: _Stream) -> dict:
     visibility = Visibility.EXTERNAL
     selector = None
     while st.peek() != "{":
+        tok_line = st.line
         tok = st.next()
         if tok in ("external", "internal"):
             visibility = Visibility(tok)
         elif tok == "selector":
             st.expect("=")
-            selector = _parse_int(st.next(), st.line)
+            selector = _parse_int(st.next(), tok_line)
         else:
-            raise AsmError(st.line, f"unexpected token {tok!r} in fn header")
+            raise AsmError(tok_line, f"unexpected token {tok!r} in fn header")
     st.expect("{")
 
     instrs: list[tuple[int, Op, str | None, CallsiteInfo | None]] = []

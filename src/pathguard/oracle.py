@@ -16,8 +16,9 @@ Membership outcomes are irrelevant here, only the checked pairs.
 
 At TRACE_FULL the VM traces control flow as Region events alone
 (``vm._source``): each the static steps of one region path (block starts,
-inlined ICALLs and IRETs, and checked ops with their overflow bits), or the
-one step of a tail ICALL or IRET. One walker, ``TraceOracle._walk``, takes
+ICALLs, inlined IRETs, and checked ops with their overflow bits), or the
+one step of a tail IRET, the only one-step event: every ICALL is a step of
+its region's path, even where the region stops at the callee. One walker, ``TraceOracle._walk``, takes
 each step along a path edge by one lookup in the function's step table
 (``bundle.step_table``): a block start by its offset, a checked op by its
 offset and overflow bit, and a path's end by the vertex's one terminator

@@ -31,7 +31,7 @@ TRACE_CHECKS = 1  # PathChecked (one per checker call), Revert
 TRACE_FULL = 2
 
 # Kinds of the static steps a Region event carries (``region_step``): a block
-# that starts at a leader, an inlined ICALL and IRET, and a checked op, which
+# that starts at a leader, an ICALL, an inlined IRET, and a checked op, which
 # also takes the event's next overflow bit.
 STEP_BLOCK, STEP_ICALL, STEP_IRET, STEP_ADD, STEP_SUB, STEP_MUL = range(6)
 # every pc of deployable code fits in this many bits
@@ -105,10 +105,11 @@ _ENDS = frozenset(
 _REGION_OPS = 128
 _REGION_NEST = 32
 # Block-ending ops that check runtime values. As a tail, each adds its own
-# charge to a mirrored point once its check passes; every other op's charge
-# is added with its exit's totals.
+# charge to a mirrored point once its check passes; every other op's charge,
+# an ICALL's included (it opens its frame in an exit), is added with its
+# exit's totals.
 _SELF_CHARGED = frozenset(
-    op.code for op in (Op.ICALL, Op.IRET, Op.CALL, Op.DELEGATECALL, Op.RETURN, Op.REVERT)
+    op.code for op in (Op.IRET, Op.CALL, Op.DELEGATECALL, Op.RETURN, Op.REVERT)
 )
 
 # Source templates of the compiled straight-line ops, by ``Op.code``. Each
@@ -176,12 +177,13 @@ class TraceEvent:
     """One traced event; readers must not mutate its ``detail``.
 
     At TRACE_FULL control flow is traced as ``Region`` events alone: one
-    per region path with steps, and one of a single step per tail ``ICALL``
-    or ``IRET``. ``fn`` is the function its first step runs in and
-    ``offset`` that step's pc; its detail holds the frame's ``code``,
-    ``steps``, its exit's tuple of ``region_step`` ints in trace order (see
-    ``_unit``), and ``bits``, the overflow bits of its checked ops in the
-    same order, recorded by the compiled code."""
+    per region path with steps, and one of a single step per tail
+    ``IRET``; an ``ICALL`` is always a step of its region's path. ``fn`` is
+    the function its first step runs in and ``offset`` that step's pc; its
+    detail holds the frame's ``code``, ``steps``, its exit's tuple of
+    ``region_step`` ints in trace order (see ``_unit``), and ``bits``, the
+    overflow bits of its checked ops in the same order, recorded by the
+    compiled code."""
 
     kind: str
     contract: int
@@ -468,10 +470,11 @@ def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple
     A block ends after one of ``_ENDS``, or before a JUMPDEST; validation
     makes every jump target one. ``ops`` holds each op as ``(op, imm, pc,
     price, reads, delta)``, a PUSH immediate masked, and ``end`` is the pc
-    after the block. Given ``entry``, a (stack height, gas left) at which the
-    block fails its entry check, the scan stops before the first op that
-    fails there, and ``fail`` is the ``_FAIL`` tail that charges that op and
-    raises its failure; else ``fail`` is None.
+    after the block. Given ``entry``, a (stack height, gas left, internal
+    frames open) at which the block fails its entry check, the scan stops
+    before the first op that fails there (an ``ICALL`` fails with
+    ``INTERNAL_DEPTH_LIMIT`` frames open), and ``fail`` is the ``_FAIL``
+    tail that charges that op and raises its failure; else ``fail`` is None.
     """
     if start >= len(body):
         raise _FrameFailure("fell off function body")
@@ -498,8 +501,11 @@ def _scan(body: list, start: int, prices: tuple, mask: int, entry=None) -> tuple
                 gas + price > entry[1]
                 or words < reads
                 or (delta > 0 and words >= OPERAND_STACK_LIMIT)
+                or (op == _ICALL and entry[2] >= INTERNAL_DEPTH_LIMIT)
             ):
                 reason = "stack underflow" if words < reads else "stack overflow"
+                if op == _ICALL:  # reads no word and pushes none
+                    reason = "internal call depth exceeded"
                 return ops, pc, (_FAIL, (price, reason), pc)
             gas += price
             height += delta
@@ -535,33 +541,34 @@ def _unit(
     per arm, and each copy, with the blocks after it, is a subtree of its
     own, with its own exits. It ends at any other tail (an ``IRET`` with no
     matching ``ICALL`` among them), at a block already on its path (a back
-    edge), at an ``ICALL`` of a function already running in it, and where
-    the next block would take the ops of all its blocks, copies included,
-    past ``_REGION_OPS`` or nest more than ``_REGION_NEST`` branches. Blocks
-    are decoded breadth first, so the budget cuts every arm at about the
-    same depth. Given ``entry`` (see ``_scan``), the state at
-    which the region fails its entry check, it is its first block alone,
-    whose ``ICALL`` or ``IRET`` is a tail, cut short before its first op
-    that fails there.
+    edge), at a block of a function already running in it (a recursive
+    ``ICALL``), and where the next block would take the ops of all its
+    blocks, copies included, past ``_REGION_OPS`` or nest more than
+    ``_REGION_NEST`` branches. Blocks are decoded breadth first, so the
+    budget cuts every arm at about the same depth. An ``ICALL`` is never a
+    tail: where the region stops at its callee, its exit leaves the
+    callee's frame open. Given ``entry`` (see ``_scan``), the state at
+    which the region fails its entry check, it is its first block alone
+    (a budget of no more ops), cut short before its first op that fails
+    there.
 
     Returns ``(gas, need, room, deep, run, exits)``: ``gas`` is the gas of its
     costliest path; ``need`` and ``room`` the least and greatest stack height
     at which no path fails; ``deep`` the most internal frames open at entry
-    at which none of its inlined ``ICALL``s fails; ``run`` its code, built by
+    at which none of its ``ICALL``s fails; ``run`` its code, built by
     ``_compile`` from ``_source`` (None when no stack can pass its entry
     check), which returns an exit id. Exit ``i`` is ``[gas, next pc, tail,
     frames, fid, segments, steps, None, ()]``: the gas of the path to it; the
     pc it leaves to; its last op as ``(op, imm, pc)`` when ``_run_frame``
-    runs that op (a tail: any block-ending op but a ``JUMP``, a ``JUMPI`` or
-    an inlined ``ICALL`` or ``IRET``, or ``_FAIL``), else None; the internal
+    runs that op (a tail: any block-ending op but a ``JUMP``, a ``JUMPI``,
+    an ``ICALL`` or an inlined ``IRET``, or ``_FAIL``), else None; the internal
     frames ``(fid, return pc)`` that it leaves open and the function it
     leaves in; the ``(fid, start, end)`` op ranges whose charges it adds
     (all ops on its path but a ``_SELF_CHARGED`` tail); and its path's
     Region steps, ``region_step`` ints in trace order. The last two slots
     cache its ``_point_totals`` for one owner table.
     """
-    single = entry is not None
-    budget = _REGION_OPS
+    budget = _REGION_OPS if entry is None else 0
     exits: list[list] = []
     need = peak = depth = cost = 0
     root = _Node(fid)
@@ -585,10 +592,10 @@ def _unit(
         nonlocal budget
         body = functions[at].body
         if (
-            not single
-            and 0 <= pc < len(body)
+            0 <= pc < len(body)
             and nest <= _REGION_NEST
             and (frames, pc) not in path
+            and all(caller != at for caller, _back in frames)
         ):
             ops, end, _ = _scan(body, pc, prices, mask)
             if len(ops) <= budget:
@@ -635,13 +642,7 @@ def _unit(
             steps += (region_step(STEP_IRET, opc),)
             caller, back = frames[-1]
             kids.append(go(gas, height, caller, back, frames[:-1], nest, path, segs, steps))
-        elif (
-            op == _ICALL
-            and not single
-            and 0 <= imm < len(functions)
-            and imm != at
-            and all(caller != imm for caller, _back in frames)
-        ):
+        elif op == _ICALL:
             node.ops.append((op, imm, opc))
             steps += (region_step(STEP_ICALL, opc, imm),)
             inner = frames + ((at, end),)
@@ -670,8 +671,8 @@ def _source(root: _Node, mask: int) -> str:
     ``JUMPI`` whose arms are not both exits is an ``if`` over its condition,
     and each arm goes on with its own copy of the symbolic stack. Reads and
     writes of memory, storage and the environment run in op order at their
-    own pc, as does the PathChecked event of an inlined checker ``ICALL``
-    (traced at TRACE_CHECKS only). Of the TRACE_FULL trace, a region's
+    own pc, as does the PathChecked event of a checker ``ICALL`` (traced at
+    TRACE_CHECKS only). Of the TRACE_FULL trace, a region's
     code renders only what it alone knows: before each checked op's
     result, under a test of the frame's ``full`` flag, it appends the op's
     overflow bit to the frame's ``bits``. A path's static steps sit in its
@@ -775,7 +776,7 @@ def _source(root: _Node, mask: int) -> str:
                         lines.append(f"{pad}W.tstore(A, {addr}, {word})")
                     else:
                         lines.append(f"{pad}M[{addr}] = {word}")
-                elif op == _ICALL:  # inlined; traced when its callee is a checker
+                elif op == _ICALL:  # traced when its callee is a checker
                     if stack:
                         top = stack[-1]
                         if isinstance(top, str):
@@ -950,29 +951,30 @@ class VM:
         compiled code reads from the frame which events to trace. At region
         entry it checks the gas left against the region's costliest path,
         both stack bounds, and the internal frames open against the
-        region's inlined calls. Then the region's compiled code runs; no op
-        in it can fail, and it returns the exit its path took. The loop
-        charges that exit's gas, adds its per-point totals when mirrored,
-        opens the internal frames it leaves open, and runs its tail: the ops
-        that check runtime values (the RETURN/REVERT word count, the CALL
-        argument count, the SSTORE price, the ICALL depth and IRET), and
-        STOP. At TRACE_FULL, first, an exit with steps traces them as its
-        path's Region event, in the function the region was entered in,
-        with the overflow bits its code recorded in the frame. A tail ICALL
-        traces its own PathChecked, and a tail ICALL or IRET its own
-        one-step Region event, where an inlined one is a step of its
-        region's Region event. Each tail adds its own charge to a
-        mirrored point once its check passes. A region that fails its entry check
-        is decoded again for that entry, uncached: its first block alone,
-        cut short before the first op that fails there, whose ``_FAIL``
-        tail charges that op and raises. Since a region runs on through
-        joins, its costliest path and its stack bounds cover every arm of
-        every branch in it, so the check can also fail where the arms the
-        frame takes would fit; the first block then runs alone as well, and
-        the next region is entered after it. So gas, trace and point totals
-        match a machine that checked every op. The gas used so far lives in the local
-        ``gas_used``; it is written back to ``self.gas_used`` before every
-        exit from the frame and around every message call.
+        region's calls. Then the region's compiled code runs; no op in it
+        can fail, and it returns the exit its path took. The loop charges
+        that exit's gas, adds its per-point totals when mirrored, opens the
+        internal frames it leaves open (every ``ICALL`` opens its callee's
+        frame so), and runs its tail: the ops whose checks read values met
+        only there (the RETURN/REVERT word count, the CALL argument count,
+        the SSTORE price and an IRET's frame), and STOP. At TRACE_FULL,
+        first, an exit with steps traces them as its path's Region event, in
+        the function the region was entered in, with the overflow bits its
+        code recorded in the frame; a tail IRET traces its own one-step
+        Region event, where an inlined one is a step of its region's. Each
+        tail adds its own charge to a mirrored point once its check passes.
+        A region that fails its entry check is decoded again for that
+        entry, uncached: its first block alone, cut short before the first
+        op that fails there (an ``ICALL`` at the depth limit included),
+        whose ``_FAIL`` tail charges that op and raises. Since a region runs
+        on through joins, its costliest path and its bounds cover every arm
+        of every branch in it, so the check can also fail where the arms
+        the frame takes would fit; the first block then runs alone as well,
+        and the next region is entered after it. So gas, trace and point
+        totals match a machine that checked every op. The gas used so far
+        lives in the local ``gas_used``; it is written back to
+        ``self.gas_used`` before every exit from the frame and around every
+        message call.
         """
         world = self.world
         config = self.config
@@ -1018,7 +1020,7 @@ class VM:
                     or height > room
                     or len(istack) > deep
                 ):
-                    entry = (height, gas_limit - gas_used)
+                    entry = (height, gas_limit - gas_used, len(istack))
                     cost, need, room, deep, run, exits = _unit(
                         functions, ifid, pc, prices, mask, entry
                     )
@@ -1042,22 +1044,7 @@ class VM:
                         own = owners[ifid]
                 if tail is not None:
                     op, imm, pc = tail
-                    if op == _ICALL:
-                        if len(istack) >= INTERNAL_DEPTH_LIMIT:
-                            raise _FrameFailure("internal call depth exceeded")
-                        if checkers is not None and imm in checkers:
-                            frame.path_checked(ifid, pc, stack[-1] if stack else None)
-                        if full:
-                            frame.region(ifid, (region_step(STEP_ICALL, pc, imm),), ())
-                        if acc is not None:
-                            if own[pc] >= 0:
-                                acc[own[pc]] += prices[op]
-                            own = owners[imm]
-                        istack.append((ifid, pc + 1))
-                        ifid = imm
-                        table = tables[ifid]
-                        nxt = 0
-                    elif op == _IRET:
+                    if op == _IRET:
                         if not istack:
                             raise _FrameFailure("IRET outside internal call")
                         if full:

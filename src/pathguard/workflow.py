@@ -20,7 +20,8 @@ from .bundle import BundleAnalysis, analyze_bundle
 from .callgraph import K_SURROGATE, S
 from .ccp import id_to_context
 from .config import (
-    Config, ConfigError, config_from_json, config_to_json, read_field, read_json, read_word
+    CALL_DEPTH_LIMIT, Config, ConfigError, config_from_json, config_to_json, read_field,
+    read_json, read_word,
 )
 from .epp import index_to_path
 from .guardcode import (
@@ -732,6 +733,9 @@ def _decode_alarm(analysis: BundleAnalysis, code_id: int, fid: int, combined: in
     code = names[code_id]
     ctx_id, epp_id = split_index(combined, analysis.num_paths(code, fid))
     reentries, foreign, base = band_split(ctx_id, analysis.num_ccs(code, fid))
+    if reentries > CALL_DEPTH_LIMIT:
+        # each reentry runs in a nested external frame: no guard wrote this
+        return ctx_id, epp_id, ("<alarm entry implies more reentries than calls can nest>",), ()
     chain = ["<reentry via unprotected call>"] * reentries
     if foreign:
         chain.append("<entered from unprotected contract>")
@@ -834,20 +838,14 @@ def overhead_report(run: DetectionRun) -> dict:
     per_contract = guarded.deployment_report()
     for name, inst in guarded.instrumented.items():
         by_kind: dict[str, dict] = {}
-        for p in inst.points:
+        for p, gas, hits in zip(inst.points, *run.point_sums[name]):
             slot = by_kind.setdefault(
                 p.kind, {"deploy_bytes": 0, "deploy_gas": 0, "runtime_gas": 0, "hits": 0}
             )
             slot["deploy_bytes"] += p.code_bytes + p.blob_bytes
             slot["deploy_gas"] += (p.code_bytes + p.blob_bytes) * config.gas.code_deposit_per_byte
-        for (cname, kind), amount in run.point_gas.items():
-            if cname == name:
-                by_kind.setdefault(
-                    kind, {"deploy_bytes": 0, "deploy_gas": 0, "runtime_gas": 0, "hits": 0}
-                )["runtime_gas"] += amount
-        for (cname, kind), hits in run.point_hits.items():
-            if cname == name:
-                by_kind[kind]["hits"] += hits
+            slot["runtime_gas"] += gas
+            slot["hits"] += hits
         per_contract[name]["points"] = by_kind
         per_contract[name]["point_bytes_total"] = sum(
             v["deploy_bytes"] for v in by_kind.values()

@@ -54,6 +54,48 @@ def test_syntax_error_carries_line():
         assemble(src)
 
 
+@pytest.mark.parametrize(
+    "source, line, message",
+    [
+        ("contract t {\n fn f external { STOP }\n}\nextra", 4, "trailing input 'extra'"),
+        ("contract t {\n}", 2, "contract has no functions"),
+        (
+            "contract t {\n fn f external { STOP }\n fn f internal { IRET }\n}",
+            3, "duplicate function name 'f'",
+        ),
+        ("contract t {\n fn f external { STOP", 2, "unexpected end of input"),
+        ("contract t\n fn f external { STOP } }", 2, "expected '{', got 'fn'"),
+        ("contract t {\n fn f external selector=zz\n { STOP } }", 2, "bad integer 'zz'"),
+        ("contract t {\n fn fallback internal { IRET }\n}", 2, "fallback must be external"),
+        (
+            "contract t {\n fn f public\n { STOP } }",
+            2, "unexpected token 'public' in fn header",
+        ),
+        ("contract t {\n fn f external {\n a: JUMPDEST\n a: STOP } }", 4, "duplicate label 'a'"),
+        (
+            "contract t {\n fn f external {\n STOP target=t\n } }",
+            3, "annotations only allowed on CALL/DELEGATECALL",
+        ),
+        ("contract t {\n fn f external {\n PUSH here STOP } }", 3, "bad operand 'here' for PUSH"),
+        (
+            "contract t {\n fn f external {\n ICALL nothing STOP } }",
+            3, "bad operand 'nothing' for ICALL",
+        ),
+    ],
+    ids=[
+        "trailing-input", "no-functions", "duplicate-function", "unexpected-end",
+        "expected-token", "bad-integer", "internal-fallback", "header-token",
+        "duplicate-label", "annotated-non-call", "bad-push-operand", "bad-icall-operand",
+    ],
+)
+def test_assembler_errors_name_their_line(source, line, message):
+    """Each AsmError the parser raises names the line of the token at
+    fault: the one it met, or the header of the function at fault."""
+    with pytest.raises(AsmError) as err:
+        assemble(source)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 def test_immediate_must_fit_word():
     with pytest.raises(ValidationError, match="exceeds word width"):
         assemble("contract t { fn f external { PUSH 0x1ff POP STOP } }", Config(width=8))

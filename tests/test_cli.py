@@ -126,6 +126,16 @@ def test_asm_rejects_bad_source(tmp_path, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_asm_names_the_line_of_a_duplicate_function(tmp_path, capsys):
+    """An assembler error exits 2 and prints the line it names."""
+    source = tmp_path / "dup.src"
+    source.write_text("contract dup {\n fn f external { STOP }\n fn f internal { IRET }\n}\n")
+    code = cli.main(["asm", str(source), "-o", str(tmp_path / "dup.json")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: line 3: duplicate function name 'f'"
+    assert not (tmp_path / "dup.json").exists()
+
+
 def test_protect_rejects_an_invalid_program_entry(tmp_path, capsys):
     """A bundle whose serialized program ICALLs a missing function exits
     with the validation code before anything is protected."""

@@ -185,10 +185,43 @@ def test_size_limit_rejected():
 
 
 def test_unknown_selector_without_fallback():
+    """A tx to a selector that ``store`` lacks, with no fallback, is refused.
+    A CALL to it returns 0, runs no frame and moves no value, and its
+    ExternalCallEnter names the reason, in the block engine and the
+    reference alike."""
     w = _world()
     addr = deploy(w, assemble(STORE_SRC))
     with pytest.raises(UnknownSelectorError):
         execute_transaction(w, Transaction(1, addr, 0x77))
+    caller = deploy(w, _one_fn(f"PUSH 0 PUSH 0x77 PUSH 1 PUSH {addr} CALL PUSH 1 RETURN"))
+    w.set_balance(caller, 5)
+    w.commit(0)
+    before = w.dump()
+    for vm_cls in (VM, ReferenceVM):
+        r = vm_cls(w, TRACE_FULL).execute_transaction(Transaction(1, caller, 0x01))
+        assert (r.status, r.return_data) == (STATUS_ACCEPTED, [0])
+        assert w.dump() == before
+        calls = [e for e in r.trace if e.kind.startswith("ExternalCall")]
+        assert [(e.kind, e.detail) for e in calls] == [
+            ("ExternalCallEnter", {
+                "kind": "call", "target": addr, "code": "store", "fn": None, "site": (0, 4),
+                "selector": 0x77, "reason": "selector",
+            }),
+            ("ExternalCallReturn", {"success": False}),
+        ]
+
+
+def test_transaction_to_no_contract_or_with_no_gas_is_refused():
+    """The harness refuses a tx to an address without code, and a tx whose
+    gas limit is not positive, before any frame runs."""
+    w = _world()
+    addr = deploy(w, assemble(STORE_SRC))
+    before = w.dump()
+    with pytest.raises(VmError, match="is not a contract"):
+        execute_transaction(w, Transaction(1, addr + 1, 0x01))
+    assert w.dump() == before
+    with pytest.raises(VmError, match="gas_limit must be positive"):
+        Transaction(1, addr, 0x01, gas_limit=0)
 
 
 def test_out_of_gas_rolls_back_and_charges_limit():
@@ -813,11 +846,15 @@ def _one_fn(body: str):
         ("DUP 1 STOP", 0, 3),
         ("PUSH 1 PUSH 2 RETURN", 2, 9),  # fewer words than RETURN's count
         ("PUSH 1 JUMP l l: JUMPDEST POP POP STOP", 4, 15),  # block needs 2, gets 1
+        # fewer words than the call's argument count
+        ("PUSH 2 PUSH 1 PUSH 0 PUSH 0x999 CALL STOP", 4, 712),
+        ("PUSH 1 PUSH 7 PUSH 0 DELEGATECALL STOP", 3, 709),
     ],
 )
 def test_stack_underflow_reason_and_charge(body, offset, gas_used):
     w = _world()
-    addr = deploy(w, _one_fn(body))
+    prog = _one_fn(body)
+    addr = deploy(w, prog)
     r = execute_transaction(w, Transaction(1, addr, 0x01))
     assert r.status == STATUS_REVERTED
     # the failing instruction is charged before its operands are popped
@@ -826,6 +863,7 @@ def test_stack_underflow_reason_and_charge(body, offset, gas_used):
     assert (revert.kind, revert.offset, revert.detail) == (
         "Revert", offset, {"reason": "stack underflow", "code": "t", "data": []}
     )
+    _assert_matches_reference(Config(), prog, [([], 0, 10_000)])
 
 
 @pytest.mark.parametrize(
@@ -1556,7 +1594,7 @@ def test_region_internal_depth_limit_at_an_inlined_icall():
     prog = assemble(DEEP_SRC)
     _gas, _need, _room, deep, exits = _region(prog, fid=1)
     assert deep == 64 - 2
-    assert exits == [("ICALL", 6, ()), ("IRET", 11, ())]
+    assert exits == [(None, 0, ((1, 6),)), ("IRET", 11, ())]
     outcomes = []
     for n in (60, 61, 62):
         w = _world()
@@ -1678,7 +1716,9 @@ contract t {
 
 
 def test_region_ends_at_a_recursive_icall():
-    """``f``'s region inlines ``r``; ``r``'s own ICALL of ``r`` is a tail."""
+    """``f``'s region inlines ``r``; at ``r``'s own ICALL of ``r`` it stops
+    with ``r``'s second frame open, and the next region starts at ``r``'s
+    entry."""
     prog = assemble("""
 contract t {
   fn f external selector=0x01 { PUSH 3 ICALL r PUSH 1 RETURN }
@@ -1689,7 +1729,7 @@ contract t {
   }
 }
 """)
-    assert _region(prog)[4] == [("ICALL", 6, ((0, 2),)), ("RETURN", 4, ())]
+    assert _region(prog)[4] == [(None, 0, ((0, 2), (1, 6))), ("RETURN", 4, ())]
     w = _world()
     addr = deploy(w, prog)
     r = VM(w, TRACE_NONE).execute_transaction(Transaction(1, addr, 0x01))
@@ -1884,6 +1924,18 @@ def test_non_int_immediates_never_reach_the_compiler(imm):
         node.kids.append(0)
         with pytest.raises(TypeError):
             _source(node, _MASK64)
+
+
+@pytest.mark.parametrize("op", [Op.JUMP, Op.SSTORE, Op.CALL, Op.RETURN, Op.STOP])
+def test_source_refuses_an_op_that_is_not_straight_line(op):
+    """A block-ending op other than a JUMPI, ICALL or IRET never sits in a
+    region's node (``_unit`` makes it an edge or a tail); the compiler
+    refuses one rather than render it."""
+    node = _Node(0)
+    node.ops.append((op.code, 0, 0))
+    node.kids.append(0)
+    with pytest.raises(ValueError, match=f"{op.value} is not a straight-line op"):
+        _source(node, _MASK64)
 
 
 @pytest.mark.parametrize("word", [-1, 1 << 64, "5", 1.5, True])

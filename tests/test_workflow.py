@@ -31,7 +31,8 @@ from pathguard.guardcode import (
 from pathguard.isa import Op
 from pathguard.oracle import checked_pairs_from_receipt, trace_oracle
 from pathguard.pathset import MphtSpec, build_mpht, mapping_slot
-from pathguard.program import ValidationError
+from pathguard.instrument import ADMIN_FN_NAME
+from pathguard.program import ValidationError, derive_selector
 from pathguard.vm import TRACE_FULL, TRACE_NONE, VM, WorldState
 from pathguard.workflow import (
     AlarmRecord,
@@ -249,6 +250,43 @@ def test_not_admin_rejected(visibility_setup):
     outcome = run_transaction(run, scenario.attack[0])
     with pytest.raises(NotAdmin):
         review_and_approve(run, outcome.index, 0xDEAD)
+
+
+@pytest.mark.parametrize("width, bumped", [(64, 0x5E6331C2), (8, 0xC2)], ids=["w64", "w8"])
+def test_admin_selector_moves_past_the_functions_that_take_it(width, bumped):
+    """``go`` takes the admin routine's derived selector and ``next`` the
+    one after it: the admin routine gets the next free selector, both
+    functions still dispatch, and approval through it is accepted, so the
+    alarmed tx runs again without an alarm."""
+    admin = derive_selector(ADMIN_FN_NAME, width)
+    src = f"""
+contract c {{
+  fn go external selector={admin:#x} {{
+    PUSH 0 CALLDATALOAD JUMPI odd
+    PUSH 1 PUSH 1 RETURN
+  odd: JUMPDEST
+    PUSH 2 PUSH 1 RETURN
+  }}
+  fn next external selector={admin + 1:#x} {{ PUSH 3 PUSH 1 RETURN }}
+}}
+"""
+    bundle = Bundle.from_json({"contracts": [{"source": src}], "config": {"word_width": width}})
+    calls = [{"origin": 1, "to": "c", "fn": "go", "calldata": [v]} for v in (0, 1)]
+    trained = [calls[0], {"origin": 1, "to": "c", "fn": "next"}]
+    guarded = protect(bundle, train(bundle, trained))
+    inst = guarded.instrumented["c"]
+    assert inst.admin_selector == bumped
+    table = inst.program.selector_table
+    assert inst.program.functions[table[bumped]].name == ADMIN_FN_NAME
+    run = start_detection(guarded)
+    returned = [run_transaction(run, record).receipt.return_data for record in trained]
+    assert returned == [[1], [3]]
+    alarmed = run_transaction(run, calls[1])
+    assert alarmed.status == "GuardReverted" and alarmed.alarms
+    result = review_and_approve(run, alarmed.index, bundle.config.admin)
+    assert result["approved"] == len(alarmed.alarms)
+    again = run_transaction(run, calls[1])
+    assert (again.status, again.alarms, again.receipt.return_data) == ("Accepted", [], [2])
 
 
 def test_false_alarm_stream_of_identical_txs():
@@ -1018,12 +1056,12 @@ contract lib {
     PUSH 1
     PUSH 1
     TSTORE          ; one alarm entry in the buffer
-    PUSH 99
+    PUSH %(code)d
     PUSH 2
-    TSTORE          ; code id 99
-    PUSH 5
+    TSTORE          ; its code id
+    PUSH %(combined)d
     PUSH 4
-    TSTORE          ; fid 0, combined 5
+    TSTORE          ; fid 0, its combined word
     STOP
   }
 }
@@ -1032,23 +1070,31 @@ contract lib {
 
 def test_alarm_entry_naming_no_protected_function_is_labelled():
     """An unprotected library reached by DELEGATECALL runs in the protected
-    account and writes a made-up entry (code id 99) into its alarm buffer.
-    The frame's genuine miss still guard-reverts the tx with its own alarm,
-    and the made-up entry becomes a labelled record instead of an error."""
-    bundle = Bundle.from_json(
-        {"contracts": [{"source": P_SRC}, {"source": LIB_SRC}], "boundary": ["p"]}
-    )
-    calls = [{"origin": 1, "to": "p", "fn": "go", "calldata": ["@lib", v]} for v in (0, 1)]
-    guarded = protect(bundle, train(bundle, calls[:1]))
-    run = start_detection(guarded, mirror=False)
-    outcome = run_transaction(run, calls[1])
-    assert outcome.status == "GuardReverted"
-    forged, genuine = outcome.alarms
-    p = run.deployed.addresses["p"]
-    assert (forged.contract, forged.function, forged.combined_id) == (p, 0, 5)
-    assert forged.context_chain == ["<alarm entry names no protected function>"]
-    assert (genuine.contract, genuine.function) == (p, 0)
-    assert genuine.context_chain == ["entry -> p.fn0"] and genuine.path_blocks
+    account and writes a made-up entry into its alarm buffer: one naming
+    code id 99, or one naming ``p.fn0`` whose combined word implies 2**59
+    reentries, more than external calls can nest. The frame's genuine miss
+    still guard-reverts the tx with its own alarm, and the made-up entry
+    becomes a labelled record instead of an error, without a chain as long
+    as its reentry count."""
+    for code, combined, label in (
+        (99, 5, "<alarm entry names no protected function>"),
+        (0, 1 << 62, "<alarm entry implies more reentries than calls can nest>"),
+    ):
+        lib = LIB_SRC % {"code": code, "combined": combined}
+        bundle = Bundle.from_json(
+            {"contracts": [{"source": P_SRC}, {"source": lib}], "boundary": ["p"]}
+        )
+        calls = [{"origin": 1, "to": "p", "fn": "go", "calldata": ["@lib", v]} for v in (0, 1)]
+        guarded = protect(bundle, train(bundle, calls[:1]))
+        run = start_detection(guarded, mirror=False)
+        outcome = run_transaction(run, calls[1])
+        assert outcome.status == "GuardReverted"
+        forged, genuine = outcome.alarms
+        p = run.deployed.addresses["p"]
+        assert (forged.contract, forged.function, forged.combined_id) == (p, 0, combined)
+        assert forged.context_chain == [label]
+        assert (genuine.contract, genuine.function) == (p, 0)
+        assert genuine.context_chain == ["entry -> p.fn0"] and genuine.path_blocks
 
 
 @pytest.mark.parametrize("stage", ["setup", "training", "stream"])
@@ -1228,29 +1274,36 @@ def _detected_run(case: str):
 def test_point_sums_fold_to_the_per_tx_fold(case, monkeypatch):
     """The run's per-point sums, folded by (code name, point kind), equal a
     fold of each reconciled tx's charges by (code name, point kind), as
-    detection kept them before it summed per point; so does the whole
-    overhead report built from either."""
+    detection kept them before it summed per point; and the whole overhead
+    report built from the run equals one built from sums of each tx's
+    charges per point, kept apart from the run's."""
     from pathguard import workflow
 
     gas, hits = {}, {}
+    sums = {}
     reconcile = workflow._reconcile
 
     def both(run, index, receipt, points, gas_orig):
         reconcile(run, index, receipt, points, gas_orig)
         for name, (_owners, acc) in points.items():
             kinds = run.guarded.instrumented[name].points
+            point_gas, point_hits = sums.setdefault(name, ([0] * len(acc), [0] * len(acc)))
             for pid, amount in enumerate(acc):
                 if amount:
                     key = (name, kinds[pid].kind)
                     gas[key] = gas.get(key, 0) + amount
                     hits[key] = hits.get(key, 0) + 1
+                    point_gas[pid] += amount
+                    point_hits[pid] += 1
 
     monkeypatch.setattr(workflow, "_reconcile", both)
     run = _detected_run(case)
     assert gas and not run.recon_failures
     assert run.point_gas == gas and run.point_hits == hits
+    for name, inst in run.guarded.instrumented.items():
+        sums.setdefault(name, ([0] * len(inst.points), [0] * len(inst.points)))
     reference = types.SimpleNamespace(
         guarded=run.guarded, outcomes=run.outcomes, alarm_log=run.alarm_log,
-        recon_failures=run.recon_failures, point_gas=gas, point_hits=hits,
+        recon_failures=run.recon_failures, point_sums=sums,
     )
     assert json.dumps(overhead_report(run)) == json.dumps(overhead_report(reference))

@@ -1,8 +1,8 @@
 """Per-block view of a trace, for tests that compare or list trace events.
 
 At TRACE_FULL the VM traces control flow as ``Region`` events alone: one
-per region path, and one of a single step per tail ICALL or IRET, whose
-steps the trace oracle walks. ``per_block`` expands each into the
+per region path, every ICALL among its steps, and one of a single step per
+tail IRET, whose steps the trace oracle walks. ``per_block`` expands each into the
 events the per-instruction reference (``tests/vm_reference.py``) traces for
 those steps, so traces compare with the reference and with listings, and the
 corpus digest reads the events it always read.
